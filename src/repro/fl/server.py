@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,6 +88,8 @@ class ParameterServer:
         if not 0.0 < mixing_alpha <= 1.0:
             raise ValueError("mixing_alpha must be in (0, 1]")
         self._params = initial_params.copy()
+        #: ``(array, its read-only view)`` last handed out by :meth:`global_params`.
+        self._view: Optional[Tuple[np.ndarray, np.ndarray]] = None  # reprolint: static (derived from _params)
         self.async_rule = AsyncUpdateRule(async_rule)
         self.mixing_alpha = mixing_alpha
         self.version = 0
@@ -109,12 +111,23 @@ class ParameterServer:
         Zero-copy: update rules always *rebind* ``_params`` to a fresh array
         (never mutate in place), so a view handed out here remains a valid
         snapshot of the model at hand-out time — which is exactly what a
-        downloading client needs — without the full-vector copy the old
-        defensive-copy implementation paid on every access.
+        downloading client needs.  Every caller between two updates gets the
+        *same* view object (the cache remembers which array it views, so a
+        rebind is recognised as stale without every update rule having to
+        say so): users that downloaded the same version pin one object, and
+        a checkpoint stores each base vector once.
         """
-        view = self._params.view()
-        view.flags.writeable = False
-        return view
+        cached = self._view
+        if cached is None or cached[0] is not self._params:
+            view = self._params.view()
+            view.flags.writeable = False
+            self._view = cached = (self._params, view)
+        return cached[1]
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The cached view is derived; pickling it would write the current
+        # vector a second time into every snapshot.
+        return {**self.__dict__, "_view": None}
 
     def num_updates(self) -> int:
         """Number of updates applied so far (the version counter)."""

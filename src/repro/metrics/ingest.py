@@ -54,21 +54,9 @@ FRAME_METRICS = (
     "virtual_queue_length",
 )
 
-def _queue_backlogs(policy: Any) -> Dict[str, float]:
-    return {
-        "queue_length": float(
-            getattr(getattr(policy, "task_queue", None), "length", 0.0)
-        ),
-        "virtual_queue_length": float(
-            getattr(getattr(policy, "virtual_queue", None), "length", 0.0)
-        ),
-    }
-
 
 def frame_metrics_from_checkpoint(checkpoint: "EngineCheckpoint") -> Dict[str, Any]:
     """Progress scalars read straight out of an in-memory checkpoint."""
-    policy, server = checkpoint.coordinator.unit[0], checkpoint.coordinator.unit[1]
-    accuracy = checkpoint.coordinator.unit[4]
     if checkpoint.backend == "fleet":
         energy_j = 0.0
         for piece in checkpoint.slices or []:
@@ -85,17 +73,16 @@ def frame_metrics_from_checkpoint(checkpoint: "EngineCheckpoint") -> Dict[str, A
                 )
             )
     else:
-        loop = checkpoint.loop or {}
-        energy_j = loop["unit"][4].total_j()
-    sample = accuracy.samples[-1] if accuracy.samples else None
-    payload: Dict[str, Any] = {
+        energy_j = checkpoint.loop["energy_j"]
+    coordinator = checkpoint.coordinator
+    return {
         "energy_j": energy_j,
-        "num_updates": server.num_updates(),
-        "accuracy": None if sample is None else sample.accuracy,
-        "loss": None if sample is None else sample.loss,
+        "num_updates": coordinator.num_updates,
+        "accuracy": coordinator.accuracy,
+        "loss": coordinator.loss,
+        "queue_length": coordinator.queue_length,
+        "virtual_queue_length": coordinator.virtual_queue_length,
     }
-    payload.update(_queue_backlogs(policy))
-    return payload
 
 
 def frame_metrics_from_result(result: Any) -> Dict[str, Any]:

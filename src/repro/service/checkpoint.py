@@ -26,7 +26,6 @@ cap changes nothing but the checkpoint opportunity.
 
 from __future__ import annotations
 
-import copy
 import errno
 import hashlib
 import json
@@ -66,10 +65,10 @@ __all__ = [
 ]
 
 #: Bumped whenever the on-disk layout or the state dicts change shape.
-#: v3: per-snapshot ``meta.json`` + sha256 checksums, manifest holds a
-#: ``latest`` pointer plus the retention set instead of inlining one
-#: snapshot's metadata.
-CHECKPOINT_FORMAT_VERSION = 3
+#: v4: the coupling state inside ``coordinator.pkl`` (and the loop
+#: backend's object state) is carried as already-pickled bytes beside the
+#: telemetry scalars, not as live objects.
+CHECKPOINT_FORMAT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):
@@ -98,18 +97,26 @@ class RunInterrupted(Exception):
 
 @dataclass
 class CoordinatorState:
-    """The coordinator-side coupling state of one checkpoint.
+    """The coordinator-side coupling state of one checkpoint, serialised once.
 
-    The nine coupled objects are deep-copied as *one* memo unit so shared
-    references — in particular the parameter-server vectors that the
-    pinned-base map and the fleet's ``base_params`` view — stay shared
-    inside the copy.  :meth:`materialize` deep-copies the unit back out, so
-    a single in-memory checkpoint can be restored more than once without
-    the restored engines aliasing each other.
+    ``payload`` is the nine coupled objects pickled by *one* ``dumps`` call,
+    so references shared between them — the one view of a model version
+    that every user who downloaded it pins — are shared again in whatever
+    :meth:`materialize` returns.  The bytes are the isolated snapshot: the
+    live run cannot reach them, :class:`CheckpointStore` writes them as
+    they are, and every :meth:`materialize` unpickles a fresh object graph,
+    so restores of one in-memory checkpoint never alias each other.  The
+    other fields are the progress scalars of a telemetry frame, read from
+    the live core at capture so reporting never unpickles a snapshot.
     """
 
-    unit: tuple
+    payload: bytes
     timer_seconds: Dict[str, float]
+    num_updates: int
+    accuracy: Optional[float]
+    loss: Optional[float]
+    queue_length: float
+    virtual_queue_length: float
 
     _FIELDS = (
         "policy",
@@ -126,14 +133,24 @@ class CoordinatorState:
     @classmethod
     def capture(cls, core: "CouplingCore", timers: "EngineTimers") -> "CoordinatorState":
         """Snapshot a :class:`~repro.sim.coupling.CouplingCore` (+ timers)."""
-        unit = core.checkpoint_unit()
-        return cls(unit=copy.deepcopy(unit), timer_seconds=dict(timers.seconds))
+        samples = core.accuracy.samples
+        task_queue = getattr(core.policy, "task_queue", None)
+        virtual_queue = getattr(core.policy, "virtual_queue", None)
+        return cls(
+            payload=_pickled(core.checkpoint_unit()),
+            timer_seconds=dict(timers.seconds),
+            num_updates=core.server.num_updates(),
+            accuracy=samples[-1].accuracy if samples else None,
+            loss=samples[-1].loss if samples else None,
+            queue_length=float(getattr(task_queue, "length", 0.0)),
+            virtual_queue_length=float(getattr(virtual_queue, "length", 0.0)),
+        )
 
     def materialize(self) -> "MaterializedCoordinator":
         """A fresh, un-aliased copy of the coupling state for one restore."""
-        unit = copy.deepcopy(self.unit)
         return MaterializedCoordinator(
-            **dict(zip(self._FIELDS, unit)), timer_seconds=dict(self.timer_seconds)
+            **dict(zip(self._FIELDS, pickle.loads(self.payload))),
+            timer_seconds=dict(self.timer_seconds),
         )
 
 
@@ -155,17 +172,7 @@ class MaterializedCoordinator:
     def install(self, core: "CouplingCore", timers: "EngineTimers") -> None:
         """Bind this state into a freshly built coupling core."""
         core.load_checkpoint_unit(
-            (
-                self.policy,
-                self.server,
-                self.transport,
-                self.trace,
-                self.accuracy,
-                self.gaps,
-                self.sync_buffer,
-                self.eval_cache,
-                self.pinned_base,
-            )
+            tuple(getattr(self, name) for name in CoordinatorState._FIELDS)
         )
         # Seed every current category first: a checkpoint written before a
         # timer bucket existed must not resurrect a dict missing it.
@@ -387,13 +394,15 @@ class CheckpointStore:
     each contiguous user slice gets its own ``users_<lo>_<hi>.pkl``, the
     coordinator writes ``coordinator.pkl`` (config + coupling state, or the
     loop-backend state), and ``meta.json`` records the slot coordinates
-    plus a sha256 checksum of every file.  Each file is read back and
-    verified against its checksum before publication; only then is
-    ``manifest.json`` flipped via an atomic rename to name the directory as
-    ``latest``.  Pickles of published snapshots are never reopened or
-    truncated, so a crash, SIGKILL or detected corruption at *any* point
-    mid-save leaves the manifest referencing the previous complete,
-    loadable snapshot.
+    plus a sha256 checksum of every file.  Each file is serialised once in
+    memory; its checksum is computed from those bytes, and the written file
+    is read back and compared with them byte for byte before publication —
+    so a torn or altered write is caught at save time, not hashed into a
+    consistent-looking checksum.  Only then is ``manifest.json`` flipped
+    via an atomic rename to name the directory as ``latest``.  Pickles of
+    published snapshots are never reopened or truncated, so a crash,
+    SIGKILL or detected corruption at *any* point mid-save leaves the
+    manifest referencing the previous complete, loadable snapshot.
 
     Retention: the manifest carries the set of retained snapshots — the
     newest ``keep_last`` plus every slot-milestone snapshot
@@ -504,29 +513,24 @@ class CheckpointStore:
         }
         for piece in checkpoint.slices or []:
             name = f"users_{piece['lo']}_{piece['hi']}.pkl"
-            with open(snapshot / name, "wb") as handle:
-                pickle.dump(piece, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            meta["checksums"][name] = _sha256(snapshot / name)
+            meta["checksums"][name] = _write_verified(snapshot / name, _pickled(piece))
             meta["slices"].append({"lo": piece["lo"], "hi": piece["hi"], "file": name})
         if injected == "disk_full":
             raise OSError(
                 errno.ENOSPC, f"injected disk_full while saving {snapshot.name}"
             )
-        with open(snapshot / "coordinator.pkl", "wb") as handle:
-            pickle.dump(
+        meta["checksums"]["coordinator.pkl"] = _write_verified(
+            snapshot / "coordinator.pkl",
+            _pickled(
                 {
                     "config": checkpoint.config,
                     "coordinator": checkpoint.coordinator,
                     "loop": checkpoint.loop,
-                },
-                handle,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        meta["checksums"]["coordinator.pkl"] = _sha256(snapshot / "coordinator.pkl")
+                }
+            ),
+            corrupt=injected == "corrupt_checkpoint",
+        )
         (snapshot / self.META).write_text(json.dumps(meta, indent=2))
-        if injected == "corrupt_checkpoint":
-            _flip_bytes(snapshot / "coordinator.pkl")
-        self._verify(snapshot, meta)
 
         entries: List[Dict[str, Any]] = []
         if self.exists():
@@ -546,16 +550,6 @@ class CheckpointStore:
             if stale.name not in keep:
                 shutil.rmtree(stale, ignore_errors=True)
 
-    def _verify(self, snapshot: Path, meta: Dict[str, Any]) -> None:
-        """Read every just-written file back and compare checksums."""
-        for name, expected in meta["checksums"].items():
-            if _sha256(snapshot / name) != expected:
-                raise CheckpointError(
-                    f"checkpoint snapshot {snapshot.name} failed write "
-                    f"verification: {name} does not read back bit-for-bit; "
-                    "the previous snapshot remains the loadable one"
-                )
-
     def retained_slots(self) -> List[int]:
         """Slots of the snapshots the manifest currently retains."""
         if not self.exists():
@@ -566,20 +560,17 @@ class CheckpointStore:
         manifest = self._read_manifest()
         snapshot = self.root / manifest["latest"]
         meta = json.loads((snapshot / self.META).read_text())
+        files: Dict[str, Any] = {}
         for name, expected in meta["checksums"].items():
-            if _sha256(snapshot / name) != expected:
+            data = (snapshot / name).read_bytes()
+            if hashlib.sha256(data).hexdigest() != expected:
                 raise CheckpointError(
                     f"checkpoint snapshot {snapshot.name} is corrupt on disk: "
                     f"{name} does not match its recorded checksum"
                 )
-        with open(snapshot / "coordinator.pkl", "rb") as handle:
-            head = pickle.load(handle)
-        slices: Optional[List[dict]] = None
-        if meta["slices"]:
-            slices = []
-            for entry in meta["slices"]:
-                with open(snapshot / entry["file"], "rb") as handle:
-                    slices.append(pickle.load(handle))
+            files[name] = pickle.loads(data)
+        head = files["coordinator.pkl"]
+        slices = [files[entry["file"]] for entry in meta["slices"]] or None
         return EngineCheckpoint(
             format_version=meta["format_version"],
             backend=meta["backend"],
@@ -596,8 +587,27 @@ class CheckpointStore:
         )
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _pickled(obj: Any) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _write_verified(path: Path, data: bytes, corrupt: bool = False) -> str:
+    """Write ``data``, compare the read-back with it, return its sha256.
+
+    ``corrupt`` is the injected ``corrupt_checkpoint`` fault: it damages
+    the file between the write and the read-back.
+    """
+    with open(path, "wb") as handle:
+        handle.write(data)
+    if corrupt:
+        _flip_bytes(path)
+    if path.read_bytes() != data:
+        raise CheckpointError(
+            f"checkpoint snapshot {path.parent.name} failed write "
+            f"verification: {path.name} does not read back bit-for-bit; "
+            "the previous snapshot remains the loadable one"
+        )
+    return hashlib.sha256(data).hexdigest()
 
 
 def _flip_bytes(path: Path, span: int = 64) -> None:

@@ -112,14 +112,15 @@ class CouplingCore:
         """The mutable coupling state, ordered as :data:`_CHECKPOINT_ATTRS`.
 
         The single authoritative gather point for checkpoint capture:
-        :class:`repro.service.checkpoint.CoordinatorState` deep-copies this
-        tuple as one memo unit so cross-object aliases (the parameter-server
-        vectors the pinned-base map shares) stay shared inside the copy.
+        :class:`repro.service.checkpoint.CoordinatorState` pickles this
+        tuple in one ``dumps`` call so cross-object aliases (the one view of
+        a model version that all its downloaders pin) stay shared in every
+        restore.
         """
         return tuple(getattr(self, attr) for attr in self._CHECKPOINT_ATTRS)
 
     def load_checkpoint_unit(self, unit: tuple) -> None:
-        """Bind a captured (and re-copied) checkpoint unit back in."""
+        """Bind a captured (and unpickled) checkpoint unit back in."""
         if len(unit) != len(self._CHECKPOINT_ATTRS):
             raise ValueError(
                 f"checkpoint unit has {len(unit)} entries; expected "

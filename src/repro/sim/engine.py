@@ -25,6 +25,7 @@ eventual update — exactly the trade-off the schedulers navigate.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -618,8 +619,6 @@ class SimulationEngine:
         restored engine continues from the checkpoint slot and produces
         results bitwise-identical to the uninterrupted run.
         """
-        import copy as _copy
-
         coordinator = checkpoint.coordinator.materialize()
         engine = cls(
             config=checkpoint.config,
@@ -647,7 +646,7 @@ class SimulationEngine:
                 engine._user_states,
                 engine.gap_tracker,
                 engine.accountant,
-            ) = _copy.deepcopy(loop["unit"])
+            ) = pickle.loads(loop["unit"])
             engine._has_batteries = any(b is not None for b in engine.batteries)
             for client, state in zip(engine.clients, loop["clients"]):
                 client.optimizer.load_velocity(state["velocity"])
@@ -678,8 +677,6 @@ class SimulationEngine:
 
     def _loop_checkpoint(self, slot: int, pending_arrivals: List[int]):
         """Assemble the loop backend's state into an ``EngineCheckpoint``."""
-        import copy as _copy
-
         from repro.service.checkpoint import (
             CHECKPOINT_FORMAT_VERSION,
             CoordinatorState,
@@ -697,15 +694,19 @@ class SimulationEngine:
                 }
             )
         loop = {
-            "unit": _copy.deepcopy(
+            # Serialised once, like the coordinator unit: the bytes are the
+            # isolated snapshot and every restore unpickles its own copy.
+            "unit": pickle.dumps(
                 (
                     self.devices,
                     self.batteries,
                     self._user_states,
                     self.gap_tracker,
                     self.accountant,
-                )
+                ),
+                protocol=pickle.HIGHEST_PROTOCOL,
             ),
+            "energy_j": self.accountant.total_j(),
             "clients": clients_state,
             "scheduler": self._train_scheduler.state_dict(),
         }

@@ -389,6 +389,29 @@ class TestUploadPayloadAndZeroCopy:
         assert np.array_equal(snapshot, np.arange(4.0))
         assert np.array_equal(server.global_params(), np.arange(4.0) + 1.0)
 
+    def test_one_view_per_model_version(self):
+        import pickle
+
+        from repro.fl.client import LocalUpdate
+
+        server = ParameterServer(np.arange(4.0))
+        first = server.download(0)
+        assert server.download(1) is first and server.global_params() is first
+        server.async_update(
+            LocalUpdate(0, delta=np.ones(4), base_version=0, num_samples=1,
+                        train_loss=0.0, momentum_norm=0.0, num_batches=1),
+            time_s=0.0,
+        )
+        second = server.download(1)
+        assert second is not first and server.download(2) is second
+        # The cache is derived state and is not pickled; the restored
+        # server (whose vector no longer owns its memory) still recognises
+        # its own view.
+        restored = pickle.loads(pickle.dumps(server))
+        assert restored._view is None
+        assert restored.global_params() is restored.global_params()
+        assert np.array_equal(restored.global_params(), second)
+
 
 # ---------------------------------------------------------------------------
 # Engine timers

@@ -9,19 +9,28 @@ fast-forward, batched training with train-ahead flights, and the sharded
 engine (including restoring under a different shard count).
 """
 
+import builtins
+import enum
+import json
 import tempfile
 
+import numpy as np
 import pytest
 
 from repro.core.online import OnlinePolicy
 from repro.core.policies import SyncPolicy
+from repro.fl.client import LocalUpdate
+from repro.service import checkpoint as checkpoint_module
 from repro.service.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
+    CheckpointError,
     CheckpointStore,
     Checkpointer,
+    CoordinatorState,
     RunInterrupted,
 )
 from repro.sim.config import SimulationConfig
+from repro.device.device import DeviceState
 from repro.sim.engine import SimulationEngine
 from repro.sim.shard import ShardedEngine
 
@@ -82,6 +91,32 @@ def interrupt_at(engine, at_slot: int):
     assert len(taken) == 1
     assert taken[0].slot == at_slot
     return taken[0]
+
+
+def intercept_writes(monkeypatch, write) -> None:
+    """Route every ``write`` of a file the checkpoint module opens through
+    ``write(real_handle, data)`` — how the tests land torn or dying writes."""
+
+    class Handle:
+        def __init__(self, real):
+            self.real = real
+
+        def __enter__(self):
+            self.real.__enter__()
+            return self
+
+        def __exit__(self, *exc):
+            return self.real.__exit__(*exc)
+
+        def write(self, data):
+            return write(self.real, data)
+
+    monkeypatch.setattr(
+        checkpoint_module,
+        "open",
+        lambda *args, **kwargs: Handle(builtins.open(*args, **kwargs)),
+        raising=False,
+    )
 
 
 def assert_same(reference: dict, resumed: dict, label: str) -> None:
@@ -299,8 +334,6 @@ class TestCheckpointStore:
 
     def test_crash_mid_save_keeps_previous_snapshot(self, monkeypatch):
         """A save that dies partway never corrupts the last complete one."""
-        import pickle as _pickle
-
         config = make_config()
         first = interrupt_at(
             SimulationEngine(config, make_policy("online"), backend="loop"), 37
@@ -312,16 +345,14 @@ class TestCheckpointStore:
             store = CheckpointStore(tmp)
             store.save(first)
 
-            real_dump = _pickle.dump
-
-            def dying_dump(obj, handle, **kwargs):
+            def dying_write(handle, data):
                 handle.write(b"partial")  # truncated garbage, then the "kill"
                 raise OSError("simulated crash mid-save")
 
-            monkeypatch.setattr(_pickle, "dump", dying_dump)
-            with pytest.raises(OSError):
-                store.save(second)
-            monkeypatch.setattr(_pickle, "dump", real_dump)
+            with monkeypatch.context() as patch:
+                intercept_writes(patch, dying_write)
+                with pytest.raises(OSError):
+                    store.save(second)
 
             # The manifest still points at the first, fully-written snapshot.
             assert store.exists()
@@ -367,3 +398,157 @@ class TestCheckpointStore:
             store.save(checkpoint)
             with pytest.raises(ValueError, match="unsupported"):
                 store.load()
+
+    def test_format_v3_store_is_rejected(self):
+        """No reader shim: a store written by the previous format is refused."""
+        with tempfile.TemporaryDirectory() as tmp:
+            store = CheckpointStore(tmp)
+            (store.root / store.MANIFEST).write_text(
+                json.dumps({"format_version": 3, "latest": "snapshot-00000000",
+                            "retained": []})
+            )
+            with pytest.raises(ValueError, match="format 3 unsupported"):
+                store.load()
+
+    @pytest.mark.parametrize(
+        "land",
+        [
+            pytest.param(lambda data: data[: len(data) // 2], id="short"),
+            pytest.param(lambda data: data[:-1] + bytes([data[-1] ^ 1]), id="altered"),
+        ],
+    )
+    def test_torn_write_is_caught_before_the_manifest_flips(self, monkeypatch, land):
+        """The read-back is compared with the bytes meant to be written, so a
+        write that lands something else cannot hash its way to a checksum."""
+        config = make_config()
+        first = interrupt_at(
+            SimulationEngine(config, make_policy("online"), backend="fleet"), 37
+        )
+        second = interrupt_at(
+            SimulationEngine(config, make_policy("online"), backend="fleet"), 137
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            store = CheckpointStore(tmp)
+            store.save(first)
+            with monkeypatch.context() as patch:
+                intercept_writes(patch, lambda handle, data: handle.write(land(data)))
+                with pytest.raises(CheckpointError, match="write verification"):
+                    store.save(second)
+            assert store.retained_slots() == [37]
+            assert store.load().slot == 37
+
+    def test_at_rest_corruption_of_a_slice_file_is_caught_at_load(self):
+        checkpoint = interrupt_at(
+            SimulationEngine(make_config(), make_policy("online"), backend="fleet"), 37
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            store = CheckpointStore(tmp)
+            store.save(checkpoint)
+            (users,) = store.root.glob("snapshot-*/users_*.pkl")
+            data = bytearray(users.read_bytes())
+            data[len(data) // 2] ^= 0xFF
+            users.write_bytes(bytes(data))
+            with pytest.raises(CheckpointError, match="corrupt on disk"):
+                store.load()
+
+
+def mutable_objects(root) -> dict:
+    """``id -> object`` for every mutable object reachable from ``root``."""
+    found, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(
+            obj, (type(None), bool, int, float, str, bytes, np.generic, enum.Enum, type)
+        ) or id(obj) in found:
+            continue
+        if isinstance(obj, (tuple, frozenset)):
+            stack.extend(obj)
+            continue
+        found[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, set)):
+            stack.extend(obj)
+        elif isinstance(obj, np.ndarray):
+            if obj.dtype == object:
+                stack.extend(obj.ravel().tolist())
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+class TestSnapshotIsolation:
+    """The pickled bytes are the snapshot: no deep copy, same isolation."""
+
+    @pytest.fixture()
+    def engine(self):
+        # Slot 37 sits inside the opening training flight: every user has
+        # downloaded version 0 and pins its base vector.
+        engine = SimulationEngine(
+            make_config(num_users=8), make_policy("online"), backend="fleet"
+        )
+        interrupt_at(engine, 37)
+        assert len(engine.core._pinned_base) >= 2
+        return engine
+
+    def test_live_mutation_after_capture_does_not_reach_the_snapshot(self, engine):
+        core = engine.core
+        state = CoordinatorState.capture(core, engine.timers)
+        version = core.server.version
+        params = core.server.global_params().copy()
+        pinned = sorted(core._pinned_base)
+        updates = len(core.trace.update_samples)
+        evals = len(core.accuracy.samples)
+
+        user = pinned[0]
+        core.apply_async_update(
+            user,
+            38,
+            LocalUpdate(user, delta=np.ones_like(params), base_version=version,
+                        num_samples=1, train_loss=0.0, momentum_norm=0.0,
+                        num_batches=1),
+            round_number=1,
+        )
+        core.accuracy.record(38.0, accuracy=1.0, loss=0.0, num_updates=version + 1)
+        core.gaps += 1.0
+        assert core.server.version == version + 1
+
+        restored = state.materialize()
+        assert restored.server.version == state.num_updates == version
+        assert np.array_equal(restored.server.global_params(), params)
+        assert sorted(restored.pinned_base) == pinned
+        assert len(restored.trace.update_samples) == updates
+        assert len(restored.accuracy.samples) == evals
+        assert not np.array_equal(restored.gaps, core.gaps)
+
+    def test_two_materializations_share_no_mutable_object(self, engine):
+        state = CoordinatorState.capture(engine.core, engine.timers)
+        first, second = state.materialize(), state.materialize()
+        assert len(mutable_objects(first)) > 30  # the walk is not vacuous
+        assert not mutable_objects(first).keys() & mutable_objects(second).keys()
+        assert not mutable_objects(first).keys() & mutable_objects(
+            engine.core.checkpoint_unit()
+        ).keys()
+
+    def test_references_shared_inside_the_unit_stay_shared(self, engine):
+        core = engine.core
+        live = list(core._pinned_base.values())
+        assert all(view is live[0] for view in live)  # one view per version
+        restored = CoordinatorState.capture(core, engine.timers).materialize()
+        pinned = list(restored.pinned_base.values())
+        assert len(pinned) == len(live)
+        assert all(view is pinned[0] for view in pinned)
+        assert np.array_equal(pinned[0], restored.server.global_params())
+
+    def test_loop_unit_is_isolated_from_the_live_engine(self):
+        engine = SimulationEngine(make_config(), make_policy("online"), backend="loop")
+        checkpoint = interrupt_at(engine, 37)
+        energy = checkpoint.loop["energy_j"]
+        engine.accountant.record(0, DeviceState.IDLE, 1.0e6)
+        first = SimulationEngine.restore(checkpoint)
+        second = SimulationEngine.restore(checkpoint)
+        assert first.accountant.total_j() == second.accountant.total_j() == energy
+        assert not mutable_objects(first._user_states).keys() & mutable_objects(
+            second._user_states
+        ).keys()

@@ -267,6 +267,21 @@ class TestFleetScale:
         assert len(result.accountant.per_slot_totals()) == config.total_slots
 
 
+    def test_users_on_one_model_version_pin_one_view(self):
+        """The server hands out one view per version, so the pinned-base map
+        (and a snapshot of it) holds each base vector once, not once a user."""
+        config = _paper_fleet_config(num_users=60)
+        engine = SimulationEngine(
+            config, OnlinePolicy(v=4000.0, staleness_bound=500.0), backend="fleet"
+        )
+        engine.run()
+        pinned = engine.core._pinned_base
+        versions = {engine.server.downloaded_version(user) for user in pinned}
+        views = {id(view): view for view in pinned.values()}
+        assert len(pinned) >= 50 and 1 < len(versions) < len(pinned)
+        assert len(views) == len(versions)
+
+
 class TestFleetEnergyAccountant:
     def test_matches_loop_reduction_order(self):
         """total_j must be the left-to-right Python sum of per-user totals."""
