@@ -1,6 +1,6 @@
 """Fast-forward equivalence + performance smoke check (CI gate).
 
-Runs one sparse configuration under the fleet backend twice — slot-by-slot
+Runs one sparse configuration through the engine twice — slot-by-slot
 and with event-horizon fast-forward — then:
 
 1. asserts the two runs are *bitwise identical* on every observable trace
@@ -59,7 +59,7 @@ def run_once(config: SimulationConfig, fast_forward: bool, repeats: int):
     result = None
     for _ in range(repeats):
         engine = SimulationEngine(
-            config, ImmediatePolicy(), backend="fleet", fast_forward=fast_forward
+            config, ImmediatePolicy(), fast_forward=fast_forward
         )
         start = time.perf_counter()
         result = engine.run()

@@ -79,7 +79,7 @@ def run_single(config: SimulationConfig, repeats: int):
     result = None
     for _ in range(repeats):
         engine = SimulationEngine(
-            config, OnlinePolicy(v=4000.0), backend="fleet", fast_forward=True
+            config, OnlinePolicy(v=4000.0), fast_forward=True
         )
         start = time.perf_counter()
         result = engine.run()

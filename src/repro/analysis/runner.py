@@ -8,8 +8,8 @@ the grid is embarrassingly parallel and its results are cacheable.  This
 module supplies both pieces:
 
 * :class:`RunSpec` — one cell of a grid: a policy (by name, with kwargs), a
-  :class:`~repro.sim.config.SimulationConfig` override dict, and the engine
-  backend.  A spec has a canonical JSON form and a stable content hash.
+  :class:`~repro.sim.config.SimulationConfig` override dict, and the
+  execution-mode switches.  A spec has a canonical JSON form and a stable content hash.
 * :class:`RunSummary` — the headline numbers of one finished run (energy,
   accuracy, queue backlogs, decision counts, ...), JSON-serialisable so it
   can live in the on-disk cache.
@@ -41,7 +41,7 @@ from repro.core.offline import OfflinePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.policies import ImmediatePolicy, SchedulingPolicy, SyncPolicy
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import SimulationEngine, SimulationResult
+from repro.sim.engine import SimulationResult, build_engine
 
 __all__ = [
     "RunSpec",
@@ -57,7 +57,8 @@ __all__ = [
 
 #: Bump to invalidate previously cached summaries when their schema changes.
 #: 3: ``shards`` and ``trace_level`` joined the canonical spec payload.
-CACHE_VERSION = 3
+#: 4: ``backend`` left it.
+CACHE_VERSION = 4
 
 #: Registered policy constructors, keyed by the CLI / spec name.
 _POLICY_FACTORIES = {
@@ -95,16 +96,15 @@ class RunSpec:
             the offline window, ...).
         config: :class:`~repro.sim.config.SimulationConfig` field overrides;
             unspecified fields keep the paper's Section VII.B defaults.
-        backend: simulation backend (``"fleet"`` vectorized by default).
-        fast_forward: enable the fleet backend's event-horizon fast-forward
-            path (on by default; ignored by the loop backend).
+        fast_forward: enable the engine's event-horizon fast-forward path
+            (on by default).
         batched_training: execute concurrent local rounds as one stacked
             tensor program (:class:`repro.fl.batch.BatchTrainer`); off by
             default, matching the engine.
         shards: partition the population across this many worker processes
             (:class:`repro.sim.shard.ShardedEngine`); ``1`` (default) runs
             the single-process engine.  Any shard count produces a bitwise-
-            identical summary on the fleet fast-forward backend, but the
+            identical summary, but the
             knob is still part of the cache key — an execution-mode switch
             must never silently serve summaries simulated by a different
             engine.
@@ -118,7 +118,6 @@ class RunSpec:
     policy: str
     policy_kwargs: Dict[str, Any] = field(default_factory=dict)
     config: Dict[str, Any] = field(default_factory=dict)
-    backend: str = "fleet"
     fast_forward: bool = True
     batched_training: bool = False
     shards: int = 1
@@ -147,8 +146,8 @@ class RunSpec:
 
         The display label is deliberately excluded: it does not change the
         simulated system, so relabelled grids still hit the cache.  The
-        package version, the engine backend, the fast-forward switch and the
-        batched-training switch are all *included*: a code release or an
+        package version, the fast-forward switch, the batched-training
+        switch and the shard count are all *included*: a code release or an
         execution-mode switch must not silently serve summaries simulated
         by different code.
         """
@@ -158,7 +157,6 @@ class RunSpec:
             "policy": self.policy,
             "policy_kwargs": self.policy_kwargs,
             "config": self.config,
-            "backend": self.backend,
             "fast_forward": self.fast_forward,
             "batched_training": self.batched_training,
             "shards": self.shards,
@@ -238,53 +236,21 @@ def execute_spec(
     workers; the supervised engine recovers from the injected faults with
     results unchanged.
     """
-    if spec.shards > 1:
-        if spec.backend != "fleet":
-            raise ValueError(
-                "sharded execution partitions the fleet backend; "
-                f"backend={spec.backend!r} cannot run with shards={spec.shards}"
-            )
-        from repro.sim.shard import ShardedEngine
-
-        if resume_from is not None:
-            engine = ShardedEngine.restore(
-                resume_from,
-                shards=spec.shards,
-                profile=True,
-                training_threads=1,
-                fault_injector=fault_injector,
-            )
-        else:
-            engine = ShardedEngine(
-                spec.build_config(),
-                spec.build_policy(),
-                shards=spec.shards,
-                fast_forward=spec.fast_forward,
-                batched_training=spec.batched_training,
-                profile=True,
-                trace_level=spec.trace_level,
-                training_threads=1,
-                fault_injector=fault_injector,
-            )
-        return engine.run(checkpointer)
-    if resume_from is not None:
-        engine = SimulationEngine.restore(
-            resume_from, profile=True, training_threads=1
-        )
-    else:
-        engine = SimulationEngine(
-            spec.build_config(),
-            spec.build_policy(),
-            backend=spec.backend,
-            fast_forward=spec.fast_forward,
-            batched_training=spec.batched_training,
-            profile=True,
-            trace_level=spec.trace_level,
-            # Suite runs may already occupy every core with worker
-            # processes; nested compute-bound trainer threads would only
-            # oversubscribe.  Thread count never changes results.
-            training_threads=1,
-        )
+    engine = build_engine(
+        spec.build_config(),
+        spec.build_policy(),
+        shards=spec.shards,
+        resume_from=resume_from,
+        fast_forward=spec.fast_forward,
+        batched_training=spec.batched_training,
+        profile=True,
+        trace_level=spec.trace_level,
+        # Suite runs may already occupy every core with worker processes;
+        # nested compute-bound trainer threads would only oversubscribe.
+        # Thread count never changes results.
+        training_threads=1,
+        fault_injector=fault_injector,
+    )
     return engine.run(checkpointer)
 
 
@@ -294,7 +260,7 @@ def run_spec(spec: RunSpec) -> SimulationResult:
     Module-level (not a method) so ``multiprocessing`` can pickle it by
     reference; the dataset is rebuilt from the config seed inside the
     worker, which reproduces the shared-dataset sequential runs exactly.
-    ``shards > 1`` dispatches to the sharded fleet engine
+    ``shards > 1`` runs the sharded engine
     (:class:`repro.sim.shard.ShardedEngine`) — same results, partitioned
     execution.
     """
@@ -482,7 +448,6 @@ def sweep_grid(
     arrival_probs: Sequence[Optional[float]] = (None,),
     staleness_bound: float = 500.0,
     base_config: Optional[Dict[str, Any]] = None,
-    backend: str = "fleet",
     fast_forward: bool = True,
     batched_training: bool = False,
     shards: int = 1,
@@ -501,13 +466,18 @@ def sweep_grid(
             keeps the base configuration's value.
         staleness_bound: ``Lb`` handed to the online scheduler.
         base_config: shared :class:`SimulationConfig` overrides.
-        backend: engine backend for every spec.
-        fast_forward: fast-forward switch for every spec (fleet backend).
+        fast_forward: fast-forward switch for every spec.
         batched_training: batched-training switch for every spec.
         shards: population shard count for every spec (1 = single-process).
         trace_level: telemetry volume for every spec.
     """
     base = dict(base_config or {})
+    switches = dict(
+        fast_forward=fast_forward,
+        batched_training=batched_training,
+        shards=shards,
+        trace_level=trace_level,
+    )
     specs: List[RunSpec] = []
     for policy in policies:
         for seed in seeds:
@@ -528,12 +498,8 @@ def sweep_grid(
                                     "staleness_bound": float(staleness_bound),
                                 },
                                 config=config,
-                                backend=backend,
-                                fast_forward=fast_forward,
-                                batched_training=batched_training,
-                                shards=shards,
-                                trace_level=trace_level,
                                 label=f"online V={v:g}{suffix}",
+                                **switches,
                             )
                         )
                 else:
@@ -541,12 +507,8 @@ def sweep_grid(
                         RunSpec(
                             policy=policy,
                             config=config,
-                            backend=backend,
-                            fast_forward=fast_forward,
-                            batched_training=batched_training,
-                            shards=shards,
-                            trace_level=trace_level,
                             label=f"{policy}{suffix}",
+                            **switches,
                         )
                     )
     return specs

@@ -13,10 +13,8 @@ Installed as the ``repro-sim`` console script::
     repro-sim lint src                    # determinism/concurrency lint pass
 
 Every subcommand prints plain-text tables (and optional ASCII charts) so the
-tool works in the offline environments the library targets.  Simulation
-subcommands accept ``--backend {fleet,loop}``: the vectorized fleet backend
-(default) and the per-user reference loop produce bitwise-identical results.
-``--shards N`` partitions the population across worker processes (the
+tool works in the offline environments the library targets.  On the
+simulation subcommands, ``--shards N`` partitions the population across worker processes (the
 sharded fleet engine of :mod:`repro.sim.shard` — bitwise-identical results
 for any shard count with the serial trainer; batched training groups per
 shard and matches to tight numerical tolerance), ``--trace-level summary``
@@ -47,9 +45,8 @@ from repro.analysis.reporting import format_table
 from repro.core.offline import OfflinePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.policies import ImmediatePolicy, SchedulingPolicy, SyncPolicy
-from repro.fl.dataset import SyntheticCifar10
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import SimulationEngine, SimulationResult
+from repro.sim.engine import SimulationResult, build_dataset, build_engine
 
 __all__ = ["main", "build_parser"]
 
@@ -80,20 +77,6 @@ def _config_kwargs(args: argparse.Namespace) -> dict:
 
 def _build_config(args: argparse.Namespace) -> SimulationConfig:
     return SimulationConfig(**_config_kwargs(args))
-
-
-def _build_dataset(config: SimulationConfig) -> SyntheticCifar10:
-    return SyntheticCifar10(
-        num_train=config.num_train_samples,
-        num_test=config.num_test_samples,
-        num_classes=config.num_classes,
-        feature_dim=config.feature_dim,
-        class_separation=config.class_separation,
-        noise_std=config.noise_std,
-        label_noise=config.label_noise,
-        clusters_per_class=config.clusters_per_class,
-        seed=config.seed,
-    )
 
 
 def _carbon_accountant(args: argparse.Namespace):
@@ -211,31 +194,26 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_engine(args: argparse.Namespace, config: SimulationConfig, policy, dataset):
-    """The single-process engine, or the sharded engine for ``--shards > 1``."""
-    shards = getattr(args, "shards", 1)
-    if shards > 1:
-        if args.backend != "fleet":
-            raise SystemExit("--shards partitions the fleet backend; drop --backend loop")
-        from repro.sim.shard import ShardedEngine
-
-        return ShardedEngine(
-            config, policy, dataset=dataset, shards=shards,
-            fast_forward=not args.no_fast_forward,
-            batched_training=args.batched_training, profile=args.profile,
-            trace_level=args.trace_level,
-        )
-    return SimulationEngine(
-        config, policy, dataset=dataset, backend=args.backend,
+def _switches(args: argparse.Namespace) -> dict:
+    """The execution-mode switches every engine- or spec-building command shares."""
+    return dict(
         fast_forward=not args.no_fast_forward,
-        batched_training=args.batched_training, profile=args.profile,
+        batched_training=args.batched_training,
+        shards=args.shards,
         trace_level=args.trace_level,
+    )
+
+
+def _build_engine(args: argparse.Namespace, config: SimulationConfig, policy, dataset):
+    """The engine the command-line switches describe."""
+    return build_engine(
+        config, policy, dataset=dataset, profile=args.profile, **_switches(args)
     )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    dataset = _build_dataset(config)
+    dataset = build_dataset(config)
     carbon = _carbon_accountant(args)
     result = _build_engine(args, config, _build_policy(args), dataset).run()
     print(format_table(_result_headers(carbon),
@@ -256,7 +234,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    dataset = _build_dataset(config)
+    dataset = build_dataset(config)
     policies = {
         "immediate": ImmediatePolicy(),
         "sync": SyncPolicy(),
@@ -294,21 +272,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     carbon = _carbon_accountant(args)
     config_kwargs = _config_kwargs(args)
     baseline_spec = RunSpec(
-        policy="immediate", config=dict(config_kwargs), backend=args.backend,
-        fast_forward=not args.no_fast_forward,
-        batched_training=args.batched_training, shards=args.shards,
-        trace_level=args.trace_level, label="immediate",
+        policy="immediate", config=dict(config_kwargs), label="immediate",
+        **_switches(args),
     )
     online_specs = sweep_grid(
         v_values=args.v_values,
         seeds=(args.seed,),
         staleness_bound=args.staleness_bound,
         base_config=config_kwargs,
-        backend=args.backend,
-        fast_forward=not args.no_fast_forward,
-        batched_training=args.batched_training,
-        shards=args.shards,
-        trace_level=args.trace_level,
+        **_switches(args),
     )
     suite = ExperimentSuite(
         cache_dir=args.cache_dir,
@@ -384,12 +356,8 @@ def _scenario_runner(args: argparse.Namespace):
     return ScenarioRunner(
         cache_dir=args.cache_dir,
         jobs=args.jobs,
-        backend=args.backend,
-        fast_forward=not args.no_fast_forward,
-        batched_training=args.batched_training,
-        shards=args.shards,
-        trace_level=args.trace_level,
         metrics_store=getattr(args, "metrics_store", None),
+        **_switches(args),
     )
 
 
@@ -715,11 +683,7 @@ def _cmd_jobs_submit(args: argparse.Namespace) -> int:
             if args.policy == "online"
             else None
         ),
-        backend=args.backend,
-        fast_forward=not args.no_fast_forward,
-        batched_training=args.batched_training,
-        shards=args.shards,
-        trace_level=args.trace_level,
+        **_switches(args),
     )
     service = _build_service(args)
     if args.run:
@@ -855,7 +819,6 @@ def _cmd_metrics_runs(args: argparse.Namespace) -> int:
             row.get("scenario") or row.get("label") or "",
             row.get("policy"),
             row.get("seed"),
-            row.get("backend"),
             row.get("shards"),
             row.get("repro_version"),
             row.get("energy_kj"),
@@ -866,7 +829,7 @@ def _cmd_metrics_runs(args: argparse.Namespace) -> int:
         for row in rows
     ]
     print(format_table(
-        ["spec", "scenario", "policy", "seed", "backend", "shards",
+        ["spec", "scenario", "policy", "seed", "shards",
          "version", "energy (kJ)", "accuracy", "updates", "wall (s)"],
         table,
         float_format=".3f",
@@ -985,11 +948,8 @@ def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--staleness-bound", type=float, default=500.0)
     parser.add_argument("--offline-bound", type=float, default=1000.0)
     parser.add_argument("--window", type=int, default=500)
-    parser.add_argument("--backend", choices=["fleet", "loop"], default="fleet",
-                        help="vectorized fleet backend (default) or the per-user "
-                             "reference loop; both give identical results")
     parser.add_argument("--no-fast-forward", action="store_true",
-                        help="disable the fleet backend's event-horizon "
+                        help="disable the engine's event-horizon "
                              "fast-forward (results are identical either way; "
                              "this only trades speed for a per-slot execution)")
     parser.add_argument("--batched-training", action="store_true",
@@ -999,9 +959,9 @@ def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
                              "tolerance and speeds up training-bound runs")
     parser.add_argument("--shards", type=int, default=1,
                         help="partition the population across this many "
-                             "worker processes (the sharded fleet engine); "
+                             "worker processes (the sharded engine); "
                              "any shard count gives bitwise-identical "
-                             "results on the fleet backend (under "
+                             "results (under "
                              "--batched-training, whose batching groups are "
                              "per shard, results match to tight numerical "
                              "tolerance instead)")
@@ -1094,7 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="online")
         sub.add_argument("--v", type=float, default=4000.0)
         sub.add_argument("--staleness-bound", type=float, default=500.0)
-        sub.add_argument("--backend", choices=["fleet", "loop"], default="fleet")
         sub.add_argument("--no-fast-forward", action="store_true")
         sub.add_argument("--batched-training", action="store_true")
         sub.add_argument("--shards", type=int, default=1,
@@ -1232,7 +1191,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default="online")
     j_submit.add_argument("--v", type=float, default=4000.0)
     j_submit.add_argument("--staleness-bound", type=float, default=500.0)
-    j_submit.add_argument("--backend", choices=["fleet", "loop"], default="fleet")
     j_submit.add_argument("--no-fast-forward", action="store_true")
     j_submit.add_argument("--batched-training", action="store_true")
     j_submit.add_argument("--shards", type=int, default=1)

@@ -713,7 +713,7 @@ class TrainAheadScheduler:
       the first miss — batching everything in flight rather than just the
       jobs that happen to finish in the same slot.
 
-    The scheduler is shared verbatim by the engine's per-user loop backend
+    The scheduler is shared verbatim by the per-user reference loop
     and by every fleet shard (single-process or worker-process), so the
     train-ahead semantics cannot fork between execution modes.  Indices are
     positions in ``clients`` (the engine passes the full fleet, a shard its

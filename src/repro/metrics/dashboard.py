@@ -156,7 +156,7 @@ def _runs_table(rows: List[Dict[str, Any]]) -> str:
         return '<p class="empty">No runs ingested yet — pass a store to a suite, '\
                "a scenario runner, or the service to populate it.</p>"
     headers = (
-        "spec", "scenario", "policy", "seed", "backend", "shards", "version",
+        "spec", "scenario", "policy", "seed", "shards", "version",
         "energy (kJ)", "accuracy", "updates", "mean Q(t)", "wall (s)", "CO2 (g)",
     )
     body = []
@@ -166,7 +166,6 @@ def _runs_table(rows: List[Dict[str, Any]]) -> str:
             f"<td>{html.escape(str(row.get('scenario') or row.get('label') or ''))}</td>",
             f"<td>{html.escape(str(row.get('policy') or ''))}</td>",
             f'<td class="num">{_fmt(row.get("seed"), 0)}</td>',
-            f"<td>{html.escape(str(row.get('backend') or ''))}</td>",
             f'<td class="num">{_fmt(row.get("shards"), 0)}</td>',
             f"<td>{html.escape(str(row.get('repro_version') or ''))}</td>",
             f'<td class="num">{_fmt(row.get("energy_kj"))}</td>',

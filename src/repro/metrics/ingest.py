@@ -57,23 +57,20 @@ FRAME_METRICS = (
 
 def frame_metrics_from_checkpoint(checkpoint: "EngineCheckpoint") -> Dict[str, Any]:
     """Progress scalars read straight out of an in-memory checkpoint."""
-    if checkpoint.backend == "fleet":
-        energy_j = 0.0
-        for piece in checkpoint.slices or []:
-            accountant = piece["fleet"]["accountant"]
-            energy_j += float(
-                sum(
-                    (
-                        accountant["idle_j"]
-                        + accountant["app_j"]
-                        + accountant["training_j"]
-                        + accountant["corunning_j"]
-                        + accountant["overhead_j"]
-                    ).tolist()
-                )
+    energy_j = 0.0
+    for piece in checkpoint.slices:
+        accountant = piece["fleet"]["accountant"]
+        energy_j += float(
+            sum(
+                (
+                    accountant["idle_j"]
+                    + accountant["app_j"]
+                    + accountant["training_j"]
+                    + accountant["corunning_j"]
+                    + accountant["overhead_j"]
+                ).tolist()
             )
-    else:
-        energy_j = checkpoint.loop["energy_j"]
+        )
     coordinator = checkpoint.coordinator
     return {
         "energy_j": energy_j,

@@ -123,8 +123,7 @@ def version_history(
 ) -> Dict[Tuple, List[Dict[str, Any]]]:
     """Rows grouped by run identity, ingest order — the regression shape.
 
-    The identity key is ``(scenario, label, policy, seed, backend,
-    shards)``: rows that differ only by package version (hence by spec
+    The identity key is ``(scenario, label, policy, seed, shards)``: rows that differ only by package version (hence by spec
     hash) line up as one trajectory.  Values dicts carry ``spec_hash``,
     ``repro_version``, ``ingested_at`` and the requested metrics.
     """
@@ -135,7 +134,6 @@ def version_history(
             row.get("label"),
             row.get("policy"),
             row.get("seed"),
-            row.get("backend"),
             row.get("shards"),
         )
         entry = {

@@ -9,7 +9,7 @@ Two sources, one report:
   earlier ones, metric by metric.
 * :func:`detect_store_regressions` — groups a
   :class:`~repro.metrics.store.MetricsStore`'s run rows by run identity
-  (scenario, label, policy, seed, backend, shards) and compares the
+  (scenario, label, policy, seed, shards) and compares the
   newest ingest against the median of the earlier ones — the
   version-to-version trajectory of one experiment cell.
 
@@ -289,10 +289,10 @@ def detect_store_regressions(
         if len(history) < 2:
             continue
         stats["groups"] += 1
-        scenario, label, policy, seed, backend, shards = key
+        scenario, label, policy, seed, shards = key
         group = (
             f"{scenario or label or '?'} policy={policy} seed={seed} "
-            f"backend={backend} shards={shards}"
+            f"shards={shards}"
         )
         found, checked = _compare_group(
             "store",

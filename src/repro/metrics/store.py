@@ -70,7 +70,6 @@ _IDENTITY_COLUMNS = (
     "policy",
     "label",
     "seed",
-    "backend",
     "shards",
     "repro_version",
 )
@@ -87,7 +86,6 @@ CREATE TABLE IF NOT EXISTS runs (
     policy TEXT,
     label TEXT,
     seed INTEGER,
-    backend TEXT,
     shards INTEGER,
     repro_version TEXT,
     energy_j REAL,
@@ -183,15 +181,14 @@ class MetricsStore:
         Identity columns the caller cannot supply (no ``spec``, no explicit
         ``scenario``) are left as they are on re-ingest, so annotating a
         previously-ingested summary (e.g. with carbon) never erases the
-        seed/backend/shards recorded at first ingest.  ``ingested_at`` is
+        seed/shards recorded at first ingest.  ``ingested_at`` is
         likewise set once, at first ingest.
         """
         if scenario is None:
             scenario = scenario_from_label(summary.label)
-        seed = backend = shards = None
+        seed = shards = None
         if spec is not None:
             seed = spec.config.get("seed", 0)
-            backend = spec.backend
             shards = spec.shards
         row: Dict[str, Any] = {
             "spec_hash": summary.spec_hash,
@@ -199,7 +196,6 @@ class MetricsStore:
             "policy": summary.policy,
             "label": summary.label,
             "seed": seed,
-            "backend": backend,
             "shards": shards,
             "repro_version": REPRO_VERSION,
             "ingested_at": time.time(),  # reprolint: allow(wall-clock): store bookkeeping, never feeds sim state
@@ -266,7 +262,6 @@ class MetricsStore:
         scenario: Optional[str] = None,
         policy: Optional[str] = None,
         seed: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> List[Dict[str, Any]]:
         """Run rows matching the filters, oldest ingest first."""
         clauses: List[str] = []
@@ -275,7 +270,6 @@ class MetricsStore:
             ("scenario", scenario),
             ("policy", policy),
             ("seed", seed),
-            ("backend", backend),
         ):
             if value is not None:
                 clauses.append(f"{column} = ?")

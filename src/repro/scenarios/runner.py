@@ -42,7 +42,6 @@ def scenario_run_spec(
     scenario: ScenarioLike,
     policy: str = "online",
     policy_kwargs: Optional[Dict[str, Any]] = None,
-    backend: str = "fleet",
     fast_forward: bool = True,
     batched_training: bool = False,
     shards: int = 1,
@@ -53,7 +52,7 @@ def scenario_run_spec(
 
     The returned spec's ``config`` holds the compiled per-user expansion, so
     :meth:`RunSpec.config_hash` keys the cache on the scenario content (plus
-    policy, backend and execution-mode switches, as for every spec).
+    policy and execution-mode switches, as for every spec).
     """
     compiled = resolve_scenario(scenario)
     name = compiled.spec.name
@@ -61,7 +60,6 @@ def scenario_run_spec(
         policy=policy,
         policy_kwargs=dict(policy_kwargs or {}),
         config=dict(compiled.overrides),
-        backend=backend,
         fast_forward=fast_forward,
         batched_training=batched_training,
         shards=shards,
@@ -76,7 +74,7 @@ class ScenarioRunner:
     Args:
         cache_dir: summary cache directory (``None`` disables caching).
         jobs: worker processes for grids (``1`` = sequential).
-        backend / fast_forward / batched_training: engine execution mode for
+        fast_forward / batched_training: engine execution mode for
             every run launched by this runner.
         shards: partition each run's population across this many worker
             processes (:class:`repro.sim.shard.ShardedEngine`); ``1`` keeps
@@ -93,7 +91,6 @@ class ScenarioRunner:
         self,
         cache_dir: Optional[str] = None,
         jobs: int = 1,
-        backend: str = "fleet",
         fast_forward: bool = True,
         batched_training: bool = False,
         shards: int = 1,
@@ -103,7 +100,6 @@ class ScenarioRunner:
         self.suite = ExperimentSuite(
             cache_dir=cache_dir, jobs=jobs, metrics_store=metrics_store
         )
-        self.backend = backend
         self.fast_forward = fast_forward
         self.batched_training = batched_training
         self.shards = shards
@@ -119,7 +115,6 @@ class ScenarioRunner:
             scenario,
             policy=policy,
             policy_kwargs=policy_kwargs,
-            backend=self.backend,
             fast_forward=self.fast_forward,
             batched_training=self.batched_training,
             shards=self.shards,

@@ -12,8 +12,8 @@ immutable inputs the original run had.
 
 The determinism contract: a run restored from a checkpoint taken at slot
 ``S`` and driven to the horizon produces results bitwise-identical to the
-uninterrupted run, for the loop backend, the fleet backend with or without
-event-horizon fast-forward, and the sharded engine — including restoring
+uninterrupted run, for the single-process engine with or without
+event-horizon fast-forward and for the sharded engine — including restoring
 under a *different* shard count than the one that wrote the checkpoint
 (per-user state is sliced contiguously, and every cross-user reduction in
 the engine folds in ascending user order regardless of layout).
@@ -65,10 +65,10 @@ __all__ = [
 ]
 
 #: Bumped whenever the on-disk layout or the state dicts change shape.
-#: v4: the coupling state inside ``coordinator.pkl`` (and the loop
-#: backend's object state) is carried as already-pickled bytes beside the
-#: telemetry scalars, not as live objects.
-CHECKPOINT_FORMAT_VERSION = 4
+#: v5: one engine family — ``meta.json`` lost its ``backend`` key and
+#: ``coordinator.pkl`` its ``loop`` entry (the per-user reference loop no
+#: longer checkpoints).
+CHECKPOINT_FORMAT_VERSION = 5
 
 
 class CheckpointError(RuntimeError):
@@ -184,16 +184,13 @@ class MaterializedCoordinator:
 class EngineCheckpoint:
     """A complete, picklable snapshot of one run at a slot boundary.
 
-    ``backend`` records which engine family wrote it: ``"loop"`` snapshots
-    carry the per-user object state in ``loop``; ``"fleet"`` snapshots (the
-    single-process fleet engine *and* the sharded engine — their per-user
-    state is identical struct-of-arrays content) carry one state dict per
-    contiguous user slice in ``slices``.  Fleet checkpoints are therefore
+    The per-user state is one state dict per contiguous user slice in
+    ``slices`` — identical struct-of-arrays content whether the
+    single-process engine or the sharded engine wrote it, so checkpoints are
     interchangeable across shard counts via :func:`reslice`.
     """
 
     format_version: int
-    backend: str
     slot: int
     pending_arrivals: List[int]
     global_ready: int
@@ -202,16 +199,11 @@ class EngineCheckpoint:
     batched_training: bool
     trace_level: str
     coordinator: CoordinatorState
-    slices: Optional[List[dict]] = None
-    loop: Optional[dict] = None
+    slices: List[dict]
 
     def __post_init__(self) -> None:
-        if self.backend not in ("loop", "fleet"):
-            raise ValueError(f"unknown checkpoint backend {self.backend!r}")
-        if self.backend == "fleet" and not self.slices:
-            raise ValueError("fleet checkpoint requires per-slice state")
-        if self.backend == "loop" and self.loop is None:
-            raise ValueError("loop checkpoint requires loop state")
+        if not self.slices:
+            raise ValueError("a checkpoint requires per-slice state")
 
 
 class Checkpointer:
@@ -392,8 +384,8 @@ class CheckpointStore:
 
     Every snapshot lands in its own fresh ``snapshot-<seq>/`` directory:
     each contiguous user slice gets its own ``users_<lo>_<hi>.pkl``, the
-    coordinator writes ``coordinator.pkl`` (config + coupling state, or the
-    loop-backend state), and ``meta.json`` records the slot coordinates
+    coordinator writes ``coordinator.pkl`` (config + coupling state), and
+    ``meta.json`` records the slot coordinates
     plus a sha256 checksum of every file.  Each file is serialised once in
     memory; its checksum is computed from those bytes, and the written file
     is read back and compared with them byte for byte before publication —
@@ -501,7 +493,6 @@ class CheckpointStore:
         )
         meta: Dict[str, Any] = {
             "format_version": checkpoint.format_version,
-            "backend": checkpoint.backend,
             "slot": checkpoint.slot,
             "pending_arrivals": list(checkpoint.pending_arrivals),
             "global_ready": checkpoint.global_ready,
@@ -511,7 +502,7 @@ class CheckpointStore:
             "slices": [],
             "checksums": {},
         }
-        for piece in checkpoint.slices or []:
+        for piece in checkpoint.slices:
             name = f"users_{piece['lo']}_{piece['hi']}.pkl"
             meta["checksums"][name] = _write_verified(snapshot / name, _pickled(piece))
             meta["slices"].append({"lo": piece["lo"], "hi": piece["hi"], "file": name})
@@ -522,11 +513,7 @@ class CheckpointStore:
         meta["checksums"]["coordinator.pkl"] = _write_verified(
             snapshot / "coordinator.pkl",
             _pickled(
-                {
-                    "config": checkpoint.config,
-                    "coordinator": checkpoint.coordinator,
-                    "loop": checkpoint.loop,
-                }
+                {"config": checkpoint.config, "coordinator": checkpoint.coordinator}
             ),
             corrupt=injected == "corrupt_checkpoint",
         )
@@ -570,10 +557,8 @@ class CheckpointStore:
                 )
             files[name] = pickle.loads(data)
         head = files["coordinator.pkl"]
-        slices = [files[entry["file"]] for entry in meta["slices"]] or None
         return EngineCheckpoint(
             format_version=meta["format_version"],
-            backend=meta["backend"],
             slot=meta["slot"],
             pending_arrivals=list(meta["pending_arrivals"]),
             global_ready=meta["global_ready"],
@@ -582,8 +567,7 @@ class CheckpointStore:
             batched_training=meta["batched_training"],
             trace_level=meta["trace_level"],
             coordinator=head["coordinator"],
-            slices=slices,
-            loop=head["loop"],
+            slices=[files[entry["file"]] for entry in meta["slices"]],
         )
 
 

@@ -521,9 +521,3 @@ class ExperimentService:
             }
         )
         return payload
-
-
-# Backward-compatible aliases: the frame computations moved to
-# :mod:`repro.metrics.ingest` so non-service callers can reuse them.
-_checkpoint_telemetry = frame_metrics_from_checkpoint
-_result_telemetry = frame_metrics_from_result

@@ -183,7 +183,7 @@ class CouplingCore:
         Args:
             base_params: the parameters the user trained from; ``None``
                 (the fleet slot loop) resolves the vector pinned at
-                download, the per-user loop backend passes its own copy.
+                download, the per-user reference loop passes its own copy.
         """
         time_s = slot * self.config.slot_seconds
         if base_params is None:

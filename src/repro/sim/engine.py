@@ -25,31 +25,20 @@ eventual update — exactly the trade-off the schedulers navigate.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.messages import ModelDownload
 from repro.comm.network import NetworkModel
 from repro.comm.transport import ModelTransport
 from repro.core.offline import OfflinePolicy
-from repro.core.policies import (
-    Aggregation,
-    Decision,
-    DeviceObservation,
-    SchedulingPolicy,
-    SlotContext,
-)
-from repro.core.staleness import GapTracker, gradient_gap
-from repro.device.device import DeviceState, MobileDevice
+from repro.core.policies import SchedulingPolicy
 from repro.device.models import DeviceSpec, build_device_fleet
 from repro.energy.battery import Battery
 from repro.energy.measurements import MeasurementTable
 from repro.energy.power_model import EnergyAccountant, PowerModel
-from repro.fl.batch import TrainAheadScheduler
-from repro.fl.client import FLClient, LocalUpdate
+from repro.fl.client import FLClient
 from repro.fl.dataset import (
     SyntheticCifar10,
     partition_dirichlet,
@@ -69,9 +58,10 @@ from repro.sim.config import SimulationConfig
 from repro.sim.coupling import CouplingCore
 from repro.sim.rng import spawn_generators
 from repro.sim.timers import EngineTimers
-from repro.sim.trace import TRACE_LEVELS, SimulationTrace, SlotSample
+from repro.sim.trace import TRACE_LEVELS, SimulationTrace
 
 __all__ = [
+    "Coordinator",
     "RNG_STREAM_NAMES",
     "SimulationEngine",
     "SimulationResult",
@@ -79,10 +69,14 @@ __all__ = [
     "build_batteries",
     "build_clients",
     "build_dataset",
+    "build_engine",
     "build_eval_model",
     "build_partitions",
+    "build_population",
     "build_rngs",
     "build_transport",
+    "install_coordinator",
+    "restore_engine",
 ]
 
 #: The independent RNG streams every build derives from the master seed.
@@ -104,6 +98,13 @@ RNG_STREAM_NAMES = ("devices", "arrivals", "dataset", "clients", "network", "app
 # ---------------------------------------------------------------------------
 
 
+def _battery_capacities(config: SimulationConfig) -> Sequence[Optional[float]]:
+    """Per-user capacities: the per-user override, else the global knob."""
+    if config.user_battery_capacity_j is not None:
+        return config.user_battery_capacity_j
+    return [config.battery_capacity_j] * config.num_users
+
+
 def build_batteries(
     config: SimulationConfig, device_specs: Sequence[DeviceSpec]
 ) -> List[Optional[Battery]]:
@@ -114,10 +115,7 @@ def build_batteries(
     the global knobs; a ``None`` capacity entry means no battery at all.
     Deterministic in ``config`` — no RNG stream is consumed.
     """
-    if config.user_battery_capacity_j is not None:
-        capacities = list(config.user_battery_capacity_j)
-    else:
-        capacities = [config.battery_capacity_j] * config.num_users
+    capacities = _battery_capacities(config)
     if config.user_charge_rate_w is not None:
         charge_rates = list(config.user_charge_rate_w)
     else:
@@ -147,15 +145,9 @@ def fleet_has_batteries(
     live in the shards), so it is derived from the config without
     materialising a population's worth of instances.
     """
-    if config.user_battery_capacity_j is not None:
-        capacities: Sequence[Optional[float]] = config.user_battery_capacity_j
-    elif config.battery_capacity_j is None:
-        return False
-    else:
-        capacities = [config.battery_capacity_j] * config.num_users
     return any(
         capacity is not None and not spec.is_dev_board()
-        for capacity, spec in zip(capacities, device_specs)
+        for capacity, spec in zip(_battery_capacities(config), device_specs)
     )
 
 
@@ -248,17 +240,11 @@ def build_clients(
     hi = config.num_users if hi is None else hi
     clients: List[FLClient] = []
     for user in range(lo, hi):
-        model = build_mlp(
-            input_dim=input_dim,
-            hidden_dims=config.hidden_dims,
-            num_classes=config.num_classes,
-            seed=config.seed,
-        )
         clients.append(
             FLClient(
                 user_id=user,
                 partition=partitions[user],
-                model=model,
+                model=build_eval_model(config, input_dim),
                 learning_rate=config.learning_rate,
                 momentum=config.momentum,
                 batch_size=config.batch_size,
@@ -315,17 +301,6 @@ def _policy_queue_stats(policy: SchedulingPolicy) -> Optional[Dict[str, float]]:
         stats["mean_virtual"] = float(virtual_queue.time_average())
         stats["final_virtual"] = float(virtual_queue.length)
     return stats
-
-
-@dataclass
-class _UserState:
-    """Mutable per-user scheduling state."""
-
-    ready: bool = False
-    waiting_slots: int = 0
-    base_version: int = 0
-    base_params: Optional[np.ndarray] = None
-    uploaded_this_round: bool = False
 
 
 @dataclass
@@ -426,8 +401,204 @@ class SimulationResult:
         return self.timers.shares()
 
 
-class SimulationEngine:
+def build_population(
+    config: SimulationConfig,
+    table: MeasurementTable,
+    device_specs: Sequence[DeviceSpec],
+    dataset: SyntheticCifar10,
+    rng,
+    lo: int = 0,
+    hi: Optional[int] = None,
+) -> Tuple[PowerModel, List[Optional[Battery]], List[FLClient]]:
+    """Power model, batteries and clients of users ``[lo, hi)``.
+
+    ``device_specs`` covers the whole population and ``rng`` is the
+    ``dataset`` stream: the partition is drawn for everyone, so a slice gets
+    exactly the rows of a full build.
+    """
+    power_model = PowerModel(
+        table=table, include_scheduler_overhead=config.include_scheduler_overhead
+    )
+    batteries = build_batteries(config, device_specs)[lo:hi]
+    partitions = build_partitions(config, dataset, rng)
+    clients = build_clients(config, partitions, dataset.input_dim(), lo, hi)
+    return power_model, batteries, clients
+
+
+class Coordinator:
+    """What every engine is: the coupling core plus the static substrate it
+    needs, around some residence for the per-user state — one inline shard
+    (:class:`SimulationEngine`), worker processes
+    (:class:`~repro.sim.shard.ShardedEngine`) or per-user objects (the
+    reference oracle).  Written once, here; subclasses add ``__init__`` and
+    ``run``.
+    """
+
+    def _alias_coupling_state(self) -> None:
+        """(Re)bind the core's coupling objects, which a restore replaces, as
+        engine attributes — here and nowhere else."""
+        core = self.core
+        self.policy = core.policy
+        self.server = core.server
+        self.transport = core.transport
+        self.trace = core.trace
+        self.accuracy = core.accuracy
+
+    def build_coordinator(
+        self,
+        config: SimulationConfig,
+        policy: SchedulingPolicy,
+        dataset: Optional[SyntheticCifar10],
+        measurement_table: Optional[MeasurementTable],
+        profile: bool,
+        trace_level: str,
+    ):
+        """Build the coordinator-side substrate; returns the RNG streams.
+
+        Device specs, calibration table, dataset, evaluation model, arrivals
+        and the :class:`CouplingCore` — and nothing per-user: the sharded
+        coordinator's clients, partitions, batteries and fleet arrays are
+        built inside its workers.
+        """
+        if trace_level not in TRACE_LEVELS:
+            raise ValueError(
+                f"unknown trace_level {trace_level!r}; choose from {TRACE_LEVELS}"
+            )
+        self.config = config
+        self.trace_level = trace_level
+        self.timers = EngineTimers(enabled=profile)
+        self.table = measurement_table or MeasurementTable()
+        rngs = build_rngs(config)
+        self.device_specs = build_device_fleet(
+            config.num_users,
+            rngs["devices"],
+            mix=config.device_mix,
+            names=config.device_names,
+        )
+        self._has_batteries = fleet_has_batteries(config, self.device_specs)
+        self.dataset = build_dataset(config, dataset)
+        self.eval_model = build_eval_model(config, self.dataset.input_dim())
+        self.arrivals = build_arrival_schedule(
+            config, self.device_specs, rngs["arrivals"], self.table
+        )
+        self.core = CouplingCore(
+            config=config,
+            policy=policy,
+            server=ParameterServer(
+                self.eval_model.get_flat_params(),
+                async_rule=config.async_rule,
+                mixing_alpha=config.mixing_alpha,
+            ),
+            transport=build_transport(config, rngs["network"]),
+            trace=SimulationTrace(
+                trace_interval_slots=config.trace_interval_slots, level=trace_level
+            ),
+            accuracy=AccuracyTracker(),
+            eval_model=self.eval_model,
+            dataset=self.dataset,
+            timers=self.timers,
+        )
+        self._alias_coupling_state()
+        _apply_queue_telemetry(policy, trace_level)
+        self._has_run = False
+        #: Checkpoint being resumed from, or ``None`` for a fresh run.
+        self._resume = None
+        return rngs
+
+    def begin_run(self) -> None:
+        """Claim the engine's single run and prepare its policy."""
+        if self._has_run:
+            raise RuntimeError("this engine has already run; create a new one")
+        self._has_run = True
+        if self._resume is None:
+            self.policy.reset()
+            # The one and only oracle attachment, right after the reset: the
+            # offline policy receives this run's pre-generated arrival
+            # schedule exactly once.  attach_oracle is idempotent and raises
+            # if planning already started against a different schedule, so
+            # oracle state can never be silently rebuilt mid-experiment —
+            # while a policy reused across engines sequentially still works
+            # (each run resets first).  A restored run skips both: the
+            # checkpointed policy carries its live queue and planning state.
+            if isinstance(self.policy, OfflinePolicy):
+                self.policy.attach_oracle(self.arrivals)
+
+    def assemble_result(
+        self,
+        accountant,
+        final_battery_soc: List[float],
+        worker_training_s: Sequence[float] = (),
+    ) -> SimulationResult:
+        """The :class:`SimulationResult` of the finished run.
+
+        ``worker_training_s`` (training seconds each shard *worker process*
+        measured) rides beside the coordinator's buckets, never inside them:
+        the coordinator was blocked in ``ipc_recv`` for those very seconds.
+        """
+        policy = self.policy
+        task_queue = getattr(policy, "task_queue", None)
+        virtual_queue = getattr(policy, "virtual_queue", None)
+        self.timers.worker_training_s = list(worker_training_s)
+        return SimulationResult(
+            config=self.config,
+            policy_name=policy.name,
+            trace=self.trace,
+            accuracy=self.accuracy,
+            accountant=accountant,
+            num_updates=self.server.num_updates(),
+            decision_evaluations=policy.decision_cost_evaluations(),
+            device_names=[spec.name for spec in self.device_specs],
+            queue_history=[] if task_queue is None else list(task_queue.history()),
+            virtual_queue_history=(
+                [] if virtual_queue is None else list(virtual_queue.history())
+            ),
+            comm_bytes_mb=self.transport.total_bytes_mb(),
+            comm_failures=self.transport.failure_count(),
+            final_battery_soc=final_battery_soc,
+            timers=self.timers if self.timers.enabled else None,
+            queue_stats=_policy_queue_stats(policy),
+        )
+
+
+def install_coordinator(engine: Coordinator, coordinator) -> None:
+    """Bind a materialized checkpoint coordinator into ``engine``'s core."""
+    coordinator.install(engine.core, engine.timers)
+    engine._alias_coupling_state()
+
+
+def restore_engine(cls, checkpoint, **kwargs):
+    """Rebuild a ``cls`` engine from an
+    :class:`~repro.service.checkpoint.EngineCheckpoint`.
+
+    ``cls``'s constructor rebuilds the static substrate bitwise from the
+    checkpointed configuration (``kwargs`` are its remaining keywords); the
+    captured coupling state is installed over it, and ``run()`` loads the
+    per-user slices into the shards it starts.
+    """
+    coordinator = checkpoint.coordinator.materialize()
+    engine = cls(
+        checkpoint.config,
+        coordinator.policy,
+        fast_forward=checkpoint.fast_forward,
+        batched_training=checkpoint.batched_training,
+        trace_level=checkpoint.trace_level,
+        **kwargs,
+    )
+    install_coordinator(engine, coordinator)
+    engine._resume = checkpoint
+    return engine
+
+
+class SimulationEngine(Coordinator):
     """Simulate the federated mobile system under one scheduling policy.
+
+    The single-process engine: the whole population lives in one in-process
+    :class:`~repro.sim.shard.FleetShard`, advanced by the vectorized
+    struct-of-arrays kernels of :mod:`repro.sim.fleet` under the slot loop
+    it shares verbatim with :class:`~repro.sim.shard.ShardedEngine`
+    (:func:`repro.sim.shard.drive_fleet_loop`).  The per-user reference
+    implementation the kernels are held bitwise-equal to lives in
+    :mod:`repro.sim.reference` and is reachable from tests only.
 
     Args:
         config: run configuration.
@@ -435,31 +606,23 @@ class SimulationEngine:
         dataset: optionally share a pre-built dataset across runs (policy
             comparisons should use the same dataset and seed).
         measurement_table: optionally override the Table II/III calibration.
-        backend: ``"fleet"`` (default) advances the device fleet with the
-            vectorized struct-of-arrays kernels of :mod:`repro.sim.fleet`;
-            ``"loop"`` keeps the original per-user Python loops.  The two
-            backends produce bitwise-identical decisions, energy and gap
-            traces for the same configuration and seed
-            (``tests/test_fleet.py``); the loop backend is retained as the
-            executable specification and for that equivalence check.
-        fast_forward: enable the event-horizon fast-forward path of the
-            fleet backend (default on; ignored by the loop backend).  At the
-            top of each slot the engine checks whether the slot is *quiet* —
-            no pending arrival, empty ready pool, no application launch or
-            expiry, no co-running job and no training completion due — and,
-            if so, advances all slots up to the next event in one fused
-            kernel (:meth:`repro.sim.fleet.FleetState.advance_quiet`).  The
-            fast-forward path is bitwise-identical to the slot-by-slot fleet
-            backend: decisions, energy, gap, queue and accuracy traces all
-            match exactly (``tests/test_fleet.py`` enforces this).
+        fast_forward: enable the event-horizon fast-forward path (default
+            on).  At the top of each slot the engine checks whether the
+            slot is *quiet* — no pending arrival, empty ready pool, no
+            application launch or expiry, no co-running job and no training
+            completion due — and, if so, advances all slots up to the next
+            event in one fused kernel
+            (:meth:`repro.sim.fleet.FleetState.advance_quiet`).  The
+            fast-forward path is bitwise-identical to slot-by-slot
+            execution: decisions, energy, gap, queue and accuracy traces
+            all match exactly (``tests/test_fleet.py`` enforces this).
         batched_training: execute all local rounds that complete in the same
             slot as one stacked tensor program
             (:class:`repro.fl.batch.BatchTrainer`) instead of one serial
             ``local_train`` per client.  Off by default: the batched path
             matches the serial one to tight numerical tolerance (and
             typically bitwise for non-ragged shard groups), but the repo's
-            bitwise cross-backend contracts are stated for the serial
-            trainer.  Works with both backends and with fast-forward.
+            bitwise contracts are stated for the serial trainer.
         profile: collect per-subsystem wall-clock shares
             (:class:`repro.sim.timers.EngineTimers`) — training vs policy vs
             evaluation vs slot mechanics.  Never affects results.
@@ -479,357 +642,57 @@ class SimulationEngine:
             across levels.
     """
 
-    BACKENDS = ("fleet", "loop")
-
     def __init__(
         self,
         config: SimulationConfig,
         policy: SchedulingPolicy,
         dataset: Optional[SyntheticCifar10] = None,
         measurement_table: Optional[MeasurementTable] = None,
-        backend: str = "fleet",
         fast_forward: bool = True,
         batched_training: bool = False,
         profile: bool = False,
         training_threads: Optional[int] = None,
         trace_level: str = "full",
     ) -> None:
-        if backend not in self.BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; choose from {self.BACKENDS}")
-        if trace_level not in TRACE_LEVELS:
-            raise ValueError(
-                f"unknown trace_level {trace_level!r}; choose from {TRACE_LEVELS}"
-            )
-        self.backend = backend
-        self.trace_level = trace_level
+        rngs = self.build_coordinator(
+            config, policy, dataset, measurement_table, profile, trace_level
+        )
         self.fast_forward = bool(fast_forward)
         self.batched_training = bool(batched_training)
         self.training_threads = training_threads
-        self.timers = EngineTimers(enabled=profile)
-        self.config = config
-        self.policy = policy
-        self.table = measurement_table or MeasurementTable()
-
-        rngs = build_rngs(config)
-
-        # -- device fleet -----------------------------------------------------
-        self.device_specs: List[DeviceSpec] = build_device_fleet(
-            config.num_users,
-            rngs["devices"],
-            mix=config.device_mix,
-            names=config.device_names,
+        # The per-user substrate of the one inline shard run() drives, built
+        # here from the coordinator's own dataset and specs (FleetShard.build
+        # would construct the dataset a second time).
+        self.power_model, self.batteries, self.clients = build_population(
+            config, self.table, self.device_specs, self.dataset, rngs["dataset"]
         )
-        self.devices: List[MobileDevice] = [
-            MobileDevice(user_id=i, spec=spec, slot_seconds=config.slot_seconds)
-            for i, spec in enumerate(self.device_specs)
-        ]
-        self.power_model = PowerModel(
-            table=self.table,
-            include_scheduler_overhead=config.include_scheduler_overhead,
-        )
-        # Batteries (optional): dev boards are bench-powered and never gated.
-        self.batteries: List[Optional[Battery]] = build_batteries(
-            config, self.device_specs
-        )
-        self._has_batteries = any(b is not None for b in self.batteries)
-
-        # -- dataset and FL substrate -------------------------------------------
-        self.dataset = build_dataset(config, dataset)
-        partitions = build_partitions(config, self.dataset, rngs["dataset"])
-        self.clients: List[FLClient] = build_clients(
-            config, partitions, self.dataset.input_dim()
-        )
-        self.eval_model: Sequential = build_eval_model(config, self.dataset.input_dim())
-        self.server = ParameterServer(
-            self.eval_model.get_flat_params(),
-            async_rule=config.async_rule,
-            mixing_alpha=config.mixing_alpha,
-        )
-
-        # -- arrivals and communication -------------------------------------------
-        self.arrivals = build_arrival_schedule(
-            config, self.device_specs, rngs["arrivals"], self.table
-        )
-        self.transport = build_transport(config, rngs["network"])
-
-        # -- bookkeeping ------------------------------------------------------------
-        self.gap_tracker = GapTracker(epsilon=config.epsilon)
-        self.accountant = EnergyAccountant()
-        self.trace = SimulationTrace(
-            trace_interval_slots=config.trace_interval_slots, level=trace_level
-        )
-        self.accuracy = AccuracyTracker()
-        self._user_states = [_UserState() for _ in range(config.num_users)]
-        self._has_run = False
         # Delta-only uploads suffice for the accumulate rule; replace/mixing
         # rules consume absolute parameter vectors, so clients ship them.
         self._upload_params = config.async_rule is not AsyncUpdateRule.ACCUMULATE
-        # Only the loop backend trains through the engine; the fleet backend
-        # builds its own TrainAheadScheduler inside its FleetShard.
-        self._train_scheduler = (
-            TrainAheadScheduler(
-                self.clients,
-                batched=self.batched_training,
-                threads=training_threads,
-                include_params=self._upload_params,
-            )
-            if backend == "loop"
-            else None
-        )
-        # The coordinator-side coupling core: the cross-user state the paper
-        # routes through the server, shared verbatim by the loop backend,
-        # the fleet slot loop and the sharded engine.
-        self.core = CouplingCore(
-            config=config,
-            policy=policy,
-            server=self.server,
-            transport=self.transport,
-            trace=self.trace,
-            accuracy=self.accuracy,
-            eval_model=self.eval_model,
-            dataset=self.dataset,
-            timers=self.timers,
-        )
-        self._sync_buffer = self.core.sync_buffer
-        _apply_queue_telemetry(policy, trace_level)
-        #: Checkpoint being resumed from, or ``None`` for a fresh run.
-        self._resume = None
-        # Loop-backend cursor for snapshot(): (next slot, its pending arrivals).
-        self._loop_slot = 0
-        self._loop_pending: List[int] = list(range(config.num_users))
-
-    # -- checkpoint / restore -----------------------------------------------------
 
     @classmethod
-    def restore(
-        cls,
-        checkpoint,
-        *,
-        dataset: Optional[SyntheticCifar10] = None,
-        measurement_table: Optional[MeasurementTable] = None,
-        profile: bool = False,
-        training_threads: Optional[int] = None,
-    ) -> "SimulationEngine":
+    def restore(cls, checkpoint, **kwargs) -> "SimulationEngine":
         """Rebuild an engine from an
-        :class:`~repro.service.checkpoint.EngineCheckpoint`.
+        :class:`~repro.service.checkpoint.EngineCheckpoint` (written under
+        any shard count; see :func:`repro.service.checkpoint.reslice`).
 
-        The static substrate (devices, dataset, arrivals, calibration) is
-        rebuilt bitwise from the checkpointed configuration; the captured
-        coupling and per-user state is installed over it.  ``run()`` on the
-        restored engine continues from the checkpoint slot and produces
-        results bitwise-identical to the uninterrupted run.
+        ``kwargs`` are the constructor keywords a checkpoint does not carry
+        (``dataset``, ``measurement_table``, ``profile``,
+        ``training_threads``).  ``run()`` on the restored engine continues
+        from the checkpoint slot, bitwise-identical to the uninterrupted run.
         """
-        coordinator = checkpoint.coordinator.materialize()
-        engine = cls(
-            config=checkpoint.config,
-            policy=coordinator.policy,
-            dataset=dataset,
-            measurement_table=measurement_table,
-            backend=checkpoint.backend,
-            fast_forward=checkpoint.fast_forward,
-            batched_training=checkpoint.batched_training,
-            profile=profile,
-            training_threads=training_threads,
-            trace_level=checkpoint.trace_level,
-        )
-        coordinator.install(engine.core, engine.timers)
-        engine.server = engine.core.server
-        engine.transport = engine.core.transport
-        engine.trace = engine.core.trace
-        engine.accuracy = engine.core.accuracy
-        engine._sync_buffer = engine.core.sync_buffer
-        if checkpoint.backend == "loop":
-            loop = checkpoint.loop
-            (
-                engine.devices,
-                engine.batteries,
-                engine._user_states,
-                engine.gap_tracker,
-                engine.accountant,
-            ) = pickle.loads(loop["unit"])
-            engine._has_batteries = any(b is not None for b in engine.batteries)
-            for client, state in zip(engine.clients, loop["clients"]):
-                client.optimizer.load_velocity(state["velocity"])
-                client._rng.bit_generator.state = state["rng_state"]
-                client.rounds_completed = int(state["rounds_completed"])
-            engine._train_scheduler.load_state_dict(loop["scheduler"])
-            engine._loop_slot = checkpoint.slot
-            engine._loop_pending = list(checkpoint.pending_arrivals)
-        engine._resume = checkpoint
-        return engine
-
-    def snapshot(self):
-        """A complete checkpoint of the loop backend at its current slot.
-
-        The loop backend mutates only per-user Python objects, so its state
-        is well-defined at any slot boundary — before the first slot, after
-        the last, or from a :class:`~repro.service.checkpoint.Checkpointer`
-        boundary during the run.  The fleet backend's state lives inside
-        its shard (possibly mid-fast-forward); drive it with a
-        ``Checkpointer`` instead, which snapshots at due slot boundaries.
-        """
-        if self.backend != "loop":
-            raise RuntimeError(
-                "snapshot() is only direct on the loop backend; pass a "
-                "Checkpointer to run() to checkpoint the fleet/sharded backends"
-            )
-        return self._loop_checkpoint(self._loop_slot, list(self._loop_pending))
-
-    def _loop_checkpoint(self, slot: int, pending_arrivals: List[int]):
-        """Assemble the loop backend's state into an ``EngineCheckpoint``."""
-        from repro.service.checkpoint import (
-            CHECKPOINT_FORMAT_VERSION,
-            CoordinatorState,
-            EngineCheckpoint,
-        )
-
-        clients_state = []
-        for client in self.clients:
-            velocity = client.optimizer.velocity
-            clients_state.append(
-                {
-                    "velocity": None if velocity is None else velocity.copy(),
-                    "rng_state": client._rng.bit_generator.state,
-                    "rounds_completed": client.rounds_completed,
-                }
-            )
-        loop = {
-            # Serialised once, like the coordinator unit: the bytes are the
-            # isolated snapshot and every restore unpickles its own copy.
-            "unit": pickle.dumps(
-                (
-                    self.devices,
-                    self.batteries,
-                    self._user_states,
-                    self.gap_tracker,
-                    self.accountant,
-                ),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            ),
-            "energy_j": self.accountant.total_j(),
-            "clients": clients_state,
-            "scheduler": self._train_scheduler.state_dict(),
-        }
-        return EngineCheckpoint(
-            format_version=CHECKPOINT_FORMAT_VERSION,
-            backend="loop",
-            slot=slot,
-            pending_arrivals=pending_arrivals,
-            global_ready=-1,
-            config=self.config,
-            fast_forward=self.fast_forward,
-            batched_training=self.batched_training,
-            trace_level=self.trace_level,
-            coordinator=CoordinatorState.capture(self.core, self.timers),
-            loop=loop,
-        )
-
-    # -- helpers ------------------------------------------------------------------
-
-    def _make_ready(self, user: int, slot: int) -> None:
-        """The user downloads the current model and joins the ready pool."""
-        state = self._user_states[user]
-        state.ready = True
-        state.waiting_slots = 0
-        state.base_version = self.server.version
-        state.base_params = self.server.download(user)
-        self.transport.download(
-            ModelDownload(user_id=user, server_version=self.server.version),
-            time_s=slot * self.config.slot_seconds,
-        )
-
-    def _observation(self, user: int, slot: int) -> DeviceObservation:
-        device = self.devices[user]
-        client = self.clients[user]
-        spec = device.spec
-        app_name = device.current_app.name if device.current_app is not None else None
-        duration_slots = device.training_duration_slots()
-        estimated_lag = self.server.estimate_lag(
-            user,
-            now_s=slot * self.config.slot_seconds,
-            duration_s=duration_slots * self.config.slot_seconds,
-        )
-        return DeviceObservation(
-            user_id=user,
-            slot=slot,
-            slot_seconds=self.config.slot_seconds,
-            device_name=spec.name,
-            app_running=device.app_running,
-            app_name=app_name,
-            power_corun_w=self.power_model.corun_power(spec.name, app_name),
-            power_app_w=self.power_model.app_power(spec.name, app_name),
-            power_training_w=self.power_model.training_power(spec.name),
-            power_idle_w=self.power_model.idle_power(spec.name),
-            estimated_lag=estimated_lag,
-            momentum_norm=client.momentum_norm(),
-            learning_rate=client.learning_rate,
-            momentum_coeff=client.momentum,
-            training_duration_slots=duration_slots,
-            waiting_slots=self._user_states[user].waiting_slots,
-            current_gap=self.gap_tracker.current_gap(user),
-        )
-
-    def _record_scheduled(self, user: int, base_params: np.ndarray, base_version: int) -> None:
-        """Register a just-started training job with the train-ahead scheduler."""
-        self._train_scheduler.record(user, base_params, base_version)
-
-    def _obtain_update(
-        self, user: int, base_params: np.ndarray, base_version: int
-    ) -> LocalUpdate:
-        """The finished user's upload: serial now, or from the train-ahead batch.
-
-        Orchestration lives in :class:`~repro.fl.batch.TrainAheadScheduler`
-        (shared with the fleet shards); the engine adds only the profiling.
-        """
-        tick = self.timers.start()
-        update = self._train_scheduler.obtain(user, base_params, base_version)
-        self.timers.stop("training", tick)
-        return update
-
-    def _apply_async_update(
-        self, user: int, slot: int, base_params: np.ndarray, update: LocalUpdate
-    ) -> float:
-        """Apply one finished user's upload (see :class:`CouplingCore`)."""
-        return self.core.apply_async_update(
-            user,
-            slot,
-            update,
-            round_number=self.clients[user].rounds_completed,
-            base_params=base_params,
-        )
-
-    def _maybe_complete_sync_round(
-        self, slot: int, stalled_fn: Optional[Callable[[], List[int]]] = None
-    ) -> List[int]:
-        """Loop-backend wrapper of the core's quorum completion.
-
-        The quorum/aggregation logic lives in
-        :meth:`CouplingCore.maybe_complete_sync_round`; this wrapper adds
-        the loop backend's own bookkeeping — gap-tracker resets for the
-        round's members and the per-user ``uploaded_this_round`` flags.
-        """
-        members = sorted(self._sync_buffer)
-        released = self.core.maybe_complete_sync_round(slot, stalled_fn)
-        if members and not self._sync_buffer:  # the round completed
-            for user in members:
-                self.gap_tracker.on_update_applied(user, 0.0)
-            for state in self._user_states:
-                state.uploaded_this_round = False
-        return released
-
-    def _evaluate(self, slot: int) -> None:
-        """Evaluate the current global model (see :meth:`CouplingCore.evaluate`)."""
-        self.core.evaluate(slot)
-
-    # -- main loop --------------------------------------------------------------------
+        return restore_engine(cls, checkpoint, **kwargs)
 
     def run(self, checkpointer=None) -> SimulationResult:
         """Run the simulation and return its result.
 
-        Dispatches to the vectorized fleet backend or the per-user loop
-        backend (see the ``backend`` constructor argument); both produce
-        bitwise-identical results.  The engine is single-shot: build a new
-        engine for another run.
+        Wraps the engine's pre-built components into a single
+        :class:`~repro.sim.shard.FleetShard` covering the whole population
+        and drives it through an in-process handle — structurally the
+        one-inline-shard case of the sharded engine, so the staged kernels
+        cannot fork between single-process and sharded execution; an
+        N-shard run differs only in where the per-user state resides.  The
+        engine is single-shot: build a new engine for another run.
 
         Args:
             checkpointer: optional
@@ -838,349 +701,80 @@ class SimulationEngine:
                 raises :class:`~repro.service.checkpoint.RunInterrupted`
                 carrying the final checkpoint.
         """
-        if self._has_run:
-            raise RuntimeError("this engine has already run; create a new one")
-        self._has_run = True
-        if self._resume is None:
-            self.policy.reset()
-            # The one and only oracle attachment, right after the reset: the
-            # offline policy receives this run's pre-generated arrival
-            # schedule exactly once.  attach_oracle is idempotent and raises
-            # if planning already started against a different schedule, so
-            # oracle state can never be silently rebuilt mid-experiment —
-            # while a policy reused across engines sequentially still works
-            # (each run resets first).  A restored run skips both: the
-            # checkpointed policy carries its live queue and planning state.
-            if isinstance(self.policy, OfflinePolicy):
-                self.policy.attach_oracle(self.arrivals)
+        # Function-local: repro.sim.shard imports this module.
+        from repro.sim import shard as shard_module
+
+        self.begin_run()
         tick = self.timers.start()
         try:
-            if self.backend == "fleet":
-                return self._run_fleet(checkpointer)
-            return self._run_loop(checkpointer)
+            config = self.config
+            shard = shard_module.FleetShard(
+                config=config,
+                lo=0,
+                hi=config.num_users,
+                device_specs=self.device_specs,
+                power_model=self.power_model,
+                batteries=self.batteries,
+                clients=self.clients,
+                arrivals=self.arrivals,
+                include_params=self._upload_params,
+                batched_training=self.batched_training,
+                training_threads=self.training_threads,
+                timers=self.timers,
+            )
+            handles = [shard_module.InlineShardHandle(shard)]
+            bounds = [(0, config.num_users)]
+            if self._resume is not None:
+                shard_module.restore_shards(handles, bounds, self._resume)
+            shard_module.drive_fleet_loop(
+                self, handles, bounds, self._resume, self._resume is None, checkpointer
+            )
+            return self.assemble_result(
+                shard.fleet.accountant, shard.fleet.final_battery_soc()
+            )
         finally:
             self.timers.stop_total(tick)
 
-    def _run_loop(self, checkpointer=None) -> SimulationResult:
-        """The original per-user reference implementation of the slot loop."""
-        config = self.config
-        sync_mode = self.policy.aggregation is Aggregation.SYNC
-        stalled_fn = (
-            self._loop_stalled_sync_users if self._has_batteries else None
-        )
 
-        if self._resume is None:
-            # All users download the initial model and arrive at slot 0.
-            start_slot = 0
-            pending_arrivals = list(range(config.num_users))
-            self._evaluate(0)
-        else:
-            start_slot = self._resume.slot
-            pending_arrivals = list(self._resume.pending_arrivals)
-        if checkpointer is not None:
-            checkpointer.begin(start_slot)
+def build_engine(
+    config: SimulationConfig,
+    policy: SchedulingPolicy,
+    *,
+    shards: int = 1,
+    resume_from=None,
+    fault_injector=None,
+    fast_forward: bool = True,
+    batched_training: bool = False,
+    trace_level: str = "full",
+    **kwargs,
+):
+    """The engine for a run: single-process, or sharded for ``shards > 1``.
 
-        for slot in range(start_slot, config.total_slots):
-            self._loop_slot = slot
-            self._loop_pending = list(pending_arrivals)
-            if checkpointer is not None and checkpointer.due(slot):
-                checkpointer.take(self._loop_checkpoint(slot, list(pending_arrivals)))
-            time_s = slot * config.slot_seconds
+    The one place that chooses between the two engine classes — the CLI,
+    :func:`repro.analysis.runner.execute_spec` and through it scenarios and
+    the service all come here.  With ``resume_from`` (an
+    :class:`~repro.service.checkpoint.EngineCheckpoint`) the engine is
+    restored instead: configuration, policy and switches then come from the
+    checkpoint, and ``shards`` may differ from the layout that wrote it.
+    ``kwargs`` (``dataset``, ``profile``, ``training_threads``) pass through,
+    so each engine keeps its own defaults; ``fault_injector`` reaches only
+    the sharded engine, the one with workers to inject into.
+    """
+    if shards > 1:
+        # Function-local: repro.sim.shard imports this module.
+        from repro.sim.shard import ShardedEngine
 
-            # 1. Applications: expire finished ones, launch new arrivals.
-            for user, device in enumerate(self.devices):
-                if device.current_app is not None and not device.current_app.is_running(slot):
-                    device.current_app = None
-                app = self.arrivals.app_starting_at(user, slot)
-                if app is not None and device.current_app is None:
-                    device.launch_app(app)
-
-            # 2. Arrivals -> ready pool.
-            num_arrivals = len(pending_arrivals)
-            for user in pending_arrivals:
-                self._make_ready(user, slot)
-            pending_arrivals = []
-
-            ready_users = [
-                user
-                for user, state in enumerate(self._user_states)
-                if state.ready
-                and self.devices[user].available
-                and (self.batteries[user] is None or self.batteries[user].can_participate())
-            ]
-            training_users = [u for u, d in enumerate(self.devices) if d.training_running]
-            context = SlotContext(
-                slot=slot,
-                slot_seconds=config.slot_seconds,
-                num_arrivals=num_arrivals,
-                num_ready=len(ready_users),
-                num_training=len(training_users),
-                num_users=config.num_users,
-            )
-            policy_tick = self.timers.start()
-            self.policy.begin_slot(context)
-
-            # 3. Decisions for every ready user.
-            num_scheduled = 0
-            decided_idle_users: List[int] = []
-            for user in ready_users:
-                observation = self._observation(user, slot)
-                decision = self.policy.decide(observation)
-                device = self.devices[user]
-                if decision is Decision.SCHEDULE:
-                    job = device.start_training(slot, self._user_states[user].base_version)
-                    self.server.register_inflight(
-                        user, expected_finish_s=(slot + job.duration_slots) * config.slot_seconds
-                    )
-                    self._record_scheduled(
-                        user,
-                        self._user_states[user].base_params,
-                        self._user_states[user].base_version,
-                    )
-                    scheduled_gap = gradient_gap(
-                        observation.momentum_norm,
-                        observation.learning_rate,
-                        observation.momentum_coeff,
-                        observation.estimated_lag,
-                    )
-                    self.gap_tracker.on_scheduled(user, scheduled_gap)
-                    self._user_states[user].ready = False
-                    num_scheduled += 1
-                    self.trace.record_decision(scheduled=True, corun=device.app_running)
-                else:
-                    self.gap_tracker.accumulate_idle(user)
-                    self._user_states[user].waiting_slots += 1
-                    decided_idle_users.append(user)
-                    self.trace.record_decision(scheduled=False)
-            self.timers.stop("policy", policy_tick)
-
-            # 4. Advance every device by one slot.
-            finished_users: List[int] = []
-            for user, device in enumerate(self.devices):
-                outcome = device.step(slot, self.power_model)
-                overhead_j = 0.0
-                if (
-                    config.include_scheduler_overhead
-                    and user in decided_idle_users
-                    and outcome.state is DeviceState.IDLE
-                ):
-                    overhead_j = (
-                        self.power_model.overhead_power(device.spec.name)
-                        - self.power_model.idle_power(device.spec.name)
-                    ) * config.slot_seconds
-                self.accountant.record(user, outcome.state, outcome.energy_j, overhead_j)
-
-                battery = self.batteries[user]
-                if battery is not None:
-                    battery.discharge(outcome.energy_j + overhead_j)
-                    if outcome.state is DeviceState.IDLE and battery.charge_rate_w > 0:
-                        battery.charge(config.slot_seconds)
-
-                if outcome.training_finished:
-                    finished_users.append(user)
-
-            # Training completions: the upload of each finisher is obtained
-            # (train-ahead batch or serial round) and applied sequentially
-            # in ascending user order — the order the per-user code used.
-            for user in finished_users:
-                state = self._user_states[user]
-                update = self._obtain_update(user, state.base_params, state.base_version)
-                if sync_mode:
-                    self._sync_buffer[user] = update
-                    state.uploaded_this_round = True
-                    self.server.unregister_inflight(user)
-                else:
-                    realized_gap = self._apply_async_update(
-                        user, slot, state.base_params, update
-                    )
-                    self.gap_tracker.on_update_applied(user, realized_gap)
-                    pending_arrivals.append(user)
-
-            if sync_mode:
-                released = self._maybe_complete_sync_round(slot, stalled_fn)
-                pending_arrivals.extend(released)
-
-            # 5. Close the slot: queues, traces, evaluation.
-            gap_sum = self.gap_tracker.total_gap()
-            policy_tick = self.timers.start()
-            self.policy.end_slot(context, num_scheduled, gap_sum)
-            self.timers.stop("policy", policy_tick)
-            self.accountant.close_slot()
-
-            queue_length = getattr(getattr(self.policy, "task_queue", None), "length", 0.0)
-            virtual_length = getattr(
-                getattr(self.policy, "virtual_queue", None), "length", 0.0
-            )
-            self.trace.maybe_record_slot(
-                SlotSample(
-                    slot=slot,
-                    time_s=time_s,
-                    cumulative_energy_j=self.accountant.total_j(),
-                    queue_length=queue_length,
-                    virtual_queue_length=virtual_length,
-                    gap_sum=gap_sum,
-                    num_training=len(training_users),
-                    num_ready=len(ready_users),
-                )
-            )
-            if slot % config.trace_interval_slots == 0:
-                for user in range(config.num_users):
-                    self.trace.record_user_gap(
-                        user, time_s, self.gap_tracker.current_gap(user)
-                    )
-            if slot > 0 and slot % config.eval_interval_slots == 0:
-                self._evaluate(slot)
-
-        self._loop_slot = config.total_slots
-        self._loop_pending = list(pending_arrivals)
-        self._evaluate(config.total_slots)
-
-        queue_history = list(getattr(getattr(self.policy, "task_queue", None), "history", lambda: [])())
-        virtual_history = list(
-            getattr(getattr(self.policy, "virtual_queue", None), "history", lambda: [])()
-        )
-        return SimulationResult(
-            config=config,
-            policy_name=self.policy.name,
-            trace=self.trace,
-            accuracy=self.accuracy,
-            accountant=self.accountant,
-            num_updates=self.server.num_updates(),
-            decision_evaluations=self.policy.decision_cost_evaluations(),
-            device_names=[spec.name for spec in self.device_specs],
-            queue_history=queue_history,
-            virtual_queue_history=virtual_history,
-            comm_bytes_mb=self.transport.total_bytes_mb(),
-            comm_failures=self.transport.failure_count(),
-            final_battery_soc=[b.soc for b in self.batteries if b is not None],
-            timers=self.timers if self.timers.enabled else None,
-            queue_stats=_policy_queue_stats(self.policy),
-        )
-
-    def _loop_stalled_sync_users(self) -> List[int]:
-        """Loop-backend view of the permanently-stalled synchronous users.
-
-        Mirrors :meth:`repro.sim.fleet.FleetState.stalled_sync_users`: below
-        the participation threshold, zero charge rate (no recovery path) and
-        not currently training (a training user finishes and uploads).
-        """
-        stalled = []
-        for user, battery in enumerate(self.batteries):
-            if (
-                battery is not None
-                and battery.charge_rate_w == 0.0
-                and not battery.can_participate()
-                and not self.devices[user].training_running
-            ):
-                stalled.append(user)
-        return stalled
-
-    # -- vectorized backend ------------------------------------------------------------
-
-    def _run_fleet(self, checkpointer=None) -> SimulationResult:
-        """Vectorized slot loop over one in-process fleet shard.
-
-        The loop itself lives in :func:`repro.sim.shard.drive_fleet_loop`
-        and is shared **verbatim** with the sharded engine: this method
-        wraps the engine's pre-built components into a single
-        :class:`~repro.sim.shard.FleetShard` covering the whole population
-        and drives it through an in-process handle.  The staged kernels —
-        application churn, arrivals, batched decisions, fleet advancement,
-        deterministic upload application, sync-round quorum, event-horizon
-        fast-forward — therefore cannot fork between single-process and
-        sharded execution; an N-shard run differs only in where the per-user
-        state resides.
-        """
-        from repro.sim.shard import FleetShard, InlineShardHandle, drive_fleet_loop
-
-        config = self.config
-        shard = FleetShard(
-            config=config,
-            lo=0,
-            hi=config.num_users,
-            device_specs=self.device_specs,
-            power_model=self.power_model,
-            batteries=self.batteries,
-            clients=self.clients,
-            arrivals=self.arrivals,
-            include_params=self._upload_params,
-            batched_training=self.batched_training,
-            training_threads=self.training_threads,
-            timers=self.timers,
-        )
-        self._shard = shard
-        start_slot = 0
-        pending_arrivals = None
-        global_ready = -1
-        if self._resume is not None:
-            from repro.service.checkpoint import reslice
-
-            shard.restore_state(
-                reslice(self._resume.slices, [(0, config.num_users)])[0]
-            )
-            start_slot = self._resume.slot
-            pending_arrivals = list(self._resume.pending_arrivals)
-            global_ready = self._resume.global_ready
-
-        snapshot_fn = None
-        if checkpointer is not None:
-            from repro.service.checkpoint import (
-                CHECKPOINT_FORMAT_VERSION,
-                CoordinatorState,
-                EngineCheckpoint,
-            )
-
-            def snapshot_fn(slot, pending, ready):
-                return EngineCheckpoint(
-                    format_version=CHECKPOINT_FORMAT_VERSION,
-                    backend="fleet",
-                    slot=slot,
-                    pending_arrivals=pending,
-                    global_ready=ready,
-                    config=config,
-                    fast_forward=self.fast_forward,
-                    batched_training=self.batched_training,
-                    trace_level=self.trace_level,
-                    coordinator=CoordinatorState.capture(self.core, self.timers),
-                    slices=[shard.checkpoint_state()],
-                )
-
-        drive_fleet_loop(
-            core=self.core,
-            handles=[InlineShardHandle(shard)],
-            bounds=[(0, config.num_users)],
-            config=config,
-            fast_forward=self.fast_forward,
-            timers=self.timers,
-            trace_level=self.trace_level,
-            has_batteries=self._has_batteries,
-            start_slot=start_slot,
-            pending_arrivals=pending_arrivals,
-            global_ready=global_ready,
-            initial_eval=self._resume is None,
-            checkpointer=checkpointer,
-            snapshot_fn=snapshot_fn,
-        )
-        fleet = shard.fleet
-
-        queue_history = list(getattr(getattr(self.policy, "task_queue", None), "history", lambda: [])())
-        virtual_history = list(
-            getattr(getattr(self.policy, "virtual_queue", None), "history", lambda: [])()
-        )
-        return SimulationResult(
-            config=config,
-            policy_name=self.policy.name,
-            trace=self.trace,
-            accuracy=self.accuracy,
-            accountant=fleet.accountant,
-            num_updates=self.server.num_updates(),
-            decision_evaluations=self.policy.decision_cost_evaluations(),
-            device_names=[spec.name for spec in self.device_specs],
-            queue_history=queue_history,
-            virtual_queue_history=virtual_history,
-            comm_bytes_mb=self.transport.total_bytes_mb(),
-            comm_failures=self.transport.failure_count(),
-            final_battery_soc=fleet.final_battery_soc(),
-            timers=self.timers if self.timers.enabled else None,
-            queue_stats=_policy_queue_stats(self.policy),
-        )
+        cls = ShardedEngine
+        kwargs.update(shards=shards, fault_injector=fault_injector)
+    else:
+        cls = SimulationEngine
+    if resume_from is not None:
+        return cls.restore(resume_from, **kwargs)
+    return cls(
+        config,
+        policy,
+        fast_forward=fast_forward,
+        batched_training=batched_training,
+        trace_level=trace_level,
+        **kwargs,
+    )

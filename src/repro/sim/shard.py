@@ -42,6 +42,7 @@ from __future__ import annotations
 import bisect
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 import traceback
@@ -59,7 +60,6 @@ from typing import (
 
 import numpy as np
 
-from repro.core.offline import OfflinePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.policies import (
     Aggregation,
@@ -68,44 +68,29 @@ from repro.core.policies import (
     SlotContext,
 )
 from repro.core.staleness import gradient_gap
-from repro.comm.network import NetworkModel
-from repro.comm.transport import ModelTransport
+from repro.device.models import build_device_fleet
 from repro.energy.measurements import MeasurementTable
 from repro.energy.power_model import PowerModel
 from repro.faults.retry import RetryPolicy, poll_intervals
 from repro.fl.batch import TrainAheadScheduler
 from repro.fl.client import FLClient, LocalUpdate
-from repro.fl.metrics import AccuracyTracker
-from repro.fl.model import build_mlp
-from repro.fl.server import AsyncUpdateRule, ParameterServer
+from repro.fl.server import AsyncUpdateRule
 from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.config import SimulationConfig
 from repro.sim.coupling import CouplingCore
 from repro.sim.engine import (
+    Coordinator,
     SimulationResult,
-    _policy_queue_stats,
-    _apply_queue_telemetry,
-    build_arrival_schedule,
-    build_batteries,
-    build_clients,
     build_dataset,
-    build_eval_model,
-    build_partitions,
+    build_population,
     build_rngs,
-    build_transport,
-    fleet_has_batteries,
+    install_coordinator,
+    restore_engine,
 )
 from repro.sim.fleet import FleetEnergyAccountant, FleetState, ReadyPayload
-from repro.sim.rng import spawn_generators
-from repro.sim.shmplane import (
-    REPLY,
-    REQUEST,
-    ShardMailbox,
-    decode_frame,
-    encode_frame,
-)
+from repro.sim.shmplane import REPLY, REQUEST, ShardMailbox
 from repro.sim.timers import EngineTimers
-from repro.sim.trace import TRACE_LEVELS, SimulationTrace, SlotSample
+from repro.sim.trace import SlotSample
 
 if TYPE_CHECKING:
     from repro.device.models import DeviceSpec
@@ -375,6 +360,7 @@ class FleetShard:
         measurement_table: Optional[MeasurementTable],
         batched_training: bool,
         training_threads: Optional[int],
+        timers: Optional[EngineTimers] = None,
     ) -> "FleetShard":
         """Reconstruct the shard's slice of the system inside a worker.
 
@@ -384,8 +370,6 @@ class FleetShard:
         (already generated by the coordinator, whose ``arrivals`` stream it
         consumed).
         """
-        from repro.device.models import build_device_fleet
-
         rngs = build_rngs(config)
         device_specs = build_device_fleet(
             config.num_users,
@@ -393,15 +377,15 @@ class FleetShard:
             mix=config.device_mix,
             names=config.device_names,
         )
-        table = measurement_table or MeasurementTable()
-        power_model = PowerModel(
-            table=table,
-            include_scheduler_overhead=config.include_scheduler_overhead,
+        power_model, batteries, clients = build_population(
+            config,
+            measurement_table or MeasurementTable(),
+            device_specs,
+            build_dataset(config),
+            rngs["dataset"],
+            lo,
+            hi,
         )
-        batteries = build_batteries(config, device_specs)[lo:hi]
-        dataset = build_dataset(config)
-        partitions = build_partitions(config, dataset, rngs["dataset"])
-        clients = build_clients(config, partitions, dataset.input_dim(), lo, hi)
         include_params = config.async_rule is not AsyncUpdateRule.ACCUMULATE
         return cls(
             config=config,
@@ -415,6 +399,7 @@ class FleetShard:
             include_params=include_params,
             batched_training=batched_training,
             training_threads=training_threads,
+            timers=timers,
         )
 
     # -- slot stages (called by the coordinator, global ids) -------------------
@@ -773,22 +758,22 @@ def _mailbox_bytes(num_users: int, param_bytes: int) -> Tuple[int, int]:
 def _shard_worker_main(conn: Any, init_kwargs: Dict) -> None:
     """Worker-process entry point: build the shard lazily, serve commands.
 
-    Transport: every message on the pipe is a byte frame.  With a mailbox
-    attached, hot payloads live in the shared-memory slab and the frame is
-    a small doorbell (see :mod:`repro.sim.shmplane`); without one — or when
-    a payload exceeds the slab — the frame is a plain pickle.  Requests are
-    decoded copy-on-receive, so the shard may retain any argument (e.g.
-    downloaded parameter vectors) across slots.  The worker only ever
-    ``close()``-es its mapping; the coordinator owns the segment name and
-    unlinks it on every exit path.
+    Transport: every message on the pipe is a byte frame.  Hot payloads
+    live in the shared-memory mailbox and the frame is a small doorbell
+    (see :mod:`repro.sim.shmplane`); a payload that exceeds the slab spills
+    to a plain pickle, which is also the form of the two control frames
+    (``__stop__`` and a worker traceback) so they never depend on the slab.
+    Requests are decoded copy-on-receive, so the shard may retain any
+    argument (e.g. downloaded parameter vectors) across slots.  The worker
+    only ever ``close()``-es its mapping; the coordinator owns the segment
+    name and unlinks it on every exit path.
     """
     fault_events: List[Dict] = list(init_kwargs.pop("fault_events", ()))
-    mailbox_spec = init_kwargs.pop("mailbox", None)
+    mailbox_spec = init_kwargs.pop("mailbox")
     mailbox: Optional[ShardMailbox] = None
     shard: Optional[FleetShard] = None
     try:
-        if mailbox_spec is not None:
-            mailbox = ShardMailbox.attach(mailbox_spec)
+        mailbox = ShardMailbox.attach(mailbox_spec)
         while True:
             try:
                 # The worker has nothing to do until the coordinator speaks;
@@ -797,7 +782,7 @@ def _shard_worker_main(conn: Any, init_kwargs: Dict) -> None:
                 frame = conn.recv_bytes()
             except EOFError:
                 break
-            method, args = decode_frame(frame, mailbox)
+            method, args = mailbox.decode(frame)
             if method == "__stop__":
                 break
             try:
@@ -809,17 +794,12 @@ def _shard_worker_main(conn: Any, init_kwargs: Dict) -> None:
                     continue  # drop_message: consume the request, never reply
                 result = getattr(shard, method)(*args)
                 conn.send_bytes(
-                    encode_frame(
-                        ("ok", result),
-                        mailbox,
-                        REPLY,
-                        copy=method not in _ZERO_COPY_REPLIES,
+                    mailbox.encode(
+                        ("ok", result), REPLY, copy=method not in _ZERO_COPY_REPLIES
                     )
                 )
             except BaseException:
-                conn.send_bytes(
-                    encode_frame(("error", traceback.format_exc()), None, REPLY, True)
-                )
+                conn.send_bytes(pickle.dumps(("error", traceback.format_exc())))
     finally:
         if mailbox is not None:
             mailbox.close()
@@ -848,9 +828,8 @@ class ProcessShardHandle:
         shard_index: position in the coordinator's handle list (carried on
             failures so the supervisor can report which shard was lost).
         ipc_timeout_s: deadline for any single :meth:`wait`.
-        mailbox_bytes: ``(request, reply)`` slab sizes for the shared-memory
-            data plane; ``None`` keeps the transport on plain pickled
-            frames (used by tests and as an escape hatch).
+        mailbox_bytes: ``(request, reply)`` slab sizes of the shard's
+            shared-memory mailbox (:func:`_mailbox_bytes`).
         timers: coordinator timers charged with ``ipc_send`` (encode +
             doorbell write) and ``ipc_recv`` (blocked on the shard's reply,
             which on a saturated machine includes the remote compute).
@@ -860,10 +839,10 @@ class ProcessShardHandle:
         self,
         context: Any,
         init_kwargs: Dict,
+        mailbox_bytes: Tuple[int, int],
+        timers: EngineTimers,
         shard_index: int = 0,
         ipc_timeout_s: float = 600.0,
-        mailbox_bytes: Optional[Tuple[int, int]] = None,
-        timers: Optional[EngineTimers] = None,
     ) -> None:
         if ipc_timeout_s <= 0:
             raise ValueError("ipc_timeout_s must be positive")
@@ -873,11 +852,9 @@ class ProcessShardHandle:
         #: Highest slot this shard was asked to execute; the supervisor
         #: consumes fault events up to here before a recovery replay.
         self.last_slot = -1
-        self._mailbox: Optional[ShardMailbox] = None
+        self._mailbox = ShardMailbox.create(*mailbox_bytes)
         try:
-            if mailbox_bytes is not None:
-                self._mailbox = ShardMailbox.create(*mailbox_bytes)
-                init_kwargs = dict(init_kwargs, mailbox=self._mailbox.spec())
+            init_kwargs = dict(init_kwargs, mailbox=self._mailbox.spec())
             parent_conn, child_conn = context.Pipe()
             self._conn = parent_conn
             self._process = context.Process(
@@ -894,13 +871,13 @@ class ProcessShardHandle:
     def post(self, method: str, *args: Any) -> None:
         if method in _SLOT_METHODS and args:
             self.last_slot = max(self.last_slot, int(args[0]))
-        tick = self.timers.start() if self.timers is not None else 0.0
+        tick = self.timers.start()
         try:
             # copy=True: the shard retains request arguments (downloaded
             # parameter vectors, restore-state arrays) across slots, so it
             # must never hold views over the request slab.
             self._conn.send_bytes(
-                encode_frame((method, args), self._mailbox, REQUEST, copy=True)
+                self._mailbox.encode((method, args), REQUEST, copy=True)
             )
         except (BrokenPipeError, OSError) as exc:
             raise ShardDied(
@@ -908,11 +885,10 @@ class ProcessShardHandle:
                 f"shard {self.shard_index} worker pipe is closed "
                 f"(exitcode={self._process.exitcode}): {exc}",
             ) from exc
-        if self.timers is not None:
-            self.timers.stop("ipc_send", tick)
+        self.timers.stop("ipc_send", tick)
 
     def wait(self) -> Any:
-        tick = self.timers.start() if self.timers is not None else 0.0
+        tick = self.timers.start()
         deadline = time.monotonic() + self.ipc_timeout_s  # reprolint: allow(wall-clock): IPC liveness deadline, never feeds sim state
         for interval in poll_intervals():
             if self._conn.poll(interval):
@@ -941,9 +917,8 @@ class ProcessShardHandle:
                 f"shard {self.shard_index} worker hung up mid-reply "
                 f"(exitcode={self._process.exitcode}): {exc}",
             ) from exc
-        status, value = decode_frame(frame, self._mailbox)
-        if self.timers is not None:
-            self.timers.stop("ipc_recv", tick)
+        status, value = self._mailbox.decode(frame)
+        self.timers.stop("ipc_recv", tick)
         if status == "error":
             raise RuntimeError(f"shard worker failed:\n{value}")
         return value
@@ -964,7 +939,7 @@ class ProcessShardHandle:
 
     def close(self) -> None:
         try:
-            self._conn.send_bytes(encode_frame(("__stop__", ()), None, REQUEST, True))
+            self._conn.send_bytes(pickle.dumps(("__stop__", ())))
         except (BrokenPipeError, OSError):
             pass
         self._process.join(timeout=10)
@@ -979,8 +954,7 @@ class ProcessShardHandle:
 
     def _destroy_mailbox(self) -> None:
         """Close and unlink the shm segment (owner side); idempotent."""
-        if self._mailbox is not None:
-            self._mailbox.destroy()
+        self._mailbox.destroy()
 
 
 # ---------------------------------------------------------------------------
@@ -1000,48 +974,44 @@ def _split_users(users: Sequence[int], bounds: Sequence[Tuple[int, int]]) -> Lis
 
 
 def drive_fleet_loop(
-    core: CouplingCore,
+    engine: Any,
     handles: Sequence[Any],
     bounds: Sequence[Tuple[int, int]],
-    config: SimulationConfig,
-    fast_forward: bool,
-    timers: EngineTimers,
-    trace_level: str,
-    has_batteries: bool,
-    start_slot: int = 0,
-    pending_arrivals: Optional[List[int]] = None,
-    global_ready: int = -1,
+    start: Optional["EngineCheckpoint"] = None,
     initial_eval: bool = True,
     checkpointer: Optional["Checkpointer"] = None,
-    snapshot_fn: Optional[Callable[[int, List[int], int], "EngineCheckpoint"]] = None,
 ) -> None:
-    """Run the fleet slot loop over one or many shards.
+    """Run ``engine``'s coordinator over one or many shards to the horizon.
 
     This is the five-step slot timeline of :mod:`repro.sim.engine`, staged
     so that per-user work executes shard-side and coupling-state work
     executes coordinator-side.  With a single inline shard it *is* the
-    single-process fleet backend; with process shards it is the sharded
-    engine — same code, same operation order, bitwise-identical results.
+    single-process engine; with process shards it is the sharded engine —
+    same code, same operation order, bitwise-identical results.
 
-    Resume: a restored run passes the checkpointed ``start_slot`` /
-    ``pending_arrivals`` / ``global_ready`` and ``initial_eval=False`` (the
-    slot-0 evaluation already happened in the original run); the loop then
-    continues exactly where the checkpoint was taken.  Checkpointing: when a
-    :class:`~repro.service.checkpoint.Checkpointer` is supplied together
-    with ``snapshot_fn(slot, pending_arrivals, global_ready)``, snapshots
-    are taken at the top of due slots — before any of the slot's work — and
-    fast-forwarded quiet regions are capped at the next due boundary.
+    Resume: ``start`` is the checkpoint whose state the coordinator and the
+    shards currently hold (``None``: a fresh run at slot 0), with
+    ``initial_eval=False`` once the slot-0 evaluation is already folded in;
+    the loop then continues exactly where the checkpoint was taken.
+    Checkpointing: with a :class:`~repro.service.checkpoint.Checkpointer`,
+    snapshots (:func:`snapshot_shards`) are taken at the top of due slots —
+    before any of the slot's work — and fast-forwarded quiet regions are
+    capped at the next due boundary.
     """
+    core = engine.core
+    config = engine.config
+    timers = engine.timers
+    fast_forward = engine.fast_forward
     policy = core.policy
     server = core.server
     trace = core.trace
     sync_mode = policy.aggregation is Aggregation.SYNC
     num_shards = len(handles)
-    want_trace = trace_level == "full"
+    want_trace = engine.trace_level == "full"
     capture_users = want_trace and num_shards > 1
 
     stalled_fn: Optional[Callable[[], List[int]]] = None
-    if has_batteries:
+    if engine._has_batteries:
 
         def _stalled_users() -> List[int]:
             for handle in handles:
@@ -1053,19 +1023,18 @@ def drive_fleet_loop(
 
         stalled_fn = _stalled_users
 
-    if pending_arrivals is None:
+    if start is None:
         # All users download the initial model and arrive at slot 0.
-        pending_arrivals = list(range(config.num_users))
+        slot, pending_arrivals, global_ready = 0, list(range(config.num_users)), -1
     else:
-        pending_arrivals = list(pending_arrivals)
+        slot, global_ready = start.slot, start.global_ready
+        pending_arrivals = list(start.pending_arrivals)
     if initial_eval:
         core.evaluate(0)
     if checkpointer is not None:
-        checkpointer.begin(start_slot)
+        checkpointer.begin(slot)
 
-    slot = start_slot
     total_slots = config.total_slots
-    may_checkpoint = checkpointer is not None and snapshot_fn is not None
     # Shard upper bounds (exclusive), as searchsorted cut points for
     # splitting ascending decision arrays along shard ownership.
     shard_his = np.asarray([hi for _, hi in bounds[:-1]], dtype=np.int64)
@@ -1074,7 +1043,7 @@ def drive_fleet_loop(
     #: explicit open) at the top of the next slot.
     spec_opens: List[Optional[SlotOpenReply]] = [None] * num_shards
     while slot < total_slots:
-        if may_checkpoint and checkpointer.due(slot):
+        if checkpointer is not None and checkpointer.due(slot):
             if any(spec is not None for spec in spec_opens):
                 # A stop request raced the speculation window: the shards
                 # already opened this slot non-uniformly, so a snapshot
@@ -1085,7 +1054,9 @@ def drive_fleet_loop(
                 pass
             else:
                 checkpointer.take(
-                    snapshot_fn(slot, list(pending_arrivals), global_ready)
+                    snapshot_shards(
+                        engine, handles, slot, list(pending_arrivals), global_ready
+                    )
                 )
         if fast_forward and not pending_arrivals and global_ready == 0:
             limit = None if checkpointer is None else checkpointer.limit(slot)
@@ -1191,7 +1162,7 @@ def drive_fleet_loop(
         # round trip — except across a checkpoint boundary, where the
         # snapshot must capture a uniform not-yet-opened state.
         speculate = slot + 1 < total_slots and not (
-            may_checkpoint and checkpointer.due(slot + 1)
+            checkpointer is not None and checkpointer.due(slot + 1)
         )
         for handle, scheduled, idle in zip(handles, scheduled_by_shard, idle_by_shard):
             handle.post(
@@ -1473,20 +1444,75 @@ class _SupervisedCheckpointer:
 
 
 # ---------------------------------------------------------------------------
+# Driving live shard handles (shared by both engines)
+# ---------------------------------------------------------------------------
+
+
+def restore_shards(
+    handles: Sequence[Any],
+    bounds: Sequence[Tuple[int, int]],
+    checkpoint: "EngineCheckpoint",
+) -> None:
+    """Load a checkpoint's per-user state into live shard handles."""
+    from repro.service.checkpoint import reslice
+
+    for handle, piece in zip(handles, reslice(checkpoint.slices, bounds)):
+        handle.post("restore_state", piece)
+    for handle in handles:
+        handle.wait()
+
+
+def snapshot_shards(
+    engine: Any,
+    handles: Sequence[Any],
+    slot: int,
+    pending_arrivals: List[int],
+    global_ready: int,
+) -> "EngineCheckpoint":
+    """A full checkpoint of ``engine``: its live coordinator plus the
+    per-user slices its shard handles report."""
+    from repro.service.checkpoint import (
+        CHECKPOINT_FORMAT_VERSION,
+        CoordinatorState,
+        EngineCheckpoint,
+    )
+
+    # Coordinator first, so its pickling transient never stacks on top of
+    # the slice copies an in-process shard hands back at once.
+    coordinator = CoordinatorState.capture(engine.core, engine.timers)
+    for handle in handles:
+        handle.post("checkpoint_state")
+    return EngineCheckpoint(
+        format_version=CHECKPOINT_FORMAT_VERSION,
+        slot=slot,
+        pending_arrivals=pending_arrivals,
+        global_ready=global_ready,
+        config=engine.config,
+        fast_forward=engine.fast_forward,
+        batched_training=engine.batched_training,
+        trace_level=engine.trace_level,
+        coordinator=coordinator,
+        slices=[handle.wait() for handle in handles],
+    )
+
+
+# ---------------------------------------------------------------------------
 # The sharded engine
 # ---------------------------------------------------------------------------
 
 
-class ShardedEngine:
+class ShardedEngine(Coordinator):
     """Simulate the federated system with the population sharded across processes.
 
-    Drop-in sibling of :class:`~repro.sim.engine.SimulationEngine` for the
-    fleet fast-forward backend: the constructor takes the same configuration
-    and policy, ``run()`` returns the same
-    :class:`~repro.sim.engine.SimulationResult`, and for any ``shards`` the
-    result is bitwise identical to the single-process fleet fast-forward run
-    (see the module docstring for the contract and
-    ``tests/test_shard.py`` for the enforcement).
+    Drop-in sibling of :class:`~repro.sim.engine.SimulationEngine`: the
+    constructor takes the same configuration and policy, ``run()`` returns
+    the same :class:`~repro.sim.engine.SimulationResult`, and for any
+    ``shards`` the result is bitwise identical to the single-process run
+    (see the module docstring for the contract and ``tests/test_shard.py``
+    for the enforcement).  Both are a :class:`~repro.sim.engine.Coordinator`
+    around :func:`drive_fleet_loop`; this class adds
+    only what is about processes — spawning and restoring the handles, the
+    supervisor loop and the accountant merge.
 
     The coordinator process owns the coupling state (parameter server,
     policy queues, gaps, sync quorum, transport accounting, traces,
@@ -1508,8 +1534,10 @@ class ShardedEngine:
             (:class:`~repro.fl.batch.BatchTrainer`).  Note: batching groups
             are per-shard, so the serial-trainer bitwise contract applies —
             batched runs match to tight numerical tolerance instead.
-        profile: collect per-subsystem wall-clock shares; worker training
-            time is folded into the ``training`` bucket at the end.
+        profile: collect per-subsystem wall-clock shares on the
+            coordinator; each worker process's own training seconds are
+            reported beside them (``EngineTimers.worker_training_s``), not
+            added — the coordinator spent that time inside ``ipc_recv``.
         trace_level: telemetry volume (see
             :class:`~repro.sim.engine.SimulationEngine`); ``summary`` is the
             intended setting for megafleet populations.
@@ -1537,11 +1565,6 @@ class ShardedEngine:
             count — graceful degradation for hosts losing capacity.
             Results stay bitwise-identical (the contract is shard-count
             independent).
-        shm_plane: ship hot per-slot payloads through preallocated
-            shared-memory mailboxes (:mod:`repro.sim.shmplane`), leaving
-            the pipe as a doorbell/control channel.  ``False`` falls back
-            to fully pickled frames — bitwise-identical results, higher
-            coordination overhead.
     """
 
     def __init__(
@@ -1563,22 +1586,17 @@ class ShardedEngine:
         max_respawns: int = 3,
         recovery_every_slots: Optional[int] = None,
         degrade_on_failure: bool = False,
-        shm_plane: bool = True,
     ) -> None:
-        if trace_level not in TRACE_LEVELS:
-            raise ValueError(
-                f"unknown trace_level {trace_level!r}; choose from {TRACE_LEVELS}"
-            )
         if max_respawns < 0:
             raise ValueError("max_respawns must be non-negative")
         if recovery_every_slots is not None and recovery_every_slots <= 0:
             raise ValueError("recovery_every_slots must be positive when set")
-        self.config = config
-        self.policy = policy
+        self.build_coordinator(
+            config, policy, dataset, measurement_table, profile, trace_level
+        )
         self.bounds = shard_bounds(config.num_users, shards)
         self.fast_forward = bool(fast_forward)
         self.batched_training = bool(batched_training)
-        self.trace_level = trace_level
         self.training_threads = training_threads
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
@@ -1590,72 +1608,15 @@ class ShardedEngine:
         self.max_respawns = int(max_respawns)
         self.recovery_every_slots = recovery_every_slots
         self.degrade_on_failure = bool(degrade_on_failure)
-        self.shm_plane = bool(shm_plane)
         self._respawn_backoff = RetryPolicy(
             max_attempts=max(1, self.max_respawns),
             base_delay_s=0.05,
             cap_s=2.0,
         )
-        self.timers = EngineTimers(enabled=profile)
-
-        rngs = build_rngs(config)
-        from repro.device.models import build_device_fleet
-
-        self.device_specs = build_device_fleet(
-            config.num_users,
-            rngs["devices"],
-            mix=config.device_mix,
-            names=config.device_names,
-        )
-        self.table = measurement_table or MeasurementTable()
-        self._has_batteries = fleet_has_batteries(config, self.device_specs)
-        self.dataset = build_dataset(config, dataset)
-        self.eval_model = build_eval_model(config, self.dataset.input_dim())
-        self.server = ParameterServer(
-            self.eval_model.get_flat_params(),
-            async_rule=config.async_rule,
-            mixing_alpha=config.mixing_alpha,
-        )
-        self.arrivals = build_arrival_schedule(
-            config, self.device_specs, rngs["arrivals"], self.table
-        )
-        self.transport = build_transport(config, rngs["network"])
-        self.trace = SimulationTrace(
-            trace_interval_slots=config.trace_interval_slots, level=trace_level
-        )
-        self.accuracy = AccuracyTracker()
-        self.core = CouplingCore(
-            config=config,
-            policy=policy,
-            server=self.server,
-            transport=self.transport,
-            trace=self.trace,
-            accuracy=self.accuracy,
-            eval_model=self.eval_model,
-            dataset=self.dataset,
-            timers=self.timers,
-        )
-        _apply_queue_telemetry(policy, trace_level)
-        self._has_run = False
-        self._resume: Optional["EngineCheckpoint"] = None
 
     @classmethod
     def restore(
-        cls,
-        checkpoint: "EngineCheckpoint",
-        *,
-        shards: Optional[int] = None,
-        dataset: Any = None,
-        measurement_table: Optional[MeasurementTable] = None,
-        profile: bool = False,
-        training_threads: Optional[int] = 1,
-        start_method: Optional[str] = None,
-        inline: bool = False,
-        fault_injector: Optional["FaultInjector"] = None,
-        ipc_timeout_s: float = 600.0,
-        max_respawns: int = 3,
-        recovery_every_slots: Optional[int] = None,
-        degrade_on_failure: bool = False,
+        cls, checkpoint: "EngineCheckpoint", *, shards: Optional[int] = None, **kwargs: Any
     ) -> "ShardedEngine":
         """Rebuild a sharded engine from an
         :class:`~repro.service.checkpoint.EngineCheckpoint`.
@@ -1664,71 +1625,16 @@ class ShardedEngine:
         other count works too — per-user slice state is re-partitioned
         contiguously (:func:`repro.service.checkpoint.reslice`), and every
         headline metric of the resumed run stays bitwise-identical.
+        ``kwargs`` are the constructor keywords a checkpoint does not carry
+        (everything but the configuration, the policy, ``fast_forward``,
+        ``batched_training`` and ``trace_level``).
         """
-        if checkpoint.backend != "fleet":
-            raise ValueError(
-                f"cannot restore a {checkpoint.backend!r} checkpoint into the "
-                "sharded engine; use SimulationEngine.restore"
-            )
-        coordinator = checkpoint.coordinator.materialize()
-        engine = cls(
-            config=checkpoint.config,
-            policy=coordinator.policy,
-            dataset=dataset,
-            measurement_table=measurement_table,
-            shards=len(checkpoint.slices or ()) if shards is None else shards,
-            fast_forward=checkpoint.fast_forward,
-            batched_training=checkpoint.batched_training,
-            profile=profile,
-            trace_level=checkpoint.trace_level,
-            training_threads=training_threads,
-            start_method=start_method,
-            inline=inline,
-            fault_injector=fault_injector,
-            ipc_timeout_s=ipc_timeout_s,
-            max_respawns=max_respawns,
-            recovery_every_slots=recovery_every_slots,
-            degrade_on_failure=degrade_on_failure,
+        return restore_engine(
+            cls,
+            checkpoint,
+            shards=len(checkpoint.slices) if shards is None else shards,
+            **kwargs,
         )
-        coordinator.install(engine.core, engine.timers)
-        engine.server = engine.core.server
-        engine.transport = engine.core.transport
-        engine.trace = engine.core.trace
-        engine.accuracy = engine.core.accuracy
-        engine._resume = checkpoint
-        return engine
-
-    def _snapshot_builder(
-        self, handles: Sequence[Any]
-    ) -> Callable[[int, List[int], int], "EngineCheckpoint"]:
-        """Closure assembling a full checkpoint from live shard handles."""
-        from repro.service.checkpoint import (
-            CHECKPOINT_FORMAT_VERSION,
-            CoordinatorState,
-            EngineCheckpoint,
-        )
-
-        def snapshot_fn(
-            slot: int, pending_arrivals: List[int], global_ready: int
-        ) -> EngineCheckpoint:
-            for handle in handles:
-                handle.post("checkpoint_state")
-            slices = [handle.wait() for handle in handles]
-            return EngineCheckpoint(
-                format_version=CHECKPOINT_FORMAT_VERSION,
-                backend="fleet",
-                slot=slot,
-                pending_arrivals=pending_arrivals,
-                global_ready=global_ready,
-                config=self.config,
-                fast_forward=self.fast_forward,
-                batched_training=self.batched_training,
-                trace_level=self.trace_level,
-                coordinator=CoordinatorState.capture(self.core, self.timers),
-                slices=slices,
-            )
-
-        return snapshot_fn
 
     def _spawn_handles(self, context: Any, nested: bool) -> List[Any]:
         """Start one handle per shard bound (inline or worker process)."""
@@ -1744,47 +1650,27 @@ class ShardedEngine:
                 training_threads=self.training_threads,
             )
             if nested:
-                handles.append(InlineShardHandle(FleetShard.build(**init_kwargs)))
+                # In-process training is coordinator wall: its ``training`` bucket.
+                shard = FleetShard.build(**init_kwargs, timers=self.timers)
+                handles.append(InlineShardHandle(shard))
             else:
                 if self.fault_injector is not None:
                     events = self.fault_injector.worker_events(index)
                     if events:
                         init_kwargs["fault_events"] = events
-                mailbox_bytes = None
-                if self.shm_plane:
-                    mailbox_bytes = _mailbox_bytes(
-                        hi - lo, int(self.server.global_params().nbytes)
-                    )
                 handles.append(
                     ProcessShardHandle(
                         context,
                         init_kwargs,
+                        _mailbox_bytes(
+                            hi - lo, int(self.server.global_params().nbytes)
+                        ),
                         shard_index=index,
                         ipc_timeout_s=self.ipc_timeout_s,
-                        mailbox_bytes=mailbox_bytes,
                         timers=self.timers,
                     )
                 )
         return handles
-
-    def _restore_slices(self, handles: Sequence[Any], checkpoint: "EngineCheckpoint") -> None:
-        """Load a checkpoint's per-user state into live shard handles."""
-        from repro.service.checkpoint import reslice
-
-        for handle, piece in zip(handles, reslice(checkpoint.slices or [], self.bounds)):
-            handle.post("restore_state", piece)
-        for handle in handles:
-            handle.wait()
-
-    def _install_coordinator(self, checkpoint: "EngineCheckpoint") -> None:
-        """Roll the coordinator-side coupling state back to a checkpoint."""
-        coordinator = checkpoint.coordinator.materialize()
-        coordinator.install(self.core, self.timers)
-        self.policy = self.core.policy
-        self.server = self.core.server
-        self.transport = self.core.transport
-        self.trace = self.core.trace
-        self.accuracy = self.core.accuracy
 
     def run(self, checkpointer: Optional["Checkpointer"] = None) -> SimulationResult:
         """Run the sharded simulation and return its (merged) result.
@@ -1802,14 +1688,7 @@ class ShardedEngine:
         deterministic bugs, not faults — they raise ``RuntimeError`` and
         are never retried.
         """
-        if self._has_run:
-            raise RuntimeError("this engine has already run; create a new one")
-        self._has_run = True
-        resume = self._resume
-        if resume is None:
-            self.policy.reset()
-            if isinstance(self.policy, OfflinePolicy):
-                self.policy.attach_oracle(self.arrivals)
+        self.begin_run()
         total_tick = self.timers.start()
         context = multiprocessing.get_context(self.start_method)
         # Inside an ExperimentSuite pool worker (daemonic), children are
@@ -1821,56 +1700,35 @@ class ShardedEngine:
         supervised = _SupervisedCheckpointer(
             checkpointer, self.recovery_every_slots if supervising else None
         )
+        use_supervised = supervising or checkpointer is not None
         handles: List[Any] = []
         respawns = 0
+        # The checkpoint whose state coordinator and shards currently hold.
+        start = self._resume
+        initial_eval = start is None
         try:
             handles = self._spawn_handles(context, nested)
-            start_slot = 0
-            pending_arrivals: Optional[List[int]] = None
-            global_ready = -1
-            initial_eval = True
-            if resume is not None:
-                self._restore_slices(handles, resume)
-                start_slot = resume.slot
-                pending_arrivals = list(resume.pending_arrivals)
-                global_ready = resume.global_ready
-                initial_eval = False
-                supervised.remember(resume, eval_done=True)
+            if start is not None:
+                restore_shards(handles, self.bounds, start)
+                supervised.remember(start, eval_done=True)
+            elif supervising:
+                # Eager pre-loop snapshot: without one, the first failure of
+                # a fresh, never-checkpointed run would be unrecoverable.
+                # It pre-dates the initial evaluation, so a replay from it
+                # re-runs that evaluation.
+                start = snapshot_shards(
+                    self, handles, 0, list(range(self.config.num_users)), -1
+                )
+                supervised.remember(start, eval_done=False)
             while True:
-                # The snapshot closure binds the live handles — rebuild it
-                # whenever the handles are respawned.
-                snapshot_fn = self._snapshot_builder(handles)
-                if supervising and supervised.latest is None:
-                    # Eager pre-loop snapshot: without one, the first
-                    # failure of a fresh, never-checkpointed run would be
-                    # unrecoverable.  It pre-dates the initial evaluation,
-                    # so a replay from it re-runs that evaluation.
-                    pending = (
-                        list(range(self.config.num_users))
-                        if pending_arrivals is None
-                        else list(pending_arrivals)
-                    )
-                    supervised.remember(
-                        snapshot_fn(start_slot, pending, global_ready),
-                        eval_done=False,
-                    )
-                use_supervised = supervising or checkpointer is not None
                 try:
                     drive_fleet_loop(
-                        core=self.core,
-                        handles=handles,
-                        bounds=self.bounds,
-                        config=self.config,
-                        fast_forward=self.fast_forward,
-                        timers=self.timers,
-                        trace_level=self.trace_level,
-                        has_batteries=self._has_batteries,
-                        start_slot=start_slot,
-                        pending_arrivals=pending_arrivals,
-                        global_ready=global_ready,
-                        initial_eval=initial_eval,
-                        checkpointer=supervised if use_supervised else None,
-                        snapshot_fn=snapshot_fn if use_supervised else None,
+                        self,
+                        handles,
+                        self.bounds,
+                        start,
+                        initial_eval,
+                        supervised if use_supervised else None,
                     )
                     break
                 except ShardFailure:
@@ -1895,55 +1753,28 @@ class ShardedEngine:
                         handle.kill()
                     handles = []
                     time.sleep(self._respawn_backoff.delay_s(respawns))
-                    checkpoint, eval_done = latest
+                    start, eval_done = latest
+                    initial_eval = not eval_done
                     if self.degrade_on_failure and len(self.bounds) > 1:
                         self.bounds = shard_bounds(
                             self.config.num_users, len(self.bounds) - 1
                         )
-                    self._install_coordinator(checkpoint)
+                    install_coordinator(self, start.coordinator.materialize())
                     handles = self._spawn_handles(context, nested)
-                    self._restore_slices(handles, checkpoint)
-                    start_slot = checkpoint.slot
-                    pending_arrivals = list(checkpoint.pending_arrivals)
-                    global_ready = checkpoint.global_ready
-                    initial_eval = not eval_done
+                    restore_shards(handles, self.bounds, start)
             for handle in handles:
                 handle.post("finalize")
             finals = [handle.wait() for handle in handles]
         finally:
             for handle in handles:
                 handle.close()
-        self.timers.stop_total(total_tick)
-        if self.timers.enabled:
-            self.timers.seconds["training"] += sum(
-                final.training_seconds for final in finals
-            )
 
         merge_tick = self.timers.start()
         accountant = FleetEnergyAccountant.merged([final.accountant for final in finals])
         self.timers.stop("merge", merge_tick)
-        queue_history = list(
-            getattr(getattr(self.policy, "task_queue", None), "history", lambda: [])()
-        )
-        virtual_history = list(
-            getattr(getattr(self.policy, "virtual_queue", None), "history", lambda: [])()
-        )
-        return SimulationResult(
-            config=self.config,
-            policy_name=self.policy.name,
-            trace=self.trace,
-            accuracy=self.accuracy,
-            accountant=accountant,
-            num_updates=self.server.num_updates(),
-            decision_evaluations=self.policy.decision_cost_evaluations(),
-            device_names=[spec.name for spec in self.device_specs],
-            queue_history=queue_history,
-            virtual_queue_history=virtual_history,
-            comm_bytes_mb=self.transport.total_bytes_mb(),
-            comm_failures=self.transport.failure_count(),
-            final_battery_soc=[
-                soc for final in finals for soc in final.final_battery_soc
-            ],
-            timers=self.timers if self.timers.enabled else None,
-            queue_stats=_policy_queue_stats(self.policy),
+        self.timers.stop_total(total_tick)
+        return self.assemble_result(
+            accountant,
+            [soc for final in finals for soc in final.final_battery_soc],
+            [] if nested else [final.training_seconds for final in finals],
         )

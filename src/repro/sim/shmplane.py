@@ -48,15 +48,13 @@ import os
 import pickle
 import struct
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "REPLY",
     "REQUEST",
     "SEGMENT_PREFIX",
     "ShardMailbox",
-    "decode_frame",
-    "encode_frame",
 ]
 
 #: ``/dev/shm`` name prefix for every segment this module creates; the
@@ -251,18 +249,3 @@ class ShardMailbox:
             buffers.append(bytearray(window) if copy else window)
         return pickle.loads(frame[cursor : cursor + skeleton_len], buffers=buffers)
 
-
-def encode_frame(
-    obj: Any, mailbox: Optional[ShardMailbox], region: int, copy: bool
-) -> bytes:
-    """Mailbox frame when a plane is attached, plain pickle otherwise."""
-    if mailbox is not None:
-        return mailbox.encode(obj, region, copy)
-    return pickle.dumps(obj, protocol=5)
-
-
-def decode_frame(frame: bytes, mailbox: Optional[ShardMailbox]) -> Any:
-    """Decode either frame kind (see :meth:`ShardMailbox.decode`)."""
-    if mailbox is not None:
-        return mailbox.decode(frame)
-    return pickle.loads(frame)

@@ -11,9 +11,10 @@ engine run and buckets wall-clock into:
 * ``eval``    — held-out evaluation of the global model;
 * ``ipc_send`` — coordinator-side encode + doorbell write of shard
   requests (zero for single-process runs);
-* ``ipc_recv`` — coordinator blocked on shard replies; on a saturated
-  host this includes the remote compute, so read it as "waiting on
-  shards", not pure transport;
+* ``ipc_recv`` — coordinator blocked on shard replies; this includes the
+  remote compute (each worker's own training seconds are reported beside
+  the shares as ``worker_training_s``, never added to them), so read it as
+  "waiting on shards", not pure transport;
 * ``merge``   — coordinator-side combination of shard outputs
   (observation-batch concatenation, tick folds, the final accountant
   merge);
@@ -30,7 +31,7 @@ suite run.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 __all__ = ["EngineTimers"]
 
@@ -49,6 +50,11 @@ class EngineTimers:
         self.enabled = bool(enabled)
         self.seconds: Dict[str, float] = {name: 0.0 for name in self.CATEGORIES}
         self.total_s = 0.0
+        #: Training seconds each shard *worker process* measured itself, one
+        #: entry per shard (in-process shards charge ``training`` directly).
+        #: Already inside ``ipc_recv`` — the coordinator was blocked on that
+        #: worker — so reported beside the buckets, never added to them.
+        self.worker_training_s: List[float] = []
 
     def start(self) -> float:
         """Begin one timed section; returns the tick to pass to :meth:`stop`."""
@@ -96,4 +102,6 @@ class EngineTimers:
         values = dict(self.seconds, slot_loop=self.slot_loop_s())
         for name in ordered:
             lines.append(f"  {name:<10} {values[name]:8.3f}s  {100.0 * shares[name]:5.1f}%")
+        for index, seconds in enumerate(self.worker_training_s):
+            lines.append(f"  shard {index} worker training {seconds:8.3f}s (in ipc_recv)")
         return "\n".join(lines)

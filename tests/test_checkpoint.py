@@ -1,10 +1,10 @@
-"""Checkpoint/resume round-trips: every backend, bitwise, at awkward moments.
+"""Checkpoint/resume round-trips: both engines, bitwise, at awkward moments.
 
 The contract under test (see ``src/repro/service/checkpoint.py``): a run
 interrupted at any slot boundary and restored from its checkpoint finishes
 with results bitwise-identical to the uninterrupted run — same energy
 folds, same accuracy samples, same queue histories, same trace — for the
-loop backend, the fleet backend with and without event-horizon
+single-process engine with and without event-horizon
 fast-forward, batched training with train-ahead flights, and the sharded
 engine (including restoring under a different shard count).
 """
@@ -30,7 +30,6 @@ from repro.service.checkpoint import (
     RunInterrupted,
 )
 from repro.sim.config import SimulationConfig
-from repro.device.device import DeviceState
 from repro.sim.engine import SimulationEngine
 from repro.sim.shard import ShardedEngine
 
@@ -131,47 +130,40 @@ def assert_same(reference: dict, resumed: dict, label: str) -> None:
 # exactly at the boundary), and under the sync policy a mid-run slot sits
 # inside an open synchronous round with partial uploads buffered.
 CASES = [
-    pytest.param("loop", False, False, "online", 137, id="loop-mid-quiet"),
-    pytest.param("loop", False, False, "online", 37, id="loop-mid-flight"),
-    pytest.param("fleet", False, False, "online", 137, id="fleet-mid-quiet"),
-    pytest.param("fleet", True, False, "online", 137, id="fleet-ff-mid-quiet"),
-    pytest.param("fleet", True, False, "online", 37, id="fleet-ff-mid-flight"),
-    pytest.param("fleet", True, False, "sync", 151, id="fleet-ff-mid-sync-round"),
-    pytest.param("loop", False, False, "sync", 151, id="loop-mid-sync-round"),
-    pytest.param(
-        "fleet", True, True, "online", 37, id="fleet-ff-batched-mid-flight"
-    ),
+    pytest.param(False, False, "online", 137, id="fleet-mid-quiet"),
+    pytest.param(True, False, "online", 137, id="fleet-ff-mid-quiet"),
+    pytest.param(True, False, "online", 37, id="fleet-ff-mid-flight"),
+    pytest.param(True, False, "sync", 151, id="fleet-ff-mid-sync-round"),
+    pytest.param(True, True, "online", 37, id="fleet-ff-batched-mid-flight"),
 ]
 
 
 class TestSingleEngineRoundTrip:
-    @pytest.mark.parametrize("backend,ff,batched,policy,at_slot", CASES)
-    def test_resume_is_bitwise_identical(self, backend, ff, batched, policy, at_slot):
+    @pytest.mark.parametrize("ff,batched,policy,at_slot", CASES)
+    def test_resume_is_bitwise_identical(self, ff, batched, policy, at_slot):
         config = make_config()
         reference = digest(
             SimulationEngine(
-                config, make_policy(policy), backend=backend,
-                fast_forward=ff, batched_training=batched,
+                config, make_policy(policy), fast_forward=ff, batched_training=batched
             ).run()
         )
         checkpoint = interrupt_at(
             SimulationEngine(
-                config, make_policy(policy), backend=backend,
-                fast_forward=ff, batched_training=batched,
+                config, make_policy(policy), fast_forward=ff, batched_training=batched
             ),
             at_slot,
         )
         resumed = digest(SimulationEngine.restore(checkpoint).run())
-        assert_same(reference, resumed, f"{backend}/ff={ff}/batched={batched}")
+        assert_same(reference, resumed, f"ff={ff}/batched={batched}")
 
     def test_checkpoint_is_restorable_twice(self):
         """One in-memory checkpoint feeds two restores without aliasing."""
         config = make_config()
         reference = digest(
-            SimulationEngine(config, make_policy("online"), backend="fleet").run()
+            SimulationEngine(config, make_policy("online")).run()
         )
         checkpoint = interrupt_at(
-            SimulationEngine(config, make_policy("online"), backend="fleet"), 137
+            SimulationEngine(config, make_policy("online")), 137
         )
         first = digest(SimulationEngine.restore(checkpoint).run())
         second = digest(SimulationEngine.restore(checkpoint).run())
@@ -182,38 +174,17 @@ class TestSingleEngineRoundTrip:
         """A run that checkpoints every N slots (no interrupt) is unchanged."""
         config = make_config()
         reference = digest(
-            SimulationEngine(config, make_policy("online"), backend="fleet").run()
+            SimulationEngine(config, make_policy("online")).run()
         )
         taken = []
         checkpointer = Checkpointer(taken.append, every_slots=50)
         observed = digest(
-            SimulationEngine(config, make_policy("online"), backend="fleet").run(
+            SimulationEngine(config, make_policy("online")).run(
                 checkpointer
             )
         )
         assert_same(reference, observed, "checkpointing run")
         assert [cp.slot for cp in taken] == list(range(50, config.total_slots, 50))
-
-    def test_loop_snapshot_after_interrupt_matches_the_checkpoint(self):
-        """`snapshot()` on an interrupted engine re-captures the same state."""
-        config = make_config()
-        reference = digest(
-            SimulationEngine(config, make_policy("online"), backend="loop").run()
-        )
-        engine = SimulationEngine(config, make_policy("online"), backend="loop")
-        taken = interrupt_at(engine, 137)
-        snapshot = engine.snapshot()
-        assert snapshot.slot == taken.slot == 137
-        assert snapshot.pending_arrivals == taken.pending_arrivals
-        resumed = digest(SimulationEngine.restore(snapshot).run())
-        assert_same(reference, resumed, "post-interrupt snapshot")
-
-    def test_fleet_snapshot_directs_to_checkpointer(self):
-        engine = SimulationEngine(
-            make_config(), make_policy("online"), backend="fleet"
-        )
-        with pytest.raises(RuntimeError, match="Checkpointer"):
-            engine.snapshot()
 
 
 class TestShardedRoundTrip:
@@ -222,7 +193,7 @@ class TestShardedRoundTrip:
         config = make_config()
         return digest(
             SimulationEngine(
-                config, make_policy("online"), backend="fleet", fast_forward=True
+                config, make_policy("online"), fast_forward=True
             ).run()
         )
 
@@ -313,7 +284,7 @@ class TestCheckpointStore:
     def test_disk_round_trip_preserves_the_contract(self):
         config = make_config()
         reference = digest(
-            SimulationEngine(config, make_policy("online"), backend="fleet").run()
+            SimulationEngine(config, make_policy("online")).run()
         )
         checkpoint = interrupt_at(
             ShardedEngine(config, make_policy("online"), shards=2, inline=True), 137
@@ -325,7 +296,6 @@ class TestCheckpointStore:
             assert store.exists()
             loaded = store.load()
             assert loaded.slot == checkpoint.slot
-            assert loaded.backend == "fleet"
             assert [s["lo"] for s in loaded.slices] == [0, 3]  # 5 users, 2 shards
             resumed = digest(
                 ShardedEngine.restore(loaded, shards=3, inline=True).run()
@@ -336,10 +306,10 @@ class TestCheckpointStore:
         """A save that dies partway never corrupts the last complete one."""
         config = make_config()
         first = interrupt_at(
-            SimulationEngine(config, make_policy("online"), backend="loop"), 37
+            SimulationEngine(config, make_policy("online")), 37
         )
         second = interrupt_at(
-            SimulationEngine(config, make_policy("online"), backend="loop"), 137
+            SimulationEngine(config, make_policy("online")), 137
         )
         with tempfile.TemporaryDirectory() as tmp:
             store = CheckpointStore(tmp)
@@ -371,10 +341,10 @@ class TestCheckpointStore:
     def test_resave_prunes_superseded_snapshots(self):
         config = make_config()
         first = interrupt_at(
-            SimulationEngine(config, make_policy("online"), backend="loop"), 37
+            SimulationEngine(config, make_policy("online")), 37
         )
         second = interrupt_at(
-            SimulationEngine(config, make_policy("online"), backend="loop"), 137
+            SimulationEngine(config, make_policy("online")), 137
         )
         with tempfile.TemporaryDirectory() as tmp:
             store = CheckpointStore(tmp)
@@ -390,7 +360,7 @@ class TestCheckpointStore:
     def test_unknown_format_version_is_rejected(self):
         config = make_config()
         checkpoint = interrupt_at(
-            SimulationEngine(config, make_policy("online"), backend="loop"), 37
+            SimulationEngine(config, make_policy("online")), 37
         )
         checkpoint.format_version = CHECKPOINT_FORMAT_VERSION + 1
         with tempfile.TemporaryDirectory() as tmp:
@@ -399,16 +369,24 @@ class TestCheckpointStore:
             with pytest.raises(ValueError, match="unsupported"):
                 store.load()
 
-    def test_format_v3_store_is_rejected(self):
-        """No reader shim: a store written by the previous format is refused."""
+    @staticmethod
+    def _assert_old_format_rejected(version):
+        """No reader shim: a store written by an earlier format is refused."""
         with tempfile.TemporaryDirectory() as tmp:
             store = CheckpointStore(tmp)
             (store.root / store.MANIFEST).write_text(
-                json.dumps({"format_version": 3, "latest": "snapshot-00000000",
+                json.dumps({"format_version": version, "latest": "snapshot-00000000",
                             "retained": []})
             )
-            with pytest.raises(ValueError, match="format 3 unsupported"):
+            with pytest.raises(ValueError, match=f"format {version} unsupported"):
                 store.load()
+
+    def test_format_v3_store_is_rejected(self):
+        self._assert_old_format_rejected(3)
+
+    def test_format_v4_store_is_rejected(self):
+        """v4 carried ``backend`` in meta.json and ``loop`` in coordinator.pkl."""
+        self._assert_old_format_rejected(4)
 
     @pytest.mark.parametrize(
         "land",
@@ -422,10 +400,10 @@ class TestCheckpointStore:
         write that lands something else cannot hash its way to a checksum."""
         config = make_config()
         first = interrupt_at(
-            SimulationEngine(config, make_policy("online"), backend="fleet"), 37
+            SimulationEngine(config, make_policy("online")), 37
         )
         second = interrupt_at(
-            SimulationEngine(config, make_policy("online"), backend="fleet"), 137
+            SimulationEngine(config, make_policy("online")), 137
         )
         with tempfile.TemporaryDirectory() as tmp:
             store = CheckpointStore(tmp)
@@ -439,7 +417,7 @@ class TestCheckpointStore:
 
     def test_at_rest_corruption_of_a_slice_file_is_caught_at_load(self):
         checkpoint = interrupt_at(
-            SimulationEngine(make_config(), make_policy("online"), backend="fleet"), 37
+            SimulationEngine(make_config(), make_policy("online")), 37
         )
         with tempfile.TemporaryDirectory() as tmp:
             store = CheckpointStore(tmp)
@@ -486,7 +464,7 @@ class TestSnapshotIsolation:
         # Slot 37 sits inside the opening training flight: every user has
         # downloaded version 0 and pins its base vector.
         engine = SimulationEngine(
-            make_config(num_users=8), make_policy("online"), backend="fleet"
+            make_config(num_users=8), make_policy("online")
         )
         interrupt_at(engine, 37)
         assert len(engine.core._pinned_base) >= 2
@@ -540,15 +518,3 @@ class TestSnapshotIsolation:
         assert len(pinned) == len(live)
         assert all(view is pinned[0] for view in pinned)
         assert np.array_equal(pinned[0], restored.server.global_params())
-
-    def test_loop_unit_is_isolated_from_the_live_engine(self):
-        engine = SimulationEngine(make_config(), make_policy("online"), backend="loop")
-        checkpoint = interrupt_at(engine, 37)
-        energy = checkpoint.loop["energy_j"]
-        engine.accountant.record(0, DeviceState.IDLE, 1.0e6)
-        first = SimulationEngine.restore(checkpoint)
-        second = SimulationEngine.restore(checkpoint)
-        assert first.accountant.total_j() == second.accountant.total_j() == energy
-        assert not mutable_objects(first._user_states).keys() & mutable_objects(
-            second._user_states
-        ).keys()

@@ -26,6 +26,22 @@ class TestParser:
             build_parser().parse_args(["simulate", "--policy", "greedy"])
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--backend", "loop"],
+            ["scenario", "run", "paper-baseline", "--backend", "fleet"],
+            ["jobs", "submit", "paper-baseline", "--backend", "loop"],
+        ],
+        ids=["simulate", "scenario-run", "jobs-submit"],
+    )
+    def test_backend_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+
 class TestStaticCommands:
     def test_table2_output(self, capsys):
         assert main(["table2"]) == 0

@@ -120,7 +120,7 @@ class TestFastForwardEndToEnd:
     def test_per_slot_series_covers_every_slot(self):
         """Fast-forwarded slots must still backfill the cumulative series."""
         config = _overnight_config()
-        result = SimulationEngine(config, ImmediatePolicy(), backend="fleet").run()
+        result = SimulationEngine(config, ImmediatePolicy()).run()
         assert len(result.accountant.per_slot_totals()) == config.total_slots
         totals = result.accountant.per_slot_totals()
         assert all(b >= a for a, b in zip(totals, totals[1:]))
@@ -129,10 +129,10 @@ class TestFastForwardEndToEnd:
         """The drained-fleet regime exercises the longest quiet regions."""
         config = _overnight_config()
         slow = SimulationEngine(
-            config, ImmediatePolicy(), backend="fleet", fast_forward=False
+            config, ImmediatePolicy(), fast_forward=False
         ).run()
         fast = SimulationEngine(
-            config, ImmediatePolicy(), backend="fleet", fast_forward=True
+            config, ImmediatePolicy(), fast_forward=True
         ).run()
         assert slow.total_energy_j() == fast.total_energy_j()
         assert slow.accountant.per_slot_totals() == fast.accountant.per_slot_totals()
@@ -151,13 +151,11 @@ class TestFastForwardEndToEnd:
         slow = SimulationEngine(
             config,
             OnlinePolicy(v=0.0, staleness_bound=500.0),
-            backend="fleet",
             fast_forward=False,
         ).run()
         fast = SimulationEngine(
             config,
             OnlinePolicy(v=0.0, staleness_bound=500.0),
-            backend="fleet",
             fast_forward=True,
         ).run()
         assert len(fast.queue_history) == config.total_slots + 1
@@ -167,7 +165,7 @@ class TestFastForwardEndToEnd:
     def test_evaluation_cache_reuses_frozen_model(self):
         """Evaluation ticks inside a quiet region reuse the cached accuracy."""
         config = _overnight_config(total_slots=1600, eval_interval_slots=200)
-        engine = SimulationEngine(config, ImmediatePolicy(), backend="fleet")
+        engine = SimulationEngine(config, ImmediatePolicy())
         calls = {"n": 0}
         original = engine.eval_model.set_flat_params
 

@@ -1,4 +1,4 @@
-"""Equivalence of the fleet backend (both modes) and the per-user loop engine.
+"""Equivalence of the fleet engine (both modes) and the per-user loop engine.
 
 The contract (see :mod:`repro.sim.fleet`) is *bitwise* identity, not
 approximate agreement: with the same configuration and seed, every
@@ -28,6 +28,8 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.fleet import FleetEnergyAccountant
 
+from oracle import make_engine
+
 
 def _paper_fleet_config(**overrides) -> SimulationConfig:
     """25 users (the Section VII.B fleet size), short horizon, small data."""
@@ -45,7 +47,7 @@ def _paper_fleet_config(**overrides) -> SimulationConfig:
     return SimulationConfig(**base)
 
 
-#: The three execution modes of the equivalence matrix: (name, backend, ff).
+#: The three execution modes of the equivalence matrix: (name, mode, ff).
 EXECUTION_MODES = (
     ("loop", "loop", False),
     ("fleet", "fleet", False),
@@ -61,11 +63,9 @@ def _run_matrix(config: SimulationConfig, make_policy):
     """
     results = {}
     policies = {}
-    for name, backend, fast_forward in EXECUTION_MODES:
+    for name, mode, fast_forward in EXECUTION_MODES:
         policy = make_policy()
-        engine = SimulationEngine(
-            config, policy, backend=backend, fast_forward=fast_forward
-        )
+        engine = make_engine(mode, config, policy, fast_forward=fast_forward)
         results[name] = engine.run()
         policies[name] = policy
     return results, policies
@@ -260,7 +260,7 @@ class TestFleetScale:
             trace_interval_slots=20,
         )
         policy = OnlinePolicy(v=4000.0, staleness_bound=500.0)
-        result = SimulationEngine(config, policy, backend="fleet").run()
+        result = SimulationEngine(config, policy).run()
         assert result.total_energy_j() > 0.0
         assert policy.decision_cost_evaluations() >= config.num_users
         assert len(result.queue_history) == config.total_slots + 1
@@ -272,7 +272,7 @@ class TestFleetScale:
         (and a snapshot of it) holds each base vector once, not once a user."""
         config = _paper_fleet_config(num_users=60)
         engine = SimulationEngine(
-            config, OnlinePolicy(v=4000.0, staleness_bound=500.0), backend="fleet"
+            config, OnlinePolicy(v=4000.0, staleness_bound=500.0)
         )
         engine.run()
         pinned = engine.core._pinned_base
@@ -280,6 +280,21 @@ class TestFleetScale:
         views = {id(view): view for view in pinned.values()}
         assert len(pinned) >= 50 and 1 < len(versions) < len(pinned)
         assert len(views) == len(versions)
+
+
+class TestOneEngineFrontEnd:
+    def test_the_engine_has_no_backend_switch(self):
+        for backend in ("loop", "fleet"):
+            with pytest.raises(TypeError, match="backend"):
+                SimulationEngine(
+                    _paper_fleet_config(), ImmediatePolicy(), backend=backend
+                )
+
+    def test_the_oracle_has_no_checkpoint_surface(self):
+        oracle = make_engine("loop", _paper_fleet_config(), ImmediatePolicy())
+        assert not hasattr(oracle, "restore") and not hasattr(oracle, "snapshot")
+        with pytest.raises(TypeError):
+            oracle.run(object())  # no checkpointer parameter
 
 
 class TestFleetEnergyAccountant:

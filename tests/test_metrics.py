@@ -10,6 +10,7 @@ edges.
 
 import json
 import multiprocessing
+import sqlite3
 
 import pytest
 
@@ -89,7 +90,7 @@ class TestMetricsStore:
         row = store.run("a" * 16)
         assert row["energy_j"] == 1000.0
         assert row["seed"] == 3
-        assert row["backend"] == "fleet"
+        assert row["shards"] == 1
 
     def test_reingest_without_spec_keeps_identity_columns(self, tmp_path):
         """Carbon re-annotation re-ingests bare summaries; identity survives."""
@@ -99,8 +100,37 @@ class TestMetricsStore:
         store.ingest_run(annotated)  # no spec this time
         row = store.run("b" * 16)
         assert row["seed"] == 9
-        assert row["backend"] == "fleet"
+        assert row["shards"] == 1
         assert row["carbon_g"] == 42.0
+
+    def test_store_file_with_the_old_backend_column_still_works(self, tmp_path):
+        """A sqlite file created before ``backend`` left the schema keeps the
+        extra column; new rows ingest beside the old ones and both line up as
+        one trajectory (the identity key no longer reads it)."""
+        from repro.metrics import store as store_module
+
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            store_module._SCHEMA.replace(
+                "seed INTEGER,", "seed INTEGER,\n    backend TEXT,"
+            )
+        )
+        conn.execute(
+            "INSERT INTO runs (spec_hash, policy, label, seed, backend, shards, "
+            "repro_version, energy_j, ingested_at) "
+            "VALUES ('old-hash', 'online', 'sweep', 3, 'fleet', 1, '0.9', 990.0, 1.0)"
+        )
+        conn.commit()
+        conn.close()
+
+        store = MetricsStore(path)
+        store.ingest_run(fake_summary("n" * 16, label="sweep"), spec=tiny_spec())
+        assert [row["spec_hash"] for row in store.runs(policy="online", seed=3)] == [
+            "old-hash", "n" * 16
+        ]
+        (trajectory,) = version_history(store).values()
+        assert [entry["energy_j"] for entry in trajectory] == [990.0, 1000.0]
 
     def test_scenario_parsed_from_label(self, tmp_path):
         assert scenario_from_label("scenario:churny-fleet[online]") == "churny-fleet"

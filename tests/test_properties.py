@@ -240,6 +240,8 @@ class TestBackendDifferentialFuzz:
         from repro.sim.engine import SimulationEngine
         from repro.sim.shard import ShardedEngine
 
+        from oracle import make_engine
+
         config = SimulationConfig(
             num_users=num_users,
             total_slots=total_slots,
@@ -266,14 +268,14 @@ class TestBackendDifferentialFuzz:
             )
 
         reference = self._digest(
-            SimulationEngine(config, policy(), backend="loop").run()
+            make_engine("loop", config, policy()).run()
         )
         others = {
             "fleet": SimulationEngine(
-                config, policy(), backend="fleet", fast_forward=False
+                config, policy(), fast_forward=False
             ),
             "fleet+ff": SimulationEngine(
-                config, policy(), backend="fleet", fast_forward=True
+                config, policy(), fast_forward=True
             ),
             "2-shard": ShardedEngine(config, policy(), shards=2, inline=True),
             "3-shard": ShardedEngine(config, policy(), shards=3, inline=True),

@@ -8,11 +8,13 @@ Covers the three properties the orchestration layer promises:
   same summaries for the same specs (workers rebuild the seed-determined
   dataset, so parallelism changes wall-clock only);
 * **spec hashing** — the hash depends on what is simulated (policy,
-  config, backend), not on presentation details like the label.
+  config, execution switches), not on presentation details like the label.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 
 import pytest
@@ -59,9 +61,6 @@ class TestRunSpec:
         assert base.config_hash() != _smoke_spec(v=0.0).config_hash()
         assert base.config_hash() != _smoke_spec(seed=1).config_hash()
         assert base.config_hash() != _smoke_spec(policy="immediate").config_hash()
-        loop_backend = _smoke_spec()
-        loop_backend.backend = "loop"
-        assert base.config_hash() != loop_backend.config_hash()
 
     def test_build_helpers(self):
         spec = _smoke_spec()
@@ -184,21 +183,25 @@ class TestCacheInvalidation:
         assert spec.config_hash() != before
 
     def test_hash_changes_with_backend_and_fast_forward(self):
+        """Every execution switch reaches the cache key — and ``backend`` is no
+        longer one of them: config, policy, the four switches and the two
+        versions are all the canonical form holds."""
         spec = _smoke_spec()
-        loop = RunSpec(
-            policy=spec.policy,
-            policy_kwargs=spec.policy_kwargs,
-            config=spec.config,
-            backend="loop",
-        )
-        no_ff = RunSpec(
-            policy=spec.policy,
-            policy_kwargs=spec.policy_kwargs,
-            config=spec.config,
-            fast_forward=False,
-        )
-        hashes = {spec.config_hash(), loop.config_hash(), no_ff.config_hash()}
-        assert len(hashes) == 3
+        assert set(json.loads(spec.canonical())) == {
+            "cache_version", "repro_version", "policy", "policy_kwargs", "config",
+            "fast_forward", "batched_training", "shards", "trace_level",
+        }
+        variants = [
+            dataclasses.replace(spec, **change)
+            for change in (
+                {"fast_forward": False},
+                {"batched_training": True},
+                {"shards": 2},
+                {"trace_level": "summary"},
+            )
+        ]
+        hashes = {spec.config_hash(), *(v.config_hash() for v in variants)}
+        assert len(hashes) == 5
 
     def test_version_bump_invalidates_disk_entries(self, tmp_path, monkeypatch):
         """A cached summary from an older package version is never served."""
@@ -273,7 +276,8 @@ class TestCacheInvalidation:
         assert all(s.from_cache for s in suite.run([single, sharded]))
 
     def test_sharded_spec_rejects_loop_backend(self):
-        spec = RunSpec(policy="immediate", config=dict(SMOKE_CONFIG),
-                       backend="loop", shards=2)
-        with pytest.raises(ValueError, match="sharded execution"):
-            run_spec(spec)
+        """There is no backend to ask for: the field is gone, not deprecated."""
+        for backend in ("loop", "fleet"):
+            with pytest.raises(TypeError, match="backend"):
+                RunSpec(policy="immediate", config=dict(SMOKE_CONFIG),
+                        backend=backend, shards=2)

@@ -39,6 +39,8 @@ from repro.scenarios import (
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 
+from oracle import make_engine
+
 
 def _two_cohort_spec(**overrides) -> ScenarioSpec:
     base = dict(
@@ -344,22 +346,22 @@ class TestPaperBaselineBitwise:
 
 class TestHeterogeneousBackendEquivalence:
     def test_loop_fleet_fastforward_bitwise(self):
-        """Per-user heterogeneity preserves the cross-backend contract."""
+        """Per-user heterogeneity preserves the oracle/engine contract."""
         spec = _two_cohort_spec()
         config = compile_scenario(spec).build_config()
         results = {}
-        for backend, fast_forward in (
+        for mode, fast_forward in (
             ("loop", False),
             ("fleet", False),
             ("fleet", True),
         ):
-            result = SimulationEngine(
+            result = make_engine(
+                mode,
                 config,
                 OnlinePolicy(v=4000.0, staleness_bound=500.0),
-                backend=backend,
                 fast_forward=fast_forward,
             ).run()
-            results[(backend, fast_forward)] = result
+            results[(mode, fast_forward)] = result
         reference = results[("loop", False)]
         for key, result in results.items():
             assert result.total_energy_j() == reference.total_energy_j(), key

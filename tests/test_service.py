@@ -101,6 +101,17 @@ class TestAPIErrorEnvelope:
         assert status == 400
         assert "spec" in payload["error"]
 
+    def test_spec_backend_field_is_a_400_naming_it(self, api):
+        """The removed field is refused like any unknown one, at either spelling."""
+        for body in (
+            {"spec": {"policy": "online", "backend": "fleet"}},
+            {"scenario": "paper-baseline", "backend": "loop"},
+        ):
+            status, payload = api.handle("POST", "/jobs", body)
+            assert status == 400
+            assert "backend" in payload["error"]
+        assert api.service.list_jobs() == []
+
     def test_unknown_job_is_a_404(self, api):
         status, payload = api.handle("GET", "/jobs/deadbeef", None)
         assert status == 404

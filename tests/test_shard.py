@@ -77,7 +77,7 @@ def _observables(result, num_users: int) -> dict:
 def _assert_shard_invariant(config: SimulationConfig, make_policy, shard_counts=(1, 2, 4)):
     """Sharded runs must match the single-process fleet fast-forward run."""
     single = SimulationEngine(
-        config, make_policy(), backend="fleet", fast_forward=True
+        config, make_policy(), fast_forward=True
     ).run()
     expected = _observables(single, config.num_users)
     for shards in shard_counts:
@@ -168,7 +168,7 @@ class TestShmPlane:
     def _single(self, config):
         return _observables(
             SimulationEngine(
-                config, OnlinePolicy(v=4000.0), backend="fleet", fast_forward=True
+                config, OnlinePolicy(v=4000.0), fast_forward=True
             ).run(),
             config.num_users,
         )
@@ -206,14 +206,6 @@ class TestShmPlane:
         assert len(created) == 2  # one mailbox per shard
         assert encoded  # doorbell frames actually carried protocol traffic
 
-    def test_plane_disabled_matches(self):
-        config = self._config()
-        expected = self._single(config)
-        sharded = ShardedEngine(
-            config, OnlinePolicy(v=4000.0), shards=2, shm_plane=False
-        ).run()
-        assert _observables(sharded, config.num_users) == expected
-
     def test_slab_spill_falls_back_bitwise(self, monkeypatch):
         # Shrink the mailbox until every parameter-sized payload overflows
         # the slab: the codec must spill to plain in-band pickle (the slab
@@ -244,6 +236,48 @@ class TestShmPlane:
             min_battery_soc=0.2,
         )
         _assert_shard_invariant(config, ImmediatePolicy, shard_counts=(2, 3))
+
+
+class TestProfileShares:
+    """``EngineTimers.shares`` promises values that sum to 1 — in every mode."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda c, p: SimulationEngine(c, p, profile=True), id="single"),
+            pytest.param(
+                lambda c, p: ShardedEngine(c, p, shards=2, inline=True, profile=True),
+                id="inline-2-shard",
+            ),
+            pytest.param(
+                lambda c, p: ShardedEngine(c, p, shards=2, profile=True),
+                id="process-2-shard",
+            ),
+        ],
+    )
+    def test_shares_sum_to_one_with_a_positive_remainder(self, build):
+        # Training-heavy on purpose: worker training seconds exceed the
+        # coordinator's unattributed remainder, so adding them to buckets
+        # that already contain them (inside ipc_recv) overshoots the wall.
+        config = SimulationConfig(
+            num_users=12,
+            total_slots=400,
+            app_arrival_prob=0.01,
+            seed=3,
+            num_train_samples=6000,
+            num_test_samples=120,
+            eval_interval_slots=200,
+        )
+        result = build(config, ImmediatePolicy()).run()
+        shares = result.timing_shares()
+        assert sum(shares.values()) == pytest.approx(1.0)
+        assert shares["slot_loop"] > 0.0
+        worker_training = result.timers.worker_training_s
+        if shares["ipc_recv"] > 0.0:  # worker processes: reported beside, per shard
+            assert shares["training"] == 0.0
+            assert len(worker_training) == 2 and min(worker_training) > 0.0
+        else:
+            assert shares["training"] > 0.0 and worker_training == []
 
 
 class TestSyncQuorumAcrossShards:

@@ -20,6 +20,8 @@ from repro.core.policies import SyncPolicy
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 
+from oracle import make_engine
+
 
 def _battery_sync_config(**overrides) -> SimulationConfig:
     base = dict(
@@ -38,12 +40,10 @@ def _battery_sync_config(**overrides) -> SimulationConfig:
     return SimulationConfig(**base)
 
 
-def _run_with_drained_user(backend: str, fast_forward: bool):
+def _run_with_drained_user(mode: str, fast_forward: bool):
     """Run a sync workload with one phone pre-drained below the threshold."""
     config = _battery_sync_config()
-    engine = SimulationEngine(
-        config, SyncPolicy(), backend=backend, fast_forward=fast_forward
-    )
+    engine = make_engine(mode, config, SyncPolicy(), fast_forward=fast_forward)
     drained = next(
         user for user, battery in enumerate(engine.batteries) if battery is not None
     )
@@ -53,11 +53,11 @@ def _run_with_drained_user(backend: str, fast_forward: bool):
 
 class TestSyncQuorumDeadlock:
     @pytest.mark.parametrize(
-        "backend,fast_forward",
+        "mode,fast_forward",
         [("loop", False), ("fleet", False), ("fleet", True)],
     )
-    def test_rounds_complete_without_the_stalled_user(self, backend, fast_forward):
-        drained, result = _run_with_drained_user(backend, fast_forward)
+    def test_rounds_complete_without_the_stalled_user(self, mode, fast_forward):
+        drained, result = _run_with_drained_user(mode, fast_forward)
         # Rounds keep completing: the global model receives updates from the
         # participating quorum (7 users per round here).
         assert result.num_updates > 0
@@ -69,8 +69,8 @@ class TestSyncQuorumDeadlock:
 
     def test_all_backends_agree_bitwise(self):
         runs = [
-            _run_with_drained_user(backend, fast_forward)[1]
-            for backend, fast_forward in (
+            _run_with_drained_user(mode, fast_forward)[1]
+            for mode, fast_forward in (
                 ("loop", False),
                 ("fleet", False),
                 ("fleet", True),
@@ -87,7 +87,7 @@ class TestSyncQuorumDeadlock:
     def test_full_fleet_quorum_unchanged_without_batteries(self):
         """No batteries: the round still waits for every single user."""
         config = _battery_sync_config(battery_capacity_j=None, total_slots=600)
-        result = SimulationEngine(config, SyncPolicy(), backend="fleet").run()
+        result = SimulationEngine(config, SyncPolicy()).run()
         assert result.num_updates > 0
         assert result.num_updates % config.num_users == 0
 
@@ -104,7 +104,7 @@ class TestSyncQuorumDeadlock:
             total_slots=1500,
             seed=1,
         )
-        engine = SimulationEngine(config, SyncPolicy(), backend="fleet")
+        engine = SimulationEngine(config, SyncPolicy())
         drained = next(
             user
             for user, battery in enumerate(engine.batteries)
