@@ -8,10 +8,14 @@ then:
    update ordering, lags and Eq. (10) energy, and accuracy / loss / gap
    traces within ``--tolerance`` (the batched tensor program matches the
    serial trainer to floating-point reduction order);
-2. fails on a performance regression: the batched run must be at least
-   ``--min-speedup`` times faster than the serial run (CI machines are
-   noisy, so the default gates well below the typically measured speedup
-   rather than asserting the best case).
+2. fails on a performance collapse: serial/batched wall-clock must stay
+   at or above ``--min-speedup``.  Since the serial path trains in place
+   on flat buffers (ISSUE 15) the batched path no longer wins at this
+   size (the ``serial_path=flat-inplace`` records of
+   ``BENCH_training.json``: 0.82–0.86x at the CI config, 1.04x at
+   ``--paper-scale``; every run made is listed in the CI job comment), so
+   the default floor of 0.5 guards against the batched path becoming more
+   than twice as slow as serial and claims nothing about it being faster.
 
 Every run appends a record to ``benchmark_artifacts/BENCH_training.json``
 — a persistent trajectory of (serial seconds, batched seconds, speedup,
@@ -22,7 +26,7 @@ Locally, ``--paper-scale`` runs the full 25-user x 10 800-slot Section
 VII.B horizon and ``--assert-speedup X`` turns a measured speedup into a
 hard gate::
 
-    PYTHONPATH=src python benchmarks/training_smoke.py --paper-scale --assert-speedup 1.5
+    PYTHONPATH=src python benchmarks/training_smoke.py --paper-scale --assert-speedup 0.8
 """
 
 from __future__ import annotations
@@ -131,7 +135,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=1e-8,
                         help="maximum relative divergence of accuracy / loss "
                              "/ gap traces between the two trainers")
-    parser.add_argument("--min-speedup", type=float, default=1.2,
+    parser.add_argument("--min-speedup", type=float, default=0.5,
                         help="fail when serial/batched wall-clock falls below "
                              "this factor")
     parser.add_argument("--assert-speedup", type=float, default=None,
@@ -162,6 +166,10 @@ def main(argv=None) -> int:
             "serial_training_share": round(shares.get("training", 0.0), 4),
         },
         context={
+            # The ratio's denominator: records taken against the earlier
+            # flatten/unflatten serial round are a different comparison and
+            # must not serve as this trajectory's regression baseline.
+            "serial_path": "flat-inplace",
             "paper_scale": bool(args.paper_scale),
             "num_users": config.num_users,
             "total_slots": config.total_slots,

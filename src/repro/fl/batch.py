@@ -1,12 +1,11 @@
 """Batched multi-client training backend: one stacked tensor program.
 
 The serial FL substrate executes every client's local round as its own
-NumPy program: `FLClient.local_train` loops mini-batches through a private
-:class:`~repro.fl.model.Sequential`, flattening and unflattening the whole
-parameter vector around every optimizer step.  At paper scale the engine
-invokes those rounds one client at a time, so the convergence experiments
-spend most of their wall-clock in Python layer dispatch and flat-vector
-plumbing rather than in BLAS.
+NumPy program: `FLClient.local_train` loops mini-batches through a
+:class:`~repro.fl.model.Sequential` workspace.  The engine invokes those
+rounds one client at a time, so at these model sizes the convergence
+experiments spend much of their wall-clock in Python layer dispatch rather
+than in BLAS.
 
 :class:`BatchTrainer` removes the per-client axis from the interpreter and
 puts it into the tensors instead.  All clients whose local rounds complete
@@ -447,21 +446,20 @@ class BatchTrainer:
         self._template = template
         self._layer_signature = self._signature(template)
         for client in self.clients[1:]:
+            if client.model is template:  # the engine's shared workspace
+                continue
             if self._signature(client.model) != self._layer_signature:
                 raise ValueError(
                     "all clients must share one model architecture to train batched"
                 )
-        # Flat layout of the parameter vector: (layer position, name, shape,
-        # offset) in Sequential.parameter_items order.
+        # Flat layout of the parameter vector, the model's own: (layer
+        # position, name, shape, offset).
         self._param_layout: List[Tuple[int, str, Tuple[int, ...], int]] = []
         offset = 0
-        # id() keys are safe here: the map lives only for this loop, and
-        # template.layers holds every keyed layer alive throughout, so no
-        # id can be recycled while the map is in use.
-        positions = {id(layer): i for i, layer in enumerate(template.layers)}  # reprolint: allow(id-key): layers held alive by template for the map's lifetime
-        for layer, name, value in template.parameter_items():
-            self._param_layout.append((positions[id(layer)], name, value.shape, offset))  # reprolint: allow(id-key): same transient map as above
-            offset += value.size
+        for position, layer in enumerate(template.layers):
+            for name, value in layer.params.items():
+                self._param_layout.append((position, name, value.shape, offset))
+                offset += value.size
         self._num_params = offset
         #: geometry key -> (user_id -> row, padded xs, padded ys).
         self._shard_cache: Dict[
@@ -519,9 +517,9 @@ class BatchTrainer:
 
         Clients are partitioned into shard-geometry groups and each group
         runs as one stacked program; the returned list is aligned with
-        ``requests``.  Client state (model parameters, momentum, RNG,
-        round counter) is left exactly as serial ``local_train`` calls
-        would leave it.
+        ``requests``.  Client state (momentum, RNG, round counter) is left
+        exactly as serial ``local_train`` calls would leave it; the clients'
+        model workspace is not touched.
         """
         seen = set()
         groups: Dict[Tuple, List[TrainRequest]] = {}
@@ -680,8 +678,6 @@ class BatchTrainer:
         # same np.mean over the same float64 values the serial path logs.
         loss_matrix = np.stack(step_losses_log) if step_losses_log else None
         for c, (request, client) in enumerate(zip(requests, group)):
-            client.model.set_flat_params(params_mat[c])
-            client.model.train_mode(True)
             client.optimizer.load_velocity(velocity_mat[c])
             client.rounds_completed += 1
             results[request.user_id] = LocalUpdate(

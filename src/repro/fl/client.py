@@ -76,8 +76,9 @@ class FLClient:
     Args:
         user_id: participant index.
         partition: the participant's local data shard.
-        model: a private :class:`Sequential` instance (never shared between
-            clients; global parameters are loaded into it before training).
+        model: the :class:`Sequential` to train in — a workspace, not client
+            state: every round loads the download first and reads its result
+            out last, so clients may share one instance (the engine's do).
         learning_rate: ``eta`` of Eq. (1).
         momentum: ``beta`` of Eq. (1).
         batch_size: mini-batch size (20 in the paper).
@@ -169,7 +170,8 @@ class FLClient:
             params=new_params if include_params else None,
         )
 
-    def evaluate_local(self) -> float:
-        """Training-set accuracy on the client's own shard (diagnostics)."""
+    def evaluate_local(self, params: np.ndarray) -> float:
+        """Training-set accuracy of ``params`` on the client's own shard (diagnostics)."""
+        self.model.set_flat_params(params)
         predictions = self.model.predict(self.partition.x)
         return float(np.mean(predictions == self.partition.y))

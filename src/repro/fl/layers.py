@@ -8,8 +8,10 @@ layer follows the same protocol:
 * ``forward(x)`` caches whatever the backward pass needs and returns the
   activations,
 * ``backward(grad_out)`` returns the gradient with respect to the input and
-  stores parameter gradients in ``layer.grads`` (aligned with
-  ``layer.params``).
+  writes parameter gradients *into* the arrays of ``layer.grads`` (aligned
+  with ``layer.params``).  Inside a :class:`~repro.fl.model.Sequential`
+  both dicts hold views of the model's flat vectors, so a layer never
+  rebinds an entry after construction.
 
 Shapes follow the ``(batch, ...)`` convention; convolutional layers use
 ``(batch, channels, height, width)``.
@@ -54,11 +56,6 @@ class Layer:
         """Back-propagate ``grad_out`` and return the input gradient."""
         raise NotImplementedError
 
-    def zero_grads(self) -> None:
-        """Reset accumulated parameter gradients to zero."""
-        for key, value in self.params.items():
-            self.grads[key] = np.zeros_like(value)
-
     def train_mode(self, training: bool = True) -> None:
         """Switch between training and evaluation behaviour (dropout only)."""
         self.training = training
@@ -75,7 +72,7 @@ class Linear(Layer):
         scale = np.sqrt(2.0 / in_features)
         self.params["w"] = rng.normal(0.0, scale, size=(in_features, out_features))
         self.params["b"] = np.zeros(out_features)
-        self.zero_grads()
+        self.grads = {key: np.zeros_like(value) for key, value in self.params.items()}
         self._cache_x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -90,8 +87,8 @@ class Linear(Layer):
         if self._cache_x is None:
             raise RuntimeError("backward called before forward")
         x = self._cache_x
-        self.grads["w"] = x.T @ grad_out
-        self.grads["b"] = grad_out.sum(axis=0)
+        np.matmul(x.T, grad_out, out=self.grads["w"])
+        grad_out.sum(axis=0, out=self.grads["b"])
         return grad_out @ self.params["w"].T
 
 
@@ -233,7 +230,7 @@ class Conv2D(Layer):
             0.0, scale, size=(out_channels, in_channels, kernel_size, kernel_size)
         )
         self.params["b"] = np.zeros(out_channels)
-        self.zero_grads()
+        self.grads = {key: np.zeros_like(value) for key, value in self.params.items()}
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...], int, int]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -254,8 +251,8 @@ class Conv2D(Layer):
         cols, x_shape, out_h, out_w = self._cache
         grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         w_col = self.params["w"].reshape(self.out_channels, -1)
-        self.grads["w"] = (grad_flat.T @ cols).reshape(self.params["w"].shape)
-        self.grads["b"] = grad_flat.sum(axis=0)
+        np.matmul(grad_flat.T, cols, out=self.grads["w"].reshape(self.out_channels, -1))
+        grad_flat.sum(axis=0, out=self.grads["b"])
         grad_cols = grad_flat @ w_col
         return _col2im(grad_cols, x_shape, self.kernel_size, self.stride, out_h, out_w)
 

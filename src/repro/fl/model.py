@@ -1,10 +1,12 @@
-"""Sequential model container with flat-parameter views.
+"""Sequential model container over one flat parameter vector.
 
 The schedulers and staleness metrics of the paper work on the *parameter
 vector* of the global model (norm differences, averaging, momentum vectors),
-so the container exposes the whole network as a single flat ``numpy`` vector
-(:meth:`Sequential.get_flat_params` / :meth:`Sequential.set_flat_params`)
-in addition to the usual layer-structured access.
+so the container keeps the whole network in a single contiguous ``numpy``
+vector (and its gradients in a second one); every layer tensor is a
+reshaped view of its segment.  :meth:`Sequential.get_flat_params` /
+:meth:`Sequential.set_flat_params` are therefore one copy each, and the
+optimizer updates the vector in place.
 
 Two builders match the paper's setup:
 
@@ -43,6 +45,28 @@ class Sequential:
             raise ValueError("a model needs at least one layer")
         self.layers: List[Layer] = list(layers)
         self.loss_fn = SoftmaxCrossEntropy()
+        self._bind()
+
+    def _bind(self) -> None:
+        """Gather every layer tensor into ``flat_params`` / ``flat_grads`` (the
+        live vectors, :meth:`parameter_items` order) and leave views behind, so
+        layers and the optimizer read and write the same memory."""
+        items = list(self.parameter_items())
+        empty = [np.zeros(0)]  # a parameter-free stack still has (empty) vectors
+        self.flat_params = np.concatenate(empty + [value.ravel() for _, _, value in items])
+        grads = [layer.grads[name].ravel() for layer, name, _ in items]
+        self.flat_grads = np.concatenate(empty + grads)
+        offset = 0
+        for layer, name, value in items:
+            stop = offset + value.size
+            layer.params[name] = self.flat_params[offset:stop].reshape(value.shape)
+            layer.grads[name] = self.flat_grads[offset:stop].reshape(value.shape)
+            offset = stop
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle / deepcopy restore every view as an independent array.
+        self.__dict__.update(state)
+        self._bind()
 
     # -- forward / backward ------------------------------------------------------
 
@@ -82,8 +106,7 @@ class Sequential:
 
     def zero_grads(self) -> None:
         """Reset all parameter gradients."""
-        for layer in self.layers:
-            layer.zero_grads()
+        self.flat_grads.fill(0.0)
 
     # -- parameter access ----------------------------------------------------------
 
@@ -95,43 +118,23 @@ class Sequential:
 
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
-        return sum(value.size for _, _, value in self.parameter_items())
+        return self.flat_params.size
 
     def get_flat_params(self) -> np.ndarray:
         """Copy all parameters into a single flat vector."""
-        if not any(layer.params for layer in self.layers):
-            return np.zeros(0)
-        return np.concatenate(
-            [value.ravel().copy() for _, _, value in self.parameter_items()]
-        )
+        return self.flat_params.copy()
 
     def set_flat_params(self, flat: np.ndarray) -> None:
         """Load parameters from a flat vector produced by ``get_flat_params``."""
-        expected = self.num_parameters()
-        if flat.shape != (expected,):
-            raise ValueError(f"expected a flat vector of length {expected}, got {flat.shape}")
-        offset = 0
-        for layer, name, value in self.parameter_items():
-            size = value.size
-            layer.params[name] = flat[offset : offset + size].reshape(value.shape).copy()
-            offset += size
+        if flat.shape != self.flat_params.shape:
+            raise ValueError(
+                f"expected a flat vector of length {self.flat_params.size}, got {flat.shape}"
+            )
+        np.copyto(self.flat_params, flat)
 
     def get_flat_grads(self) -> np.ndarray:
         """Copy all parameter gradients into a single flat vector."""
-        chunks = []
-        for layer in self.layers:
-            for name, value in layer.params.items():
-                grad = layer.grads.get(name)
-                if grad is None:
-                    grad = np.zeros_like(value)
-                chunks.append(grad.ravel())
-        if not chunks:
-            return np.zeros(0)
-        return np.concatenate(chunks)
-
-    def clone_params(self) -> np.ndarray:
-        """Alias of :meth:`get_flat_params` (reads better at call sites)."""
-        return self.get_flat_params()
+        return self.flat_grads.copy()
 
 
 def build_mlp(

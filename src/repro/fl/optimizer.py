@@ -27,8 +27,9 @@ __all__ = ["MomentumSGD"]
 class MomentumSGD:
     """Flat-vector momentum SGD operating on a :class:`Sequential` model.
 
-    The optimizer works on the flattened parameter vector so its momentum
-    state can be handed directly to the staleness estimators.
+    The optimizer works on the model's flat parameter and gradient vectors,
+    updating parameters and momentum in place, so its momentum state can be
+    handed directly to the staleness estimators.
 
     Args:
         learning_rate: ``eta`` in Eq. (1).
@@ -72,32 +73,27 @@ class MomentumSGD:
         """Restore a previously-saved momentum vector (e.g. across rounds)."""
         self._velocity = None if velocity is None else velocity.copy()
 
-    def step(self, model: Sequential) -> np.ndarray:
-        """Apply one update using the gradients currently stored in ``model``.
-
-        Returns:
-            The updated flat parameter vector.
-        """
-        params = model.get_flat_params()
-        grads = model.get_flat_grads()
-        if grads.shape != params.shape:
-            raise ValueError("gradient/parameter shape mismatch")
-        if self.weight_decay > 0.0:
-            grads = grads + self.weight_decay * params
-        if self._velocity is None:
-            self._velocity = np.zeros_like(params)
-        self._velocity = self.momentum * self._velocity + (1.0 - self.momentum) * grads
-        params = params - self.learning_rate * self._velocity
-        model.set_flat_params(params)
-        return params
+    def step(self, model: Sequential) -> None:
+        """Apply one update, in place, using the gradients stored in ``model``."""
+        model.flat_params -= self._advance(model.flat_params, model.flat_grads)
 
     def apply_to_vector(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         """Vector-space variant of :meth:`step` (no model object involved)."""
+        return params - self._advance(params, grads)
+
+    def _advance(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """Update ``v_t`` in place; return the decrement ``eta * v_t`` (a fresh array).
+
+        The same elementwise operations in the same order as the out-of-place
+        ``beta * v + (1 - beta) * s``, so the bits do not depend on the form.
+        """
         if grads.shape != params.shape:
             raise ValueError("gradient/parameter shape mismatch")
         if self.weight_decay > 0.0:
             grads = grads + self.weight_decay * params
+        scratch = grads * (1.0 - self.momentum)
         if self._velocity is None:
             self._velocity = np.zeros_like(params)
-        self._velocity = self.momentum * self._velocity + (1.0 - self.momentum) * grads
-        return params - self.learning_rate * self._velocity
+        self._velocity *= self.momentum
+        self._velocity += scratch
+        return np.multiply(self._velocity, self.learning_rate, out=scratch)

@@ -45,6 +45,7 @@ from repro.fl.dataset import (
     partition_iid,
     partition_mixed,
 )
+from repro.fl.layers import Dropout
 from repro.fl.metrics import AccuracyTracker
 from repro.fl.model import Sequential, build_mlp
 from repro.fl.server import AsyncUpdateRule, ParameterServer
@@ -159,8 +160,8 @@ def build_rngs(config: SimulationConfig):
 def build_eval_model(config: SimulationConfig, input_dim: int) -> Sequential:
     """A fresh model with the run's canonical seed initialisation.
 
-    Every client model and the server's initial parameters come from this
-    same construction, so the coordinator and any worker agree on the
+    The clients' training workspace and the server's initial parameters come
+    from this same construction, so the coordinator and any worker agree on the
     initial global model bit for bit.
     """
     return build_mlp(
@@ -232,19 +233,24 @@ def build_clients(
 ) -> List[FLClient]:
     """FL clients for users ``[lo, hi)`` (the whole fleet by default).
 
-    Each client gets a private model instance (identical seed
-    initialisation) and a ``(seed, user)``-salted shuffling RNG, so the
+    The slice trains in one shared model workspace (a local round loads the
+    download first and reads its result out last, so the model carries
+    nothing between rounds or users); momentum, round counter and a
+    ``(seed, user)``-salted shuffling RNG are per client, so the
     construction is slice-independent: building users 40..80 yields the
     same 40 clients whether or not the rest of the fleet is built.
     """
     hi = config.num_users if hi is None else hi
+    workspace = build_eval_model(config, input_dim)
+    if any(isinstance(layer, Dropout) for layer in workspace.layers):
+        raise ValueError("a Dropout layer owns a per-client RNG and cannot be shared by clients")
     clients: List[FLClient] = []
     for user in range(lo, hi):
         clients.append(
             FLClient(
                 user_id=user,
                 partition=partitions[user],
-                model=build_eval_model(config, input_dim),
+                model=workspace,
                 learning_rate=config.learning_rate,
                 momentum=config.momentum,
                 batch_size=config.batch_size,

@@ -1,14 +1,24 @@
-"""The one entry point through which the suite reaches the reference oracle.
+"""The suite's reference oracles.
 
-Equivalence matrices name their execution modes ``"loop"`` (the per-user
-reference loop, :class:`repro.sim.reference.ReferenceLoopEngine`) and
-``"fleet"`` (the product engine, with or without fast-forward); this helper
-turns a mode name into an engine so the parametrisation ids stay what they
-always were while the product engine itself has no mode switch.
+:func:`make_engine` is the one entry point through which the suite reaches
+the per-user reference loop.  Equivalence matrices name their execution
+modes ``"loop"`` (that loop, :class:`repro.sim.reference.ReferenceLoopEngine`)
+and ``"fleet"`` (the product engine, with or without fast-forward); the
+helper turns a mode name into an engine so the parametrisation ids stay what
+they always were while the product engine itself has no mode switch.
+
+:class:`FrozenLocalTrainer` is the local training round exactly as it ran
+before the flat training plane (ISSUE 15): the reference the in-place
+``FLClient.local_train`` must match bit for bit.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import numpy as np
+
+from repro.fl.layers import Conv2D, Linear, _col2im
 from repro.sim.engine import SimulationEngine
 from repro.sim.reference import ReferenceLoopEngine
 
@@ -20,3 +30,102 @@ def make_engine(mode: str, config, policy, fast_forward: bool = True, **kwargs):
     if mode == "fleet":
         return SimulationEngine(config, policy, fast_forward=fast_forward, **kwargs)
     raise ValueError(f"unknown execution mode {mode!r}")
+
+
+# ---------------------------------------------------------------------------
+# Frozen training step
+# ---------------------------------------------------------------------------
+
+
+def _frozen_backward(layer, grad_out):
+    """``backward`` of the parameterised layers as of PR 14: fresh arrays,
+    rebinding ``layer.grads``; parameter-free layers are unchanged."""
+    if isinstance(layer, Linear):
+        x = layer._cache_x
+        layer.grads["w"] = x.T @ grad_out
+        layer.grads["b"] = grad_out.sum(axis=0)
+        return grad_out @ layer.params["w"].T
+    if isinstance(layer, Conv2D):
+        cols, x_shape, out_h, out_w = layer._cache
+        grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, layer.out_channels)
+        w_col = layer.params["w"].reshape(layer.out_channels, -1)
+        layer.grads["w"] = (grad_flat.T @ cols).reshape(layer.params["w"].shape)
+        layer.grads["b"] = grad_flat.sum(axis=0)
+        return _col2im(grad_flat @ w_col, x_shape, layer.kernel_size, layer.stride, out_h, out_w)
+    return layer.backward(grad_out)
+
+
+class FrozenLocalTrainer:
+    """``FLClient.local_train`` as of PR 14, kept as the bitwise reference.
+
+    Every mini-batch step allocates zeroed gradients, lets each layer rebind
+    fresh gradient arrays, concatenates all tensors into new flat vectors,
+    applies Eq. (1) out of place and copies the result back tensor by tensor
+    -- the flatten/unflatten step the flat training plane replaced.  It
+    needs a private ``model``: the first load detaches every tensor from the
+    model's flat buffers.
+    """
+
+    def __init__(
+        self,
+        model,
+        partition,
+        learning_rate=0.05,
+        momentum=0.9,
+        weight_decay=0.0,
+        batch_size=20,
+        local_epochs=1,
+        seed=0,
+    ):
+        self.model = model
+        self.partition = partition
+        self.learning_rate = learning_rate
+        self.momentum = momentum
+        self.weight_decay = weight_decay
+        self.batch_size = batch_size
+        self.local_epochs = local_epochs
+        self.velocity = None
+        self.rng = np.random.default_rng(seed)
+        self._tensors = [(layer, name) for layer in model.layers for name in layer.params]
+
+    def _flat(self, which):
+        return np.concatenate(
+            [getattr(layer, which)[name].ravel().copy() for layer, name in self._tensors]
+        )
+
+    def _set_flat_params(self, flat):
+        offset = 0
+        for layer, name in self._tensors:
+            value = layer.params[name]
+            layer.params[name] = flat[offset : offset + value.size].reshape(value.shape).copy()
+            offset += value.size
+
+    def local_train(self, global_params):
+        """One local round; returns ``delta``, ``params``, ``train_loss``, ``momentum_norm``."""
+        self._set_flat_params(global_params)
+        self.model.train_mode(True)
+        losses = []
+        for _ in range(self.local_epochs):
+            for xb, yb in self.partition.batches(self.batch_size, rng=self.rng):
+                for layer, name in self._tensors:
+                    layer.grads[name] = np.zeros_like(layer.params[name])
+                losses.append(self.model.loss(xb, yb))
+                grad = self.model.loss_fn.backward()
+                for layer in reversed(self.model.layers):
+                    grad = _frozen_backward(layer, grad)
+                params = self._flat("params")
+                grads = self._flat("grads")
+                if self.weight_decay > 0.0:
+                    grads = grads + self.weight_decay * params
+                if self.velocity is None:
+                    self.velocity = np.zeros_like(params)
+                self.velocity = self.momentum * self.velocity + (1.0 - self.momentum) * grads
+                params = params - self.learning_rate * self.velocity
+                self._set_flat_params(params)
+        new_params = self._flat("params")
+        return SimpleNamespace(
+            delta=new_params - global_params,
+            params=new_params,
+            train_loss=float(np.mean(losses)) if losses else 0.0,
+            momentum_norm=0.0 if self.velocity is None else float(np.linalg.norm(self.velocity)),
+        )

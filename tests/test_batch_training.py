@@ -110,10 +110,12 @@ class TestBatchTrainerParity:
             )
             _assert_round_parity(serial_updates, batched_updates)
             base = base + sum(u.delta for u in serial_updates) / 5
-        # Persistent state parity: models, momentum and RNG streams.
-        for cs, cb in zip(serial, batched):
+        # Persistent state parity: last upload, momentum and RNG streams (the
+        # model is a workspace; what it holds after a round is not state).
+        for cs, cb, us, ub in zip(serial, batched, serial_updates, batched_updates):
+            assert np.allclose(us.params, ub.params, rtol=RTOL, atol=ATOL)
             assert np.allclose(
-                cs.model.get_flat_params(), cb.model.get_flat_params(), rtol=RTOL, atol=ATOL
+                cs.optimizer.velocity, cb.optimizer.velocity, rtol=RTOL, atol=ATOL
             )
             assert cs.rounds_completed == cb.rounds_completed
             assert cs._rng.random() == cb._rng.random()

@@ -117,7 +117,7 @@ class TestFLClient:
         for _ in range(20):
             update = client.local_train(params, 0)
             params = update.params
-        assert client.evaluate_local() > 0.5
+        assert client.evaluate_local(params) > 0.5
 
     def test_invalid_construction(self, small_dataset, rng):
         parts = partition_iid(small_dataset.x_train, small_dataset.y_train, 2, rng)

@@ -301,7 +301,8 @@ class TestOptimizerProperties:
         y = rng.integers(0, 3, size=12)
         for _ in range(steps):
             model.train_step_gradients(x, y)
-            params = optimizer.step(model)
-            assert np.all(np.isfinite(params))
-        # The flat view and the layer parameters agree.
-        assert np.allclose(model.get_flat_params(), params)
+            optimizer.step(model)
+            assert np.all(np.isfinite(model.flat_params))
+        # The flat vector and the layer parameters agree.
+        layer_params = [value.ravel() for _, _, value in model.parameter_items()]
+        assert np.array_equal(model.get_flat_params(), np.concatenate(layer_params))
