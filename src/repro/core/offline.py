@@ -24,13 +24,14 @@ schedule immediately, or keep waiting).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.policies import (
     Decision,
     DeviceObservation,
+    ObservationBatch,
     SchedulingPolicy,
     SlotContext,
 )
@@ -215,12 +216,23 @@ class KnapsackSolver:
         )
 
 
-@dataclass
-class _UserPlan:
-    """Per-user plan produced by one window of offline planning."""
+#: Per-user plan codes produced by one window of offline planning.  No plan
+#: — deferred to a later window, or ready only since the last one — waits,
+#: but co-runs opportunistically with any app that comes to the foreground.
+_NO_PLAN, _IMMEDIATE, _CORUN = range(3)
 
-    action: str  # "corun" | "immediate" | "defer"
-    corun_at_slot: Optional[int] = None
+#: The observation fields a planning window reads — under these names on
+#: both :class:`DeviceObservation` and :class:`ObservationBatch`.
+_PLANNING_FIELDS = (
+    "slot_seconds",
+    "training_duration_slots",
+    "momentum_norm",
+    "learning_rate",
+    "momentum_coeff",
+    "power_training_w",
+    "power_app_w",
+    "power_corun_w",
+)
 
 
 class OfflinePolicy(SchedulingPolicy):
@@ -270,11 +282,31 @@ class OfflinePolicy(SchedulingPolicy):
         self.gap_metric = gap_metric
         self.solver = KnapsackSolver(staleness_bound, resolution=resolution)
         self._oracle = None
-        self._plans: Dict[int, _UserPlan] = {}
-        self._pending_observations: Dict[int, DeviceObservation] = {}
         self._last_planned_window = -1
         self._decision_evaluations = 0
         self.solutions: List[KnapsackSolution] = []
+        self._clear_users()
+
+    def _clear_users(self) -> None:
+        """Forget every user: empty per-user columns, grown by :meth:`_reserve`."""
+        #: Users decided ``idle`` and not scheduled since — the next
+        #: window's knapsack candidates.
+        self._pending = np.zeros(0, dtype=bool)
+        #: Latest observed ``_PLANNING_FIELDS`` values, one row per field.
+        self._planning_inputs = np.zeros((len(_PLANNING_FIELDS), 0))
+        self._plan_action = np.zeros(0, dtype=np.int8)
+        self._plan_corun_slot = np.zeros(0, dtype=np.int64)
+
+    def _reserve(self, num_users: int) -> None:
+        """Grow the per-user columns to cover user ids below ``num_users``."""
+        have = self._pending.size
+        if num_users <= have:
+            return
+        grow = (0, max(num_users, 2 * have) - have)
+        self._pending = np.pad(self._pending, grow)
+        self._planning_inputs = np.pad(self._planning_inputs, ((0, 0), grow))
+        self._plan_action = np.pad(self._plan_action, grow)
+        self._plan_corun_slot = np.pad(self._plan_corun_slot, grow)
 
     # -- oracle wiring -----------------------------------------------------------
 
@@ -307,50 +339,57 @@ class OfflinePolicy(SchedulingPolicy):
         """Solve the knapsack for the window starting at ``window_start``."""
         if self._oracle is None:
             raise RuntimeError("OfflinePolicy needs an arrival oracle; call attach_oracle()")
-        ready = sorted(self._pending_observations)
-        if not ready:
+        ready = np.flatnonzero(self._pending)
+        if not ready.size:
             return
         window_end = window_start + self.window_slots
+        (
+            slot_seconds,
+            duration_slots,
+            momentum_norms,
+            learning_rates,
+            momentum_coeffs,
+            training_w,
+            app_w,
+            corun_w,
+        ) = self._planning_inputs[:, ready].tolist()
+        ready = ready.tolist()
 
-        start_times: List[float] = []
+        start_times = [float(window_start)] * len(ready)
+        durations = [d * s for d, s in zip(duration_slots, slot_seconds)]
         arrival_times: List[Optional[float]] = []
-        durations: List[float] = []
-        arrival_info: Dict[int, Tuple[int, str]] = {}
-        for user_id in ready:
-            obs = self._pending_observations[user_id]
-            start_times.append(float(window_start))
-            durations.append(float(obs.training_duration_slots) * obs.slot_seconds)
+        arrivals: List[Optional[Tuple[int, str]]] = []
+        for position, user_id in enumerate(ready):
             arrival = self._oracle.next_arrival(user_id, window_start, window_end)
-            if arrival is None:
-                arrival_times.append(None)
-            else:
-                arrival_slot, app_name = arrival
-                arrival_times.append(float(arrival_slot) * obs.slot_seconds)
-                arrival_info[user_id] = (arrival_slot, app_name)
+            arrivals.append(arrival)
+            arrival_times.append(
+                None if arrival is None else float(arrival[0]) * slot_seconds[position]
+            )
 
         items: List[KnapsackItem] = []
-        for position, user_id in enumerate(ready):
-            if user_id not in arrival_info:
+        for position, (user_id, arrival) in enumerate(zip(ready, arrivals)):
+            if arrival is None:
                 continue
-            obs = self._pending_observations[user_id]
-            arrival_slot, app_name = arrival_info[user_id]
+            arrival_slot, app_name = arrival
             lag_bound = lag_upper_bound(position, start_times, arrival_times, durations)
             if self.gap_metric == "lag":
                 gap = float(lag_bound)
             else:
                 gap = gradient_gap(
-                    obs.momentum_norm, obs.learning_rate, obs.momentum_coeff, lag_bound
+                    momentum_norms[position],
+                    learning_rates[position],
+                    momentum_coeffs[position],
+                    lag_bound,
                 )
                 # Waiting for the arrival also accrues the idle-slot increment.
                 gap += self.epsilon * max(0, arrival_slot - window_start)
-            duration_s = obs.training_duration_slots * obs.slot_seconds
-            saving_w = obs.power_training_w + obs.power_app_w - obs.power_corun_w
+            saving_w = training_w[position] + app_w[position] - corun_w[position]
             items.append(
                 KnapsackItem(
                     user_id=user_id,
-                    energy_saving_j=saving_w * duration_s,
+                    energy_saving_j=saving_w * durations[position],
                     gradient_gap=gap,
-                    app_arrival_s=arrival_slot * obs.slot_seconds,
+                    app_arrival_s=arrival_slot * slot_seconds[position],
                     app_name=app_name,
                 )
             )
@@ -358,18 +397,13 @@ class OfflinePolicy(SchedulingPolicy):
         solution = self.solver.solve(items)
         self.solutions.append(solution)
         selected = set(solution.selected_user_ids)
-        with_arrival = set(arrival_info)
-        for user_id in ready:
+        unmatched = _IMMEDIATE if self.schedule_unmatched_immediately else _NO_PLAN
+        for user_id, arrival in zip(ready, arrivals):
             if user_id in selected:
-                self._plans[user_id] = _UserPlan(
-                    action="corun", corun_at_slot=arrival_info[user_id][0]
-                )
-            elif user_id in with_arrival:
-                self._plans[user_id] = _UserPlan(action="immediate")
-            elif self.schedule_unmatched_immediately:
-                self._plans[user_id] = _UserPlan(action="immediate")
+                self._plan_action[user_id] = _CORUN
+                self._plan_corun_slot[user_id] = arrival[0]
             else:
-                self._plans[user_id] = _UserPlan(action="defer")
+                self._plan_action[user_id] = _IMMEDIATE if arrival else unmatched
 
     # -- SchedulingPolicy interface -------------------------------------------------
 
@@ -379,38 +413,55 @@ class OfflinePolicy(SchedulingPolicy):
             self._plan_window(window_index * self.window_slots)
             self._last_planned_window = window_index
 
+    def _remember(self, observation: DeviceObservation) -> None:
+        """Mark the user pending with this observation's planning inputs."""
+        user = observation.user_id
+        self._reserve(user + 1)
+        self._pending[user] = True
+        self._planning_inputs[:, user] = [
+            getattr(observation, name) for name in _PLANNING_FIELDS
+        ]
+
     def decide(self, observation: DeviceObservation) -> Decision:
         self._decision_evaluations += 1
-        self._pending_observations[observation.user_id] = observation
-        plan = self._plans.get(observation.user_id)
-        if plan is None:
-            # Became ready mid-window: co-run opportunistically if an app is
-            # already in the foreground, otherwise wait for the next window.
-            if observation.app_running:
-                self._forget(observation.user_id)
-                return Decision.SCHEDULE
-            return Decision.IDLE
-        if plan.action == "immediate":
-            self._forget(observation.user_id)
-            return Decision.SCHEDULE
-        if plan.action == "corun":
-            if observation.app_running and observation.slot >= (plan.corun_at_slot or 0):
-                self._forget(observation.user_id)
-                return Decision.SCHEDULE
-            return Decision.IDLE
-        # "defer": wait for a future window (or an opportunistic app).
-        if observation.app_running:
-            self._forget(observation.user_id)
+        self._remember(observation)
+        user = observation.user_id
+        action = self._plan_action[user]
+        # Planned "immediate" trains now.  Everyone else trains once an app
+        # is in the foreground — planned "corun" from its planned slot on.
+        if action == _IMMEDIATE or (
+            observation.app_running
+            and (action != _CORUN or observation.slot >= self._plan_corun_slot[user])
+        ):
+            self._plan_action[user] = _NO_PLAN
+            self._pending[user] = False
             return Decision.SCHEDULE
         return Decision.IDLE
 
-    def _forget(self, user_id: int) -> None:
-        self._plans.pop(user_id, None)
-        self._pending_observations.pop(user_id, None)
+    def decide_all(self, batch: ObservationBatch) -> np.ndarray:
+        """The plan lookup of :meth:`decide` for a whole ready pool at once.
+
+        The rule never reads the lag estimate, so the same-slot lag coupling
+        the per-user fallback replays cannot change a decision.
+        """
+        users = batch.user_ids
+        if not len(users):
+            return np.zeros(0, dtype=bool)
+        self._decision_evaluations += len(users)
+        self._reserve(int(users[-1]) + 1)  # user_ids ascend
+        for row, name in zip(self._planning_inputs, _PLANNING_FIELDS):
+            row[users] = getattr(batch, name)
+        action = self._plan_action[users]
+        schedule = (action == _IMMEDIATE) | (
+            batch.app_running
+            & ((action != _CORUN) | (batch.slot >= self._plan_corun_slot[users]))
+        )
+        self._pending[users] = ~schedule
+        self._plan_action[users[schedule]] = _NO_PLAN
+        return schedule
 
     def reset(self) -> None:
-        self._plans.clear()
-        self._pending_observations.clear()
+        self._clear_users()
         self._last_planned_window = -1
         self._decision_evaluations = 0
         self.solutions.clear()

@@ -109,6 +109,9 @@ class OnlineController:
             raise ValueError("epsilon must be non-negative")
         self.v = float(v)
         self.epsilon = float(epsilon)
+        #: Eq. (4) factor table per ``beta``, filled by the scalar
+        #: ``momentum_lag_factor`` as lags are first seen.
+        self._lag_factor_tables: Dict[float, np.ndarray] = {}  # reprolint: static (derived cache)
 
     def evaluate(
         self,
@@ -181,6 +184,7 @@ class OnlineController:
             batch.learning_rate,
             batch.momentum_coeff,
             batch.estimated_lag,
+            self._lag_factor_tables,
         )
         idle_gap = batch.current_gap + self.epsilon
 
@@ -232,7 +236,19 @@ class OnlinePolicy(SchedulingPolicy):
         self.messages_to_server = 0
         #: Count of scalar values sent server -> user (lag, queue backlogs).
         self.messages_to_users = 0
-        self.decision_log: List[Tuple[int, int, Decision]] = []
+        #: One ``(slot, user_ids, schedule)`` entry per decided ready pool
+        #: (per decision on the per-user path); read it as
+        #: :attr:`decision_log`.
+        self._decision_log: List[Tuple[int, np.ndarray, np.ndarray]] = []
+
+    @property
+    def decision_log(self) -> List[Tuple[int, int, Decision]]:
+        """Every decision so far as ``(slot, user_id, decision)``, in order."""
+        return [
+            (slot, user, Decision.SCHEDULE if flag else Decision.IDLE)
+            for slot, users, schedule in self._decision_log
+            for user, flag in zip(users.tolist(), schedule.tolist())
+        ]
 
     # -- SchedulingPolicy interface ------------------------------------------------
 
@@ -255,7 +271,13 @@ class OnlinePolicy(SchedulingPolicy):
         decision = self.controller.decide(
             observation, self.task_queue.length, self.virtual_queue.length
         )
-        self.decision_log.append((observation.slot, observation.user_id, decision))
+        self._decision_log.append(
+            (
+                observation.slot,
+                np.array([observation.user_id]),
+                np.array([decision is Decision.SCHEDULE]),
+            )
+        )
         return decision
 
     def decide_all(self, batch: ObservationBatch) -> np.ndarray:
@@ -300,10 +322,9 @@ class OnlinePolicy(SchedulingPolicy):
                     schedule[index] = False
                     continue
             coupling.record(index)
-        self.decision_log.extend(
-            (batch.slot, int(user), Decision.SCHEDULE if flag else Decision.IDLE)
-            for user, flag in zip(batch.user_ids, schedule)
-        )
+        # Copies: the batch columns may be views over a transport buffer and
+        # the caller owns ``schedule``.
+        self._decision_log.append((batch.slot, batch.user_ids.copy(), schedule.copy()))
         return schedule
 
     def end_slot(self, context: SlotContext, num_scheduled: int, gap_sum: float) -> None:
@@ -317,7 +338,7 @@ class OnlinePolicy(SchedulingPolicy):
         self._decision_evaluations = 0
         self.messages_to_server = 0
         self.messages_to_users = 0
-        self.decision_log.clear()
+        self._decision_log.clear()
 
     def decision_cost_evaluations(self) -> int:
         return self._decision_evaluations

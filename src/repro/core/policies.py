@@ -163,7 +163,8 @@ class ObservationBatch:
         """Materialize entry ``index`` as a scalar :class:`DeviceObservation`.
 
         Used by :meth:`SchedulingPolicy.decide_all`'s generic fallback so
-        policies without a batched rule (e.g. the offline knapsack planner)
+        policies without a batched rule (e.g. a rate-limiting
+        :class:`~repro.core.granularity.DecisionIntervalPolicy` wrapper)
         run unmodified under the vectorized backend.
 
         Args:
@@ -308,7 +309,8 @@ class SchedulingPolicy(ABC):
         The default implementation materializes each entry and delegates to
         :meth:`decide`, so any policy works under the vectorized backend;
         policies with an array form of their rule (the Lyapunov online
-        scheduler's Eq. 22/23) override this with a NumPy evaluation.
+        scheduler's Eq. 22/23, the offline planner's plan lookup) override
+        this with a NumPy evaluation.
 
         Entries are decided in batch (ascending user) order and the lag
         estimate handed to each observation includes the users scheduled

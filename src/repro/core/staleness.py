@@ -59,36 +59,53 @@ def momentum_lag_factor(momentum: float, lag: int) -> float:
     return (1.0 - momentum**lag) / (1.0 - momentum)
 
 
-def momentum_lag_factor_batch(momentum: np.ndarray, lags: np.ndarray) -> np.ndarray:
+def momentum_lag_factor_batch(
+    momentum: np.ndarray, lags: np.ndarray, tables: Dict[float, np.ndarray]
+) -> np.ndarray:
     """Vectorized :func:`momentum_lag_factor` over per-user arrays.
 
     Evaluates ``(1 - beta**lag) / (1 - beta)`` for every (``beta``, ``lag``)
     pair.  ``beta**lag`` is deliberately computed with *scalar* Python
-    exponentiation per unique ``(beta, lag)`` pair rather than ``np.power``:
-    the two can round the last bit differently, and the fleet backend
-    guarantees bitwise-identical decisions to the per-user loop path.  Lags
-    take few distinct values in practice (one per device model plus the
-    in-flight estimate), so the grouping costs next to nothing.
+    exponentiation rather than ``np.power``: the two can round the last bit
+    differently, and the fleet backend guarantees bitwise-identical
+    decisions to the per-user loop path.  When the whole pool shares one
+    ``beta`` (every fleet the engine builds), the factors are read from
+    ``tables[beta]`` — entry ``l`` *is* ``momentum_lag_factor(beta, l)``,
+    computed once by the scalar function and extended on demand — so a read
+    is the scalar result bit for bit.  Heterogeneous ``beta`` falls back to
+    one scalar call per user.
 
     Args:
         momentum: ``beta`` per user, shape ``(n,)``.
         lags: non-negative integer lag per user, shape ``(n,)``.
+        tables: the caller's per-``beta`` factor tables, grown in place
+            (:class:`~repro.core.online.OnlineController` keeps one dict for
+            its lifetime).
 
     Returns:
         The Eq. (4) geometric-series factor per user, ``float64``.
     """
     momentum = np.asarray(momentum, dtype=np.float64)
     lags = np.asarray(lags)
+    if not lags.size:
+        return np.empty(lags.shape, dtype=np.float64)
+    beta = float(momentum.flat[0])
+    if (momentum == beta).all():
+        if lags.min() < 0:
+            raise ValueError("lag must be non-negative")
+        table = tables.get(beta)
+        top = int(lags.max())
+        if table is None or top >= table.size:
+            known = [] if table is None else table.tolist()
+            size = max(64, 2 * len(known), top + 1)
+            known.extend(momentum_lag_factor(beta, lag) for lag in range(len(known), size))
+            table = tables[beta] = np.array(known, dtype=np.float64)
+        return table[lags]
     out = np.empty(lags.shape, dtype=np.float64)
-    if momentum.size and np.all(momentum == momentum.flat[0]):
-        beta = float(momentum.flat[0])
-        for lag in np.unique(lags):
-            out[lags == lag] = momentum_lag_factor(beta, int(lag))
-    else:
-        for index in range(lags.size):
-            out.flat[index] = momentum_lag_factor(
-                float(momentum.flat[index]), int(lags.flat[index])
-            )
+    for index in range(lags.size):
+        out.flat[index] = momentum_lag_factor(
+            float(momentum.flat[index]), int(lags.flat[index])
+        )
     return out
 
 
@@ -147,6 +164,7 @@ def gradient_gap_batch(
     learning_rates: np.ndarray,
     momentums: np.ndarray,
     lags: np.ndarray,
+    factor_tables: Dict[float, np.ndarray],
 ) -> np.ndarray:
     """Vectorized gradient gap of Eq. (4) for a whole ready pool.
 
@@ -160,6 +178,8 @@ def gradient_gap_batch(
         learning_rates: ``eta`` per user.
         momentums: ``beta`` per user.
         lags: predicted intervening updates ``l_tau`` per user (``int``).
+        factor_tables: the caller's Eq. (4) factor tables
+            (:func:`momentum_lag_factor_batch`).
     """
     momentum_norms = np.asarray(momentum_norms, dtype=np.float64)
     learning_rates = np.asarray(learning_rates, dtype=np.float64)
@@ -167,7 +187,7 @@ def gradient_gap_batch(
         raise ValueError("momentum_norm must be non-negative")
     if learning_rates.size and learning_rates.min() <= 0:
         raise ValueError("learning_rate must be positive")
-    factor = momentum_lag_factor_batch(momentums, lags)
+    factor = momentum_lag_factor_batch(momentums, lags, factor_tables)
     return learning_rates * factor * momentum_norms
 
 

@@ -96,12 +96,7 @@ class ParameterServer:
         self.update_log: List[ServerUpdate] = []
         self._inflight: Dict[int, float] = {}
         self._download_versions: Dict[int, int] = {}
-        #: Sorted view of the in-flight finish times, rebuilt lazily when the
-        #: in-flight set changes; :meth:`estimate_lags` counts window hits
-        #: against it with two binary searches per user instead of one
-        #: O(users x in-flight) boolean matrix, which keeps megafleet ready
-        #: pools (10^5 users with 10^5 concurrent jobs) affordable.
-        self._sorted_finishes: Optional[np.ndarray] = None
+        self._index_inflight()
 
     # -- model access ------------------------------------------------------------------
 
@@ -126,8 +121,16 @@ class ParameterServer:
 
     def __getstate__(self) -> Dict[str, object]:
         # The cached view is derived; pickling it would write the current
-        # vector a second time into every snapshot.
-        return {**self.__dict__, "_view": None}
+        # vector a second time into every snapshot.  The in-flight index is
+        # derived from ``_inflight`` and rebuilt on load.
+        state = {**self.__dict__, "_view": None}
+        for name in ("_finishes", "_inflight_mask"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._index_inflight()
 
     def num_updates(self) -> int:
         """Number of updates applied so far (the version counter)."""
@@ -152,15 +155,65 @@ class ParameterServer:
 
     # -- in-flight jobs and lag estimation -------------------------------------------------
 
+    def _index_inflight(self) -> None:
+        """(Re)build the derived in-flight index from ``_inflight``.
+
+        :meth:`estimate_lags` counts window hits with two binary searches
+        per user against the sorted finish times instead of one
+        O(users x in-flight) boolean matrix, which keeps megafleet ready
+        pools (10^5 users with 10^5 concurrent jobs) affordable.  The index
+        is maintained incrementally by :meth:`register_inflight` /
+        :meth:`unregister_inflight`; this full build only runs at
+        construction and after unpickling.
+        """
+        count = len(self._inflight)
+        #: Finish times, ascending in ``[:len(_inflight)]``; the tail is
+        #: spare capacity.  Equal finishes are distinct entries.
+        self._finishes = np.empty(max(16, 2 * count), dtype=np.float64)  # reprolint: static (derived from _inflight)
+        self._finishes[:count] = sorted(self._inflight.values())
+        #: ``mask[user]`` is True while ``user`` is in flight.  The last
+        #: entry is a sentinel that stays False: lookups clip unseen user ids
+        #: onto it.
+        self._inflight_mask = np.zeros(max(self._inflight, default=0) + 2, dtype=bool)  # reprolint: static (derived from _inflight)
+        self._inflight_mask[list(self._inflight)] = True
+
     def register_inflight(self, user_id: int, expected_finish_s: float) -> None:
-        """Record that ``user_id`` started training, finishing around ``expected_finish_s``."""
+        """Record that ``user_id`` started training, finishing around ``expected_finish_s``.
+
+        Registering a user that is already in flight *replaces* its job: the
+        old finish time leaves the index before the new one enters.
+        """
+        if user_id < 0:
+            raise ValueError("user_id must be non-negative")
+        self.unregister_inflight(user_id)
+        count = len(self._inflight)
         self._inflight[user_id] = expected_finish_s
-        self._sorted_finishes = None
+        mask = self._inflight_mask
+        if user_id >= mask.size - 1:
+            self._inflight_mask = np.zeros(2 * (user_id + 1), dtype=bool)
+            self._inflight_mask[: mask.size] = mask
+        self._inflight_mask[user_id] = True
+        finishes = self._finishes
+        if count == finishes.size:
+            self._finishes = np.empty(2 * count, dtype=np.float64)
+            self._finishes[:count] = finishes
+            finishes = self._finishes
+        position = finishes[:count].searchsorted(expected_finish_s)
+        finishes[position + 1 : count + 1] = finishes[position:count]
+        finishes[position] = expected_finish_s
 
     def unregister_inflight(self, user_id: int) -> None:
-        """Remove a completed or cancelled in-flight job."""
-        if self._inflight.pop(user_id, None) is not None:
-            self._sorted_finishes = None
+        """Remove a completed or cancelled in-flight job (no-op if unknown)."""
+        finish = self._inflight.pop(user_id, None)
+        if finish is None:
+            return
+        self._inflight_mask[user_id] = False
+        count = len(self._inflight)  # entries that stay
+        finishes = self._finishes
+        # The leftmost entry equal to ``finish``; which of several equal
+        # entries goes is immaterial.
+        position = finishes[: count + 1].searchsorted(finish)
+        finishes[position:count] = finishes[position + 1 : count + 1]
 
     def inflight_count(self) -> int:
         """Number of currently running training jobs."""
@@ -195,13 +248,13 @@ class ParameterServer:
         :class:`~repro.core.policies.ObservationBatch` without one Python
         call per ready user; agrees exactly with the scalar method.
 
-        The counting runs against a lazily-maintained sorted array of finish
+        The counting runs against the incrementally-maintained sorted finish
         times: two ``searchsorted`` probes per ready user count every finish
         in the inclusive window ``[now_s, now_s + duration_s]``, and each
         user's own in-flight job (if any) is subtracted when it falls inside
         its window — an exact integer decomposition of the scalar rule, with
-        O((r + k) log k) cost instead of the O(r * k) boolean matrix a
-        megafleet ready pool cannot afford.
+        O(r log k) cost instead of the O(r * k) boolean matrix a megafleet
+        ready pool cannot afford.
 
         Args:
             user_ids: ready users, shape ``(r,)``.
@@ -217,25 +270,19 @@ class ParameterServer:
             raise ValueError("duration_s must be positive")
         if not self._inflight:
             return np.zeros(user_ids.shape, dtype=np.int64)
-        if self._sorted_finishes is None:
-            self._sorted_finishes = np.sort(
-                np.fromiter(self._inflight.values(), dtype=np.float64)
-            )
-        finishes = self._sorted_finishes
+        finishes = self._finishes[: len(self._inflight)]
         horizons = now_s + durations_s
-        lo = np.searchsorted(finishes, now_s, side="left")
-        hi = np.searchsorted(finishes, horizons, side="right")
-        counts = (hi - lo).astype(np.int64)
+        lo = finishes.searchsorted(now_s, side="left")
+        hi = finishes.searchsorted(horizons, side="right")
+        counts = (hi - lo).astype(np.int64, copy=False)
         # Subtract each user's own job when it falls inside its own window
         # (mirrors the ``uid != user_id`` exclusion of the scalar method).
         # A ready user is normally not in flight at all — the engine only
-        # offers non-training users for decisions — so the candidate set is
-        # found with one vectorized membership test and the per-user Python
+        # offers non-training users for decisions — so the per-user Python
         # work is limited to actual intersections (usually none).
-        inflight = self._inflight
-        inflight_uids = np.fromiter(inflight.keys(), dtype=np.int64)
-        for index in np.nonzero(np.isin(user_ids, inflight_uids))[0]:
-            own = inflight[int(user_ids.flat[index])]
+        mask = self._inflight_mask
+        for index in np.flatnonzero(mask[np.minimum(user_ids, mask.size - 1)]):
+            own = self._inflight[int(user_ids.flat[index])]
             if now_s <= own <= horizons.flat[index]:
                 counts.flat[index] -= 1
         return counts

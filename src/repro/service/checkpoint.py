@@ -65,10 +65,10 @@ __all__ = [
 ]
 
 #: Bumped whenever the on-disk layout or the state dicts change shape.
-#: v5: one engine family — ``meta.json`` lost its ``backend`` key and
-#: ``coordinator.pkl`` its ``loop`` entry (the per-user reference loop no
-#: longer checkpoints).
-CHECKPOINT_FORMAT_VERSION = 5
+#: v6: the pickled attribute sets of ``ParameterServer`` (derived in-flight
+#: index, rebuilt on load), ``OnlinePolicy`` (array decision log) and
+#: ``OfflinePolicy`` (per-user plan / pending columns) changed.
+CHECKPOINT_FORMAT_VERSION = 6
 
 
 class CheckpointError(RuntimeError):

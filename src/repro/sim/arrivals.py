@@ -169,13 +169,6 @@ def build_arrival_process(spec: Dict):
     )
 
 
-#: Population-volume (users x slots) threshold above which
-#: :meth:`ArrivalSchedule.generate` switches from the per-slot scalar draws
-#: to the sparse launch-event scan.  The two paths produce bitwise-identical
-#: schedules (same RNG stream consumption, same comparisons), so the
-#: threshold is purely a speed/allocation trade.
-SPARSE_GENERATION_THRESHOLD = 2_000_000
-
 #: Uniform variates drawn per vectorized scan step of the sparse generator.
 _SPARSE_CHUNK = 2_048
 
@@ -231,7 +224,6 @@ class ArrivalSchedule:
         table: Optional[MeasurementTable] = None,
         app_names: Optional[Sequence[str]] = None,
         app_weights: Optional[Sequence[float]] = None,
-        method: str = "auto",
     ) -> "ArrivalSchedule":
         """Generate arrivals for all users.
 
@@ -245,69 +237,41 @@ class ArrivalSchedule:
         the generator draws exactly one uniform variate per non-busy slot,
         so a user's arrival stream depends only on its own process.
 
-        Args:
-            method: ``"dense"`` draws one scalar uniform per non-busy slot
-                (the original reference path); ``"sparse"`` scans chunks of
-                the same uniform stream vectorized, rewinding the generator
-                state at each launch so that exactly one draw per non-busy
-                slot is consumed — the two produce **bitwise-identical**
-                schedules (``tests/test_shard.py`` enforces it).  ``"auto"``
-                (default) picks ``sparse`` above
-                :data:`SPARSE_GENERATION_THRESHOLD` users x slots, where the
-                per-slot Python draws of the dense path stop being viable
-                (a 100k-user megafleet would spend minutes just drawing).
+        The draws are made by the sparse launch-event scan
+        (:meth:`_generate_user_sparse`): chunks of the uniform stream are
+        scanned vectorized and the generator state is rewound at each launch,
+        so that exactly one draw per non-busy slot is consumed.  The schedule
+        and the final generator state are **bitwise identical** to drawing
+        one scalar uniform per non-busy slot — the reference
+        ``tests/oracle.py::dense_arrival_schedule`` that
+        ``tests/test_shard.py`` holds this to.
         """
         if len(device_specs) != num_users:
             raise ValueError("device_specs must have one entry per user")
-        if method not in ("auto", "dense", "sparse"):
-            raise ValueError(f"unknown generation method {method!r}")
         if isinstance(process, (list, tuple)):
             if len(process) != num_users:
                 raise ValueError("per-user processes must have one entry per user")
             processes = list(process)
         else:
             processes = [process] * num_users
-        if method == "auto":
-            method = (
-                "sparse"
-                if num_users * total_slots >= SPARSE_GENERATION_THRESHOLD
-                else "dense"
-            )
         table = table or MeasurementTable()
         probability_cache: Dict[object, np.ndarray] = {}
-        arrivals: Dict[int, List[ForegroundApp]] = {u: [] for u in range(num_users)}
-        for user in range(num_users):
-            device = device_specs[user]
-            process = processes[user]
-            if method == "sparse":
-                arrivals[user] = cls._generate_user_sparse(
-                    process,
+        return cls(
+            {
+                user: cls._generate_user_sparse(
+                    processes[user],
                     probability_cache,
                     total_slots,
                     slot_seconds,
-                    device,
+                    device_specs[user],
                     rng,
                     table,
                     app_names,
                     app_weights,
                 )
-                continue
-            busy_until = -1
-            for slot in range(total_slots):
-                if slot <= busy_until:
-                    continue
-                probability = process.probability_at(slot, slot_seconds)
-                if rng.random() >= probability:
-                    continue
-                spec = sample_app(rng, names=app_names, weights=app_weights)
-                duration_s = table.corun_time(device.name, spec.name)
-                duration_slots = max(1, int(round(duration_s / slot_seconds)))
-                app = ForegroundApp(
-                    spec=spec, arrival_slot=slot, duration_slots=duration_slots
-                )
-                arrivals[user].append(app)
-                busy_until = app.end_slot() - 1
-        return cls(arrivals)
+                for user in range(num_users)
+            }
+        )
 
     @staticmethod
     def _generate_user_sparse(
@@ -323,13 +287,13 @@ class ArrivalSchedule:
     ) -> List[ForegroundApp]:
         """One user's arrivals via the sparse launch-event scan.
 
-        Consumes the *exact* draw sequence of the dense path: one uniform per
-        non-busy slot, then the ``sample_app`` draws at each launch.  Chunks
-        of uniforms are drawn vectorized and scanned for the first hit
-        (``u < p``, the complement of the dense path's ``u >= p`` skip); on a
-        hit the generator state is rewound to the chunk start and exactly
-        the consumed prefix is re-drawn, so the stream position after every
-        launch matches the dense path bit for bit.  The per-slot probability
+        Consumes the *exact* draw sequence of the per-slot reference: one
+        uniform per non-busy slot, then the ``sample_app`` draws at each
+        launch.  Chunks of uniforms are drawn vectorized and scanned for the
+        first hit (``u < p``, the complement of the reference's ``u >= p``
+        skip); on a hit the generator state is rewound to the chunk start
+        and exactly the consumed prefix is re-drawn, so the stream position
+        after every launch matches the reference bit for bit.  The per-slot probability
         vector is evaluated through the process's own ``probability_at`` (no
         re-derivation) and cached across users with equal parameters.
         """
@@ -356,8 +320,8 @@ class ArrivalSchedule:
                 slot += span
                 continue
             first = int(hits[0])
-            # Rewind: the dense path consumed only the draws up to (and
-            # including) the hit before switching to the app-sampling draws.
+            # Rewind: the per-slot reference consumes only the draws up to
+            # (and including) the hit before the app-sampling draws.
             bit_generator.state = state
             rng.random(first + 1)
             spec = sample_app(rng, names=app_names, weights=app_weights)

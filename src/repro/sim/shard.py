@@ -677,6 +677,11 @@ class FleetShard:
 class InlineShardHandle:
     """Direct in-process shard invocation (the single-process engine)."""
 
+    #: A call is no round trip, so piggybacking the next slot's open on
+    #: ``run_slot`` would save nothing — and cost a second open whenever an
+    #: arrival then lands on the slot.
+    piggyback_open = False
+
     def __init__(self, shard: FleetShard) -> None:
         self.shard = shard
         self._result: Any = None
@@ -834,6 +839,10 @@ class ProcessShardHandle:
             doorbell write) and ``ipc_recv`` (blocked on the shard's reply,
             which on a saturated machine includes the remote compute).
     """
+
+    #: Each exchange is a pipe round trip: ``run_slot`` may carry the next
+    #: slot's open back with it (:attr:`SlotExecReply.spec_open`).
+    piggyback_open = True
 
     def __init__(
         self,
@@ -1143,15 +1152,20 @@ def drive_fleet_loop(
             idle_users = batch.user_ids[~schedule]
             core.gaps[idle_users] += config.epsilon
             trace.decisions["idle"] += len(idle_users)
-            # Both selections are ascending (user_ids is), so one
-            # searchsorted against the shard upper bounds replaces a
-            # per-user bisect — and the slices ship as arrays, which
-            # pickle as one buffer instead of hundreds of ints.
             scheduled_users = batch.user_ids[schedule]
-            scheduled_by_shard = np.split(
-                scheduled_users, np.searchsorted(scheduled_users, shard_his)
-            )
-            idle_by_shard = np.split(idle_users, np.searchsorted(idle_users, shard_his))
+            if num_shards == 1:
+                scheduled_by_shard, idle_by_shard = [scheduled_users], [idle_users]
+            else:
+                # Both selections are ascending (user_ids is), so one
+                # searchsorted against the shard upper bounds replaces a
+                # per-user bisect — and the slices ship as arrays, which
+                # pickle as one buffer instead of hundreds of ints.
+                scheduled_by_shard = np.split(
+                    scheduled_users, np.searchsorted(scheduled_users, shard_his)
+                )
+                idle_by_shard = np.split(
+                    idle_users, np.searchsorted(idle_users, shard_his)
+                )
             timers.stop("policy", policy_tick)
 
         # 3. Advance every shard by one slot; each finisher's upload is
@@ -1166,7 +1180,8 @@ def drive_fleet_loop(
         )
         for handle, scheduled, idle in zip(handles, scheduled_by_shard, idle_by_shard):
             handle.post(
-                "run_slot", slot, scheduled, idle, tick_wanted, capture_users, speculate
+                "run_slot", slot, scheduled, idle, tick_wanted, capture_users,
+                speculate and handle.piggyback_open,
             )
         exec_replies = [handle.wait() for handle in handles]
         spec_opens = [reply.spec_open for reply in exec_replies]

@@ -10,6 +10,11 @@ they always were while the product engine itself has no mode switch.
 :class:`FrozenLocalTrainer` is the local training round exactly as it ran
 before the flat training plane (ISSUE 15): the reference the in-place
 ``FLClient.local_train`` must match bit for bit.
+
+:func:`dense_arrival_schedule` is the per-slot arrival generator — one
+scalar uniform per non-busy slot — that the product's sparse launch-event
+scan (``ArrivalSchedule.generate``) must reproduce bit for bit, generator
+state included.
 """
 
 from __future__ import annotations
@@ -18,7 +23,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.device.apps import ForegroundApp, sample_app
+from repro.energy.measurements import MeasurementTable
 from repro.fl.layers import Conv2D, Linear, _col2im
+from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.engine import SimulationEngine
 from repro.sim.reference import ReferenceLoopEngine
 
@@ -30,6 +38,42 @@ def make_engine(mode: str, config, policy, fast_forward: bool = True, **kwargs):
     if mode == "fleet":
         return SimulationEngine(config, policy, fast_forward=fast_forward, **kwargs)
     raise ValueError(f"unknown execution mode {mode!r}")
+
+
+# ---------------------------------------------------------------------------
+# Dense arrival generation
+# ---------------------------------------------------------------------------
+
+
+def dense_arrival_schedule(
+    num_users,
+    total_slots,
+    slot_seconds,
+    process,
+    device_specs,
+    rng,
+    table=None,
+    app_names=None,
+    app_weights=None,
+):
+    """``ArrivalSchedule.generate`` by one scalar draw per non-busy slot."""
+    processes = list(process) if isinstance(process, (list, tuple)) else [process] * num_users
+    table = table or MeasurementTable()
+    arrivals = {user: [] for user in range(num_users)}
+    for user in range(num_users):
+        busy_until = -1
+        for slot in range(total_slots):
+            if slot <= busy_until:
+                continue
+            if rng.random() >= processes[user].probability_at(slot, slot_seconds):
+                continue
+            spec = sample_app(rng, names=app_names, weights=app_weights)
+            duration_s = table.corun_time(device_specs[user].name, spec.name)
+            duration_slots = max(1, int(round(duration_s / slot_seconds)))
+            app = ForegroundApp(spec=spec, arrival_slot=slot, duration_slots=duration_slots)
+            arrivals[user].append(app)
+            busy_until = app.end_slot() - 1
+    return ArrivalSchedule(arrivals)
 
 
 # ---------------------------------------------------------------------------

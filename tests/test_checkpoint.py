@@ -388,6 +388,10 @@ class TestCheckpointStore:
         """v4 carried ``backend`` in meta.json and ``loop`` in coordinator.pkl."""
         self._assert_old_format_rejected(4)
 
+    def test_format_v5_store_is_rejected(self):
+        """v5 pickled the server and the policies with other attribute sets."""
+        self._assert_old_format_rejected(5)
+
     @pytest.mark.parametrize(
         "land",
         [

@@ -191,7 +191,7 @@ class TestOfflinePolicy:
 
     def test_requires_oracle(self, observation_factory):
         policy = OfflinePolicy(staleness_bound=100.0, window_slots=100)
-        policy._pending_observations[0] = observation_factory(user_id=0)
+        policy._remember(observation_factory(user_id=0))
         with pytest.raises(RuntimeError):
             policy.begin_slot(self._context(0))
 
@@ -213,7 +213,7 @@ class TestOfflinePolicy:
         policy.attach_oracle(_FakeOracle({}))
         policy.begin_slot(self._context(0))
         obs = observation_factory(user_id=0, slot=0, app_running=False)
-        policy._pending_observations[0] = obs
+        policy._remember(obs)
         policy.begin_slot(self._context(100))  # replan with the user pending
         assert policy.decide(observation_factory(user_id=0, slot=100)) is Decision.IDLE
 
@@ -224,7 +224,7 @@ class TestOfflinePolicy:
                                schedule_unmatched_immediately=True)
         policy.attach_oracle(_FakeOracle({}))
         obs = observation_factory(user_id=0, slot=0, app_running=False)
-        policy._pending_observations[0] = obs
+        policy._remember(obs)
         policy.begin_slot(self._context(0))
         assert policy.decide(obs) is Decision.SCHEDULE
 
@@ -257,7 +257,7 @@ class TestOfflinePolicy:
         policy = OfflinePolicy(staleness_bound=10.0, window_slots=200, gap_metric="lag")
         policy.attach_oracle(_FakeOracle({0: (50, "zoom"), 1: (60, "news")}))
         for user in (0, 1):
-            policy._pending_observations[user] = observation_factory(user_id=user)
+            policy._remember(observation_factory(user_id=user))
         policy.begin_slot(self._context(0))
         assert policy.solutions, "planning should have produced a knapsack solution"
         solution = policy.solutions[-1]

@@ -32,6 +32,8 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.shard import ShardedEngine, shard_bounds
 
+from oracle import dense_arrival_schedule
+
 PHONE_MIX = {"pixel2": 1.0 / 3, "nexus6": 1.0 / 3, "nexus6p": 1.0 / 3}
 
 
@@ -376,15 +378,13 @@ class TestSparseArrivals:
         specs = self._specs(num_users, seed)
         dense_rng = np.random.default_rng(seed)
         sparse_rng = np.random.default_rng(seed)
-        dense = ArrivalSchedule.generate(
+        dense = dense_arrival_schedule(
             num_users=num_users, total_slots=total_slots, slot_seconds=1.0,
-            process=process, device_specs=specs, rng=dense_rng,
-            method="dense", **kwargs,
+            process=process, device_specs=specs, rng=dense_rng, **kwargs,
         )
         sparse = ArrivalSchedule.generate(
             num_users=num_users, total_slots=total_slots, slot_seconds=1.0,
-            process=process, device_specs=specs, rng=sparse_rng,
-            method="sparse", **kwargs,
+            process=process, device_specs=specs, rng=sparse_rng, **kwargs,
         )
         for user in range(num_users):
             dense_apps = [
@@ -397,7 +397,7 @@ class TestSparseArrivals:
             ]
             assert dense_apps == sparse_apps
         # Equal stream positions: later users (and later components) see the
-        # same generator state whichever method produced the schedule.
+        # same generator state whichever generator produced the schedule.
         assert dense_rng.bit_generator.state == sparse_rng.bit_generator.state
         return dense
 
@@ -431,31 +431,11 @@ class TestSparseArrivals:
             app_weights=[1.0, 1.0, 0.5, 2.0, 2.0, 0.5, 6.0, 6.0],
         )
 
-    def test_auto_threshold_selects_sparse_transparently(self):
-        # Above the threshold "auto" must still equal the dense reference.
-        process = BernoulliArrivalProcess(0.005)
-        specs = self._specs(4, 0)
-        dense = ArrivalSchedule.generate(
-            num_users=4, total_slots=600_000, slot_seconds=1.0, process=process,
-            device_specs=specs, rng=np.random.default_rng(0), method="dense",
+    def test_long_horizon_equivalence(self):
+        # Hundreds of scan chunks and rewinds per user (megafleet volume).
+        self._compare(
+            BernoulliArrivalProcess(0.005), num_users=4, total_slots=600_000, seed=0
         )
-        auto = ArrivalSchedule.generate(
-            num_users=4, total_slots=600_000, slot_seconds=1.0, process=process,
-            device_specs=specs, rng=np.random.default_rng(0), method="auto",
-        )
-        for user in range(4):
-            assert [a.arrival_slot for a in auto.arrivals_for(user)] == [
-                a.arrival_slot for a in dense.arrivals_for(user)
-            ]
-
-    def test_generate_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="generation method"):
-            ArrivalSchedule.generate(
-                num_users=1, total_slots=10, slot_seconds=1.0,
-                process=BernoulliArrivalProcess(0.1),
-                device_specs=self._specs(1, 0),
-                rng=np.random.default_rng(0), method="fancy",
-            )
 
 
 class TestScheduleSlicing:
