@@ -9,9 +9,13 @@ layer follows the same protocol:
   activations,
 * ``backward(grad_out)`` returns the gradient with respect to the input and
   writes parameter gradients *into* the arrays of ``layer.grads`` (aligned
-  with ``layer.params``).  Inside a :class:`~repro.fl.model.Sequential`
-  both dicts hold views of the model's flat vectors, so a layer never
-  rebinds an entry after construction.
+  with ``layer.params``; every entry is overwritten, never accumulated).
+  Inside a :class:`~repro.fl.model.Sequential` both dicts hold views of the
+  model's flat vectors, so a layer never rebinds an entry after
+  construction,
+* ``backward_params(grad_out)`` is the same without the input gradient —
+  what the first layer of a stack needs, since nothing consumes the
+  gradient with respect to the data.
 
 Shapes follow the ``(batch, ...)`` convention; convolutional layers use
 ``(batch, channels, height, width)``.
@@ -56,6 +60,14 @@ class Layer:
         """Back-propagate ``grad_out`` and return the input gradient."""
         raise NotImplementedError
 
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """Write the parameter gradients, without the input gradient.
+
+        The default runs :meth:`backward` and drops its result; a layer whose
+        input gradient costs a product of its own overrides this.
+        """
+        self.backward(grad_out)
+
     def train_mode(self, training: bool = True) -> None:
         """Switch between training and evaluation behaviour (dropout only)."""
         self.training = training
@@ -83,12 +95,14 @@ class Linear(Layer):
         self._cache_x = x
         return x @ self.params["w"] + self.params["b"]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad_out: np.ndarray) -> None:
         if self._cache_x is None:
             raise RuntimeError("backward called before forward")
-        x = self._cache_x
-        np.matmul(x.T, grad_out, out=self.grads["w"])
+        np.matmul(self._cache_x.T, grad_out, out=self.grads["w"])
         grad_out.sum(axis=0, out=self.grads["b"])
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_out)
         return grad_out @ self.params["w"].T
 
 
@@ -245,15 +259,24 @@ class Conv2D(Layer):
         self._cache = (cols, x.shape, out_h, out_w)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def _write_grads(self, grad_out: np.ndarray) -> np.ndarray:
+        """Write the parameter gradients; returns ``grad_out`` as patch rows."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        cols, x_shape, out_h, out_w = self._cache
         grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        w_col = self.params["w"].reshape(self.out_channels, -1)
-        np.matmul(grad_flat.T, cols, out=self.grads["w"].reshape(self.out_channels, -1))
+        np.matmul(
+            grad_flat.T, self._cache[0], out=self.grads["w"].reshape(self.out_channels, -1)
+        )
         grad_flat.sum(axis=0, out=self.grads["b"])
-        grad_cols = grad_flat @ w_col
+        return grad_flat
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        self._write_grads(grad_out)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        grad_flat = self._write_grads(grad_out)
+        _, x_shape, out_h, out_w = self._cache
+        grad_cols = grad_flat @ self.params["w"].reshape(self.out_channels, -1)
         return _col2im(grad_cols, x_shape, self.kernel_size, self.stride, out_h, out_w)
 
 

@@ -83,14 +83,18 @@ class Sequential:
         return self.loss_fn.forward(logits, labels)
 
     def backward(self) -> None:
-        """Back-propagate the most recent loss through every layer."""
+        """Back-propagate the most recent loss through every layer.
+
+        The first layer writes its parameter gradients only: nothing consumes
+        the gradient with respect to the data.
+        """
         grad = self.loss_fn.backward()
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
+        self.layers[0].backward_params(grad)
 
     def train_step_gradients(self, x: np.ndarray, labels: np.ndarray) -> float:
-        """Compute the loss and populate every layer's gradients."""
-        self.zero_grads()
+        """Compute the loss and overwrite every layer's gradients."""
         loss = self.loss(x, labels)
         self.backward()
         return loss

@@ -38,6 +38,7 @@ from repro.device.models import DeviceSpec, build_device_fleet
 from repro.energy.battery import Battery
 from repro.energy.measurements import MeasurementTable
 from repro.energy.power_model import EnergyAccountant, PowerModel
+from repro.fl.blas import pin_blas_threads
 from repro.fl.client import FLClient
 from repro.fl.dataset import (
     SyntheticCifar10,
@@ -473,6 +474,8 @@ class Coordinator:
         self.config = config
         self.trace_level = trace_level
         self.timers = EngineTimers(enabled=profile)
+        # Before the first gemm of any mode (repro.fl.blas: the thread policy).
+        self.timers.blas_threads = pin_blas_threads()
         self.table = measurement_table or MeasurementTable()
         rngs = build_rngs(config)
         self.device_specs = build_device_fleet(
@@ -534,17 +537,20 @@ class Coordinator:
         accountant,
         final_battery_soc: List[float],
         worker_training_s: Sequence[float] = (),
+        worker_blas_threads: Sequence[Optional[int]] = (),
     ) -> SimulationResult:
         """The :class:`SimulationResult` of the finished run.
 
         ``worker_training_s`` (training seconds each shard *worker process*
         measured) rides beside the coordinator's buckets, never inside them:
         the coordinator was blocked in ``ipc_recv`` for those very seconds.
+        ``worker_blas_threads`` is the BLAS thread count of the same workers.
         """
         policy = self.policy
         task_queue = getattr(policy, "task_queue", None)
         virtual_queue = getattr(policy, "virtual_queue", None)
         self.timers.worker_training_s = list(worker_training_s)
+        self.timers.worker_blas_threads = list(worker_blas_threads)
         return SimulationResult(
             config=self.config,
             policy_name=policy.name,
@@ -638,6 +644,8 @@ class SimulationEngine(Coordinator):
             itself runs inside a process pool (the experiment runner does)
             so compute-bound threads do not oversubscribe the cores the
             pool already occupies.  Thread count never affects results.
+            BLAS is not part of this: it runs on one thread in every
+            process (:mod:`repro.fl.blas`).
         trace_level: telemetry volume (:data:`repro.sim.trace.TRACE_LEVELS`).
             ``full`` (default) records every series; ``summary`` keeps
             streamed aggregates only — no per-slot samples, no per-user gap

@@ -73,6 +73,7 @@ from repro.energy.measurements import MeasurementTable
 from repro.energy.power_model import PowerModel
 from repro.faults.retry import RetryPolicy, poll_intervals
 from repro.fl.batch import TrainAheadScheduler
+from repro.fl.blas import blas_threads, pin_blas_threads
 from repro.fl.client import FLClient, LocalUpdate
 from repro.fl.server import AsyncUpdateRule
 from repro.sim.arrivals import ArrivalSchedule
@@ -225,6 +226,8 @@ class ShardFinal:
     accountant: FleetEnergyAccountant
     final_battery_soc: List[float]
     training_seconds: float
+    #: BLAS threads in effect in the process that ran the shard.
+    blas_threads: Optional[int]
 
 
 def build_observation_batch(
@@ -370,6 +373,7 @@ class FleetShard:
         (already generated by the coordinator, whose ``arrivals`` stream it
         consumed).
         """
+        pin_blas_threads()  # a fresh worker process: before its first gemm
         rngs = build_rngs(config)
         device_specs = build_device_fleet(
             config.num_users,
@@ -666,6 +670,7 @@ class FleetShard:
             accountant=self.fleet.accountant,
             final_battery_soc=self.fleet.final_battery_soc(),
             training_seconds=float(self.timers.seconds.get("training", 0.0)),
+            blas_threads=blas_threads(),
         )
 
 
@@ -1556,8 +1561,11 @@ class ShardedEngine(Coordinator):
         trace_level: telemetry volume (see
             :class:`~repro.sim.engine.SimulationEngine`); ``summary`` is the
             intended setting for megafleet populations.
-        training_threads: per-worker batched-trainer threads (default 1 —
-            the shard processes already occupy the cores).
+        training_threads: per-worker block fan-out threads of the *batched*
+            trainer (default 1 — the shard processes already occupy the
+            cores).  Not BLAS threads: every process runs BLAS on one
+            thread (:mod:`repro.fl.blas`), so the serial trainer's only
+            parallelism is the shard processes themselves.
         start_method: ``multiprocessing`` start method; defaults to
             ``"fork"`` where available.
         inline: run the shards in-process through
@@ -1792,4 +1800,5 @@ class ShardedEngine(Coordinator):
             accountant,
             [soc for final in finals for soc in final.final_battery_soc],
             [] if nested else [final.training_seconds for final in finals],
+            [] if nested else [final.blas_threads for final in finals],
         )

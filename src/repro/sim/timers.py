@@ -55,6 +55,11 @@ class EngineTimers:
         #: Already inside ``ipc_recv`` — the coordinator was blocked on that
         #: worker — so reported beside the buckets, never added to them.
         self.worker_training_s: List[float] = []
+        #: BLAS threads in effect in this process (set where the thread
+        #: policy is applied, :mod:`repro.fl.blas`; ``None``: no known BLAS
+        #: library) and, per shard, in each worker process.
+        self.blas_threads: Optional[int] = None
+        self.worker_blas_threads: List[Optional[int]] = []
 
     def start(self) -> float:
         """Begin one timed section; returns the tick to pass to :meth:`stop`."""
@@ -97,11 +102,17 @@ class EngineTimers:
         shares = self.shares()
         if shares is None:
             return "profile: timers disabled or nothing recorded"
-        lines = [f"wall-clock profile ({self.total_s:.3f}s total)"]
+        lines = [
+            f"wall-clock profile ({self.total_s:.3f}s total, BLAS threads: {self.blas_threads})"
+        ]
         ordered = ("training", "policy", "eval", "ipc_send", "ipc_recv", "merge", "slot_loop")
         values = dict(self.seconds, slot_loop=self.slot_loop_s())
         for name in ordered:
             lines.append(f"  {name:<10} {values[name]:8.3f}s  {100.0 * shares[name]:5.1f}%")
-        for index, seconds in enumerate(self.worker_training_s):
-            lines.append(f"  shard {index} worker training {seconds:8.3f}s (in ipc_recv)")
+        for index, (seconds, threads) in enumerate(
+            zip(self.worker_training_s, self.worker_blas_threads)
+        ):
+            lines.append(
+                f"  shard {index} worker training {seconds:8.3f}s (in ipc_recv), BLAS threads: {threads}"
+            )
         return "\n".join(lines)

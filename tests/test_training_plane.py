@@ -22,7 +22,7 @@ import pytest
 from oracle import FrozenLocalTrainer
 from repro.fl.client import FLClient
 from repro.fl.dataset import SyntheticCifar10, partition_iid
-from repro.fl.layers import Dropout, Linear, ReLU
+from repro.fl.layers import Dropout, Layer, Linear, ReLU
 from repro.fl.model import Sequential, build_lenet5, build_mlp
 from repro.fl.optimizer import MomentumSGD
 from repro.sim import engine as engine_module
@@ -107,6 +107,38 @@ class TestLayerViews:
         _train_steps(restored, kind, steps=1, seed=9)
         _assert_bound(restored)
         assert np.array_equal(restored.flat_params, model.flat_params)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_step_overwrites_stale_gradients(self, kind):
+        # A train step does not zero the gradient vector first: every
+        # parametrised layer has to overwrite its segment.
+        clean, stale = _build(kind), _build(kind)
+        stale.flat_grads.fill(np.nan)
+        _train_steps(clean, kind, steps=1)
+        _train_steps(stale, kind, steps=1)
+        assert np.array_equal(clean.flat_grads, stale.flat_grads)
+
+    def test_first_layer_defining_only_backward_gets_its_gradients(self):
+        # Sequential.backward asks the first layer for backward_params only.
+        class Scale(Layer):
+            def __init__(self):
+                super().__init__()
+                self.params["s"] = np.full(1, 2.0)
+                self.grads["s"] = np.zeros(1)
+
+            def forward(self, x):
+                self._x = x
+                return x * self.params["s"]
+
+            def backward(self, grad_out):
+                self.grads["s"][0] = np.sum(grad_out * self._x)
+                return grad_out * self.params["s"]
+
+        x, labels = np.random.default_rng(0).normal(size=(4, 6)), np.array([0, 1, 2, 1])
+        model = Sequential([Scale(), Linear(6, 3, rng=np.random.default_rng(1))])
+        model.train_step_gradients(x, labels)
+        linear_grad = model.loss_fn.backward() @ model.layers[1].params["w"].T
+        assert model.layers[0].grads["s"][0] == np.sum(linear_grad * x) != 0.0
 
     def test_set_flat_params_checks_length_and_never_aliases(self):
         model = _build("mlp")
