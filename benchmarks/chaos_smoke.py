@@ -10,6 +10,9 @@ experiment service:
    and replay from its last snapshot) and one checkpoint save is corrupted
    (save-time verification must fail the attempt and the service's retry
    timer must resume the job from the last *good* snapshot — no operator).
+   Both services keep two snapshots (``keep_last=2``) and both faults land
+   after the third, so the snapshots recovered from leave vectors in the
+   packs earlier snapshots wrote (checkpoint format v7).
 
 The gate fails unless the chaos job ends ``done`` on its own, every fault in
 the plan actually fired, every headline metric is **bitwise identical** to
@@ -133,6 +136,7 @@ def main(argv=None) -> int:
     reference_service = ExperimentService(
         os.path.join(root, "reference"),
         checkpoint_every=args.checkpoint_every,
+        keep_last=2,
     )
     reference_record = reference_service.submit(spec, enqueue=False)
     if reference_service.run_job(reference_record.id).state != "done":
@@ -151,6 +155,7 @@ def main(argv=None) -> int:
         os.path.join(root, "chaos"),
         workers=1,
         checkpoint_every=args.checkpoint_every,
+        keep_last=2,
         retry=RetryPolicy(max_attempts=3, base_delay_s=0.2, cap_s=2.0),
         fault_plan=plan,
     )

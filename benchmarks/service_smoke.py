@@ -8,7 +8,10 @@ The gate exercises the full service stack the way an operator would:
 2. **Crash** — ``repro-sim serve`` boots as a subprocess, the same scenario
    is submitted over HTTP, and once the job's periodic auto-checkpoint has
    passed ``--kill-after-slots`` the server is killed with ``SIGKILL`` —
-   no shutdown hook, no final checkpoint, exactly a machine loss.
+   no shutdown hook, no final checkpoint, exactly a machine loss.  The
+   server keeps two snapshots (``--keep-last 2``) and the kill waits for the
+   third, so the snapshot resumed from leaves vectors in the packs earlier
+   snapshots wrote (checkpoint format v7).
 3. **Resume** — ``repro-sim jobs resume <id>`` continues the job from its
    last on-disk checkpoint in a fresh process.  The gate fails unless every
    headline metric of the resumed run is **bitwise identical** to the
@@ -112,9 +115,11 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, default=8931)
     parser.add_argument("--checkpoint-every", type=int, default=1000,
                         help="auto-checkpoint interval in slots")
-    parser.add_argument("--kill-after-slots", type=int, default=2000,
+    parser.add_argument("--kill-after-slots", type=int, default=3000,
                         help="SIGKILL the server once a checkpoint at or "
-                             "past this slot has landed")
+                             "past this slot has landed (default: the third "
+                             "snapshot, which leaves vectors in the packs "
+                             "the first two wrote)")
     parser.add_argument("--max-overhead", type=float, default=2.5,
                         help="fail when (crashed + resumed) wall-clock "
                              "exceeds this factor times the uninterrupted "
@@ -155,7 +160,8 @@ def main(argv=None) -> int:
     server = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--root", root,
          "--port", str(args.port), "--workers", "1",
-         "--checkpoint-every", str(args.checkpoint_every)],
+         "--checkpoint-every", str(args.checkpoint_every),
+         "--keep-last", "2"],
         env=env, cwd=repo,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )

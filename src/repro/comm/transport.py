@@ -11,9 +11,11 @@ low-bandwidth what-if studies remain possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
+import numpy as np
+
+from repro.columns import ColumnLog
 from repro.comm.messages import (
     DEFAULT_MODEL_SIZE_MB,
     ModelDownload,
@@ -50,8 +52,23 @@ class ModelTransport:
         self.network = network
         self.model_size_mb = model_size_mb
         self.account_radio_energy = account_radio_energy
-        self.records: List[TransferRecord] = []
+        #: One row per transfer, in call order (read it as :attr:`records`).
+        self.transfers = ColumnLog(
+            user_id=np.int64,
+            direction=object,
+            size_mb=np.float64,
+            start_time_s=np.float64,
+            duration_s=np.float64,
+            network_type=object,
+            succeeded=np.bool_,
+            failure_reason=object,
+        )
         self.radio_energy_j = 0.0
+
+    @property
+    def records(self) -> List[TransferRecord]:
+        """Every transfer so far, in call order."""
+        return [TransferRecord(*row) for row in self.transfers.rows()]
 
     # -- duration model ------------------------------------------------------------
 
@@ -74,36 +91,24 @@ class ModelTransport:
         condition: NetworkCondition,
         throughput_mbps: float,
     ) -> TransferRecord:
+        network_type = condition.network_type.value
         if not condition.connected:
-            record = TransferRecord(
-                user_id=user_id,
-                direction=direction,
-                size_mb=self.model_size_mb,
-                start_time_s=start_time_s,
-                duration_s=0.0,
-                network_type=condition.network_type.value,
-                succeeded=False,
-                failure_reason="offline",
+            row = (
+                user_id, direction, self.model_size_mb, start_time_s, 0.0,
+                network_type, False, "offline",
             )
         else:
             duration = self.transfer_duration_s(
                 self.model_size_mb, throughput_mbps, condition.rtt_ms
             )
-            record = TransferRecord(
-                user_id=user_id,
-                direction=direction,
-                size_mb=self.model_size_mb,
-                start_time_s=start_time_s,
-                duration_s=duration,
-                network_type=condition.network_type.value,
-                succeeded=True,
+            row = (
+                user_id, direction, self.model_size_mb, start_time_s, duration,
+                network_type, True, None,
             )
             if self.account_radio_energy:
-                self.radio_energy_j += (
-                    RADIO_POWER_W[record.network_type] * record.duration_s
-                )
-        self.records.append(record)
-        return record
+                self.radio_energy_j += RADIO_POWER_W[network_type] * duration
+        self.transfers.append(row)
+        return TransferRecord(*row)
 
     # -- public API ------------------------------------------------------------------
 
@@ -125,15 +130,20 @@ class ModelTransport:
 
     def total_bytes_mb(self) -> float:
         """Total megabytes moved by successful transfers."""
-        return sum(r.size_mb for r in self.records if r.succeeded)
+        return sum(self._succeeded("size_mb"))
 
     def failure_count(self) -> int:
         """Number of failed transfers."""
-        return sum(1 for r in self.records if not r.succeeded)
+        succeeded = self.transfers.column("succeeded")
+        return int(succeeded.size - np.count_nonzero(succeeded))
 
     def mean_duration_s(self) -> float:
         """Mean duration of successful transfers (0 when none)."""
-        durations = [r.duration_s for r in self.records if r.succeeded]
+        durations = self._succeeded("duration_s")
         if not durations:
             return 0.0
         return sum(durations) / len(durations)
+
+    def _succeeded(self, name: str) -> List[float]:
+        """One column over the successful transfers, in call order."""
+        return self.transfers.column(name)[self.transfers.column("succeeded")].tolist()

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.columns import ColumnLog
 from repro.core.policies import (
     Aggregation,
     Decision,
@@ -236,18 +237,18 @@ class OnlinePolicy(SchedulingPolicy):
         self.messages_to_server = 0
         #: Count of scalar values sent server -> user (lag, queue backlogs).
         self.messages_to_users = 0
-        #: One ``(slot, user_ids, schedule)`` entry per decided ready pool
-        #: (per decision on the per-user path); read it as
+        #: One row per decision, in decision order; read it as
         #: :attr:`decision_log`.
-        self._decision_log: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        self._decision_log = ColumnLog(
+            slot=np.int64, user_id=np.int64, schedule=np.bool_
+        )
 
     @property
     def decision_log(self) -> List[Tuple[int, int, Decision]]:
         """Every decision so far as ``(slot, user_id, decision)``, in order."""
         return [
             (slot, user, Decision.SCHEDULE if flag else Decision.IDLE)
-            for slot, users, schedule in self._decision_log
-            for user, flag in zip(users.tolist(), schedule.tolist())
+            for slot, user, flag in self._decision_log.rows()
         ]
 
     # -- SchedulingPolicy interface ------------------------------------------------
@@ -272,11 +273,7 @@ class OnlinePolicy(SchedulingPolicy):
             observation, self.task_queue.length, self.virtual_queue.length
         )
         self._decision_log.append(
-            (
-                observation.slot,
-                np.array([observation.user_id]),
-                np.array([decision is Decision.SCHEDULE]),
-            )
+            (observation.slot, observation.user_id, decision is Decision.SCHEDULE)
         )
         return decision
 
@@ -322,9 +319,9 @@ class OnlinePolicy(SchedulingPolicy):
                     schedule[index] = False
                     continue
             coupling.record(index)
-        # Copies: the batch columns may be views over a transport buffer and
-        # the caller owns ``schedule``.
-        self._decision_log.append((batch.slot, batch.user_ids.copy(), schedule.copy()))
+        # The log copies: the batch columns may be views over a transport
+        # buffer and the caller owns ``schedule``.
+        self._decision_log.extend(np.full(n, batch.slot), batch.user_ids, schedule)
         return schedule
 
     def end_slot(self, context: SlotContext, num_scheduled: int, gap_sum: float) -> None:

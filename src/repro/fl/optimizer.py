@@ -53,6 +53,9 @@ class MomentumSGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity: Optional[np.ndarray] = None
+        #: A snapshot holds ``_velocity`` (:meth:`lend_velocity`): the next
+        #: step must rebind it, not write into it.
+        self._lent = False
 
     @property
     def velocity(self) -> Optional[np.ndarray]:
@@ -68,10 +71,22 @@ class MomentumSGD:
     def reset(self) -> None:
         """Clear the momentum state."""
         self._velocity = None
+        self._lent = False
 
     def load_velocity(self, velocity: Optional[np.ndarray]) -> None:
         """Restore a previously-saved momentum vector (e.g. across rounds)."""
         self._velocity = None if velocity is None else velocity.copy()
+        self._lent = False
+
+    def lend_velocity(self) -> Optional[np.ndarray]:
+        """The momentum vector itself, for a snapshot to keep without copying.
+
+        The array is never written again: the next :meth:`step` continues on
+        a private copy (copy-on-write), so the caller may hold it for as
+        long as it likes and must treat it as read-only.
+        """
+        self._lent = self._velocity is not None
+        return self._velocity
 
     def step(self, model: Sequential) -> None:
         """Apply one update, in place, using the gradients stored in ``model``."""
@@ -94,6 +109,9 @@ class MomentumSGD:
         scratch = grads * (1.0 - self.momentum)
         if self._velocity is None:
             self._velocity = np.zeros_like(params)
+        elif self._lent:
+            self._velocity = self._velocity.copy()
+            self._lent = False
         self._velocity *= self.momentum
         self._velocity += scratch
         return np.multiply(self._velocity, self.learning_rate, out=scratch)

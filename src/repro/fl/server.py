@@ -21,15 +21,17 @@ bookkeeping the schedulers need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.columns import ColumnLog
+from repro.core.staleness import gradient_gap_from_params
 from repro.fl.client import LocalUpdate
 
-__all__ = ["AsyncUpdateRule", "ServerUpdate", "ParameterServer"]
+__all__ = ["AsyncUpdateRule", "ServerUpdate", "ParameterServer", "new_update_log"]
 
 
 class AsyncUpdateRule(str, Enum):
@@ -56,7 +58,12 @@ class AsyncUpdateRule(str, Enum):
 
 @dataclass
 class ServerUpdate:
-    """Record of one update applied to the global model."""
+    """Record of one update applied to the global model.
+
+    The one row type of the applied-update log: the server's
+    :attr:`ParameterServer.update_log` and the trace's ``update_samples``
+    are both views of the same rows.
+    """
 
     time_s: float
     user_id: int
@@ -65,6 +72,19 @@ class ServerUpdate:
     gradient_gap: float
     train_loss: float
     sync_round: bool = False
+
+
+def new_update_log() -> ColumnLog:
+    """An empty applied-update log: one column per :class:`ServerUpdate` field."""
+    return ColumnLog(
+        time_s=np.float64,
+        user_id=np.int64,
+        version_before=np.int64,
+        lag=np.int64,
+        gradient_gap=np.float64,
+        train_loss=np.float64,
+        sync_round=np.bool_,
+    )
 
 
 class ParameterServer:
@@ -93,7 +113,9 @@ class ParameterServer:
         self.async_rule = AsyncUpdateRule(async_rule)
         self.mixing_alpha = mixing_alpha
         self.version = 0
-        self.update_log: List[ServerUpdate] = []
+        #: One row per applied update, in application order (read it as
+        #: :attr:`update_log`); the engine's trace reads the same rows.
+        self.updates = new_update_log()
         self._inflight: Dict[int, float] = {}
         self._download_versions: Dict[int, int] = {}
         self._index_inflight()
@@ -135,6 +157,29 @@ class ParameterServer:
     def num_updates(self) -> int:
         """Number of updates applied so far (the version counter)."""
         return self.version
+
+    @property
+    def update_log(self) -> List[ServerUpdate]:
+        """Every applied update so far, in application order."""
+        return [ServerUpdate(*row) for row in self.updates.rows()]
+
+    def _log_update(
+        self,
+        update: LocalUpdate,
+        time_s: float,
+        lag: int,
+        gradient_gap: float,
+        sync_round: bool,
+    ) -> ServerUpdate:
+        """Count one applied update: version, log row, in-flight index."""
+        row = (
+            time_s, update.user_id, self.version, lag, gradient_gap,
+            update.train_loss, sync_round,
+        )
+        self.version += 1
+        self.updates.append(row)
+        self.unregister_inflight(update.user_id)
+        return ServerUpdate(*row)
 
     # -- download / lag bookkeeping ------------------------------------------------------
 
@@ -318,18 +363,7 @@ class ParameterServer:
             else:  # STALENESS_WEIGHTED
                 alpha = self.mixing_alpha / (1.0 + lag)
                 self._params = (1.0 - alpha) * self._params + alpha * update.params
-        record = ServerUpdate(
-            time_s=time_s,
-            user_id=update.user_id,
-            version_before=self.version,
-            lag=lag,
-            gradient_gap=gradient_gap,
-            train_loss=update.train_loss,
-        )
-        self.version += 1
-        self.update_log.append(record)
-        self.unregister_inflight(update.user_id)
-        return record
+        return self._log_update(update, time_s, lag, gradient_gap, sync_round=False)
 
     # -- synchronous (FedAvg) rounds -------------------------------------------------------------
 
@@ -345,6 +379,10 @@ class ParameterServer:
         all trained from the server's *current* parameters (the version only
         advances inside this method), so an absent ``params`` is
         reconstructed as ``global + delta``.
+
+        In lock-step aggregation the gradient gap is the movement of the
+        global model over the round (sampled "at the time of aggregation",
+        Fig. 5a); every member's record carries that same value.
         """
         if not updates:
             raise ValueError("a synchronous round needs at least one update")
@@ -364,30 +402,20 @@ class ParameterServer:
                         "wrong — upload with include_params=True instead"
                     )
             stacked = self._params[None, :] + np.stack([u.delta for u in updates])
+        before = self._params
         self._params = (weights[:, None] * stacked).sum(axis=0)
-        records = []
-        for update in updates:
-            record = ServerUpdate(
-                time_s=time_s,
-                user_id=update.user_id,
-                version_before=self.version,
-                lag=0,
-                gradient_gap=0.0,
-                train_loss=update.train_loss,
-                sync_round=True,
-            )
-            self.version += 1
-            self.update_log.append(record)
-            self.unregister_inflight(update.user_id)
-            records.append(record)
-        return records
+        round_gap = gradient_gap_from_params(before, self._params)
+        return [
+            self._log_update(update, time_s, 0, round_gap, sync_round=True)
+            for update in updates
+        ]
 
     # -- diagnostics -------------------------------------------------------------------------------
 
     def lag_history(self) -> List[int]:
         """Lag of every applied update, in application order."""
-        return [u.lag for u in self.update_log]
+        return self.updates.column("lag").tolist()
 
     def gap_history(self) -> List[float]:
         """Gradient gap of every applied update, in application order."""
-        return [u.gradient_gap for u in self.update_log]
+        return self.updates.column("gradient_gap").tolist()

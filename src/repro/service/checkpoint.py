@@ -29,23 +29,28 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import logging
 import os
 import pickle
 import shutil
 import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
+
+import numpy as np
 
 from repro.sim.config import SimulationConfig
 
@@ -65,10 +70,15 @@ __all__ = [
 ]
 
 #: Bumped whenever the on-disk layout or the state dicts change shape.
-#: v6: the pickled attribute sets of ``ParameterServer`` (derived in-flight
-#: index, rebuilt on load), ``OnlinePolicy`` (array decision log) and
-#: ``OfflinePolicy`` (per-user plan / pending columns) changed.
-CHECKPOINT_FORMAT_VERSION = 6
+#: v7: write-once vectors (``vectors.bin`` packs referenced across
+#: snapshots), slices without base parameters, column logs.
+CHECKPOINT_FORMAT_VERSION = 7
+
+#: One INFO record per save, one WARNING per failed verification.  Silent
+#: unless the application configures a handler (the NullHandler keeps
+#: ``logging.lastResort`` from printing the warnings to stderr).
+logger = logging.getLogger(__name__)
+logger.addHandler(logging.NullHandler())
 
 
 class CheckpointError(RuntimeError):
@@ -100,17 +110,21 @@ class CoordinatorState:
     """The coordinator-side coupling state of one checkpoint, serialised once.
 
     ``payload`` is the nine coupled objects pickled by *one* ``dumps`` call,
-    so references shared between them — the one view of a model version
-    that every user who downloaded it pins — are shared again in whatever
-    :meth:`materialize` returns.  The bytes are the isolated snapshot: the
-    live run cannot reach them, :class:`CheckpointStore` writes them as
-    they are, and every :meth:`materialize` unpickles a fresh object graph,
-    so restores of one in-memory checkpoint never alias each other.  The
-    other fields are the progress scalars of a telemetry frame, read from
-    the live core at capture so reporting never unpickles a snapshot.
+    so references shared between them (the update log the server writes and
+    the trace reads) are shared again in whatever :meth:`materialize`
+    returns.  The pinned bases are factored out: the payload says which
+    model *version* each user pinned, ``vectors`` holds each pinned version's
+    parameter vector once, as the server handed it out — it rebinds and
+    never mutates a historical vector, so the live run can reach neither
+    part.  :class:`CheckpointStore` writes the bytes as they are; every
+    :meth:`materialize` unpickles a fresh graph over fresh vector copies, so
+    restores of one checkpoint never alias each other.  The other fields are
+    a telemetry frame's progress scalars, read from the live core at capture
+    so reporting never unpickles a snapshot.
     """
 
     payload: bytes
+    vectors: Dict[int, np.ndarray]
     timer_seconds: Dict[str, float]
     num_updates: int
     accuracy: Optional[float]
@@ -136,8 +150,10 @@ class CoordinatorState:
         samples = core.accuracy.samples
         task_queue = getattr(core.policy, "task_queue", None)
         virtual_queue = getattr(core.policy, "virtual_queue", None)
+        unit, vectors = core.checkpoint_unit()
         return cls(
-            payload=_pickled(core.checkpoint_unit()),
+            payload=_pickled(unit),
+            vectors=vectors,
             timer_seconds=dict(timers.seconds),
             num_updates=core.server.num_updates(),
             accuracy=samples[-1].accuracy if samples else None,
@@ -148,10 +164,15 @@ class CoordinatorState:
 
     def materialize(self) -> "MaterializedCoordinator":
         """A fresh, un-aliased copy of the coupling state for one restore."""
-        return MaterializedCoordinator(
-            **dict(zip(self._FIELDS, pickle.loads(self.payload))),
-            timer_seconds=dict(self.timer_seconds),
-        )
+        fields = dict(zip(self._FIELDS, pickle.loads(self.payload)))
+        vectors = {}
+        for version, vector in self.vectors.items():
+            vectors[version] = vector.copy()
+            vectors[version].flags.writeable = False
+        fields["pinned_base"] = {
+            user: vectors[version] for user, version in fields["pinned_base"].items()
+        }
+        return MaterializedCoordinator(**fields, timer_seconds=dict(self.timer_seconds))
 
 
 @dataclass
@@ -339,6 +360,7 @@ def reslice(slices: Sequence[dict], bounds: Sequence[Tuple[int, int]]) -> List[d
     full_fleet = {k: concat(("fleet", k)) for k in fleet_keys}
     full_acct = {k: concat(("fleet", "accountant", k)) for k in acct_keys}
     full_clients = concat(("clients",))
+    full_velocities = concat(("velocities",))
     full_pending: Dict[int, tuple] = {}
     full_trained: Dict[int, object] = {}
     for piece in slices:
@@ -372,6 +394,7 @@ def reslice(slices: Sequence[dict], bounds: Sequence[Tuple[int, int]]) -> List[d
                 "hi": hi,
                 "fleet": fleet,
                 "clients": full_clients[a:b],
+                "velocities": full_velocities[a:b],
                 "pending": {u: v for u, v in full_pending.items() if lo <= u < hi},
                 "trained": {u: v for u, v in full_trained.items() if lo <= u < hi},
             }
@@ -380,29 +403,36 @@ def reslice(slices: Sequence[dict], bounds: Sequence[Tuple[int, int]]) -> List[d
 
 
 class CheckpointStore:
-    """On-disk layout of one run's checkpoints: a manifest plus snapshots.
+    """On-disk layout of one run's checkpoints: a manifest plus snapshots
+    (format v7; layout, retention and compaction in ``docs/service.md``).
 
-    Every snapshot lands in its own fresh ``snapshot-<seq>/`` directory:
-    each contiguous user slice gets its own ``users_<lo>_<hi>.pkl``, the
-    coordinator writes ``coordinator.pkl`` (config + coupling state), and
-    ``meta.json`` records the slot coordinates
-    plus a sha256 checksum of every file.  Each file is serialised once in
-    memory; its checksum is computed from those bytes, and the written file
-    is read back and compared with them byte for byte before publication —
-    so a torn or altered write is caught at save time, not hashed into a
-    consistent-looking checksum.  Only then is ``manifest.json`` flipped
-    via an atomic rename to name the directory as ``latest``.  Pickles of
-    published snapshots are never reopened or truncated, so a crash,
-    SIGKILL or detected corruption at *any* point mid-save leaves the
-    manifest referencing the previous complete, loadable snapshot.
+    *What is immutable once produced is written once*: a client's momentum
+    vector after ``r`` rounds and the parameter vector of model version ``v``
+    never change, so ``(user, rounds_completed)`` and ``version`` name their
+    content.  Every snapshot lands in its own fresh ``snapshot-<seq>/``:
+    the *heads* ``users_<lo>_<hi>.pkl`` / ``coordinator.pkl`` (everything
+    but the vectors, in full), the *pack* ``vectors.bin`` (the vectors no
+    pack of the previous snapshot holds, end to end) and ``meta.json``
+    (slot coordinates, a sha256 per head, and per vector the directory whose
+    pack holds it, offset, length and sha256).  References come only from
+    the snapshot this object last saved or loaded — the same run by
+    construction — and a pack that a snapshot would use less than half of
+    is re-written into its own, so a snapshot's packs stay within twice its
+    vectors.
 
-    Retention: the manifest carries the set of retained snapshots — the
-    newest ``keep_last`` plus every slot-milestone snapshot
-    (``slot % keep_every_slots == 0``) — so week-long horizons can keep
-    periodic restore points without unbounded disk growth.  Pruning runs
-    after the manifest flip and deletes only directories outside the new
-    retention set; a crash mid-prune merely leaves extra directories for
-    the next successful save to collect.
+    Each file is serialised once; its checksum comes from those bytes, and
+    the written file is read back and compared with them before
+    ``manifest.json`` (which carries each retained ``meta.json``'s sha256)
+    flips via an atomic rename.  Published files are never reopened for
+    writing, so a crash, SIGKILL or detected corruption at *any* point
+    mid-save leaves the previous snapshot the loadable one.  :meth:`load`
+    checks every byte it uses against a recorded sha256 and raises
+    :class:`CheckpointError` for anything unreadable.
+
+    Retention: the newest ``keep_last`` snapshots plus every slot milestone
+    (``slot % keep_every_slots == 0``).  Pruning runs after the flip and
+    deletes only what no retained snapshot is or references; a crash
+    mid-prune leaves extras for the next successful save to collect.
 
     Args:
         root: store directory.
@@ -411,14 +441,22 @@ class CheckpointStore:
             a multiple of this, or ``None`` for recency-only retention.
         fault_injector: optional :class:`~repro.faults.plan.FaultInjector`
             consulted once per save; an armed ``corrupt_checkpoint`` event
-            flips bytes in the just-written snapshot (caught by
-            verification), ``disk_full`` raises ``OSError(ENOSPC)`` before
-            the manifest flip.
+            flips bytes in the just-written ``coordinator.pkl`` (caught by
+            verification), ``disk_full`` raises ``OSError(ENOSPC)`` after
+            the slice heads and the pack, before the manifest flip.
+
+    Attributes:
+        last_save: what the last successful :meth:`save` did — ``slot``,
+            ``snapshot``, ``bytes_written``, ``bytes_referenced`` (vectors
+            left where an earlier snapshot wrote them), ``seconds`` and
+            ``pruned`` directories; also logged at INFO.
     """
 
     MANIFEST = "manifest.json"
     SNAPSHOT_PREFIX = "snapshot-"
     META = "meta.json"
+    PACK = "vectors.bin"
+    HEAD = "coordinator.pkl"
 
     def __init__(
         self,
@@ -435,6 +473,12 @@ class CheckpointStore:
         self.keep_last = keep_last
         self.keep_every_slots = keep_every_slots
         self.fault_injector = fault_injector
+        self.last_save: Optional[Dict[str, Any]] = None
+        #: Where the snapshot last saved or loaded keeps each of its vectors:
+        #: ``key -> (directory, offset, length, sha256)``.
+        self._held: Dict[str, Tuple[str, int, int, str]] = {}
+        #: Size of the pack of every directory ``_held`` names.
+        self._pack_bytes: Dict[str, int] = {}
 
     def exists(self) -> bool:
         return (self.root / self.MANIFEST).is_file()
@@ -471,7 +515,7 @@ class CheckpointStore:
         return manifest
 
     def _retained(self, entries: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Apply the retention policy to ``[{"dir", "slot"}, ...]`` entries."""
+        """Apply the retention policy to ``[{"dir", "slot", ...}, ...]`` entries."""
         entries = sorted(entries, key=lambda e: e["dir"])
         keep = {e["dir"] for e in entries[-self.keep_last:]}
         if self.keep_every_slots is not None:
@@ -483,6 +527,7 @@ class CheckpointStore:
         return [e for e in entries if e["dir"] in keep]
 
     def save(self, checkpoint: EngineCheckpoint) -> None:
+        started = time.perf_counter()  # reprolint: allow(wall-clock): save-duration reporting, not sim state
         self.root.mkdir(parents=True, exist_ok=True)
         snapshot = self._next_snapshot_dir()
         snapshot.mkdir()
@@ -502,27 +547,49 @@ class CheckpointStore:
             "slices": [],
             "checksums": {},
         }
+
+        def write_head(name: str, obj: Any, corrupt: bool = False) -> None:
+            data = _pickled(obj)
+            _write_verified(snapshot / name, [data], corrupt=corrupt)
+            meta["checksums"][name] = hashlib.sha256(data).hexdigest()
+
         for piece in checkpoint.slices:
             name = f"users_{piece['lo']}_{piece['hi']}.pkl"
-            meta["checksums"][name] = _write_verified(snapshot / name, _pickled(piece))
+            write_head(name, {k: v for k, v in piece.items() if k != "velocities"})
             meta["slices"].append({"lo": piece["lo"], "hi": piece["hi"], "file": name})
+
+        placed, packs, pack = self._place(_keyed_vectors(checkpoint), snapshot.name)
+        if pack:
+            _write_verified(snapshot / self.PACK, pack)
+        meta["packs"] = {d: {"bytes": size, "rows": []} for d, size in packs.items()}
+        for key, (directory, offset, length, sha) in placed.items():
+            meta["packs"][directory]["rows"].append([key, offset, length, sha])
         if injected == "disk_full":
             raise OSError(
                 errno.ENOSPC, f"injected disk_full while saving {snapshot.name}"
             )
-        meta["checksums"]["coordinator.pkl"] = _write_verified(
-            snapshot / "coordinator.pkl",
-            _pickled(
-                {"config": checkpoint.config, "coordinator": checkpoint.coordinator}
-            ),
+        write_head(
+            self.HEAD,
+            {
+                "config": checkpoint.config,
+                "coordinator": replace(checkpoint.coordinator, vectors={}),
+            },
             corrupt=injected == "corrupt_checkpoint",
         )
-        (snapshot / self.META).write_text(json.dumps(meta, indent=2))
+        meta_bytes = json.dumps(meta).encode()
+        _write_verified(snapshot / self.META, [meta_bytes])
 
         entries: List[Dict[str, Any]] = []
         if self.exists():
             entries = list(self._read_manifest().get("retained", []))
-        entries.append({"dir": snapshot.name, "slot": checkpoint.slot})
+        entries.append(
+            {
+                "dir": snapshot.name,
+                "slot": checkpoint.slot,
+                "meta_sha256": hashlib.sha256(meta_bytes).hexdigest(),
+                "refs": sorted(set(packs) - {snapshot.name}),
+            }
+        )
         retained = self._retained(entries)
         manifest = {
             "format_version": checkpoint.format_version,
@@ -532,10 +599,74 @@ class CheckpointStore:
         tmp = self.root / (self.MANIFEST + ".tmp")
         tmp.write_text(json.dumps(manifest, indent=2))
         os.replace(tmp, self.root / self.MANIFEST)
-        keep = {entry["dir"] for entry in retained}
-        for stale in self._snapshot_dirs():
-            if stale.name not in keep:
-                shutil.rmtree(stale, ignore_errors=True)
+        self._held, self._pack_bytes = placed, packs
+        self.last_save = {
+            "slot": checkpoint.slot,
+            "snapshot": snapshot.name,
+            "bytes_written": sum(file.stat().st_size for file in snapshot.iterdir()),
+            "bytes_referenced": sum(
+                length for d, _, length, _ in placed.values() if d != snapshot.name
+            ),
+            "pruned": self._prune(retained),
+            "seconds": time.perf_counter() - started,  # reprolint: allow(wall-clock): save-duration reporting, not sim state
+        }
+        logger.info(
+            "checkpoint saved: slot=%(slot)d snapshot=%(snapshot)s "
+            "bytes_written=%(bytes_written)d bytes_referenced=%(bytes_referenced)d "
+            "seconds=%(seconds).4f pruned=%(pruned)s",
+            self.last_save,
+        )
+
+    def _place(
+        self, vectors: Dict[str, np.ndarray], own: str
+    ) -> Tuple[Dict[str, Tuple[str, int, int, str]], Dict[str, int], List[memoryview]]:
+        """Place the vectors of a new snapshot (directory ``own``): one the
+        previous snapshot holds stays put unless that uses less than half of
+        its pack; the rest become rows of the own pack.  Returns ``key ->
+        (directory, offset, length, sha256)``, the size of every pack named,
+        and the own pack's rows in write order."""
+        held = {key: self._held[key] for key in vectors if key in self._held}
+        used: Dict[str, int] = {}
+        for directory, _, length, _ in held.values():
+            used[directory] = used.get(directory, 0) + length
+        placed = {
+            key: entry
+            for key, entry in held.items()
+            if 2 * used[entry[0]] >= self._pack_bytes[entry[0]]
+        }
+        packs = {entry[0]: self._pack_bytes[entry[0]] for entry in placed.values()}
+        pack: List[memoryview] = []
+        size = 0
+        for key, vector in vectors.items():
+            if key not in placed:
+                if vector.dtype != np.float64 or vector.ndim != 1:
+                    raise TypeError(f"checkpoint vector {key} is not flat float64")
+                row = memoryview(np.ascontiguousarray(vector)).cast("B")
+                placed[key] = (own, size, len(row), hashlib.sha256(row).hexdigest())
+                pack.append(row)
+                size += len(row)
+        if pack:
+            packs[own] = size
+        return placed, packs, pack
+
+    def _prune(self, retained: List[Dict[str, Any]]) -> List[str]:
+        """Delete what no retained snapshot needs; returns the directories
+        removed.  A directory that is no longer a retained snapshot but whose
+        pack one still references keeps only that pack."""
+        snapshots = {entry["dir"] for entry in retained}
+        referenced = {ref for entry in retained for ref in entry["refs"]}
+        pruned = []
+        for path in sorted(self._snapshot_dirs()):
+            if path.name in snapshots:
+                continue
+            if path.name in referenced:
+                for file in path.iterdir():
+                    if file.name != self.PACK:
+                        file.unlink(missing_ok=True)
+            else:
+                shutil.rmtree(path, ignore_errors=True)
+                pruned.append(path.name)
+        return pruned
 
     def retained_slots(self) -> List[int]:
         """Slots of the snapshots the manifest currently retains."""
@@ -545,19 +676,35 @@ class CheckpointStore:
 
     def load(self) -> EngineCheckpoint:
         manifest = self._read_manifest()
-        snapshot = self.root / manifest["latest"]
-        meta = json.loads((snapshot / self.META).read_text())
-        files: Dict[str, Any] = {}
-        for name, expected in meta["checksums"].items():
-            data = (snapshot / name).read_bytes()
-            if hashlib.sha256(data).hexdigest() != expected:
-                raise CheckpointError(
-                    f"checkpoint snapshot {snapshot.name} is corrupt on disk: "
-                    f"{name} does not match its recorded checksum"
-                )
-            files[name] = pickle.loads(data)
-        head = files["coordinator.pkl"]
-        return EngineCheckpoint(
+        name = manifest["latest"]
+        entry = next((e for e in manifest["retained"] if e["dir"] == name), None)
+        if entry is None:
+            raise _unreadable(name, self.MANIFEST, "does not list the snapshot it names")
+        meta_bytes = self._read_verified(name, self.META, entry["meta_sha256"])
+        try:
+            meta = json.loads(meta_bytes)
+        except ValueError:
+            raise _unreadable(name, self.META, "is not valid JSON") from None
+        files = {
+            file: pickle.loads(self._read_verified(name, file, sha))
+            for file, sha in meta["checksums"].items()
+        }
+        vectors: Dict[str, np.ndarray] = {}
+        held: Dict[str, Tuple[str, int, int, str]] = {}
+        for directory, pack in meta["packs"].items():
+            for key, offset, length, sha in pack["rows"]:
+                held[key] = (directory, offset, length, sha)
+            vectors.update(self._read_rows(name, directory, pack["rows"]))
+        head = files[self.HEAD]
+        slices = []
+        for listed in meta["slices"]:
+            piece = files[listed["file"]]
+            piece["velocities"] = [
+                vectors.get(f"v:{piece['lo'] + offset}:{client['rounds_completed']}")
+                for offset, client in enumerate(piece["clients"])
+            ]
+            slices.append(piece)
+        checkpoint = EngineCheckpoint(
             format_version=meta["format_version"],
             slot=meta["slot"],
             pending_arrivals=list(meta["pending_arrivals"]),
@@ -566,32 +713,120 @@ class CheckpointStore:
             fast_forward=meta["fast_forward"],
             batched_training=meta["batched_training"],
             trace_level=meta["trace_level"],
-            coordinator=head["coordinator"],
-            slices=[files[entry["file"]] for entry in meta["slices"]],
+            coordinator=replace(
+                head["coordinator"],
+                vectors={
+                    int(key[2:]): vector
+                    for key, vector in vectors.items()
+                    if key.startswith("p:")
+                },
+            ),
+            slices=slices,
         )
+        self._held = held
+        self._pack_bytes = {d: pack["bytes"] for d, pack in meta["packs"].items()}
+        return checkpoint
+
+    def _read_rows(
+        self, snapshot: str, directory: str, rows: List[list]
+    ) -> Dict[str, np.ndarray]:
+        """The vectors ``snapshot`` keeps in ``directory``'s pack, each read
+        where ``rows`` says it is and checked against its checksum."""
+        file = f"{directory}/{self.PACK}"
+        vectors = {}
+        try:
+            with open(self.root / file, "rb") as handle:
+                for key, offset, length, sha in rows:
+                    handle.seek(offset)
+                    data = handle.read(length)
+                    if len(data) != length or hashlib.sha256(data).hexdigest() != sha:
+                        raise _unreadable(
+                            snapshot,
+                            file,
+                            f"does not hold {key} as recorded ({length} bytes at "
+                            f"{offset}, checksum mismatch or short read)",
+                        )
+                    vectors[key] = np.frombuffer(data, dtype=np.float64)
+        except OSError as error:
+            raise _unreadable(snapshot, file, f"cannot be read ({error})") from None
+        return vectors
+
+    def _read_verified(self, snapshot: str, name: str, sha256: str) -> bytes:
+        """One whole file of a published snapshot, checked against its checksum."""
+        try:
+            data = (self.root / snapshot / name).read_bytes()
+        except OSError as error:
+            raise _unreadable(snapshot, name, f"cannot be read ({error})") from None
+        if hashlib.sha256(data).hexdigest() != sha256:
+            raise _unreadable(snapshot, name, "does not match its recorded checksum")
+        return data
+
+
+def _keyed_vectors(checkpoint: EngineCheckpoint) -> Dict[str, np.ndarray]:
+    """Every vector of a checkpoint under the name of its content:
+    ``p:<version>`` for a pinned parameter vector, ``v:<user>:<rounds>`` for
+    a client's momentum vector after that many rounds."""
+    vectors = {
+        f"p:{version}": vector
+        for version, vector in checkpoint.coordinator.vectors.items()
+    }
+    for piece in checkpoint.slices:
+        for user, (client, velocity) in enumerate(
+            zip(piece["clients"], piece["velocities"]), start=piece["lo"]
+        ):
+            if velocity is not None:
+                vectors[f"v:{user}:{client['rounds_completed']}"] = velocity
+    return vectors
+
+
+def _unreadable(snapshot: str, name: str, problem: str) -> CheckpointError:
+    """The error for a published snapshot that fails load verification."""
+    message = f"checkpoint snapshot {snapshot} is corrupt on disk: {name} {problem}"
+    logger.warning(message)
+    return CheckpointError(message)
 
 
 def _pickled(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _write_verified(path: Path, data: bytes, corrupt: bool = False) -> str:
-    """Write ``data``, compare the read-back with it, return its sha256.
+#: I/O buffer and read-back granularity of :func:`_write_verified`.
+_VERIFY_CHUNK = 1 << 20
+
+
+def _write_verified(path: Path, parts: Sequence[Any], corrupt: bool = False) -> None:
+    """Write ``parts`` (bytes-like, end to end) and compare the read-back
+    with them, a bounded chunk at a time.
 
     ``corrupt`` is the injected ``corrupt_checkpoint`` fault: it damages
     the file between the write and the read-back.
     """
-    with open(path, "wb") as handle:
-        handle.write(data)
+    with open(path, "wb", buffering=_VERIFY_CHUNK) as handle:
+        for part in parts:
+            handle.write(part)
     if corrupt:
         _flip_bytes(path)
-    if path.read_bytes() != data:
-        raise CheckpointError(
+    with open(path, "rb", buffering=_VERIFY_CHUNK) as handle:
+        # bytes(chunk): comparing bytes with a memoryview goes element by
+        # element; the copy is bounded by the chunk size.
+        intact = all(
+            handle.read(len(chunk)) == bytes(chunk)
+            for part in parts
+            for chunk in _chunks(memoryview(part))
+        ) and not handle.read(1)
+    if not intact:
+        message = (
             f"checkpoint snapshot {path.parent.name} failed write "
             f"verification: {path.name} does not read back bit-for-bit; "
             "the previous snapshot remains the loadable one"
         )
-    return hashlib.sha256(data).hexdigest()
+        logger.warning(message)
+        raise CheckpointError(message)
+
+
+def _chunks(view: memoryview) -> Iterator[memoryview]:
+    for start in range(0, len(view), _VERIFY_CHUNK):
+        yield view[start : start + _VERIFY_CHUNK]
 
 
 def _flip_bytes(path: Path, span: int = 64) -> None:

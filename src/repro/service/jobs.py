@@ -414,6 +414,8 @@ class ExperimentService:
                     }
                 else:  # replayed slot: the frame was dropped; recompute
                     record.telemetry = frame_metrics_from_checkpoint(checkpoint)
+                for key in ("bytes_written", "bytes_referenced"):
+                    record.telemetry[f"checkpoint_{key}"] = store.last_save[key]
                 self._save(record)
 
             checkpointer = Checkpointer(

@@ -34,7 +34,7 @@ from repro.fl.metrics import AccuracyTracker, evaluate_model
 from repro.fl.server import ParameterServer
 from repro.sim.config import SimulationConfig
 from repro.sim.timers import EngineTimers
-from repro.sim.trace import SimulationTrace, UpdateSample
+from repro.sim.trace import SimulationTrace
 
 __all__ = ["CouplingCore"]
 
@@ -108,19 +108,31 @@ class CouplingCore:
 
     # -- checkpointing -----------------------------------------------------------
 
-    def checkpoint_unit(self) -> tuple:
-        """The mutable coupling state, ordered as :data:`_CHECKPOINT_ATTRS`.
+    def checkpoint_unit(self) -> Tuple[tuple, Dict[int, np.ndarray]]:
+        """The mutable coupling state, ordered as :data:`_CHECKPOINT_ATTRS`,
+        with the pinned bases factored out by model version.
 
-        The single authoritative gather point for checkpoint capture:
-        :class:`repro.service.checkpoint.CoordinatorState` pickles this
-        tuple in one ``dumps`` call so cross-object aliases (the one view of
-        a model version that all its downloaders pin) stay shared in every
-        restore.
+        The single gather point for checkpoint capture.  The unit carries
+        ``{user: version}`` in the pinned-base position; the second value
+        maps each pinned version to its vector, uncopied — the server never
+        mutates a historical vector, so a version names its content.
+        :class:`repro.service.checkpoint.CoordinatorState` pickles the unit
+        in one ``dumps`` call so cross-object aliases (the update log the
+        server writes and the trace reads) stay shared in every restore.
         """
-        return tuple(getattr(self, attr) for attr in self._CHECKPOINT_ATTRS)
+        versions = {
+            user: self.server.downloaded_version(user) for user in self._pinned_base
+        }
+        vectors = {versions[user]: base for user, base in self._pinned_base.items()}
+        unit = tuple(
+            versions if attr == "_pinned_base" else getattr(self, attr)
+            for attr in self._CHECKPOINT_ATTRS
+        )
+        return unit, vectors
 
     def load_checkpoint_unit(self, unit: tuple) -> None:
-        """Bind a captured (and unpickled) checkpoint unit back in."""
+        """Bind a restored checkpoint unit back in (``{user: vector}`` in
+        the pinned-base position again)."""
         if len(unit) != len(self._CHECKPOINT_ATTRS):
             raise ValueError(
                 f"checkpoint unit has {len(unit)} entries; expected "
@@ -146,9 +158,9 @@ class CouplingCore:
         )
         return version, params
 
-    def pinned_base_params(self, user: int) -> np.ndarray:
-        """The base parameters the user trained from (pinned at download)."""
-        return self._pinned_base[user]
+    def pinned_bases(self) -> Dict[int, np.ndarray]:
+        """Every pinned training base, by user (pinned at download)."""
+        return self._pinned_base
 
     # -- gap dynamics ------------------------------------------------------------
 
@@ -201,16 +213,6 @@ class CouplingCore:
             time_s=time_s,
         )
         self.policy.notify_update_applied(user, record.lag, realized_gap)
-        self.trace.record_update(
-            UpdateSample(
-                time_s=time_s,
-                user_id=user,
-                lag=record.lag,
-                gradient_gap=realized_gap,
-                train_loss=update.train_loss,
-                sync_round=False,
-            )
-        )
         return realized_gap
 
     def buffer_sync_upload(self, user: int, update: LocalUpdate) -> None:
@@ -255,24 +257,9 @@ class CouplingCore:
             return []
         time_s = slot * self.config.slot_seconds
         updates = [self.sync_buffer[user] for user in sorted(self.sync_buffer)]
-        params_before_round = self.server.global_params()
-        records = self.server.sync_round(updates, time_s=time_s)
-        # In lock-step aggregation the per-round gradient gap is the movement
-        # of the global model over the round (sampled "at the time of
-        # aggregation", Fig. 5a); it is the same for every member of the round.
-        round_gap = gradient_gap_from_params(params_before_round, self.server.global_params())
-        for record, update in zip(records, updates):
+        self.server.sync_round(updates, time_s=time_s)
+        for update in updates:
             self._pinned_base.pop(update.user_id, None)
-            self.trace.record_update(
-                UpdateSample(
-                    time_s=time_s,
-                    user_id=update.user_id,
-                    lag=record.lag,
-                    gradient_gap=round_gap,
-                    train_loss=update.train_loss,
-                    sync_round=True,
-                )
-            )
         self.sync_buffer.clear()
         stalled_set = set(stalled)
         return [u for u in range(self.config.num_users) if u not in stalled_set]

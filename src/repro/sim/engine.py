@@ -490,17 +490,20 @@ class Coordinator:
         self.arrivals = build_arrival_schedule(
             config, self.device_specs, rngs["arrivals"], self.table
         )
+        server = ParameterServer(
+            self.eval_model.get_flat_params(),
+            async_rule=config.async_rule,
+            mixing_alpha=config.mixing_alpha,
+        )
         self.core = CouplingCore(
             config=config,
             policy=policy,
-            server=ParameterServer(
-                self.eval_model.get_flat_params(),
-                async_rule=config.async_rule,
-                mixing_alpha=config.mixing_alpha,
-            ),
+            server=server,
             transport=build_transport(config, rngs["network"]),
             trace=SimulationTrace(
-                trace_interval_slots=config.trace_interval_slots, level=trace_level
+                trace_interval_slots=config.trace_interval_slots,
+                level=trace_level,
+                updates=server.updates,
             ),
             accuracy=AccuracyTracker(),
             eval_model=self.eval_model,
@@ -739,7 +742,7 @@ class SimulationEngine(Coordinator):
             handles = [shard_module.InlineShardHandle(shard)]
             bounds = [(0, config.num_users)]
             if self._resume is not None:
-                shard_module.restore_shards(handles, bounds, self._resume)
+                shard_module.restore_shards(self, handles, bounds, self._resume)
             shard_module.drive_fleet_loop(
                 self, handles, bounds, self._resume, self._resume is None, checkpointer
             )

@@ -904,9 +904,9 @@ class FleetState:
         The static calibration arrays (power levels, thermal constants,
         training durations, the launch schedule) are rebuilt bitwise from
         the configuration by the shard builders, so only the state a run
-        mutates is captured.  ``base_params`` entries are parameter-server
-        views that the server never mutates in place, so a shallow list
-        copy suffices.
+        mutates is captured.  ``base_params`` is not part of it: the
+        vectors are the coordinator's pinned bases (a checkpoint holds each
+        once, there), re-bound by ``FleetShard.restore_state``.
         """
         return {
             "temperature_c": self.temperature_c.copy(),
@@ -914,7 +914,6 @@ class FleetState:
             "ready": self.ready.copy(),
             "waiting_slots": self.waiting_slots.copy(),
             "base_version": self.base_version.copy(),
-            "base_params": list(self.base_params),
             "app_active": self.app_active.copy(),
             "app_end_slot": self.app_end_slot.copy(),
             "app_power_w": self.app_power_w.copy(),
@@ -938,7 +937,7 @@ class FleetState:
         # widen back silently.
         self.waiting_slots = np.asarray(state["waiting_slots"], dtype=np.int32).copy()
         self.base_version = np.asarray(state["base_version"], dtype=np.int32).copy()
-        self.base_params = list(state["base_params"])
+        self.base_params = [None] * self.num_users
         self.app_active = np.asarray(state["app_active"], dtype=bool).copy()
         self.app_end_slot = np.asarray(state["app_end_slot"], dtype=np.int32).copy()
         self.app_power_w = np.asarray(state["app_power_w"], dtype=float).copy()

@@ -600,28 +600,28 @@ class FleetShard:
         flight state included), so slices from different shard layouts are
         interchangeable — :func:`repro.service.checkpoint.reslice` can
         re-partition them for a restore under a different shard count.
-        Client state captures exactly what training mutates: the momentum
-        velocity (copied — the batched trainer updates rows in place), the
-        bit-generator state of the per-client batch-sampling RNG, and the
-        round counter.
+        Client state captures exactly what training mutates: the
+        bit-generator state of the per-client batch-sampling RNG and the
+        round counter in ``clients``, the momentum vector in ``velocities``.
+        A velocity is *lent*, not copied: the optimizer's next step rebinds
+        instead of writing into the array the snapshot holds, so a snapshot
+        costs nothing for users that do not train while it is alive, and
+        ``(user, rounds_completed)`` names a vector's content for good.
         """
         lo = self.lo
         trainer_state = self.trainer.state_dict()
-        clients_state = []
-        for client in self.clients:
-            velocity = client.optimizer.velocity
-            clients_state.append(
-                {
-                    "velocity": None if velocity is None else velocity.copy(),
-                    "rng_state": client._rng.bit_generator.state,
-                    "rounds_completed": client.rounds_completed,
-                }
-            )
         return {
             "lo": lo,
             "hi": self.hi,
             "fleet": self.fleet.state_dict(),
-            "clients": clients_state,
+            "clients": [
+                {
+                    "rng_state": client._rng.bit_generator.state,
+                    "rounds_completed": client.rounds_completed,
+                }
+                for client in self.clients
+            ],
+            "velocities": [client.optimizer.lend_velocity() for client in self.clients],
             "pending": {
                 local + lo: value for local, value in trainer_state["pending"].items()
             },
@@ -630,8 +630,13 @@ class FleetShard:
             },
         }
 
-    def restore_state(self, state: Dict) -> None:
-        """Install a checkpoint slice (global-keyed) into this shard."""
+    def restore_state(self, state: Dict, bases: Dict[int, np.ndarray]) -> None:
+        """Install a checkpoint slice (global-keyed) into this shard.
+
+        ``bases`` are the coordinator's pinned base vectors of this slice's
+        users (a checkpoint holds them once, coordinator-side); users
+        between upload and next download have none and need none.
+        """
         lo = self.lo
         if state["lo"] != lo or state["hi"] != self.hi:
             raise ValueError(
@@ -639,12 +644,16 @@ class FleetShard:
                 f"shard [{lo}, {self.hi})"
             )
         self.fleet.load_state_dict(state["fleet"])
+        for user, params in bases.items():
+            self.fleet.base_params[user - lo] = params
         # Snapshots are only taken at boundaries whose slot has not been
         # opened (speculation is suppressed there), so the restored shard
         # must run the churn on its first open_slot.
         self._opened_slot = -1
-        for client, client_state in zip(self.clients, state["clients"]):
-            client.optimizer.load_velocity(client_state["velocity"])
+        for client, client_state, velocity in zip(
+            self.clients, state["clients"], state["velocities"]
+        ):
+            client.optimizer.load_velocity(velocity)
             client._rng.bit_generator.state = client_state["rng_state"]
             client.rounds_completed = int(client_state["rounds_completed"])
         self.trainer.load_state_dict(
@@ -1469,15 +1478,23 @@ class _SupervisedCheckpointer:
 
 
 def restore_shards(
+    engine: Any,
     handles: Sequence[Any],
     bounds: Sequence[Tuple[int, int]],
     checkpoint: "EngineCheckpoint",
 ) -> None:
-    """Load a checkpoint's per-user state into live shard handles."""
+    """Load a checkpoint's per-user state into live shard handles.
+
+    ``engine``'s core must already hold the checkpoint's coordinator state:
+    each user's training base is re-bound from the bases pinned there.
+    """
     from repro.service.checkpoint import reslice
 
+    pinned = engine.core.pinned_bases()
     for handle, piece in zip(handles, reslice(checkpoint.slices, bounds)):
-        handle.post("restore_state", piece)
+        lo, hi = piece["lo"], piece["hi"]
+        bases = {user: params for user, params in pinned.items() if lo <= user < hi}
+        handle.post("restore_state", piece, bases)
     for handle in handles:
         handle.wait()
 
@@ -1732,7 +1749,7 @@ class ShardedEngine(Coordinator):
         try:
             handles = self._spawn_handles(context, nested)
             if start is not None:
-                restore_shards(handles, self.bounds, start)
+                restore_shards(self, handles, self.bounds, start)
                 supervised.remember(start, eval_done=True)
             elif supervising:
                 # Eager pre-loop snapshot: without one, the first failure of
@@ -1784,7 +1801,7 @@ class ShardedEngine(Coordinator):
                         )
                     install_coordinator(self, start.coordinator.materialize())
                     handles = self._spawn_handles(context, nested)
-                    restore_shards(handles, self.bounds, start)
+                    restore_shards(self, handles, self.bounds, start)
             for handle in handles:
                 handle.post("finalize")
             finals = [handle.wait() for handle in handles]

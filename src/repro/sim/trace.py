@@ -9,10 +9,13 @@ series that would be too dense are sampled every ``trace_interval_slots``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["TRACE_LEVELS", "SlotSample", "UpdateSample", "SimulationTrace"]
+from repro.columns import ColumnLog
+from repro.fl.server import ServerUpdate, new_update_log
+
+__all__ = ["TRACE_LEVELS", "SlotSample", "SimulationTrace"]
 
 #: Telemetry volume knobs, from most to least detailed:
 #:
@@ -40,22 +43,25 @@ class SlotSample:
     num_ready: int
 
 
-@dataclass(frozen=True)
-class UpdateSample:
-    """One update applied at the parameter server."""
-
-    time_s: float
-    user_id: int
-    lag: int
-    gradient_gap: float
-    train_loss: float
-    sync_round: bool
-
-
 class SimulationTrace:
-    """Collects every time series the evaluation figures need."""
+    """Collects every time series the evaluation figures need.
 
-    def __init__(self, trace_interval_slots: int = 10, level: str = "full") -> None:
+    Args:
+        trace_interval_slots: sampling grid of the per-slot series.
+        level: telemetry volume (:data:`TRACE_LEVELS`).
+        updates: the applied-update log to expose as :attr:`update_samples`.
+            An engine hands in its parameter server's
+            (:attr:`~repro.fl.server.ParameterServer.updates`, which the
+            server writes), so the rows exist once; a stand-alone trace
+            keeps its own and fills it through :meth:`record_update`.
+    """
+
+    def __init__(
+        self,
+        trace_interval_slots: int = 10,
+        level: str = "full",
+        updates: Optional[ColumnLog] = None,
+    ) -> None:
         if trace_interval_slots <= 0:
             raise ValueError("trace_interval_slots must be positive")
         if level not in TRACE_LEVELS:
@@ -63,7 +69,8 @@ class SimulationTrace:
         self.trace_interval_slots = trace_interval_slots
         self.level = level
         self.slot_samples: List[SlotSample] = []
-        self.update_samples: List[UpdateSample] = []
+        self._owns_updates = updates is None
+        self.updates = new_update_log() if updates is None else updates
         self.per_user_gaps: Dict[int, List[Tuple[float, float]]] = {}
         self._gap_lists: Optional[List[List[Tuple[float, float]]]] = None
         self.decisions: Dict[str, int] = {"schedule": 0, "idle": 0}
@@ -79,11 +86,14 @@ class SimulationTrace:
         if sample.slot % self.trace_interval_slots == 0:
             self.slot_samples.append(sample)
 
-    def record_update(self, sample: UpdateSample) -> None:
-        """Record one applied update."""
-        if self.level == "off":
-            return
-        self.update_samples.append(sample)
+    def record_update(self, sample: ServerUpdate) -> None:
+        """Record one applied update (stand-alone traces only)."""
+        if not self._owns_updates:
+            raise RuntimeError(
+                "this trace reads its parameter server's update log; "
+                "the server records applied updates"
+            )
+        self.updates.append(astuple(sample))
 
     def record_user_gap(self, user_id: int, time_s: float, gap: float) -> None:
         """Record one point of a user's gradient-gap trace (Fig. 5d)."""
@@ -125,6 +135,16 @@ class SimulationTrace:
 
     # -- accessors -------------------------------------------------------------------
 
+    @property
+    def update_samples(self) -> List[ServerUpdate]:
+        """Every applied update, in application order (none at level ``off``)."""
+        if self.level == "off":
+            return []
+        return [ServerUpdate(*row) for row in self.updates.rows()]
+
+    def _update_column(self, name: str) -> List:
+        return [] if self.level == "off" else self.updates.column(name).tolist()
+
     def times(self) -> List[float]:
         """Sampled slot times in seconds."""
         return [s.time_s for s in self.slot_samples]
@@ -147,15 +167,15 @@ class SimulationTrace:
 
     def update_lags(self) -> List[int]:
         """Lag of every applied update (Fig. 5a lower panel)."""
-        return [u.lag for u in self.update_samples]
+        return self._update_column("lag")
 
     def update_gaps(self) -> List[float]:
         """Gradient gap of every applied update (Fig. 5a upper panel)."""
-        return [u.gradient_gap for u in self.update_samples]
+        return self._update_column("gradient_gap")
 
     def update_times(self) -> List[float]:
         """Time of every applied update."""
-        return [u.time_s for u in self.update_samples]
+        return self._update_column("time_s")
 
     def user_gap_trace(self, user_id: int) -> List[Tuple[float, float]]:
         """The (time, gap) trace of one user (Fig. 5d)."""

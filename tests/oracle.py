@@ -15,17 +15,29 @@ before the flat training plane (ISSUE 15): the reference the in-place
 scalar uniform per non-busy slot — that the product's sparse launch-event
 scan (``ArrivalSchedule.generate``) must reproduce bit for bit, generator
 state included.
+
+:class:`FrozenLogs` keeps the run's four append-only logs as lists of record
+objects, the way the program itself did before the column logs (ISSUE 19):
+the reference the list views of :class:`repro.columns.ColumnLog` must equal
+element for element and type for type.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 
+from repro.comm.transport import ModelTransport
+from repro.core.online import OnlinePolicy
+from repro.core.policies import Decision
+from repro.core.staleness import gradient_gap_from_params
 from repro.device.apps import ForegroundApp, sample_app
 from repro.energy.measurements import MeasurementTable
 from repro.fl.layers import Conv2D, Linear, _col2im
+from repro.fl.server import ParameterServer
 from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.engine import SimulationEngine
 from repro.sim.reference import ReferenceLoopEngine
@@ -173,3 +185,159 @@ class FrozenLocalTrainer:
             train_loss=float(np.mean(losses)) if losses else 0.0,
             momentum_norm=0.0 if self.velocity is None else float(np.linalg.norm(self.velocity)),
         )
+
+
+# ---------------------------------------------------------------------------
+# Frozen record-list logs
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class FrozenServerUpdate:
+    """``repro.fl.server.ServerUpdate`` as of PR 18."""
+
+    time_s: float
+    user_id: int
+    version_before: int
+    lag: int
+    gradient_gap: float
+    train_loss: float
+    sync_round: bool = False
+
+
+@dataclass(frozen=True)
+class FrozenUpdateSample:
+    """``repro.sim.trace.UpdateSample`` as of PR 18 (the type is gone: the
+    trace now reads the server's rows)."""
+
+    time_s: float
+    user_id: int
+    lag: int
+    gradient_gap: float
+    train_loss: float
+    sync_round: bool
+
+
+@dataclass(frozen=True)
+class FrozenTransferRecord:
+    """``repro.comm.messages.TransferRecord`` as of PR 18."""
+
+    user_id: int
+    direction: str
+    size_mb: float
+    start_time_s: float
+    duration_s: float
+    network_type: str
+    succeeded: bool
+    failure_reason: Optional[str] = None
+
+
+class FrozenLogs:
+    """The four append-only logs of one run, kept as PR 18 kept them.
+
+    ``attach(monkeypatch)`` wraps the producers at class level (so the
+    objects of the run stay picklable) and appends one record object per
+    event to a plain list — ``ParameterServer.update_log``, the trace's
+    ``update_samples``, ``ModelTransport.records`` and
+    ``OnlinePolicy.decision_log`` as they were built then.  Run exactly one
+    engine while attached.
+    """
+
+    def __init__(self, trace_level: str = "full") -> None:
+        self.trace_level = trace_level
+        self.update_log = []
+        self.update_samples = []
+        self.records = []
+        self.decision_log = []
+
+    def _sample(self, *fields) -> None:
+        if self.trace_level != "off":
+            self.update_samples.append(FrozenUpdateSample(*fields))
+
+    def attach(self, monkeypatch) -> "FrozenLogs":
+        logs = self
+        real_async = ParameterServer.async_update
+        real_sync = ParameterServer.sync_round
+        real_record = ModelTransport._record
+        real_decide = OnlinePolicy.decide
+        real_decide_all = OnlinePolicy.decide_all
+
+        def async_update(server, update, time_s, gradient_gap=0.0):
+            version, lag = server.version, server.lag_of(update.base_version)
+            logs.update_log.append(
+                FrozenServerUpdate(
+                    time_s, update.user_id, version, lag, gradient_gap, update.train_loss
+                )
+            )
+            logs._sample(
+                time_s, update.user_id, lag, gradient_gap, update.train_loss, False
+            )
+            return real_async(server, update, time_s, gradient_gap)
+
+        def sync_round(server, updates, time_s):
+            version, before = server.version, server.global_params()
+            records = real_sync(server, updates, time_s)
+            round_gap = gradient_gap_from_params(before, server.global_params())
+            for offset, update in enumerate(updates):
+                logs.update_log.append(
+                    FrozenServerUpdate(
+                        time_s, update.user_id, version + offset, 0, 0.0,
+                        update.train_loss, True,
+                    )
+                )
+                logs._sample(
+                    time_s, update.user_id, 0, round_gap, update.train_loss, True
+                )
+            return records
+
+        def record(transport, user_id, direction, start_time_s, condition, throughput_mbps):
+            if not condition.connected:
+                logs.records.append(
+                    FrozenTransferRecord(
+                        user_id=user_id,
+                        direction=direction,
+                        size_mb=transport.model_size_mb,
+                        start_time_s=start_time_s,
+                        duration_s=0.0,
+                        network_type=condition.network_type.value,
+                        succeeded=False,
+                        failure_reason="offline",
+                    )
+                )
+            else:
+                logs.records.append(
+                    FrozenTransferRecord(
+                        user_id=user_id,
+                        direction=direction,
+                        size_mb=transport.model_size_mb,
+                        start_time_s=start_time_s,
+                        duration_s=transport.transfer_duration_s(
+                            transport.model_size_mb, throughput_mbps, condition.rtt_ms
+                        ),
+                        network_type=condition.network_type.value,
+                        succeeded=True,
+                    )
+                )
+            return real_record(
+                transport, user_id, direction, start_time_s, condition, throughput_mbps
+            )
+
+        def decide(policy, observation):
+            decision = real_decide(policy, observation)
+            logs.decision_log.append((observation.slot, observation.user_id, decision))
+            return decision
+
+        def decide_all(policy, batch):
+            schedule = real_decide_all(policy, batch)
+            logs.decision_log.extend(
+                (batch.slot, user, Decision.SCHEDULE if flag else Decision.IDLE)
+                for user, flag in zip(batch.user_ids.tolist(), schedule.tolist())
+            )
+            return schedule
+
+        monkeypatch.setattr(ParameterServer, "async_update", async_update)
+        monkeypatch.setattr(ParameterServer, "sync_round", sync_round)
+        monkeypatch.setattr(ModelTransport, "_record", record)
+        monkeypatch.setattr(OnlinePolicy, "decide", decide)
+        monkeypatch.setattr(OnlinePolicy, "decide_all", decide_all)
+        return self

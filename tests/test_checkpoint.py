@@ -10,12 +10,22 @@ engine (including restoring under a different shard count).
 """
 
 import builtins
+import contextlib
+import copy
+import dataclasses
 import enum
 import json
+import logging
+import os
+import pickle
+import shutil
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.online import OnlinePolicy
 from repro.core.policies import SyncPolicy
@@ -27,11 +37,12 @@ from repro.service.checkpoint import (
     CheckpointStore,
     Checkpointer,
     CoordinatorState,
+    EngineCheckpoint,
     RunInterrupted,
 )
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
-from repro.sim.shard import ShardedEngine
+from repro.sim.shard import ShardedEngine, shard_bounds
 
 
 def make_config(**overrides) -> SimulationConfig:
@@ -110,12 +121,57 @@ def intercept_writes(monkeypatch, write) -> None:
         def write(self, data):
             return write(self.real, data)
 
+        def read(self, size=-1):
+            return self.real.read(size)
+
     monkeypatch.setattr(
         checkpoint_module,
         "open",
         lambda *args, **kwargs: Handle(builtins.open(*args, **kwargs)),
         raising=False,
     )
+
+
+def snapshot_dirs(store) -> list:
+    return sorted(path.name for path in store.root.glob(store.SNAPSHOT_PREFIX + "*"))
+
+
+def assert_only_needed_files_remain(store) -> None:
+    """Every directory on disk is a retained snapshot, or is referenced by
+    one and stripped down to its pack."""
+    manifest = store._read_manifest()
+    snapshots = {entry["dir"] for entry in manifest["retained"]}
+    referenced = {ref for entry in manifest["retained"] for ref in entry["refs"]}
+    assert set(snapshot_dirs(store)) == snapshots | referenced
+    for name in referenced - snapshots:
+        assert [file.name for file in (store.root / name).iterdir()] == [store.PACK]
+
+
+def same_state(a, b) -> bool:
+    """Deep equality that compares arrays value for value and dtype for dtype."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.tolist() == b.tolist()
+        )
+    if dataclasses.is_dataclass(a) and not isinstance(a, SimulationConfig):
+        return type(a) is type(b) and same_state(vars(a), vars(b))
+    if isinstance(a, dict):
+        return (
+            isinstance(b, dict)
+            and a.keys() == b.keys()
+            and all(same_state(a[key], b[key]) for key in a)
+        )
+    if isinstance(a, (list, tuple)):
+        return (
+            type(a) is type(b)
+            and len(a) == len(b)
+            and all(same_state(x, y) for x, y in zip(a, b))
+        )
+    return a == b
 
 
 def assert_same(reference: dict, resumed: dict, label: str) -> None:
@@ -272,7 +328,7 @@ class TestShardedRoundTrip:
             batched_training=engine.batched_training,
             training_threads=1,
         )
-        shard.restore_state(reslice(widened.slices, engine.bounds)[0])
+        shard.restore_state(reslice(widened.slices, engine.bounds)[0], {})
         for key in ("waiting_slots", "base_version", "app_end_slot"):
             assert getattr(shard.fleet, key).dtype == np.int32, key
 
@@ -329,14 +385,14 @@ class TestCheckpointStore:
             loaded = store.load()
             assert loaded.slot == 37
 
-            # The next save succeeds and prunes the partial leftovers.
+            # The next save succeeds and prunes the partial leftovers; the
+            # first snapshot's directory survives only as the pack the new
+            # snapshot still references (nobody trained in between).
             store.save(second)
             assert store.load().slot == 137
-            snapshots = [
-                p for p in store.root.iterdir()
-                if p.is_dir() and p.name.startswith(store.SNAPSHOT_PREFIX)
-            ]
-            assert len(snapshots) == 1
+            assert store.last_save["pruned"] == ["snapshot-00000001"]
+            assert snapshot_dirs(store) == ["snapshot-00000000", "snapshot-00000002"]
+            assert_only_needed_files_remain(store)
 
     def test_resave_prunes_superseded_snapshots(self):
         config = make_config()
@@ -351,11 +407,19 @@ class TestCheckpointStore:
             store.save(first)
             store.save(second)
             assert store.load().slot == 137
-            snapshots = [
-                p for p in store.root.iterdir()
-                if p.is_dir() and p.name.startswith(store.SNAPSHOT_PREFIX)
-            ]
-            assert len(snapshots) == 1
+            assert store.retained_slots() == [137]
+            assert_only_needed_files_remain(store)
+            # Once nothing of the first snapshot is still current, it goes.
+            trained = copy.deepcopy(second)
+            for piece in trained.slices:
+                for client in piece["clients"]:
+                    client["rounds_completed"] += 1
+            trained.coordinator.vectors = {
+                version + 100: vector
+                for version, vector in trained.coordinator.vectors.items()
+            }
+            store.save(trained)
+            assert snapshot_dirs(store) == ["snapshot-00000002"]
 
     def test_unknown_format_version_is_rejected(self):
         config = make_config()
@@ -522,3 +586,518 @@ class TestSnapshotIsolation:
         assert len(pinned) == len(live)
         assert all(view is pinned[0] for view in pinned)
         assert np.array_equal(pinned[0], restored.server.global_params())
+
+    def test_training_after_capture_does_not_reach_a_lent_velocity(self):
+        """Velocities are lent to the snapshot, not copied: the next training
+        step must continue on a private copy."""
+        engine = SimulationEngine(make_config(total_slots=700), make_policy("online"))
+        checkpoint = interrupt_at(engine, 300)  # after the first training wave
+        lent = [v for piece in checkpoint.slices for v in piece["velocities"]]
+        assert any(v is not None for v in lent)
+        frozen = [None if v is None else v.copy() for v in lent]
+        for client, velocity in zip(engine.clients, lent):
+            assert client.optimizer.velocity is velocity  # no copy at capture
+            client.local_train(engine.server.global_params(), engine.server.version)
+            assert client.optimizer.velocity is not velocity
+            assert not np.array_equal(client.optimizer.velocity, velocity)
+        assert same_state(lent, frozen)
+
+
+# ---------------------------------------------------------------------------
+# The write-once store
+# ---------------------------------------------------------------------------
+
+
+def snapshot_slots(reference) -> list:
+    """Four boundaries of a 700-slot run: two ordinary ones (before anybody
+    finished a round; between the first two training waves), each followed
+    by the slot right after an upload was applied — whoever uploaded is
+    between upload and next download there and pins no base."""
+    applied = sorted({int(update.time_s) for update in reference.trace.update_samples})
+    return [150, applied[0] + 1, 400, min(s for s in applied if s > 400) + 1]
+
+
+def save_then_stop(store, slots):
+    """A checkpointer that persists a snapshot at each of ``slots`` and stops
+    the run at the last; also returns the list the snapshots land in."""
+    taken = []
+
+    def sink(checkpoint):
+        store.save(checkpoint)
+        taken.append(checkpoint)
+        if checkpoint.slot == slots[-1]:
+            checkpointer.request_stop()
+
+    checkpointer = Checkpointer(sink, at_slots=slots)
+    return checkpointer, taken
+
+
+def build(kind: str, config, policy):
+    if kind == "single":
+        return SimulationEngine(config, policy)
+    return ShardedEngine(config, policy, shards=2, inline=kind == "inline2")
+
+
+def restore(kind: str, checkpoint):
+    if kind == "single":
+        return SimulationEngine.restore(checkpoint)
+    return ShardedEngine.restore(checkpoint, shards=2, inline=kind == "inline2")
+
+
+BATTERY = dict(battery_capacity_j=1_200.0, min_battery_soc=0.75)
+
+RESUME_CASES = [
+    pytest.param("single", "single", "online", {}, id="single"),
+    pytest.param("inline2", "inline2", "online", {}, id="inline-2"),
+    pytest.param("process2", "process2", "online", {}, id="process-2"),
+    pytest.param("single", "inline2", "online", {}, id="write-1-restore-2"),
+    pytest.param("inline2", "single", "online", {}, id="write-2-restore-1"),
+    pytest.param("single", "single", "sync", {}, id="sync"),
+    pytest.param("inline2", "single", "sync", BATTERY, id="sync-battery-gated"),
+    pytest.param("single", "inline2", "online", BATTERY, id="battery-gated"),
+]
+
+
+class TestResumeFromAStoreOfSeveralSnapshots:
+    """Resume-to-horizon from the fourth snapshot of a ``keep_last=2`` store —
+    a snapshot that leaves vectors where earlier snapshots wrote them, taken
+    while some user pins no base — equals the uninterrupted run."""
+
+    @staticmethod
+    def interrupted_store(root, kind, policy, overrides):
+        config = make_config(total_slots=700, **overrides)
+        reference = SimulationEngine(config, make_policy(policy)).run()
+        slots = snapshot_slots(reference)
+        store = CheckpointStore(root, keep_last=2)
+        checkpointer, taken = save_then_stop(store, slots)
+        with pytest.raises(RunInterrupted):
+            build(kind, config, make_policy(policy)).run(checkpointer)
+        assert [cp.slot for cp in taken] == slots
+        assert store.retained_slots() == slots[-2:]
+        return store, taken, digest(reference)
+
+    @pytest.mark.parametrize("written_by,restored_by,policy,overrides", RESUME_CASES)
+    def test_resume_equals_the_uninterrupted_run(
+        self, tmp_path, written_by, restored_by, policy, overrides
+    ):
+        store, taken, reference = self.interrupted_store(
+            tmp_path, written_by, policy, overrides
+        )
+        loaded = CheckpointStore(tmp_path).load()
+        assert same_state(loaded, taken[-1])
+        pinned = pickle.loads(loaded.coordinator.payload)[-1]
+        assert loaded.pending_arrivals and not set(loaded.pending_arrivals) & set(pinned)
+        resumed = digest(restore(restored_by, loaded).run())
+        assert_same(reference, resumed, f"{written_by} -> {restored_by}")
+
+    def test_the_resumed_snapshot_references_earlier_packs(self, tmp_path):
+        store, taken, _ = self.interrupted_store(tmp_path, "single", "online", {})
+        latest = store._read_manifest()["retained"][-1]
+        assert latest["refs"] and store.last_save["bytes_referenced"] > 0
+        own_pack = store.root / latest["dir"] / store.PACK
+        assert 0 < own_pack.stat().st_size < vector_bytes(taken[-1])
+        assert_only_needed_files_remain(store)
+
+
+def engine_checkpoints(slots=(300, 400, 500)):
+    """Snapshots of one 700-slot run: nobody trains between 300 and 400 (the
+    second snapshot holds the first's vectors), three of five users do
+    between 400 and 500."""
+    taken = []
+    SimulationEngine(make_config(total_slots=700), make_policy("online")).run(
+        Checkpointer(taken.append, at_slots=slots)
+    )
+    return taken
+
+
+class SimulatedCrash(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def crash_at(operation: int):
+    """Kill the ``operation``-th file operation the checkpoint module makes
+    (1-based): directory creation, every open, the manifest write and flip,
+    every delete.  Yields an object whose ``flipped`` says whether the
+    manifest rename had completed by then and ``count`` how many ran."""
+    state = type("Crash", (), {"count": 0, "flipped": False})()
+    patches = [
+        (checkpoint_module, "open", builtins.open),
+        (os, "replace", os.replace),
+        (shutil, "rmtree", shutil.rmtree),
+        (Path, "mkdir", Path.mkdir),
+        (Path, "unlink", Path.unlink),
+        (Path, "write_text", Path.write_text),
+    ]
+
+    def guarded(real, is_flip):
+        def call(*args, **kwargs):
+            state.count += 1
+            if state.count == operation:
+                raise SimulatedCrash(f"killed at file operation {operation}")
+            result = real(*args, **kwargs)
+            state.flipped = state.flipped or is_flip
+            return result
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name, real in patches:
+            patch.setattr(owner, name, guarded(real, real is os.replace), raising=False)
+        yield state
+
+
+def flip_byte(path: Path, position: int) -> bytes:
+    """Invert one byte of a file; returns the original content."""
+    original = path.read_bytes()
+    damaged = bytearray(original)
+    damaged[position % len(damaged)] ^= 0xFF
+    path.write_bytes(bytes(damaged))
+    return original
+
+
+class TestStoreIntegrity:
+    def test_format_v6_store_is_rejected(self):
+        """v6 wrote every vector into every snapshot and kept logs as objects."""
+        TestCheckpointStore._assert_old_format_rejected(6)
+
+    def test_crash_at_any_point_of_a_save_leaves_a_loadable_snapshot(self, tmp_path):
+        first, second, third = engine_checkpoints()
+        store = CheckpointStore(tmp_path)
+        store.save(first)
+        store.save(second)
+        operation, completed = 0, False
+        while not completed:
+            operation += 1
+            with crash_at(operation) as crash:
+                try:
+                    CheckpointStore(tmp_path).save(third)
+                    completed = True
+                except SimulatedCrash:
+                    pass
+            expected = third if crash.flipped else second
+            assert same_state(CheckpointStore(tmp_path).load(), expected), operation
+            if crash.flipped and not completed:
+                # Died while pruning: the next save collects the leftovers.
+                recovery = CheckpointStore(tmp_path)
+                recovery.load()
+                recovery.save(third)
+                assert_only_needed_files_remain(recovery)
+                shutil.rmtree(tmp_path)
+                store = CheckpointStore(tmp_path)
+                store.save(first)
+                store.save(second)
+        assert operation > 10  # the walk covered the whole save
+
+    def test_published_files_are_never_opened_for_writing(self, tmp_path, monkeypatch):
+        first, second, third = engine_checkpoints()
+        store = CheckpointStore(tmp_path, keep_last=3)
+        store.save(first)
+        writes = []
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wa+x"):
+                writes.append(Path(file))
+            return builtins.open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint_module, "open", recording_open, raising=False)
+        for real in (Path.write_bytes, Path.write_text):
+            monkeypatch.setattr(
+                Path,
+                real.__name__,
+                lambda path, data, real=real, **kwargs: (
+                    writes.append(path), real(path, data, **kwargs)
+                )[1],
+            )
+        for checkpoint in (second, third):
+            published = set(snapshot_dirs(store))
+            del writes[:]
+            store.save(checkpoint)
+            assert writes
+            assert not [path for path in writes if path.parent.name in published]
+
+    def test_every_file_a_load_uses_is_verified(self, tmp_path):
+        """At-rest corruption of the meta file, either head, the snapshot's
+        own pack or a pack an earlier snapshot wrote is a ``CheckpointError``
+        naming snapshot and file."""
+        first, second, _ = engine_checkpoints()
+        store = CheckpointStore(tmp_path)
+        store.save(first)
+        second.slices[0]["velocities"][0] = second.slices[0]["velocities"][0] + 1.0
+        second.slices[0]["clients"][0]["rounds_completed"] += 1
+        store.save(second)  # one new vector of its own, the rest referenced
+        assert 0 < store.last_save["bytes_referenced"]
+        latest, (older,) = store.last_save["snapshot"], store._read_manifest()[
+            "retained"
+        ][-1]["refs"]
+        used = [
+            f"{latest}/meta.json",
+            f"{latest}/coordinator.pkl",
+            f"{latest}/users_0_5.pkl",
+            f"{latest}/vectors.bin",
+            f"{older}/vectors.bin",
+        ]
+        for name in used:
+            original = flip_byte(tmp_path / name, position=40)
+            with pytest.raises(CheckpointError, match="corrupt on disk") as error:
+                CheckpointStore(tmp_path).load()
+            assert latest in str(error.value) and name.split("/")[-1] in str(error.value)
+            (tmp_path / name).write_bytes(original)
+        assert same_state(CheckpointStore(tmp_path).load(), second)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-9]), id="short"),
+            pytest.param(lambda path: path.unlink(), id="missing"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "name", ["meta.json", "coordinator.pkl", "users_0_5.pkl", "vectors.bin"]
+    )
+    def test_missing_or_short_files_are_checkpoint_errors(self, tmp_path, name, damage):
+        """Reproduced on the parent: a truncated ``meta.json`` was a
+        ``JSONDecodeError`` and a missing data file a ``FileNotFoundError``,
+        neither of which the service's retry path treats as corruption."""
+        (first,) = engine_checkpoints((300,))
+        store = CheckpointStore(tmp_path)
+        store.save(first)
+        damage(tmp_path / store.last_save["snapshot"] / name)
+        with pytest.raises(CheckpointError, match=name):
+            CheckpointStore(tmp_path).load()
+
+    def test_saves_and_failures_are_logged(self, tmp_path, caplog, monkeypatch):
+        first, second, _ = engine_checkpoints()
+        store = CheckpointStore(tmp_path)
+        with caplog.at_level(logging.INFO, logger="repro.service.checkpoint"):
+            store.save(first)
+            store.save(second)
+        assert [r.levelname for r in caplog.records] == ["INFO", "INFO"]
+        message = caplog.records[-1].getMessage()
+        last = store.last_save
+        assert last["slot"] == 400 and last["snapshot"] == "snapshot-00000001"
+        assert last["bytes_written"] > 0 and last["bytes_referenced"] > 0
+        assert last["seconds"] > 0 and last["pruned"] == []
+        for key in ("slot", "snapshot", "bytes_written", "bytes_referenced", "pruned"):
+            assert f"{key}={last[key]}" in message
+        assert "seconds=" in message
+
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="repro.service.checkpoint"):
+            with monkeypatch.context() as patch:
+                intercept_writes(patch, lambda handle, data: handle.write(data[:-1]))
+                with pytest.raises(CheckpointError):
+                    store.save(second)
+            flip_byte(tmp_path / "snapshot-00000001" / "meta.json", 3)
+            with pytest.raises(CheckpointError):
+                store.load()
+        assert [r.levelname for r in caplog.records] == ["WARNING", "WARNING"]
+        assert "write verification" in caplog.records[0].getMessage()
+        assert "corrupt on disk" in caplog.records[1].getMessage()
+
+    def test_a_run_is_unchanged_by_an_attached_log_handler(self, tmp_path, caplog):
+        config = make_config()
+        reference = digest(SimulationEngine(config, make_policy("online")).run())
+        store = CheckpointStore(tmp_path)
+        with caplog.at_level(logging.DEBUG, logger="repro.service.checkpoint"):
+            observed = digest(
+                SimulationEngine(config, make_policy("online")).run(
+                    Checkpointer(store.save, every_slots=50)
+                )
+            )
+        assert_same(reference, observed, "logged run")
+        assert len(caplog.records) == 5
+
+
+# ---------------------------------------------------------------------------
+# The store as a state machine
+# ---------------------------------------------------------------------------
+
+USERS = 6
+WIDTH = 8
+
+
+class ToyRun:
+    """The part of a run the store cares about: which vectors exist, what
+    names them, when they change.  Checkpoints of it are real
+    :class:`EngineCheckpoint` objects with opaque heads."""
+
+    def __init__(self) -> None:
+        self.rng = np.random.default_rng(0)
+        self.config = make_config(num_users=USERS)
+        self.slot = 0
+        self.version = 0
+        self.params = {0: self.rng.standard_normal(WIDTH)}
+        self.pinned = {user: 0 for user in range(USERS)}
+        self.rounds = [0] * USERS
+        self.velocity = [None] * USERS
+
+    def train(self, users) -> None:
+        """Each user finishes a round, uploads, and downloads the new model."""
+        self.slot += 10
+        for user in users:
+            self.rounds[user] += 1
+            self.velocity[user] = self.rng.standard_normal(WIDTH)
+            self.version += 1
+            self.params[self.version] = self.rng.standard_normal(WIDTH)
+            self.pinned[user] = self.version
+
+    def snapshot(self, shards: int) -> EngineCheckpoint:
+        slices = [
+            {
+                "lo": lo,
+                "hi": hi,
+                "fleet": {"base_version": np.array(
+                    [self.pinned[user] for user in range(lo, hi)], dtype=np.int32
+                )},
+                "clients": [
+                    {"rng_state": {"state": user}, "rounds_completed": self.rounds[user]}
+                    for user in range(lo, hi)
+                ],
+                "velocities": self.velocity[lo:hi],
+                "pending": {},
+                "trained": {},
+            }
+            for lo, hi in shard_bounds(USERS, shards)
+        ]
+        return EngineCheckpoint(
+            format_version=CHECKPOINT_FORMAT_VERSION,
+            slot=self.slot,
+            pending_arrivals=[],
+            global_ready=0,
+            config=self.config,
+            fast_forward=True,
+            batched_training=False,
+            trace_level="full",
+            coordinator=CoordinatorState(
+                payload=pickle.dumps((self.slot, dict(self.pinned))),
+                vectors={v: self.params[v] for v in set(self.pinned.values())},
+                timer_seconds={},
+                num_updates=self.version,
+                accuracy=None,
+                loss=None,
+                queue_length=0.0,
+                virtual_queue_length=0.0,
+            ),
+            slices=slices,
+        )
+
+
+def vector_bytes(checkpoint: EngineCheckpoint) -> int:
+    velocities = [v for piece in checkpoint.slices for v in piece["velocities"]]
+    vectors = list(checkpoint.coordinator.vectors.values()) + velocities
+    return sum(v.nbytes for v in vectors if v is not None)
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """Train, save, crash, corrupt, reopen — in any order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="store-machine-"))
+        self.run = ToyRun()
+        self.store = CheckpointStore(self.root)
+        self.saved = None  # the last checkpoint whose manifest flip completed
+        self.vector_bytes = {}  # snapshot directory -> its checkpoint's vectors
+
+    def teardown(self) -> None:
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def published(self, checkpoint) -> None:
+        self.saved = checkpoint
+        latest = json.loads((self.root / "manifest.json").read_text())["latest"]
+        self.vector_bytes[latest] = vector_bytes(checkpoint)
+
+    @rule(users=st.sets(st.integers(0, USERS - 1)))
+    def train(self, users) -> None:
+        self.run.train(sorted(users))
+
+    @rule(shards=st.sampled_from([1, 2, 3]))
+    def save(self, shards) -> None:
+        checkpoint = self.run.snapshot(shards)
+        self.store.save(checkpoint)
+        self.published(checkpoint)
+        # Footprint: packs within 2x the vectors of the retained snapshots,
+        # nothing else on disk but the retained snapshots' own heads.
+        assert_only_needed_files_remain(self.store)
+        retained = {e["dir"] for e in self.store._read_manifest()["retained"]}
+        packs = sum(p.stat().st_size for p in self.root.glob("*/vectors.bin"))
+        assert packs <= 2 * sum(self.vector_bytes[name] for name in retained)
+        assert self.store.last_save["bytes_written"] <= sum(
+            p.stat().st_size for p in (self.root / self.store.last_save["snapshot"]).iterdir()
+        )
+
+    @rule(
+        keep_last=st.sampled_from([1, 2, 3]),
+        keep_every_slots=st.sampled_from([None, 20, 30]),
+        load_first=st.booleans(),
+    )
+    def reopen(self, keep_last, keep_every_slots, load_first) -> None:
+        """A new process over the same directory, maybe with other retention."""
+        self.store = CheckpointStore(
+            self.root, keep_last=keep_last, keep_every_slots=keep_every_slots
+        )
+        if load_first and self.saved is not None:
+            assert same_state(self.store.load(), self.saved)
+
+    @rule(operation=st.integers(1, 30), shards=st.sampled_from([1, 2]))
+    def crash_during_save(self, operation, shards) -> None:
+        checkpoint = self.run.snapshot(shards)
+        with crash_at(operation) as crash:
+            try:
+                self.store.save(checkpoint)
+            except SimulatedCrash:
+                pass
+        if crash.flipped:
+            self.published(checkpoint)
+
+    @rule(data=st.data())
+    def corrupt_any_file(self, data) -> None:
+        """A damaged file is either noticed or not part of the snapshot."""
+        files = sorted(p for p in self.root.glob("snapshot-*/*") if p.stat().st_size)
+        if self.saved is None or not files:
+            return
+        path = data.draw(st.sampled_from(files))
+        original = flip_byte(path, data.draw(st.integers(0, 1 << 16)))
+        try:
+            loaded = CheckpointStore(self.root).load()
+        except CheckpointError:
+            pass
+        else:
+            assert same_state(loaded, self.saved)
+        path.write_bytes(original)
+
+    @rule(data=st.data())
+    def corrupt_a_referenced_older_pack(self, data) -> None:
+        if self.saved is None:
+            return
+        manifest = json.loads((self.root / "manifest.json").read_text())
+        latest = manifest["latest"]
+        meta = json.loads((self.root / latest / "meta.json").read_text())
+        older = sorted(d for d, pack in meta["packs"].items() if d != latest and pack["rows"])
+        if not older:
+            return
+        directory = data.draw(st.sampled_from(older))
+        _, offset, length, _ = data.draw(st.sampled_from(meta["packs"][directory]["rows"]))
+        path = self.root / directory / "vectors.bin"
+        original = flip_byte(path, offset + data.draw(st.integers(0, length - 1)))
+        with pytest.raises(CheckpointError, match=directory):
+            CheckpointStore(self.root).load()
+        path.write_bytes(original)
+
+    @invariant()
+    def the_last_published_snapshot_loads_back(self) -> None:
+        if self.saved is None:
+            return
+        assert same_state(CheckpointStore(self.root).load(), self.saved)
+        manifest = json.loads((self.root / "manifest.json").read_text())
+        for entry in manifest["retained"]:
+            assert (self.root / entry["dir"] / "meta.json").is_file()
+            for ref in entry["refs"]:
+                assert (self.root / ref / "vectors.bin").is_file()
+
+
+TestStoreMachine = StoreMachine.TestCase
+TestStoreMachine.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)

@@ -459,9 +459,16 @@ class TestRetention:
         # and the 20th-slot milestone survives keep_every_slots.
         assert retained == [20, 30]
         assert store.load().slot == 30
-        # The pruned slot-10 snapshot is gone from disk, not just the manifest.
-        names = {entry.name for entry in store.root.iterdir()}
-        assert len([n for n in names if n != "manifest.json"]) == 2
+        # The slot-10 snapshot is gone from disk, not just the manifest: what
+        # is left of its directory is at most the vector pack a retained
+        # snapshot still references.
+        manifest = store._read_manifest()
+        snapshots = {entry["dir"] for entry in manifest["retained"]}
+        referenced = {ref for entry in manifest["retained"] for ref in entry["refs"]}
+        for path in store.root.glob("snapshot-*"):
+            if path.name not in snapshots:
+                assert path.name in referenced
+                assert [file.name for file in path.iterdir()] == [store.PACK]
 
     def test_default_keeps_only_the_latest(self, tmp_path):
         service = ExperimentService(tmp_path, checkpoint_every=10)

@@ -1,17 +1,31 @@
 """Tests for the simulation components: RNG, config, arrivals and traces."""
 
+import dataclasses
+import pickle
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from bench.check import digest
+from bench.workloads import configs
+from repro.columns import ColumnLog
+from repro.core.online import OnlinePolicy
+from repro.core.policies import SyncPolicy
 from repro.device.models import DEVICE_CATALOG
+from repro.fl.server import ServerUpdate
 from repro.sim.arrivals import (
     ArrivalSchedule,
     BernoulliArrivalProcess,
     DiurnalArrivalProcess,
 )
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimulationEngine
 from repro.sim.rng import spawn_generators
-from repro.sim.trace import SimulationTrace, SlotSample, UpdateSample
+from repro.sim.trace import SimulationTrace, SlotSample
+
+from oracle import FrozenLogs, FrozenUpdateSample
 
 
 class TestSpawnGenerators:
@@ -172,8 +186,8 @@ class TestSimulationTrace:
 
     def test_update_and_decision_records(self):
         trace = SimulationTrace()
-        trace.record_update(UpdateSample(time_s=5.0, user_id=1, lag=3, gradient_gap=0.4,
-                                         train_loss=1.0, sync_round=False))
+        trace.record_update(ServerUpdate(time_s=5.0, user_id=1, version_before=0, lag=3,
+                                         gradient_gap=0.4, train_loss=1.0, sync_round=False))
         trace.record_decision(scheduled=True, corun=True)
         trace.record_decision(scheduled=True, corun=False)
         trace.record_decision(scheduled=False)
@@ -197,3 +211,170 @@ class TestSimulationTrace:
         assert trace.gap_variance_across_users() == 0.0
         with pytest.raises(ValueError):
             SimulationTrace(trace_interval_slots=0)
+
+
+class TestColumnLog:
+    def test_rows_and_blocks_interleave_in_order(self):
+        log = ColumnLog(slot=np.int64, gap=np.float64, name=object, flag=np.bool_)
+        log.append((1, 0.5, "a", True))
+        log.extend([2, 3], [1.5, 2.5], [None, "b"], [False, True])
+        log.append((4, 3.5, "c", False))
+        assert len(log) == 4
+        assert log.rows() == [
+            (1, 0.5, "a", True), (2, 1.5, None, False), (3, 2.5, "b", True), (4, 3.5, "c", False),
+        ]
+        assert [type(v) for v in log.rows()[0]] == [int, float, str, bool]
+        assert log.column("slot").dtype == np.int64
+        log.append((5, 4.5, None, True))
+        assert log.column("gap").tolist() == [0.5, 1.5, 2.5, 3.5, 4.5]
+
+    def test_block_values_are_copied(self):
+        log = ColumnLog(user=np.int64)
+        users = np.array([1, 2, 3])
+        log.extend(users)
+        users[:] = 9
+        assert log.column("user").tolist() == [1, 2, 3]
+
+    def test_pickle_round_trip_and_clear(self):
+        log = ColumnLog(user=np.int64, name=object)
+        log.extend([1, 2], ["x", None])
+        log.append((3, "y"))
+        copy = pickle.loads(pickle.dumps(log))
+        assert copy.names == log.names and copy.rows() == log.rows()
+        copy.append((4, None))
+        assert len(copy) == 4 and len(log) == 3
+        log.clear()
+        assert len(log) == 0 and log.rows() == []
+        assert log.column("user").dtype == np.int64
+
+    def test_malformed_blocks_are_rejected(self):
+        log = ColumnLog(a=np.int64, b=np.float64)
+        with pytest.raises(ValueError):
+            log.extend([1, 2])
+        with pytest.raises(ValueError):
+            log.extend([1, 2], [1.0])
+        with pytest.raises(ValueError):
+            ColumnLog()
+
+    def test_append_costs_no_more_than_a_record_and_a_list_append(self):
+        """The hot path of every workload: one row must stay as cheap as
+        building the record object and appending it was (1.5x allowance)."""
+        rows = [(float(i), i, i, 1, 0.25, 0.5, False) for i in range(20_000)]
+
+        def records():
+            out = []
+            for row in rows:
+                out.append(FrozenUpdateSample(*row[:2], *row[3:]))
+
+        def columns():
+            log = ColumnLog(
+                time_s=np.float64, user_id=np.int64, version_before=np.int64,
+                lag=np.int64, gradient_gap=np.float64, train_loss=np.float64,
+                sync_round=np.bool_,
+            )
+            for row in rows:
+                log.append(row)
+
+        def best(fn):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(columns) <= 1.5 * best(records)
+
+
+def same_records(views, frozen):
+    """Element for element, field for field, type for type."""
+    assert len(views) == len(frozen)
+    for view, reference in zip(views, frozen):
+        for field in dataclasses.fields(reference):
+            ours, theirs = getattr(view, field.name), getattr(reference, field.name)
+            assert type(ours) is type(theirs) and ours == theirs, (field.name, view, reference)
+
+
+class TestLogViewsEqualTheFrozenRecordLists:
+    """The four column logs, read back as lists, against ``oracle.FrozenLogs``."""
+
+    @pytest.fixture()
+    def online(self, monkeypatch):
+        logs = FrozenLogs().attach(monkeypatch)
+        policy = OnlinePolicy(v=4000.0)
+        engine = SimulationEngine(configs.midfleet_config(0, "smoke"), policy)
+        return logs, engine, engine.run()
+
+    def test_views_match_over_a_midfleet_smoke_run(self, online):
+        logs, engine, result = online
+        assert len(logs.update_log) > 20 and len(logs.decision_log) > 100
+        same_records(engine.server.update_log, logs.update_log)
+        same_records(result.trace.update_samples, logs.update_samples)
+        same_records(engine.transport.records, logs.records)
+        decisions = engine.policy.decision_log
+        assert decisions == logs.decision_log
+        assert all(
+            type(slot) is int and type(user) is int for slot, user, _ in decisions
+        )
+        assert engine.server.lag_history() == [u.lag for u in logs.update_log]
+        assert engine.server.gap_history() == [u.gradient_gap for u in logs.update_log]
+        assert result.comm_bytes_mb == sum(r.size_mb for r in logs.records if r.succeeded)
+        assert result.comm_failures == sum(1 for r in logs.records if not r.succeeded)
+
+    def test_views_survive_a_pickle_round_trip(self, online):
+        logs, engine, result = online
+        unit, _ = engine.core.checkpoint_unit()
+        policy, server, transport, trace = pickle.loads(pickle.dumps(unit))[:4]
+        assert trace.updates is server.updates  # one set of rows, still shared
+        same_records(server.update_log, logs.update_log)
+        same_records(trace.update_samples, logs.update_samples)
+        same_records(transport.records, logs.records)
+        assert policy.decision_log == logs.decision_log
+
+    def test_digest_is_the_digest_of_the_record_lists(self, online):
+        logs, _, result = online
+        trace = result.trace
+        frozen = dataclasses.replace(
+            result,
+            trace=SimpleNamespace(
+                decisions=trace.decisions,
+                corun_jobs=trace.corun_jobs,
+                update_samples=logs.update_samples,
+            ),
+        )
+        assert digest(result) == digest(frozen)
+
+    def test_sync_rounds_log_the_round_gap_once(self, monkeypatch):
+        """The one deliberate difference: a synchronous round's rows carry the
+        round's gap in the server's view too (it was a 0.0 placeholder there,
+        while the trace always reported the gap)."""
+        logs = FrozenLogs().attach(monkeypatch)
+        engine = SimulationEngine(configs.midfleet_config(0, "smoke"), SyncPolicy())
+        result = engine.run()
+        assert logs.update_samples and all(s.sync_round for s in logs.update_samples)
+        same_records(result.trace.update_samples, logs.update_samples)
+        same_records(engine.transport.records, logs.records)
+        views = engine.server.update_log
+        same_records(
+            views,
+            [
+                dataclasses.replace(reference, gradient_gap=sample.gradient_gap)
+                for reference, sample in zip(logs.update_log, logs.update_samples)
+            ],
+        )
+
+    def test_trace_level_off_hides_the_rows_the_server_keeps(self, monkeypatch):
+        logs = FrozenLogs("off").attach(monkeypatch)
+        engine = SimulationEngine(
+            configs.midfleet_config(0, "smoke"), OnlinePolicy(v=4000.0), trace_level="off"
+        )
+        result = engine.run()
+        assert result.trace.update_samples == logs.update_samples == []
+        same_records(engine.server.update_log, logs.update_log)
+
+    def test_an_engine_trace_refuses_direct_update_records(self, online):
+        _, engine, _ = online
+        with pytest.raises(RuntimeError, match="server records"):
+            engine.trace.record_update(
+                ServerUpdate(0.0, 0, 0, 0, 0.0, 0.0, False)
+            )
