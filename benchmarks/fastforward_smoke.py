@@ -13,9 +13,13 @@ and with event-horizon fast-forward — then:
 
 Locally, ``--paper-scale`` runs the paper-scale sparse demonstration
 (25 users x 10 800 slots, p=0.001, battery-gated overnight fleet) and
-``--assert-speedup X`` turns the measured speedup into a hard gate::
+``--assert-speedup X`` turns the measured speedup into a hard gate.  The
+recorded ratio is 4.7-5.3x (``benchmark_artifacts/BENCH_fleet_plane.json``:
+0.45 s slot-by-slot, 0.084-0.096 s fast-forward on 2 vCPUs; it was 7.6-8.4x
+while the slot-by-slot path cost twice as much — both paths run one slot
+step now, so the ratio fell while both times fell), which leaves room for::
 
-    PYTHONPATH=src python benchmarks/fastforward_smoke.py --paper-scale --assert-speedup 5
+    PYTHONPATH=src python benchmarks/fastforward_smoke.py --paper-scale --assert-speedup 3
 """
 
 from __future__ import annotations

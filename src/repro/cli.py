@@ -973,7 +973,8 @@ def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
                              "telemetry), 'off' drops per-update samples too")
     parser.add_argument("--profile", action="store_true",
                         help="print per-subsystem wall-clock shares "
-                             "(training / policy / eval / slot loop)")
+                             "(training / policy / eval / slot loop) and, "
+                             "per shard, the fleet plane's event counts")
     parser.add_argument("--carbon-intensity", default=None,
                         help="report CO2-equivalent grams alongside energy: a "
                              "grid region (world_average, us_average, "

@@ -22,8 +22,9 @@ This class is the *scalar reference implementation*: the engine's default
 vectorized backend (:mod:`repro.sim.fleet`) replays :meth:`MobileDevice.step`
 as fleet-wide array kernels and is held to bitwise-identical behaviour.  If
 you change the step semantics here (power selection, progress accounting,
-slowdowns), mirror the change in :meth:`repro.sim.fleet.FleetState.advance`
-— ``tests/test_fleet.py`` will catch any divergence.
+slowdowns), mirror the change in :mod:`repro.sim.fleet` — the selection
+in ``FleetState._retarget_many`` / ``_retarget_one``, the arithmetic in
+``FleetState._step`` — ``tests/test_fleet.py`` will catch any divergence.
 """
 
 from __future__ import annotations

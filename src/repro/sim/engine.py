@@ -541,19 +541,23 @@ class Coordinator:
         final_battery_soc: List[float],
         worker_training_s: Sequence[float] = (),
         worker_blas_threads: Sequence[Optional[int]] = (),
+        fleet_planes: Sequence[Dict[str, int]] = (),
     ) -> SimulationResult:
         """The :class:`SimulationResult` of the finished run.
 
         ``worker_training_s`` (training seconds each shard *worker process*
         measured) rides beside the coordinator's buckets, never inside them:
         the coordinator was blocked in ``ipc_recv`` for those very seconds.
-        ``worker_blas_threads`` is the BLAS thread count of the same workers.
+        ``worker_blas_threads`` is the BLAS thread count of the same workers,
+        ``fleet_planes`` each shard's :meth:`FleetState.plane_counters`
+        (in-process shards included).
         """
         policy = self.policy
         task_queue = getattr(policy, "task_queue", None)
         virtual_queue = getattr(policy, "virtual_queue", None)
         self.timers.worker_training_s = list(worker_training_s)
         self.timers.worker_blas_threads = list(worker_blas_threads)
+        self.timers.fleet_planes = list(fleet_planes)
         return SimulationResult(
             config=self.config,
             policy_name=policy.name,
@@ -747,7 +751,9 @@ class SimulationEngine(Coordinator):
                 self, handles, bounds, self._resume, self._resume is None, checkpointer
             )
             return self.assemble_result(
-                shard.fleet.accountant, shard.fleet.final_battery_soc()
+                shard.fleet.accountant,
+                shard.fleet.final_battery_soc(),
+                fleet_planes=[shard.fleet.plane_counters()],
             )
         finally:
             self.timers.stop_total(tick)

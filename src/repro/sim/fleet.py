@@ -8,14 +8,24 @@ module makes fleet size a NumPy axis instead:
 
 * :class:`FleetState` holds the per-user simulation state as parallel
   ``float64`` / ``int64`` / ``bool`` arrays — ready flags, waiting slots,
-  base model versions, foreground-application status, Eq. (12) gradient
-  gaps, battery state of charge and the per-slot Eq. (10) power draw —
-  plus the static per-device calibration (the four Table II/III power
-  levels, training durations, thermal constants).
-* :meth:`FleetState.advance` replaces the per-user ``MobileDevice.step``
-  loop with array kernels: Eq. (10) power selection, first-order thermal
-  update, Observation 2 contention slowdown, training-progress decrement
-  and battery charge/discharge all happen fleet-wide per slot.
+  base model versions, foreground-application status, battery state of
+  charge — plus the static per-device calibration (the four Table II/III
+  power levels, training durations, thermal constants).
+* Next to those *primary* arrays it keeps a **fleet plane** of derived
+  per-user columns — the Eq. (10) activity-state code, the slot energy
+  routed to the accumulator of that state, the thermal RC target, the
+  training progress per slot, the battery draw and trickle charge.  A
+  device sits in one activity state for hundreds of slots, so the columns
+  are written only where a user's state changes (app launch and expiry,
+  training start and finish, checkpoint restore, quiet-region rollback),
+  through one rule, :meth:`FleetState._retarget`.
+* One slot step over those columns (:meth:`FleetState._step`: thermal
+  update, progress decrement, energy accumulation, battery cycle — a fixed
+  sequence of whole-array calls) replaces the per-user ``MobileDevice.step``
+  loop.  :meth:`FleetState.advance` is that step plus the Table III decision
+  overhead and finish detection; :meth:`FleetState.advance_quiet`, the
+  event-horizon fast-forward, is a loop of the same step that runs the
+  application churn only on the slots that have any.
 * :class:`FleetEnergyAccountant` accumulates the Eq. (10) energy breakdown
   in per-user arrays while remaining API-compatible with
   :class:`repro.energy.power_model.EnergyAccountant`.
@@ -23,7 +33,7 @@ module makes fleet size a NumPy axis instead:
 **Bitwise equivalence.**  The backend is held to a strict contract: with
 the same configuration and seed, the vectorized engine produces *bitwise
 identical* decisions, energy traces and gap traces to the per-user loop
-engine (``tests/test_fleet.py`` enforces this).  Three implementation rules
+engine (``tests/test_fleet.py`` enforces this).  Four implementation rules
 make that possible:
 
 1. every array expression uses the same per-element operation order as the
@@ -35,7 +45,12 @@ make that possible:
    pairwise ``np.sum``;
 3. ``beta**lag`` is evaluated with scalar Python exponentiation per unique
    lag (see :func:`repro.core.staleness.momentum_lag_factor_batch`), never
-   ``np.power``.
+   ``np.power``;
+4. an update the scalar model applies to *some* users (the ones in a state,
+   with a battery, on a charger) is applied to *all* of them with the
+   neutral element in the column of everyone else — ``x + 0.0``,
+   ``x - 0.0`` and ``x + min(0.0, capacity - charge)`` return ``x`` bit for
+   bit (``docs/determinism.md``, "Neutral-element columns").
 
 The loop engine touches every user's gap in ascending user order in slot 0
 (all users are ready then), so its insertion-ordered dict reductions
@@ -55,7 +70,7 @@ from repro.device.apps import ForegroundApp
 from repro.device.models import DeviceSpec
 from repro.device.thermal import ThermalModel
 from repro.energy.battery import Battery
-from repro.energy.power_model import DeviceState, EnergyBreakdown, PowerModel
+from repro.energy.power_model import EnergyBreakdown, PowerModel
 from repro.fl.client import FLClient
 from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.config import SimulationConfig
@@ -72,6 +87,21 @@ __all__ = [
 #: Contention penalty for homogeneous (non-big.LITTLE) CPUs (Observation 2,
 #: mirrored from :meth:`repro.device.thermal.ThermalModel.training_slowdown`).
 _HOMOGENEOUS_CONTENTION = 1.10
+
+#: The Eq. (10) activity-state code of a user is ``2 * training + app``:
+#: 0 idle, 1 app only, 2 training only, 3 co-running — also the row of the
+#: user's slot energy in the routing columns and its accumulator.
+_IDLE, _APP_ONLY, _TRAINING_ONLY, _CORUN = range(4)
+
+#: A plane that may be at rest is probed once in this many slot steps.  Only
+#: a cadence: a probe *proves* rest (the step changed nothing), so any value
+#: gives the same bits.
+REST_PROBE_SLOTS = 32
+
+#: "No such slot": past every horizon, for the next-launch / next-expiry cursors.
+_NEVER = 1 << 62
+
+_NO_USERS = np.empty(0, dtype=np.int64)
 
 #: Fan-in of the hierarchical (shard-of-shards) accountant merge.  At or
 #: below this width the merge is a single flat concatenation — exactly the
@@ -104,7 +134,7 @@ def merge_slot_series(series: Sequence[Sequence[float]]) -> Optional[np.ndarray]
 class FleetEnergyAccountant:
     """Array-backed energy accounting for the vectorized backend.
 
-    Accumulates the Eq. (10) per-slot energies into one ``float64`` array
+    Accumulates the Eq. (10) per-slot energies into one ``float64`` row
     per activity state (plus the Table III scheduler overhead) instead of
     one :class:`~repro.energy.power_model.EnergyBreakdown` object per user.
     The accessor API mirrors :class:`~repro.energy.power_model.EnergyAccountant`
@@ -117,43 +147,65 @@ class FleetEnergyAccountant:
 
     The cumulative per-slot total series is maintained *incrementally*: every
     recorded slot contributes its left-to-right per-user energy sum to a
-    running total (the loop accountant mirrors this).  The fast-forward
-    kernel exploits this — during a quiet region the per-slot energy sum is
-    constant, so :meth:`backfill_quiet` can extend the series with one float
-    add per skipped slot.
+    running total (the loop accountant mirrors this).  The fleet caches that
+    sum between activity transitions, so a slot in which nobody changed
+    state extends the series with one float add.
     """
+
+    #: The four activity-state accumulators, in state-code order.
+    _STATE_KEYS = ("idle_j", "app_j", "training_j", "corunning_j")
 
     def __init__(self, num_users: int) -> None:
         if num_users <= 0:
             raise ValueError("num_users must be positive")
         self.num_users = num_users  # reprolint: static
-        self.idle_j = np.zeros(num_users)
-        self.app_j = np.zeros(num_users)
-        self.training_j = np.zeros(num_users)
-        self.corunning_j = np.zeros(num_users)
+        #: One accumulator row per Eq. (10) activity state, indexed by the
+        #: state code — ``idle_j`` / ``app_j`` / ``training_j`` /
+        #: ``corunning_j`` are its rows — so a slot is one add.
+        self._state_j = np.zeros((4, num_users))
         self.overhead_j = np.zeros(num_users)
         self._per_slot_total: List[float] = []
         self._running_total_j = 0.0
         self._slot_energy_j = 0.0
 
+    @property
+    def idle_j(self) -> np.ndarray:
+        return self._state_j[0]
+
+    @property
+    def app_j(self) -> np.ndarray:
+        return self._state_j[1]
+
+    @property
+    def training_j(self) -> np.ndarray:
+        return self._state_j[2]
+
+    @property
+    def corunning_j(self) -> np.ndarray:
+        return self._state_j[3]
+
     # -- recording -----------------------------------------------------------------
 
-    def record_slot(
+    def add_slot(
         self,
-        energy_j: np.ndarray,
-        idle_mask: np.ndarray,
-        app_mask: np.ndarray,
-        training_mask: np.ndarray,
-        corun_mask: np.ndarray,
-        overhead_j: np.ndarray,
+        routed_j: np.ndarray,
+        slot_energy_j: float,
+        overhead_j: Optional[np.ndarray] = None,
     ) -> None:
-        """Record one slot of fleet-wide energy, split by activity state."""
-        self.idle_j[idle_mask] += energy_j[idle_mask]
-        self.app_j[app_mask] += energy_j[app_mask]
-        self.training_j[training_mask] += energy_j[training_mask]
-        self.corunning_j[corun_mask] += energy_j[corun_mask]
-        self.overhead_j += overhead_j
-        self._slot_energy_j = float(sum((energy_j + overhead_j).tolist()))
+        """Record one slot of fleet-wide energy, split by activity state.
+
+        ``routed_j`` is the fleet's ``(4, users)`` energy-routing matrix: a
+        user's Eq. (10) slot energy in the row of its own state and ``0.0``
+        in the other three, so the masked per-state adds of the scalar
+        model become one contiguous add (``x + 0.0 == x`` bit for bit; no
+        accumulator can hold ``-0.0``).  ``slot_energy_j`` is the
+        left-to-right per-user sum of the slot's energy, overhead included;
+        :meth:`close_slot` folds it into the cumulative series.
+        """
+        self._state_j += routed_j
+        if overhead_j is not None:
+            self.overhead_j += overhead_j
+        self._slot_energy_j = slot_energy_j
 
     def close_slot(self) -> None:
         """Snapshot the running system-wide total at the end of a slot."""
@@ -161,50 +213,21 @@ class FleetEnergyAccountant:
         self._per_slot_total.append(self._running_total_j)
         self._slot_energy_j = 0.0
 
-    def backfill_quiet(self, slot_energy_j: float, slots: int) -> None:
-        """Extend the per-slot series for ``slots`` quiet slots at once.
-
-        During a quiet region every slot draws the same fleet-wide energy
-        ``slot_energy_j``, so the cumulative series advances by a constant
-        increment — exactly what ``slots`` repeated
-        :meth:`record_slot`/:meth:`close_slot` pairs would have appended.
-        """
-        running = self._running_total_j
-        append = self._per_slot_total.append
-        for _ in range(slots):
-            running += slot_energy_j
-            append(running)
-        self._running_total_j = running
-
     # -- snapshot / merge (the shard layer's mutation-set contract) -------------------
 
     def quiet_state(self) -> tuple:
-        """Copies of everything the quiet kernel can mutate in this accountant.
+        """Copies of everything the quiet loop can mutate in this accountant.
 
         Owned here so the mutation set and the field layout live in one
         class: :meth:`FleetState.quiet_snapshot` (the two-phase quiet
         commit) delegates to it.  ``overhead_j`` is excluded — quiet regions
-        have no deciding-idle users, so the quiet kernel never touches it.
+        have no deciding-idle users, so the quiet loop never touches it.
         """
-        return (
-            self.idle_j.copy(),
-            self.app_j.copy(),
-            self.training_j.copy(),
-            self.corunning_j.copy(),
-            list(self._per_slot_total),
-            self._running_total_j,
-        )
+        return (self._state_j.copy(), list(self._per_slot_total), self._running_total_j)
 
     def restore_quiet_state(self, state: tuple) -> None:
-        """Restore :meth:`quiet_state` (single-use: arrays bind directly)."""
-        (
-            self.idle_j,
-            self.app_j,
-            self.training_j,
-            self.corunning_j,
-            per_slot_total,
-            self._running_total_j,
-        ) = state
+        """Restore :meth:`quiet_state` (single-use: the matrix binds directly)."""
+        self._state_j, per_slot_total, self._running_total_j = state
         self._per_slot_total = list(per_slot_total)
 
     # -- checkpointing -----------------------------------------------------------------
@@ -218,22 +241,19 @@ class FleetEnergyAccountant:
         folded into the series by :meth:`close_slot`, so it is not part of
         the state.
         """
-        return {
-            "idle_j": self.idle_j.copy(),
-            "app_j": self.app_j.copy(),
-            "training_j": self.training_j.copy(),
-            "corunning_j": self.corunning_j.copy(),
-            "overhead_j": self.overhead_j.copy(),
-            "per_slot_total": list(self._per_slot_total),
-            "running_total_j": self._running_total_j,
+        state: Dict[str, object] = {
+            key: row.copy() for key, row in zip(self._STATE_KEYS, self._state_j)
         }
+        state["overhead_j"] = self.overhead_j.copy()
+        state["per_slot_total"] = list(self._per_slot_total)
+        state["running_total_j"] = self._running_total_j
+        return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore the state captured by :meth:`state_dict`."""
-        self.idle_j = np.asarray(state["idle_j"], dtype=float).copy()
-        self.app_j = np.asarray(state["app_j"], dtype=float).copy()
-        self.training_j = np.asarray(state["training_j"], dtype=float).copy()
-        self.corunning_j = np.asarray(state["corunning_j"], dtype=float).copy()
+        self._state_j = np.stack(
+            [np.asarray(state[key], dtype=float) for key in self._STATE_KEYS]
+        )
         self.overhead_j = np.asarray(state["overhead_j"], dtype=float).copy()
         self._per_slot_total = list(state["per_slot_total"])
         self._running_total_j = float(state["running_total_j"])
@@ -264,10 +284,7 @@ class FleetEnergyAccountant:
             ]
             return cls.merged(grouped)
         merged = cls(sum(accountant.num_users for accountant in accountants))
-        merged.idle_j = np.concatenate([a.idle_j for a in accountants])
-        merged.app_j = np.concatenate([a.app_j for a in accountants])
-        merged.training_j = np.concatenate([a.training_j for a in accountants])
-        merged.corunning_j = np.concatenate([a.corunning_j for a in accountants])
+        merged._state_j = np.concatenate([a._state_j for a in accountants], axis=1)
         merged.overhead_j = np.concatenate([a.overhead_j for a in accountants])
         stacked = merge_slot_series([a._per_slot_total for a in accountants])
         if stacked is not None:
@@ -279,20 +296,22 @@ class FleetEnergyAccountant:
 
     def user_breakdown(self, user_id: int) -> EnergyBreakdown:
         """Energy breakdown for one user."""
+        idle_j, app_j, training_j, corunning_j = self._state_j[:, user_id].tolist()
         return EnergyBreakdown(
-            idle_j=float(self.idle_j[user_id]),
-            app_j=float(self.app_j[user_id]),
-            training_j=float(self.training_j[user_id]),
-            corunning_j=float(self.corunning_j[user_id]),
+            idle_j=idle_j,
+            app_j=app_j,
+            training_j=training_j,
+            corunning_j=corunning_j,
             overhead_j=float(self.overhead_j[user_id]),
         )
 
+    def user_totals_j(self) -> np.ndarray:
+        """Per-user total energy, in the loop accountant's operand order."""
+        return self.idle_j + self.app_j + self.training_j + self.corunning_j + self.overhead_j
+
     def total_j(self) -> float:
         """System-wide total energy in joules (loop-accountant reduction order)."""
-        totals = (
-            self.idle_j + self.app_j + self.training_j + self.corunning_j + self.overhead_j
-        )
-        return float(sum(totals.tolist()))
+        return float(sum(self.user_totals_j().tolist()))
 
     def total_kj(self) -> float:
         """System-wide total energy in kilojoules."""
@@ -417,15 +436,10 @@ class SlotAdvance:
     """What happened fleet-wide during one vectorized slot advance.
 
     Attributes:
-        energy_j: per-user Eq. (10) energy consumed this slot.
         finished_users: ascending user ids whose training job completed.
-        state_masks: the four Eq. (10) activity masks occupied this slot,
-            keyed by :class:`~repro.energy.power_model.DeviceState`.
     """
 
-    energy_j: np.ndarray
     finished_users: np.ndarray
-    state_masks: Dict[DeviceState, np.ndarray]
 
 
 class FleetState:
@@ -444,7 +458,9 @@ class FleetState:
       decision inputs (the coordinator adds the lag and gap coupling
       columns, which live server-side);
     * :meth:`advance` — device advancement with Eq. (10) energy
-      accumulation, thermal dynamics and training progress (step 3).
+      accumulation, thermal dynamics and training progress (step 3);
+    * :meth:`advance_quiet` — the same slot step, looped over a quiet
+      region without the decision machinery around it.
 
     The Eq. (12) gap dynamics deliberately do **not** live here: the gap sum
     ``G(t)`` feeds the global virtual queue, so the per-user gap array is
@@ -562,18 +578,15 @@ class FleetState:
         self.training_active = np.zeros(n, dtype=bool)
         self.remaining_slots = np.zeros(n)
 
-        # Hot-path scratch: advance() refills these every slot instead of
-        # allocating (the allocation churn dominated the slot loop at
-        # megafleet scale).  They carry no cross-slot state — anything
-        # advance() returns or the accountant retains is a fresh array.
-        self._scratch_power_w = np.empty(n)  # reprolint: static (scratch, refilled per slot)
-        self._scratch_progress = np.empty(n)  # reprolint: static (scratch, refilled per slot)
-        self._scratch_slowdown = np.empty(n)  # reprolint: static (scratch, refilled per slot)
+        # Per-slot scratch, refilled by whoever uses it; no cross-slot state.
+        self._scratch_delta = np.empty(n)  # reprolint: static (scratch, refilled per slot)
+        self._scratch_added = np.empty(n)  # reprolint: static (scratch, refilled per slot)
         self._scratch_overhead_j = np.empty(n)  # reprolint: static (scratch, refilled per slot)
         self._scratch_decided_idle = np.empty(n, dtype=bool)  # reprolint: static (scratch, refilled per slot)
 
         # -- batteries ----------------------------------------------------------
         self.has_battery = np.array([b is not None for b in batteries], dtype=bool)  # reprolint: static
+        self._any_battery = bool(self.has_battery.any())  # reprolint: static
         self.battery_capacity_j = np.array(
             [b.capacity_j if b is not None else 1.0 for b in batteries]
         )  # reprolint: static
@@ -587,6 +600,15 @@ class FleetState:
             [b.min_participation_soc if b is not None else 0.0 for b in batteries]
         )  # reprolint: static
         self.battery_cycle_j = np.zeros(n)
+        #: What one plugged-in idle slot adds to a battery, and what one
+        #: deciding-idle slot costs on top of idle (Table III); ``0.0`` where
+        #: the user has no battery to charge.
+        self._charge_step_j = np.where(
+            self.has_battery & (self.battery_rate_w > 0),
+            self.battery_rate_w * config.slot_seconds,
+            0.0,
+        )  # reprolint: static
+        self._overhead_step_j = (self.overhead_w - self.idle_w) * config.slot_seconds  # reprolint: static
 
         # -- launch schedule and accounting ------------------------------------
         self._launches: Dict[int, List[Tuple[int, ForegroundApp]]] = {}  # reprolint: static (derived from the arrival schedule)
@@ -595,10 +617,181 @@ class FleetState:
                 self._launches.setdefault(app.arrival_slot, []).append((user, app))
         for slot_apps in self._launches.values():
             slot_apps.sort(key=lambda pair: pair[0])
-        #: Event-iterator view of the schedule (sorted distinct launch slots),
-        #: used by the fast-forward kernel to place segment boundaries.
+        #: Event-iterator view of the schedule (sorted distinct launch slots):
+        #: the quiet loop's cursor over the slots that need application churn.
         self._launch_slot_list: List[int] = arrivals.launch_slots()  # reprolint: static (derived from the arrival schedule)
         self.accountant = FleetEnergyAccountant(n)
+
+        # -- the fleet plane: derived per-user columns --------------------------
+        # A device sits in one Eq. (10) activity state for hundreds of slots,
+        # so everything the slot step needs that depends only on that state
+        # is a column written by _retarget() where a user's state changes —
+        # never pickled, rebuilt from the primary arrays by _rebuild().  The
+        # columns hold the *neutral element* for users an update does not
+        # apply to (0.0 energy in the three rows of the states a user is not
+        # in, 0.0 progress when not training alone, 0.0 draw without a
+        # battery, 0.0 charge unless idle and plugged in), which turns every
+        # masked update of the scalar model into a contiguous whole-array one
+        # with the same bits (docs/determinism.md, "neutral-element columns").
+        self._state = np.zeros(n, dtype=np.int8)  # reprolint: static (derived, rebuilt by _rebuild: 2*training + app)
+        self._energy_j = np.empty(n)  # reprolint: static (derived, rebuilt by _rebuild)
+        self._thermal_target_c = np.empty(n)  # reprolint: static (derived, rebuilt by _rebuild)
+        self._energy_rows = np.zeros((4, n))  # reprolint: static (derived, rebuilt by _rebuild)
+        self._progress = np.zeros(n)  # reprolint: static (derived, rebuilt by _rebuild)
+        self._draw_j = np.zeros(n)  # reprolint: static (derived, rebuilt by _rebuild)
+        self._charge_add_j = np.zeros(n)  # reprolint: static (derived, rebuilt by _rebuild)
+        # The few co-running users, compressed: their throttle predicate is
+        # the one thing the step has to evaluate per slot.
+        self._corun_users = _NO_USERS  # reprolint: static (derived, rebuilt by _rebuild)
+        self._corun_free = np.empty(0)  # reprolint: static (derived, rebuilt by _rebuild)
+        self._corun_throttled = np.empty(0)  # reprolint: static (derived, rebuilt by _rebuild)
+        self._corun_throttle_c = np.empty(0)  # reprolint: static (derived, rebuilt by _rebuild)
+        self._corun_hot = np.empty(0, dtype=bool)  # reprolint: static (derived, rebuilt by _rebuild)
+        self._corun_outruns_clock = False  # reprolint: static (derived, rebuilt by _rebuild)
+        self._num_training = 0  # reprolint: static (derived, rebuilt by _rebuild)
+        self._next_expiry = _NEVER  # reprolint: static (derived, rebuilt by _rebuild)
+        self._started: List[int] = []  # reprolint: static (users whose start awaits the next advance; empty at slot boundaries)
+        self._slot_energy_j: Optional[float] = None  # reprolint: static (cache, dropped by _retarget)
+        self._thermal_rest = False  # reprolint: static (proved by a probe step, dropped by _retarget)
+        self._battery_rest = False  # reprolint: static (proved by a probe step, dropped by _retarget)
+        self._until_probe = REST_PROBE_SLOTS  # reprolint: static (probe cadence; any value is exact)
+        # Observability only: never checkpointed, never read by the simulation.
+        self.steps = 0  # reprolint: static (counter)
+        self.retargets = 0  # reprolint: static (counter)
+        self.thermal_rest_slots = 0  # reprolint: static (counter)
+        self.battery_rest_slots = 0  # reprolint: static (counter)
+        self._rebuild()
+
+    # -- the retarget rule -----------------------------------------------------------
+
+    def _retarget(self, users: Sequence[int]) -> None:
+        """Rewrite every derived column of ``users`` from the primary arrays.
+
+        The one place the activity state of a user turns into numbers.
+        Called with the users an event touched — expired and launched apps
+        (:meth:`begin_slot_apps`), started and finished jobs
+        (:meth:`advance`).  Selection and arithmetic follow the scalar
+        device runtime element for element: Eq. (10) picks one of four power
+        levels, the slot energy is ``power * slot_seconds``, the RC target
+        ``ambient + degrees_per_watt * power``, the Observation 2 slowdown
+        ``app_slowdown`` (times 1.10 on a homogeneous CPU, times
+        ``throttle_slowdown`` when hot).  ``users`` may repeat an id (an app
+        that expires and relaunches in one slot): every write is idempotent.
+
+        The rule is written twice, :meth:`_retarget_many` as array
+        expressions over an index array and :meth:`_retarget_one` in scalars
+        for the one or two users most events touch (a single launch, start
+        or finish: ~5 us against ~30 us of array-call overhead);
+        ``tests/test_fleet_plane.py`` holds the two bitwise equal.
+        """
+        self.retargets += len(users)
+        if len(users) <= 2:
+            for user in users:
+                self._retarget_one(int(user))
+        else:
+            self._retarget_many(np.asarray(users, dtype=np.intp))
+        self._wake()
+
+    def _wake(self) -> None:
+        """Some column changed: drop the slot-energy cache, end both rests."""
+        self._slot_energy_j = None
+        self._thermal_rest = False
+        self._battery_rest = False
+
+    def _retarget_many(self, users: np.ndarray) -> None:
+        training = self.training_active[users].view(np.int8)
+        state = training + training + self.app_active[users].view(np.int8)
+        corun_changed = self._state[users].max() == _CORUN or state.max() == _CORUN
+        power_w = np.choose(
+            state,
+            (
+                self.idle_w[users],
+                self.app_power_w[users],
+                self.training_w[users],
+                self.corun_power_w[users],
+            ),
+        )
+        energy_j = power_w * self.slot_seconds
+        self._state[users] = state
+        self._energy_j[users] = energy_j
+        self._thermal_target_c[users] = (
+            self.ambient_c[users] + self.degrees_per_watt[users] * power_w
+        )
+        self._energy_rows[:, users] = 0.0
+        self._energy_rows[state, users] = energy_j
+        # A job alone on its device makes exactly one slot of progress per
+        # slot; the entries of co-running ones come from the compressed set.
+        self._progress[users] = state == _TRAINING_ONLY
+        self._draw_j[users] = np.where(self.has_battery[users], energy_j, 0.0)
+        self._charge_add_j[users] = np.where(state == _IDLE, self._charge_step_j[users], 0.0)
+        if corun_changed:
+            self._compress_corun()
+
+    def _retarget_one(self, user: int) -> None:
+        app = self.app_active[user]
+        if self.training_active[user]:
+            state = _CORUN if app else _TRAINING_ONLY
+            power_w = self.corun_power_w[user] if app else self.training_w[user]
+        else:
+            state = _APP_ONLY if app else _IDLE
+            power_w = self.app_power_w[user] if app else self.idle_w[user]
+        corun_changed = state == _CORUN or self._state[user] == _CORUN
+        energy_j = power_w * self.slot_seconds
+        self._state[user] = state
+        self._energy_j[user] = energy_j
+        self._thermal_target_c[user] = (
+            self.ambient_c[user] + self.degrees_per_watt[user] * power_w
+        )
+        self._energy_rows[:, user] = 0.0
+        self._energy_rows[state, user] = energy_j
+        self._progress[user] = state == _TRAINING_ONLY
+        self._draw_j[user] = energy_j if self.has_battery[user] else 0.0
+        self._charge_add_j[user] = self._charge_step_j[user] if state == _IDLE else 0.0
+        if corun_changed:
+            self._compress_corun()
+
+    def _compress_corun(self) -> None:
+        """Re-derive the co-running set and its progress rates."""
+        corun = np.nonzero(self._state == _CORUN)[0]
+        slowdown = self.app_slowdown[corun]
+        slowdown = np.where(
+            self.heterogeneous[corun], slowdown, slowdown * _HOMOGENEOUS_CONTENTION
+        )
+        self._corun_users = corun
+        self._corun_free = 1.0 / slowdown
+        self._corun_throttled = 1.0 / (slowdown * self.throttle_slowdown[corun])
+        self._corun_throttle_c = self.throttle_temp_c[corun]
+        self._set_corun_progress(self.temperature_c[corun] >= self._corun_throttle_c)
+        # More than one slot of progress per slot breaks the completion
+        # bound of quiet_horizon(); advance_quiet hands such slots back.
+        self._corun_outruns_clock = bool(
+            len(corun) and float(self.app_slowdown[corun].min()) < 1.0
+        )
+
+    def _set_corun_progress(self, hot: np.ndarray) -> None:
+        """Progress per slot of the co-running users, throttled where ``hot``."""
+        self._corun_hot = hot
+        self._progress[self._corun_users] = np.where(
+            hot, self._corun_throttled, self._corun_free
+        )
+
+    def _rebuild(self) -> None:
+        """Derive every column, count and cursor from the primary arrays."""
+        self._started.clear()
+        self._num_training = int(self.training_active.sum())
+        self._refresh_next_expiry()
+        self._retarget_many(np.arange(self.num_users))
+        self._wake()
+
+    def _refresh_next_expiry(self) -> None:
+        active = self.app_active
+        self._next_expiry = int(self.app_end_slot[active].min()) if active.any() else _NEVER
+
+    def _flush_started(self) -> None:
+        """Retarget the users :meth:`start_training` queued, in one array call."""
+        if self._started:
+            self._retarget(self._started)
+            self._started.clear()
 
     # -- step 1: foreground applications -----------------------------------------
 
@@ -607,27 +800,39 @@ class FleetState:
 
         Mirrors the loop engine exactly: expiry first (an app whose
         ``end_slot`` has passed leaves the foreground), then launches, so an
-        arrival may reuse the slot its predecessor freed.
+        arrival may reuse the slot its predecessor freed.  Idempotent per
+        slot.  ``_next_expiry`` (the earliest ``end_slot`` of a running app)
+        makes a slot without application events cost one comparison and one
+        dictionary probe.
         """
-        expired = self.app_active & (slot >= self.app_end_slot)
-        if expired.any():
+        touched: List[int] = []
+        if slot >= self._next_expiry:
+            expired = np.nonzero(self.app_active & (slot >= self.app_end_slot))[0]
             self.app_active[expired] = False
             self.app_power_w[expired] = self.mean_app_w[expired]
             self.corun_power_w[expired] = self.mean_corun_w[expired]
             self.app_slowdown[expired] = 1.0
             self.app_names[expired] = None
             self._app_codes[expired] = 0.0
+            self._refresh_next_expiry()
+            touched = expired.tolist()
         for user, app in self._launches.get(slot, ()):
             if self.app_active[user]:
                 continue
             device = self.device_names[user]
+            end_slot = app.end_slot()
             self.app_active[user] = True
-            self.app_end_slot[user] = app.end_slot()
+            self.app_end_slot[user] = end_slot
             self.app_power_w[user] = self.power_model.app_power(device, app.name)
             self.corun_power_w[user] = self.power_model.corun_power(device, app.name)
             self.app_slowdown[user] = app.spec.training_slowdown
             self.app_names[user] = app.name
             self._app_codes[user] = self._app_code_for(app.name)
+            if end_slot < self._next_expiry:
+                self._next_expiry = end_slot
+            touched.append(user)
+        if touched:
+            self._retarget(touched)
 
     def _app_code_for(self, name: str) -> float:
         """Catalog code for ``name``, appending it on first sight."""
@@ -655,7 +860,10 @@ class FleetState:
 
     def ready_users(self) -> np.ndarray:
         """Ascending user ids eligible for a decision this slot."""
-        return np.nonzero(self.ready & ~self.training_active & self.battery_ok())[0]
+        eligible = self.ready & ~self.training_active
+        if self._any_battery:
+            eligible &= self.battery_ok()
+        return np.nonzero(eligible)[0]
 
     # -- decisions ---------------------------------------------------------------------
 
@@ -690,7 +898,9 @@ class FleetState:
     def start_training(self, user: int) -> int:
         """Start a training job on ``user`` (the policy decided ``schedule``).
 
-        Returns the nominal duration in slots (``d_i``).
+        Returns the nominal duration in slots (``d_i``).  The user's derived
+        columns are rewritten by the slot's :meth:`advance`, together with
+        those of everyone else who started in it.
         """
         if self.training_active[user]:
             raise RuntimeError(f"user {user}: training already in progress")
@@ -698,116 +908,130 @@ class FleetState:
         self.training_active[user] = True
         self.remaining_slots[user] = float(duration)
         self.ready[user] = False
+        self._num_training += 1
+        self._started.append(user)
         return duration
 
     # -- step 3: fleet-wide device advancement -------------------------------------------
 
+    def _step(self, overhead_j: Optional[np.ndarray] = None) -> None:
+        """One slot of device physics, fleet-wide (the ``MobileDevice.step``).
+
+        Applies, in the per-element operation order of the scalar device
+        runtime: the first-order thermal update, the Observation 2
+        contention slowdown with thermal throttling, the training-progress
+        decrement, the Eq. (10) energy accumulation (plus ``overhead_j``,
+        the Table III decision overhead of this slot's idle deciders) and
+        the battery discharge/charge cycle.  Every operand is a derived
+        column, so the step is a fixed sequence of whole-array calls whatever
+        the mix of activity states.
+
+        A plane that is provably at rest is skipped: every
+        :data:`REST_PROBE_SLOTS` slots the step checks whether it changed
+        anything — a thermal update that returns ``temperature_c`` bit for
+        bit, a battery cycle that draws and adds nothing — and with the
+        columns unchanged the next step is the same function of the same
+        state.  :meth:`_retarget` wakes both planes; overhead wakes the
+        batteries (it is a draw no column holds).
+        """
+        self.steps += 1
+        self._until_probe -= 1
+        probe = self._until_probe <= 0
+        if probe:
+            self._until_probe = REST_PROBE_SLOTS
+
+        # First-order thermal RC: T += (T_target - T) * (1 - exp(-dt/tau)).
+        temperature_c = self.temperature_c
+        if self._thermal_rest:
+            self.thermal_rest_slots += 1
+        else:
+            delta = np.subtract(self._thermal_target_c, temperature_c, out=self._scratch_delta)
+            delta *= self.thermal_alpha
+            if probe:
+                before = temperature_c.copy()
+                temperature_c += delta
+                self._thermal_rest = bool(np.array_equal(before, temperature_c))
+            else:
+                temperature_c += delta
+
+        # Training progress; co-running jobs suffer contention (Observation 2)
+        # and, when hot enough, thermal throttling: their entries of the
+        # progress column are rewritten when the throttle predicate, read
+        # against the just-updated temperature, changes for one of them.
+        if self._num_training:
+            corun = self._corun_users
+            if len(corun) and not self._thermal_rest:
+                hot = temperature_c[corun] >= self._corun_throttle_c
+                if (hot != self._corun_hot).any():
+                    self._set_corun_progress(hot)
+            self.remaining_slots -= self._progress
+
+        # Eq. (10) energy, routed to the accumulator of each user's state.
+        draw_j = self._draw_j
+        if overhead_j is None:
+            slot_energy_j = self._slot_energy_j
+            if slot_energy_j is None:
+                slot_energy_j = float(sum(self._energy_j.tolist()))
+                self._slot_energy_j = slot_energy_j
+        else:
+            spent_j = self._energy_j + overhead_j
+            slot_energy_j = float(sum(spent_j.tolist()))
+            draw_j = np.where(self.has_battery, spent_j, 0.0)
+            self._battery_rest = False  # a draw no column holds
+        self.accountant.add_slot(self._energy_rows, slot_energy_j, overhead_j)
+
+        # Battery coulomb counting: discharge what the slot drew, then charge
+        # idle devices that are plugged in.
+        if not self._any_battery:
+            return
+        if self._battery_rest:
+            self.battery_rest_slots += 1
+            return
+        charge_j = self.battery_charge_j
+        drawn = np.minimum(draw_j, charge_j, out=self._scratch_delta)
+        charge_j -= drawn
+        self.battery_cycle_j += drawn
+        added = np.subtract(self.battery_capacity_j, charge_j, out=self._scratch_added)
+        np.minimum(self._charge_add_j, added, out=added)
+        charge_j += added
+        if probe and overhead_j is None:
+            self._battery_rest = not (drawn.any() or added.any())
+
     def advance(self, decided_idle: np.ndarray) -> SlotAdvance:
         """Advance every device by one slot (the vectorized ``MobileDevice.step``).
 
-        Applies, fleet-wide and in the same per-element operation order as
-        the scalar device runtime: Eq. (10) power selection, the energy
-        accumulation, the first-order thermal update, the Observation 2
-        contention slowdown with thermal throttling, the training-progress
-        decrement, the Table III decision overhead for idle deciders, and
-        the battery discharge/charge cycle.
+        :meth:`_step` with the two things only a deciding slot has: the
+        Table III overhead of the ready users the policy kept idle, and the
+        detection of finished jobs.
 
         Args:
             decided_idle: per-user mask of ready users the policy kept idle
                 this slot (the Table III overhead applies to them only).
 
         Returns:
-            The per-user energies, finished trainees and activity masks.
+            The finished trainees.
         """
-        app = self.app_active
-        training = self.training_active
-        corun = training & app
-        training_only = training & ~app
-        app_only = app & ~training
-        idle = ~training & ~app
-
-        # Eq. (10): one of the four power levels per device.  power_w is
-        # per-slot scratch; energy_j stays a fresh array (SlotAdvance
-        # returns it to callers that outlive the slot).
-        power_w = self._scratch_power_w
-        np.copyto(power_w, self.idle_w)
-        power_w[app_only] = self.app_power_w[app_only]
-        power_w[training_only] = self.training_w[training_only]
-        power_w[corun] = self.corun_power_w[corun]
-        energy_j = power_w * self.slot_seconds
-
-        # First-order thermal RC: T += (T_target - T) * (1 - exp(-dt/tau)).
-        target = self.ambient_c + self.degrees_per_watt * power_w
-        self.temperature_c += (target - self.temperature_c) * self.thermal_alpha
-
-        # Training progress; co-running jobs suffer contention (Observation 2)
-        # and, when hot enough, thermal throttling.
-        finished_users = np.empty(0, dtype=np.int64)
-        if training.any():
-            progress = self._scratch_progress
-            progress.fill(1.0)
-            if corun.any():
-                slowdown = self._scratch_slowdown
-                slowdown.fill(1.0)
-                slowdown[corun] *= self.app_slowdown[corun]
-                contended = corun & ~self.heterogeneous
-                slowdown[contended] *= _HOMOGENEOUS_CONTENTION
-                throttled = corun & (self.temperature_c >= self.throttle_temp_c)
-                slowdown[throttled] *= self.throttle_slowdown[throttled]
-                progress[corun] = 1.0 / slowdown[corun]
-            self.remaining_slots[training] -= progress[training]
-            finished = training & (self.remaining_slots <= 0.0)
+        self._flush_started()
+        overhead_j = None
+        if self.config.include_scheduler_overhead and decided_idle.any():
+            # Table III: deciding-but-idle devices burn the decision-rule power.
+            deciders = np.nonzero(decided_idle & (self._state == _IDLE))[0]
+            if len(deciders):
+                overhead_j = self._scratch_overhead_j
+                overhead_j.fill(0.0)
+                overhead_j[deciders] = self._overhead_step_j[deciders]
+        self._step(overhead_j)
+        finished_users = _NO_USERS
+        if self._num_training:
+            finished = self.training_active & (self.remaining_slots <= 0.0)
             if finished.any():
-                self.training_active[finished] = False
                 finished_users = np.nonzero(finished)[0]
-
-        # Table III: deciding-but-idle devices burn the decision-rule power.
-        overhead_j = self._scratch_overhead_j
-        overhead_j.fill(0.0)
-        if self.config.include_scheduler_overhead:
-            deciders = idle & decided_idle
-            overhead_j[deciders] = (
-                self.overhead_w[deciders] - self.idle_w[deciders]
-            ) * self.slot_seconds
-
-        self.accountant.record_slot(
-            energy_j, idle, app_only, training_only, corun, overhead_j
-        )
-
-        # Battery coulomb counting: discharge what the slot drew, then charge
-        # idle devices that are plugged in.
-        if self.has_battery.any():
-            batt = self.has_battery
-            draw = energy_j + overhead_j
-            drawn = np.minimum(draw[batt], self.battery_charge_j[batt])
-            self.battery_charge_j[batt] -= drawn
-            self.battery_cycle_j[batt] += drawn
-            charging = batt & idle & (self.battery_rate_w > 0)
-            if charging.any():
-                added = np.minimum(
-                    self.battery_rate_w[charging] * self.slot_seconds,
-                    self.battery_capacity_j[charging] - self.battery_charge_j[charging],
-                )
-                self.battery_charge_j[charging] += added
-
-        return SlotAdvance(
-            energy_j=energy_j,
-            finished_users=finished_users,
-            state_masks={
-                DeviceState.IDLE: idle,
-                DeviceState.APP_ONLY: app_only,
-                DeviceState.TRAINING_ONLY: training_only,
-                DeviceState.CORUNNING: corun,
-            },
-        )
+                self.training_active[finished_users] = False
+                self._num_training -= len(finished_users)
+                self._retarget(finished_users)
+        return SlotAdvance(finished_users=finished_users)
 
     # -- event-horizon fast forward -------------------------------------------------------
-
-    #: Fleet size above which the quiet kernel switches from per-user Python
-    #: accumulation loops (cost ~n per slot) to per-slot NumPy kernels (cost
-    #: ~constant per slot until arrays get large); both are bitwise-exact
-    #: replays of :meth:`advance`, so the crossover is purely a speed trade.
-    QUIET_NUMPY_THRESHOLD = 96
 
     def quiet_horizon(self, slot: int, total_slots: int) -> int:
         """Upper bound on the advanceable quiet slots starting at ``slot``.
@@ -815,9 +1039,9 @@ class FleetState:
         A quiet slot is one in which no *scheduling* event can happen: no
         pending arrival, no ready user (both checked by the engine) and no
         training completion.  Application launches and expiries do **not**
-        bound the region — :meth:`advance_quiet` replays them in-kernel as
-        segment boundaries, because they only re-select the Eq. (10) power
-        level and the co-running slowdown of the affected devices.
+        bound the region — :meth:`advance_quiet` replays them on the slots
+        they fall on, because they only retarget the Eq. (10) power level
+        and the co-running slowdown of the affected devices.
 
         Per-slot training progress never exceeds one (every slowdown factor
         is at least 1), so no job can finish in fewer than
@@ -825,10 +1049,10 @@ class FleetState:
         that is completion-free.  The completion slot itself is *not* quiet:
         the engine processes the upload through the normal slot path.
         Battery-eligibility flips are not part of the static horizon either;
-        the battery kernel detects them per slot and shortens the advance.
+        the quiet loop detects them per slot and shortens the advance.
         """
         k = total_slots - slot
-        if self.training_active.any():
+        if self._num_training:
             min_remaining = float(self.remaining_slots[self.training_active].min())
             k = min(k, int(math.ceil(min_remaining)) - 1)
         return k
@@ -841,18 +1065,18 @@ class FleetState:
         synchronous round must not wait for it.  Users currently training are
         never stalled — they finish on battery and upload.
         """
+        if not self._any_battery:
+            return []
         mask = (
             self.has_battery
             & (self.battery_rate_w == 0.0)
             & ~self.training_active
             & ~self.battery_ok()
         )
-        if not mask.any():
-            return []
-        return [int(user) for user in np.nonzero(mask)[0]]
+        return np.nonzero(mask)[0].tolist()
 
     def quiet_snapshot(self) -> tuple:
-        """Copy of every array :meth:`advance_quiet` can mutate.
+        """Copy of every primary array :meth:`advance_quiet` can mutate.
 
         The sharded engine advances quiet regions with a two-phase commit:
         every shard *tries* the region up to its own bound, the coordinator
@@ -860,8 +1084,9 @@ class FleetState:
         snapshot and re-advance to the agreed count.  Restoring is exact —
         the snapshot covers application state, thermal state, training
         progress, batteries and the energy accumulators (the complete
-        mutation set of the quiet kernel; ready/training flags and the
-        launch schedule are invariant inside a quiet region).
+        mutation set of the quiet loop; ready/training flags and the
+        launch schedule are invariant inside a quiet region).  The derived
+        columns are not copied: :meth:`quiet_restore` rebuilds them.
         """
         return (
             self.app_active.copy(),
@@ -895,6 +1120,7 @@ class FleetState:
             accountant_state,
         ) = snapshot
         self.accountant.restore_quiet_state(accountant_state)
+        self._rebuild()
 
     # -- checkpointing -----------------------------------------------------------------
 
@@ -903,10 +1129,11 @@ class FleetState:
 
         The static calibration arrays (power levels, thermal constants,
         training durations, the launch schedule) are rebuilt bitwise from
-        the configuration by the shard builders, so only the state a run
-        mutates is captured.  ``base_params`` is not part of it: the
-        vectors are the coordinator's pinned bases (a checkpoint holds each
-        once, there), re-bound by ``FleetShard.restore_state``.
+        the configuration by the shard builders, and the derived columns
+        from the restored arrays by :meth:`load_state_dict`, so only the
+        state a run mutates is captured.  ``base_params`` is not part of it:
+        the vectors are the coordinator's pinned bases (a checkpoint holds
+        each once, there), re-bound by ``FleetShard.restore_state``.
         """
         return {
             "temperature_c": self.temperature_c.copy(),
@@ -957,6 +1184,7 @@ class FleetState:
         self.battery_charge_j = np.asarray(state["battery_charge_j"], dtype=float).copy()
         self.battery_cycle_j = np.asarray(state["battery_cycle_j"], dtype=float).copy()
         self.accountant.load_state_dict(state["accountant"])
+        self._rebuild()
 
     def advance_quiet(
         self,
@@ -965,45 +1193,32 @@ class FleetState:
         trace_interval: Optional[int],
         capture_user_totals: bool = False,
     ) -> Tuple[int, List[int], List[float], Optional[List[np.ndarray]]]:
-        """Advance up to ``max_slots`` quiet slots in one fused region kernel.
+        """Advance up to ``max_slots`` quiet slots: a loop of :meth:`_step`.
 
         Preconditions (established by the engine and :meth:`quiet_horizon`):
         the ready pool is empty, there are no pending arrivals and no
-        training job completes within the advanced range.  The region is
-        processed as a sequence of *segments* separated by application
-        launches and expiries — the kernel replays
-        :meth:`begin_slot_apps` at each boundary slot, exactly as the
-        slot-by-slot path would at the top of that slot.  Within a segment
-        the activity masks — and therefore every per-user slot energy,
-        thermal target and battery draw — are constant, and the per-slot
-        work reduces to the bitwise-exact replay of :meth:`advance`'s
-        arithmetic:
+        training job completes within the advanced range.  What a quiet
+        region skips is everything *around* the device physics — the ready
+        pool, the policy, the queues, the protocol round trips — not the
+        physics: every slot runs the same step :meth:`advance` runs, and
+        :meth:`begin_slot_apps` runs at the top of exactly the slots that
+        have a launch (the ``_launch_slot_list`` cursor) or an expiry
+        (``_next_expiry``) due, as the slot-by-slot path would.
 
-        * energy accumulators receive one repeated addition of the same
-          per-user slot energy per slot (IEEE-754 repeated addition has no
-          closed form, so the kernel really performs the additions — as
-          tight Python float loops for small fleets, per-slot array kernels
-          for large ones);
-        * the thermal state iterates ``T += (T_target - T) * alpha``,
-          short-circuiting once it reaches its floating-point fixpoint
-          (further iterations cannot change it);
-        * non-co-running training progresses exactly one slot per slot, so
-          ``remaining_slots -= seg_len`` reproduces per-slot unit decrements
-          exactly; co-running jobs replay the Observation 2 slowdown per
-          slot, with the thermal-throttle predicate evaluated against the
-          same temperature trajectory the slot-by-slot path sees;
-        * batteries replay the discharge/charge kernel per slot, stopping
-          the whole region early when a battery-gated ready user crosses its
-          participation threshold (the pool becomes non-empty — an event),
-          and short-circuiting once every battery is drained or full;
-        * the cumulative per-slot energy series advances by a constant
-          increment per segment (:meth:`FleetEnergyAccountant.backfill_quiet`).
+        The region ends early, handing the slot back to the normal path,
+
+        * before a slot in which a co-running job would progress by more
+          than one slot per slot (``app_slowdown < 1``: the completion bound
+          of :meth:`quiet_horizon` no longer holds; ``begin_slot_apps`` is
+          idempotent per slot, so the hand-back is exact);
+        * after a slot in which a battery-gated *ready* user that charges
+          crossed its participation threshold — from the next slot on the
+          ready pool is non-empty, an event the engine must process.
 
         Returns:
             ``(advanced, tick_offsets, tick_totals, tick_user_totals)`` —
-            the number of slots actually advanced (shorter than
-            ``max_slots`` on a battery flip), the 0-based offsets within the
-            region that fall on the trace-sampling grid
+            the number of slots actually advanced, the 0-based offsets
+            within the region that fall on the trace-sampling grid
             (``trace_interval=None`` disables tick capture entirely — the
             summary-telemetry mode), the system-wide cumulative energy at
             each of those offsets (what ``accountant.total_j()`` would have
@@ -1012,395 +1227,74 @@ class FleetState:
             sharded coordinator folds across shards in global user order to
             reproduce the single-process tick totals bit for bit.
         """
-        n = self.num_users
+        self._flush_started()
         acc = self.accountant
-        use_python = n < self.QUIET_NUMPY_THRESHOLD
-        if use_python:
-            lists = [
-                acc.idle_j.tolist(),
-                acc.app_j.tolist(),
-                acc.training_j.tolist(),
-                acc.corunning_j.tolist(),
-            ]
-            overhead_list = acc.overhead_j.tolist()
-        has_battery = bool(self.has_battery.any())
-        watch_idx: Optional[np.ndarray] = None
-        if has_battery:
+        watch: Optional[np.ndarray] = None
+        if self._any_battery:
             # Battery-gated ready users that charge can re-enter the pool;
             # the watch set is constant across the region (every ready user
             # is already gated, and ready/training flags cannot change here).
-            watch = (
+            gated = (
                 self.ready
                 & ~self.training_active
-                & self.has_battery
-                & ~self.battery_ok()
                 & (self.battery_rate_w > 0)
+                & ~self.battery_ok()
             )
-            if watch.any():
-                watch_idx = np.nonzero(watch)[0]
-        launch_list = self._launch_slot_list
-        num_launch = len(launch_list)
-        launch_pos = bisect.bisect_left(launch_list, start_slot)
-        region_end = start_slot + max_slots
-        advanced = 0
-        flipped = False
+            if gated.any():
+                watch = np.nonzero(gated)[0]
+                watch_capacity_j = self.battery_capacity_j[watch]
+                watch_min_soc = self.battery_min_soc[watch]
+        launch_slots = self._launch_slot_list
+        launch_pos = bisect.bisect_left(launch_slots, start_slot)
+        next_launch = launch_slots[launch_pos] if launch_pos < len(launch_slots) else _NEVER
         tick_offsets: List[int] = []
         tick_totals: List[float] = []
         tick_user_totals: Optional[List[np.ndarray]] = (
             [] if capture_user_totals else None
         )
-        while advanced < max_slots and not flipped:
-            seg_slot = start_slot + advanced
-            # Top-of-slot application bookkeeping for the segment boundary.
-            # begin_slot_apps is idempotent per slot, so handing the slot
-            # back to the normal path after an early break stays exact.
-            self.begin_slot_apps(seg_slot)
-            app = self.app_active
-            training = self.training_active
-            corun = training & app
-            training_only = training & ~app
-            app_only = app & ~training
-            idle = ~training & ~app
-            if corun.any() and float(self.app_slowdown[corun].min()) < 1.0:
-                break  # progress > 1/slot would break the completion bound
-
-            # Segment length: up to (excluding) the next application event.
-            seg_end = region_end
-            while launch_pos < num_launch and launch_list[launch_pos] <= seg_slot:
-                launch_pos += 1
-            if launch_pos < num_launch and launch_list[launch_pos] < seg_end:
-                seg_end = launch_list[launch_pos]
-            if app.any():
-                next_expiry = int(self.app_end_slot[app].min())
-                if next_expiry < seg_end:
-                    seg_end = next_expiry
-            seg_len = seg_end - seg_slot
-            if seg_len <= 0:
-                break  # defensive; boundaries above are strictly ahead
-
-            # Eq. (10) power levels — constant across the segment.
-            power_w = self.idle_w.copy()
-            power_w[app_only] = self.app_power_w[app_only]
-            power_w[training_only] = self.training_w[training_only]
-            power_w[corun] = self.corun_power_w[corun]
-            energy_j = power_w * self.slot_seconds
-
-            # Batteries first: they may cut the segment at an eligibility flip.
-            seg_done = seg_len
-            if has_battery:
-                seg_done, flipped = self._advance_quiet_batteries(
-                    energy_j, idle, seg_len, watch_idx
-                )
-                if seg_done <= 0:
-                    break
-
-            self._advance_quiet_thermal(power_w, corun, seg_done)
-
-            # Non-co-running training: exactly 1.0 progress per slot, so the
-            # closed form reproduces seg_done unit decrements bit for bit.
-            if training_only.any():
-                self.remaining_slots[training_only] -= float(seg_done)
-
-            # Energy accumulation with trace-tick capture.
-            if use_python:
-                state_code = (training.astype(np.int64) * 2 + app).tolist()
-                self._accumulate_segment_python(
-                    lists,
-                    overhead_list,
-                    energy_j.tolist(),
-                    state_code,
-                    seg_slot,
-                    seg_done,
-                    trace_interval,
-                    advanced,
-                    tick_offsets,
-                    tick_totals,
-                    tick_user_totals,
-                )
-            else:
-                self._accumulate_segment_numpy(
-                    energy_j,
-                    (idle, app_only, training_only, corun),
-                    seg_slot,
-                    seg_done,
-                    trace_interval,
-                    advanced,
-                    tick_offsets,
-                    tick_totals,
-                    tick_user_totals,
-                )
-
-            # Cumulative per-slot energy series: constant increment per slot.
-            acc.backfill_quiet(float(sum(energy_j.tolist())), seg_done)
-            advanced += seg_done
-        if use_python:
-            acc.idle_j[:] = lists[0]
-            acc.app_j[:] = lists[1]
-            acc.training_j[:] = lists[2]
-            acc.corunning_j[:] = lists[3]
-        return advanced, tick_offsets, tick_totals, tick_user_totals
-
-    def _advance_quiet_thermal(
-        self, power_w: np.ndarray, corun: np.ndarray, seg_done: int
-    ) -> None:
-        """Thermal RC + co-running progress for one quiet segment.
-
-        Iterates the first-order update fleet-wide, fused with the per-slot
-        co-running progress whose throttle predicate reads the just-updated
-        temperature — the same ordering as :meth:`advance`.  With no
-        co-running observer the iteration short-circuits at its
-        floating-point fixpoint; with co-running users every slot is
-        iterated (the predicate consumes each intermediate temperature).
-        """
-        target = self.ambient_c + self.degrees_per_watt * power_w
-        corun_users: List[int] = []
-        corun_free: List[float] = []
-        corun_throttled: List[float] = []
-        corun_threshold: List[float] = []
-        corun_remaining: List[float] = []
-        if corun.any():
-            for user in np.nonzero(corun)[0]:
-                user = int(user)
-                slowdown = 1.0 * float(self.app_slowdown[user])
-                if not self.heterogeneous[user]:
-                    slowdown = slowdown * _HOMOGENEOUS_CONTENTION
-                corun_users.append(user)
-                corun_free.append(1.0 / slowdown)
-                corun_throttled.append(
-                    1.0 / (slowdown * float(self.throttle_slowdown[user]))
-                )
-                corun_threshold.append(float(self.throttle_temp_c[user]))
-                corun_remaining.append(float(self.remaining_slots[user]))
-        num_corun = len(corun_users)
-        temp = self.temperature_c
-        alpha = self.thermal_alpha
-        done = 0
-        if num_corun == 0:
-            # No observer of intermediate temperatures: probe one slot to
-            # find the users still moving.  Devices at their floating-point
-            # fixpoint stay there (target is constant within the segment),
-            # so when few users are cooling/heating the whole segment
-            # reduces to per-user scalar loops with early fixpoint exit —
-            # Python and NumPy float64 arithmetic are the same IEEE-754
-            # operations, so the scalar replay is bit-exact.
-            new = temp + (target - temp) * alpha
-            moving = np.nonzero(new != temp)[0]
-            if len(moving) == 0:
-                done = seg_done  # whole fleet already at its fixpoint
-            elif len(moving) <= 8:
-                temp = new
-                done = 1
-                for user in moving:
-                    user = int(user)
-                    x = float(temp[user])
-                    t_u = float(target[user])
-                    a_u = float(alpha[user])
-                    for _ in range(seg_done - 1):
-                        nx = x + (t_u - x) * a_u
-                        if nx == x:
-                            break
-                        x = nx
-                    temp[user] = x
-                done = seg_done
-        # Fixpoint detection in the array loop: a per-slot equality test
-        # would double the cost of the (already tiny) update, so candidates
-        # are probed against a snapshot every 64 slots and confirmed with a
-        # consecutive-slot comparison — only a consecutive comparison proves
-        # a fixpoint (a snapshot match alone could be a rounding cycle).
-        check_fixpoint = (seg_done - done) >= 64 and num_corun == 0
-        snapshot = temp if check_fixpoint else None
-        probe = done
-        while done < seg_done:
-            if check_fixpoint and (done - probe) % 64 == 0 and done > probe:
-                if np.array_equal(temp, snapshot):
-                    new = temp + (target - temp) * alpha
-                    if np.array_equal(new, temp):
-                        break
-                    check_fixpoint = False  # rounding cycle: finish plainly
-                snapshot = temp
-            new = temp + (target - temp) * alpha
-            temp = new
-            done += 1
-            for i in range(num_corun):
-                corun_remaining[i] -= (
-                    corun_throttled[i]
-                    if temp[corun_users[i]] >= corun_threshold[i]
-                    else corun_free[i]
-                )
-        self.temperature_c = temp
-        for i in range(num_corun):
-            self.remaining_slots[corun_users[i]] = corun_remaining[i]
-
-    def _advance_quiet_batteries(
-        self,
-        energy_j: np.ndarray,
-        idle: np.ndarray,
-        seg_len: int,
-        watch_idx: Optional[np.ndarray],
-    ) -> Tuple[int, bool]:
-        """Replay the battery kernel per quiet slot for one segment.
-
-        Returns ``(slots_done, flipped)``.  ``flipped`` is ``True`` when a
-        charging, battery-gated *ready* user crossed its participation
-        threshold — from the next slot on the ready pool is non-empty, which
-        is an event the engine must process through the normal path.  When
-        every battery stops changing (drained with nothing charging, or
-        full), the remaining slots are exact no-ops and are skipped.
-        """
-        # Work on contiguous compressed copies of the battery-user arrays and
-        # write back once: the per-element arithmetic (and therefore every
-        # rounding decision) is identical to the masked in-place updates of
-        # advance(), only the indexing overhead changes.
-        batt = self.has_battery
-        batt_idx = np.nonzero(batt)[0]
-        draw_b = energy_j[batt]
-        charge_b = self.battery_charge_j[batt]
-        cycle_b = self.battery_cycle_j[batt]
-        charging = batt & idle & (self.battery_rate_w > 0)
-        has_charging = bool(charging.any())
-        if has_charging:
-            added_cap = self.battery_rate_w[charging] * self.slot_seconds
-            capacity_c = self.battery_capacity_j[charging]
-            charging_pos = np.nonzero(charging[batt])[0]
-        if watch_idx is not None:
-            watch_pos = np.searchsorted(batt_idx, watch_idx)
-            watch_capacity = self.battery_capacity_j[watch_idx]
-            watch_min_soc = self.battery_min_soc[watch_idx]
-        done_slots = seg_len
-        flipped = False
-        for done in range(seg_len):
-            drawn = np.minimum(draw_b, charge_b)
-            charge_b -= drawn
-            cycle_b += drawn
-            if has_charging:
-                added = np.minimum(added_cap, capacity_c - charge_b[charging_pos])
-                charge_b[charging_pos] += added
-            if watch_idx is not None:
-                eligible = charge_b[watch_pos] / watch_capacity >= watch_min_soc
-                if eligible.any():
-                    done_slots, flipped = done + 1, True
-                    break
-            if not drawn.any() and (not has_charging or not added.any()):
-                break  # battery fixpoint: the rest of the segment is a no-op
-        self.battery_charge_j[batt] = charge_b
-        self.battery_cycle_j[batt] = cycle_b
-        return done_slots, flipped
-
-    def _accumulate_segment_python(
-        self,
-        lists: List[List[float]],
-        overhead_list: List[float],
-        e_list: List[float],
-        state_code: List[int],
-        seg_slot: int,
-        seg_done: int,
-        trace_interval: Optional[int],
-        region_offset: int,
-        tick_offsets: List[int],
-        tick_totals: List[float],
-        tick_user_totals: Optional[List[np.ndarray]],
-    ) -> None:
-        """Per-user Python accumulation (small fleets): repeated additions.
-
-        Python and NumPy ``float64`` addition are the same IEEE-754
-        operation, so accumulating each user's active-state energy in a
-        scalar loop reproduces the per-slot masked array additions bit for
-        bit.  ``lists`` are the region-persistent accumulator snapshots
-        (``[idle, app, training, corunning]``); ``state_code`` indexes them
-        (``2 * training + app``).
-        """
-        n = self.num_users
-        if trace_interval is None:
-            seg_ticks: List[int] = []
-        else:
-            seg_ticks = [
-                j for j in range(seg_done) if (seg_slot + j) % trace_interval == 0
-            ]
-        captures: List[List[float]] = [[0.0] * n for _ in seg_ticks]
-        for user in range(n):
-            active = lists[state_code[user]]
-            x = active[user]
-            e = e_list[user]
-            position = 0
-            for t_i, offset in enumerate(seg_ticks):
-                for _ in range(offset + 1 - position):
-                    x += e
-                position = offset + 1
-                captures[t_i][user] = x
-            for _ in range(seg_done - position):
-                x += e
-            active[user] = x
-        # Per-tick system totals, in total_j()'s exact reduction order:
-        # ((((idle + app) + training) + corun) + overhead), then a
-        # left-to-right sum over users.  Components other than a user's
-        # active one did not change during this segment, so the current
-        # list values are their tick-time values.
-        for t_i, offset in enumerate(seg_ticks):
-            cap = captures[t_i]
-            total = 0
-            user_totals = np.empty(n) if tick_user_totals is not None else None
-            for user in range(n):
-                code = state_code[user]
-                v_idle = cap[user] if code == 0 else lists[0][user]
-                v_app = cap[user] if code == 1 else lists[1][user]
-                v_training = cap[user] if code == 2 else lists[2][user]
-                v_corun = cap[user] if code == 3 else lists[3][user]
-                user_total = (
-                    (((v_idle + v_app) + v_training) + v_corun)
-                    + overhead_list[user]
-                )
-                if user_totals is not None:
-                    user_totals[user] = user_total
-                total = total + user_total
-            tick_offsets.append(region_offset + offset)
-            tick_totals.append(float(total))
-            if tick_user_totals is not None:
-                tick_user_totals.append(user_totals)
-
-    def _accumulate_segment_numpy(
-        self,
-        energy_j: np.ndarray,
-        masks: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        seg_slot: int,
-        seg_done: int,
-        trace_interval: Optional[int],
-        region_offset: int,
-        tick_offsets: List[int],
-        tick_totals: List[float],
-        tick_user_totals: Optional[List[np.ndarray]],
-    ) -> None:
-        """Per-slot array accumulation (large fleets): masked adds per slot."""
-        acc = self.accountant
-        idle, app_only, training_only, corun = masks
-        groups = []
-        for array, mask in (
-            (acc.idle_j, idle),
-            (acc.app_j, app_only),
-            (acc.training_j, training_only),
-            (acc.corunning_j, corun),
-        ):
-            index = np.nonzero(mask)[0]
-            if len(index):
-                groups.append((array, index, energy_j[index]))
-        for offset in range(seg_done):
-            for array, index, values in groups:
-                array[index] += values
-            if trace_interval is not None and (seg_slot + offset) % trace_interval == 0:
-                # Same per-user formula and user-order fold as total_j().
-                user_totals = (
-                    acc.idle_j + acc.app_j + acc.training_j + acc.corunning_j
-                ) + acc.overhead_j
-                tick_offsets.append(region_offset + offset)
+        advanced = 0
+        while advanced < max_slots:
+            slot = start_slot + advanced
+            if slot >= next_launch or slot >= self._next_expiry:
+                self.begin_slot_apps(slot)
+                while next_launch <= slot:
+                    launch_pos += 1
+                    next_launch = (
+                        launch_slots[launch_pos] if launch_pos < len(launch_slots) else _NEVER
+                    )
+            if self._corun_outruns_clock:
+                break
+            self._step()
+            acc.close_slot()
+            if trace_interval is not None and slot % trace_interval == 0:
+                user_totals = acc.user_totals_j()  # folded as total_j() does
+                tick_offsets.append(advanced)
                 tick_totals.append(float(sum(user_totals.tolist())))
                 if tick_user_totals is not None:
                     tick_user_totals.append(user_totals)
+            advanced += 1
+            if (
+                watch is not None
+                and not self._battery_rest
+                and (self.battery_charge_j[watch] / watch_capacity_j >= watch_min_soc).any()
+            ):
+                break
+        return advanced, tick_offsets, tick_totals, tick_user_totals
 
     # -- reporting ---------------------------------------------------------------------
 
     def final_battery_soc(self) -> List[float]:
         """End-of-run state of charge of every battery-powered user."""
-        return [
-            float(self.battery_charge_j[u] / self.battery_capacity_j[u])
-            for u in range(self.num_users)
-            if self.has_battery[u]
-        ]
+        batt = self.has_battery
+        return (self.battery_charge_j[batt] / self.battery_capacity_j[batt]).tolist()
+
+    def plane_counters(self) -> Dict[str, int]:
+        """How event-driven the run was: slot steps taken, per-user column
+        rewrites (application, start and finish events), and the slots each
+        plane spent at rest."""
+        return {
+            "steps": self.steps,
+            "retargets": self.retargets,
+            "thermal_rest_slots": self.thermal_rest_slots,
+            "battery_rest_slots": self.battery_rest_slots,
+        }

@@ -228,6 +228,9 @@ class ShardFinal:
     training_seconds: float
     #: BLAS threads in effect in the process that ran the shard.
     blas_threads: Optional[int]
+    #: :meth:`FleetState.plane_counters` of the shard's fleet (slot steps,
+    #: retargets, slots at rest) as counted by the process that finished it.
+    fleet_plane: Dict[str, int]
 
 
 def build_observation_batch(
@@ -680,6 +683,7 @@ class FleetShard:
             final_battery_soc=self.fleet.final_battery_soc(),
             training_seconds=float(self.timers.seconds.get("training", 0.0)),
             blas_threads=blas_threads(),
+            fleet_plane=self.fleet.plane_counters(),
         )
 
 
@@ -1818,4 +1822,5 @@ class ShardedEngine(Coordinator):
             [soc for final in finals for soc in final.final_battery_soc],
             [] if nested else [final.training_seconds for final in finals],
             [] if nested else [final.blas_threads for final in finals],
+            [final.fleet_plane for final in finals],
         )

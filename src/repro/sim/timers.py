@@ -25,7 +25,10 @@ Timers are disabled by default and cost nothing when off (``start`` /
 ``stop`` reduce to attribute checks); they never influence simulation
 results.  ``repro-sim simulate/compare --profile`` prints the report and
 :class:`~repro.analysis.runner.RunSummary` carries the shares for every
-suite run.
+suite run.  The report also lists, per shard, how event-driven the fleet was
+(``fleet_planes``: slot steps, retargets, slots each plane spent at rest) —
+counts, not times, so "why is this fleet slow" has an answer without a
+profiler.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ class EngineTimers:
         #: library) and, per shard, in each worker process.
         self.blas_threads: Optional[int] = None
         self.worker_blas_threads: List[Optional[int]] = []
+        #: Per shard, how event-driven its fleet was
+        #: (:meth:`repro.sim.fleet.FleetState.plane_counters`): slot steps
+        #: taken, per-user column rewrites, slots each plane spent at rest.
+        self.fleet_planes: List[Dict[str, int]] = []
 
     def start(self) -> float:
         """Begin one timed section; returns the tick to pass to :meth:`stop`."""
@@ -109,6 +116,13 @@ class EngineTimers:
         values = dict(self.seconds, slot_loop=self.slot_loop_s())
         for name in ordered:
             lines.append(f"  {name:<10} {values[name]:8.3f}s  {100.0 * shares[name]:5.1f}%")
+        for index, plane in enumerate(self.fleet_planes):
+            lines.append(
+                f"  shard {index} fleet plane: {plane['steps']} slot steps, "
+                f"{plane['retargets']} retargets, at rest "
+                f"{plane['thermal_rest_slots']} thermal / "
+                f"{plane['battery_rest_slots']} battery slots"
+            )
         for index, (seconds, threads) in enumerate(
             zip(self.worker_training_s, self.worker_blas_threads)
         ):

@@ -27,6 +27,7 @@ from repro.core.policies import ImmediatePolicy, SyncPolicy
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.fleet import FleetEnergyAccountant
+from repro.sim.shard import ShardedEngine
 
 from oracle import make_engine
 
@@ -87,10 +88,14 @@ def _assert_matrix_bitwise_equal(config, results):
     reference = results["loop"]
     for name, result in results.items():
         if name != "loop":
-            _assert_bitwise_equal(config, reference, result)
+            # Shards sum their own per-slot subtotals: the one plot-only
+            # series that re-associates (FleetEnergyAccountant.merged).
+            _assert_bitwise_equal(
+                config, reference, result, per_slot_series=not name.endswith("-shard")
+            )
 
 
-def _assert_bitwise_equal(config, loop, fleet):
+def _assert_bitwise_equal(config, loop, fleet, per_slot_series=True):
     """Every observable trace of the two runs must match exactly."""
     # Decisions and job mix.
     assert loop.trace.decisions == fleet.trace.decisions
@@ -98,7 +103,8 @@ def _assert_bitwise_equal(config, loop, fleet):
     assert loop.trace.background_jobs == fleet.trace.background_jobs
     # Eq. (10) energy: totals, per-user breakdowns and the per-slot series.
     assert loop.total_energy_j() == fleet.total_energy_j()
-    assert loop.accountant.per_slot_totals() == fleet.accountant.per_slot_totals()
+    if per_slot_series:
+        assert loop.accountant.per_slot_totals() == fleet.accountant.per_slot_totals()
     assert loop.accountant.training_related_j() == fleet.accountant.training_related_j()
     for user in range(config.num_users):
         assert loop.accountant.user_breakdown(user) == fleet.accountant.user_breakdown(user)
@@ -239,6 +245,152 @@ class TestBackendEquivalence:
         _assert_matrix_bitwise_equal(config, results)
 
 
+#: Phones only: a dev board has no battery and would train through the night.
+PHONE_MIX = {"pixel2": 1.0 / 3, "nexus6": 1.0 / 3, "nexus6p": 1.0 / 3}
+
+
+def _run_five(config: SimulationConfig, make_policy, trace_level="full", **kwargs):
+    """The three-way matrix plus 2 and 3 inline shards, fresh policy each."""
+    results, _ = _run_matrix(config, make_policy)
+    for name, (_, mode, fast_forward) in zip(list(results), EXECUTION_MODES):
+        if mode == "fleet" and (trace_level != "full" or kwargs):
+            results[name] = SimulationEngine(
+                config, make_policy(), fast_forward=fast_forward,
+                trace_level=trace_level, **kwargs,
+            ).run()
+    for shards in (2, 3):
+        results[f"{shards}-shard"] = ShardedEngine(
+            config, make_policy(), shards=shards, inline=True,
+            trace_level=trace_level, **kwargs,
+        ).run()
+    return results
+
+
+def _assert_headlines_equal(reference, result):
+    """What survives ``trace_level="summary"``: totals, breakdowns, curves."""
+    assert reference.total_energy_j() == result.total_energy_j()
+    assert reference.accountant.training_related_j() == result.accountant.training_related_j()
+    assert reference.num_updates == result.num_updates
+    assert dict(reference.trace.decisions) == dict(result.trace.decisions)
+    assert reference.accuracy.accuracies() == result.accuracy.accuracies()
+    assert reference.final_battery_soc == result.final_battery_soc
+    assert reference.trace.update_samples == result.trace.update_samples
+
+
+class TestFleetPlaneRegimes:
+    """Regimes the event-driven fleet plane treats differently, each held to
+    the reference loop in all five execution modes — the independent oracle
+    for the slot step ``advance`` and ``advance_quiet`` share."""
+
+    @pytest.mark.parametrize("num_users", [8, 128])
+    def test_fleet_sizes_around_the_old_kernel_fork(self, num_users):
+        """One slot step at every size (the quiet kernel used to switch from
+        Python loops to NumPy at 96 users)."""
+        config = _paper_fleet_config(
+            num_users=num_users,
+            total_slots=300,
+            num_train_samples=max(600, 5 * num_users),
+            device_mix=PHONE_MIX,
+            battery_capacity_j=250.0,
+            battery_charge_rate_w=1.0,
+            min_battery_soc=0.3,
+            include_scheduler_overhead=True,
+        )
+        results = _run_five(config, lambda: OnlinePolicy(v=4000.0, staleness_bound=500.0))
+        _assert_matrix_bitwise_equal(config, results)
+
+    @pytest.mark.parametrize("trace_level", ["full", "summary"])
+    def test_charging_flip_cuts_a_region_on_a_trace_tick(self, trace_level):
+        """Every slot is a tick, so the slot whose charge crosses the gate
+        — the last one of its quiet region — is captured as one."""
+        config = _paper_fleet_config(
+            num_users=9,
+            total_slots=700,
+            trace_interval_slots=1,
+            app_arrival_prob=0.004,
+            device_mix=PHONE_MIX,
+            battery_capacity_j=180.0,
+            battery_charge_rate_w=2.5,
+            min_battery_soc=0.4,
+        )
+        results = _run_five(config, ImmediatePolicy, trace_level=trace_level)
+        loop = results["loop"]
+        # A job empties a 180 J battery, so a user's second upload means it
+        # idled below the gate and charged back across it.
+        assert loop.num_updates > config.num_users
+        if trace_level == "full":
+            _assert_matrix_bitwise_equal(config, results)
+        else:
+            for name, result in results.items():
+                if name != "loop":
+                    assert result.trace.slot_samples == []
+                    _assert_headlines_equal(loop, result)
+
+    def test_an_app_that_speeds_training_up_ends_the_region(self, monkeypatch):
+        """``training_slowdown < 1``: more than a slot of progress per slot
+        voids the completion bound, so those slots run one by one."""
+        import dataclasses
+
+        from repro.device.apps import APP_CATALOG
+
+        for name in ("news", "zoom"):
+            monkeypatch.setitem(
+                APP_CATALOG, name, dataclasses.replace(APP_CATALOG[name], training_slowdown=0.6)
+            )
+        config = _paper_fleet_config(num_users=8, total_slots=500, app_arrival_prob=0.02)
+        results = _run_five(config, ImmediatePolicy)
+        assert results["loop"].trace.corun_jobs > 0
+        _assert_matrix_bitwise_equal(config, results)
+
+    def test_a_long_region_with_nothing_moving(self):
+        """Drained phones, no charger, no app: both planes come to rest and
+        the region is thousands of slots of accumulator adds."""
+        config = _paper_fleet_config(
+            num_users=8,
+            total_slots=6_500,
+            app_arrival_prob=0.0,
+            trace_interval_slots=500,
+            eval_interval_slots=6_500,
+            device_mix=PHONE_MIX,
+            battery_capacity_j=150.0,
+            battery_charge_rate_w=0.0,
+            min_battery_soc=0.2,
+        )
+        results = _run_five(config, ImmediatePolicy, profile=True)
+        _assert_matrix_bitwise_equal(config, results)
+        for name in ("fleet", "fast-forward"):
+            (plane,) = results[name].timers.fleet_planes
+            assert plane["steps"] == config.total_slots
+            assert plane["battery_rest_slots"] > 64
+            assert plane["thermal_rest_slots"] > 64
+        assert len(results["3-shard"].timers.fleet_planes) == 3
+
+    def test_checkpoint_mid_region_restored_on_two_shards(self):
+        """A snapshot taken inside a quiet region (the checkpointer caps the
+        region there) carries only primary arrays; the restored shards
+        rebuild their columns and finish the region."""
+        from test_checkpoint import interrupt_at
+
+        config = _paper_fleet_config(
+            num_users=9,
+            total_slots=900,
+            app_arrival_prob=0.004,
+            device_mix=PHONE_MIX,
+            battery_capacity_j=180.0,
+            battery_charge_rate_w=0.4,
+            min_battery_soc=0.4,
+        )
+        reference = make_engine("loop", config, ImmediatePolicy()).run()
+        uninterrupted = SimulationEngine(config, ImmediatePolicy(), profile=True).run()
+        # Slot 450 is deep inside the drained stretch: nothing is decided
+        # there, so the single engine is fast-forwarding when it stops.
+        assert not any(450 - 5 <= s.slot <= 450 + 5 and s.num_ready for s in reference.trace.slot_samples)
+        checkpoint = interrupt_at(SimulationEngine(config, ImmediatePolicy()), 450)
+        resumed = ShardedEngine.restore(checkpoint, shards=2, inline=True).run()
+        _assert_bitwise_equal(config, reference, uninterrupted)
+        _assert_bitwise_equal(config, reference, resumed, per_slot_series=False)
+
+
 class TestFleetScale:
     def test_thousand_user_run_completes(self):
         """Fleet size is a NumPy axis: a 1000-user online run finishes.
@@ -302,12 +454,13 @@ class TestFleetEnergyAccountant:
         """total_j must be the left-to-right Python sum of per-user totals."""
         accountant = FleetEnergyAccountant(3)
         energy = np.array([1.1, 2.2, 3.3])
-        idle = np.array([True, False, False])
-        app = np.array([False, True, False])
-        training = np.array([False, False, True])
-        corun = np.zeros(3, dtype=bool)
+        # One user idle, one on an app, one training: each energy sits in
+        # the routing row of its user's state, 0.0 in the other three.
+        routed = np.array(
+            [[1.1, 0.0, 0.0], [0.0, 2.2, 0.0], [0.0, 0.0, 3.3], [0.0, 0.0, 0.0]]
+        )
         overhead = np.array([0.5, 0.0, 0.0])
-        accountant.record_slot(energy, idle, app, training, corun, overhead)
+        accountant.add_slot(routed, float(sum((energy + overhead).tolist())), overhead)
         expected = sum([1.1 + 0.5, 2.2, 3.3])
         assert accountant.total_j() == expected
         assert accountant.total_kj() == expected / 1000.0

@@ -189,7 +189,13 @@ class TestBackendDifferentialFuzz:
     fleet backend with and without event-horizon fast-forward, and the
     sharded engine at two and three shards (inline handles: same protocol
     and arithmetic as worker processes, without fork overhead).  Every
-    observable output must be bitwise identical across all five.
+    observable output must be bitwise identical across all five.  The
+    reference loop is the independent oracle of the slot step the fleet's
+    ``advance`` and ``advance_quiet`` share: the draws cover fleets with and
+    without batteries (dev boards never have one, so battery fleets are
+    mixed), batteries that only drain and batteries that charge back across
+    the participation gate, the Table III overhead, and a trace grid fine
+    enough that a region-ending flip lands on a tick.
 
     Runs are seconds-scale, so examples are few; ``derandomize`` keeps CI
     stable while local runs can widen the net with
@@ -197,7 +203,7 @@ class TestBackendDifferentialFuzz:
     """
 
     FUZZ_SETTINGS = settings(
-        max_examples=8,
+        max_examples=12,
         deadline=None,
         derandomize=True,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
@@ -224,15 +230,19 @@ class TestBackendDifferentialFuzz:
 
     @FUZZ_SETTINGS
     @given(
-        num_users=st.integers(2, 5),
-        total_slots=st.integers(60, 160),
+        num_users=st.integers(2, 8),
+        total_slots=st.integers(60, 240),
         arrival_prob=st.sampled_from([0.0, 0.005, 0.02, 0.05]),
         seed=st.integers(0, 2**16),
         train_samples=st.integers(120, 240),
         policy_name=st.sampled_from(["online", "sync", "immediate"]),
+        charge_rate_w=st.sampled_from([None, 0.0, 3.0]),
+        overhead=st.booleans(),
+        trace_interval=st.sampled_from([1, 20]),
     )
     def test_all_execution_modes_agree_bitwise(
-        self, num_users, total_slots, arrival_prob, seed, train_samples, policy_name
+        self, num_users, total_slots, arrival_prob, seed, train_samples, policy_name,
+        charge_rate_w, overhead, trace_interval,
     ):
         from repro.core.online import OnlinePolicy
         from repro.core.policies import ImmediatePolicy, SyncPolicy
@@ -251,11 +261,16 @@ class TestBackendDifferentialFuzz:
             num_test_samples=80,
             hidden_dims=(8,),
             eval_interval_slots=50,
-            trace_interval_slots=20,
+            trace_interval_slots=trace_interval,
             class_separation=2.5,
             clusters_per_class=1,
             label_noise=0.0,
             learning_rate=0.05,
+            include_scheduler_overhead=overhead,
+            # 120 J: about half a job, so phones gate out within the horizon.
+            battery_capacity_j=None if charge_rate_w is None else 120.0,
+            battery_charge_rate_w=charge_rate_w or 0.0,
+            min_battery_soc=0.35,
         )
 
         def policy():
@@ -286,7 +301,8 @@ class TestBackendDifferentialFuzz:
                 assert observed[key] == want, (
                     f"{name} diverged from the loop reference on {key} "
                     f"(users={num_users} slots={total_slots} "
-                    f"arrivals={arrival_prob} seed={seed} policy={policy_name})"
+                    f"arrivals={arrival_prob} seed={seed} policy={policy_name} "
+                    f"charge={charge_rate_w} overhead={overhead} ticks={trace_interval})"
                 )
 
 
