@@ -11,7 +11,7 @@ object fields, so the record lists built from it never show a NumPy scalar.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,10 @@ class ColumnLog:
     def append(self, row: tuple) -> None:
         """Append one row (a tuple in column order)."""
         self._rows.append(row)
+
+    def extend_rows(self, rows: Iterable[tuple]) -> None:
+        """Append several rows (tuples in column order), oldest first."""
+        self._rows.extend(rows)
 
     def extend(self, *columns: Sequence) -> None:
         """Append a block of rows given as one equal-length sequence per

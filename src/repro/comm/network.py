@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,14 +110,41 @@ class NetworkModel:
 
     def condition(self, user_id: int) -> NetworkCondition:
         """Sample the current link condition for ``user_id``."""
-        if self.offline_probability > 0.0 and self._rng.random() < self.offline_probability:
-            return DEFAULT_PROFILES[NetworkType.OFFLINE]
-        profile = DEFAULT_PROFILES[self.assign(user_id)]
-        jitter = 1.0 + self._rng.normal(0.0, self.bandwidth_jitter)
-        jitter = max(0.1, jitter)
+        (profile,), (jitter,) = self.sample_block((user_id,))
+        if not profile.connected:
+            return profile
         return NetworkCondition(
             network_type=profile.network_type,
             uplink_mbps=profile.uplink_mbps * jitter,
             downlink_mbps=profile.downlink_mbps * jitter,
             rtt_ms=profile.rtt_ms,
         )
+
+    def sample_block(
+        self, user_ids: Sequence[int]
+    ) -> Tuple[List[NetworkCondition], List[float]]:
+        """The link profile (home network, or offline) and bandwidth-jitter
+        factor of each user of ``user_ids``, sampled in order.
+
+        One user's draws follow each other — offline check, home-network
+        assignment the first time, jitter.  When none of the first two can
+        interleave, the jitters of several users are one ``size=k`` draw:
+        the same stream as ``k`` scalar draws.
+        """
+        if len(user_ids) > 1 and self.offline_probability == 0.0:
+            try:
+                profiles = [DEFAULT_PROFILES[self._assignment[user]] for user in user_ids]
+            except KeyError:
+                pass  # a home network still to be assigned
+            else:
+                draws = self._rng.normal(0.0, self.bandwidth_jitter, size=len(profiles))
+                return profiles, np.maximum(1.0 + draws, 0.1).tolist()
+        profiles, jitters = [], []
+        for user in user_ids:
+            if self.offline_probability > 0.0 and self._rng.random() < self.offline_probability:
+                profiles.append(DEFAULT_PROFILES[NetworkType.OFFLINE])
+                jitters.append(1.0)  # unused: nothing moves over a dead link
+            else:
+                profiles.append(DEFAULT_PROFILES[self.assign(user)])
+                jitters.append(max(0.1, 1.0 + self._rng.normal(0.0, self.bandwidth_jitter)))
+        return profiles, jitters

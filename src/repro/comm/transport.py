@@ -11,7 +11,7 @@ low-bandwidth what-if studies remain possible.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from repro.comm.messages import (
     ModelUpload,
     TransferRecord,
 )
-from repro.comm.network import NetworkCondition, NetworkModel
+from repro.comm.network import NetworkModel
 
 __all__ = ["ModelTransport"]
 
@@ -83,48 +83,38 @@ class ModelTransport:
             raise ValueError("cannot transfer over a disconnected link")
         return (size_mb * 8.0) / throughput_mbps + rtt_ms / 1000.0
 
-    def _record(
-        self,
-        user_id: int,
-        direction: str,
-        start_time_s: float,
-        condition: NetworkCondition,
-        throughput_mbps: float,
-    ) -> TransferRecord:
-        network_type = condition.network_type.value
-        if not condition.connected:
-            row = (
-                user_id, direction, self.model_size_mb, start_time_s, 0.0,
-                network_type, False, "offline",
-            )
-        else:
-            duration = self.transfer_duration_s(
-                self.model_size_mb, throughput_mbps, condition.rtt_ms
-            )
-            row = (
-                user_id, direction, self.model_size_mb, start_time_s, duration,
-                network_type, True, None,
-            )
-            if self.account_radio_energy:
-                self.radio_energy_j += RADIO_POWER_W[network_type] * duration
-        self.transfers.append(row)
-        return TransferRecord(*row)
-
     # -- public API ------------------------------------------------------------------
 
     def upload(self, message: ModelUpload, time_s: float) -> TransferRecord:
         """Simulate uploading a local model to the server."""
-        condition = self.network.condition(message.user_id)
-        return self._record(
-            message.user_id, "upload", time_s, condition, condition.uplink_mbps
-        )
+        return TransferRecord(*self.transfer_block((message.user_id,), "upload", time_s)[0])
 
     def download(self, message: ModelDownload, time_s: float) -> TransferRecord:
         """Simulate downloading the global model from the server."""
-        condition = self.network.condition(message.user_id)
-        return self._record(
-            message.user_id, "download", time_s, condition, condition.downlink_mbps
-        )
+        return TransferRecord(*self.transfer_block((message.user_id,), "download", time_s)[0])
+
+    def transfer_block(
+        self, user_ids: Sequence[int], direction: str, time_s: float
+    ) -> List[tuple]:
+        """``user_ids`` each upload (or download) the model at ``time_s``, in
+        order — one transfer after the other on the network's one stream,
+        without a message, condition or record object per row.  Returns the
+        logged rows."""
+        upload = direction == "upload"
+        size_mb = self.model_size_mb
+        rows = []
+        for user_id, profile, jitter in zip(user_ids, *self.network.sample_block(user_ids)):
+            network_type = profile.network_type.value
+            if not profile.connected:
+                rows.append((user_id, direction, size_mb, time_s, 0.0, network_type, False, "offline"))
+                continue
+            mbps = (profile.uplink_mbps if upload else profile.downlink_mbps) * jitter
+            duration = self.transfer_duration_s(size_mb, mbps, profile.rtt_ms)
+            rows.append((user_id, direction, size_mb, time_s, duration, network_type, True, None))
+            if self.account_radio_energy:
+                self.radio_energy_j += RADIO_POWER_W[network_type] * duration
+        self.transfers.extend_rows(rows)
+        return rows
 
     # -- reporting --------------------------------------------------------------------
 

@@ -135,39 +135,47 @@ class FLClient:
         """Run one local round starting from ``global_params``.
 
         The round is ``local_epochs`` passes over the local shard in shuffled
-        mini-batches, with the persistent momentum state of this client.
+        mini-batches (one sample order and one gather per epoch, the batches
+        its row slices), with the persistent momentum state of this client.
 
         Args:
             global_params: the downloaded global model (flat vector).
             base_version: parameter-server version of ``global_params``.
-            include_params: also ship the absolute parameter vector; pass
-                ``False`` for the delta-only upload the accumulate rule needs
-                (halves the upload payload).
+            include_params: also ship the absolute parameter vector; the
+                engines pass ``False`` under the accumulate merge rule (it
+                consumes the delta only; halves the upload payload) and
+                ``True`` under replace / mixing / staleness-weighted.
 
         Returns:
             The :class:`LocalUpdate` to upload to the parameter server.
         """
-        self.model.set_flat_params(global_params)
-        self.model.train_mode(True)
+        model, partition, batch_size = self.model, self.partition, self.batch_size
+        model.set_flat_params(global_params)
+        model.train_mode(True)
+        size = len(partition)
         losses = []
-        num_batches = 0
         for _ in range(self.local_epochs):
-            for xb, yb in self.partition.batches(self.batch_size, rng=self._rng):
-                loss = self.model.train_step_gradients(xb, yb)
-                self.optimizer.step(self.model)
-                losses.append(loss)
-                num_batches += 1
+            indices = partition.epoch_indices(self._rng)
+            x, y = partition.x[indices], partition.y[indices]
+            for start in range(0, size, batch_size):
+                stop = start + batch_size
+                losses.append(model.train_step_gradients(x[start:stop], y[start:stop]))
+                self.optimizer.step(model)
         self.rounds_completed += 1
-        new_params = self.model.get_flat_params()
+        num_batches = len(losses)
+        if num_batches > 1:  # what ``np.mean`` computes
+            train_loss = float(np.add.reduce(np.array(losses)) / num_batches)
+        else:
+            train_loss = losses[0] if losses else 0.0
         return LocalUpdate(
             user_id=self.user_id,
-            delta=new_params - global_params,
+            delta=model.flat_params - global_params,
             base_version=base_version,
-            num_samples=len(self.partition),
-            train_loss=float(np.mean(losses)) if losses else 0.0,
-            momentum_norm=self.momentum_norm(),
+            num_samples=size,
+            train_loss=train_loss,
+            momentum_norm=self.optimizer.velocity_norm(),
             num_batches=num_batches,
-            params=new_params if include_params else None,
+            params=model.get_flat_params() if include_params else None,
         )
 
     def evaluate_local(self, params: np.ndarray) -> float:

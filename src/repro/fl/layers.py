@@ -93,7 +93,9 @@ class Linear(Layer):
                 f"Linear expected input of shape (batch, {self.params['w'].shape[0]}), got {x.shape}"
             )
         self._cache_x = x
-        return x @ self.params["w"] + self.params["b"]
+        out = x @ self.params["w"]
+        out += self.params["b"]
+        return out
 
     def backward_params(self, grad_out: np.ndarray) -> None:
         if self._cache_x is None:
@@ -321,30 +323,42 @@ class SoftmaxCrossEntropy:
     def __init__(self) -> None:
         self._probs: Optional[np.ndarray] = None
         self._labels: Optional[np.ndarray] = None
+        #: ``arange(batch)`` per batch size seen (a round sees two at most).
+        self._rows: Dict[int, np.ndarray] = {}
+
+    def _row_index(self, batch: int) -> np.ndarray:
+        rows = self._rows.get(batch)
+        if rows is None:
+            rows = self._rows[batch] = np.arange(batch)
+        return rows
 
     def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
         """Compute mean cross-entropy of ``logits`` against integer ``labels``."""
         if logits.ndim != 2:
             raise ValueError("logits must have shape (batch, classes)")
-        if labels.shape[0] != logits.shape[0]:
+        batch = logits.shape[0]
+        if labels.shape[0] != batch:
             raise ValueError("labels and logits must agree on batch size")
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
+        probs = logits - logits.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
         self._probs = probs
         self._labels = labels
-        batch = logits.shape[0]
-        correct = probs[np.arange(batch), labels]
-        return float(-np.mean(np.log(np.clip(correct, 1e-12, None))))
+        # The mean of the clipped logs, spelled as the ufunc calls
+        # ``np.mean(np.log(np.clip(correct, 1e-12, None)))`` dispatches to.
+        logs = np.maximum(probs[self._row_index(batch), labels], 1e-12)
+        np.log(logs, out=logs)
+        return float(-(np.add.reduce(logs) / batch))
 
     def backward(self) -> np.ndarray:
         """Gradient of the mean loss with respect to the logits."""
         if self._probs is None or self._labels is None:
             raise RuntimeError("backward called before forward")
         batch = self._probs.shape[0]
-        grad = self._probs.copy()
-        grad[np.arange(batch), self._labels] -= 1.0
-        return grad / batch
+        grad = self._probs.copy()  # ``_probs`` stays intact: callable twice
+        grad[self._row_index(batch), self._labels] -= 1.0
+        grad /= batch
+        return grad
 
     @staticmethod
     def predictions(logits: np.ndarray) -> np.ndarray:

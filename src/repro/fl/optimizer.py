@@ -15,6 +15,7 @@ extrapolation.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -64,9 +65,11 @@ class MomentumSGD:
 
     def velocity_norm(self) -> float:
         """L2 norm of the momentum vector (0 before the first step)."""
-        if self._velocity is None:
+        velocity = self._velocity
+        if velocity is None:
             return 0.0
-        return float(np.linalg.norm(self._velocity))
+        # What ``np.linalg.norm`` computes for a real 1-D vector.
+        return math.sqrt(velocity.dot(velocity))
 
     def reset(self) -> None:
         """Clear the momentum state."""

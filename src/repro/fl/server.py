@@ -21,6 +21,7 @@ bookkeeping the schedulers need:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -163,29 +164,33 @@ class ParameterServer:
         """Every applied update so far, in application order."""
         return [ServerUpdate(*row) for row in self.updates.rows()]
 
-    def _log_update(
+    def _count_update(
         self,
         update: LocalUpdate,
         time_s: float,
         lag: int,
         gradient_gap: float,
         sync_round: bool,
-    ) -> ServerUpdate:
-        """Count one applied update: version, log row, in-flight index."""
+    ) -> tuple:
+        """Count one applied update (version, in-flight index); returns its
+        log row for the caller to append."""
         row = (
             time_s, update.user_id, self.version, lag, gradient_gap,
             update.train_loss, sync_round,
         )
         self.version += 1
-        self.updates.append(row)
         self.unregister_inflight(update.user_id)
-        return ServerUpdate(*row)
+        return row
 
     # -- download / lag bookkeeping ------------------------------------------------------
 
     def download(self, user_id: int) -> np.ndarray:
         """A device pulls the current model; the server records the version."""
-        self._download_versions[user_id] = self.version
+        return self.download_block((user_id,))
+
+    def download_block(self, user_ids: Sequence[int]) -> np.ndarray:
+        """Several devices pull the current model: one version, one view."""
+        self._download_versions.update(dict.fromkeys(user_ids, self.version))
         return self.global_params()
 
     def downloaded_version(self, user_id: int) -> Optional[int]:
@@ -334,6 +339,28 @@ class ParameterServer:
 
     # -- asynchronous updates -----------------------------------------------------------------
 
+    def _merged(self, params: np.ndarray, update: LocalUpdate) -> Tuple[np.ndarray, int]:
+        """``params`` with ``update`` merged in under the asynchronous rule
+        (always a fresh array), and the update's lag."""
+        if update.delta.shape != params.shape:
+            raise ValueError("uploaded parameter vector has the wrong shape")
+        lag = self.lag_of(update.base_version)
+        rule = self.async_rule
+        if rule is AsyncUpdateRule.ACCUMULATE:
+            return params + update.delta, lag
+        if update.params is None:
+            raise ValueError(
+                f"the {rule.value!r} merge rule consumes absolute "
+                "parameter vectors; upload with include_params=True "
+                "(delta-only uploads only suffice for 'accumulate')"
+            )
+        if rule is AsyncUpdateRule.REPLACE:
+            return update.params.copy(), lag
+        alpha = self.mixing_alpha
+        if rule is AsyncUpdateRule.STALENESS_WEIGHTED:
+            alpha = alpha / (1.0 + lag)
+        return (1.0 - alpha) * params + alpha * update.params, lag
+
     def async_update(self, update: LocalUpdate, time_s: float, gradient_gap: float = 0.0) -> ServerUpdate:
         """Apply an asynchronous upload to the global model.
 
@@ -343,27 +370,36 @@ class ParameterServer:
             gradient_gap: the gap value measured for this update (Eq. 4),
                 recorded for the Fig. 5(a)/(d) traces.
         """
-        if update.delta.shape != self._params.shape:
-            raise ValueError("uploaded parameter vector has the wrong shape")
-        lag = self.lag_of(update.base_version)
-        if self.async_rule is AsyncUpdateRule.ACCUMULATE:
-            self._params = self._params + update.delta
-        else:
-            if update.params is None:
-                raise ValueError(
-                    f"the {self.async_rule.value!r} merge rule consumes absolute "
-                    "parameter vectors; upload with include_params=True "
-                    "(delta-only uploads only suffice for 'accumulate')"
-                )
-            if self.async_rule is AsyncUpdateRule.REPLACE:
-                self._params = update.params.copy()
-            elif self.async_rule is AsyncUpdateRule.MIXING:
-                alpha = self.mixing_alpha
-                self._params = (1.0 - alpha) * self._params + alpha * update.params
-            else:  # STALENESS_WEIGHTED
-                alpha = self.mixing_alpha / (1.0 + lag)
-                self._params = (1.0 - alpha) * self._params + alpha * update.params
-        return self._log_update(update, time_s, lag, gradient_gap, sync_round=False)
+        self._params, lag = self._merged(self._params, update)
+        row = self._count_update(update, time_s, lag, gradient_gap, sync_round=False)
+        self.updates.append(row)
+        return ServerUpdate(*row)
+
+    def async_update_block(
+        self, updates: Sequence[LocalUpdate], bases: Sequence[np.ndarray], time_s: float
+    ) -> List[tuple]:
+        """Apply the uploads arriving at ``time_s`` strictly left to right.
+
+        One :meth:`async_update` per upload, each logged with its realised
+        Eq. (2) gap — the distance from ``bases[i]``, the vector it was
+        trained from, to the model as the uploads before it left it — with
+        one log append and one rebind of the global vector.  An upload that
+        raises leaves the ones before it applied.  Returns the new log rows.
+        """
+        params = self._params
+        rows: List[tuple] = []
+        try:
+            for update, base in zip(updates, bases):
+                if base.shape != params.shape:
+                    raise ValueError("parameter vectors must have the same shape")
+                moved = params - base
+                gap = math.sqrt(moved.dot(moved))  # np.linalg.norm(moved)
+                params, lag = self._merged(params, update)
+                rows.append(self._count_update(update, time_s, lag, gap, sync_round=False))
+        finally:
+            self._params = params
+            self.updates.extend_rows(rows)
+        return rows
 
     # -- synchronous (FedAvg) rounds -------------------------------------------------------------
 
@@ -405,10 +441,12 @@ class ParameterServer:
         before = self._params
         self._params = (weights[:, None] * stacked).sum(axis=0)
         round_gap = gradient_gap_from_params(before, self._params)
-        return [
-            self._log_update(update, time_s, 0, round_gap, sync_round=True)
+        rows = [
+            self._count_update(update, time_s, 0, round_gap, sync_round=True)
             for update in updates
         ]
+        self.updates.extend_rows(rows)
+        return [ServerUpdate(*row) for row in rows]
 
     # -- diagnostics -------------------------------------------------------------------------------
 

@@ -21,14 +21,12 @@ slot loop; only the residence of the per-user fleet state differs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.messages import ModelDownload, ModelUpload
 from repro.comm.transport import ModelTransport
 from repro.core.policies import SchedulingPolicy
-from repro.core.staleness import gradient_gap_from_params
 from repro.fl.client import LocalUpdate
 from repro.fl.metrics import AccuracyTracker, evaluate_model
 from repro.fl.server import ParameterServer
@@ -143,19 +141,19 @@ class CouplingCore:
 
     # -- downloads ---------------------------------------------------------------
 
-    def record_download(self, user: int, time_s: float) -> Tuple[int, np.ndarray]:
-        """One user downloads the current model: server + transport bookkeeping.
+    def record_download(self, users: Sequence[int], time_s: float) -> Tuple[int, np.ndarray]:
+        """``users`` download the current model: server + transport bookkeeping.
 
-        Returns the ``(version, params)`` pair the fleet stores as the
-        user's training base.  Must be called in ascending user order within
-        a slot — the transport's network process draws from one stream.
+        Returns the ``(version, params)`` pair the fleet stores as their
+        training base (one shared read-only view).  ``users`` are one
+        shard's arrivals of the slot, ascending, and a slot's blocks follow
+        in ascending order too — the transport's network process draws from
+        one stream.
         """
         version = self.server.version
-        params = self.server.download(user)
-        self._pinned_base[user] = params
-        self.transport.download(
-            ModelDownload(user_id=user, server_version=version), time_s=time_s
-        )
+        params = self.server.download_block(users)
+        self._pinned_base.update(dict.fromkeys(users, params))
+        self.transport.transfer_block(users, "download", time_s)
         return version, params
 
     def pinned_bases(self) -> Dict[int, np.ndarray]:
@@ -178,42 +176,40 @@ class CouplingCore:
 
     def apply_async_update(
         self,
-        user: int,
         slot: int,
-        update: LocalUpdate,
-        round_number: int,
-        base_params: Optional[np.ndarray] = None,
-    ) -> float:
-        """Apply one finished user's (already trained) upload asynchronously.
+        finished: Sequence[Tuple[int, LocalUpdate, int]],
+        base_params: Optional[Sequence[np.ndarray]] = None,
+    ) -> List[float]:
+        """Apply the (already trained) uploads that complete in ``slot``.
 
-        Uploads are applied in ascending user order within a slot — the
-        deterministic order that makes the server's accumulation commutative
-        *in effect*: any shard layout applies the same updates in the same
-        sequence, so the global model evolves bit for bit identically.
-        Returns the realised Eq. (2) gradient gap.
+        ``finished`` holds one ``(user, update, round_number)`` triple per
+        upload, ascending by user — the deterministic order that makes the
+        server's accumulation commutative *in effect*: any shard layout
+        applies the same updates in the same sequence, so the global model
+        evolves bit for bit identically.  Returns the realised Eq. (2)
+        gradient gap of each.
 
         Args:
-            base_params: the parameters the user trained from; ``None``
-                (the fleet slot loop) resolves the vector pinned at
-                download, the per-user reference loop passes its own copy.
+            base_params: the parameters each user trained from, one per
+                triple; ``None`` (the fleet slot loop) resolves the vectors
+                pinned at download, the per-user reference loop passes its
+                own copy with its one triple.
         """
         time_s = slot * self.config.slot_seconds
+        users = [user for user, _, _ in finished]
         if base_params is None:
-            base_params = self._pinned_base.pop(user)
+            base_params = [self._pinned_base.pop(user) for user in users]
         else:
-            self._pinned_base.pop(user, None)
-        realized_gap = gradient_gap_from_params(base_params, self.server.global_params())
-        record = self.server.async_update(update, time_s=time_s, gradient_gap=realized_gap)
-        self.transport.upload(
-            ModelUpload(
-                user_id=user,
-                round_number=round_number,
-                base_version=update.base_version,
-            ),
-            time_s=time_s,
+            for user in users:
+                self._pinned_base.pop(user, None)
+        rows = self.server.async_update_block(
+            [update for _, update, _ in finished], base_params, time_s
         )
-        self.policy.notify_update_applied(user, record.lag, realized_gap)
-        return realized_gap
+        self.transport.transfer_block(users, "upload", time_s)
+        if type(self.policy).notify_update_applied is not SchedulingPolicy.notify_update_applied:
+            for user, row in zip(users, rows):  # only a policy that listens
+                self.policy.notify_update_applied(user, row[3], row[4])
+        return [row[4] for row in rows]
 
     def buffer_sync_upload(self, user: int, update: LocalUpdate) -> None:
         """Park a synchronous-round upload until the quorum completes."""

@@ -166,13 +166,8 @@ class ReferenceLoopEngine(Coordinator):
         self, user: int, slot: int, base_params: np.ndarray, update: LocalUpdate
     ) -> float:
         """Apply one finished user's upload (see :class:`CouplingCore`)."""
-        return self.core.apply_async_update(
-            user,
-            slot,
-            update,
-            round_number=self.clients[user].rounds_completed,
-            base_params=base_params,
-        )
+        finished = [(user, update, self.clients[user].rounds_completed)]
+        return self.core.apply_async_update(slot, finished, base_params=[base_params])[0]
 
     def _maybe_complete_sync_round(
         self, slot: int, stalled_fn: Optional[Callable[[], List[int]]] = None

@@ -455,12 +455,14 @@ class FleetShard:
         """Steps 2b–3: apply decisions, advance the slice, train finishers."""
         fleet = self.fleet
         lo = self.lo
+        trainer = self.trainer
         for user in scheduled:
             local = int(user) - lo
             fleet.start_training(local)
-            base = fleet.base_params[local]
-            assert base is not None  # pinned at download
-            self.trainer.record(local, base, int(fleet.base_version[local]))
+            if trainer.batched:  # a serial round needs nothing before it finishes
+                base = fleet.base_params[local]
+                assert base is not None  # pinned at download
+                trainer.record(local, base, int(fleet.base_version[local]))
         # Per-slot scratch owned by the fleet; advance() only reads it.
         decided_idle = fleet._scratch_decided_idle
         decided_idle.fill(False)
@@ -470,15 +472,15 @@ class FleetShard:
             decided_idle[idle_local] = True
         outcome = fleet.advance(decided_idle)
         finished: List[Tuple[int, LocalUpdate, int]] = []
-        for local in outcome.finished_users:
-            local = int(local)
+        if len(outcome.finished_users):
             tick = self.timers.start()
-            base = fleet.base_params[local]
-            assert base is not None  # pinned at download
-            update = self.trainer.obtain(local, base, int(fleet.base_version[local]))
+            for local in outcome.finished_users.tolist():
+                base = fleet.base_params[local]
+                assert base is not None  # pinned at download
+                update = trainer.obtain(local, base, int(fleet.base_version[local]))
+                fleet.momentum_norms[local] = update.momentum_norm
+                finished.append((local + lo, update, self.clients[local].rounds_completed))
             self.timers.stop("training", tick)
-            fleet.momentum_norms[local] = update.momentum_norm
-            finished.append((local + lo, update, self.clients[local].rounds_completed))
         fleet.accountant.close_slot()
         tick_total = None
         tick_user_totals = None
@@ -1108,8 +1110,10 @@ def drive_fleet_loop(
             if spec_opens[index] is not None and not arriving:
                 continue  # the piggybacked open already covers this shard
             version = params = None
-            for user in arriving:
-                version, params = core.record_download(user, time_s)
+            if arriving:
+                coupling_tick = timers.start()
+                version, params = core.record_download(arriving, time_s)
+                timers.stop("coupling", coupling_tick)
             handle.post("open_slot", slot, arriving, version, params)
             posted[index] = True
         open_replies = [
@@ -1203,14 +1207,18 @@ def drive_fleet_loop(
             )
         exec_replies = [handle.wait() for handle in handles]
         spec_opens = [reply.spec_open for reply in exec_replies]
-        for reply in exec_replies:  # shard order == ascending user order
-            for user, update, round_number in reply.finished:
-                if sync_mode:
-                    core.buffer_sync_upload(user, update)
-                else:
-                    core.apply_async_update(user, slot, update, round_number)
-                    core.gaps[user] = 0.0
-                    pending_arrivals.append(user)
+        # Shard order == ascending user order: the slot's one upload block.
+        finished = [item for reply in exec_replies for item in reply.finished]
+        if sync_mode:
+            for user, update, _ in finished:
+                core.buffer_sync_upload(user, update)
+        elif finished:
+            coupling_tick = timers.start()
+            core.apply_async_update(slot, finished)
+            timers.stop("coupling", coupling_tick)
+            uploaded = [user for user, _, _ in finished]
+            core.gaps[uploaded] = 0.0
+            pending_arrivals.extend(uploaded)
 
         if sync_mode:
             released = core.maybe_complete_sync_round(slot, stalled_fn)

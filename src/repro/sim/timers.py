@@ -2,13 +2,16 @@
 
 Answers "where does a run actually spend its time?" — the question behind
 every backend optimisation in this repo (the fleet backend attacks the slot
-loop, fast-forward attacks quiet slots, the batched trainer attacks the
+loop, fast-forward attacks quiet slots, the lean local round attacks the
 training path).  One :class:`EngineTimers` instance rides along a single
 engine run and buckets wall-clock into:
 
 * ``training`` — the real NumPy local rounds (serial or batched);
 * ``policy``  — building observations and evaluating scheduling decisions;
 * ``eval``    — held-out evaluation of the global model;
+* ``coupling`` — the slot's download block and upload block on the
+  coordinator (server merge, realised gaps, transport log): two sections
+  per slot;
 * ``ipc_send`` — coordinator-side encode + doorbell write of shard
   requests (zero for single-process runs);
 * ``ipc_recv`` — coordinator blocked on shard replies; this includes the
@@ -47,7 +50,7 @@ class EngineTimers:
     """
 
     #: Buckets measured directly; ``slot_loop`` is derived as the remainder.
-    CATEGORIES = ("training", "policy", "eval", "ipc_send", "ipc_recv", "merge")
+    CATEGORIES = ("training", "policy", "eval", "coupling", "ipc_send", "ipc_recv", "merge")
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = bool(enabled)
@@ -112,9 +115,8 @@ class EngineTimers:
         lines = [
             f"wall-clock profile ({self.total_s:.3f}s total, BLAS threads: {self.blas_threads})"
         ]
-        ordered = ("training", "policy", "eval", "ipc_send", "ipc_recv", "merge", "slot_loop")
         values = dict(self.seconds, slot_loop=self.slot_loop_s())
-        for name in ordered:
+        for name in (*self.CATEGORIES, "slot_loop"):
             lines.append(f"  {name:<10} {values[name]:8.3f}s  {100.0 * shares[name]:5.1f}%")
         for index, plane in enumerate(self.fleet_planes):
             lines.append(

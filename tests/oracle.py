@@ -24,12 +24,14 @@ element for element and type for type.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
+from repro.comm.network import DEFAULT_PROFILES, NetworkCondition, NetworkType
 from repro.comm.transport import ModelTransport
 from repro.core.online import OnlinePolicy
 from repro.core.policies import Decision
@@ -37,7 +39,7 @@ from repro.core.staleness import gradient_gap_from_params
 from repro.device.apps import ForegroundApp, sample_app
 from repro.energy.measurements import MeasurementTable
 from repro.fl.layers import Conv2D, Linear, _col2im
-from repro.fl.server import ParameterServer
+from repro.fl.server import AsyncUpdateRule, ParameterServer
 from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.engine import SimulationEngine
 from repro.sim.reference import ReferenceLoopEngine
@@ -111,13 +113,41 @@ def _frozen_backward(layer, grad_out):
     return layer.backward(grad_out)
 
 
+def _frozen_forward(model, x):
+    """``Sequential.forward`` with ``Linear`` as of PR 20: ``x @ w + b`` in
+    one expression (two fresh arrays)."""
+    for layer in model.layers:
+        if isinstance(layer, Linear):
+            layer._cache_x = x
+            x = x @ layer.params["w"] + layer.params["b"]
+        else:
+            x = layer.forward(x)
+    return x
+
+
+def _frozen_softmax_loss(logits, labels):
+    """``SoftmaxCrossEntropy`` as of PR 20, through ``np.mean`` / ``np.clip``
+    and fresh arrays: ``(loss, gradient with respect to the logits)``."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    batch = logits.shape[0]
+    correct = probs[np.arange(batch), labels]
+    loss = float(-np.mean(np.log(np.clip(correct, 1e-12, None))))
+    grad = probs.copy()
+    grad[np.arange(batch), labels] -= 1.0
+    return loss, grad / batch
+
+
 class FrozenLocalTrainer:
     """``FLClient.local_train`` as of PR 14, kept as the bitwise reference.
 
     Every mini-batch step allocates zeroed gradients, lets each layer rebind
     fresh gradient arrays, concatenates all tensors into new flat vectors,
     applies Eq. (1) out of place and copies the result back tensor by tensor
-    -- the flatten/unflatten step the flat training plane replaced.  It
+    -- the flatten/unflatten step the flat training plane replaced -- from
+    one gather per mini-batch, through the ``Linear`` forward, the loss and
+    the ``np.mean`` / ``np.linalg.norm`` reductions as of PR 20.  It
     needs a private ``model``: the first load detaches every tensor from the
     model's flat buffers.
     """
@@ -165,8 +195,8 @@ class FrozenLocalTrainer:
             for xb, yb in self.partition.batches(self.batch_size, rng=self.rng):
                 for layer, name in self._tensors:
                     layer.grads[name] = np.zeros_like(layer.params[name])
-                losses.append(self.model.loss(xb, yb))
-                grad = self.model.loss_fn.backward()
+                loss, grad = _frozen_softmax_loss(_frozen_forward(self.model, xb), yb)
+                losses.append(loss)
                 for layer in reversed(self.model.layers):
                     grad = _frozen_backward(layer, grad)
                 params = self._flat("params")
@@ -232,6 +262,56 @@ class FrozenTransferRecord:
     failure_reason: Optional[str] = None
 
 
+def frozen_condition(network, user_id):
+    """``NetworkModel.condition`` as of PR 20: one user's draws on the
+    network's generator — offline check, home network the first time, one
+    scalar jitter — and a condition object."""
+    rng = network._rng
+    if network.offline_probability > 0.0 and rng.random() < network.offline_probability:
+        return DEFAULT_PROFILES[NetworkType.OFFLINE]
+    if user_id not in network._assignment:
+        wifi = rng.random() < network.wifi_probability
+        network._assignment[user_id] = NetworkType.WIFI if wifi else NetworkType.LTE
+    profile = DEFAULT_PROFILES[network._assignment[user_id]]
+    jitter = 1.0 + rng.normal(0.0, network.bandwidth_jitter)
+    jitter = max(0.1, jitter)
+    return NetworkCondition(
+        network_type=profile.network_type,
+        uplink_mbps=profile.uplink_mbps * jitter,
+        downlink_mbps=profile.downlink_mbps * jitter,
+        rtt_ms=profile.rtt_ms,
+    )
+
+
+def frozen_transfer(transport, network, user_id, direction, start_time_s):
+    """One transfer as ``ModelTransport.upload`` / ``download`` logged it at
+    PR 20, sampled on ``network`` (the transport's own, or a shadow of it)."""
+    condition = frozen_condition(network, user_id)
+    if not condition.connected:
+        return FrozenTransferRecord(
+            user_id=user_id,
+            direction=direction,
+            size_mb=transport.model_size_mb,
+            start_time_s=start_time_s,
+            duration_s=0.0,
+            network_type=condition.network_type.value,
+            succeeded=False,
+            failure_reason="offline",
+        )
+    throughput = condition.uplink_mbps if direction == "upload" else condition.downlink_mbps
+    return FrozenTransferRecord(
+        user_id=user_id,
+        direction=direction,
+        size_mb=transport.model_size_mb,
+        start_time_s=start_time_s,
+        duration_s=transport.transfer_duration_s(
+            transport.model_size_mb, throughput, condition.rtt_ms
+        ),
+        network_type=condition.network_type.value,
+        succeeded=True,
+    )
+
+
 class FrozenLogs:
     """The four append-only logs of one run, kept as PR 18 kept them.
 
@@ -239,8 +319,11 @@ class FrozenLogs:
     objects of the run stay picklable) and appends one record object per
     event to a plain list — ``ParameterServer.update_log``, the trace's
     ``update_samples``, ``ModelTransport.records`` and
-    ``OnlinePolicy.decision_log`` as they were built then.  Run exactly one
-    engine while attached.
+    ``OnlinePolicy.decision_log`` as they were built then.  The block
+    producers (``async_update_block``, ``transfer_block``) are replayed one
+    event at a time on shadow state — the merge rules and the per-user
+    network draws as they were then (:func:`frozen_condition`) — before the
+    real block runs.  Run exactly one engine while attached.
     """
 
     def __init__(self, trace_level: str = "full") -> None:
@@ -258,7 +341,8 @@ class FrozenLogs:
         logs = self
         real_async = ParameterServer.async_update
         real_sync = ParameterServer.sync_round
-        real_record = ModelTransport._record
+        real_async_block = ParameterServer.async_update_block
+        real_transfer_block = ModelTransport.transfer_block
         real_decide = OnlinePolicy.decide
         real_decide_all = OnlinePolicy.decide_all
 
@@ -290,37 +374,35 @@ class FrozenLogs:
                 )
             return records
 
-        def record(transport, user_id, direction, start_time_s, condition, throughput_mbps):
-            if not condition.connected:
-                logs.records.append(
-                    FrozenTransferRecord(
-                        user_id=user_id,
-                        direction=direction,
-                        size_mb=transport.model_size_mb,
-                        start_time_s=start_time_s,
-                        duration_s=0.0,
-                        network_type=condition.network_type.value,
-                        succeeded=False,
-                        failure_reason="offline",
+        def async_update_block(server, updates, bases, time_s):
+            version, params = server.version, server.global_params()
+            for offset, (update, base) in enumerate(zip(updates, bases)):
+                lag = version + offset - update.base_version
+                gap = gradient_gap_from_params(base, params)
+                logs.update_log.append(
+                    FrozenServerUpdate(
+                        time_s, update.user_id, version + offset, lag, gap, update.train_loss
                     )
                 )
-            else:
-                logs.records.append(
-                    FrozenTransferRecord(
-                        user_id=user_id,
-                        direction=direction,
-                        size_mb=transport.model_size_mb,
-                        start_time_s=start_time_s,
-                        duration_s=transport.transfer_duration_s(
-                            transport.model_size_mb, throughput_mbps, condition.rtt_ms
-                        ),
-                        network_type=condition.network_type.value,
-                        succeeded=True,
-                    )
-                )
-            return real_record(
-                transport, user_id, direction, start_time_s, condition, throughput_mbps
+                logs._sample(time_s, update.user_id, lag, gap, update.train_loss, False)
+                if server.async_rule is AsyncUpdateRule.ACCUMULATE:
+                    params = params + update.delta
+                elif server.async_rule is AsyncUpdateRule.REPLACE:
+                    params = update.params
+                else:
+                    alpha = server.mixing_alpha
+                    if server.async_rule is AsyncUpdateRule.STALENESS_WEIGHTED:
+                        alpha = alpha / (1.0 + lag)
+                    params = (1.0 - alpha) * params + alpha * update.params
+            return real_async_block(server, updates, bases, time_s)
+
+        def transfer_block(transport, user_ids, direction, time_s):
+            shadow = copy.deepcopy(transport.network)
+            logs.records.extend(
+                frozen_transfer(transport, shadow, user_id, direction, time_s)
+                for user_id in user_ids
             )
+            return real_transfer_block(transport, user_ids, direction, time_s)
 
         def decide(policy, observation):
             decision = real_decide(policy, observation)
@@ -337,7 +419,8 @@ class FrozenLogs:
 
         monkeypatch.setattr(ParameterServer, "async_update", async_update)
         monkeypatch.setattr(ParameterServer, "sync_round", sync_round)
-        monkeypatch.setattr(ModelTransport, "_record", record)
+        monkeypatch.setattr(ParameterServer, "async_update_block", async_update_block)
+        monkeypatch.setattr(ModelTransport, "transfer_block", transfer_block)
         monkeypatch.setattr(OnlinePolicy, "decide", decide)
         monkeypatch.setattr(OnlinePolicy, "decide_all", decide_all)
         return self

@@ -427,7 +427,8 @@ class TestEngineTimers:
         shares = result.timing_shares()
         assert shares is not None
         assert set(shares) == {
-            "training", "policy", "eval", "ipc_send", "ipc_recv", "merge", "slot_loop"
+            "training", "policy", "eval", "coupling", "ipc_send", "ipc_recv", "merge",
+            "slot_loop",
         }
         assert sum(shares.values()) == pytest.approx(1.0)
         # Single-process runs never touch the shard IPC buckets.

@@ -548,14 +548,11 @@ class TestSnapshotIsolation:
         evals = len(core.accuracy.samples)
 
         user = pinned[0]
-        core.apply_async_update(
-            user,
-            38,
-            LocalUpdate(user, delta=np.ones_like(params), base_version=version,
-                        num_samples=1, train_loss=0.0, momentum_norm=0.0,
-                        num_batches=1),
-            round_number=1,
+        update = LocalUpdate(
+            user, delta=np.ones_like(params), base_version=version,
+            num_samples=1, train_loss=0.0, momentum_norm=0.0, num_batches=1,
         )
+        core.apply_async_update(38, [(user, update, 1)])
         core.accuracy.record(38.0, accuracy=1.0, loss=0.0, num_updates=version + 1)
         core.gaps += 1.0
         assert core.server.version == version + 1
