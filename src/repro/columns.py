@@ -15,7 +15,22 @@ from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ColumnLog"]
+__all__ = ["ColumnLog", "ordered_sum"]
+
+
+def ordered_sum(values: np.ndarray) -> float:
+    """``values`` (1-D ``float64``) summed strictly left to right from ``0.0``.
+
+    The one fold behind every total a digest depends on (``G(t)``, slot and
+    cumulative energies): what ``sum(values.tolist())`` returned before
+    CPython 3.12 gave the builtin a compensated float sum — sequential
+    double additions, which ``np.add.accumulate`` is by definition and
+    ``np.sum``'s pairwise blocks are not.  ``+ 0.0`` is the builtin's
+    integer start value: it turns a ``-0.0`` total into ``0.0``.
+    """
+    if not len(values):
+        return 0.0
+    return float(np.add.accumulate(values)[-1]) + 0.0
 
 
 class ColumnLog:

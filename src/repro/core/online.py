@@ -44,6 +44,7 @@ from repro.core.policies import (
     Decision,
     DeviceObservation,
     ObservationBatch,
+    SameSlotLags,
     SchedulingPolicy,
     SlotContext,
 )
@@ -78,9 +79,12 @@ class BatchDecisionCosts:
 
     Array analogue of :class:`DecisionCosts`: every field holds one value
     per ready user, aligned with the :class:`ObservationBatch` that produced
-    it.
+    it.  ``schedule_base`` is the part of ``schedule_cost`` that does not
+    depend on the lag estimate (``schedule_cost == schedule_base + H *
+    schedule_gap``, in that operation order).
     """
 
+    schedule_base: np.ndarray
     schedule_cost: np.ndarray
     idle_cost: np.ndarray
     schedule_gap: np.ndarray
@@ -189,9 +193,11 @@ class OnlineController:
         )
         idle_gap = batch.current_gap + self.epsilon
 
-        schedule_cost = self.v * schedule_energy_kj - q_length + h_length * schedule_gap
+        schedule_base = self.v * schedule_energy_kj - q_length
+        schedule_cost = schedule_base + h_length * schedule_gap
         idle_cost = self.v * idle_energy_kj + h_length * idle_gap
         return BatchDecisionCosts(
+            schedule_base=schedule_base,
             schedule_cost=schedule_cost,
             idle_cost=idle_cost,
             schedule_gap=schedule_gap,
@@ -292,10 +298,8 @@ class OnlinePolicy(SchedulingPolicy):
         schedule cost of Eq. (21) is non-decreasing in the lag (the Eq. (4)
         gap factor grows with it) while the idle cost ignores it, a user the
         speculative batch keeps idle stays idle under any larger lag — only
-        speculative *schedulers* can flip.  The repair pass therefore walks
-        just those, folds in the earlier same-slot schedules via
-        :meth:`~repro.core.policies.ObservationBatch.coupled_lag`, and
-        re-evaluates the scalar rule when the lag actually changed; decisions
+        speculative *schedulers* can flip, and only with another one ahead
+        of them in the slot.  :meth:`_repair` walks just those; decisions
         match the per-user loop bit for bit.
         """
         n = len(batch)
@@ -306,23 +310,48 @@ class OnlinePolicy(SchedulingPolicy):
         else:
             self.messages_to_server += 3 * n  # s_i(t), ||v_t||, d_i
             self.messages_to_users += 1 * n  # alpha_i(t)
-        q_length = self.task_queue.length
         h_length = self.virtual_queue.length
-        schedule = self.controller.evaluate_batch(batch, q_length, h_length).best()
-        coupling = batch.coupling()
-        for index in np.nonzero(schedule)[0]:
-            index = int(index)
-            lag = coupling.lag(index)
-            if lag != int(batch.estimated_lag[index]):
-                observation = batch.observation(index, lag_override=lag)
-                if self.controller.decide(observation, q_length, h_length) is Decision.IDLE:
-                    schedule[index] = False
-                    continue
-            coupling.record(index)
+        costs = self.controller.evaluate_batch(batch, self.task_queue.length, h_length)
+        schedule = costs.best()
+        chosen = np.flatnonzero(schedule)
+        if chosen.size > 1:
+            self._repair(batch, costs, schedule, chosen, h_length)
         # The log copies: the batch columns may be views over a transport
         # buffer and the caller owns ``schedule``.
         self._decision_log.extend(np.full(n, batch.slot), batch.user_ids, schedule)
         return schedule
+
+    @staticmethod
+    def _repair(
+        batch: ObservationBatch,
+        costs: BatchDecisionCosts,
+        schedule: np.ndarray,
+        chosen: np.ndarray,
+        h_length: float,
+    ) -> None:
+        """Re-decide the speculative schedulers ``chosen`` under same-slot lags.
+
+        Walks them in ascending order on Python scalars hoisted once per
+        column; one whose estimate an earlier same-slot schedule raised is
+        re-evaluated as ``schedule_base + H * gap(lag) <= idle_cost`` — the
+        scalar rule of :meth:`OnlineController.evaluate` — and clears its
+        entry of ``schedule`` when it flips to idle (it is then not
+        recorded, so later users do not see it).
+        """
+        coupling = SameSlotLags(batch, chosen)
+        base = costs.schedule_base[chosen].tolist()
+        idle = costs.idle_cost[chosen].tolist()
+        norms = batch.momentum_norm[chosen].tolist()
+        rates = batch.learning_rate[chosen].tolist()
+        betas = batch.momentum_coeff[chosen].tolist()
+        for position, index in enumerate(chosen.tolist()):
+            lag = coupling.lag(position)
+            if lag != coupling.lags[position]:
+                gap = gradient_gap(norms[position], rates[position], betas[position], lag)
+                if not base[position] + h_length * gap <= idle[position]:
+                    schedule[index] = False
+                    continue
+            coupling.record(position)
 
     def end_slot(self, context: SlotContext, num_scheduled: int, gap_sum: float) -> None:
         self.task_queue.update(arrivals=self._arrivals_this_slot, services=num_scheduled)

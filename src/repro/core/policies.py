@@ -24,7 +24,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,8 @@ __all__ = [
     "Aggregation",
     "DeviceObservation",
     "ObservationBatch",
-    "SameSlotCoupling",
+    "SameSlotLags",
+    "scheduled_lags",
     "SlotContext",
     "SchedulingPolicy",
     "ImmediatePolicy",
@@ -170,7 +171,7 @@ class ObservationBatch:
         Args:
             index: position within the batch.
             lag_override: replace :attr:`estimated_lag` with a corrected
-                value (the same-slot coupling of :meth:`coupled_lag`).
+                value (the same-slot coupling of :class:`SameSlotLags`).
         """
         lag = int(self.estimated_lag[index]) if lag_override is None else lag_override
         return DeviceObservation(
@@ -193,73 +194,75 @@ class ObservationBatch:
             current_gap=float(self.current_gap[index]),
         )
 
-    def iter_observations(self) -> Iterator[DeviceObservation]:
-        """Yield one scalar observation per ready user, in batch order."""
-        for index in range(len(self)):
-            yield self.observation(index)
 
-    def coupling(self) -> "SameSlotCoupling":
-        """A fresh same-slot lag-coupling tracker for this batch.
+class SameSlotLags:
+    """The same-slot coupling rule: lag estimates that include the jobs
+    scheduled earlier in the same slot.
 
-        Every consumer that walks the batch in ascending order and commits
-        ``schedule`` decisions (the generic :meth:`SchedulingPolicy.decide_all`
-        fallback, the online policy's repair pass, the engine's fleet
-        scheduling loop) must share this one state machine so their lag
-        views stay identical.
-        """
-        return SameSlotCoupling(self)
+    The per-user loop engine registers a scheduled job in flight
+    *immediately*, so a user decided later in the same slot sees it in its
+    server-supplied lag estimate ``l_{d_i}``, while a batch snapshots the
+    in-flight set at the start of the slot.  Every batched consumer (the
+    generic :meth:`SchedulingPolicy.decide_all`, the online policy's repair
+    pass, the coordinator's gap write) replays the difference with this one
+    walker: :meth:`lag` for the entry being decided, :meth:`record` for each
+    entry whose final decision is ``schedule``, in ascending order.
 
-    def coupled_lag(self, index: int, scheduled_counts: Dict[int, int]) -> int:
-        """Lag estimate for ``index`` including earlier same-slot schedules.
+    A job of duration ``d_j`` started now raises the estimate of a user of
+    duration ``d_i`` iff its finish ``(slot + d_j) * dt`` lies in
+    ``[now, now + d_i * dt]`` — the float comparisons of
+    :meth:`repro.fl.server.ParameterServer.estimate_lag`, which depend on
+    the two durations alone.  So the window table is built once per slot
+    over the *distinct* durations of the walk (one per device model) and a
+    lookup reads one running count.
 
-        The per-user loop engine registers a scheduled job in flight
-        *immediately*, so later users in the same slot see it in their
-        server-supplied lag estimate ``l_{d_i}``.  :attr:`estimated_lag`
-        snapshots the in-flight set at the start of the slot; this method
-        adds the jobs scheduled earlier in the slot whose expected finish
-        time ``(slot + d_j) * slot_seconds`` falls inside this user's
-        ``[now, now + d_i * slot_seconds]`` window — the exact float
-        comparisons of :meth:`repro.fl.server.ParameterServer.estimate_lag`.
-
-        Args:
-            index: position within the batch.
-            scheduled_counts: number of users scheduled so far this slot,
-                keyed by their training duration in slots.
-        """
-        lag = int(self.estimated_lag[index])
-        if not scheduled_counts:
-            return lag
-        now_s = self.slot * self.slot_seconds
-        horizon = now_s + self.training_duration_slots[index] * self.slot_seconds
-        for duration, count in scheduled_counts.items():
-            finish = (self.slot + duration) * self.slot_seconds
-            if now_s <= finish <= horizon:
-                lag += count
-        return lag
-
-
-class SameSlotCoupling:
-    """Sequential lag coupling between same-slot ``schedule`` decisions.
-
-    The loop engine registers a scheduled job in flight immediately, so a
-    user decided later in the same slot sees it in its lag estimate.  This
-    tracker replays that effect for batched consumers: call :meth:`lag`
-    for the entry being decided, then :meth:`record` for every entry whose
-    final decision is ``schedule``, walking the batch in ascending order.
+    Args:
+        batch: the slot's observation batch.
+        positions: the batch positions walked, ascending (default: all);
+            :meth:`lag` and :meth:`record` count along them.
     """
 
-    def __init__(self, batch: "ObservationBatch") -> None:
-        self.batch = batch
-        self._scheduled_counts: Dict[int, int] = {}
+    def __init__(self, batch: ObservationBatch, positions: Any = slice(None)) -> None:
+        self._durations = batch.training_duration_slots[positions].tolist()
+        #: The start-of-slot estimate per walked entry.
+        self.lags: List[int] = batch.estimated_lag[positions].tolist()
+        slot, slot_seconds = batch.slot, batch.slot_seconds
+        now_s = slot * slot_seconds
+        distinct = set(self._durations)
+        #: ``_raised[d_j]``: the durations whose window holds a ``d_j`` job.
+        self._raised: Dict[int, List[int]] = {}
+        for d_j in distinct:
+            finish = (slot + d_j) * slot_seconds
+            self._raised[d_j] = [
+                d_i for d_i in distinct if now_s <= finish <= now_s + d_i * slot_seconds
+            ]
+        #: Same-slot jobs recorded so far inside each duration's window.
+        self._extra = dict.fromkeys(distinct, 0)
 
-    def lag(self, index: int) -> int:
-        """Lag estimate for ``index`` including earlier same-slot schedules."""
-        return self.batch.coupled_lag(index, self._scheduled_counts)
+    def lag(self, position: int) -> int:
+        """Lag estimate for entry ``position`` including earlier same-slot schedules."""
+        return self.lags[position] + self._extra[self._durations[position]]
 
-    def record(self, index: int) -> None:
-        """Commit entry ``index`` as scheduled (its job is now in flight)."""
-        duration = int(self.batch.training_duration_slots[index])
-        self._scheduled_counts[duration] = self._scheduled_counts.get(duration, 0) + 1
+    def record(self, position: int) -> None:
+        """Commit entry ``position`` as scheduled (its job is now in flight)."""
+        for duration in self._raised[self._durations[position]]:
+            self._extra[duration] += 1
+
+
+def scheduled_lags(batch: ObservationBatch, chosen: np.ndarray) -> List[int]:
+    """The lag estimate each of the slot's scheduled entries was decided with:
+    the start-of-slot estimates of ``chosen`` (ascending batch positions of
+    the final ``schedule`` decisions) plus their :class:`SameSlotLags`
+    coupling.  A lone scheduler has nobody ahead of it: its estimate stands.
+    """
+    if len(chosen) < 2:
+        return batch.estimated_lag[chosen].tolist()
+    coupling = SameSlotLags(batch, chosen)
+    coupled = []
+    for position in range(len(chosen)):
+        coupled.append(coupling.lag(position))
+        coupling.record(position)
+    return coupled
 
 
 @dataclass
@@ -314,11 +317,11 @@ class SchedulingPolicy(ABC):
 
         Entries are decided in batch (ascending user) order and the lag
         estimate handed to each observation includes the users scheduled
-        earlier in the same slot (:meth:`ObservationBatch.coupled_lag`),
-        replicating the loop engine's immediate in-flight registration.
+        earlier in the same slot (:class:`SameSlotLags`), replicating the
+        loop engine's immediate in-flight registration.
         """
         decisions = np.zeros(len(batch), dtype=bool)
-        coupling = batch.coupling()
+        coupling = SameSlotLags(batch)
         for index in range(len(batch)):
             observation = batch.observation(index, lag_override=coupling.lag(index))
             if self.decide(observation) is Decision.SCHEDULE:

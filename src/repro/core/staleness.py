@@ -30,6 +30,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.columns import ordered_sum
+
 __all__ = [
     "momentum_lag_factor",
     "momentum_lag_factor_batch",
@@ -259,8 +261,10 @@ class GapTracker:
         This is the ``G(t, t+tau)`` quantity that feeds the virtual queue.
         """
         if user_ids is None:
-            return float(sum(self._gaps.values()))
-        return float(sum(self._gaps.get(u, 0.0) for u in user_ids))
+            values = self._gaps.values()
+        else:
+            values = [self._gaps.get(u, 0.0) for u in user_ids]
+        return ordered_sum(np.fromiter(values, dtype=np.float64, count=len(values)))
 
     def history(self, user_id: int) -> List[float]:
         """Recorded (scheduled and realised) gaps of ``user_id``."""

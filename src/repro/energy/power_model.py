@@ -21,6 +21,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional
 
+import numpy as np
+
+from repro.columns import ordered_sum
 from repro.energy.measurements import MeasurementTable
 
 __all__ = ["DeviceState", "PowerModel", "EnergyAccountant", "EnergyBreakdown"]
@@ -220,7 +223,9 @@ class EnergyAccountant:
 
     def total_j(self) -> float:
         """System-wide total energy in joules."""
-        return sum(b.total_j() for b in self._per_user.values())
+        return ordered_sum(
+            np.array([b.total_j() for b in self._per_user.values()], dtype=np.float64)
+        )
 
     def total_kj(self) -> float:
         """System-wide total energy in kilojoules."""
@@ -228,7 +233,12 @@ class EnergyAccountant:
 
     def training_related_j(self) -> float:
         """Energy attributable to training (training-alone + co-running)."""
-        return sum(b.training_j + b.corunning_j for b in self._per_user.values())
+        return ordered_sum(
+            np.array(
+                [b.training_j + b.corunning_j for b in self._per_user.values()],
+                dtype=np.float64,
+            )
+        )
 
     def per_slot_totals(self) -> list:
         """Cumulative system energy at the end of each recorded slot."""

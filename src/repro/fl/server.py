@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,15 +173,20 @@ class ParameterServer:
         gradient_gap: float,
         sync_round: bool,
     ) -> tuple:
-        """Count one applied update (version, in-flight index); returns its
-        log row for the caller to append."""
+        """Count one applied update; returns its log row.  The caller
+        appends the rows and takes their users out of flight
+        (:meth:`_log_applied`)."""
         row = (
             time_s, update.user_id, self.version, lag, gradient_gap,
             update.train_loss, sync_round,
         )
         self.version += 1
-        self.unregister_inflight(update.user_id)
         return row
+
+    def _log_applied(self, rows: List[tuple]) -> None:
+        """Log the rows of a block of applied updates; their jobs are done."""
+        self.updates.extend_rows(rows)
+        self.unregister_inflight_block([row[1] for row in rows])
 
     # -- download / lag bookkeeping ------------------------------------------------------
 
@@ -212,8 +218,8 @@ class ParameterServer:
         per user against the sorted finish times instead of one
         O(users x in-flight) boolean matrix, which keeps megafleet ready
         pools (10^5 users with 10^5 concurrent jobs) affordable.  The index
-        is maintained incrementally by :meth:`register_inflight` /
-        :meth:`unregister_inflight`; this full build only runs at
+        is maintained incrementally by :meth:`register_inflight_block` /
+        :meth:`unregister_inflight_block`; this full build only runs at
         construction and after unpickling.
         """
         count = len(self._inflight)
@@ -228,42 +234,84 @@ class ParameterServer:
         self._inflight_mask[list(self._inflight)] = True
 
     def register_inflight(self, user_id: int, expected_finish_s: float) -> None:
-        """Record that ``user_id`` started training, finishing around ``expected_finish_s``.
+        """Record that ``user_id`` started training, finishing around ``expected_finish_s``."""
+        self.register_inflight_block((user_id,), (expected_finish_s,))
 
-        Registering a user that is already in flight *replaces* its job: the
-        old finish time leaves the index before the new one enters.
+    def register_inflight_block(
+        self, user_ids: Sequence[int], expected_finishes_s: Sequence[float]
+    ) -> None:
+        """Record the jobs a slot started: one merge into the sorted finishes.
+
+        Takes Python ints and floats (they are what a checkpoint pickles).
+        Registering a user that is already in flight *replaces* its job —
+        the old finish time leaves the index before the new one enters —
+        and a user named twice in one block keeps its last finish, as the
+        same calls one at a time would leave it.  A negative id is refused
+        before anything changes (it would alias the mask's sentinel).
         """
-        if user_id < 0:
+        jobs = dict(zip(user_ids, expected_finishes_s))
+        if not jobs:
+            return
+        if min(jobs) < 0:
             raise ValueError("user_id must be non-negative")
-        self.unregister_inflight(user_id)
+        self.unregister_inflight_block(jobs)
         count = len(self._inflight)
-        self._inflight[user_id] = expected_finish_s
+        total = count + len(jobs)
+        self._inflight.update(jobs)
         mask = self._inflight_mask
-        if user_id >= mask.size - 1:
-            self._inflight_mask = np.zeros(2 * (user_id + 1), dtype=bool)
+        top = max(jobs)
+        if top >= mask.size - 1:
+            self._inflight_mask = np.zeros(2 * (top + 1), dtype=bool)
             self._inflight_mask[: mask.size] = mask
-        self._inflight_mask[user_id] = True
+        self._inflight_mask[list(jobs)] = True
         finishes = self._finishes
-        if count == finishes.size:
-            self._finishes = np.empty(2 * count, dtype=np.float64)
-            self._finishes[:count] = finishes
+        if total > finishes.size:
+            self._finishes = np.empty(2 * total, dtype=np.float64)
+            self._finishes[:count] = finishes[:count]
             finishes = self._finishes
-        position = finishes[:count].searchsorted(expected_finish_s)
-        finishes[position + 1 : count + 1] = finishes[position:count]
-        finishes[position] = expected_finish_s
+        # One merge pass from the back: the finishes that enter at the same
+        # position (equal ones, above all) enter together, behind one shift
+        # of everything after them.
+        added = sorted(jobs.values())
+        positions = finishes[:count].searchsorted(added).tolist()
+        end, j = count, len(added)
+        for position, run in groupby(reversed(positions)):
+            i = j - len(list(run))
+            finishes[position + j : end + j] = finishes[position:end]
+            finishes[position + i : position + j] = added[i:j]
+            end, j = position, i
 
     def unregister_inflight(self, user_id: int) -> None:
         """Remove a completed or cancelled in-flight job (no-op if unknown)."""
-        finish = self._inflight.pop(user_id, None)
-        if finish is None:
+        self.unregister_inflight_block((user_id,))
+
+    def unregister_inflight_block(self, user_ids: Iterable[int]) -> None:
+        """Remove the in-flight jobs of ``user_ids``: one compaction of the
+        sorted finishes.  Unknown (or repeated) users are skipped."""
+        count = len(self._inflight)
+        pop = self._inflight.pop
+        mask = self._inflight_mask
+        gone: List[float] = []
+        for user in user_ids:
+            finish = pop(user, None)
+            if finish is not None:
+                mask[user] = False
+                gone.append(finish)
+        if not gone:
             return
-        self._inflight_mask[user_id] = False
-        count = len(self._inflight)  # entries that stay
+        gone.sort()
         finishes = self._finishes
-        # The leftmost entry equal to ``finish``; which of several equal
-        # entries goes is immaterial.
-        position = finishes[: count + 1].searchsorted(finish)
-        finishes[position:count] = finishes[position + 1 : count + 1]
+        # One compaction pass: a run of equal finishes leaves from the
+        # leftmost entry equal to it on (which of several equal entries go
+        # is immaterial), and what survives between two runs moves left.
+        holes = finishes[:count].searchsorted(gone).tolist()
+        write = read = holes[0]
+        for position, run in groupby(holes):
+            if position > read:
+                finishes[write : write + position - read] = finishes[read:position]
+                write += position - read
+            read = position + len(list(run))
+        finishes[write : write + count - read] = finishes[read:count]
 
     def inflight_count(self) -> int:
         """Number of currently running training jobs."""
@@ -372,7 +420,7 @@ class ParameterServer:
         """
         self._params, lag = self._merged(self._params, update)
         row = self._count_update(update, time_s, lag, gradient_gap, sync_round=False)
-        self.updates.append(row)
+        self._log_applied([row])
         return ServerUpdate(*row)
 
     def async_update_block(
@@ -398,7 +446,7 @@ class ParameterServer:
                 rows.append(self._count_update(update, time_s, lag, gap, sync_round=False))
         finally:
             self._params = params
-            self.updates.extend_rows(rows)
+            self._log_applied(rows)
         return rows
 
     # -- synchronous (FedAvg) rounds -------------------------------------------------------------
@@ -445,7 +493,7 @@ class ParameterServer:
             self._count_update(update, time_s, 0, round_gap, sync_round=True)
             for update in updates
         ]
-        self.updates.extend_rows(rows)
+        self._log_applied(rows)
         return [ServerUpdate(*row) for row in rows]
 
     # -- diagnostics -------------------------------------------------------------------------------

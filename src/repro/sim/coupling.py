@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.columns import ordered_sum
 from repro.comm.transport import ModelTransport
 from repro.core.policies import SchedulingPolicy
 from repro.fl.client import LocalUpdate
@@ -170,7 +171,7 @@ class CouplingCore:
         populated (every user is decided in slot 0), so every execution mode
         feeds the virtual queue the same ``float``.
         """
-        return float(sum(self.gaps.tolist()))
+        return ordered_sum(self.gaps)
 
     # -- uploads -----------------------------------------------------------------
 

@@ -66,6 +66,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.columns import ordered_sum
 from repro.device.apps import ForegroundApp
 from repro.device.models import DeviceSpec
 from repro.device.thermal import ThermalModel
@@ -311,7 +312,7 @@ class FleetEnergyAccountant:
 
     def total_j(self) -> float:
         """System-wide total energy in joules (loop-accountant reduction order)."""
-        return float(sum(self.user_totals_j().tolist()))
+        return ordered_sum(self.user_totals_j())
 
     def total_kj(self) -> float:
         """System-wide total energy in kilojoules."""
@@ -319,7 +320,7 @@ class FleetEnergyAccountant:
 
     def training_related_j(self) -> float:
         """Energy attributable to training (training-alone + co-running)."""
-        return float(sum((self.training_j + self.corunning_j).tolist()))
+        return ordered_sum(self.training_j + self.corunning_j)
 
     def per_slot_totals(self) -> list:
         """Cumulative system energy at the end of each recorded slot."""
@@ -895,22 +896,21 @@ class FleetState:
             catalogs=(self._device_catalog, tuple(self._app_catalog)),
         )
 
-    def start_training(self, user: int) -> int:
-        """Start a training job on ``user`` (the policy decided ``schedule``).
+    def start_training(self, users: np.ndarray) -> None:
+        """Start a training job on each of ``users`` (the policy decided ``schedule``).
 
-        Returns the nominal duration in slots (``d_i``).  The user's derived
-        columns are rewritten by the slot's :meth:`advance`, together with
-        those of everyone else who started in it.
+        Raises, with nothing changed, if one of them is already training.
+        The users' derived columns are rewritten by the slot's
+        :meth:`advance`, in one call.
         """
-        if self.training_active[user]:
-            raise RuntimeError(f"user {user}: training already in progress")
-        duration = int(self.duration_slots[user])
-        self.training_active[user] = True
-        self.remaining_slots[user] = float(duration)
-        self.ready[user] = False
-        self._num_training += 1
-        self._started.append(user)
-        return duration
+        if self.training_active[users].any():
+            busy = users[self.training_active[users]].tolist()
+            raise RuntimeError(f"users {busy}: training already in progress")
+        self.training_active[users] = True
+        self.remaining_slots[users] = self.duration_slots[users]
+        self.ready[users] = False
+        self._num_training += len(users)
+        self._started.extend(users.tolist())
 
     # -- step 3: fleet-wide device advancement -------------------------------------------
 
@@ -971,11 +971,11 @@ class FleetState:
         if overhead_j is None:
             slot_energy_j = self._slot_energy_j
             if slot_energy_j is None:
-                slot_energy_j = float(sum(self._energy_j.tolist()))
+                slot_energy_j = ordered_sum(self._energy_j)
                 self._slot_energy_j = slot_energy_j
         else:
             spent_j = self._energy_j + overhead_j
-            slot_energy_j = float(sum(spent_j.tolist()))
+            slot_energy_j = ordered_sum(spent_j)
             draw_j = np.where(self.has_battery, spent_j, 0.0)
             self._battery_rest = False  # a draw no column holds
         self.accountant.add_slot(self._energy_rows, slot_energy_j, overhead_j)
@@ -1269,7 +1269,7 @@ class FleetState:
             if trace_interval is not None and slot % trace_interval == 0:
                 user_totals = acc.user_totals_j()  # folded as total_j() does
                 tick_offsets.append(advanced)
-                tick_totals.append(float(sum(user_totals.tolist())))
+                tick_totals.append(ordered_sum(user_totals))
                 if tick_user_totals is not None:
                     tick_user_totals.append(user_totals)
             advanced += 1

@@ -60,12 +60,14 @@ from typing import (
 
 import numpy as np
 
+from repro.columns import ordered_sum
 from repro.core.online import OnlinePolicy
 from repro.core.policies import (
     Aggregation,
     ObservationBatch,
     SchedulingPolicy,
     SlotContext,
+    scheduled_lags,
 )
 from repro.core.staleness import gradient_gap
 from repro.device.models import build_device_fleet
@@ -456,13 +458,14 @@ class FleetShard:
         fleet = self.fleet
         lo = self.lo
         trainer = self.trainer
-        for user in scheduled:
-            local = int(user) - lo
-            fleet.start_training(local)
+        if len(scheduled):
+            started = np.asarray(scheduled, dtype=np.int64) - lo
+            fleet.start_training(started)
             if trainer.batched:  # a serial round needs nothing before it finishes
-                base = fleet.base_params[local]
-                assert base is not None  # pinned at download
-                trainer.record(local, base, int(fleet.base_version[local]))
+                for local in started.tolist():
+                    base = fleet.base_params[local]
+                    assert base is not None  # pinned at download
+                    trainer.record(local, base, int(fleet.base_version[local]))
         # Per-slot scratch owned by the fleet; advance() only reads it.
         decided_idle = fleet._scratch_decided_idle
         decided_idle.fill(False)
@@ -490,7 +493,7 @@ class FleetShard:
             user_totals = (
                 acc.idle_j + acc.app_j + acc.training_j + acc.corunning_j
             ) + acc.overhead_j
-            tick_total = float(sum(user_totals.tolist()))
+            tick_total = ordered_sum(user_totals)
             if capture_users:
                 tick_user_totals = user_totals
         next_ready = len(fleet.ready_users())
@@ -1149,32 +1152,33 @@ def drive_fleet_loop(
             timers.stop("merge", merge_tick)
             policy_tick = timers.start()
             schedule = policy.decide_all(batch)
-            coupling = batch.coupling()
-            for index in np.nonzero(schedule)[0]:
-                index = int(index)
-                user = int(batch.user_ids[index])
-                duration = int(batch.training_duration_slots[index])
-                server.register_inflight(
-                    user, expected_finish_s=(slot + duration) * config.slot_seconds
+            chosen = np.flatnonzero(schedule)
+            num_scheduled = len(chosen)
+            scheduled_users = batch.user_ids[chosen]
+            if num_scheduled:
+                durations = batch.training_duration_slots[chosen].tolist()
+                server.register_inflight_block(
+                    scheduled_users.tolist(),
+                    [(slot + duration) * config.slot_seconds for duration in durations],
                 )
                 # The Eq. (4) gap at schedule time uses the same
                 # sequentially-coupled lag the policy decided with.
-                lag = coupling.lag(index)
-                coupling.record(index)
-                core.gaps[user] = gradient_gap(
-                    float(batch.momentum_norm[index]),
-                    float(batch.learning_rate[index]),
-                    float(batch.momentum_coeff[index]),
-                    lag,
-                )
-                num_scheduled += 1
-                trace.record_decision(
-                    scheduled=True, corun=bool(batch.app_running[index])
-                )
+                core.gaps[scheduled_users] = [
+                    gradient_gap(*terms)
+                    for terms in zip(
+                        batch.momentum_norm[chosen].tolist(),
+                        batch.learning_rate[chosen].tolist(),
+                        batch.momentum_coeff[chosen].tolist(),
+                        scheduled_lags(batch, chosen),
+                    )
+                ]
+                corun = int(np.count_nonzero(batch.app_running[chosen]))
+                trace.decisions["schedule"] += num_scheduled
+                trace.corun_jobs += corun
+                trace.background_jobs += num_scheduled - corun
             idle_users = batch.user_ids[~schedule]
             core.gaps[idle_users] += config.epsilon
             trace.decisions["idle"] += len(idle_users)
-            scheduled_users = batch.user_ids[schedule]
             if num_shards == 1:
                 scheduled_by_shard, idle_by_shard = [scheduled_users], [idle_users]
             else:
@@ -1241,12 +1245,8 @@ def drive_fleet_loop(
                 cumulative_j = exec_replies[0].tick_total
             else:
                 merge_tick = timers.start()
-                cumulative_j = float(
-                    sum(
-                        np.concatenate(
-                            [reply.tick_user_totals for reply in exec_replies]
-                        ).tolist()
-                    )
+                cumulative_j = ordered_sum(
+                    np.concatenate([reply.tick_user_totals for reply in exec_replies])
                 )
                 timers.stop("merge", merge_tick)
             trace.maybe_record_slot(

@@ -20,12 +20,20 @@ state included.
 objects, the way the program itself did before the column logs (ISSUE 19):
 the reference the list views of :class:`repro.columns.ColumnLog` must equal
 element for element and type for type.
+
+:func:`frozen_online_decide_all`, :func:`frozen_generic_decide_all` and
+:func:`frozen_schedule_walk` are the schedule path exactly as it ran before
+the slot blocks (ISSUE 24): a dict rescan per lag estimate
+(:func:`frozen_coupled_lag`), a materialised ``DeviceObservation`` and a
+scalar ``decide`` per repaired scheduler, one registration and one gap per
+scheduled user.  :func:`run_digest` is every simulated statistic of a run.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import hashlib
+from dataclasses import astuple, dataclass
 from types import SimpleNamespace
 from typing import Optional
 
@@ -35,7 +43,7 @@ from repro.comm.network import DEFAULT_PROFILES, NetworkCondition, NetworkType
 from repro.comm.transport import ModelTransport
 from repro.core.online import OnlinePolicy
 from repro.core.policies import Decision
-from repro.core.staleness import gradient_gap_from_params
+from repro.core.staleness import gradient_gap, gradient_gap_from_params
 from repro.device.apps import ForegroundApp, sample_app
 from repro.energy.measurements import MeasurementTable
 from repro.fl.layers import Conv2D, Linear, _col2im
@@ -424,3 +432,127 @@ class FrozenLogs:
         monkeypatch.setattr(OnlinePolicy, "decide", decide)
         monkeypatch.setattr(OnlinePolicy, "decide_all", decide_all)
         return self
+
+
+# ---------------------------------------------------------------------------
+# Frozen schedule path
+# ---------------------------------------------------------------------------
+
+
+def frozen_coupled_lag(batch, index, scheduled_counts):
+    """``ObservationBatch.coupled_lag`` as of PR 21: the start-of-slot
+    estimate plus every earlier same-slot schedule (``{duration: count}``)
+    whose finish falls inside this user's window, rescanned per call."""
+    lag = int(batch.estimated_lag[index])
+    if not scheduled_counts:
+        return lag
+    now_s = batch.slot * batch.slot_seconds
+    horizon = now_s + batch.training_duration_slots[index] * batch.slot_seconds
+    for duration, count in scheduled_counts.items():
+        finish = (batch.slot + duration) * batch.slot_seconds
+        if now_s <= finish <= horizon:
+            lag += count
+    return lag
+
+
+class FrozenSameSlotCoupling:
+    """``repro.core.policies.SameSlotCoupling`` as of PR 21."""
+
+    def __init__(self, batch):
+        self.batch = batch
+        self._scheduled_counts = {}
+
+    def lag(self, index):
+        return frozen_coupled_lag(self.batch, index, self._scheduled_counts)
+
+    def record(self, index):
+        duration = int(self.batch.training_duration_slots[index])
+        self._scheduled_counts[duration] = self._scheduled_counts.get(duration, 0) + 1
+
+
+def frozen_generic_decide_all(policy, batch):
+    """``SchedulingPolicy.decide_all`` as of PR 21: one ``decide`` per entry."""
+    decisions = np.zeros(len(batch), dtype=bool)
+    coupling = FrozenSameSlotCoupling(batch)
+    for index in range(len(batch)):
+        observation = batch.observation(index, lag_override=coupling.lag(index))
+        if policy.decide(observation) is Decision.SCHEDULE:
+            decisions[index] = True
+            coupling.record(index)
+    return decisions
+
+
+def frozen_online_decide_all(policy, batch):
+    """``OnlinePolicy.decide_all`` as of PR 21: the speculative batch, then
+    every speculative scheduler whose lag an earlier one raised re-decided
+    through ``batch.observation()`` + ``controller.decide()``.  Returns the
+    schedule and the positions the repair flipped to idle."""
+    n = len(batch)
+    policy._decision_evaluations += n
+    if policy.distributed:
+        policy.messages_to_server += 2 * n
+        policy.messages_to_users += 3 * n
+    else:
+        policy.messages_to_server += 3 * n
+        policy.messages_to_users += 1 * n
+    q_length = policy.task_queue.length
+    h_length = policy.virtual_queue.length
+    schedule = policy.controller.evaluate_batch(batch, q_length, h_length).best()
+    coupling = FrozenSameSlotCoupling(batch)
+    flipped = []
+    for index in np.nonzero(schedule)[0]:
+        index = int(index)
+        lag = coupling.lag(index)
+        if lag != int(batch.estimated_lag[index]):
+            observation = batch.observation(index, lag_override=lag)
+            if policy.controller.decide(observation, q_length, h_length) is Decision.IDLE:
+                schedule[index] = False
+                flipped.append(index)
+                continue
+        coupling.record(index)
+    policy._decision_log.extend(np.full(n, batch.slot), batch.user_ids, schedule)
+    return schedule, flipped
+
+
+def frozen_schedule_walk(batch, schedule):
+    """What ``drive_fleet_loop`` did per scheduled user at PR 21: the
+    ``(user, expected_finish_s, lag, gap)`` it registered and stamped."""
+    coupling = FrozenSameSlotCoupling(batch)
+    walked = []
+    for index in np.nonzero(schedule)[0]:
+        index = int(index)
+        duration = int(batch.training_duration_slots[index])
+        lag = coupling.lag(index)
+        coupling.record(index)
+        gap = gradient_gap(
+            float(batch.momentum_norm[index]),
+            float(batch.learning_rate[index]),
+            float(batch.momentum_coeff[index]),
+            lag,
+        )
+        finish = (batch.slot + duration) * batch.slot_seconds
+        walked.append((int(batch.user_ids[index]), finish, lag, gap))
+    return walked
+
+
+def run_digest(result) -> str:
+    """sha256 over every simulated statistic of one run, floats bit-exact."""
+    parts = [
+        result.total_energy_j().hex(),
+        [
+            [float(value).hex() for value in astuple(result.accountant.user_breakdown(user))]
+            for user in range(len(result.device_names))
+        ],
+        sorted(result.trace.decisions.items()),
+        result.trace.corun_jobs,
+        result.trace.background_jobs,
+        [
+            (u.user_id, u.lag, float(u.gradient_gap).hex(), float(u.time_s).hex())
+            for u in result.trace.update_samples
+        ],
+        [float(value).hex() for value in result.queue_history],
+        [float(value).hex() for value in result.virtual_queue_history],
+        [float(s.gap_sum).hex() for s in result.trace.slot_samples],
+        [(float(s.accuracy).hex(), float(s.loss).hex(), s.num_updates) for s in result.accuracy.samples],
+    ]
+    return hashlib.sha256(repr(parts).encode()).hexdigest()

@@ -190,9 +190,8 @@ class FleetPlaneMachine(RuleBasedStateMachine):
             self.open_slot()
             decided_idle = np.zeros(NUM_USERS, dtype=bool)
             if offset == 0:
-                for user in starters:
-                    if not fleet.training_active[user]:
-                        fleet.start_training(user)
+                free = [user for user in starters if not fleet.training_active[user]]
+                fleet.start_training(np.array(free, dtype=np.int64))
                 decided_idle[[u for u in idle_deciders if not fleet.training_active[u]]] = True
             outcome = fleet.advance(decided_idle)
             assert not fleet.training_active[outcome.finished_users].any()

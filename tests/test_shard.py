@@ -16,11 +16,14 @@ memory-bounded ``trace_level`` telemetry.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.online import OnlinePolicy
 from repro.core.policies import ImmediatePolicy, SyncPolicy
+from repro.fl.server import ParameterServer
 from repro.scenarios import compile_scenario, get_scenario
 from repro.sim.arrivals import (
     ArrivalSchedule,
@@ -257,7 +260,19 @@ class TestProfileShares:
             ),
         ],
     )
-    def test_shares_sum_to_one_with_a_positive_remainder(self, build):
+    def test_shares_sum_to_one_with_a_positive_remainder(self, build, monkeypatch):
+        # The slot's schedule block (in-flight merge, gap write) is
+        # coordinator work in every mode and belongs to ``policy``: a
+        # registration that takes a known time must show up there.
+        registrations = []
+        register = ParameterServer.register_inflight_block
+
+        def slow_register(self, user_ids, finishes_s):
+            registrations.append(len(user_ids))
+            time.sleep(0.002)
+            register(self, user_ids, finishes_s)
+
+        monkeypatch.setattr(ParameterServer, "register_inflight_block", slow_register)
         # Training-heavy on purpose: worker training seconds exceed the
         # coordinator's unattributed remainder, so adding them to buckets
         # that already contain them (inside ipc_recv) overshoots the wall.
@@ -274,6 +289,8 @@ class TestProfileShares:
         shares = result.timing_shares()
         assert sum(shares.values()) == pytest.approx(1.0)
         assert shares["slot_loop"] > 0.0
+        assert len(registrations) > 10 and sum(registrations) == result.trace.decisions["schedule"]
+        assert result.timers.seconds["policy"] >= 0.002 * len(registrations)
         worker_training = result.timers.worker_training_s
         if shares["ipc_recv"] > 0.0:  # worker processes: reported beside, per shard
             assert shares["training"] == 0.0
