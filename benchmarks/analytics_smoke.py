@@ -76,10 +76,7 @@ def smoke_spec(name: str):
 def stage_sweep(store_path: str, failures: list) -> float:
     """Two scenarios x two policies through the suite into the store."""
     start = time.perf_counter()
-    runner = ScenarioRunner(
-        jobs=1, fast_forward=True, batched_training=True,
-        metrics_store=store_path,
-    )
+    runner = ScenarioRunner(jobs=1, fast_forward=True, metrics_store=store_path)
     specs = [smoke_spec(name) for name in SWEEP_SCENARIOS]
     for policy in SWEEP_POLICIES:
         runner.run(specs, policy=policy)

@@ -5,11 +5,8 @@ corresponding rows/series.  The simulations run at ``ExperimentScale.benchmark``
 (25 users, 1-hour horizon, arrival probability scaled up 3x) so the whole
 suite completes in minutes on a laptop; EXPERIMENTS.md records how the scaled
 numbers map onto the paper's 3-hour testbed results.  Set the environment
-variable ``REPRO_BENCH_SCALE=paper`` to run at the full Section VII scale,
-``REPRO_BENCH_JOBS=N`` to fan grid-shaped benchmarks across processes, and
-``REPRO_BATCHED_TRAINING=1`` to run every simulation's local rounds through
-the batched multi-client trainer (equal within tight numerical tolerance;
-training-bound benchmarks finish substantially faster).
+variable ``REPRO_BENCH_SCALE=paper`` to run at the full Section VII scale
+and ``REPRO_BENCH_JOBS=N`` to fan grid-shaped benchmarks across processes.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Scenario-registry smoke check + megafleet runtime gate (CI).
 
-Two stages, both under fast-forward + batched training (the execution mode
-the scenario layer exists to feed):
+Two stages, both under fast-forward (the execution mode the scenario layer
+exists to feed):
 
 1. **Registry smoke** — every built-in scenario compiles and runs end to
    end at smoke scale (users and horizon shrunk, cohort structure kept),
@@ -138,9 +138,7 @@ def main(argv=None) -> int:
 
     failures = []
     with tempfile.TemporaryDirectory(prefix="repro-scenario-smoke-") as cache_dir:
-        runner = ScenarioRunner(
-            cache_dir=cache_dir, jobs=1, fast_forward=True, batched_training=True
-        )
+        runner = ScenarioRunner(cache_dir=cache_dir, jobs=1, fast_forward=True)
         smoke_records = run_registry_smoke(runner, args.policy)
         gate_record = None
         if not args.skip_megafleet:

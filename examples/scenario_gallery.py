@@ -91,7 +91,7 @@ def main() -> None:
     for name in ("flagship-vs-budget", "overnight-chargers", "churny-fleet"):
         show_compilation(name)
 
-    runner = ScenarioRunner(jobs=1, batched_training=True)
+    runner = ScenarioRunner(jobs=1)
     for name in ("flagship-vs-budget", "churny-fleet"):
         compare_policies(
             runner,

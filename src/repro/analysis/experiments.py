@@ -20,7 +20,6 @@ sequential path exactly, so ``jobs`` changes wall-clock time, never results.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +38,6 @@ from repro.sim.engine import SimulationEngine, SimulationResult
 
 __all__ = [
     "ExperimentScale",
-    "batched_training_default",
     "paper_config",
     "run_policy",
     "table2_rows",
@@ -134,30 +132,13 @@ def _shared_dataset(config: SimulationConfig) -> SyntheticCifar10:
     )
 
 
-def batched_training_default() -> bool:
-    """Whether the figure runners use the batched training backend.
-
-    Off by default (matching the engine); set ``REPRO_BATCHED_TRAINING=1``
-    to opt every figure/benchmark run into the stacked
-    :class:`repro.fl.batch.BatchTrainer` path.  Results agree with the
-    serial trainer to tight numerical tolerance, so the reproduced figures
-    are unchanged at reporting precision — only the wall-clock drops.
-    """
-    return os.environ.get("REPRO_BATCHED_TRAINING", "").lower() in ("1", "true", "yes", "on")
-
-
 def run_policy(
     config: SimulationConfig,
     policy: SchedulingPolicy,
     dataset: Optional[SyntheticCifar10] = None,
-    batched_training: Optional[bool] = None,
 ) -> SimulationResult:
     """Run one simulation of ``policy`` under ``config``."""
-    if batched_training is None:
-        batched_training = batched_training_default()
-    return SimulationEngine(
-        config, policy, dataset=dataset, batched_training=batched_training
-    ).run()
+    return SimulationEngine(config, policy, dataset=dataset).run()
 
 
 def _grid_results(
@@ -178,20 +159,12 @@ def _grid_results(
     from repro.analysis.runner import ExperimentSuite, RunSpec
 
     base = dataclasses.asdict(config)
-    batched = batched_training_default()
     specs = []
     for index, (name, kwargs) in enumerate(policy_specs):
         cell_config = dict(base)
         if config_overrides is not None:
             cell_config.update(config_overrides[index])
-        specs.append(
-            RunSpec(
-                policy=name,
-                policy_kwargs=dict(kwargs),
-                config=cell_config,
-                batched_training=batched,
-            )
-        )
+        specs.append(RunSpec(policy=name, policy_kwargs=dict(kwargs), config=cell_config))
     return ExperimentSuite(jobs=jobs).map_results(specs)
 
 
@@ -585,12 +558,7 @@ def scenario_policy_rows(
     store = as_store(metrics_store)
     if store is None:
         store = MetricsStore(":memory:")
-    runner = ScenarioRunner(
-        cache_dir=cache_dir,
-        jobs=jobs,
-        batched_training=batched_training_default(),
-        metrics_store=store,
-    )
+    runner = ScenarioRunner(cache_dir=cache_dir, jobs=jobs, metrics_store=store)
     summaries = runner.sweep_policies(
         scenario,
         policies=policies,

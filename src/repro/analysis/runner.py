@@ -58,7 +58,8 @@ __all__ = [
 #: Bump to invalidate previously cached summaries when their schema changes.
 #: 3: ``shards`` and ``trace_level`` joined the canonical spec payload.
 #: 4: ``backend`` left it.
-CACHE_VERSION = 4
+#: 5: ``batched_training`` left it.
+CACHE_VERSION = 5
 
 #: Registered policy constructors, keyed by the CLI / spec name.
 _POLICY_FACTORIES = {
@@ -98,9 +99,6 @@ class RunSpec:
             unspecified fields keep the paper's Section VII.B defaults.
         fast_forward: enable the engine's event-horizon fast-forward path
             (on by default).
-        batched_training: execute concurrent local rounds as one stacked
-            tensor program (:class:`repro.fl.batch.BatchTrainer`); off by
-            default, matching the engine.
         shards: partition the population across this many worker processes
             (:class:`repro.sim.shard.ShardedEngine`); ``1`` (default) runs
             the single-process engine.  Any shard count produces a bitwise-
@@ -119,7 +117,6 @@ class RunSpec:
     policy_kwargs: Dict[str, Any] = field(default_factory=dict)
     config: Dict[str, Any] = field(default_factory=dict)
     fast_forward: bool = True
-    batched_training: bool = False
     shards: int = 1
     trace_level: str = "full"
     label: Optional[str] = None
@@ -146,10 +143,9 @@ class RunSpec:
 
         The display label is deliberately excluded: it does not change the
         simulated system, so relabelled grids still hit the cache.  The
-        package version, the fast-forward switch, the batched-training
-        switch and the shard count are all *included*: a code release or an
-        execution-mode switch must not silently serve summaries simulated
-        by different code.
+        package version, the fast-forward switch and the shard count are
+        all *included*: a code release or an execution-mode switch must not
+        silently serve summaries simulated by different code.
         """
         payload = {
             "cache_version": CACHE_VERSION,
@@ -158,7 +154,6 @@ class RunSpec:
             "policy_kwargs": self.policy_kwargs,
             "config": self.config,
             "fast_forward": self.fast_forward,
-            "batched_training": self.batched_training,
             "shards": self.shards,
             "trace_level": self.trace_level,
         }
@@ -242,13 +237,8 @@ def execute_spec(
         shards=spec.shards,
         resume_from=resume_from,
         fast_forward=spec.fast_forward,
-        batched_training=spec.batched_training,
         profile=True,
         trace_level=spec.trace_level,
-        # Suite runs may already occupy every core with worker processes;
-        # nested compute-bound trainer threads would only oversubscribe.
-        # Thread count never changes results.
-        training_threads=1,
         fault_injector=fault_injector,
     )
     return engine.run(checkpointer)
@@ -449,7 +439,6 @@ def sweep_grid(
     staleness_bound: float = 500.0,
     base_config: Optional[Dict[str, Any]] = None,
     fast_forward: bool = True,
-    batched_training: bool = False,
     shards: int = 1,
     trace_level: str = "full",
 ) -> List[RunSpec]:
@@ -467,14 +456,12 @@ def sweep_grid(
         staleness_bound: ``Lb`` handed to the online scheduler.
         base_config: shared :class:`SimulationConfig` overrides.
         fast_forward: fast-forward switch for every spec.
-        batched_training: batched-training switch for every spec.
         shards: population shard count for every spec (1 = single-process).
         trace_level: telemetry volume for every spec.
     """
     base = dict(base_config or {})
     switches = dict(
         fast_forward=fast_forward,
-        batched_training=batched_training,
         shards=shards,
         trace_level=trace_level,
     )

@@ -14,15 +14,12 @@ Installed as the ``repro-sim`` console script::
 
 Every subcommand prints plain-text tables (and optional ASCII charts) so the
 tool works in the offline environments the library targets.  On the
-simulation subcommands, ``--shards N`` partitions the population across worker processes (the
-sharded fleet engine of :mod:`repro.sim.shard` — bitwise-identical results
-for any shard count with the serial trainer; batched training groups per
-shard and matches to tight numerical tolerance), ``--trace-level summary``
-bounds telemetry memory for
-megafleet populations, ``--batched-training`` switches the FL substrate to
-the stacked multi-client tensor program (equal to the serial trainer within
-tight numerical tolerance), and ``--profile`` reports where the wall-clock
-went (training vs policy vs evaluation vs slot mechanics)::
+simulation subcommands, ``--shards N`` partitions the population across
+worker processes (the sharded fleet engine of :mod:`repro.sim.shard` —
+bitwise-identical results for any shard count), ``--trace-level summary``
+bounds telemetry memory for megafleet populations, and ``--profile`` reports
+where the wall-clock went (training vs policy vs evaluation vs slot
+mechanics)::
 
     repro-sim scenario run megafleet-100k --shards 4 --trace-level summary
 """
@@ -198,7 +195,6 @@ def _switches(args: argparse.Namespace) -> dict:
     """The execution-mode switches every engine- or spec-building command shares."""
     return dict(
         fast_forward=not args.no_fast_forward,
-        batched_training=args.batched_training,
         shards=args.shards,
         trace_level=args.trace_level,
     )
@@ -952,19 +948,11 @@ def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
                         help="disable the engine's event-horizon "
                              "fast-forward (results are identical either way; "
                              "this only trades speed for a per-slot execution)")
-    parser.add_argument("--batched-training", action="store_true",
-                        help="execute concurrent local rounds as one stacked "
-                             "tensor program (repro.fl.batch.BatchTrainer); "
-                             "matches the serial trainer to tight numerical "
-                             "tolerance and speeds up training-bound runs")
     parser.add_argument("--shards", type=int, default=1,
                         help="partition the population across this many "
                              "worker processes (the sharded engine); "
                              "any shard count gives bitwise-identical "
-                             "results (under "
-                             "--batched-training, whose batching groups are "
-                             "per shard, results match to tight numerical "
-                             "tolerance instead)")
+                             "results")
     parser.add_argument("--trace-level", choices=["full", "summary", "off"],
                         default="full",
                         help="telemetry volume: 'summary' keeps streamed "
@@ -1056,13 +1044,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--v", type=float, default=4000.0)
         sub.add_argument("--staleness-bound", type=float, default=500.0)
         sub.add_argument("--no-fast-forward", action="store_true")
-        sub.add_argument("--batched-training", action="store_true")
         sub.add_argument("--shards", type=int, default=1,
                          help="partition each run's population across this "
                               "many worker processes (bitwise-identical "
-                              "results for any shard count; with "
-                              "--batched-training, tight numerical "
-                              "tolerance)")
+                              "results for any shard count)")
         sub.add_argument("--trace-level", choices=["full", "summary", "off"],
                          default="full",
                          help="telemetry volume; 'summary' is the megafleet "
@@ -1193,7 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
     j_submit.add_argument("--v", type=float, default=4000.0)
     j_submit.add_argument("--staleness-bound", type=float, default=500.0)
     j_submit.add_argument("--no-fast-forward", action="store_true")
-    j_submit.add_argument("--batched-training", action="store_true")
     j_submit.add_argument("--shards", type=int, default=1)
     j_submit.add_argument("--trace-level", choices=["full", "summary", "off"],
                           default="full")

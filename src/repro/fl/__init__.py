@@ -12,15 +12,12 @@ scratch in NumPy:
   partitioning across users.
 * :mod:`repro.fl.optimizer` — momentum SGD exactly as Eq. (1).
 * :mod:`repro.fl.client` — local training of one participant.
-* :mod:`repro.fl.batch` — the batched training backend: concurrent local
-  rounds stacked into one tensor program with a leading client axis.
 * :mod:`repro.fl.server` — the parameter server with synchronous (FedAvg)
   and asynchronous update rules plus version/lag bookkeeping.
 * :mod:`repro.fl.metrics` — accuracy/loss evaluation and convergence-time
   extraction used in Fig. 5/6.
 """
 
-from repro.fl.batch import BatchTrainer, TrainRequest
 from repro.fl.client import FLClient, LocalUpdate
 from repro.fl.dataset import (
     DataPartition,
@@ -36,7 +33,6 @@ from repro.fl.server import AsyncUpdateRule, ParameterServer, ServerUpdate
 __all__ = [
     "AccuracyTracker",
     "AsyncUpdateRule",
-    "BatchTrainer",
     "DataPartition",
     "FLClient",
     "LocalUpdate",
@@ -45,7 +41,6 @@ __all__ = [
     "Sequential",
     "ServerUpdate",
     "SyntheticCifar10",
-    "TrainRequest",
     "build_lenet5",
     "build_mlp",
     "evaluate_model",

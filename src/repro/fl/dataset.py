@@ -53,30 +53,11 @@ class DataPartition:
         return int(self.x.shape[0])
 
     def epoch_indices(self, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """The (shuffled) sample order of one epoch.
-
-        Consumes exactly one ``rng.shuffle`` draw — the same stream usage as
-        :meth:`batches`, which is what keeps the serial per-client path and
-        the stacked :class:`~repro.fl.batch.BatchTrainer` path on identical
-        per-client RNG trajectories.
-        """
+        """The (shuffled) sample order of one epoch: one ``rng.shuffle`` draw."""
         indices = np.arange(len(self))
         if rng is not None:
             rng.shuffle(indices)
         return indices
-
-    def batches(
-        self, batch_size: int, rng: Optional[np.random.Generator] = None
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Split the shard into shuffled mini-batches of ``batch_size``."""
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        indices = self.epoch_indices(rng)
-        result = []
-        for start in range(0, len(self), batch_size):
-            chunk = indices[start : start + batch_size]
-            result.append((self.x[chunk], self.y[chunk]))
-        return result
 
     def label_distribution(self, num_classes: int) -> np.ndarray:
         """Histogram of labels, useful for checking non-IID skew."""

@@ -189,7 +189,7 @@ def _megafleet_1k() -> ScenarioSpec:
         name="megafleet-1k",
         description="1000-user heterogeneous fleet over the full 3 h "
         "horizon: the production-scale workload the fast substrate "
-        "(fleet backend, fast-forward, batched training) exists for.",
+        "(fleet backend, fast-forward) exists for.",
         num_users=1_000,
         total_slots=10_800,
         cohorts=(

@@ -43,7 +43,6 @@ def scenario_run_spec(
     policy: str = "online",
     policy_kwargs: Optional[Dict[str, Any]] = None,
     fast_forward: bool = True,
-    batched_training: bool = False,
     shards: int = 1,
     trace_level: str = "full",
     label: Optional[str] = None,
@@ -61,7 +60,6 @@ def scenario_run_spec(
         policy_kwargs=dict(policy_kwargs or {}),
         config=dict(compiled.overrides),
         fast_forward=fast_forward,
-        batched_training=batched_training,
         shards=shards,
         trace_level=trace_level,
         label=label or f"scenario:{name}[{policy}]",
@@ -74,8 +72,8 @@ class ScenarioRunner:
     Args:
         cache_dir: summary cache directory (``None`` disables caching).
         jobs: worker processes for grids (``1`` = sequential).
-        fast_forward / batched_training: engine execution mode for
-            every run launched by this runner.
+        fast_forward: engine execution mode for every run launched by
+            this runner.
         shards: partition each run's population across this many worker
             processes (:class:`repro.sim.shard.ShardedEngine`); ``1`` keeps
             the single-process engine.  Composes with ``jobs``: a grid fans
@@ -92,7 +90,6 @@ class ScenarioRunner:
         cache_dir: Optional[str] = None,
         jobs: int = 1,
         fast_forward: bool = True,
-        batched_training: bool = False,
         shards: int = 1,
         trace_level: str = "full",
         metrics_store: Any = None,
@@ -101,7 +98,6 @@ class ScenarioRunner:
             cache_dir=cache_dir, jobs=jobs, metrics_store=metrics_store
         )
         self.fast_forward = fast_forward
-        self.batched_training = batched_training
         self.shards = shards
         self.trace_level = trace_level
 
@@ -116,7 +112,6 @@ class ScenarioRunner:
             policy=policy,
             policy_kwargs=policy_kwargs,
             fast_forward=self.fast_forward,
-            batched_training=self.batched_training,
             shards=self.shards,
             trace_level=self.trace_level,
         )

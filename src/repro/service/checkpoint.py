@@ -4,9 +4,8 @@ A checkpoint captures everything a run has mutated — the coordinator-side
 coupling state (parameter server, policy queues, lag estimates, the
 Eq. (12) gap array, transport accounting, trace aggregates, the evaluation
 cache) plus the per-user state (device/app/thermal/battery arrays, client
-RNG generator states, momentum velocities, train-ahead scheduler flight
-state).  Everything *static* — device calibration, arrival schedules, data
-partitions — is rebuilt bitwise from the configuration by the existing
+RNG generator states, momentum velocities).  Everything *static* — device
+calibration, arrival schedules, data partitions — is rebuilt bitwise from the configuration by the existing
 builders, so checkpoints stay small and a restored run re-derives the same
 immutable inputs the original run had.
 
@@ -71,7 +70,10 @@ __all__ = [
 
 #: Bumped whenever the on-disk layout or the state dicts change shape.
 #: v7: write-once vectors (``vectors.bin`` packs referenced across
-#: snapshots), slices without base parameters, column logs.
+#: snapshots), slices without base parameters, column logs.  v7 stores
+#: written while the batched trainer existed also carry a meta flag and two
+#: per-slice dicts of its train-ahead state; :meth:`CheckpointStore.load`
+#: drops them when they are empty and refuses the store otherwise.
 CHECKPOINT_FORMAT_VERSION = 7
 
 #: One INFO record per save, one WARNING per failed verification.  Silent
@@ -217,7 +219,6 @@ class EngineCheckpoint:
     global_ready: int
     config: SimulationConfig
     fast_forward: bool
-    batched_training: bool
     trace_level: str
     coordinator: CoordinatorState
     slices: List[dict]
@@ -361,11 +362,6 @@ def reslice(slices: Sequence[dict], bounds: Sequence[Tuple[int, int]]) -> List[d
     full_acct = {k: concat(("fleet", "accountant", k)) for k in acct_keys}
     full_clients = concat(("clients",))
     full_velocities = concat(("velocities",))
-    full_pending: Dict[int, tuple] = {}
-    full_trained: Dict[int, object] = {}
-    for piece in slices:
-        full_pending.update(piece["pending"])
-        full_trained.update(piece["trained"])
 
     from repro.sim.fleet import merge_slot_series
 
@@ -395,8 +391,6 @@ def reslice(slices: Sequence[dict], bounds: Sequence[Tuple[int, int]]) -> List[d
                 "fleet": fleet,
                 "clients": full_clients[a:b],
                 "velocities": full_velocities[a:b],
-                "pending": {u: v for u, v in full_pending.items() if lo <= u < hi},
-                "trained": {u: v for u, v in full_trained.items() if lo <= u < hi},
             }
         )
     return out
@@ -542,7 +536,6 @@ class CheckpointStore:
             "pending_arrivals": list(checkpoint.pending_arrivals),
             "global_ready": checkpoint.global_ready,
             "fast_forward": checkpoint.fast_forward,
-            "batched_training": checkpoint.batched_training,
             "trace_level": checkpoint.trace_level,
             "slices": [],
             "checksums": {},
@@ -697,8 +690,17 @@ class CheckpointStore:
             vectors.update(self._read_rows(name, directory, pack["rows"]))
         head = files[self.HEAD]
         slices = []
+        train_ahead = bool(meta.get("batched_training"))
         for listed in meta["slices"]:
             piece = files[listed["file"]]
+            for key in ("pending", "trained"):
+                train_ahead |= bool(piece.pop(key, None))
+            if train_ahead:
+                raise ValueError(
+                    f"checkpoint snapshot {name} holds batched-training "
+                    "train-ahead state, which this version cannot resume: "
+                    "every local round now runs serially at its completion slot"
+                )
             piece["velocities"] = [
                 vectors.get(f"v:{piece['lo'] + offset}:{client['rounds_completed']}")
                 for offset, client in enumerate(piece["clients"])
@@ -711,7 +713,6 @@ class CheckpointStore:
             global_ready=meta["global_ready"],
             config=head["config"],
             fast_forward=meta["fast_forward"],
-            batched_training=meta["batched_training"],
             trace_level=meta["trace_level"],
             coordinator=replace(
                 head["coordinator"],

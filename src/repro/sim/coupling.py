@@ -178,34 +178,32 @@ class CouplingCore:
     def apply_async_update(
         self,
         slot: int,
-        finished: Sequence[Tuple[int, LocalUpdate, int]],
+        users: Sequence[int],
+        updates: Sequence[LocalUpdate],
         base_params: Optional[Sequence[np.ndarray]] = None,
     ) -> List[float]:
         """Apply the (already trained) uploads that complete in ``slot``.
 
-        ``finished`` holds one ``(user, update, round_number)`` triple per
-        upload, ascending by user — the deterministic order that makes the
-        server's accumulation commutative *in effect*: any shard layout
-        applies the same updates in the same sequence, so the global model
-        evolves bit for bit identically.  Returns the realised Eq. (2)
-        gradient gap of each.
+        ``users`` and ``updates`` are aligned, one entry per upload,
+        ascending by user — the deterministic order that makes the server's
+        accumulation commutative *in effect*: any shard layout applies the
+        same updates in the same sequence, so the global model evolves bit
+        for bit identically.  Returns the realised Eq. (2) gradient gap of
+        each.
 
         Args:
             base_params: the parameters each user trained from, one per
-                triple; ``None`` (the fleet slot loop) resolves the vectors
+                upload; ``None`` (the fleet slot loop) resolves the vectors
                 pinned at download, the per-user reference loop passes its
-                own copy with its one triple.
+                own copy with its one upload.
         """
         time_s = slot * self.config.slot_seconds
-        users = [user for user, _, _ in finished]
         if base_params is None:
             base_params = [self._pinned_base.pop(user) for user in users]
         else:
             for user in users:
                 self._pinned_base.pop(user, None)
-        rows = self.server.async_update_block(
-            [update for _, update, _ in finished], base_params, time_s
-        )
+        rows = self.server.async_update_block(updates, base_params, time_s)
         self.transport.transfer_block(users, "upload", time_s)
         if type(self.policy).notify_update_applied is not SchedulingPolicy.notify_update_applied:
             for user, row in zip(users, rows):  # only a policy that listens

@@ -599,7 +599,6 @@ def restore_engine(cls, checkpoint, **kwargs):
         checkpoint.config,
         coordinator.policy,
         fast_forward=checkpoint.fast_forward,
-        batched_training=checkpoint.batched_training,
         trace_level=checkpoint.trace_level,
         **kwargs,
     )
@@ -635,24 +634,9 @@ class SimulationEngine(Coordinator):
             fast-forward path is bitwise-identical to slot-by-slot
             execution: decisions, energy, gap, queue and accuracy traces
             all match exactly (``tests/test_fleet.py`` enforces this).
-        batched_training: execute all local rounds that complete in the same
-            slot as one stacked tensor program
-            (:class:`repro.fl.batch.BatchTrainer`) instead of one serial
-            ``local_train`` per client.  Off by default: the batched path
-            matches the serial one to tight numerical tolerance (and
-            typically bitwise for non-ragged shard groups), but the repo's
-            bitwise contracts are stated for the serial trainer.
         profile: collect per-subsystem wall-clock shares
             (:class:`repro.sim.timers.EngineTimers`) — training vs policy vs
             evaluation vs slot mechanics.  Never affects results.
-        training_threads: worker threads for the batched trainer's block
-            fan-out; ``None`` lets :class:`~repro.fl.batch.BatchTrainer`
-            pick from the available cores.  Pass ``1`` when the engine
-            itself runs inside a process pool (the experiment runner does)
-            so compute-bound threads do not oversubscribe the cores the
-            pool already occupies.  Thread count never affects results.
-            BLAS is not part of this: it runs on one thread in every
-            process (:mod:`repro.fl.blas`).
         trace_level: telemetry volume (:data:`repro.sim.trace.TRACE_LEVELS`).
             ``full`` (default) records every series; ``summary`` keeps
             streamed aggregates only — no per-slot samples, no per-user gap
@@ -670,17 +654,13 @@ class SimulationEngine(Coordinator):
         dataset: Optional[SyntheticCifar10] = None,
         measurement_table: Optional[MeasurementTable] = None,
         fast_forward: bool = True,
-        batched_training: bool = False,
         profile: bool = False,
-        training_threads: Optional[int] = None,
         trace_level: str = "full",
     ) -> None:
         rngs = self.build_coordinator(
             config, policy, dataset, measurement_table, profile, trace_level
         )
         self.fast_forward = bool(fast_forward)
-        self.batched_training = bool(batched_training)
-        self.training_threads = training_threads
         # The per-user substrate of the one inline shard run() drives, built
         # here from the coordinator's own dataset and specs (FleetShard.build
         # would construct the dataset a second time).
@@ -698,8 +678,7 @@ class SimulationEngine(Coordinator):
         any shard count; see :func:`repro.service.checkpoint.reslice`).
 
         ``kwargs`` are the constructor keywords a checkpoint does not carry
-        (``dataset``, ``measurement_table``, ``profile``,
-        ``training_threads``).  ``run()`` on the restored engine continues
+        (``dataset``, ``measurement_table``, ``profile``).  ``run()`` on the restored engine continues
         from the checkpoint slot, bitwise-identical to the uninterrupted run.
         """
         return restore_engine(cls, checkpoint, **kwargs)
@@ -739,8 +718,6 @@ class SimulationEngine(Coordinator):
                 clients=self.clients,
                 arrivals=self.arrivals,
                 include_params=self._upload_params,
-                batched_training=self.batched_training,
-                training_threads=self.training_threads,
                 timers=self.timers,
             )
             handles = [shard_module.InlineShardHandle(shard)]
@@ -767,7 +744,6 @@ def build_engine(
     resume_from=None,
     fault_injector=None,
     fast_forward: bool = True,
-    batched_training: bool = False,
     trace_level: str = "full",
     **kwargs,
 ):
@@ -779,7 +755,7 @@ def build_engine(
     :class:`~repro.service.checkpoint.EngineCheckpoint`) the engine is
     restored instead: configuration, policy and switches then come from the
     checkpoint, and ``shards`` may differ from the layout that wrote it.
-    ``kwargs`` (``dataset``, ``profile``, ``training_threads``) pass through,
+    ``kwargs`` (``dataset``, ``profile``) pass through,
     so each engine keeps its own defaults; ``fault_injector`` reaches only
     the sharded engine, the one with workers to inject into.
     """
@@ -797,7 +773,6 @@ def build_engine(
         config,
         policy,
         fast_forward=fast_forward,
-        batched_training=batched_training,
         trace_level=trace_level,
         **kwargs,
     )

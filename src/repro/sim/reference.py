@@ -37,7 +37,6 @@ from repro.core.staleness import GapTracker, gradient_gap
 from repro.device.device import DeviceState, MobileDevice
 from repro.energy.measurements import MeasurementTable
 from repro.energy.power_model import EnergyAccountant
-from repro.fl.batch import TrainAheadScheduler
 from repro.fl.client import LocalUpdate
 from repro.fl.dataset import SyntheticCifar10
 from repro.fl.server import AsyncUpdateRule
@@ -65,8 +64,6 @@ class ReferenceLoopEngine(Coordinator):
     Args:
         config / policy / dataset / measurement_table / trace_level: as for
             :class:`~repro.sim.engine.SimulationEngine`.
-        batched_training: obtain uploads from the train-ahead batch instead
-            of one serial ``local_train`` per finisher.
     """
 
     def __init__(
@@ -75,7 +72,6 @@ class ReferenceLoopEngine(Coordinator):
         policy: SchedulingPolicy,
         dataset: Optional[SyntheticCifar10] = None,
         measurement_table: Optional[MeasurementTable] = None,
-        batched_training: bool = False,
         trace_level: str = "full",
     ) -> None:
         rngs = self.build_coordinator(
@@ -93,12 +89,6 @@ class ReferenceLoopEngine(Coordinator):
         self._user_states = [_UserState() for _ in range(config.num_users)]
         self._sync_buffer = self.core.sync_buffer
         self._upload_params = config.async_rule is not AsyncUpdateRule.ACCUMULATE
-        self._train_scheduler = TrainAheadScheduler(
-            self.clients,
-            batched=bool(batched_training),
-            threads=None,
-            include_params=self._upload_params,
-        )
 
     # -- helpers ------------------------------------------------------------------
 
@@ -145,29 +135,13 @@ class ReferenceLoopEngine(Coordinator):
             current_gap=self.gap_tracker.current_gap(user),
         )
 
-    def _record_scheduled(self, user: int, base_params: np.ndarray, base_version: int) -> None:
-        """Register a just-started training job with the train-ahead scheduler."""
-        self._train_scheduler.record(user, base_params, base_version)
-
-    def _obtain_update(
-        self, user: int, base_params: np.ndarray, base_version: int
-    ) -> LocalUpdate:
-        """The finished user's upload: serial now, or from the train-ahead batch.
-
-        Orchestration lives in :class:`~repro.fl.batch.TrainAheadScheduler`
-        (shared with the fleet shards).
-        """
-        tick = self.timers.start()
-        update = self._train_scheduler.obtain(user, base_params, base_version)
-        self.timers.stop("training", tick)
-        return update
-
     def _apply_async_update(
         self, user: int, slot: int, base_params: np.ndarray, update: LocalUpdate
     ) -> float:
         """Apply one finished user's upload (see :class:`CouplingCore`)."""
-        finished = [(user, update, self.clients[user].rounds_completed)]
-        return self.core.apply_async_update(slot, finished, base_params=[base_params])[0]
+        return self.core.apply_async_update(
+            slot, [user], [update], base_params=[base_params]
+        )[0]
 
     def _maybe_complete_sync_round(
         self, slot: int, stalled_fn: Optional[Callable[[], List[int]]] = None
@@ -255,11 +229,6 @@ class ReferenceLoopEngine(Coordinator):
                     self.server.register_inflight(
                         user, expected_finish_s=(slot + job.duration_slots) * config.slot_seconds
                     )
-                    self._record_scheduled(
-                        user,
-                        self._user_states[user].base_params,
-                        self._user_states[user].base_version,
-                    )
                     scheduled_gap = gradient_gap(
                         observation.momentum_norm,
                         observation.learning_rate,
@@ -302,12 +271,17 @@ class ReferenceLoopEngine(Coordinator):
                 if outcome.training_finished:
                     finished_users.append(user)
 
-            # Training completions: the upload of each finisher is obtained
-            # (train-ahead batch or serial round) and applied sequentially
-            # in ascending user order — the order the per-user code used.
+            # Training completions: each finisher runs its local round now and
+            # the uploads are applied sequentially in ascending user order.
             for user in finished_users:
                 state = self._user_states[user]
-                update = self._obtain_update(user, state.base_params, state.base_version)
+                tick = self.timers.start()
+                update = self.clients[user].local_train(
+                    state.base_params,
+                    state.base_version,
+                    include_params=self._upload_params,
+                )
+                self.timers.stop("training", tick)
                 if sync_mode:
                     self._sync_buffer[user] = update
                     state.uploaded_this_round = True

@@ -74,7 +74,6 @@ from repro.device.models import build_device_fleet
 from repro.energy.measurements import MeasurementTable
 from repro.energy.power_model import PowerModel
 from repro.faults.retry import RetryPolicy, poll_intervals
-from repro.fl.batch import TrainAheadScheduler
 from repro.fl.blas import blas_threads, pin_blas_threads
 from repro.fl.client import FLClient, LocalUpdate
 from repro.fl.server import AsyncUpdateRule
@@ -180,8 +179,8 @@ class SlotExecReply:
     """Shard reply to ``run_slot``.
 
     Attributes:
-        finished: ``(user, update, round_number)`` per training completion,
-            ascending user order (global ids).
+        finished: ``(user, update)`` per training completion, ascending
+            user order (global ids).
         tick_total: shard-local cumulative energy fold at a trace tick
             (``None`` off-grid); bitwise-equal to ``accountant.total_j()``.
         tick_user_totals: per-user cumulative totals at the tick, shipped
@@ -196,7 +195,7 @@ class SlotExecReply:
             shard (the worker then merges them idempotently).
     """
 
-    finished: List[Tuple[int, LocalUpdate, int]]
+    finished: List[Tuple[int, LocalUpdate]]
     tick_total: Optional[float]
     tick_user_totals: Optional[np.ndarray]
     next_ready: int
@@ -290,11 +289,11 @@ def build_observation_batch(
 class FleetShard:
     """One contiguous population slice plus its execution kernels.
 
-    Wraps a slice-local :class:`~repro.sim.fleet.FleetState`, the slice's FL
-    clients and a :class:`~repro.fl.batch.TrainAheadScheduler`, and exposes
-    the slot-stage methods the coordinator drives — the same methods whether
-    the shard runs in-process (single-process engine) or inside a worker
-    process (sharded engine).  All protocol arguments and replies use
+    Wraps a slice-local :class:`~repro.sim.fleet.FleetState` and the slice's
+    FL clients, and exposes the slot-stage methods the coordinator drives —
+    the same methods whether the shard runs in-process (single-process
+    engine) or inside a worker process (sharded engine).  All protocol
+    arguments and replies use
     *global* user ids; internally everything is slice-local (``- lo``).
 
     Args:
@@ -306,7 +305,6 @@ class FleetShard:
             (:meth:`~repro.sim.arrivals.ArrivalSchedule.slice_users`).
         include_params: ship absolute parameter vectors in uploads (non-
             accumulate merge rules).
-        batched_training / training_threads: train-ahead configuration.
         timers: profiling sink; the single-process engine passes its own so
             training time lands in the same report.
     """
@@ -322,8 +320,6 @@ class FleetShard:
         clients: Sequence[FLClient],
         arrivals: ArrivalSchedule,
         include_params: bool,
-        batched_training: bool,
-        training_threads: Optional[int],
         timers: Optional[EngineTimers] = None,
     ) -> None:
         if hi - lo != len(device_specs):
@@ -340,12 +336,7 @@ class FleetShard:
             clients=self.clients,
             arrivals=arrivals,
         )
-        self.trainer = TrainAheadScheduler(
-            self.clients,
-            batched=batched_training,
-            threads=training_threads,
-            include_params=include_params,
-        )
+        self.include_params = include_params  # reprolint: static
         # Profiling only; training seconds are reported, never checkpointed.
         self.timers = timers if timers is not None else EngineTimers(enabled=True)  # reprolint: static
         # Uncommitted quiet-region try state; checkpoints happen only at slot
@@ -366,8 +357,6 @@ class FleetShard:
         hi: int,
         arrivals: ArrivalSchedule,
         measurement_table: Optional[MeasurementTable],
-        batched_training: bool,
-        training_threads: Optional[int],
         timers: Optional[EngineTimers] = None,
     ) -> "FleetShard":
         """Reconstruct the shard's slice of the system inside a worker.
@@ -406,8 +395,6 @@ class FleetShard:
             clients=clients,
             arrivals=arrivals,
             include_params=include_params,
-            batched_training=batched_training,
-            training_threads=training_threads,
             timers=timers,
         )
 
@@ -457,15 +444,8 @@ class FleetShard:
         """Steps 2b–3: apply decisions, advance the slice, train finishers."""
         fleet = self.fleet
         lo = self.lo
-        trainer = self.trainer
         if len(scheduled):
-            started = np.asarray(scheduled, dtype=np.int64) - lo
-            fleet.start_training(started)
-            if trainer.batched:  # a serial round needs nothing before it finishes
-                for local in started.tolist():
-                    base = fleet.base_params[local]
-                    assert base is not None  # pinned at download
-                    trainer.record(local, base, int(fleet.base_version[local]))
+            fleet.start_training(np.asarray(scheduled, dtype=np.int64) - lo)
         # Per-slot scratch owned by the fleet; advance() only reads it.
         decided_idle = fleet._scratch_decided_idle
         decided_idle.fill(False)
@@ -474,15 +454,19 @@ class FleetShard:
             fleet.waiting_slots[idle_local] += 1
             decided_idle[idle_local] = True
         outcome = fleet.advance(decided_idle)
-        finished: List[Tuple[int, LocalUpdate, int]] = []
+        finished: List[Tuple[int, LocalUpdate]] = []
         if len(outcome.finished_users):
             tick = self.timers.start()
             for local in outcome.finished_users.tolist():
                 base = fleet.base_params[local]
                 assert base is not None  # pinned at download
-                update = trainer.obtain(local, base, int(fleet.base_version[local]))
+                update = self.clients[local].local_train(
+                    base,
+                    int(fleet.base_version[local]),
+                    include_params=self.include_params,
+                )
                 fleet.momentum_norms[local] = update.momentum_norm
-                finished.append((local + lo, update, self.clients[local].rounds_completed))
+                finished.append((local + lo, update))
             self.timers.stop("training", tick)
         fleet.accountant.close_slot()
         tick_total = None
@@ -604,10 +588,10 @@ class FleetShard:
     def checkpoint_state(self) -> Dict:
         """The shard's complete mutable state as one plain picklable dict.
 
-        Everything is keyed by *global* user id at this boundary (train-ahead
-        flight state included), so slices from different shard layouts are
-        interchangeable — :func:`repro.service.checkpoint.reslice` can
-        re-partition them for a restore under a different shard count.
+        A slice names its *global* user range, so slices from different
+        shard layouts are interchangeable —
+        :func:`repro.service.checkpoint.reslice` can re-partition them for a
+        restore under a different shard count.
         Client state captures exactly what training mutates: the
         bit-generator state of the per-client batch-sampling RNG and the
         round counter in ``clients``, the momentum vector in ``velocities``.
@@ -616,10 +600,8 @@ class FleetShard:
         costs nothing for users that do not train while it is alive, and
         ``(user, rounds_completed)`` names a vector's content for good.
         """
-        lo = self.lo
-        trainer_state = self.trainer.state_dict()
         return {
-            "lo": lo,
+            "lo": self.lo,
             "hi": self.hi,
             "fleet": self.fleet.state_dict(),
             "clients": [
@@ -630,12 +612,6 @@ class FleetShard:
                 for client in self.clients
             ],
             "velocities": [client.optimizer.lend_velocity() for client in self.clients],
-            "pending": {
-                local + lo: value for local, value in trainer_state["pending"].items()
-            },
-            "trained": {
-                local + lo: value for local, value in trainer_state["trained"].items()
-            },
         }
 
     def restore_state(self, state: Dict, bases: Dict[int, np.ndarray]) -> None:
@@ -664,16 +640,6 @@ class FleetShard:
             client.optimizer.load_velocity(velocity)
             client._rng.bit_generator.state = client_state["rng_state"]
             client.rounds_completed = int(client_state["rounds_completed"])
-        self.trainer.load_state_dict(
-            {
-                "pending": {
-                    user - lo: value for user, value in state["pending"].items()
-                },
-                "trained": {
-                    user - lo: value for user, value in state["trained"].items()
-                },
-            }
-        )
 
     # -- queries / teardown -------------------------------------------------------
 
@@ -1194,9 +1160,9 @@ def drive_fleet_loop(
                 )
             timers.stop("policy", policy_tick)
 
-        # 3. Advance every shard by one slot; each finisher's upload is
-        # obtained shard-side (train-ahead batch or serial round) and
-        # applied here in ascending global user order, exactly as before.
+        # 3. Advance every shard by one slot; each finisher runs its local
+        # round shard-side and the uploads are applied here in ascending
+        # global user order.
         tick_wanted = want_trace and slot % config.trace_interval_slots == 0
         # Shards with ready users may open the next slot inside this same
         # round trip — except across a checkpoint boundary, where the
@@ -1214,13 +1180,13 @@ def drive_fleet_loop(
         # Shard order == ascending user order: the slot's one upload block.
         finished = [item for reply in exec_replies for item in reply.finished]
         if sync_mode:
-            for user, update, _ in finished:
+            for user, update in finished:
                 core.buffer_sync_upload(user, update)
         elif finished:
+            uploaded = [user for user, _ in finished]
             coupling_tick = timers.start()
-            core.apply_async_update(slot, finished)
+            core.apply_async_update(slot, uploaded, [update for _, update in finished])
             timers.stop("coupling", coupling_tick)
-            uploaded = [user for user, _, _ in finished]
             core.gaps[uploaded] = 0.0
             pending_arrivals.extend(uploaded)
 
@@ -1538,7 +1504,6 @@ def snapshot_shards(
         global_ready=global_ready,
         config=engine.config,
         fast_forward=engine.fast_forward,
-        batched_training=engine.batched_training,
         trace_level=engine.trace_level,
         coordinator=coordinator,
         slices=[handle.wait() for handle in handles],
@@ -1579,10 +1544,6 @@ class ShardedEngine(Coordinator):
             (shipped to workers; must pickle).
         shards: number of worker processes (clamped to ``num_users``).
         fast_forward: event-horizon fast-forward across shards (default on).
-        batched_training: per-shard train-ahead batching
-            (:class:`~repro.fl.batch.BatchTrainer`).  Note: batching groups
-            are per-shard, so the serial-trainer bitwise contract applies —
-            batched runs match to tight numerical tolerance instead.
         profile: collect per-subsystem wall-clock shares on the
             coordinator; each worker process's own training seconds are
             reported beside them (``EngineTimers.worker_training_s``), not
@@ -1590,11 +1551,6 @@ class ShardedEngine(Coordinator):
         trace_level: telemetry volume (see
             :class:`~repro.sim.engine.SimulationEngine`); ``summary`` is the
             intended setting for megafleet populations.
-        training_threads: per-worker block fan-out threads of the *batched*
-            trainer (default 1 — the shard processes already occupy the
-            cores).  Not BLAS threads: every process runs BLAS on one
-            thread (:mod:`repro.fl.blas`), so the serial trainer's only
-            parallelism is the shard processes themselves.
         start_method: ``multiprocessing`` start method; defaults to
             ``"fork"`` where available.
         inline: run the shards in-process through
@@ -1627,10 +1583,8 @@ class ShardedEngine(Coordinator):
         measurement_table: Optional[MeasurementTable] = None,
         shards: int = 2,
         fast_forward: bool = True,
-        batched_training: bool = False,
         profile: bool = False,
         trace_level: str = "full",
-        training_threads: Optional[int] = 1,
         start_method: Optional[str] = None,
         inline: bool = False,
         fault_injector: Optional["FaultInjector"] = None,
@@ -1648,8 +1602,6 @@ class ShardedEngine(Coordinator):
         )
         self.bounds = shard_bounds(config.num_users, shards)
         self.fast_forward = bool(fast_forward)
-        self.batched_training = bool(batched_training)
-        self.training_threads = training_threads
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
@@ -1678,8 +1630,8 @@ class ShardedEngine(Coordinator):
         contiguously (:func:`repro.service.checkpoint.reslice`), and every
         headline metric of the resumed run stays bitwise-identical.
         ``kwargs`` are the constructor keywords a checkpoint does not carry
-        (everything but the configuration, the policy, ``fast_forward``,
-        ``batched_training`` and ``trace_level``).
+        (everything but the configuration, the policy, ``fast_forward``
+        and ``trace_level``).
         """
         return restore_engine(
             cls,
@@ -1698,8 +1650,6 @@ class ShardedEngine(Coordinator):
                 hi=hi,
                 arrivals=self.arrivals.slice_users(lo, hi),
                 measurement_table=self.table,
-                batched_training=self.batched_training,
-                training_threads=self.training_threads,
             )
             if nested:
                 # In-process training is coordinator wall: its ``training`` bucket.

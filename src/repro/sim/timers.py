@@ -6,7 +6,7 @@ loop, fast-forward attacks quiet slots, the lean local round attacks the
 training path).  One :class:`EngineTimers` instance rides along a single
 engine run and buckets wall-clock into:
 
-* ``training`` — the real NumPy local rounds (serial or batched);
+* ``training`` — the real NumPy local rounds;
 * ``policy``  — building observations and evaluating scheduling decisions;
 * ``eval``    — held-out evaluation of the global model;
 * ``coupling`` — the slot's download block and upload block on the

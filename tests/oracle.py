@@ -11,6 +11,10 @@ they always were while the product engine itself has no mode switch.
 before the flat training plane (ISSUE 15): the reference the in-place
 ``FLClient.local_train`` must match bit for bit.
 
+:func:`partition_batches` is the mini-batch generator that frozen round
+draws from, the product's ``DataPartition.batches`` before the round took
+one gather per epoch.
+
 :func:`dense_arrival_schedule` is the per-slot arrival generator — one
 scalar uniform per non-busy slot — that the product's sparse launch-event
 scan (``ArrivalSchedule.generate``) must reproduce bit for bit, generator
@@ -101,6 +105,18 @@ def dense_arrival_schedule(
 # ---------------------------------------------------------------------------
 # Frozen training step
 # ---------------------------------------------------------------------------
+
+
+def partition_batches(partition, batch_size, rng=None):
+    """The shard split into shuffled mini-batches of ``batch_size``, one
+    ``epoch_indices`` draw per call."""
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    indices = partition.epoch_indices(rng)
+    chunks = (
+        indices[start : start + batch_size] for start in range(0, len(partition), batch_size)
+    )
+    return [(partition.x[chunk], partition.y[chunk]) for chunk in chunks]
 
 
 def _frozen_backward(layer, grad_out):
@@ -200,7 +216,7 @@ class FrozenLocalTrainer:
         self.model.train_mode(True)
         losses = []
         for _ in range(self.local_epochs):
-            for xb, yb in self.partition.batches(self.batch_size, rng=self.rng):
+            for xb, yb in partition_batches(self.partition, self.batch_size, rng=self.rng):
                 for layer, name in self._tensors:
                     layer.grads[name] = np.zeros_like(layer.params[name])
                 loss, grad = _frozen_softmax_loss(_frozen_forward(self.model, xb), yb)

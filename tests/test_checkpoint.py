@@ -5,8 +5,8 @@ interrupted at any slot boundary and restored from its checkpoint finishes
 with results bitwise-identical to the uninterrupted run — same energy
 folds, same accuracy samples, same queue histories, same trace — for the
 single-process engine with and without event-horizon
-fast-forward, batched training with train-ahead flights, and the sharded
-engine (including restoring under a different shard count).
+fast-forward, and the sharded engine (including restoring under a
+different shard count).
 """
 
 import builtins
@@ -180,37 +180,30 @@ def assert_same(reference: dict, resumed: dict, label: str) -> None:
 
 
 # The interrupt points are chosen to land in qualitatively different run
-# states: slot 37 interrupts the opening training flight (under batched
-# training the train-ahead scheduler has work in flight), slot 137 falls
+# states: slot 37 interrupts the opening training flight, slot 137 falls
 # inside a long quiet region (the fast-forward kernel must split it
 # exactly at the boundary), and under the sync policy a mid-run slot sits
 # inside an open synchronous round with partial uploads buffered.
 CASES = [
-    pytest.param(False, False, "online", 137, id="fleet-mid-quiet"),
-    pytest.param(True, False, "online", 137, id="fleet-ff-mid-quiet"),
-    pytest.param(True, False, "online", 37, id="fleet-ff-mid-flight"),
-    pytest.param(True, False, "sync", 151, id="fleet-ff-mid-sync-round"),
-    pytest.param(True, True, "online", 37, id="fleet-ff-batched-mid-flight"),
+    pytest.param(False, "online", 137, id="fleet-mid-quiet"),
+    pytest.param(True, "online", 137, id="fleet-ff-mid-quiet"),
+    pytest.param(True, "online", 37, id="fleet-ff-mid-flight"),
+    pytest.param(True, "sync", 151, id="fleet-ff-mid-sync-round"),
 ]
 
 
 class TestSingleEngineRoundTrip:
-    @pytest.mark.parametrize("ff,batched,policy,at_slot", CASES)
-    def test_resume_is_bitwise_identical(self, ff, batched, policy, at_slot):
+    @pytest.mark.parametrize("ff,policy,at_slot", CASES)
+    def test_resume_is_bitwise_identical(self, ff, policy, at_slot):
         config = make_config()
         reference = digest(
-            SimulationEngine(
-                config, make_policy(policy), fast_forward=ff, batched_training=batched
-            ).run()
+            SimulationEngine(config, make_policy(policy), fast_forward=ff).run()
         )
         checkpoint = interrupt_at(
-            SimulationEngine(
-                config, make_policy(policy), fast_forward=ff, batched_training=batched
-            ),
-            at_slot,
+            SimulationEngine(config, make_policy(policy), fast_forward=ff), at_slot
         )
         resumed = digest(SimulationEngine.restore(checkpoint).run())
-        assert_same(reference, resumed, f"ff={ff}/batched={batched}")
+        assert_same(reference, resumed, f"ff={ff}")
 
     def test_checkpoint_is_restorable_twice(self):
         """One in-memory checkpoint feeds two restores without aliasing."""
@@ -325,8 +318,6 @@ class TestShardedRoundTrip:
             hi=hi,
             arrivals=engine.arrivals.slice_users(lo, hi),
             measurement_table=engine.table,
-            batched_training=engine.batched_training,
-            training_threads=1,
         )
         shard.restore_state(reslice(widened.slices, engine.bounds)[0], {})
         for key in ("waiting_slots", "base_version", "app_end_slot"):
@@ -552,7 +543,7 @@ class TestSnapshotIsolation:
             user, delta=np.ones_like(params), base_version=version,
             num_samples=1, train_loss=0.0, momentum_norm=0.0, num_batches=1,
         )
-        core.apply_async_update(38, [(user, update, 1)])
+        core.apply_async_update(38, [user], [update])
         core.accuracy.record(38.0, accuracy=1.0, loss=0.0, num_updates=version + 1)
         core.gaps += 1.0
         assert core.server.version == version + 1
@@ -952,8 +943,6 @@ class ToyRun:
                     for user in range(lo, hi)
                 ],
                 "velocities": self.velocity[lo:hi],
-                "pending": {},
-                "trained": {},
             }
             for lo, hi in shard_bounds(USERS, shards)
         ]
@@ -964,7 +953,6 @@ class ToyRun:
             global_ready=0,
             config=self.config,
             fast_forward=True,
-            batched_training=False,
             trace_level="full",
             coordinator=CoordinatorState(
                 payload=pickle.dumps((self.slot, dict(self.pinned))),

@@ -14,7 +14,13 @@ local round per finisher.  Contracts under test:
   merge rules, and raises where that sequence raises;
 * ``FLClient.local_train`` is bit for bit the round frozen in
   ``tests/oracle.py`` (one gather per mini-batch, ``np.mean`` /
-  ``np.linalg.norm`` / ``np.clip``).
+  ``np.linalg.norm`` / ``np.clip``);
+* uploads carry the delta alone under the accumulate rule, the server hands
+  out one read-only view per model version, and the engine's profile shares
+  sum to one without changing results;
+* with every round trained at its completion slot, the fleet engine (with
+  and without fast-forward) reproduces the reference loop bit for bit across
+  policies, seeds and IID / Dirichlet ragged shards, client state included.
 """
 
 from __future__ import annotations
@@ -27,16 +33,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import FrozenLocalTrainer, frozen_transfer
+from oracle import FrozenLocalTrainer, frozen_transfer, make_engine, run_digest
 from repro.comm.messages import ModelDownload, ModelUpload, TransferRecord
 from repro.comm.network import NetworkModel, NetworkType
 from repro.comm.transport import RADIO_POWER_W, ModelTransport
+from repro.core.offline import OfflinePolicy
+from repro.core.online import OnlinePolicy
+from repro.core.policies import ImmediatePolicy, SyncPolicy
 from repro.core.staleness import gradient_gap_from_params
 from repro.fl.client import FLClient, LocalUpdate
-from repro.fl.dataset import DataPartition
+from repro.fl.dataset import DataPartition, SyntheticCifar10, partition_iid
 from repro.fl.layers import Dropout, Linear, SoftmaxCrossEntropy
 from repro.fl.model import Sequential, build_lenet5, build_mlp
 from repro.fl.server import AsyncUpdateRule, ParameterServer
+from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimulationEngine
 
 # ---------------------------------------------------------------------------
 # Transport blocks
@@ -383,3 +394,247 @@ class TestTheRound:
         block = np.maximum(1.0 + rng.normal(0.0, 0.15, size=size), 0.1).tolist()
         assert block == [max(0.1, 1.0 + twin.normal(0.0, 0.15)) for _ in range(size)]
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# Zero-copy parameter plumbing
+# ---------------------------------------------------------------------------
+
+
+def _make_clients(num_clients: int, num_samples: int, seed: int = 0):
+    """MLP clients over IID shards of one synthetic dataset."""
+    dataset = SyntheticCifar10(num_train=num_samples, num_test=40, feature_dim=24, seed=seed)
+    partitions = partition_iid(
+        dataset.x_train, dataset.y_train, num_clients, np.random.default_rng(seed + 17)
+    )
+    return [
+        FLClient(
+            user_id=user,
+            partition=partitions[user],
+            model=build_mlp(input_dim=24, hidden_dims=(32, 16), seed=seed),
+            seed=100 + user,
+        )
+        for user in range(num_clients)
+    ]
+
+
+def _matrix_config(seed: int, dirichlet: bool) -> SimulationConfig:
+    """Tiny but non-trivial: 7 users force ragged shards (500 / 7)."""
+    return SimulationConfig(
+        num_users=7,
+        total_slots=420,
+        app_arrival_prob=0.02,
+        seed=seed,
+        num_train_samples=500,
+        num_test_samples=150,
+        hidden_dims=(24,),
+        eval_interval_slots=140,
+        trace_interval_slots=10,
+        non_iid_alpha=0.4 if dirichlet else None,
+    )
+
+
+class TestUploadPayloadAndZeroCopy:
+    def test_delta_only_upload_halves_payload(self):
+        clients = _make_clients(1, 60)
+        base = clients[0].model.get_flat_params()
+        full = clients[0].local_train(base, 0, include_params=True)
+        lean = clients[0].local_train(base, 1, include_params=False)
+        assert lean.params is None
+        assert lean.payload_nbytes() == lean.delta.nbytes
+        assert full.payload_nbytes() == 2 * lean.payload_nbytes()
+
+    def test_engine_ships_delta_only_under_accumulate(self):
+        config = _matrix_config(seed=0, dirichlet=False)
+        engine = SimulationEngine(config, ImmediatePolicy())
+        assert config.async_rule is AsyncUpdateRule.ACCUMULATE
+        assert engine._upload_params is False
+
+    def test_engine_ships_params_for_replace_rules(self):
+        config = _matrix_config(seed=0, dirichlet=False).scaled(
+            async_rule=AsyncUpdateRule.STALENESS_WEIGHTED, total_slots=250
+        )
+        result = SimulationEngine(config, ImmediatePolicy()).run()
+        assert result.num_updates > 0
+
+    def test_server_rejects_delta_only_for_replace_rule(self):
+        from repro.fl.client import LocalUpdate
+
+        server = ParameterServer(np.zeros(4), async_rule=AsyncUpdateRule.REPLACE)
+        update = LocalUpdate(
+            user_id=0, delta=np.ones(4), base_version=0, num_samples=5,
+            train_loss=1.0, momentum_norm=0.0, num_batches=1,
+        )
+        with pytest.raises(ValueError, match="include_params"):
+            server.async_update(update, time_s=0.0)
+
+    def test_sync_round_reconstructs_from_deltas(self):
+        from repro.fl.client import LocalUpdate
+
+        server = ParameterServer(np.full(2, 1.0))
+        updates = [
+            LocalUpdate(0, delta=np.full(2, 1.0), base_version=0, num_samples=30,
+                        train_loss=1.0, momentum_norm=0.0, num_batches=1),
+            LocalUpdate(1, delta=np.full(2, 7.0), base_version=0, num_samples=10,
+                        train_loss=1.0, momentum_norm=0.0, num_batches=1),
+        ]
+        server.sync_round(updates, time_s=0.0)
+        # Weighted average of (1+1, 1+7) with weights (0.75, 0.25).
+        assert np.allclose(server.global_params(), 0.75 * 2.0 + 0.25 * 8.0)
+
+    def test_sync_round_rejects_stale_delta_only_uploads(self):
+        """Reconstruction assumes participants trained from the current
+        global model; a stale delta-only upload must fail loudly instead of
+        silently averaging a wrong absolute vector."""
+        from repro.fl.client import LocalUpdate
+
+        server = ParameterServer(np.zeros(2))
+        server.async_update(
+            LocalUpdate(0, delta=np.ones(2), base_version=0, num_samples=1,
+                        train_loss=0.0, momentum_norm=0.0, num_batches=1),
+            time_s=0.0,
+        )
+        stale = LocalUpdate(1, delta=np.ones(2), base_version=0, num_samples=1,
+                            train_loss=0.0, momentum_norm=0.0, num_batches=1)
+        with pytest.raises(ValueError, match="include_params"):
+            server.sync_round([stale], time_s=1.0)
+
+    def test_global_params_is_read_only_view(self):
+        server = ParameterServer(np.arange(4.0))
+        view = server.global_params()
+        assert not view.flags.writeable
+        assert np.shares_memory(view, server._params)
+        with pytest.raises(ValueError):
+            view[0] = 99.0
+        # Updates rebind instead of mutating: an old download stays a valid
+        # snapshot of the model at download time.
+        from repro.fl.client import LocalUpdate
+
+        snapshot = server.download(0)
+        server.async_update(
+            LocalUpdate(0, delta=np.ones(4), base_version=0, num_samples=1,
+                        train_loss=0.0, momentum_norm=0.0, num_batches=1),
+            time_s=0.0,
+        )
+        assert np.array_equal(snapshot, np.arange(4.0))
+        assert np.array_equal(server.global_params(), np.arange(4.0) + 1.0)
+
+    def test_one_view_per_model_version(self):
+        import pickle
+
+        from repro.fl.client import LocalUpdate
+
+        server = ParameterServer(np.arange(4.0))
+        first = server.download(0)
+        assert server.download(1) is first and server.global_params() is first
+        server.async_update(
+            LocalUpdate(0, delta=np.ones(4), base_version=0, num_samples=1,
+                        train_loss=0.0, momentum_norm=0.0, num_batches=1),
+            time_s=0.0,
+        )
+        second = server.download(1)
+        assert second is not first and server.download(2) is second
+        # The cache is derived state and is not pickled; the restored
+        # server (whose vector no longer owns its memory) still recognises
+        # its own view.
+        restored = pickle.loads(pickle.dumps(server))
+        assert restored._view is None
+        assert restored.global_params() is restored.global_params()
+        assert np.array_equal(restored.global_params(), second)
+
+
+# ---------------------------------------------------------------------------
+# Engine timers
+# ---------------------------------------------------------------------------
+
+
+class TestEngineTimers:
+    def test_profile_reports_shares(self):
+        config = _matrix_config(seed=0, dirichlet=False).scaled(total_slots=200)
+        result = SimulationEngine(config, ImmediatePolicy(), profile=True).run()
+        shares = result.timing_shares()
+        assert shares is not None
+        assert set(shares) == {
+            "training", "policy", "eval", "coupling", "ipc_send", "ipc_recv", "merge",
+            "slot_loop",
+        }
+        assert sum(shares.values()) == pytest.approx(1.0)
+        # Single-process runs never touch the shard IPC buckets.
+        assert shares["ipc_send"] == 0.0 and shares["ipc_recv"] == 0.0
+        assert result.timers.report().startswith("wall-clock profile")
+
+    def test_profiling_off_by_default(self):
+        config = _matrix_config(seed=0, dirichlet=False).scaled(total_slots=120)
+        result = SimulationEngine(config, ImmediatePolicy()).run()
+        assert result.timers is None
+        assert result.timing_shares() is None
+
+    def test_profiling_does_not_change_results(self):
+        config = _matrix_config(seed=1, dirichlet=False).scaled(total_slots=200)
+        plain = SimulationEngine(config, ImmediatePolicy()).run()
+        profiled = SimulationEngine(config, ImmediatePolicy(), profile=True).run()
+        assert plain.total_energy_j() == profiled.total_energy_j()
+        assert plain.num_updates == profiled.num_updates
+        assert plain.accuracy.accuracies() == profiled.accuracy.accuracies()
+
+
+# ---------------------------------------------------------------------------
+# Engine-level equivalence matrix
+# ---------------------------------------------------------------------------
+
+
+def _matrix_policy(name: str):
+    if name == "immediate":
+        return ImmediatePolicy()
+    if name == "sync":
+        return SyncPolicy()
+    if name == "offline":
+        return OfflinePolicy(staleness_bound=1000.0, window_slots=120)
+    return OnlinePolicy(v=4000.0, staleness_bound=500.0)
+
+
+class TestEngineEquivalenceMatrix:
+    """The fleet engine's round at the completion slot vs the reference
+    loop's: seeds x policies x partitions x fast-forward, on ragged shards."""
+
+    @pytest.mark.parametrize("fast_forward", [False, True], ids=["fleet", "fast-forward"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("dirichlet", [False, True])
+    @pytest.mark.parametrize("policy_name", ["immediate", "sync", "offline", "online"])
+    def test_fleet_run_reproduces_the_reference_loop(
+        self, policy_name, dirichlet, seed, fast_forward
+    ):
+        config = _matrix_config(seed, dirichlet)
+        loop = make_engine("loop", config, _matrix_policy(policy_name))
+        fleet = make_engine(
+            "fleet", config, _matrix_policy(policy_name), fast_forward=fast_forward
+        )
+        want, got = loop.run(), fleet.run()
+
+        assert got.num_updates > 0
+        assert run_digest(got) == run_digest(want)
+        # Model-side observables the digest leaves out, compared with ``==``.
+        assert got.trace.update_samples == want.trace.update_samples
+        assert got.accuracy.accuracies() == want.accuracy.accuracies()
+        # Per-client round state: same rounds, same momentum, same RNG stream.
+        for ours, theirs in zip(fleet.clients, loop.clients):
+            assert ours.rounds_completed == theirs.rounds_completed
+            assert ours._rng.bit_generator.state == theirs._rng.bit_generator.state
+            if theirs.optimizer.velocity is None:
+                assert ours.optimizer.velocity is None
+            else:
+                assert np.array_equal(ours.optimizer.velocity, theirs.optimizer.velocity)
+
+    def test_rounds_run_only_at_their_completion_slot(self):
+        """No round is trained ahead: with every upload delivered, a client's
+        round counter is the number of its updates the server applied, and
+        the jobs still in flight at the horizon have not trained yet."""
+        config = _matrix_config(seed=2, dirichlet=False)
+        engine = SimulationEngine(config, ImmediatePolicy())
+        result = engine.run()
+        assert result.comm_failures == 0 and result.num_updates > 0
+        assert engine.server.inflight_count() == config.num_users
+        applied = [0] * config.num_users
+        for sample in result.trace.update_samples:
+            applied[sample.user_id] += 1
+        assert [client.rounds_completed for client in engine.clients] == applied

