@@ -9,7 +9,11 @@ and with event-horizon fast-forward — then:
 2. fails on a gross performance regression: the fast-forward run must not
    be more than ``--max-slowdown`` times slower than the slot-by-slot run
    (CI machines are noisy, so the default guards against a 2x regression
-   rather than asserting a speedup).
+   rather than asserting a speedup); then
+3. runs the online (V = 4000) and offline policies on the paper population
+   (25 users x 3 600 slots, p=0.001) both ways, asserts them bitwise
+   identical and that certified-idle regions fired (fewer ``run_slot``
+   calls than slots).  No timing gate rides on this stage.
 
 Locally, ``--paper-scale`` runs the paper-scale sparse demonstration
 (25 users x 10 800 slots, p=0.001, battery-gated overnight fleet) and
@@ -28,9 +32,12 @@ import argparse
 import sys
 import time
 
+from repro.core.offline import OfflinePolicy
+from repro.core.online import OnlinePolicy
 from repro.core.policies import ImmediatePolicy
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
+from repro.sim.shard import FleetShard
 
 #: Phones only: dev boards have no battery and would train forever, which
 #: defeats the point of the drained-overnight scenario.
@@ -72,10 +79,46 @@ def run_once(config: SimulationConfig, fast_forward: bool, repeats: int):
     return best, result
 
 
+def paper_config() -> SimulationConfig:
+    """The paper's population (Sec. VII.B), one hour: ready users wait long
+    stretches for a co-running app, which the policies keep idle."""
+    return SimulationConfig(
+        num_users=25, total_slots=3_600, app_arrival_prob=0.001, seed=0
+    )
+
+
+def certified_regions(config: SimulationConfig):
+    """Online (V = 4000) and offline runs, slot-by-slot and with fast-forward.
+
+    Returns ``(name, mismatches, executed slots with fast-forward)`` per
+    policy; fewer executed slots than ``total_slots`` means the
+    certified-idle region path fired.
+    """
+    executed = []
+    run_slot = FleetShard.run_slot
+
+    def counted(shard, slot, *args):
+        executed.append(slot)
+        return run_slot(shard, slot, *args)
+
+    FleetShard.run_slot = counted
+    try:
+        rows = []
+        for name, make in (("online", lambda: OnlinePolicy(v=4000.0)), ("offline", OfflinePolicy)):
+            slow = SimulationEngine(config, make(), fast_forward=False).run()
+            executed.clear()
+            fast = SimulationEngine(config, make(), fast_forward=True).run()
+            rows.append((name, digest_mismatches(config, slow, fast), len(executed)))
+        return rows
+    finally:
+        FleetShard.run_slot = run_slot
+
+
 def digest_mismatches(config, slow, fast):
     """Names of every observable trace on which the two runs differ."""
     checks = {
         "decision counters": slow.trace.decisions == fast.trace.decisions,
+        "decision evaluations": slow.decision_evaluations == fast.decision_evaluations,
         "total energy": slow.total_energy_j() == fast.total_energy_j(),
         "per-slot energy series": (
             slow.accountant.per_slot_totals() == fast.accountant.per_slot_totals()
@@ -137,6 +180,19 @@ def main(argv=None) -> int:
         print(f"REGRESSION: speedup {speedup:.2f}x below required "
               f"{args.assert_speedup:.2f}x", file=sys.stderr)
         return 1
+
+    config = paper_config()
+    for name, mismatches, executed in certified_regions(config):
+        print(f"{name} on the paper population: {executed} of "
+              f"{config.total_slots} slots ran the slot path")
+        if mismatches:
+            print(f"DIVERGENCE: {name} fast-forward differs from slot-by-slot on:",
+                  ", ".join(mismatches), file=sys.stderr)
+            return 1
+        if executed >= config.total_slots:
+            print(f"REGRESSION: no certified-idle region fired under {name}",
+                  file=sys.stderr)
+            return 1
     print("fast-forward smoke: OK (bitwise identical)")
     return 0
 

@@ -31,6 +31,7 @@ import numpy as np
 from repro.core.policies import (
     Decision,
     DeviceObservation,
+    IdleForecast,
     ObservationBatch,
     SchedulingPolicy,
     SlotContext,
@@ -459,6 +460,23 @@ class OfflinePolicy(SchedulingPolicy):
         self._pending[users] = ~schedule
         self._plan_action[users[schedule]] = _NO_PLAN
         return schedule
+
+    def idle_slots(self, batch: ObservationBatch, forecast: IdleForecast) -> int:
+        """A pool with no foreground app and no ``_IMMEDIATE`` plan stays idle
+        under the plan lookup until :meth:`begin_slot` plans the next window."""
+        slot = forecast.slot
+        window = slot // self.window_slots
+        if (
+            window != self._last_planned_window
+            or batch.app_running.any()
+            or (self._plan_action[batch.user_ids] == _IMMEDIATE).any()
+        ):
+            return 0
+        return min(len(forecast.gap_sums), (window + 1) * self.window_slots - slot)
+
+    def record_idle(self, batch: ObservationBatch, first_slot: int, slots: int) -> None:
+        # Every other write of an all-idle decide_all repeats the last one's.
+        self._decision_evaluations += len(batch) * slots
 
     def reset(self) -> None:
         self._clear_users()

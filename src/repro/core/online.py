@@ -33,7 +33,7 @@ overhead discussion of the paper can be quantified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -43,6 +43,7 @@ from repro.core.policies import (
     Aggregation,
     Decision,
     DeviceObservation,
+    IdleForecast,
     ObservationBatch,
     SameSlotLags,
     SchedulingPolicy,
@@ -303,13 +304,7 @@ class OnlinePolicy(SchedulingPolicy):
         match the per-user loop bit for bit.
         """
         n = len(batch)
-        self._decision_evaluations += n
-        if self.distributed:
-            self.messages_to_server += 2 * n  # duration d_i, then alpha_i(t)
-            self.messages_to_users += 3 * n  # l_{d_i}, Q(t), H(t)
-        else:
-            self.messages_to_server += 3 * n  # s_i(t), ||v_t||, d_i
-            self.messages_to_users += 1 * n  # alpha_i(t)
+        self._count_evaluations(n)
         h_length = self.virtual_queue.length
         costs = self.controller.evaluate_batch(batch, self.task_queue.length, h_length)
         schedule = costs.best()
@@ -320,6 +315,51 @@ class OnlinePolicy(SchedulingPolicy):
         # buffer and the caller owns ``schedule``.
         self._decision_log.extend(np.full(n, batch.slot), batch.user_ids, schedule)
         return schedule
+
+    def _count_evaluations(self, n: int) -> None:
+        """Count ``n`` rule evaluations and the messages they exchange."""
+        self._decision_evaluations += n
+        if self.distributed:
+            self.messages_to_server += 2 * n  # duration d_i, then alpha_i(t)
+            self.messages_to_users += 3 * n  # l_{d_i}, Q(t), H(t)
+        else:
+            self.messages_to_server += 3 * n  # s_i(t), ||v_t||, d_i
+            self.messages_to_users += 1 * n  # alpha_i(t)
+
+    def idle_slots(self, batch: ObservationBatch, forecast: IdleForecast) -> int:
+        """Eq. (21) for every slot of ``forecast`` at once; the first slot in
+        which some entry of ``batch`` would schedule ends the idle run.
+
+        Per slot the inputs are the slot path's: ``Q(t)`` is constant (no
+        arrival, no service), ``H(t)`` follows Eq. (16) over the forecast gap
+        sums, lags and gaps are the forecast's rows.  One
+        :meth:`OnlineController.evaluate_batch` call with one row per slot
+        gives every cost bit for bit.  The repair pass is moot: it only
+        flips speculative schedulers, and the first of those never flips.
+        """
+        bound = self.virtual_queue.staleness_bound
+        h_length = self.virtual_queue.length
+        backlogs = []
+        for gap_sum in forecast.gap_sums.tolist():
+            backlogs.append(h_length)
+            h_length = max(h_length + gap_sum - bound, 0.0)
+        costs = self.controller.evaluate_batch(
+            replace(batch, estimated_lag=forecast.lags, current_gap=forecast.gaps[:-1]),
+            self.task_queue.length,
+            np.array(backlogs)[:, None],
+        )
+        busy = costs.best().any(axis=1)
+        return int(busy.argmax()) if busy.any() else len(busy)
+
+    def record_idle(self, batch: ObservationBatch, first_slot: int, slots: int) -> None:
+        n = len(batch)
+        self._count_evaluations(n * slots)
+        self._decision_log.extend(
+            np.repeat(np.arange(first_slot, first_slot + slots), n),
+            np.tile(batch.user_ids, slots),
+            np.zeros(n * slots, dtype=bool),
+        )
+        self._arrivals_this_slot = 0
 
     @staticmethod
     def _repair(

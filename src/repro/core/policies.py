@@ -32,6 +32,7 @@ __all__ = [
     "Decision",
     "Aggregation",
     "DeviceObservation",
+    "IdleForecast",
     "ObservationBatch",
     "SameSlotLags",
     "scheduled_lags",
@@ -266,6 +267,24 @@ def scheduled_lags(batch: ObservationBatch, chosen: np.ndarray) -> List[int]:
 
 
 @dataclass
+class IdleForecast:
+    """The coupling inputs of the slots ahead of a ready pool kept idle.
+
+    Row ``j`` describes slot ``slot + j`` of a stretch in which nobody
+    arrives, is scheduled or finishes: the server's lag estimates at its
+    start (``lags``), the pool's Eq. (12) gaps when it decides (``gaps``, row
+    ``j`` is ``j`` idle increments on; one row more than slots, the last is
+    the gaps after the stretch) and the gap sum ``G(t)`` after its idle
+    increments (``gap_sums``: what :meth:`SchedulingPolicy.end_slot` gets).
+    """
+
+    slot: int
+    lags: np.ndarray
+    gaps: np.ndarray
+    gap_sums: np.ndarray
+
+
+@dataclass
 class SlotContext:
     """System-wide information handed to the policy at slot boundaries.
 
@@ -337,6 +356,25 @@ class SchedulingPolicy(ABC):
             num_scheduled: ``b(t)`` — users scheduled during this slot.
             gap_sum: ``G(t)`` — the sum of per-user gradient gaps this slot.
         """
+
+    def idle_slots(self, batch: ObservationBatch, forecast: IdleForecast) -> int:
+        """How many slots from ``forecast.slot`` on keep all of ``batch`` idle.
+
+        ``batch`` is the ready pool of the last slot, which decided every
+        entry ``idle``.  In each slot of ``forecast`` the same users stay
+        ready and none of their applications starts or stops, so every
+        column of ``batch`` but the two coupling ones (lags and gaps, given
+        per slot by ``forecast``) and ``waiting_slots`` still holds.  The
+        answer must be exact: the engine replays the certified slots through
+        :meth:`record_idle` instead of :meth:`decide_all`.  The default
+        certifies nothing, so the policy decides every slot.
+        """
+        return 0
+
+    def record_idle(self, batch: ObservationBatch, first_slot: int, slots: int) -> None:
+        """What ``slots`` all-idle :meth:`decide_all` calls on ``batch`` from
+        ``first_slot`` on leave behind (counters, logs), for slots that
+        :meth:`idle_slots` certified."""
 
     def notify_update_applied(self, user_id: int, lag: int, realized_gap: float) -> None:
         """Called when a user's upload is applied at the parameter server."""

@@ -20,7 +20,7 @@ drift-plus-penalty bound of Lemma 2 involves the constant
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 __all__ = ["TaskQueue", "VirtualQueue", "LyapunovAnalyzer"]
 
@@ -186,6 +186,22 @@ class VirtualQueue(_BacklogSeries):
                 length = new_length
                 break
             length = new_length
+            values.append(length)
+        self._length = length
+        self._record_sequence(values)
+        return values
+
+    def advance_sequence(self, gap_sums: Sequence[float]) -> List[float]:
+        """:meth:`update` once per entry of ``gap_sums``, in order; returns
+        the appended backlogs.  The fast-forward engine's form for slots in
+        which ready users are kept idle (``G(t)`` grows every slot)."""
+        length = self._length
+        bound = self.staleness_bound
+        values: List[float] = []
+        for gap_sum in gap_sums:
+            if gap_sum < 0:
+                raise ValueError("gap_sum must be non-negative")
+            length = max(length + gap_sum - bound, 0.0)
             values.append(length)
         self._length = length
         self._record_sequence(values)

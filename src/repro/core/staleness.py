@@ -103,6 +103,7 @@ def momentum_lag_factor_batch(
             known.extend(momentum_lag_factor(beta, lag) for lag in range(len(known), size))
             table = tables[beta] = np.array(known, dtype=np.float64)
         return table[lags]
+    momentum = np.broadcast_to(momentum, lags.shape)  # one row per slot ahead
     out = np.empty(lags.shape, dtype=np.float64)
     for index in range(lags.size):
         out.flat[index] = momentum_lag_factor(

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -336,7 +336,7 @@ class ParameterServer:
         )
 
     def estimate_lags(
-        self, user_ids: np.ndarray, now_s: float, durations_s: np.ndarray
+        self, user_ids: np.ndarray, now_s: Union[float, np.ndarray], durations_s: np.ndarray
     ) -> np.ndarray:
         """Vectorized :meth:`estimate_lag` for a whole ready pool.
 
@@ -356,18 +356,19 @@ class ParameterServer:
 
         Args:
             user_ids: ready users, shape ``(r,)``.
-            now_s: current wall-clock time.
+            now_s: current wall-clock time, or a column ``(m, 1)`` of times
+                (the lags of the same in-flight set at ``m`` slots ahead).
             durations_s: per-user training duration in seconds, shape ``(r,)``.
 
         Returns:
-            ``int64`` lag estimates, shape ``(r,)``.
+            ``int64`` lag estimates, shape ``(r,)`` (``(m, r)`` for a column).
         """
         user_ids = np.asarray(user_ids)
         durations_s = np.asarray(durations_s, dtype=np.float64)
         if durations_s.size and durations_s.min() <= 0:
             raise ValueError("duration_s must be positive")
         if not self._inflight:
-            return np.zeros(user_ids.shape, dtype=np.int64)
+            return np.zeros(np.shape(now_s)[:-1] + user_ids.shape, dtype=np.int64)
         finishes = self._finishes[: len(self._inflight)]
         horizons = now_s + durations_s
         lo = finishes.searchsorted(now_s, side="left")
@@ -381,8 +382,8 @@ class ParameterServer:
         mask = self._inflight_mask
         for index in np.flatnonzero(mask[np.minimum(user_ids, mask.size - 1)]):
             own = self._inflight[int(user_ids.flat[index])]
-            if now_s <= own <= horizons.flat[index]:
-                counts.flat[index] -= 1
+            upper = horizons[..., index]
+            counts[..., index] -= (np.reshape(now_s, np.shape(upper)) <= own) & (own <= upper)
         return counts
 
     # -- asynchronous updates -----------------------------------------------------------------

@@ -77,6 +77,7 @@ CONTEXT_KEYS = frozenset(
         "state",
         "total_slots",
         "users",
+        "workload",
     }
 )
 

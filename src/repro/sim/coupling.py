@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.columns import ordered_sum
 from repro.comm.transport import ModelTransport
-from repro.core.policies import SchedulingPolicy
+from repro.core.policies import IdleForecast, ObservationBatch, SchedulingPolicy
 from repro.fl.client import LocalUpdate
 from repro.fl.metrics import AccuracyTracker, evaluate_model
 from repro.fl.server import ParameterServer
@@ -172,6 +172,28 @@ class CouplingCore:
         feeds the virtual queue the same ``float``.
         """
         return ordered_sum(self.gaps)
+
+    def idle_forecast(self, batch: ObservationBatch, slot: int, slots: int) -> IdleForecast:
+        """What the slot path would compute in ``slots`` slots from ``slot``
+        on that keep ``batch``'s pool idle: gaps ``epsilon`` on per slot (an
+        accumulate down the slots), ``G(t)`` per slot (an accumulate along
+        each row, from the fold of the users ahead of the pool) and the
+        lags of the frozen in-flight set at each slot's start."""
+        pool = batch.user_ids
+        steps = np.full((slots + 1, len(pool)), self.config.epsilon)
+        steps[0] = self.gaps[pool]
+        gaps = np.add.accumulate(steps, axis=0)
+        first = int(pool[0])
+        folds = np.empty((slots, len(self.gaps) - first + 1))
+        folds[:, 0] = ordered_sum(self.gaps[:first])
+        folds[:, 1:] = self.gaps[first:]
+        folds[:, 1 + pool - first] = gaps[1:]
+        gap_sums = np.add.accumulate(folds, axis=1)[:, -1] + 0.0
+        now_s = (slot + np.arange(slots)) * batch.slot_seconds
+        lags = self.server.estimate_lags(
+            pool, now_s[:, None], batch.training_duration_slots * batch.slot_seconds
+        )
+        return IdleForecast(slot=slot, lags=lags, gaps=gaps, gap_sums=gap_sums)
 
     # -- uploads -----------------------------------------------------------------
 

@@ -625,11 +625,12 @@ class SimulationEngine(Coordinator):
             comparisons should use the same dataset and seed).
         measurement_table: optionally override the Table II/III calibration.
         fast_forward: enable the event-horizon fast-forward path (default
-            on).  At the top of each slot the engine checks whether the
-            slot is *quiet* — no pending arrival, empty ready pool, no
-            application launch or expiry, no co-running job and no training
-            completion due — and, if so, advances all slots up to the next
-            event in one fused kernel
+            on).  At the top of each slot the engine checks whether a
+            region starts there — no pending arrival, a ready pool that is
+            empty or that the policy certifies idle
+            (:meth:`~repro.core.policies.SchedulingPolicy.idle_slots`), no
+            training completion due — and, if so, advances all slots up to
+            the next event in one fused kernel
             (:meth:`repro.sim.fleet.FleetState.advance_quiet`).  The
             fast-forward path is bitwise-identical to slot-by-slot
             execution: decisions, energy, gap, queue and accuracy traces

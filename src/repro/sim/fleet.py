@@ -221,14 +221,19 @@ class FleetEnergyAccountant:
 
         Owned here so the mutation set and the field layout live in one
         class: :meth:`FleetState.quiet_snapshot` (the two-phase quiet
-        commit) delegates to it.  ``overhead_j`` is excluded — quiet regions
-        have no deciding-idle users, so the quiet loop never touches it.
+        commit) delegates to it.  ``overhead_j`` moves in a region whose
+        ready users are kept idle (their Table III decision overhead).
         """
-        return (self._state_j.copy(), list(self._per_slot_total), self._running_total_j)
+        return (
+            self._state_j.copy(),
+            self.overhead_j.copy(),
+            list(self._per_slot_total),
+            self._running_total_j,
+        )
 
     def restore_quiet_state(self, state: tuple) -> None:
-        """Restore :meth:`quiet_state` (single-use: the matrix binds directly)."""
-        self._state_j, per_slot_total, self._running_total_j = state
+        """Restore :meth:`quiet_state` (single-use: the arrays bind directly)."""
+        self._state_j, self.overhead_j, per_slot_total, self._running_total_j = state
         self._per_slot_total = list(per_slot_total)
 
     # -- checkpointing -----------------------------------------------------------------
@@ -1083,12 +1088,14 @@ class FleetState:
         takes the minimum, and shards that advanced further restore this
         snapshot and re-advance to the agreed count.  Restoring is exact —
         the snapshot covers application state, thermal state, training
-        progress, batteries and the energy accumulators (the complete
-        mutation set of the quiet loop; ready/training flags and the
-        launch schedule are invariant inside a quiet region).  The derived
-        columns are not copied: :meth:`quiet_restore` rebuilds them.
+        progress, batteries, the waiting counters of idle ready users and
+        the energy accumulators (the complete mutation set of the quiet
+        loop; ready/training flags and the launch schedule are invariant
+        inside a quiet region).  The derived columns are not copied:
+        :meth:`quiet_restore` rebuilds them.
         """
         return (
+            self.waiting_slots.copy(),
             self.app_active.copy(),
             self.app_end_slot.copy(),
             self.app_power_w.copy(),
@@ -1106,6 +1113,7 @@ class FleetState:
     def quiet_restore(self, snapshot: tuple) -> None:
         """Restore the state captured by :meth:`quiet_snapshot`."""
         (
+            self.waiting_slots,
             self.app_active,
             self.app_end_slot,
             self.app_power_w,
@@ -1192,12 +1200,17 @@ class FleetState:
         max_slots: int,
         trace_interval: Optional[int],
         capture_user_totals: bool = False,
+        idle: np.ndarray = _NO_USERS,
     ) -> Tuple[int, List[int], List[float], Optional[List[np.ndarray]]]:
         """Advance up to ``max_slots`` quiet slots: a loop of :meth:`_step`.
 
         Preconditions (established by the engine and :meth:`quiet_horizon`):
-        the ready pool is empty, there are no pending arrivals and no
-        training job completes within the advanced range.  What a quiet
+        the ready pool is ``idle`` (empty, or users the policy certified
+        idle for ``max_slots`` slots), there are no pending arrivals and no
+        training job completes within the advanced range.  Each slot adds
+        one waiting slot and the Table III decision overhead of the
+        ``idle`` users, as :meth:`advance` does for users decided idle.
+        What a quiet
         region skips is everything *around* the device physics — the ready
         pool, the policy, the queues, the protocol round trips — not the
         physics: every slot runs the same step :meth:`advance` runs, and
@@ -1211,9 +1224,12 @@ class FleetState:
           than one slot per slot (``app_slowdown < 1``: the completion bound
           of :meth:`quiet_horizon` no longer holds; ``begin_slot_apps`` is
           idempotent per slot, so the hand-back is exact);
-        * after a slot in which a battery-gated *ready* user that charges
-          crossed its participation threshold — from the next slot on the
-          ready pool is non-empty, an event the engine must process.
+        * before a slot in which an application of an ``idle`` user starts
+          or stops (it changes that user's decision inputs);
+        * after a slot in which a *ready* user's battery eligibility flipped
+          — a gated one that charges crossed its participation threshold,
+          or an eligible one drained below it: from the next slot on the
+          ready pool is another one, an event the engine must process.
 
         Returns:
             ``(advanced, tick_offsets, tick_totals, tick_user_totals)`` —
@@ -1229,19 +1245,34 @@ class FleetState:
         """
         self._flush_started()
         acc = self.accountant
+        overhead_j: Optional[np.ndarray] = None
+        idle_users = set(idle.tolist()) if len(idle) else None
+        idle_expiry = _NEVER
+        if idle_users:
+            with_app = idle[self.app_active[idle]]
+            if len(with_app):
+                idle_expiry = int(self.app_end_slot[with_app].min())
+            deciders = idle[self._state[idle] == _IDLE]
+            if self.config.include_scheduler_overhead and len(deciders):
+                overhead_j = np.zeros(self.num_users)
+                overhead_j[deciders] = self._overhead_step_j[deciders]
         watch: Optional[np.ndarray] = None
         if self._any_battery:
-            # Battery-gated ready users that charge can re-enter the pool;
-            # the watch set is constant across the region (every ready user
-            # is already gated, and ready/training flags cannot change here).
-            gated = (
+            # Ready users whose eligibility can flip: the eligible ones (a
+            # drain takes them out of the pool) and the gated ones that
+            # charge.  The set is constant across the region (ready and
+            # training flags cannot change here).
+            eligible = self.battery_ok()
+            flippable = (
                 self.ready
                 & ~self.training_active
-                & (self.battery_rate_w > 0)
-                & ~self.battery_ok()
+                & self.has_battery
+                & (eligible | (self.battery_rate_w > 0))
             )
-            if gated.any():
-                watch = np.nonzero(gated)[0]
+            if flippable.any():
+                watch = np.nonzero(flippable)[0]
+                watch_eligible = eligible[watch]
+                drains = watch_eligible.any()
                 watch_capacity_j = self.battery_capacity_j[watch]
                 watch_min_soc = self.battery_min_soc[watch]
         launch_slots = self._launch_slot_list
@@ -1255,7 +1286,12 @@ class FleetState:
         advanced = 0
         while advanced < max_slots:
             slot = start_slot + advanced
+            if slot >= idle_expiry:
+                break
             if slot >= next_launch or slot >= self._next_expiry:
+                if idle_users and slot >= next_launch:
+                    if not idle_users.isdisjoint(user for user, _ in self._launches.get(slot, ())):
+                        break
                 self.begin_slot_apps(slot)
                 while next_launch <= slot:
                     launch_pos += 1
@@ -1264,7 +1300,7 @@ class FleetState:
                     )
             if self._corun_outruns_clock:
                 break
-            self._step()
+            self._step(overhead_j)
             acc.close_slot()
             if trace_interval is not None and slot % trace_interval == 0:
                 user_totals = acc.user_totals_j()  # folded as total_j() does
@@ -1273,12 +1309,14 @@ class FleetState:
                 if tick_user_totals is not None:
                     tick_user_totals.append(user_totals)
             advanced += 1
-            if (
-                watch is not None
-                and not self._battery_rest
-                and (self.battery_charge_j[watch] / watch_capacity_j >= watch_min_soc).any()
-            ):
-                break
+            if watch is not None and not self._battery_rest:
+                flipped = self.battery_charge_j[watch] / watch_capacity_j >= watch_min_soc
+                if drains:  # an eligible one draining below the gate flips too
+                    flipped ^= watch_eligible
+                if flipped.any():
+                    break
+        if idle_users:
+            self.waiting_slots[idle] += advanced
         return advanced, tick_offsets, tick_totals, tick_user_totals
 
     # -- reporting ---------------------------------------------------------------------

@@ -64,6 +64,7 @@ from repro.columns import ordered_sum
 from repro.core.online import OnlinePolicy
 from repro.core.policies import (
     Aggregation,
+    IdleForecast,
     ObservationBatch,
     SchedulingPolicy,
     SlotContext,
@@ -507,8 +508,13 @@ class FleetShard:
         capture_users: bool,
         two_phase: bool = True,
         limit: Optional[int] = None,
+        idle: Sequence[int] = (),
     ) -> QuietTryReply:
         """Phase 1: advance the quiet region up to this shard's own bound.
+
+        ``idle`` are the global ids of this shard's ready users that the
+        policy certified idle for ``limit`` slots (empty: a region with no
+        ready user); a ready pool that is not exactly them advances nothing.
 
         With ``two_phase`` (any multi-shard run) the advance happens against
         a snapshot, so the coordinator's agreed global count (the minimum
@@ -526,7 +532,8 @@ class FleetShard:
         fleet = self.fleet
         self._quiet_stash = None
         num_training = int(fleet.training_active.sum())
-        if len(fleet.ready_users()):
+        ready = fleet.ready_users()
+        if len(ready) != len(idle) or (len(ready) and (ready != np.asarray(idle) - self.lo).any()):
             return QuietTryReply(advanced=0, num_training=num_training)
         horizon = fleet.quiet_horizon(slot, self.config.total_slots)
         if limit is not None:
@@ -536,7 +543,7 @@ class FleetShard:
         interval = self.config.trace_interval_slots if want_ticks else None
         snapshot = fleet.quiet_snapshot() if two_phase else None
         advanced, offsets, totals, user_totals = fleet.advance_quiet(
-            slot, horizon, interval, capture_users
+            slot, horizon, interval, capture_users, ready
         )
         self._quiet_stash = (
             slot,
@@ -547,6 +554,7 @@ class FleetShard:
             user_totals,
             interval,
             capture_users,
+            ready,
         )
         return QuietTryReply(advanced=advanced, num_training=num_training)
 
@@ -559,7 +567,7 @@ class FleetShard:
             if count != 0:
                 raise RuntimeError("quiet_commit without a pending quiet_try")
             return QuietCommitReply([], [], None, len(fleet.ready_users()))
-        slot, snapshot, advanced, offsets, totals, user_totals, interval, capture = stash
+        slot, snapshot, advanced, offsets, totals, user_totals, interval, capture, idle = stash
         if count != advanced:
             if snapshot is None:  # single-phase try can never be cut short
                 raise RuntimeError(
@@ -570,7 +578,7 @@ class FleetShard:
             user_totals = [] if capture else None
             if count > 0:
                 redone, offsets, totals, user_totals = fleet.advance_quiet(
-                    slot, count, interval, capture
+                    slot, count, interval, capture, idle
                 )
                 if redone != count:  # count <= the shard's own stop bound
                     raise RuntimeError(
@@ -960,6 +968,15 @@ class ProcessShardHandle:
 # ---------------------------------------------------------------------------
 
 
+#: Slots certified in the first idle region of a stretch; each region that
+#: uses all of its chunk doubles the next one, so a short stretch costs a
+#: small forecast and a long one a few regions.
+_IDLE_CHUNK = 16
+
+#: Cap on the elements of one forecast's per-slot x per-user fold matrix.
+_FORECAST_ELEMENTS = 1 << 16
+
+
 def _split_users(users: Sequence[int], bounds: Sequence[Tuple[int, int]]) -> List[List[int]]:
     """Partition an ascending global user list along the shard bounds."""
     out: List[List[int]] = [[] for _ in bounds]
@@ -1040,6 +1057,18 @@ def drive_fleet_loop(
     #: ``run_slot`` round; consumed (or superseded by an arrival-merging
     #: explicit open) at the top of the next slot.
     spec_opens: List[Optional[SlotOpenReply]] = [None] * num_shards
+    #: Whether the policy can certify ready users idle (``idle_slots``).  Not
+    #: with one process shard: its batch columns are views over the reply slab.
+    certifies = (
+        fast_forward
+        and not sync_mode
+        and type(policy).idle_slots is not SchedulingPolicy.idle_slots
+        and (num_shards > 1 or not handles[0].piggyback_open)
+    )
+    #: The last slot's batch when the policy kept its whole ready pool idle.
+    idle_batch: Optional[ObservationBatch] = None
+    max_chunk = max(1, _FORECAST_ELEMENTS // config.num_users)
+    idle_chunk = min(_IDLE_CHUNK, max_chunk)
     while slot < total_slots:
         if checkpointer is not None and checkpointer.due(slot):
             if any(spec is not None for spec in spec_opens):
@@ -1056,15 +1085,34 @@ def drive_fleet_loop(
                         engine, handles, slot, list(pending_arrivals), global_ready
                     )
                 )
-        if fast_forward and not pending_arrivals and global_ready == 0:
+        if fast_forward and not pending_arrivals:
             limit = None if checkpointer is None else checkpointer.limit(slot)
-            advanced, global_ready = _fast_forward_epoch(
-                core, handles, config, timers, want_trace, capture_users, slot,
-                num_shards, limit,
-            )
-            if advanced:
-                slot += advanced
-                continue
+            region: Optional[Tuple[ObservationBatch, IdleForecast, List[np.ndarray]]] = None
+            if global_ready > 0 and idle_batch is not None:
+                # The ready pool may stay idle: let the policy certify a
+                # chunk of slots ahead, and run them as one region.
+                policy_tick = timers.start()
+                span = min(idle_chunk, total_slots - slot, limit or total_slots)
+                forecast = core.idle_forecast(idle_batch, slot, span)
+                certified = policy.idle_slots(idle_batch, forecast)
+                timers.stop("policy", policy_tick)
+                if certified:
+                    limit = certified
+                    pools = np.split(
+                        idle_batch.user_ids,
+                        np.searchsorted(idle_batch.user_ids, shard_his),
+                    )
+                    region = (idle_batch, forecast, pools)
+            if global_ready == 0 or region is not None:
+                advanced, global_ready = _fast_forward_epoch(
+                    core, handles, config, timers, want_trace, capture_users, slot,
+                    num_shards, limit, region,
+                )
+                if advanced:
+                    if region is not None and advanced == span:
+                        idle_chunk = min(2 * idle_chunk, max_chunk)
+                    slot += advanced
+                    continue
         time_s = slot * config.slot_seconds
 
         # 1+2. Applications and arrivals -> ready pool.  Downloads are
@@ -1166,9 +1214,14 @@ def drive_fleet_loop(
         tick_wanted = want_trace and slot % config.trace_interval_slots == 0
         # Shards with ready users may open the next slot inside this same
         # round trip — except across a checkpoint boundary, where the
-        # snapshot must capture a uniform not-yet-opened state.
-        speculate = slot + 1 < total_slots and not (
-            checkpointer is not None and checkpointer.due(slot + 1)
+        # snapshot must capture a uniform not-yet-opened state, and before
+        # a slot the policy may certify idle (its region opens nothing).
+        idle_batch = batch if certifies and total_ready and not num_scheduled else None
+        idle_chunk = min(_IDLE_CHUNK, max_chunk)
+        speculate = (
+            slot + 1 < total_slots
+            and idle_batch is None
+            and not (checkpointer is not None and checkpointer.due(slot + 1))
         )
         for handle, scheduled, idle in zip(handles, scheduled_by_shard, idle_by_shard):
             handle.post(
@@ -1246,26 +1299,33 @@ def _fast_forward_epoch(
     slot: int,
     num_shards: int,
     limit: Optional[int] = None,
+    idle: Optional[Tuple[ObservationBatch, IdleForecast, List[np.ndarray]]] = None,
 ) -> Tuple[int, int]:
     """Advance all shards through the quiet slots starting at ``slot``.
+
+    A region is **quiet** (``idle is None``: nobody is ready) or **certified
+    idle** (``idle = (batch, forecast, pools)``: the ready pool ``batch``,
+    which the policy's :meth:`~SchedulingPolicy.idle_slots` certified idle
+    for ``limit`` slots of ``forecast``, split per shard in ``pools``).
 
     Returns ``(advanced, global_ready)``.  ``advanced == 0`` means some
     shard has an event due this slot and the caller falls through to the
     normal slot path.  The global advance is the minimum of the per-shard
     bounds (each shard's event horizon, battery flips included), committed
     in lock-step via the shards' two-phase try/commit; the coordinator then
-    backfills the policy queues, the traces and the evaluation ticks with
-    exactly the values the slot-by-slot path would have produced — the same
-    backfill the single-process engine always performed, now over the
-    coordinator-resident coupling state.
+    backfills, per slot, what the slot path would have written: the idle
+    decisions (:meth:`~SchedulingPolicy.record_idle`, the trace counter),
+    the pool's gap increments, the policy queues, the trace samples and the
+    evaluation ticks.
 
-    During a quiet region no synchronous round can complete either: the
-    upload buffer is frozen (no training finishes) and the stalled-user set
-    cannot grow, so skipping the per-slot round check is exact.
+    During a region no synchronous round can complete either: the upload
+    buffer is frozen (no training finishes) and the stalled-user set cannot
+    grow, so skipping the per-slot round check is exact.
     """
     two_phase = num_shards > 1
-    for handle in handles:
-        handle.post("quiet_try", slot, want_trace, capture_users, two_phase, limit)
+    pools: Sequence[Sequence[int]] = idle[2] if idle is not None else [()] * num_shards
+    for handle, pool in zip(handles, pools):
+        handle.post("quiet_try", slot, want_trace, capture_users, two_phase, limit, pool)
     tries = [handle.wait() for handle in handles]
     advanced = min(reply.advanced for reply in tries)
     num_training = sum(reply.num_training for reply in tries)
@@ -1277,8 +1337,24 @@ def _fast_forward_epoch(
         return 0, global_ready
 
     policy = core.policy
-    gap_sum = core.total_gap()
     tick_offsets = commits[0].tick_offsets
+    # Per slot: G(t); per tick: every user's gap.
+    if idle is None:
+        num_ready = 0
+        gap_sums = [core.total_gap()] * advanced
+        tick_gaps = [core.gaps.tolist()] * len(tick_offsets) if tick_offsets else []
+    else:
+        batch, forecast, _ = idle
+        users = batch.user_ids
+        num_ready = len(users)
+        gap_sums = forecast.gap_sums[:advanced].tolist()
+        tick_gaps = []
+        for offset in tick_offsets:
+            core.gaps[users] = forecast.gaps[offset + 1]
+            tick_gaps.append(core.gaps.tolist())
+        core.gaps[users] = forecast.gaps[advanced]
+        core.trace.decisions["idle"] += num_ready * advanced
+        policy.record_idle(batch, slot, advanced)
 
     # Policy bookkeeping for the skipped slots.  The online policy's slot
     # hooks reduce to the exact multi-slot queue recursions; policies that
@@ -1289,7 +1365,10 @@ def _fast_forward_epoch(
     tick_queue: Optional[List[Tuple[float, float]]] = None
     if type(policy) is OnlinePolicy:
         queue_length = policy.task_queue.advance_idle(advanced)
-        virtual_values = policy.virtual_queue.advance_constant(gap_sum, advanced)
+        if idle is None:  # a constant G: the fixpoint short-cut applies
+            virtual_values = policy.virtual_queue.advance_constant(gap_sums[0], advanced)
+        else:
+            virtual_values = policy.virtual_queue.advance_sequence(gap_sums)
         tick_queue = [
             (queue_length, virtual_values[offset]) for offset in tick_offsets
         ]
@@ -1304,14 +1383,14 @@ def _fast_forward_epoch(
                     slot=slot + offset,
                     slot_seconds=config.slot_seconds,
                     num_arrivals=0,
-                    num_ready=0,
+                    num_ready=num_ready,
                     num_training=num_training,
                     num_users=config.num_users,
                 )
                 if begin_hook:
                     policy.begin_slot(context)
                 if end_hook:
-                    policy.end_slot(context, 0, gap_sum)
+                    policy.end_slot(context, 0, gap_sums[offset])
                 if offset in tick_set:
                     tick_queue.append(
                         (
@@ -1325,12 +1404,11 @@ def _fast_forward_epoch(
                     )
     timers.stop("policy", policy_tick)
 
-    # Trace backfill: the sampled slots inside the region carry the constant
-    # gap sum and ready/training counts, the replayed queue backlogs and the
-    # exact cumulative energy captured by the shard kernels (folded across
-    # shards in global user order when partitioned).
+    # Trace backfill: the sampled slots inside the region carry the slot's
+    # gap sum, the constant ready/training counts, the replayed queue
+    # backlogs and the exact cumulative energy captured by the shard kernels
+    # (folded across shards in global user order when partitioned).
     if tick_offsets:
-        gap_list = core.gaps.tolist()
         for index, offset in enumerate(tick_offsets):
             sample_slot = slot + offset
             time_s = sample_slot * config.slot_seconds
@@ -1347,12 +1425,8 @@ def _fast_forward_epoch(
                 cumulative_j = commits[0].tick_totals[index]
             else:
                 merge_tick = timers.start()
-                cumulative_j = float(
-                    sum(
-                        np.concatenate(
-                            [commit.tick_user_totals[index] for commit in commits]
-                        ).tolist()
-                    )
+                cumulative_j = ordered_sum(
+                    np.concatenate([commit.tick_user_totals[index] for commit in commits])
                 )
                 timers.stop("merge", merge_tick)
             core.trace.maybe_record_slot(
@@ -1362,12 +1436,12 @@ def _fast_forward_epoch(
                     cumulative_energy_j=cumulative_j,
                     queue_length=queue_length,
                     virtual_queue_length=virtual_length,
-                    gap_sum=gap_sum,
+                    gap_sum=gap_sums[offset],
                     num_training=num_training,
-                    num_ready=0,
+                    num_ready=num_ready,
                 )
             )
-            core.trace.record_user_gaps(time_s, gap_list)
+            core.trace.record_user_gaps(time_s, tick_gaps[index])
 
     # Evaluation ticks: the global model is frozen across the region, so the
     # version-keyed cache in CouplingCore.evaluate makes each replay a record.

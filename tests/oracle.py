@@ -369,6 +369,7 @@ class FrozenLogs:
         real_transfer_block = ModelTransport.transfer_block
         real_decide = OnlinePolicy.decide
         real_decide_all = OnlinePolicy.decide_all
+        real_record_idle = OnlinePolicy.record_idle
 
         def async_update(server, update, time_s, gradient_gap=0.0):
             version, lag = server.version, server.lag_of(update.base_version)
@@ -441,12 +442,22 @@ class FrozenLogs:
             )
             return schedule
 
+        def record_idle(policy, batch, first_slot, slots):
+            # A certified-idle region: one all-idle decide_all per slot.
+            logs.decision_log.extend(
+                (slot, user, Decision.IDLE)
+                for slot in range(first_slot, first_slot + slots)
+                for user in batch.user_ids.tolist()
+            )
+            return real_record_idle(policy, batch, first_slot, slots)
+
         monkeypatch.setattr(ParameterServer, "async_update", async_update)
         monkeypatch.setattr(ParameterServer, "sync_round", sync_round)
         monkeypatch.setattr(ParameterServer, "async_update_block", async_update_block)
         monkeypatch.setattr(ModelTransport, "transfer_block", transfer_block)
         monkeypatch.setattr(OnlinePolicy, "decide", decide)
         monkeypatch.setattr(OnlinePolicy, "decide_all", decide_all)
+        monkeypatch.setattr(OnlinePolicy, "record_idle", record_idle)
         return self
 
 

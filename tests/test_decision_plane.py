@@ -480,7 +480,8 @@ class TestSlotOpens:
             monkeypatch.setattr(FleetShard, name, counted)
         result = SimulationEngine(_small_config(), OnlinePolicy(v=4000.0)).run()
         assert result.num_updates > 5  # re-arrivals landed on executed slots
-        assert len(calls["run_slot"]) > 50
+        # Certified-idle regions skip most waiting slots; the rest decide.
+        assert len(calls["run_slot"]) > 20
         assert calls["open_slot"] == calls["run_slot"]
 
     def test_process_shards_still_piggyback_the_next_open(self, monkeypatch):

@@ -2,22 +2,29 @@
 
 ``tests/test_fleet.py`` holds the full three-way equivalence matrix; this
 module covers the fast-forward machinery itself — the exact multi-slot queue
-recursions, the arrival event-iterator API, the evaluation cache, and the
+recursions, the arrival event-iterator API, the evaluation cache, the
 sparse "overnight" regime where whole stretches of the horizon collapse into
-single kernel calls.
+single kernel calls, and certified-idle regions (ready users the policy
+keeps idle) against the slot path and the reference loop.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.offline import OfflinePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.policies import ImmediatePolicy
 from repro.core.queues import TaskQueue, VirtualQueue
 from repro.device.apps import ForegroundApp, APP_CATALOG
+from repro.service.checkpoint import Checkpointer
 from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
+from repro.sim.shard import FleetShard, ShardedEngine
+
+from oracle import make_engine, run_digest
 
 
 PHONE_MIX = {"pixel2": 1.0 / 3, "nexus6": 1.0 / 3, "nexus6p": 1.0 / 3}
@@ -84,6 +91,19 @@ class TestQueueMultiSlotRecursions:
             queue.advance_constant(-0.5, 3)
         with pytest.raises(ValueError):
             queue.advance_constant(0.5, -3)
+
+    @pytest.mark.parametrize("initial", [0.0, 3.7])
+    def test_virtual_queue_advance_sequence_matches_updates(self, initial):
+        gap_sums = [0.1 * k + 0.013 for k in range(40)]  # crosses Lb = 1.5
+        fast = VirtualQueue(1.5, initial=initial)
+        slow = VirtualQueue(1.5, initial=initial)
+        values = fast.advance_sequence(gap_sums)
+        assert values == [slow.update(gap) for gap in gap_sums]
+        assert fast.length == slow.length
+        assert fast.history() == slow.history()
+        assert fast.time_average() == slow.time_average()
+        with pytest.raises(ValueError):
+            fast.advance_sequence([0.5, -0.1])
 
 
 class TestArrivalEventIterator:
@@ -180,3 +200,169 @@ class TestFastForwardEndToEnd:
         # version-keyed cache instead of re-running the forward pass.
         assert len(result.accuracy.accuracies()) == 9
         assert calls["n"] < 9
+
+
+def _stretch_config(**overrides) -> SimulationConfig:
+    """The paper's sparse regime, small: ready users wait long for an app."""
+    base = dict(
+        num_users=10,
+        total_slots=900,
+        app_arrival_prob=0.002,
+        seed=5,
+        num_train_samples=240,
+        num_test_samples=100,
+        hidden_dims=(8,),
+        eval_interval_slots=150,
+        trace_interval_slots=7,
+    )
+    base.update(overrides)
+    return SimulationConfig(**base)
+
+
+def _observed(result, policy):
+    """Every observable of a run, per-slot series and decision log included."""
+    users = range(result.config.num_users)
+    return (
+        run_digest(result),
+        result.trace.slot_samples,
+        [result.trace.user_gap_trace(user) for user in users],
+        [result.accountant.user_breakdown(user) for user in users],
+        result.decision_evaluations,
+        result.final_battery_soc,
+        getattr(policy, "decision_log", None),
+        getattr(policy, "messages_to_server", None),
+        getattr(policy, "messages_to_users", None),
+    )
+
+
+def _count_run_slots(monkeypatch):
+    calls = []
+    original = FleetShard.run_slot
+
+    def counted(self, slot, *args):
+        calls.append(slot)
+        return original(self, slot, *args)
+
+    monkeypatch.setattr(FleetShard, "run_slot", counted)
+    return calls
+
+
+CERTIFYING_POLICIES = {
+    "online": lambda: OnlinePolicy(v=4000.0),
+    "online-small-budget": lambda: OnlinePolicy(v=4000.0, staleness_bound=0.05),
+    # Energy dominates: users with an app in the foreground wait it out too.
+    "online-high-v": lambda: OnlinePolicy(v=1e6),
+    "offline-short-window": lambda: OfflinePolicy(window_slots=60),
+}
+
+
+class TestCertifiedIdleRegions:
+    """Ready users the policy keeps idle run as one region, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(CERTIFYING_POLICIES))
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"include_scheduler_overhead": True},
+            {"trace_interval_slots": 1, "include_scheduler_overhead": True},
+        ],
+        ids=["plain", "overhead", "every-slot-trace"],
+    )
+    def test_fast_forward_equals_slot_path_and_reference(self, monkeypatch, name, overrides):
+        config = _stretch_config(**overrides)
+        make = CERTIFYING_POLICIES[name]
+        runs = {}
+        for label, mode, fast_forward in (
+            ("loop", "loop", False),
+            ("slots", "fleet", False),
+            ("regions", "fleet", True),
+        ):
+            policy = make()
+            calls = _count_run_slots(monkeypatch)
+            result = make_engine(mode, config, policy, fast_forward=fast_forward).run()
+            runs[label] = (_observed(result, policy), result.accountant.per_slot_totals(), len(calls))
+        assert runs["regions"][:2] == runs["slots"][:2] == runs["loop"][:2]
+        assert runs["slots"][2] == config.total_slots
+        # The region path fired: far fewer slots ran the slot path.
+        assert runs["regions"][2] < config.total_slots // 2
+
+    def test_small_budget_flips_a_decision_inside_a_stretch(self):
+        """With a tight ``Lb``, ``H(t)`` grows while users wait until one of
+        them schedules with no arrival, completion or app event in between."""
+        policy = OnlinePolicy(v=4000.0, staleness_bound=0.05)
+        result = SimulationEngine(_stretch_config(trace_interval_slots=1), policy).run()
+        grown = [
+            (a, b)
+            for a, b in zip(result.trace.slot_samples, result.trace.slot_samples[1:])
+            if b.virtual_queue_length > a.virtual_queue_length > 0.0
+        ]
+        assert grown  # H > 0 and rising across waiting slots
+        baseline = SimulationEngine(
+            _stretch_config(trace_interval_slots=1), OnlinePolicy(v=4000.0)
+        ).run()
+        assert result.trace.decisions != baseline.trace.decisions
+
+    def test_offline_window_boundary_inside_a_stretch(self):
+        config = _stretch_config()
+        slow = SimulationEngine(config, OfflinePolicy(window_slots=60), fast_forward=False).run()
+        fast = SimulationEngine(config, OfflinePolicy(window_slots=60)).run()
+        assert _observed(slow, None) == _observed(fast, None)
+        assert len(fast.trace.slot_samples) == len(slow.trace.slot_samples)
+
+    def test_ready_user_draining_below_the_gate_mid_stretch(self, monkeypatch):
+        """Batteries drain while users wait: a ready user leaves the pool
+        mid-stretch (eligibility flips) and the region ends on that slot."""
+        config = _stretch_config(
+            device_mix=PHONE_MIX,
+            battery_capacity_j=600.0,
+            battery_charge_rate_w=0.0,
+            min_battery_soc=0.2,
+            include_scheduler_overhead=True,
+        )
+        results = {}
+        for fast_forward in (False, True):
+            policy = OnlinePolicy(v=4000.0)
+            calls = _count_run_slots(monkeypatch)
+            result = SimulationEngine(config, policy, fast_forward=fast_forward).run()
+            results[fast_forward] = (_observed(result, policy), len(calls))
+        assert results[True][0] == results[False][0]
+        assert results[True][1] < results[False][1]
+        assert any(soc < 0.2 for soc in results[True][0][5])  # somebody drained
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "process"])
+    def test_two_shards(self, inline):
+        config = _stretch_config(total_slots=600)
+        reference_policy = OnlinePolicy(v=4000.0)
+        reference = SimulationEngine(config, reference_policy).run()
+        policy = OnlinePolicy(v=4000.0)
+        sharded = ShardedEngine(config, policy, shards=2, inline=inline).run()
+        assert _observed(sharded, policy) == _observed(reference, reference_policy)
+
+    def test_checkpoint_inside_a_stretch_then_resume(self):
+        config = _stretch_config()
+        full_policy = OnlinePolicy(v=4000.0)
+        full = SimulationEngine(config, full_policy).run()
+        taken, slot_path = [], []
+        SimulationEngine(config, OnlinePolicy(v=4000.0)).run(
+            Checkpointer(taken.append, every_slots=37)
+        )
+        SimulationEngine(config, OnlinePolicy(v=4000.0), fast_forward=False).run(
+            Checkpointer(slot_path.append, every_slots=37)
+        )
+        # Per-user fleet state (waiting counters, batteries, energy) at every
+        # boundary, regions or not.
+        assert [cp.slot for cp in taken] == [cp.slot for cp in slot_path]
+        for fast, slow in zip(taken, slot_path):
+            fleet, reference = fast.slices[0]["fleet"], slow.slices[0]["fleet"]
+            for key in ("waiting_slots", "temperature_c", "remaining_slots", "battery_charge_j"):
+                assert (fleet[key] == reference[key]).all(), (fast.slot, key)
+            for key, value in reference["accountant"].items():
+                assert np.array_equal(value, fleet["accountant"][key]), (fast.slot, key)
+        waiting = [cp for cp in taken if cp.global_ready > 0 and not cp.pending_arrivals]
+        assert waiting  # some boundaries fall while ready users wait
+        for checkpoint in waiting[:3]:
+            engine = SimulationEngine.restore(checkpoint)
+            resumed = engine.run()
+            assert _observed(resumed, engine.core.policy)[:6] == _observed(full, full_policy)[:6]
+            assert engine.core.policy.decision_log == full_policy.decision_log

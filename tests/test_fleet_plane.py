@@ -236,7 +236,8 @@ class FleetPlaneMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.slot < TOTAL_SLOTS - 200)
     @rule(user=st.sampled_from([0, 3]), deficit_j=st.floats(0.25, 25.0))
     def charge_back_across_the_gate(self, user, deficit_j) -> None:
-        """A gated ready user on a charger: the region ends on the slot it flips."""
+        """A gated ready user on a charger: the region ends on the slot it
+        flips (or on the slot an eligible ready user drains below the gate)."""
         fleet = self.fleet
         if fleet.training_active[user]:
             return
@@ -251,7 +252,7 @@ class FleetPlaneMachine(RuleBasedStateMachine):
             return
         pool_before = set(fleet.ready_users().tolist())
         advanced, *_ = fleet.advance_quiet(self.slot, horizon, 1)
-        flipped = set(fleet.ready_users().tolist()) - pool_before
+        flipped = set(fleet.ready_users().tolist()) ^ pool_before
         assert (advanced < horizon) <= bool(flipped)  # the only early exit here
         self.slot += advanced
 

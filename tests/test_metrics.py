@@ -309,6 +309,17 @@ class TestRegressionDetector:
         regressions, _ = detect_bench_regressions(tmp_path, tolerances=overrides)
         assert regressions == []
 
+    def test_cli_exit_codes_on_real_artifacts_and_seeded_fixture(self, tmp_path, capsys):
+        from pathlib import Path
+
+        from repro.cli import main as cli_main
+
+        artifacts = Path(__file__).resolve().parents[1] / "benchmark_artifacts"
+        # Records of two workloads under one benchmark are two histories.
+        assert cli_main(["metrics", "regress", "--artifacts", str(artifacts)]) == 0
+        _flat_trajectory(tmp_path / "BENCH_seeded.json", [100.0, 100.0, 300.0])
+        assert cli_main(["metrics", "regress", "--artifacts", str(tmp_path)]) == 1
+
     def test_tolerance_table_matching(self):
         assert tolerance_for("max_divergence").abs_tol == pytest.approx(1e-12)
         assert tolerance_for("energy_kj").rel == pytest.approx(0.01)

@@ -322,3 +322,54 @@ class TestOptimizerProperties:
         # The flat vector and the layer parameters agree.
         layer_params = [value.ravel() for _, _, value in model.parameter_items()]
         assert np.array_equal(model.get_flat_params(), np.concatenate(layer_params))
+
+
+class TestQueueRecursionsAcrossRegions:
+    """Eq. (15) and Eq. (16) hold exactly between every two consecutive slot
+    samples, with certified-idle regions skipping most waiting slots."""
+
+    @pytest.mark.parametrize("bound", [500.0, 0.05])
+    def test_every_consecutive_sample_pair(self, monkeypatch, bound):
+        from collections import Counter
+
+        from repro.core.online import OnlinePolicy
+        from repro.core.policies import Decision
+        from repro.sim.config import SimulationConfig
+        from repro.sim.engine import SimulationEngine
+        from repro.sim.shard import FleetShard
+
+        executed = []
+        run_slot = FleetShard.run_slot
+        monkeypatch.setattr(
+            FleetShard,
+            "run_slot",
+            lambda shard, slot, *args: executed.append(slot) or run_slot(shard, slot, *args),
+        )
+        config = SimulationConfig(
+            num_users=10, total_slots=700, app_arrival_prob=0.002, seed=5,
+            num_train_samples=240, num_test_samples=100, hidden_dims=(8,),
+            eval_interval_slots=350, trace_interval_slots=1,
+        )
+        policy = OnlinePolicy(v=4000.0, staleness_bound=bound)
+        engine = SimulationEngine(config, policy)
+        samples = engine.run().trace.slot_samples
+        assert [s.slot for s in samples] == list(range(config.total_slots))
+        assert len(executed) < config.total_slots // 2  # regions were active
+        arrivals = Counter(
+            round(record.start_time_s / config.slot_seconds)
+            for record in engine.transport.records
+            if record.direction == "download"
+        )
+        services = Counter(
+            slot for slot, _, decision in policy.decision_log if decision is Decision.SCHEDULE
+        )
+        for before, after in zip(samples, samples[1:]):
+            slot = after.slot
+            # Eq. (16): H(t+1) = max(H(t) + G(t) - Lb, 0).
+            assert after.virtual_queue_length == max(
+                before.virtual_queue_length + after.gap_sum - bound, 0.0
+            )
+            # Eq. (15), arrivals counted before service (TaskQueue).
+            assert after.queue_length == max(
+                before.queue_length + arrivals[slot] - services[slot], 0.0
+            )
