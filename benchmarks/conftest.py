@@ -57,32 +57,6 @@ def _slug(title: str) -> str:
     return slug.strip("_")[:80]
 
 
-def append_bench(
-    name: str,
-    metrics: dict,
-    context: dict = None,
-    gates: dict = None,
-    extra: dict = None,
-) -> str:
-    """Append one record to ``benchmark_artifacts/BENCH_<name>.json``.
-
-    The single entry point for the shared trajectory schema
-    (:mod:`repro.metrics.bench`): ``context`` is the run's identity (the
-    regression detector only compares matching contexts), ``metrics`` the
-    measured numbers, ``gates`` the thresholds the benchmark enforced.
-    Old-format records in the same files stay loadable — the loader
-    normalizes them.
-    """
-    from repro.metrics.bench import append_trajectory, bench_record
-
-    path = os.path.join(ARTIFACT_DIR, f"BENCH_{name}.json")
-    record = bench_record(
-        name, metrics, context=context, gates=gates, extra=extra
-    )
-    append_trajectory(path, record, benchmark=name)
-    return path
-
-
 def print_artifact(title: str, body: str) -> None:
     """Print a reproduced artefact and persist it under ``benchmark_artifacts/``.
 

@@ -3,7 +3,7 @@
 Two sources, one report:
 
 * :func:`detect_bench_regressions` — loads every ``BENCH_*.json``
-  trajectory (via the legacy-tolerant :mod:`repro.metrics.bench` loader),
+  trajectory (via the :mod:`repro.metrics.bench` loader),
   groups records by their context (scenario/config identity), and inside
   each group compares the newest record against the *median* of the
   earlier ones, metric by metric.

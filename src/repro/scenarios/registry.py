@@ -227,7 +227,7 @@ def _megafleet_1k() -> ScenarioSpec:
 
 def _megafleet_100k() -> ScenarioSpec:
     # The sharded-engine workload: two orders of magnitude past megafleet-1k.
-    # Sized for the shard-smoke CI gate on one machine — a 15-minute horizon,
+    # Sized for a manual run on one machine — a 15-minute horizon,
     # one training sample per user and a narrow MLP keep the absolute compute
     # honest-but-bounded while the *population mechanics* (100k arrival
     # streams, 100k-entry ready pools and in-flight set, per-shard fleets)

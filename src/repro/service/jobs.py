@@ -6,8 +6,8 @@ service survives restarts: a crash mid-run leaves the job in ``running``
 with its latest auto-checkpoint on disk, and :meth:`ExperimentService.recover`
 re-enqueues it to resume from that checkpoint — the resumed run's headline
 metrics are bitwise-identical to an uninterrupted run (the checkpoint
-subsystem's contract, enforced by ``tests/test_checkpoint.py`` and the
-``service_smoke`` CI gate).
+subsystem's contract, enforced by ``tests/test_checkpoint.py`` and, through
+a ``SIGKILL``-ed ``repro-sim serve``, by ``tests/test_service.py``).
 
 Job lifecycle::
 
@@ -59,6 +59,7 @@ from repro.service.checkpoint import (
     EngineCheckpoint,
     RunInterrupted,
 )
+from repro.sim.trace import TRACE_LEVELS
 
 __all__ = ["JOB_STATES", "ExperimentService", "JobRecord"]
 
@@ -216,6 +217,17 @@ class ExperimentService:
         ``--run``), where a serving process or a later ``jobs resume`` picks
         the job up instead of this process.
         """
+        # Refuse a spec that can only fail at run time while the submitter
+        # is still listening: config, policy and execution mode.
+        config = spec.build_config()
+        spec.build_policy()
+        shards = spec.shards
+        if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
+            raise ValueError(f"shards must be a positive integer, got {shards!r}")
+        if spec.trace_level not in TRACE_LEVELS:
+            raise ValueError(
+                f"unknown trace_level {spec.trace_level!r}; choose from {TRACE_LEVELS}"
+            )
         job_id = spec.config_hash()
         try:
             existing = self.get(job_id)
@@ -233,7 +245,7 @@ class ExperimentService:
             spec=spec,
             state="queued",
             created_at=time.time(),  # reprolint: allow(wall-clock): job metadata, never feeds sim state
-            total_slots=spec.build_config().total_slots,
+            total_slots=config.total_slots,
         )
         self._save(record)
         if enqueue:

@@ -12,6 +12,8 @@ scaling in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -143,10 +145,14 @@ class SimulationConfig:
     user_data_alpha: Optional[Sequence[Optional[float]]] = None
 
     def __post_init__(self) -> None:
-        if self.num_users <= 0:
-            raise ValueError("num_users must be positive")
-        if self.total_slots <= 0:
-            raise ValueError("total_slots must be positive")
+        for name in ("num_users", "total_slots"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.slot_seconds <= 0:
             raise ValueError("slot_seconds must be positive")
         if not 0.0 <= self.app_arrival_prob <= 1.0:
@@ -155,8 +161,16 @@ class SimulationConfig:
             raise ValueError("evaluation and trace intervals must be positive")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
-        if self.device_names is not None and len(self.device_names) != self.num_users:
-            raise ValueError("device_names must have one entry per user")
+        # A JSON spec names the rule by its value ("replace"); anything that
+        # names no rule is refused here, not at the first upload.
+        try:
+            self.async_rule = AsyncUpdateRule(self.async_rule)
+        except ValueError:
+            raise ValueError(
+                f"async_rule must be one of {[r.value for r in AsyncUpdateRule]}, "
+                f"got {self.async_rule!r}"
+            ) from None
+        self._validate_device_names()
         if self.battery_capacity_j is not None and self.battery_capacity_j <= 0:
             raise ValueError("battery_capacity_j must be positive when set")
         if not 0.0 <= self.min_battery_soc <= 1.0:
@@ -167,22 +181,37 @@ class SimulationConfig:
         self._validate_app_weights()
         self._validate_per_user_fields()
 
+    def _validate_device_names(self) -> None:
+        """An explicit assignment names one catalog device per user."""
+        if self.device_names is None:
+            return
+        from repro.device.models import DEVICE_CATALOG
+
+        if len(self.device_names) != self.num_users:
+            raise ValueError("device_names must have one entry per user")
+        unknown = sorted({repr(n) for n in self.device_names if n not in DEVICE_CATALOG})
+        if unknown:
+            raise ValueError(
+                f"device_names holds unknown devices {unknown}; "
+                f"known: {sorted(DEVICE_CATALOG)}"
+            )
+
     def _validate_device_mix(self) -> None:
         """Catch malformed device mixes here, not as downstream sampling surprises."""
         if self.device_mix is None:
             return
         from repro.device.models import DEVICE_CATALOG
 
-        if not self.device_mix:
-            raise ValueError("device_mix must name at least one device")
+        if not isinstance(self.device_mix, dict) or not self.device_mix:
+            raise ValueError("device_mix must map at least one device to a probability")
         unknown = sorted(set(self.device_mix) - set(DEVICE_CATALOG))
         if unknown:
             raise ValueError(
                 f"device_mix names unknown devices {unknown}; "
                 f"known: {sorted(DEVICE_CATALOG)}"
             )
-        if any(p < 0 for p in self.device_mix.values()):
-            raise ValueError("device_mix probabilities must be non-negative")
+        if not all(math.isfinite(p) and p >= 0 for p in self.device_mix.values()):
+            raise ValueError("device_mix probabilities must be finite and non-negative")
         total = float(sum(self.device_mix.values()))
         if abs(total - 1.0) > _MIX_SUM_TOLERANCE:
             raise ValueError(
@@ -202,8 +231,8 @@ class SimulationConfig:
                 f"({len(APP_CATALOG)}; order of {sorted(APP_CATALOG)}), "
                 f"got {len(self.app_weights)}"
             )
-        if any(w < 0 for w in self.app_weights):
-            raise ValueError("app_weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.app_weights):
+            raise ValueError("app_weights must be finite and non-negative")
         if sum(self.app_weights) <= 0:
             raise ValueError("app_weights must sum to a positive value")
 

@@ -33,8 +33,8 @@ exact slot-wise inputs of the single-process engine, including same-slot lag
 coupling across shard boundaries), reductions that are float folds (energy
 totals, the gap sum) are computed coordinator-side over per-user values in
 global user order, and per-user RNG streams (client shuffling, arrivals) are
-partition-independent.  ``tests/test_shard.py`` and the ``shard-smoke`` CI
-gate hold the engine to this contract.
+partition-independent.  ``tests/test_shard.py`` holds the engine to this
+contract at 1, 2 and 4 process shards.
 """
 
 from __future__ import annotations

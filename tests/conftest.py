@@ -7,6 +7,10 @@ integration tests that assert on different aspects of the same run.
 
 from __future__ import annotations
 
+import glob
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,63 @@ from repro.energy.measurements import MeasurementTable
 from repro.fl.dataset import SyntheticCifar10
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine, SimulationResult
+
+
+def _live_children() -> set:
+    """Pids of this process's live (non-zombie) children, read from /proc.
+
+    multiprocessing's own long-lived helpers (the shared-memory resource
+    tracker, a forkserver) are not test leftovers and are left out.
+    """
+    helpers = set()
+    from multiprocessing import forkserver, resource_tracker
+
+    for pid in (
+        getattr(resource_tracker._resource_tracker, "_pid", None),
+        getattr(forkserver._forkserver, "_forkserver_pid", None),
+    ):
+        if pid is not None:
+            helpers.add(pid)
+    me, children = os.getpid(), set()
+    for stat in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(stat, encoding="utf-8") as handle:
+                state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError, IndexError):
+            continue  # exited while we looked
+        if int(ppid) == me and state != "Z":
+            children.add(int(stat.split("/")[2]))
+    return children - helpers
+
+
+def _shm_segments() -> set:
+    """Mailbox segments in /dev/shm owned by this process or by a process
+    that is gone (a killed worker or subprocess); segments of other live
+    processes on the host are not this suite's."""
+    from repro.sim.shmplane import SEGMENT_PREFIX
+
+    me, ours = os.getpid(), set()
+    for path in glob.glob(f"/dev/shm/{SEGMENT_PREFIX}_*"):
+        try:
+            owner = int(os.path.basename(path).split("_")[1])
+        except (IndexError, ValueError):
+            continue
+        if owner == me or not os.path.exists(f"/proc/{owner}"):
+            ours.add(path)
+    return ours
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_processes_or_segments():
+    """Fail the run if the suite leaves a live child process (a shard
+    worker, a ``repro-sim serve`` subprocess) or a shared-memory mailbox."""
+    segments_before = _shm_segments()
+    yield
+    multiprocessing.active_children()  # reap finished workers
+    children = _live_children()
+    segments = sorted(_shm_segments() - segments_before)
+    assert not children, f"tests left live child processes: {sorted(children)}"
+    assert not segments, f"tests left shared-memory segments: {segments}"
 
 
 @pytest.fixture(scope="session")

@@ -154,6 +154,10 @@ class TestFastForwardEndToEnd:
         fast = SimulationEngine(
             config, ImmediatePolicy(), fast_forward=True
         ).run()
+        assert slow.trace.decisions == fast.trace.decisions
+        assert slow.decision_evaluations == fast.decision_evaluations
+        assert slow.queue_history == fast.queue_history
+        assert slow.virtual_queue_history == fast.virtual_queue_history
         assert slow.total_energy_j() == fast.total_energy_j()
         assert slow.accountant.per_slot_totals() == fast.accountant.per_slot_totals()
         assert slow.trace.slot_samples == fast.trace.slot_samples
@@ -286,6 +290,29 @@ class TestCertifiedIdleRegions:
         assert runs["slots"][2] == config.total_slots
         # The region path fired: far fewer slots ran the slot path.
         assert runs["regions"][2] < config.total_slots // 2
+
+    @pytest.mark.parametrize(
+        "make", [lambda: OnlinePolicy(v=4000.0), OfflinePolicy], ids=["online", "offline"]
+    )
+    def test_paper_population(self, monkeypatch, make):
+        """The paper's 25 users over one hour at p = 0.001 (model and data
+        shrunk): regions fire, and the run equals the slot path bit for bit."""
+        config = SimulationConfig(
+            num_users=25, total_slots=3_600, app_arrival_prob=0.001, seed=0,
+            hidden_dims=(16,), num_train_samples=500, num_test_samples=200,
+            eval_interval_slots=600,
+        )
+        runs = {}
+        for fast_forward in (False, True):
+            policy = make()
+            calls = _count_run_slots(monkeypatch)
+            result = SimulationEngine(config, policy, fast_forward=fast_forward).run()
+            runs[fast_forward] = (
+                _observed(result, policy), result.accountant.per_slot_totals(), len(calls)
+            )
+        assert runs[True][:2] == runs[False][:2]
+        assert runs[False][2] == config.total_slots
+        assert runs[True][2] < config.total_slots
 
     def test_small_budget_flips_a_decision_inside_a_stretch(self):
         """With a tight ``Lb``, ``H(t)`` grows while users wait until one of

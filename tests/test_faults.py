@@ -157,9 +157,9 @@ class TestRetryPolicy:
 # ---------------------------------------------------------------------------
 
 
-def _chaos_config() -> SimulationConfig:
-    compiled = compile_scenario(get_scenario("paper-baseline"))
-    config = dict(compiled.overrides)
+def _chaos_overrides() -> dict:
+    """paper-baseline, shrunk to six users and 60 slots."""
+    config = dict(compile_scenario(get_scenario("paper-baseline")).overrides)
     config.update(
         num_users=6,
         total_slots=60,
@@ -170,7 +170,11 @@ def _chaos_config() -> SimulationConfig:
         eval_interval_slots=20,
         trace_interval_slots=10,
     )
-    return SimulationConfig(**config)
+    return config
+
+
+def _chaos_config() -> SimulationConfig:
+    return SimulationConfig(**_chaos_overrides())
 
 
 def _chaos_run(plan=None, shards=2, degrade=False, max_respawns=3, ipc_timeout_s=5.0):
@@ -439,6 +443,46 @@ class TestServiceSelfHealing:
         health = service.health()
         assert health["jobs"].get("done") == 1
         service.shutdown()
+
+
+class TestChaosJob:
+    """One service job on two process shards under a plan with a shard
+    SIGKILL and a corrupted checkpoint save, both after the third snapshot
+    (``keep_last=2``, so recovery reads vectors from packs earlier snapshots
+    wrote): the supervisor respawns the shard, the retry timer resumes from
+    the last good snapshot, and the job ends ``done`` with the fault-free
+    summary — no operator."""
+
+    def test_shard_kill_and_corrupt_save_self_heal_bitwise(self, tmp_path):
+        spec = RunSpec(policy="online", config=_chaos_overrides(), shards=2)
+        reference = ExperimentService(
+            tmp_path / "reference", checkpoint_every=10, keep_last=2
+        )
+        record = reference.submit(spec, enqueue=False)
+        assert reference.run_job(record.id).state == "done"
+
+        plan = FaultPlan(events=[
+            FaultEvent(kind="kill_shard", at=35, shard=1),
+            FaultEvent(kind="corrupt_checkpoint", at=45),
+        ])
+        chaos = ExperimentService(
+            tmp_path / "chaos", workers=1, checkpoint_every=10, keep_last=2,
+            retry=RetryPolicy(max_attempts=3, base_delay_s=0.05, cap_s=0.2),
+            fault_plan=plan,
+        )
+        try:
+            chaos.submit(spec)
+            deadline = time.monotonic() + 120.0
+            while chaos.get(record.id).state not in ("done", "quarantined"):
+                assert time.monotonic() < deadline, chaos.get(record.id)
+                time.sleep(0.05)
+            final = chaos.get(record.id)
+            assert final.state == "done", final.error
+            assert final.attempts == 1  # the corrupt save; the kill healed in-run
+            assert chaos._injector_for(record.id).fired_events() == plan.events
+            assert _summary(chaos, record.id) == _summary(reference, record.id)
+        finally:
+            chaos.shutdown()
 
 
 class TestRetention:

@@ -1,27 +1,25 @@
 """Metrics subsystem: run store, telemetry sink, regression detector, dashboard.
 
-The live end-to-end path (sweep -> store -> chunked HTTP stream -> dashboard
--> regress) is gated by ``benchmarks/analytics_smoke.py``; this module pins
-down the layer contracts: idempotent / concurrent store ingest, the sink's
-strictly-increasing frame stream across recoveries, the shared benchmark
-schema's legacy normalization, tolerance matching, and dashboard rendering
-edges.
+``TestLivePath`` drives the operator's path end to end (sweep -> store ->
+chunked HTTP stream -> dashboard); ``TestRegressionDetector`` runs
+``repro-sim metrics regress`` on the repo's real ``benchmark_artifacts`` and
+on a seeded regression.  The rest pins down the layer contracts: idempotent /
+concurrent store ingest, the sink's strictly-increasing frame stream across
+recoveries, the one ``BENCH_*.json`` record schema, tolerance matching, and
+dashboard rendering edges.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import sqlite3
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.runner import RunSpec, RunSummary
 from repro.faults import FaultEvent, FaultPlan
-from repro.metrics.bench import (
-    append_trajectory,
-    bench_record,
-    load_bench_file,
-    normalize_run,
-)
+from repro.metrics.bench import load_bench_dir, load_bench_file, normalize_run
 from repro.metrics.dashboard import render_dashboard, write_dashboard
 from repro.metrics.ingest import TelemetrySink, last_frame, read_frames
 from repro.metrics.query import headline_pivot, policy_deltas, version_history
@@ -32,6 +30,9 @@ from repro.metrics.regress import (
     tolerance_for,
 )
 from repro.metrics.store import MetricsStore, scenario_from_label
+from repro.scenarios import ScenarioRunner, get_scenario
+from repro.service.api import serve
+from repro.service.client import ServiceClient
 from repro.service.jobs import ExperimentService
 
 
@@ -269,12 +270,69 @@ class TestChaosFrameOrdering:
         assert payload["total_slots"] == 40
 
 
+class TestLivePath:
+    """The operator's path end to end: a sweep lands in the store, a live
+    service job streams over chunked NDJSON into the same store, and the
+    dashboard renders from it."""
+
+    def test_sweep_stream_and_dashboard_share_one_store(self, tmp_path):
+        store_path = str(tmp_path / "m.sqlite")
+        runner = ScenarioRunner(jobs=1, metrics_store=store_path)
+        specs = []
+        for name in ("paper-baseline", "diurnal-commuters"):
+            spec = get_scenario(name)
+            specs.append(spec.scaled(
+                num_users=6, total_slots=300,
+                base=dict(spec.base, num_train_samples=200, num_test_samples=80,
+                          eval_interval_slots=150),
+            ))
+        for policy in ("immediate", "online"):
+            runner.run(specs, policy=policy)
+        store = MetricsStore(store_path)
+        assert store.count_runs() == 4
+        for policy in ("immediate", "online"):
+            rows = store.runs(policy=policy)
+            assert len(rows) == 2
+            assert all(row["energy_j"] and row["num_updates"] is not None for row in rows)
+
+        api = serve(tmp_path / "service", port=0, workers=1, checkpoint_every=10,
+                    metrics_store=store_path)
+        api.start()
+        try:
+            client = ServiceClient(f"127.0.0.1:{api.port}")
+            job_id = client.submit({"spec": dataclasses.asdict(tiny_spec())})["id"]
+            lines = list(client.stream_telemetry(job_id, timeout_s=120.0))
+        finally:
+            api.stop()
+        *frames, end = lines
+        seqs = [frame["seq"] for frame in frames]
+        assert end == {"event": "end", "state": "done", "seq": seqs[-1]}
+        slots = [frame["slot"] for frame in frames]
+        assert frames and seqs == list(range(len(frames)))
+        assert all(b > a for a, b in zip(slots, slots[1:])), slots
+        assert frames[-1]["final"] is True and slots[-1] == 40
+        store = MetricsStore(store_path)
+        assert len(store.series(job_id, "energy_j")["energy_j"]) == len(frames)
+        assert store.run(job_id) is not None
+
+        html = render_dashboard(store=store)
+        for needle in ("<svg", "repro-sim metrics", "paper-baseline", "</html>"):
+            assert needle in html
+
+
+ARTIFACTS = Path(__file__).resolve().parents[1] / "benchmark_artifacts"
+
+
+def _record(benchmark, metrics, **extra):
+    """One literal schema-1 trajectory record."""
+    record = {"schema": 1, "benchmark": benchmark,
+              "context": {"scenario": "fixture"}, "metrics": metrics, "gates": {}}
+    record.update(extra)
+    return record
+
+
 def _flat_trajectory(path, energies, benchmark="seeded"):
-    runs = [
-        bench_record(benchmark, metrics={"energy_kj": energy},
-                     context={"scenario": "fixture"})
-        for energy in energies
-    ]
+    runs = [_record(benchmark, {"energy_kj": energy}) for energy in energies]
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"benchmark": benchmark, "runs": runs}, handle)
 
@@ -294,8 +352,7 @@ class TestRegressionDetector:
 
     def test_direction_low_ignores_improvements(self, tmp_path):
         runs = [
-            bench_record("acc", metrics={"accuracy": value},
-                         context={"scenario": "fixture"})
+            _record("acc", {"accuracy": value})
             for value in (0.80, 0.80, 0.95)  # accuracy went UP
         ]
         with open(tmp_path / "BENCH_acc.json", "w", encoding="utf-8") as handle:
@@ -310,13 +367,10 @@ class TestRegressionDetector:
         assert regressions == []
 
     def test_cli_exit_codes_on_real_artifacts_and_seeded_fixture(self, tmp_path, capsys):
-        from pathlib import Path
-
         from repro.cli import main as cli_main
 
-        artifacts = Path(__file__).resolve().parents[1] / "benchmark_artifacts"
         # Records of two workloads under one benchmark are two histories.
-        assert cli_main(["metrics", "regress", "--artifacts", str(artifacts)]) == 0
+        assert cli_main(["metrics", "regress", "--artifacts", str(ARTIFACTS)]) == 0
         _flat_trajectory(tmp_path / "BENCH_seeded.json", [100.0, 100.0, 300.0])
         assert cli_main(["metrics", "regress", "--artifacts", str(tmp_path)]) == 1
 
@@ -340,61 +394,33 @@ class TestRegressionDetector:
 
 
 class TestBenchSchema:
-    def test_legacy_record_normalizes(self):
-        legacy = {
-            "timestamp": "2026-01-01T00:00:00+00:00",
-            "scenario": "megafleet-1k",
-            "shards": 2,
-            "reference_s": 30.0,
-            "reproducible": True,
-            "mismatches": [],          # lists never become metrics
-            "megafleet": None,
-            "gate": {"wall_s": 9.5, "max_seconds": 600.0, "stage": "gate"},
-        }
-        run = normalize_run("chaos_smoke", legacy)
-        assert run.context["scenario"] == "megafleet-1k"
-        assert run.context["shards"] == 2
-        assert run.context["gate.stage"] == "gate"
-        assert run.metrics["reference_s"] == 30.0
-        assert run.metrics["reproducible"] == 1.0  # bool -> 1.0/0.0
-        assert run.metrics["gate.wall_s"] == 9.5
-        assert run.gates["gate.max_seconds"] == 600.0
-        assert "mismatches" not in run.metrics
+    def test_every_repo_trajectory_record_is_schema_1(self):
+        checked = 0
+        for path in sorted(ARTIFACTS.glob("BENCH_*.json")):
+            runs = json.loads(path.read_text()).get("runs")
+            for index, run in enumerate(runs if isinstance(runs, list) else []):
+                assert run.get("schema") == 1, (path.name, index)
+                assert isinstance(run.get("metrics"), dict), (path.name, index)
+                checked += 1
+        assert checked > 0
 
-    def test_new_schema_groups_with_matching_legacy(self):
-        legacy = normalize_run(
-            "chaos_smoke",
-            {"scenario": "megafleet-1k", "shards": 2, "reference_s": 30.0},
-        )
-        fresh = normalize_run("chaos_smoke", bench_record(
-            "chaos_smoke", metrics={"reference_s": 31.0},
-            context={"scenario": "megafleet-1k", "shards": 2},
-        ))
-        assert fresh.group_key() == legacy.group_key()
-
-    def test_append_preserves_legacy_runs_and_caps(self, tmp_path):
-        path = tmp_path / "BENCH_mixed.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"benchmark": "mixed", "runs": [
-                {"scenario": "old", "wall_s": 1.0},
-            ]}, handle)
-        for index in range(3):
-            append_trajectory(path, bench_record(
-                "mixed", metrics={"wall_s": float(index)},
-                context={"scenario": "old"},
-            ), max_runs=3)
-        runs = load_bench_file(path)
-        assert len(runs) == 3  # capped: the oldest rolled off
-        assert len({run.group_key() for run in runs}) == 1
+    def test_record_without_schema_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="schema-1"):
+            normalize_run("x", {"scenario": "old", "wall_s": 1.0})
+        path = tmp_path / "BENCH_old.json"
+        path.write_text(json.dumps({"benchmark": "old", "runs": [
+            _record("old", {"wall_s": 1.0}), {"scenario": "old", "wall_s": 1.0},
+        ]}))
+        with pytest.raises(ValueError):
+            load_bench_file(path)
+        assert load_bench_dir(tmp_path) == {"BENCH_old.json": []}
 
     def test_extra_rides_at_top_level_without_breaking_metrics(self):
-        record = bench_record(
-            "x", metrics={"wall_s": 1.0}, context={"scenario": "s"},
-            extra={"failures": ["boom"], "detail": {"a": 1}},
-        )
-        assert record["failures"] == ["boom"]
+        record = _record("x", {"wall_s": 1.0, "ok": True, "note": "text"},
+                         failures=["boom"], detail={"a": 1})
         run = normalize_run("x", record)
-        assert run.metrics == {"wall_s": 1.0}
+        assert run.metrics == {"ok": 1.0, "wall_s": 1.0}
+        assert run.context == {"scenario": "fixture"}
 
 
 class TestDashboard:

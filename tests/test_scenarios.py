@@ -412,6 +412,22 @@ class TestScenarioRunnerCache:
             != scenario_run_spec(spec.scaled(seed=9), policy="online").config_hash()
         )
 
+    def test_every_builtin_runs_then_replays_from_cache(self, tmp_path):
+        """Each registry scenario, shrunk with its cohort structure intact,
+        runs end to end and a re-run serves the same energy from the cache."""
+        runner = self._runner(tmp_path)
+        for name in BUILTIN_SCENARIO_NAMES:
+            spec = get_scenario(name)
+            base = dict(spec.base, num_train_samples=300, num_test_samples=100,
+                        eval_interval_slots=200)
+            spec = spec.scaled(num_users=min(spec.num_users, 8),
+                               total_slots=min(spec.total_slots, 600), base=base)
+            first = runner.run_one(spec, policy="immediate")
+            replay = runner.run_one(spec, policy="immediate")
+            assert not first.from_cache and replay.from_cache, name
+            assert first.num_updates > 0, name
+            assert replay.energy_j == first.energy_j, name
+
     def test_cache_files_exist_on_disk(self, tmp_path):
         runner = self._runner(tmp_path)
         spec = _two_cohort_spec()

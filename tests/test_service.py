@@ -1,20 +1,39 @@
 """Orchestrator + API behaviours around failure and concurrency edges.
 
-The bitwise checkpoint/resume contract lives in ``tests/test_checkpoint.py``
-and the end-to-end kill/resume gate in ``benchmarks/service_smoke.py``;
-this module pins down the service-layer edges: register-only submission,
-corrupt-checkpoint handling, duplicate-execution guards, and the API's
-error envelope.
+The bitwise checkpoint/resume contract lives in ``tests/test_checkpoint.py``;
+this module pins down the service end to end and at its edges: a
+``repro-sim serve`` process killed with ``SIGKILL`` and resumed by
+``repro-sim jobs resume`` in a fresh process (bitwise equal to
+``run_spec``), register-only submission, corrupt-checkpoint handling,
+duplicate-execution guards, submit-time validation (fuzzed: a request is
+refused with a 4xx, never a 500), and the API's error envelope.
 """
 
+import dataclasses
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.runner import RunSpec
+from repro.analysis.runner import RunSpec, run_spec, summarize_result
+from repro.fl.server import AsyncUpdateRule
 from repro.service.api import ServiceAPI
-from repro.service.checkpoint import CHECKPOINT_FORMAT_VERSION
+from repro.service.checkpoint import CHECKPOINT_FORMAT_VERSION, CheckpointStore
+from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.jobs import ExperimentService
+from repro.sim.config import SimulationConfig
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: RunSummary fields that report wall-clock, not simulation state.
+VOLATILE_SUMMARY_KEYS = ("wall_time_s", "timing_shares", "from_cache")
 
 
 def tiny_spec(**overrides) -> RunSpec:
@@ -116,3 +135,202 @@ class TestAPIErrorEnvelope:
         status, payload = api.handle("GET", "/jobs/deadbeef", None)
         assert status == 404
         assert "deadbeef" in payload["error"]
+
+
+#: Any JSON value a client could send (NaN and infinities included).
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+
+#: Config fields holding containers, where a wrong shape hides: drawn as
+#: often as every other field together.
+_STRUCTURED_FIELDS = (
+    "device_mix", "device_names", "app_weights", "hidden_dims", "user_arrivals",
+    "user_wifi", "user_battery_capacity_j", "user_charge_rate_w", "user_data_alpha",
+)
+
+
+def _fuzz_config():
+    """Config overrides: real field names, hostile or plausible values."""
+    fields = st.one_of(
+        st.sampled_from([f.name for f in dataclasses.fields(SimulationConfig)]),
+        st.sampled_from(_STRUCTURED_FIELDS),
+    )
+    devices = st.sampled_from(["pixel2", "nexus6", "hikey970"])
+    values = st.one_of(
+        st.integers(1, 12) | st.sampled_from(["pixel2", "replace"]),
+        st.dictionaries(devices, st.floats(), min_size=1, max_size=2),
+        st.lists(devices, min_size=1, max_size=6),
+        st.lists(st.one_of(devices, st.floats(), st.none()), max_size=6),
+        st.lists(st.fixed_dictionaries({"kind": st.sampled_from(
+            ["bernoulli", "diurnal", "trace", "x"])}, optional={
+                "probability": _json_values, "slots": _json_values}), max_size=6),
+        _json_values,
+    )
+    return st.dictionaries(fields, values, max_size=2)
+
+
+class TestSubmitValidation:
+    """A spec that can only fail at run time is refused at ``POST /jobs``."""
+
+    #: JSON bodies (``NaN`` and ``1e400`` are what a client can send).
+    REFUSED = {
+        "nan-device-mix": '{"spec": {"policy": "online", "config": '
+                          '{"device_mix": {"pixel2": NaN}}}}',
+        "infinite-horizon": '{"spec": {"policy": "online", "config": '
+                            '{"total_slots": 1e400}}}',
+        "unknown-async-rule": '{"spec": {"policy": "online", "config": '
+                              '{"async_rule": "bogus"}}}',
+        "non-catalog-device-names": '{"spec": {"policy": "online", "config": '
+                                    '{"num_users": 5, "device_names": [1, 2, 3, 4, 5]}}}',
+        "non-integer-shards": '{"scenario": "paper-baseline", "shards": "x"}',
+    }
+
+    @pytest.fixture
+    def api(self, tmp_path):
+        service = ExperimentService(tmp_path)
+        service._enqueue = lambda job_id: None  # accepted jobs never run here
+        return ServiceAPI(service)
+
+    @pytest.mark.parametrize("body", sorted(REFUSED))
+    def test_unrunnable_spec_is_a_400(self, api, body):
+        status, payload = api.handle("POST", "/jobs", json.loads(self.REFUSED[body]))
+        assert status == 400, payload
+        assert api.service.list_jobs() == []
+
+    def test_unknown_trace_level_and_policy_are_400s(self, api):
+        for body in (
+            {"scenario": "paper-baseline", "trace_level": "verbose"},
+            {"spec": {"policy": "greedy"}},
+            {"spec": {"policy": "online", "policy_kwargs": {"nope": 1}}},
+        ):
+            assert api.handle("POST", "/jobs", body)[0] == 400, body
+        assert api.service.list_jobs() == []
+
+    def test_named_async_rule_is_accepted(self, api):
+        status, _ = api.handle("POST", "/jobs", {
+            "spec": {"policy": "online", "config": {"async_rule": "replace"}},
+        })
+        assert status == 202
+        assert SimulationConfig(async_rule="replace").async_rule is AsyncUpdateRule.REPLACE
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=st.fixed_dictionaries(
+        {"policy": st.sampled_from(["online", "offline", "immediate", "sync", "x"]),
+         "config": _fuzz_config()},
+        optional={
+            "policy_kwargs": st.dictionaries(
+                st.sampled_from(["v", "staleness_bound", "window_slots"]),
+                _json_values, max_size=2),
+            "shards": _json_values,
+            "trace_level": st.sampled_from(["full", "summary", "off"]) | _json_values,
+            "fast_forward": _json_values,
+        },
+    ))
+    def test_fuzzed_spec_is_never_a_500(self, api, spec):
+        status, payload = api.handle("POST", "/jobs", {"spec": spec})
+        assert status in (202, 400), (status, payload)
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=st.one_of(
+        st.fixed_dictionaries(
+            {"scenario": st.sampled_from(["paper-baseline", "no-such-scenario"])},
+            optional={"shards": _json_values, "trace_level": _json_values,
+                      "policy": _json_values, "label": _json_values},
+        ),
+        st.dictionaries(st.text(max_size=8), _json_values, max_size=3),
+    ))
+    def test_fuzzed_body_is_never_a_500(self, api, body):
+        status, payload = api.handle("POST", "/jobs", body)
+        assert status in (202, 400, 404), (status, payload)
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def _repro_sim(*argv: str) -> list:
+    return [sys.executable, "-m", "repro.cli", *argv]
+
+
+def _subprocess_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def _deterministic(summary: dict) -> dict:
+    return {k: v for k, v in summary.items() if k not in VOLATILE_SUMMARY_KEYS}
+
+
+class TestKillAndResume:
+    """``repro-sim serve`` dies mid-job with no shutdown hook; a fresh
+    ``repro-sim jobs resume`` finishes the job bitwise."""
+
+    EVERY = 120
+
+    def test_sigkill_after_the_third_snapshot_then_resume_is_bitwise(self, tmp_path):
+        spec = RunSpec(policy="online", config=dict(
+            num_users=25, total_slots=3_600, app_arrival_prob=0.01, seed=3,
+            num_train_samples=1_000, num_test_samples=200, hidden_dims=(32,),
+            eval_interval_slots=300, trace_interval_slots=10,
+        ))
+        reference = json.loads(summarize_result(spec, run_spec(spec)).to_json())
+
+        port = _free_port()
+        server = subprocess.Popen(
+            _repro_sim("serve", "--root", str(tmp_path), "--port", str(port),
+                       "--workers", "1", "--checkpoint-every", str(self.EVERY),
+                       "--keep-last", "2"),
+            env=_subprocess_env(), cwd=str(REPO),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            client = ServiceClient(f"127.0.0.1:{port}", retry=None)
+            deadline = time.monotonic() + 60.0
+            while True:
+                try:
+                    assert client.health()["ok"]
+                    break
+                except ServiceUnavailable:
+                    assert time.monotonic() < deadline, "server never came up"
+                    time.sleep(0.05)
+            job_id = client.submit({"spec": dataclasses.asdict(spec)})["id"]
+            assert job_id == spec.config_hash()
+            while True:
+                telemetry = client.telemetry(job_id)
+                assert telemetry["state"] in ("queued", "running"), telemetry
+                if telemetry["slot"] >= 3 * self.EVERY:
+                    break
+                time.sleep(0.02)
+            server.send_signal(signal.SIGKILL)  # no shutdown hook: a machine loss
+        finally:
+            if server.poll() is None:
+                server.kill()
+            server.wait(timeout=30)
+
+        store = CheckpointStore(tmp_path / "jobs" / job_id / "checkpoint")
+        retained = store.retained_slots()
+        assert len(retained) == 2 and retained[-1] >= 3 * self.EVERY
+        assert retained[-1] < spec.build_config().total_slots
+
+        resumed = subprocess.run(
+            _repro_sim("jobs", "resume", job_id, "--root", str(tmp_path),
+                       "--checkpoint-every", str(self.EVERY)),
+            env=_subprocess_env(), cwd=str(REPO), capture_output=True,
+            text=True, timeout=300,
+        )
+        assert resumed.returncode == 0, resumed.stderr[-2000:]
+        result = json.loads((tmp_path / "jobs" / job_id / "result.json").read_text())
+        assert _deterministic(result) == _deterministic(reference)
