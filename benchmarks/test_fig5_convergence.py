@@ -111,7 +111,7 @@ def test_fig5c_time_to_accuracy(benchmark, bench_scale, bench_jobs):
     rows = []
     for scheme, per_target in table.items():
         for target, times in per_target.items():
-            rows.append([scheme, target, times[0]])
+            rows.append([scheme, f"{target:.2f}", times[0]])
     print_artifact(
         "Fig. 5(c) — wall-clock time (s) to reach accuracy objectives "
         "('-' = never reached within the horizon)",

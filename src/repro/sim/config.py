@@ -153,14 +153,14 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.slot_seconds <= 0:
-            raise ValueError("slot_seconds must be positive")
+        if not (math.isfinite(self.slot_seconds) and self.slot_seconds > 0):
+            raise ValueError("slot_seconds must be finite and positive")
         if not 0.0 <= self.app_arrival_prob <= 1.0:
             raise ValueError("app_arrival_prob must be in [0, 1]")
         if self.eval_interval_slots <= 0 or self.trace_interval_slots <= 0:
             raise ValueError("evaluation and trace intervals must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError("epsilon must be finite and non-negative")
         # A JSON spec names the rule by its value ("replace"); anything that
         # names no rule is refused here, not at the first upload.
         try:
@@ -171,12 +171,13 @@ class SimulationConfig:
                 f"got {self.async_rule!r}"
             ) from None
         self._validate_device_names()
-        if self.battery_capacity_j is not None and self.battery_capacity_j <= 0:
-            raise ValueError("battery_capacity_j must be positive when set")
+        capacity = self.battery_capacity_j
+        if capacity is not None and not (math.isfinite(capacity) and capacity > 0):
+            raise ValueError("battery_capacity_j must be finite and positive when set")
         if not 0.0 <= self.min_battery_soc <= 1.0:
             raise ValueError("min_battery_soc must be within [0, 1]")
-        if self.battery_charge_rate_w < 0:
-            raise ValueError("battery_charge_rate_w must be non-negative")
+        if not (math.isfinite(self.battery_charge_rate_w) and self.battery_charge_rate_w >= 0):
+            raise ValueError("battery_charge_rate_w must be finite and non-negative")
         self._validate_device_mix()
         self._validate_app_weights()
         self._validate_per_user_fields()
@@ -259,13 +260,16 @@ class SimulationConfig:
                         f"user_arrivals[{user}] is invalid: {error}"
                     ) from None
         if self.user_battery_capacity_j is not None and any(
-            c is not None and c <= 0 for c in self.user_battery_capacity_j
+            c is not None and not (math.isfinite(c) and c > 0)
+            for c in self.user_battery_capacity_j
         ):
-            raise ValueError("user_battery_capacity_j entries must be positive or None")
+            raise ValueError(
+                "user_battery_capacity_j entries must be finite and positive, or None"
+            )
         if self.user_charge_rate_w is not None and any(
-            r < 0 for r in self.user_charge_rate_w
+            not (math.isfinite(r) and r >= 0) for r in self.user_charge_rate_w
         ):
-            raise ValueError("user_charge_rate_w entries must be non-negative")
+            raise ValueError("user_charge_rate_w entries must be finite and non-negative")
         if self.user_data_alpha is not None and any(
             a is not None and a <= 0 for a in self.user_data_alpha
         ):

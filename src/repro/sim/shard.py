@@ -187,13 +187,14 @@ class SlotExecReply:
         tick_user_totals: per-user cumulative totals at the tick, shipped
             only under multi-shard full tracing so the coordinator can fold
             the global total in user order.
-        next_ready: size of the shard's ready pool entering the next slot.
+        next_ready: size of the shard's ready pool entering the next slot,
+            re-armed finishers not counted.
         spec_open: piggybacked ``open_slot(slot + 1)`` reply, produced when
-            the coordinator allowed speculation and the shard has ready
-            users (so the global fast-forward gate cannot fire).  Saves one
-            round trip per shard per slot; the coordinator posts an
-            explicit ``open_slot`` only when new arrivals land on the
-            shard (the worker then merges them idempotently).
+            the shard re-armed finishers or was allowed to speculate on its
+            ready users (see :meth:`FleetShard.run_slot`).  It saves the
+            shard's open round trip of the next slot; an explicit
+            ``open_slot`` follows only for arrivals the shard did not
+            re-arm (sync-round releases, merged idempotently).
     """
 
     finished: List[Tuple[int, LocalUpdate]]
@@ -205,10 +206,16 @@ class SlotExecReply:
 
 @dataclass
 class QuietTryReply:
-    """Shard reply to ``quiet_try``: how far it could advance, uncommitted."""
+    """Shard reply to ``quiet_try``: how far it could advance, uncommitted.
+
+    ``spec_open`` is the slot's ``open_slot`` reply, produced when the
+    coordinator allowed speculation and the shard advanced nothing: the
+    global count is then zero, so the slot path runs this slot next.
+    """
 
     advanced: int
     num_training: int
+    spec_open: Optional[SlotOpenReply] = None
 
 
 @dataclass
@@ -341,8 +348,14 @@ class FleetShard:
         # Profiling only; training seconds are reported, never checkpointed.
         self.timers = timers if timers is not None else EngineTimers(enabled=True)  # reprolint: static
         # Uncommitted quiet-region try state; checkpoints happen only at slot
-        # boundaries, where every try has been committed or rolled back.
+        # boundaries, where every try has been committed or rolled back.  A
+        # try the coordinator settles on zero slots gets no commit: the
+        # shard's next slot-stage request rolls it back.
         self._quiet_stash: Optional[tuple] = None  # reprolint: static
+        # Slice-local ids of the finishers the last ``run_slot`` re-armed,
+        # whose base is a placeholder until the next ``run_slot`` request
+        # carries the coordinator's download.
+        self._awaiting_download: List[int] = []
         # Highest slot whose application churn already ran — makes
         # ``open_slot`` idempotent so the speculative open piggybacked on
         # ``run_slot`` composes with a later arrival-merging open of the
@@ -416,15 +429,20 @@ class FleetShard:
         the one-shot call would have produced, since ``begin_slot_apps``
         precedes ``make_ready`` either way and neither touches the other's
         state.
+
+        ``version is None`` with ``arriving`` non-empty re-arms finishers
+        (only :meth:`run_slot` does that): they join the ready pool on a
+        placeholder base that the next ``run_slot`` request replaces.
         """
+        self._drop_quiet_stash()
         fleet = self.fleet
         if self._opened_slot < slot:
             fleet.begin_slot_apps(slot)
             self._opened_slot = slot
+        if len(arriving) and version is None:
+            self._awaiting_download = [user - self.lo for user in arriving]
+            version = -1
         for user in arriving:
-            # arriving is non-empty only when the coordinator performed the
-            # downloads, so the version/params pair is always present here.
-            assert version is not None and params is not None
             fleet.make_ready(user - self.lo, version, params)
         users_local = fleet.ready_users()
         payload = fleet.ready_payload(users_local)
@@ -441,10 +459,35 @@ class FleetShard:
         want_tick: bool,
         capture_users: bool,
         speculate: bool = False,
+        rearm: bool = False,
+        download: Optional[Tuple[int, np.ndarray]] = None,
     ) -> SlotExecReply:
-        """Steps 2b–3: apply decisions, advance the slice, train finishers."""
+        """Steps 2b–3: apply decisions, advance the slice, train finishers.
+
+        ``speculate`` lets a shard with ready users open ``slot + 1`` in
+        this round trip.  ``rearm`` (asynchronous aggregation: finishers
+        re-arrive next slot) re-readies this slot's finishers in that
+        open, which then runs even without ``speculate`` — their pending
+        arrival keeps the next slot off the fast-forward path.  Their
+        download is the coordinator's, made next slot in global order; it
+        arrives as the next call's ``download`` and is pinned first.  That
+        is exact because a base is read only when a job completes or a
+        snapshot is taken, both later.
+        """
+        self._drop_quiet_stash()
         fleet = self.fleet
         lo = self.lo
+        if self._awaiting_download:
+            if download is None:
+                raise RuntimeError(
+                    f"run_slot({slot}) without the download of re-armed users "
+                    f"{[user + lo for user in self._awaiting_download]}"
+                )
+            version, params = download
+            for local in self._awaiting_download:
+                fleet.base_version[local] = version
+                fleet.base_params[local] = params
+            self._awaiting_download = []
         if len(scheduled):
             fleet.start_training(np.asarray(scheduled, dtype=np.int64) - lo)
         # Per-slot scratch owned by the fleet; advance() only reads it.
@@ -482,15 +525,14 @@ class FleetShard:
             if capture_users:
                 tick_user_totals = user_totals
         next_ready = len(fleet.ready_users())
+        rearmed = [user for user, _ in finished] if rearm else []
         spec_open = None
-        if speculate and next_ready > 0:
-            # With ready users here the coordinator's fast-forward gate
-            # (``global_ready == 0``) cannot fire, so the next protocol
-            # step for this shard is ``open_slot(slot + 1)`` — run it now
-            # and save the round trip.  ``begin_slot_apps`` never changes
-            # ready eligibility, so ``next_ready`` keeps its pre-open
-            # meaning.
-            spec_open = self.open_slot(slot + 1, (), None, None)
+        if rearmed or (speculate and next_ready > 0):
+            # Either way the next protocol step for this shard is
+            # ``open_slot(slot + 1)`` — run it now and save the round trip.
+            # ``begin_slot_apps`` never changes ready eligibility, so
+            # ``next_ready`` keeps its pre-open meaning.
+            spec_open = self.open_slot(slot + 1, rearmed, None, None)
         return SlotExecReply(
             finished=finished,
             tick_total=tick_total,
@@ -509,6 +551,7 @@ class FleetShard:
         two_phase: bool = True,
         limit: Optional[int] = None,
         idle: Sequence[int] = (),
+        speculate: bool = False,
     ) -> QuietTryReply:
         """Phase 1: advance the quiet region up to this shard's own bound.
 
@@ -528,45 +571,75 @@ class FleetShard:
         ``limit`` additionally caps the advance (the checkpointer uses it to
         stop a region at the next checkpoint boundary); quiet regions are
         split-exact at any slot boundary, so the cap is bitwise-free.
+
+        A global count of zero is never committed: the shard's next
+        slot-stage request rolls the try back.  With ``speculate``, a shard
+        that advanced nothing knows that count is zero and opens ``slot``
+        in this reply (:attr:`QuietTryReply.spec_open`).
         """
+        self._require_downloads("quiet_try")
+        self._drop_quiet_stash()
         fleet = self.fleet
-        self._quiet_stash = None
         num_training = int(fleet.training_active.sum())
         ready = fleet.ready_users()
-        if len(ready) != len(idle) or (len(ready) and (ready != np.asarray(idle) - self.lo).any()):
-            return QuietTryReply(advanced=0, num_training=num_training)
-        horizon = fleet.quiet_horizon(slot, self.config.total_slots)
-        if limit is not None:
-            horizon = min(horizon, limit)
-        if horizon <= 0:
-            return QuietTryReply(advanced=0, num_training=num_training)
-        interval = self.config.trace_interval_slots if want_ticks else None
-        snapshot = fleet.quiet_snapshot() if two_phase else None
-        advanced, offsets, totals, user_totals = fleet.advance_quiet(
-            slot, horizon, interval, capture_users, ready
+        horizon = 0
+        if len(ready) == len(idle) and not (
+            len(ready) and (ready != np.asarray(idle) - self.lo).any()
+        ):
+            horizon = fleet.quiet_horizon(slot, self.config.total_slots)
+            if limit is not None:
+                horizon = min(horizon, limit)
+        advanced = 0
+        if horizon > 0:
+            interval = self.config.trace_interval_slots if want_ticks else None
+            snapshot = fleet.quiet_snapshot() if two_phase else None
+            advanced, offsets, totals, user_totals = fleet.advance_quiet(
+                slot, horizon, interval, capture_users, ready
+            )
+            self._quiet_stash = (
+                slot,
+                snapshot,
+                advanced,
+                offsets,
+                totals,
+                user_totals,
+                interval,
+                capture_users,
+                ready,
+            )
+        spec_open = None
+        if speculate and advanced == 0:
+            spec_open = self.open_slot(slot, (), None, None)
+        return QuietTryReply(
+            advanced=advanced, num_training=num_training, spec_open=spec_open
         )
-        self._quiet_stash = (
-            slot,
-            snapshot,
-            advanced,
-            offsets,
-            totals,
-            user_totals,
-            interval,
-            capture_users,
-            ready,
-        )
-        return QuietTryReply(advanced=advanced, num_training=num_training)
+
+    def _drop_quiet_stash(self) -> None:
+        """Roll back a try the coordinator settled on zero slots (a
+        single-phase try is never cut short: its own count is the global one)."""
+        stash, self._quiet_stash = self._quiet_stash, None
+        if stash is not None and stash[2] > 0:
+            self.fleet.quiet_restore(stash[1])
+
+    def _require_downloads(self, method: str) -> None:
+        """Refuse ``method`` while a re-armed finisher's base is a placeholder."""
+        if self._awaiting_download:
+            raise RuntimeError(
+                f"{method} while re-armed users "
+                f"{[user + self.lo for user in self._awaiting_download]} "
+                "await their download"
+            )
 
     def quiet_commit(self, count: int) -> QuietCommitReply:
-        """Phase 2: settle on the globally-agreed advance count."""
+        """Phase 2: settle on the globally-agreed advance count.
+
+        ``count`` is positive (a zero count is never posted, see
+        :meth:`quiet_try`) and at most this shard's own try.
+        """
         fleet = self.fleet
-        stash = self._quiet_stash
-        self._quiet_stash = None
-        if stash is None:
-            if count != 0:
-                raise RuntimeError("quiet_commit without a pending quiet_try")
-            return QuietCommitReply([], [], None, len(fleet.ready_users()))
+        stash, self._quiet_stash = self._quiet_stash, None
+        if stash is None or count <= 0:
+            raise RuntimeError(f"quiet_commit({count}) without a pending quiet_try")
         slot, snapshot, advanced, offsets, totals, user_totals, interval, capture, idle = stash
         if count != advanced:
             if snapshot is None:  # single-phase try can never be cut short
@@ -574,16 +647,13 @@ class FleetShard:
                     f"quiet_commit({count}) after a single-phase try of {advanced}"
                 )
             fleet.quiet_restore(snapshot)
-            offsets, totals = [], []
-            user_totals = [] if capture else None
-            if count > 0:
-                redone, offsets, totals, user_totals = fleet.advance_quiet(
-                    slot, count, interval, capture, idle
+            redone, offsets, totals, user_totals = fleet.advance_quiet(
+                slot, count, interval, capture, idle
+            )
+            if redone != count:  # count <= the shard's own stop bound
+                raise RuntimeError(
+                    f"quiet region re-advance made {redone} slots, wanted {count}"
                 )
-                if redone != count:  # count <= the shard's own stop bound
-                    raise RuntimeError(
-                        f"quiet region re-advance made {redone} slots, wanted {count}"
-                    )
         return QuietCommitReply(
             tick_offsets=offsets,
             tick_totals=totals,
@@ -608,6 +678,7 @@ class FleetShard:
         costs nothing for users that do not train while it is alive, and
         ``(user, rounds_completed)`` names a vector's content for good.
         """
+        self._require_downloads("checkpoint_state")
         return {
             "lo": self.lo,
             "hi": self.hi,
@@ -642,6 +713,7 @@ class FleetShard:
         # opened (speculation is suppressed there), so the restored shard
         # must run the churn on its first open_slot.
         self._opened_slot = -1
+        self._awaiting_download = []
         for client, client_state, velocity in zip(
             self.clients, state["clients"], state["velocities"]
         ):
@@ -657,6 +729,7 @@ class FleetShard:
 
     def finalize(self) -> ShardFinal:
         """Collect the shard's end-of-run state for the merged result."""
+        self._require_downloads("finalize")
         return ShardFinal(
             accountant=self.fleet.accountant,
             final_battery_soc=self.fleet.final_battery_soc(),
@@ -1054,8 +1127,8 @@ def drive_fleet_loop(
     # splitting ascending decision arrays along shard ownership.
     shard_his = np.asarray([hi for _, hi in bounds[:-1]], dtype=np.int64)
     #: Per-shard speculative ``open_slot`` replies piggybacked on the last
-    #: ``run_slot`` round; consumed (or superseded by an arrival-merging
-    #: explicit open) at the top of the next slot.
+    #: ``run_slot`` round or on a zero-advance ``quiet_try``; consumed (or
+    #: superseded by an arrival-merging explicit open) at the next open.
     spec_opens: List[Optional[SlotOpenReply]] = [None] * num_shards
     #: Whether the policy can certify ready users idle (``idle_slots``).  Not
     #: with one process shard: its batch columns are views over the reply slab.
@@ -1104,11 +1177,12 @@ def drive_fleet_loop(
                     )
                     region = (idle_batch, forecast, pools)
             if global_ready == 0 or region is not None:
-                advanced, global_ready = _fast_forward_epoch(
+                advanced, ready_after, spec_opens = _fast_forward_epoch(
                     core, handles, config, timers, want_trace, capture_users, slot,
                     num_shards, limit, region,
                 )
                 if advanced:
+                    global_ready = ready_after
                     if region is not None and advanced == span:
                         idle_chunk = min(2 * idle_chunk, max_chunk)
                     slot += advanced
@@ -1123,14 +1197,21 @@ def drive_fleet_loop(
         num_arrivals = len(pending_arrivals)
         pending_arrivals = []
         posted = [False] * num_shards
+        #: Per shard, the download its re-armed finishers await (rides ``run_slot``).
+        downloads: List[Optional[Tuple[int, np.ndarray]]] = [None] * num_shards
         for index, (handle, arriving) in enumerate(zip(handles, arriving_by_shard)):
-            if spec_opens[index] is not None and not arriving:
-                continue  # the piggybacked open already covers this shard
             version = params = None
             if arriving:
                 coupling_tick = timers.start()
                 version, params = core.record_download(arriving, time_s)
                 timers.stop("coupling", coupling_tick)
+            if spec_opens[index] is not None and (not arriving or not sync_mode):
+                # The piggybacked open already covers this shard.  Under
+                # asynchronous aggregation its arrivals are exactly its own
+                # last-slot finishers, which that open re-armed.
+                if arriving:
+                    downloads[index] = (version, params)
+                continue
             handle.post("open_slot", slot, arriving, version, params)
             posted[index] = True
         open_replies = [
@@ -1212,21 +1293,24 @@ def drive_fleet_loop(
         # round shard-side and the uploads are applied here in ascending
         # global user order.
         tick_wanted = want_trace and slot % config.trace_interval_slots == 0
-        # Shards with ready users may open the next slot inside this same
-        # round trip — except across a checkpoint boundary, where the
-        # snapshot must capture a uniform not-yet-opened state, and before
-        # a slot the policy may certify idle (its region opens nothing).
+        # Process shards may open the next slot inside this same round trip
+        # — except across a checkpoint boundary, where the snapshot must
+        # capture a uniform not-yet-opened state.  A shard with finishers
+        # re-arms them in that open under asynchronous aggregation (their
+        # arrival keeps the next slot off the fast-forward path); on ready
+        # users alone it opens only if the policy cannot certify the next
+        # slot idle (a region opens nothing).
         idle_batch = batch if certifies and total_ready and not num_scheduled else None
         idle_chunk = min(_IDLE_CHUNK, max_chunk)
-        speculate = (
-            slot + 1 < total_slots
-            and idle_batch is None
-            and not (checkpointer is not None and checkpointer.due(slot + 1))
+        open_ahead = slot + 1 < total_slots and not (
+            checkpointer is not None and checkpointer.due(slot + 1)
         )
-        for handle, scheduled, idle in zip(handles, scheduled_by_shard, idle_by_shard):
+        for index, handle in enumerate(handles):
+            ahead = open_ahead and handle.piggyback_open
             handle.post(
-                "run_slot", slot, scheduled, idle, tick_wanted, capture_users,
-                speculate and handle.piggyback_open,
+                "run_slot", slot, scheduled_by_shard[index], idle_by_shard[index],
+                tick_wanted, capture_users, ahead and idle_batch is None,
+                ahead and not sync_mode, downloads[index],
             )
         exec_replies = [handle.wait() for handle in handles]
         spec_opens = [reply.spec_open for reply in exec_replies]
@@ -1300,7 +1384,7 @@ def _fast_forward_epoch(
     num_shards: int,
     limit: Optional[int] = None,
     idle: Optional[Tuple[ObservationBatch, IdleForecast, List[np.ndarray]]] = None,
-) -> Tuple[int, int]:
+) -> Tuple[int, int, List[Optional[SlotOpenReply]]]:
     """Advance all shards through the quiet slots starting at ``slot``.
 
     A region is **quiet** (``idle is None``: nobody is ready) or **certified
@@ -1308,9 +1392,12 @@ def _fast_forward_epoch(
     which the policy's :meth:`~SchedulingPolicy.idle_slots` certified idle
     for ``limit`` slots of ``forecast``, split per shard in ``pools``).
 
-    Returns ``(advanced, global_ready)``.  ``advanced == 0`` means some
-    shard has an event due this slot and the caller falls through to the
-    normal slot path.  The global advance is the minimum of the per-shard
+    Returns ``(advanced, global_ready, spec_opens)``.  ``advanced == 0``
+    means some shard has an event due this slot and the caller falls through
+    to the normal slot path: nothing is committed (each shard rolls its try
+    back at its next request), ``global_ready`` is meaningless, and
+    ``spec_opens`` holds the slot's opens of the process shards that
+    advanced nothing.  The global advance is the minimum of the per-shard
     bounds (each shard's event horizon, battery flips included), committed
     in lock-step via the shards' two-phase try/commit; the coordinator then
     backfills, per slot, what the slot path would have written: the idle
@@ -1325,16 +1412,19 @@ def _fast_forward_epoch(
     two_phase = num_shards > 1
     pools: Sequence[Sequence[int]] = idle[2] if idle is not None else [()] * num_shards
     for handle, pool in zip(handles, pools):
-        handle.post("quiet_try", slot, want_trace, capture_users, two_phase, limit, pool)
+        handle.post(
+            "quiet_try", slot, want_trace, capture_users, two_phase, limit, pool,
+            handle.piggyback_open,
+        )
     tries = [handle.wait() for handle in handles]
     advanced = min(reply.advanced for reply in tries)
+    if advanced == 0:
+        return 0, -1, [reply.spec_open for reply in tries]
     num_training = sum(reply.num_training for reply in tries)
     for handle in handles:
         handle.post("quiet_commit", advanced)
     commits = [handle.wait() for handle in handles]
     global_ready = sum(reply.next_ready for reply in commits)
-    if advanced <= 0:
-        return 0, global_ready
 
     policy = core.policy
     tick_offsets = commits[0].tick_offsets
@@ -1451,7 +1541,7 @@ def _fast_forward_epoch(
         first = interval
     for eval_slot in range(first, slot + advanced, interval):
         core.evaluate(eval_slot)
-    return advanced, global_ready
+    return advanced, global_ready, [None] * num_shards
 
 
 # ---------------------------------------------------------------------------

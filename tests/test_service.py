@@ -184,6 +184,10 @@ class TestSubmitValidation:
                           '{"device_mix": {"pixel2": NaN}}}}',
         "infinite-horizon": '{"spec": {"policy": "online", "config": '
                             '{"total_slots": 1e400}}}',
+        "nan-slot-seconds": '{"spec": {"policy": "online", "config": '
+                            '{"slot_seconds": NaN}}}',
+        "infinite-battery": '{"spec": {"policy": "online", "config": '
+                            '{"battery_capacity_j": 1e400}}}',
         "unknown-async-rule": '{"spec": {"policy": "online", "config": '
                               '{"async_rule": "bogus"}}}',
         "non-catalog-device-names": '{"spec": {"policy": "online", "config": '

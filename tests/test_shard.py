@@ -33,7 +33,14 @@ from repro.sim.arrivals import (
 )
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
-from repro.sim.shard import ShardedEngine, shard_bounds
+from repro.sim.shard import (
+    FleetShard,
+    ProcessShardHandle,
+    QuietTryReply,
+    ShardedEngine,
+    SlotExecReply,
+    shard_bounds,
+)
 
 from oracle import dense_arrival_schedule
 
@@ -297,6 +304,153 @@ class TestProfileShares:
             assert len(worker_training) == 2 and min(worker_training) > 0.0
         else:
             assert shares["training"] > 0.0 and worker_training == []
+
+
+class TestRoundTrips:
+    """One round trip per shard per executed slot, counted without a clock.
+
+    Under asynchronous aggregation a finisher re-arrives the next slot;
+    ``run_slot`` re-arms it inside its speculative open and the download
+    rides the next ``run_slot`` request, so no ``open_slot`` is ever sent
+    just for a shard's own finishers.  A fast-forward try that the shards
+    settle on zero slots is never committed.
+    """
+
+    def _config(self) -> SimulationConfig:
+        return SimulationConfig(
+            num_users=12,
+            total_slots=260,
+            app_arrival_prob=0.01,
+            seed=3,
+            num_train_samples=240,
+            num_test_samples=120,
+            eval_interval_slots=130,
+            trace_interval_slots=20,
+        )
+
+    def _counted_run(self, monkeypatch, make_policy):
+        """A 2-process-shard run with every post and reply recorded per handle."""
+        posts = []  # (handle id, method, args)
+        replies = []  # (handle id, reply)
+        post, wait = ProcessShardHandle.post, ProcessShardHandle.wait
+
+        def counted_post(self, method, *args):
+            posts.append((id(self), method, args))
+            post(self, method, *args)
+
+        def counted_wait(self):
+            reply = wait(self)
+            replies.append((id(self), reply))
+            return reply
+
+        monkeypatch.setattr(ProcessShardHandle, "post", counted_post)
+        monkeypatch.setattr(ProcessShardHandle, "wait", counted_wait)
+        config = self._config()
+        sharded = ShardedEngine(config, make_policy(), shards=2).run()
+        single = SimulationEngine(config, make_policy()).run()
+        assert _observables(sharded, config.num_users) == _observables(
+            single, config.num_users
+        )
+        return posts, replies
+
+    @staticmethod
+    def _own_finisher_opens(posts, replies):
+        """``open_slot`` posts whose arrivals are the shard's last finishers."""
+        finished = {}  # handle id -> users its last run_slot finished
+        events = iter(replies)
+        opens = []
+        for handle, method, args in posts:
+            if method == "open_slot" and len(args[1]):
+                if list(args[1]) == finished.get(handle):
+                    opens.append(args[0])
+            owner, reply = next(events)  # one reply per post, in order
+            assert owner == handle
+            if isinstance(reply, SlotExecReply):
+                finished[handle] = [user for user, _ in reply.finished]
+        return opens
+
+    @staticmethod
+    def _zero_commits(posts):
+        return [args for _, method, args in posts if method == "quiet_commit" and args[0] == 0]
+
+    def test_async_finishers_re_arm_and_zero_tries_need_no_commit(self, monkeypatch):
+        posts, replies = self._counted_run(monkeypatch, lambda: OnlinePolicy(v=4000.0))
+        assert self._own_finisher_opens(posts, replies) == []
+        assert self._zero_commits(posts) == []
+        # The run exercised both paths: finishers re-armed, tries settled on 0.
+        rearmed = [
+            reply for _, reply in replies
+            if isinstance(reply, SlotExecReply) and reply.finished and reply.spec_open
+        ]
+        zero_tries = [
+            reply for _, reply in replies
+            if isinstance(reply, QuietTryReply) and reply.advanced == 0
+        ]
+        assert rearmed and zero_tries
+        assert any(reply.spec_open is not None for reply in zero_tries)
+        downloads = [args[7] for _, method, args in posts if method == "run_slot" and args[7]]
+        assert len(downloads) == len(rearmed)
+
+    def test_sync_rounds_keep_the_explicit_open(self, monkeypatch):
+        posts, _ = self._counted_run(monkeypatch, SyncPolicy)
+        run_slots = [args for _, method, args in posts if method == "run_slot"]
+        assert run_slots and not any(args[6] or args[7] for args in run_slots)
+        # Released users arrive through explicit opens carrying their download.
+        assert any(
+            len(args[1]) and args[2] is not None
+            for _, method, args in posts
+            if method == "open_slot" and args[0] > 0
+        )
+        assert self._zero_commits(posts) == []
+
+
+class TestPendingDownload:
+    """A re-armed finisher's base is a placeholder until ``run_slot`` pins it."""
+
+    def test_snapshot_refused_until_the_download_lands(self):
+        config = SimulationConfig(
+            num_users=4,
+            total_slots=200,
+            app_arrival_prob=0.0,
+            seed=0,
+            num_train_samples=80,
+            num_test_samples=40,
+            hidden_dims=(8,),
+        )
+        coordinator = SimulationEngine(config, ImmediatePolicy())
+        shard = FleetShard.build(
+            config, 1, 4, coordinator.arrivals.slice_users(1, 4), None
+        )
+        params = coordinator.server.global_params()
+        opened = shard.open_slot(0, [1, 2, 3], 0, params)
+        scheduled = opened.payload.users.tolist()
+        assert scheduled == [1, 2, 3]
+        slot, reply = 0, None
+        while True:  # run slots, re-arming, until the first finisher
+            reply = shard.run_slot(slot, scheduled, [], False, False, False, True)
+            scheduled = []
+            if reply.finished:
+                break
+            assert reply.spec_open is None  # nothing to re-arm, no ready user
+            slot += 1
+            shard.open_slot(slot, [], None, None)
+        rearmed = [user for user, _ in reply.finished]
+        assert reply.spec_open is not None
+        assert reply.spec_open.payload.users.tolist() == rearmed  # ready next slot
+        for method, args in (
+            ("checkpoint_state", ()),
+            ("quiet_try", (slot + 1, False, False)),
+            ("finalize", ()),
+            ("run_slot", (slot + 1, [], [], False, False)),
+        ):
+            with pytest.raises(RuntimeError, match="re-armed users"):
+                getattr(shard, method)(*args)
+        download = (7, params.copy())
+        shard.run_slot(slot + 1, [], rearmed, False, False, False, True, download)
+        for user in rearmed:
+            assert shard.fleet.base_version[user - 1] == 7
+            assert shard.fleet.base_params[user - 1] is download[1]
+        assert shard.checkpoint_state()["fleet"]["base_version"].tolist().count(7) == len(rearmed)
 
 
 class TestSyncQuorumAcrossShards:

@@ -1,6 +1,7 @@
 """Tests for the simulation components: RNG, config, arrivals and traces."""
 
 import dataclasses
+import math
 import pickle
 import time
 from types import SimpleNamespace
@@ -74,6 +75,21 @@ class TestSimulationConfig:
             SimulationConfig(device_names=["pixel2"], num_users=2)
         with pytest.raises(ValueError):
             SimulationConfig(epsilon=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["slot_seconds", "epsilon", "battery_capacity_j", "battery_charge_rate_w"],
+    )
+    def test_non_finite_scalars_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimulationConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["user_battery_capacity_j", "user_charge_rate_w"])
+    def test_non_finite_per_user_entries_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} entries must be finite"):
+            SimulationConfig(num_users=2, **{field: [1.0, value]})
 
 
 class TestArrivalProcesses:
