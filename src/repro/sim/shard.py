@@ -179,6 +179,13 @@ class SlotOpenReply:
 class SlotExecReply:
     """Shard reply to ``run_slot``.
 
+    Pickled (only by a process shard) in a packed form: the uploads travel
+    as one ``(k, 6)`` float64 meta matrix and one ``(k, P)`` delta block
+    (plus a params block when the merge rule needs absolute vectors), so
+    every block above the shm plane's inline cut goes out-of-band through
+    the mailbox slab instead of ``k`` small in-band arrays.  The receiver's
+    updates are row views of the block it decoded.
+
     Attributes:
         finished: ``(user, update)`` per training completion, ascending
             user order (global ids).
@@ -202,6 +209,55 @@ class SlotExecReply:
     tick_user_totals: Optional[np.ndarray]
     next_ready: int
     spec_open: Optional[SlotOpenReply] = None
+
+    def __reduce__(self):
+        # Every integer of the meta matrix (user, version, samples, batches)
+        # is far below 2**53, so the float64 round trip is exact.
+        updates = [update for _, update in self.finished]
+        meta = np.array(
+            [
+                (u.user_id, u.base_version, u.num_samples, u.num_batches, u.train_loss, u.momentum_norm)
+                for u in updates
+            ],
+            dtype=np.float64,
+        )
+        deltas = params = None
+        if updates:
+            deltas = np.stack([u.delta for u in updates])
+            if updates[0].params is not None:  # one merge rule per run
+                params = np.stack([u.params for u in updates])
+        return (
+            _restore_slot_exec_reply,
+            (meta, deltas, params, self.tick_total, self.tick_user_totals,
+             self.next_ready, self.spec_open),
+        )
+
+
+def _restore_slot_exec_reply(
+    meta: np.ndarray,
+    deltas: Optional[np.ndarray],
+    params: Optional[np.ndarray],
+    tick_total: Optional[float],
+    tick_user_totals: Optional[np.ndarray],
+    next_ready: int,
+    spec_open: Optional[SlotOpenReply],
+) -> SlotExecReply:
+    """Rebuild a :class:`SlotExecReply` from its packed pickle form."""
+    finished = []
+    for row, (user, version, samples, batches, loss, norm) in enumerate(meta.tolist()):
+        user = int(user)
+        update = LocalUpdate(
+            user_id=user,
+            delta=deltas[row],
+            base_version=int(version),
+            num_samples=int(samples),
+            train_loss=loss,
+            momentum_norm=norm,
+            num_batches=int(batches),
+            params=None if params is None else params[row],
+        )
+        finished.append((user, update))
+    return SlotExecReply(finished, tick_total, tick_user_totals, next_ready, spec_open)
 
 
 @dataclass
@@ -773,8 +829,9 @@ _SLOT_METHODS = ("open_slot", "run_slot", "quiet_try")
 
 #: Replies the coordinator consumes before the same shard's next exchange,
 #: so their array payloads may stay zero-copy views over the mailbox slab.
-#: Everything else is copied on receive: ``run_slot`` uploads outlive the
-#: slot in ``CouplingCore.sync_buffer``, ``checkpoint_state`` dicts feed
+#: Everything else is copied on receive: a ``run_slot`` reply's upload
+#: block is copied once and its rows, the updates, outlive the slot in
+#: ``CouplingCore.sync_buffer``; ``checkpoint_state`` dicts feed
 #: snapshots, and ``finalize`` accountants survive segment teardown.
 _ZERO_COPY_REPLIES = frozenset({"open_slot", "quiet_try", "quiet_commit"})
 
@@ -817,9 +874,11 @@ def _mailbox_bytes(num_users: int, param_bytes: int) -> Tuple[int, int]:
 
     Requests carry at most one parameter vector per slot (the shared
     download) plus small decision lists; replies carry the ready-pool
-    columns (~100 B/user), the per-user tick vector, and upload deltas —
-    in the worst slot every user of the shard finishes at once, each with
-    a delta and possibly an absolute vector.  Sized for that worst slot but
+    columns (~100 B/user), the per-user tick vector, and the slot's upload
+    block (:class:`SlotExecReply`: a 48 B meta row per finisher, a delta
+    block and, under a params-carrying merge rule, a params block) — in
+    the worst slot every user of the shard finishes at once, each with a
+    delta row and possibly an absolute row.  Sized for that worst slot but
     capped (a 1M-user shard would otherwise pin gigabytes of ``/dev/shm``);
     anything larger spills to a plain pickled frame, which is a per-slot
     slowdown, never an error.  Tests monkeypatch this to force the spill

@@ -30,7 +30,8 @@ element for element and type for type.
 the slot blocks (ISSUE 24): a dict rescan per lag estimate
 (:func:`frozen_coupled_lag`), a materialised ``DeviceObservation`` and a
 scalar ``decide`` per repaired scheduler, one registration and one gap per
-scheduled user.  :func:`run_digest` is every simulated statistic of a run.
+scheduled user.  :func:`run_digest` is every simulated statistic of a run,
+:func:`upload_bits` every field of one upload.
 """
 
 from __future__ import annotations
@@ -583,3 +584,18 @@ def run_digest(result) -> str:
         [(float(s.accuracy).hex(), float(s.loss).hex(), s.num_updates) for s in result.accuracy.samples],
     ]
     return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def upload_bits(update) -> tuple:
+    """Every field of one :class:`~repro.fl.client.LocalUpdate`, ``==``-comparable
+    bit for bit (vectors as bytes, floats as hex)."""
+    return (
+        update.user_id,
+        update.delta.tobytes(),
+        None if update.params is None else update.params.tobytes(),
+        update.base_version,
+        update.num_samples,
+        update.num_batches,
+        float(update.train_loss).hex(),
+        float(update.momentum_norm).hex(),
+    )

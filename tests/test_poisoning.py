@@ -1,0 +1,157 @@
+"""Shared-state poisoning: workspace and derived state carry nothing over.
+
+Two pieces of state are shared or rebuilt rather than owned, and the bitwise
+contract silently assumes each is fully rewritten before it is read:
+
+* the training workspace — every client of a slice trains in one
+  :class:`~repro.fl.model.Sequential`, whose ``flat_params`` / ``flat_grads``
+  hold whatever the previous round left there;
+* the derived :class:`~repro.sim.fleet.FleetState` columns, which
+  ``_rebuild()`` re-derives from the primary arrays on a fast-forward
+  rollback and on a checkpoint restore.
+
+Each test fills that state with NaN (and the int8 activity codes with a code
+no state has) at the moment it is meant to be dead, and checks that every
+upload and the run digest are bitwise those of the clean run, in the
+single-process engine and on two inline shards.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from oracle import run_digest, upload_bits
+from repro.core.online import OnlinePolicy
+from repro.fl.client import FLClient
+from repro.service.checkpoint import Checkpointer, RunInterrupted
+from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimulationEngine
+from repro.sim.fleet import FleetState
+from repro.sim.shard import ShardedEngine
+
+#: Float columns ``_rebuild()`` derives; the int8 ``_state`` codes are
+#: poisoned separately (no NaN for integers).
+DERIVED_FLOAT = (
+    "_energy_j",
+    "_thermal_target_c",
+    "_energy_rows",
+    "_progress",
+    "_draw_j",
+    "_charge_add_j",
+    "_corun_free",
+    "_corun_throttled",
+    "_corun_throttle_c",
+)
+
+_REAL_TRAIN = FLClient.local_train
+_REAL_REBUILD = FleetState._rebuild
+_REAL_INIT = FleetState.__init__
+
+#: mode -> (build from a config, restore from a checkpoint)
+MODES = {
+    "single": (
+        lambda config: SimulationEngine(config, OnlinePolicy(v=4000.0)),
+        SimulationEngine.restore,
+    ),
+    "inline-2": (
+        lambda config: ShardedEngine(config, OnlinePolicy(v=4000.0), shards=2, inline=True),
+        lambda checkpoint: ShardedEngine.restore(checkpoint, shards=2, inline=True),
+    ),
+}
+
+
+def _config() -> SimulationConfig:
+    return SimulationConfig(
+        num_users=10,
+        total_slots=1200,
+        app_arrival_prob=0.01,
+        seed=2,
+        num_train_samples=300,
+        num_test_samples=100,
+        eval_interval_slots=200,
+        hidden_dims=(16,),
+        device_mix={"pixel2": 0.5, "nexus6": 0.5},
+    )
+
+
+def _recorded_uploads(monkeypatch, before_round=None) -> list:
+    """Record every upload in training order; ``before_round(client)`` runs
+    right before each local round (the poisoning hook)."""
+    uploads = []
+
+    def train(self, global_params, base_version, include_params=True):
+        if before_round is not None:
+            before_round(self)
+        update = _REAL_TRAIN(self, global_params, base_version, include_params)
+        uploads.append(upload_bits(update))
+        return update
+
+    monkeypatch.setattr(FLClient, "local_train", train)
+    return uploads
+
+
+def _poison_workspace(client: FLClient) -> None:
+    client.model.flat_params.fill(np.nan)
+    client.model.flat_grads.fill(np.nan)
+
+
+def _poisoned_rebuilds(monkeypatch) -> list:
+    """Poison every derived column right before each ``_rebuild()`` of a
+    fleet that finished construction (a rollback or a restore); returns the
+    list those rebuilds are counted in."""
+    rebuilds = []
+
+    def init(self, *args, **kwargs):
+        _REAL_INIT(self, *args, **kwargs)
+        self.poison_rebuilds = True
+
+    def rebuild(self):
+        if getattr(self, "poison_rebuilds", False):
+            for name in DERIVED_FLOAT:
+                getattr(self, name).fill(np.nan)
+            self._state.fill(np.iinfo(np.int8).max)
+            rebuilds.append(self.num_users)
+        _REAL_REBUILD(self)
+
+    monkeypatch.setattr(FleetState, "__init__", init)
+    monkeypatch.setattr(FleetState, "_rebuild", rebuild)
+    return rebuilds
+
+
+def _interrupted_then_resumed(mode: str, config, at_slot: int):
+    """Run to a checkpoint at ``at_slot``, then resume it to the horizon."""
+    build, restore = MODES[mode]
+    taken = []
+    checkpointer = Checkpointer(
+        lambda cp: (taken.append(cp), checkpointer.request_stop()), at_slots=[at_slot]
+    )
+    with pytest.raises(RunInterrupted):
+        build(config).run(checkpointer)
+    return restore(taken[0]).run()
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+class TestPoisoning:
+    def test_nan_workspace_between_rounds(self, monkeypatch, mode):
+        config = _config()
+        clean = _recorded_uploads(monkeypatch)
+        expected = run_digest(MODES[mode][0](config).run())
+        poisoned = _recorded_uploads(monkeypatch, _poison_workspace)
+        observed = run_digest(MODES[mode][0](config).run())
+        assert len(clean) > 20
+        assert poisoned == clean
+        assert observed == expected
+
+    def test_nan_derived_columns_before_rebuild(self, monkeypatch, mode):
+        config = _config()
+        clean = _recorded_uploads(monkeypatch)
+        expected = run_digest(MODES[mode][0](config).run())
+        uploads = _recorded_uploads(monkeypatch)
+        rebuilds = _poisoned_rebuilds(monkeypatch)
+        # A resume rebuilds every slice from its checkpoint; two-phase
+        # fast-forward tries (inline-2) also roll back through _rebuild().
+        observed = run_digest(_interrupted_then_resumed(mode, config, 301))
+        assert rebuilds
+        assert uploads == clean
+        assert observed == expected

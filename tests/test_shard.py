@@ -10,8 +10,9 @@ arrivals), sync-round quorums that span shards, battery flips inside quiet
 regions (the two-phase fast-forward commit), and ragged last-shard sizing.
 
 The substrate pieces ride along: the sparse launch-event arrival generator
-(bitwise-equal to the dense per-slot draws), schedule slicing, and the
-memory-bounded ``trace_level`` telemetry.
+(bitwise-equal to the dense per-slot draws), schedule slicing, the
+memory-bounded ``trace_level`` telemetry, and the shared-memory data plane
+(the packed ``run_slot`` upload block, a frame-size gate counted in bytes).
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ import pytest
 
 from repro.core.online import OnlinePolicy
 from repro.core.policies import ImmediatePolicy, SyncPolicy
-from repro.fl.server import ParameterServer
+from repro.fl.client import LocalUpdate
+from repro.fl.server import AsyncUpdateRule, ParameterServer
 from repro.scenarios import compile_scenario, get_scenario
+from repro.sim import shard as shard_mod
 from repro.sim.arrivals import (
     ArrivalSchedule,
     BernoulliArrivalProcess,
@@ -32,6 +35,7 @@ from repro.sim.arrivals import (
     TraceArrivalProcess,
 )
 from repro.sim.config import SimulationConfig
+from repro.sim.coupling import CouplingCore
 from repro.sim.engine import SimulationEngine
 from repro.sim.shard import (
     FleetShard,
@@ -41,8 +45,9 @@ from repro.sim.shard import (
     SlotExecReply,
     shard_bounds,
 )
+from repro.sim.shmplane import _INLINE_MAX, REPLY, ShardMailbox
 
-from oracle import dense_arrival_schedule
+from oracle import dense_arrival_schedule, upload_bits
 
 PHONE_MIX = {"pixel2": 1.0 / 3, "nexus6": 1.0 / 3, "nexus6p": 1.0 / 3}
 
@@ -223,8 +228,6 @@ class TestShmPlane:
         # the slab: the codec must spill to plain in-band pickle (the slab
         # is an optimization, never a correctness constraint) and the run
         # must stay bitwise.
-        import repro.sim.shard as shard_mod
-
         monkeypatch.setattr(shard_mod, "_mailbox_bytes", lambda n, p: (4096, 4096))
         config = self._config()
         expected = self._single(config)
@@ -304,6 +307,191 @@ class TestProfileShares:
             assert len(worker_training) == 2 and min(worker_training) > 0.0
         else:
             assert shares["training"] > 0.0 and worker_training == []
+
+
+def _reply_bits(reply: SlotExecReply) -> tuple:
+    """Everything a ``run_slot`` reply carries, bit for bit."""
+    return (
+        [(user, upload_bits(update)) for user, update in reply.finished],
+        reply.tick_total,
+        None if reply.tick_user_totals is None else reply.tick_user_totals.tobytes(),
+        reply.next_ready,
+        reply.spec_open,
+    )
+
+
+def _decoded_replies(monkeypatch) -> list:
+    """Record ``(frame, reply)`` for every ``run_slot`` reply the coordinator
+    decodes from a process shard."""
+    replies = []
+    real_decode = ShardMailbox.decode
+
+    def decode(self, frame):
+        message = real_decode(self, frame)
+        if isinstance(message[1], SlotExecReply):
+            replies.append((frame, message[1]))
+        return message
+
+    monkeypatch.setattr(ShardMailbox, "decode", decode)
+    return replies
+
+
+class TestUploadBlock:
+    """A slot's uploads cross the process boundary as one packed block.
+
+    ``SlotExecReply`` pickles its finishers as a float64 meta matrix, a
+    ``(k, P)`` delta block and, under a params-carrying merge rule, a
+    ``(k, P)`` params block; two deltas of the megafleet model (1,210
+    parameters, 9.7 KB each) already pass the shm plane's inline cut, so
+    the slab carries them and the doorbell frame carries none.
+    """
+
+    P = 1210
+
+    def _reply(self, users, with_params, seed=0) -> SlotExecReply:
+        rng = np.random.default_rng(seed)
+        finished = []
+        for user in users:
+            delta = rng.normal(size=self.P)
+            delta[:3] = (-0.0, np.inf, np.nan)  # bits, not values
+            update = LocalUpdate(
+                user_id=user,
+                delta=delta,
+                base_version=int(rng.integers(1 << 40)),
+                num_samples=int(rng.integers(1, 500)),
+                train_loss=float(rng.normal()),
+                momentum_norm=float(rng.random()),
+                num_batches=int(rng.integers(1, 50)),
+                params=rng.normal(size=self.P) if with_params else None,
+            )
+            finished.append((user, update))
+        return SlotExecReply(
+            finished=finished,
+            tick_total=float(rng.random()),
+            tick_user_totals=rng.normal(size=6),
+            next_ready=len(users),
+        )
+
+    @staticmethod
+    def _exchange(mailbox: ShardMailbox, reply: SlotExecReply):
+        frame = mailbox.encode(("ok", reply), REPLY, copy=True)
+        status, decoded = mailbox.decode(frame)
+        assert status == "ok"
+        return frame, decoded
+
+    @pytest.mark.parametrize("with_params", [False, True], ids=["accumulate", "params"])
+    @pytest.mark.parametrize("users", [[], [7], [3, 5, 8, 11]], ids=["zero", "one", "four"])
+    def test_round_trip_is_bitwise_and_outlives_the_slab(self, users, with_params):
+        reply = self._reply(users, with_params)
+        expected = _reply_bits(reply)
+        mailbox = ShardMailbox.create(*shard_mod._mailbox_bytes(12, self.P * 8))
+        try:
+            frame, decoded = self._exchange(mailbox, reply)
+            assert _reply_bits(decoded) == expected
+            if len(users) > 1:
+                assert len(frame) < self.P * 8  # the blocks went out-of-band
+                blocks = {id(update.delta.base) for _, update in decoded.finished}
+                assert len(blocks) == 1  # rows of one private block
+            # The next exchange overwrites the reply slab; decoded rows are
+            # private copies, so they must not move.
+            self._exchange(mailbox, self._reply(users, with_params, seed=1))
+            assert _reply_bits(decoded) == expected
+        finally:
+            mailbox.destroy()
+
+    def test_spilled_reply_is_bitwise(self, monkeypatch):
+        monkeypatch.setattr(shard_mod, "_mailbox_bytes", lambda n, p: (4096, 4096))
+        reply = self._reply([2, 4, 6], with_params=True)
+        mailbox = ShardMailbox.create(*shard_mod._mailbox_bytes(12, self.P * 8))
+        try:
+            frame, decoded = self._exchange(mailbox, reply)
+            assert frame[0] == 0x80  # a plain pickle frame, not a doorbell
+            assert _reply_bits(decoded) == _reply_bits(reply)
+        finally:
+            mailbox.destroy()
+
+    @pytest.mark.parametrize("rule", [AsyncUpdateRule.REPLACE, AsyncUpdateRule.MIXING])
+    def test_params_rules_on_process_shards(self, monkeypatch, rule):
+        config = SimulationConfig(
+            num_users=8,
+            total_slots=300,
+            app_arrival_prob=0.01,
+            seed=4,
+            num_train_samples=240,
+            num_test_samples=100,
+            eval_interval_slots=150,
+            hidden_dims=(16,),
+            async_rule=rule,
+        )
+        replies = _decoded_replies(monkeypatch)
+        sharded = ShardedEngine(config, OnlinePolicy(v=4000.0), shards=2).run()
+        single = SimulationEngine(config, OnlinePolicy(v=4000.0)).run()
+        assert _observables(sharded, config.num_users) == _observables(
+            single, config.num_users
+        )
+        shipped = [update for _, reply in replies for _, update in reply.finished]
+        assert shipped and all(update.params is not None for update in shipped)
+
+    def test_sync_uploads_parked_across_slots(self, monkeypatch):
+        # Heterogeneous phones finish a round in different slots, so the
+        # early uploads sit in the coordinator's sync buffer while later
+        # replies reuse the slab their blocks were decoded from.
+        config = SimulationConfig(
+            num_users=8,
+            total_slots=600,
+            app_arrival_prob=0.01,
+            seed=0,
+            num_train_samples=240,
+            num_test_samples=100,
+            eval_interval_slots=300,
+            hidden_dims=(16,),
+            device_mix=PHONE_MIX,
+        )
+        parked = []  # slots that ended with uploads still buffered
+        real_complete = CouplingCore.maybe_complete_sync_round
+
+        def complete(self, slot, stalled_fn=None):
+            released = real_complete(self, slot, stalled_fn)
+            if self.sync_buffer:
+                parked.append(slot)
+            return released
+
+        monkeypatch.setattr(CouplingCore, "maybe_complete_sync_round", complete)
+        replies = _decoded_replies(monkeypatch)
+        sharded = ShardedEngine(config, SyncPolicy(), shards=2).run()
+        monkeypatch.undo()
+        single = SimulationEngine(config, SyncPolicy()).run()
+        assert _observables(sharded, config.num_users) == _observables(
+            single, config.num_users
+        )
+        assert len(set(parked)) > 1 and sharded.num_updates > 0
+        assert any(reply.finished for _, reply in replies)
+
+
+class TestPayloadGate:
+    """Host-free gate on the data plane: no run_slot reply frame carries
+    parameter bytes in-band, counted in bytes, not seconds."""
+
+    def test_uploads_never_ride_the_doorbell(self, monkeypatch):
+        config = SimulationConfig(
+            num_users=8,
+            total_slots=400,
+            app_arrival_prob=0.0,
+            seed=1,
+            num_train_samples=240,
+            num_test_samples=100,
+            eval_interval_slots=200,
+            hidden_dims=(16,),
+            device_mix={"pixel2": 1.0},
+        )
+        replies = _decoded_replies(monkeypatch)
+        ShardedEngine(config, ImmediatePolicy(), shards=2).run()
+        vector_nbytes = SimulationEngine(config, ImmediatePolicy()).server.global_params().nbytes
+        assert vector_nbytes < _INLINE_MAX  # each delta alone would stay in-band
+        multi = [len(frame) for frame, reply in replies if len(reply.finished) >= 2]
+        assert multi, "no slot had two finishers on one shard"
+        assert all(frame[0] != 0x80 for frame, _ in replies)  # no spill
+        assert max(multi) < vector_nbytes
 
 
 class TestRoundTrips:
