@@ -39,13 +39,8 @@ from repro.core.policies import (
     SyncPolicy,
 )
 from repro.core.queues import LyapunovAnalyzer, TaskQueue, VirtualQueue
-from repro.core.staleness import (
-    GapTracker,
-    gradient_gap,
-    linear_weight_prediction,
-)
+from repro.core.staleness import gradient_gap, linear_weight_prediction
 from repro.device.apps import APP_CATALOG, AppSpec
-from repro.device.device import MobileDevice
 from repro.device.models import DEVICE_CATALOG, DeviceSpec
 from repro.energy.power_model import PowerModel
 from repro.fl.server import ParameterServer
@@ -60,11 +55,9 @@ __all__ = [
     "DEVICE_CATALOG",
     "Decision",
     "DeviceSpec",
-    "GapTracker",
     "ImmediatePolicy",
     "KnapsackSolver",
     "LyapunovAnalyzer",
-    "MobileDevice",
     "OfflinePolicy",
     "OnlineController",
     "OnlinePolicy",

@@ -8,14 +8,12 @@ durations and energy, and typed message records so the simulation engine can
 account for communication delay when it matters.
 """
 
-from repro.comm.messages import ModelDownload, ModelUpload, TransferRecord
+from repro.comm.messages import TransferRecord
 from repro.comm.network import NetworkCondition, NetworkModel
 from repro.comm.transport import ModelTransport
 
 __all__ = [
-    "ModelDownload",
     "ModelTransport",
-    "ModelUpload",
     "NetworkCondition",
     "NetworkModel",
     "TransferRecord",

@@ -1,9 +1,9 @@
-"""Typed message records exchanged between devices and the parameter server.
+"""The record of one simulated model transfer, and the model's size.
 
 The paper's implementation packages model uploads/downloads as asynchronous
-HTTP requests with meta information (device id, round number).  These records
-are the simulated counterpart: they let the transport layer log every
-transfer so experiments can report communication volume and delay.
+HTTP requests with meta information (device id, round number).  The transport
+logs one row per simulated transfer; :class:`TransferRecord` is that row as
+an object, so experiments can report communication volume and delay.
 """
 
 from __future__ import annotations
@@ -11,29 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ModelUpload", "ModelDownload", "TransferRecord"]
+__all__ = ["TransferRecord"]
 
 #: Serialized model size reported in the paper (Section VI).
 DEFAULT_MODEL_SIZE_MB = 2.5
-
-
-@dataclass(frozen=True)
-class ModelUpload:
-    """A device pushing its locally-trained model to the server."""
-
-    user_id: int
-    round_number: int
-    base_version: int
-    size_mb: float = DEFAULT_MODEL_SIZE_MB
-
-
-@dataclass(frozen=True)
-class ModelDownload:
-    """A device pulling the current global model from the server."""
-
-    user_id: int
-    server_version: int
-    size_mb: float = DEFAULT_MODEL_SIZE_MB
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.columns import ColumnLog
-from repro.comm.messages import (
-    DEFAULT_MODEL_SIZE_MB,
-    ModelDownload,
-    ModelUpload,
-    TransferRecord,
-)
+from repro.comm.messages import DEFAULT_MODEL_SIZE_MB, TransferRecord
 from repro.comm.network import NetworkModel
 
 __all__ = ["ModelTransport"]
@@ -84,14 +79,6 @@ class ModelTransport:
         return (size_mb * 8.0) / throughput_mbps + rtt_ms / 1000.0
 
     # -- public API ------------------------------------------------------------------
-
-    def upload(self, message: ModelUpload, time_s: float) -> TransferRecord:
-        """Simulate uploading a local model to the server."""
-        return TransferRecord(*self.transfer_block((message.user_id,), "upload", time_s)[0])
-
-    def download(self, message: ModelDownload, time_s: float) -> TransferRecord:
-        """Simulate downloading the global model from the server."""
-        return TransferRecord(*self.transfer_block((message.user_id,), "download", time_s)[0])
 
     def transfer_block(
         self, user_ids: Sequence[int], direction: str, time_s: float

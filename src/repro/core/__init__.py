@@ -1,8 +1,7 @@
 """The paper's contribution: staleness metrics, offline and online schedulers.
 
 * :mod:`repro.core.staleness` — lag (Definition 1), gradient gap
-  (Definition 2, Eq. 2/4), linear weight prediction (Eq. 3), and the per-user
-  gap dynamics of Eq. (12).
+  (Definition 2, Eq. 2/4) and linear weight prediction (Eq. 3).
 * :mod:`repro.core.queues` — the task queue ``Q(t)`` (Eq. 15), the virtual
   staleness queue ``H(t)`` (Eq. 16), and the Lyapunov function/drift
   machinery of Lemma 2.
@@ -28,7 +27,6 @@ from repro.core.policies import (
 )
 from repro.core.queues import LyapunovAnalyzer, TaskQueue, VirtualQueue
 from repro.core.staleness import (
-    GapTracker,
     gradient_gap,
     gradient_gap_from_params,
     linear_weight_prediction,
@@ -38,7 +36,6 @@ from repro.core.tradeoff import TradeoffAnalyzer, theorem1_energy_bound, theorem
 __all__ = [
     "Decision",
     "DeviceObservation",
-    "GapTracker",
     "ImmediatePolicy",
     "KnapsackItem",
     "KnapsackSolver",

@@ -212,7 +212,7 @@ class SameSlotLags:
     A job of duration ``d_j`` started now raises the estimate of a user of
     duration ``d_i`` iff its finish ``(slot + d_j) * dt`` lies in
     ``[now, now + d_i * dt]`` — the float comparisons of
-    :meth:`repro.fl.server.ParameterServer.estimate_lag`, which depend on
+    :meth:`repro.fl.server.ParameterServer.estimate_lags`, which depend on
     the two durations alone.  So the window table is built once per slot
     over the *distinct* durations of the walk (one per device model) and a
     lookup reads one running count.

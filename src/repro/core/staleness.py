@@ -1,4 +1,4 @@
-"""Staleness metrics: lag, gradient gap and the per-user gap dynamics.
+"""Staleness metrics: lag and gradient gap.
 
 The paper quantifies asynchronous staleness with two metrics:
 
@@ -16,21 +16,17 @@ The paper quantifies asynchronous staleness with two metrics:
 
       g(t, t+tau) = || eta * (1 - beta**lag) / (1 - beta) * v_t ||_2
 
-This module implements both metrics plus the per-user gap dynamics of
-Eq. (12): when a user is scheduled, its gap takes the Eq. (4) value for the
-expected lag over the training duration; for every slot the user idles
-(waiting for a better co-running opportunity), the gap accumulates a small
-increment ``epsilon``.
+This module implements both metrics, scalar and batched.  The per-user gap
+dynamics of Eq. (12) built on them (a scheduled user's gap takes the Eq. (4)
+value for its expected lag, an idling user's gap grows by ``epsilon`` per
+slot) are the ``gaps`` column of :class:`repro.sim.coupling.CouplingCore`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
-
-from repro.columns import ordered_sum
 
 __all__ = [
     "momentum_lag_factor",
@@ -39,7 +35,6 @@ __all__ = [
     "gradient_gap",
     "gradient_gap_batch",
     "gradient_gap_from_params",
-    "GapTracker",
 ]
 
 
@@ -203,75 +198,3 @@ def gradient_gap_from_params(theta_old: np.ndarray, theta_new: np.ndarray) -> fl
     if theta_old.shape != theta_new.shape:
         raise ValueError("parameter vectors must have the same shape")
     return float(np.linalg.norm(theta_new - theta_old))
-
-
-@dataclass
-class GapTracker:
-    """Per-user gradient-gap dynamics of Eq. (12).
-
-    The tracker maintains one cumulative gap value per user:
-
-    * while the user idles in the ready queue, every slot adds ``epsilon``
-      (the "small time-averaged gap increment" of Eq. 12);
-    * when the user is scheduled, the gap is set to the Eq. (4) estimate for
-      the expected lag over the training duration (and recorded);
-    * when the user's update is finally applied at the server, the realised
-      gap is recorded and the cumulative value resets to zero.
-
-    Attributes:
-        epsilon: idle-slot gap increment.
-    """
-
-    epsilon: float = 0.01
-    _gaps: Dict[int, float] = field(default_factory=dict)
-    _history: Dict[int, List[float]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-
-    def current_gap(self, user_id: int) -> float:
-        """Current cumulative gap of ``user_id`` (0 for unknown users)."""
-        return self._gaps.get(user_id, 0.0)
-
-    def accumulate_idle(self, user_id: int) -> float:
-        """Apply one idle slot of Eq. (12): ``g <- g + epsilon``."""
-        value = self._gaps.get(user_id, 0.0) + self.epsilon
-        self._gaps[user_id] = value
-        return value
-
-    def on_scheduled(self, user_id: int, scheduled_gap: float) -> float:
-        """The user was scheduled; its gap becomes the Eq. (4) estimate."""
-        if scheduled_gap < 0:
-            raise ValueError("scheduled_gap must be non-negative")
-        self._gaps[user_id] = scheduled_gap
-        self._history.setdefault(user_id, []).append(scheduled_gap)
-        return scheduled_gap
-
-    def on_update_applied(self, user_id: int, realized_gap: Optional[float] = None) -> None:
-        """The user's upload was applied; record and reset its gap."""
-        if realized_gap is not None:
-            if realized_gap < 0:
-                raise ValueError("realized_gap must be non-negative")
-            self._history.setdefault(user_id, []).append(realized_gap)
-        self._gaps[user_id] = 0.0
-
-    def total_gap(self, user_ids: Optional[List[int]] = None) -> float:
-        """Sum of current gaps, over ``user_ids`` or over every tracked user.
-
-        This is the ``G(t, t+tau)`` quantity that feeds the virtual queue.
-        """
-        if user_ids is None:
-            values = self._gaps.values()
-        else:
-            values = [self._gaps.get(u, 0.0) for u in user_ids]
-        return ordered_sum(np.fromiter(values, dtype=np.float64, count=len(values)))
-
-    def history(self, user_id: int) -> List[float]:
-        """Recorded (scheduled and realised) gaps of ``user_id``."""
-        return list(self._history.get(user_id, []))
-
-    def reset(self) -> None:
-        """Forget all state (used between simulation runs)."""
-        self._gaps.clear()
-        self._history.clear()

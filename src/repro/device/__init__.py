@@ -9,7 +9,6 @@ trace generator used to reproduce Fig. 2 (Observation 3).
 
 from repro.device.apps import APP_CATALOG, AppSpec, ForegroundApp
 from repro.device.cpu import BigLittleCpu, CoreCluster, CpuLoad
-from repro.device.device import DeviceState, MobileDevice
 from repro.device.fps import FpsTraceGenerator
 from repro.device.models import DEVICE_CATALOG, DeviceSpec, build_device_fleet
 from repro.device.thermal import ThermalModel
@@ -22,10 +21,8 @@ __all__ = [
     "CpuLoad",
     "DEVICE_CATALOG",
     "DeviceSpec",
-    "DeviceState",
     "ForegroundApp",
     "FpsTraceGenerator",
-    "MobileDevice",
     "ThermalModel",
     "build_device_fleet",
 ]

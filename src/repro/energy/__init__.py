@@ -22,12 +22,11 @@ from repro.energy.measurements import (
     TABLE_II,
     energy_saving_fraction,
 )
-from repro.energy.power_model import EnergyAccountant, PowerModel
+from repro.energy.power_model import PowerModel
 from repro.energy.profiler import PowerProfiler, ProfiledRun
 
 __all__ = [
     "Battery",
-    "EnergyAccountant",
     "IDLE_POWER_W",
     "MeasurementTable",
     "OVERHEAD_POWER_W",

@@ -86,10 +86,13 @@ class MomentumSGD:
 
         The array is never written again: the next :meth:`step` continues on
         a private copy (copy-on-write), so the caller may hold it for as
-        long as it likes and must treat it as read-only.
+        long as it likes.  It comes back read-only (a write raises).
         """
-        self._lent = self._velocity is not None
-        return self._velocity
+        velocity = self._velocity
+        self._lent = velocity is not None
+        if velocity is not None:
+            velocity.flags.writeable = False
+        return velocity
 
     def step(self, model: Sequential) -> None:
         """Apply one update, in place, using the gradients stored in ``model``."""

@@ -190,10 +190,6 @@ class ParameterServer:
 
     # -- download / lag bookkeeping ------------------------------------------------------
 
-    def download(self, user_id: int) -> np.ndarray:
-        """A device pulls the current model; the server records the version."""
-        return self.download_block((user_id,))
-
     def download_block(self, user_ids: Sequence[int]) -> np.ndarray:
         """Several devices pull the current model: one version, one view."""
         self._download_versions.update(dict.fromkeys(user_ids, self.version))
@@ -232,10 +228,6 @@ class ParameterServer:
         #: onto it.
         self._inflight_mask = np.zeros(max(self._inflight, default=0) + 2, dtype=bool)  # reprolint: static (derived from _inflight)
         self._inflight_mask[list(self._inflight)] = True
-
-    def register_inflight(self, user_id: int, expected_finish_s: float) -> None:
-        """Record that ``user_id`` started training, finishing around ``expected_finish_s``."""
-        self.register_inflight_block((user_id,), (expected_finish_s,))
 
     def register_inflight_block(
         self, user_ids: Sequence[int], expected_finishes_s: Sequence[float]
@@ -317,40 +309,26 @@ class ParameterServer:
         """Number of currently running training jobs."""
         return len(self._inflight)
 
-    def estimate_lag(self, user_id: int, now_s: float, duration_s: float) -> int:
-        """Estimate the lag a job started now by ``user_id`` would incur.
-
-        The server knows the expected finish time of every running job
-        (Algorithm 2 line 4: the lag ``l_{d_i}`` is "supplied by the server
-        with the estimated arrival time of the running tasks").  Every other
-        job expected to finish within ``[now, now + duration]`` will bump the
-        global version before this user uploads.
-        """
-        if duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        horizon = now_s + duration_s
-        return sum(
-            1
-            for uid, finish in self._inflight.items()
-            if uid != user_id and now_s <= finish <= horizon
-        )
-
     def estimate_lags(
         self, user_ids: np.ndarray, now_s: Union[float, np.ndarray], durations_s: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`estimate_lag` for a whole ready pool.
+        """The lag each ready user's job started now would incur.
 
-        Counts, for every user in ``user_ids``, the in-flight jobs of *other*
-        users expected to finish within ``[now_s, now_s + duration_s]``.
-        Used by the fleet backend to build an
+        The server knows the expected finish time of every running job
+        (Algorithm 2 line 4: the lag ``l_{d_i}`` is "supplied by the server
+        with the estimated arrival time of the running tasks").  Counts, for
+        every user in ``user_ids``, the in-flight jobs of *other* users
+        expected to finish within ``[now_s, now_s + duration_s]`` — each
+        bumps the global version before that user uploads.  Used by the
+        fleet backend to build an
         :class:`~repro.core.policies.ObservationBatch` without one Python
-        call per ready user; agrees exactly with the scalar method.
+        call per ready user.
 
         The counting runs against the incrementally-maintained sorted finish
         times: two ``searchsorted`` probes per ready user count every finish
         in the inclusive window ``[now_s, now_s + duration_s]``, and each
         user's own in-flight job (if any) is subtracted when it falls inside
-        its window — an exact integer decomposition of the scalar rule, with
+        its window — an exact integer decomposition of the rule, with
         O(r log k) cost instead of the O(r * k) boolean matrix a megafleet
         ready pool cannot afford.
 
@@ -375,7 +353,7 @@ class ParameterServer:
         hi = finishes.searchsorted(horizons, side="right")
         counts = (hi - lo).astype(np.int64, copy=False)
         # Subtract each user's own job when it falls inside its own window
-        # (mirrors the ``uid != user_id`` exclusion of the scalar method).
+        # (the "other users" of the rule).
         # A ready user is normally not in flight at all — the engine only
         # offers non-training users for decisions — so the per-user Python
         # work is limited to actual intersections (usually none).

@@ -13,10 +13,8 @@ provides that simulator:
 * :mod:`repro.sim.engine` — the engine tying devices, the FL substrate and
   the scheduling policy together; returns a :class:`SimulationResult`.
 * :mod:`repro.sim.fleet` — the vectorized struct-of-arrays fleet kernels
-  the engine runs on.
-* :mod:`repro.sim.reference` — the per-user reference loop, the oracle the
-  kernels are held bitwise-equal to by the test suite (not a product path:
-  nothing in the CLI, specs, scenarios or the service reaches it).
+  the engine runs on, held bitwise-equal by the test suite to a per-user
+  reference loop (``tests/reference_loop.py``, not part of the package).
 * :mod:`repro.sim.coupling` — the coordinator-side coupling state (the
   paper's server-routed cross-user state) and its staged slot kernels.
 * :mod:`repro.sim.shard` — the sharded fleet engine: contiguous population

@@ -22,12 +22,11 @@ arrival probability follows a day/night profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.device.apps import APP_CATALOG, AppSpec, ForegroundApp, sample_app
+from repro.device.apps import ForegroundApp, sample_app
 from repro.device.models import DeviceSpec
 from repro.energy.measurements import MeasurementTable
 
@@ -204,10 +203,6 @@ class ArrivalSchedule:
 
     def __init__(self, arrivals: Dict[int, List[ForegroundApp]]) -> None:
         self._arrivals = {user: sorted(apps, key=lambda a: a.arrival_slot) for user, apps in arrivals.items()}
-        self._by_slot: Dict[int, Dict[int, ForegroundApp]] = {}
-        for user, apps in self._arrivals.items():
-            for app in apps:
-                self._by_slot.setdefault(user, {})[app.arrival_slot] = app
         self._launch_slots: Optional[List[int]] = None
 
     # -- generation --------------------------------------------------------------
@@ -335,10 +330,6 @@ class ArrivalSchedule:
         return apps
 
     # -- replay (engine) -----------------------------------------------------------
-
-    def app_starting_at(self, user_id: int, slot: int) -> Optional[ForegroundApp]:
-        """The application the user launches exactly at ``slot``, if any."""
-        return self._by_slot.get(user_id, {}).get(slot)
 
     def launch_slots(self) -> List[int]:
         """Sorted distinct slots at which at least one application launches.

@@ -167,9 +167,9 @@ class CouplingCore:
         """The per-slot gap sum ``G(t)`` feeding the virtual queue.
 
         Summed left-to-right in ascending user order — the order in which
-        the loop engine's :class:`~repro.core.staleness.GapTracker` dict was
-        populated (every user is decided in slot 0), so every execution mode
-        feeds the virtual queue the same ``float``.
+        the per-user reference loop's gap tracker is populated (every user is
+        decided in slot 0), so every execution mode feeds the virtual queue
+        the same ``float``.
         """
         return ordered_sum(self.gaps)
 
@@ -202,7 +202,6 @@ class CouplingCore:
         slot: int,
         users: Sequence[int],
         updates: Sequence[LocalUpdate],
-        base_params: Optional[Sequence[np.ndarray]] = None,
     ) -> List[float]:
         """Apply the (already trained) uploads that complete in ``slot``.
 
@@ -211,21 +210,11 @@ class CouplingCore:
         accumulation commutative *in effect*: any shard layout applies the
         same updates in the same sequence, so the global model evolves bit
         for bit identically.  Returns the realised Eq. (2) gradient gap of
-        each.
-
-        Args:
-            base_params: the parameters each user trained from, one per
-                upload; ``None`` (the fleet slot loop) resolves the vectors
-                pinned at download, the per-user reference loop passes its
-                own copy with its one upload.
+        each, measured against the base pinned at the user's download.
         """
         time_s = slot * self.config.slot_seconds
-        if base_params is None:
-            base_params = [self._pinned_base.pop(user) for user in users]
-        else:
-            for user in users:
-                self._pinned_base.pop(user, None)
-        rows = self.server.async_update_block(updates, base_params, time_s)
+        bases = [self._pinned_base.pop(user) for user in users]
+        rows = self.server.async_update_block(updates, bases, time_s)
         self.transport.transfer_block(users, "upload", time_s)
         if type(self.policy).notify_update_applied is not SchedulingPolicy.notify_update_applied:
             for user, row in zip(users, rows):  # only a policy that listens

@@ -6,10 +6,10 @@ actual NumPy model training, the parameter server, the staleness bookkeeping
 and the energy accounting.  The timeline of one slot is:
 
 1. expire finished foreground applications and launch newly-arriving ones;
-2. hand the policy a :class:`~repro.core.policies.SlotContext` and, for every
-   *ready* user (model downloaded, no training job running), a
-   :class:`~repro.core.policies.DeviceObservation`; start training jobs for
-   every ``SCHEDULE`` decision and apply the Eq. (12) gap dynamics;
+2. hand the policy a :class:`~repro.core.policies.SlotContext` and one
+   :class:`~repro.core.policies.ObservationBatch` holding every *ready* user
+   (model downloaded, no training job running); start training jobs for the
+   users it schedules and apply the Eq. (12) gap dynamics;
 3. advance every device by one slot, accumulating the Eq. (10) energy;
    finished jobs run their local epoch (momentum SGD on the user's shard)
    and upload to the parameter server, which applies the asynchronous rule
@@ -37,7 +37,7 @@ from repro.core.policies import SchedulingPolicy
 from repro.device.models import DeviceSpec, build_device_fleet
 from repro.energy.battery import Battery
 from repro.energy.measurements import MeasurementTable
-from repro.energy.power_model import EnergyAccountant, PowerModel
+from repro.energy.power_model import PowerModel
 from repro.fl.blas import pin_blas_threads
 from repro.fl.client import FLClient
 from repro.fl.dataset import (
@@ -58,6 +58,7 @@ from repro.sim.arrivals import (
 )
 from repro.sim.config import SimulationConfig
 from repro.sim.coupling import CouplingCore
+from repro.sim.fleet import FleetEnergyAccountant
 from repro.sim.rng import spawn_generators
 from repro.sim.timers import EngineTimers
 from repro.sim.trace import TRACE_LEVELS, SimulationTrace
@@ -318,7 +319,7 @@ class SimulationResult:
     policy_name: str
     trace: SimulationTrace
     accuracy: AccuracyTracker
-    accountant: EnergyAccountant
+    accountant: FleetEnergyAccountant
     num_updates: int
     decision_evaluations: int
     device_names: List[str]
@@ -423,9 +424,7 @@ def build_population(
     ``dataset`` stream: the partition is drawn for everyone, so a slice gets
     exactly the rows of a full build.
     """
-    power_model = PowerModel(
-        table=table, include_scheduler_overhead=config.include_scheduler_overhead
-    )
+    power_model = PowerModel(table=table)
     batteries = build_batteries(config, device_specs)[lo:hi]
     partitions = build_partitions(config, dataset, rng)
     clients = build_clients(config, partitions, dataset.input_dim(), lo, hi)
@@ -437,8 +436,8 @@ class Coordinator:
     needs, around some residence for the per-user state — one inline shard
     (:class:`SimulationEngine`), worker processes
     (:class:`~repro.sim.shard.ShardedEngine`) or per-user objects (the
-    reference oracle).  Written once, here; subclasses add ``__init__`` and
-    ``run``.
+    test suite's reference loop).  Written once, here; subclasses add
+    ``__init__`` and ``run``.
     """
 
     def _alias_coupling_state(self) -> None:
@@ -615,8 +614,8 @@ class SimulationEngine(Coordinator):
     struct-of-arrays kernels of :mod:`repro.sim.fleet` under the slot loop
     it shares verbatim with :class:`~repro.sim.shard.ShardedEngine`
     (:func:`repro.sim.shard.drive_fleet_loop`).  The per-user reference
-    implementation the kernels are held bitwise-equal to lives in
-    :mod:`repro.sim.reference` and is reachable from tests only.
+    loop the kernels are held bitwise-equal to is a test instrument
+    (``tests/reference_loop.py``), not part of the package.
 
     Args:
         config: run configuration.

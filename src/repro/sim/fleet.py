@@ -21,14 +21,14 @@ module makes fleet size a NumPy axis instead:
   through one rule, :meth:`FleetState._retarget`.
 * One slot step over those columns (:meth:`FleetState._step`: thermal
   update, progress decrement, energy accumulation, battery cycle — a fixed
-  sequence of whole-array calls) replaces the per-user ``MobileDevice.step``
-  loop.  :meth:`FleetState.advance` is that step plus the Table III decision
+  sequence of whole-array calls) replaces a loop of per-user device steps
+  (``MobileDevice.step`` of the reference loop, ``tests/reference_loop.py``).
+  :meth:`FleetState.advance` is that step plus the Table III decision
   overhead and finish detection; :meth:`FleetState.advance_quiet`, the
   event-horizon fast-forward, is a loop of the same step that runs the
   application churn only on the slots that have any.
 * :class:`FleetEnergyAccountant` accumulates the Eq. (10) energy breakdown
-  in per-user arrays while remaining API-compatible with
-  :class:`repro.energy.power_model.EnergyAccountant`.
+  in per-user arrays.
 
 **Bitwise equivalence.**  The backend is held to a strict contract: with
 the same configuration and seed, the vectorized engine produces *bitwise
@@ -137,9 +137,8 @@ class FleetEnergyAccountant:
 
     Accumulates the Eq. (10) per-slot energies into one ``float64`` row
     per activity state (plus the Table III scheduler overhead) instead of
-    one :class:`~repro.energy.power_model.EnergyBreakdown` object per user.
-    The accessor API mirrors :class:`~repro.energy.power_model.EnergyAccountant`
-    so :class:`~repro.sim.engine.SimulationResult` works with either.
+    one :class:`~repro.energy.power_model.EnergyBreakdown` object per user;
+    :meth:`user_breakdown` builds one on demand.
 
     Reduction order matters for the bitwise-equivalence contract: the loop
     accountant computes ``total_j`` as a left-to-right Python ``sum`` of
@@ -298,7 +297,7 @@ class FleetEnergyAccountant:
             merged._running_total_j = float(stacked[-1])
         return merged
 
-    # -- accessors (EnergyAccountant-compatible) -------------------------------------
+    # -- accessors ---------------------------------------------------------------------
 
     def user_breakdown(self, user_id: int) -> EnergyBreakdown:
         """Energy breakdown for one user."""
@@ -451,10 +450,10 @@ class SlotAdvance:
 class FleetState:
     """Struct-of-arrays state of the whole device fleet.
 
-    One instance replaces the per-user ``MobileDevice`` / ``Battery`` /
-    ``GapTracker`` object graph for a single simulation run.  The engine
-    orchestrates slots exactly as before (arrivals, decisions, parameter
-    server, traces); this class supplies the vectorized kernels:
+    One instance replaces a per-user object graph of devices, batteries
+    and gap trackers (the reference loop's) for a single simulation run.
+    The engine orchestrates slots (arrivals, decisions, parameter server,
+    traces); this class supplies the vectorized kernels:
 
     * :meth:`begin_slot_apps` — foreground-application expiry and launches
       (step 1 of the slot timeline in :mod:`repro.sim.engine`);
@@ -920,7 +919,7 @@ class FleetState:
     # -- step 3: fleet-wide device advancement -------------------------------------------
 
     def _step(self, overhead_j: Optional[np.ndarray] = None) -> None:
-        """One slot of device physics, fleet-wide (the ``MobileDevice.step``).
+        """One slot of device physics, fleet-wide (the per-user device step).
 
         Applies, in the per-element operation order of the scalar device
         runtime: the first-order thermal update, the Observation 2
@@ -1003,7 +1002,7 @@ class FleetState:
             self._battery_rest = not (drawn.any() or added.any())
 
     def advance(self, decided_idle: np.ndarray) -> SlotAdvance:
-        """Advance every device by one slot (the vectorized ``MobileDevice.step``).
+        """Advance every device by one slot (the vectorized per-user device step).
 
         :meth:`_step` with the two things only a deciding slot has: the
         Table III overhead of the ready users the policy kept idle, and the

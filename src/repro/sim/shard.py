@@ -730,9 +730,10 @@ class FleetShard:
         bit-generator state of the per-client batch-sampling RNG and the
         round counter in ``clients``, the momentum vector in ``velocities``.
         A velocity is *lent*, not copied: the optimizer's next step rebinds
-        instead of writing into the array the snapshot holds, so a snapshot
-        costs nothing for users that do not train while it is alive, and
-        ``(user, rounds_completed)`` names a vector's content for good.
+        instead of writing into the (read-only) array the snapshot holds, so
+        a snapshot costs nothing for users that do not train while it is
+        alive, and ``(user, rounds_completed)`` names a vector's content for
+        good.
         """
         self._require_downloads("checkpoint_state")
         return {

@@ -95,21 +95,14 @@ class SimulationTrace:
             )
         self.updates.append(astuple(sample))
 
-    def record_user_gap(self, user_id: int, time_s: float, gap: float) -> None:
-        """Record one point of a user's gradient-gap trace (Fig. 5d)."""
-        if self.level != "full":
-            return
-        self.per_user_gaps.setdefault(user_id, []).append((time_s, gap))
-
     def record_user_gaps(self, time_s: float, gaps: Sequence[float]) -> None:
         """Record one gap-trace point for every user at once.
 
-        ``gaps[i]`` is user ``i``'s current gap.  Equivalent to calling
-        :meth:`record_user_gap` for users ``0..len(gaps)-1`` in order; used
-        by the fleet backend on the sampling grid and by the fast-forward
-        path to backfill the (constant) gap traces of skipped slots.  The
-        per-user lists are bound once and cached, so a bulk record is one
-        append per user.
+        ``gaps[i]`` is user ``i``'s current gap (one point of its Fig. 5d
+        trace); used by the fleet backend on the sampling grid and by the
+        fast-forward path to backfill the (constant) gap traces of skipped
+        slots.  The per-user lists are bound once and cached, so a bulk
+        record is one append per user.
         """
         if self.level != "full":
             return
@@ -121,17 +114,6 @@ class SimulationTrace:
             ]
         for user_list, gap in zip(lists, gaps):
             user_list.append((time_s, gap))
-
-    def record_decision(self, scheduled: bool, corun: bool = False) -> None:
-        """Count one scheduling decision (and whether it started a co-run job)."""
-        if scheduled:
-            self.decisions["schedule"] += 1
-            if corun:
-                self.corun_jobs += 1
-            else:
-                self.background_jobs += 1
-        else:
-            self.decisions["idle"] += 1
 
     # -- accessors -------------------------------------------------------------------
 

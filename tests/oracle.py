@@ -2,7 +2,7 @@
 
 :func:`make_engine` is the one entry point through which the suite reaches
 the per-user reference loop.  Equivalence matrices name their execution
-modes ``"loop"`` (that loop, :class:`repro.sim.reference.ReferenceLoopEngine`)
+modes ``"loop"`` (that loop, :class:`reference_loop.ReferenceLoopEngine`)
 and ``"fleet"`` (the product engine, with or without fast-forward); the
 helper turns a mode name into an engine so the parametrisation ids stay what
 they always were while the product engine itself has no mode switch.
@@ -55,7 +55,7 @@ from repro.fl.layers import Conv2D, Linear, _col2im
 from repro.fl.server import AsyncUpdateRule, ParameterServer
 from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.engine import SimulationEngine
-from repro.sim.reference import ReferenceLoopEngine
+from reference_loop import ReferenceLoopEngine
 
 
 def make_engine(mode: str, config, policy, fast_forward: bool = True, **kwargs):

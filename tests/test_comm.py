@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.comm.messages import ModelDownload, ModelUpload
+from repro.comm.messages import TransferRecord
 from repro.comm.network import DEFAULT_PROFILES, NetworkCondition, NetworkModel, NetworkType
 from repro.comm.transport import ModelTransport
+
+
+def _transfer(transport, user_id, direction, time_s):
+    """One user's transfer: a block of one, read back as its record."""
+    return TransferRecord(*transport.transfer_block([user_id], direction, time_s)[0])
 
 
 class TestNetworkModel:
@@ -62,8 +67,8 @@ class TestModelTransport:
 
     def test_upload_and_download_record(self):
         transport = self._transport()
-        upload = transport.upload(ModelUpload(user_id=1, round_number=0, base_version=0), time_s=5.0)
-        download = transport.download(ModelDownload(user_id=1, server_version=3), time_s=9.0)
+        upload = _transfer(transport, 1, "upload", 5.0)
+        download = _transfer(transport, 1, "download", 9.0)
         assert upload.succeeded and download.succeeded
         assert upload.direction == "upload"
         assert download.direction == "download"
@@ -75,7 +80,7 @@ class TestModelTransport:
     def test_sub_slot_transfers_on_wifi(self):
         """With the paper's 2.5 MB model and Wi-Fi rates, transfers fit in a slot."""
         transport = self._transport()
-        record = transport.upload(ModelUpload(user_id=0, round_number=0, base_version=0), 0.0)
+        record = _transfer(transport, 0, "upload", 0.0)
         assert record.duration_s < 1.5
 
     def test_offline_transfer_fails(self):
@@ -83,7 +88,7 @@ class TestModelTransport:
             rng=np.random.default_rng(0), wifi_probability=1.0, offline_probability=0.999999
         )
         transport = ModelTransport(network)
-        record = transport.upload(ModelUpload(user_id=0, round_number=0, base_version=0), 0.0)
+        record = _transfer(transport, 0, "upload", 0.0)
         assert not record.succeeded
         assert record.failure_reason == "offline"
         assert transport.failure_count() == 1
@@ -91,7 +96,7 @@ class TestModelTransport:
     def test_radio_energy_accounting(self):
         network = NetworkModel(rng=np.random.default_rng(0), wifi_probability=1.0)
         transport = ModelTransport(network, account_radio_energy=True)
-        transport.upload(ModelUpload(user_id=0, round_number=0, base_version=0), 0.0)
+        _transfer(transport, 0, "upload", 0.0)
         assert transport.radio_energy_j > 0.0
 
     def test_invalid_model_size(self):

@@ -7,8 +7,8 @@ and an upload block on the coordinator (``CouplingCore.record_download`` /
 local round per finisher.  Contracts under test:
 
 * a transport block leaves the rows, the radio energy and the network
-  generator exactly as one ``upload`` / ``download`` per user did (the
-  per-user sampler and record frozen in ``tests/oracle.py``);
+  generator exactly as one transfer per user did (the per-user sampler and
+  record frozen in ``tests/oracle.py``) and as blocks of one do;
 * a block of uploads leaves the server exactly as the scalar sequence
   ``gap = ||params - base||; async_update(update, gap)`` would, under all four
   merge rules, and raises where that sequence raises;
@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import FrozenLocalTrainer, frozen_transfer, make_engine, run_digest
-from repro.comm.messages import ModelDownload, ModelUpload, TransferRecord
+from repro.comm.messages import TransferRecord
 from repro.comm.network import NetworkModel, NetworkType
 from repro.comm.transport import RADIO_POWER_W, ModelTransport
 from repro.core.offline import OfflinePolicy
@@ -116,10 +116,11 @@ class TestTransportBlocks:
         block = _transport(5, 0.15, True, offline, pinned)
         scalar = _transport(5, 0.15, True, offline, pinned)
         rows = block.transfer_block([7, 3], "upload", 2.0) + block.transfer_block([3], "download", 4.0)
+        ones = ((7, "upload", 2.0), (3, "upload", 2.0), (3, "download", 4.0))
         records = [
-            scalar.upload(ModelUpload(user_id=7, round_number=0, base_version=0), 2.0),
-            scalar.upload(ModelUpload(user_id=3, round_number=1, base_version=0), 2.0),
-            scalar.download(ModelDownload(user_id=3, server_version=2), 4.0),
+            TransferRecord(*row)
+            for user, direction, time_s in ones
+            for row in scalar.transfer_block([user], direction, time_s)
         ]
         assert records == [TransferRecord(*row) for row in rows] == scalar.records
         assert block.radio_energy_j == scalar.radio_energy_j
@@ -166,7 +167,7 @@ def _server(rule, seed=0, inflight=()):
     rng = np.random.default_rng(seed)
     server = ParameterServer(rng.normal(size=DIM), async_rule=rule, mixing_alpha=0.6)
     for user, finish in inflight:
-        server.register_inflight(user, finish)
+        server.register_inflight_block((user,), (finish,))
     return server
 
 
@@ -228,8 +229,8 @@ class TestServerBlocks:
             ] if round_number else [0] * size
             updates, bases = _uploads(seed, users, versions, with_params)
             for user, finish in inflight[:size]:
-                block.register_inflight(user, finish)
-                scalar.register_inflight(user, finish)
+                block.register_inflight_block((user,), (finish,))
+                scalar.register_inflight_block((user,), (finish,))
             rows = block.async_update_block(updates, bases, time_s=4.0)
             want = _scalar_sequence(scalar, updates, bases, 4.0)
             assert [(row[3], row[4]) for row in rows] == want
@@ -276,7 +277,7 @@ class TestServerBlocks:
     @pytest.mark.parametrize("rule", list(AsyncUpdateRule))
     def test_a_view_pinned_before_a_block_keeps_its_bits(self, rule):
         server = _server(rule, 3)
-        pinned = server.download(0)
+        pinned = server.download_block((0,))
         before = pinned.copy()
         updates, bases = _uploads(4, [0, 1, 2], [0, 0, 0], with_params=True)
         server.async_update_block(updates, bases, 0.0)
@@ -289,7 +290,7 @@ class TestServerBlocks:
     def test_download_block_is_one_version_one_view(self):
         server = _server(AsyncUpdateRule.ACCUMULATE)
         view = server.download_block([3, 1, 4])
-        assert view is server.global_params() is server.download(5)
+        assert view is server.global_params() is server.download_block((5,))
         assert [server.downloaded_version(user) for user in (1, 3, 4, 5)] == [0] * 4
         assert server.downloaded_version(2) is None
 
@@ -510,7 +511,7 @@ class TestUploadPayloadAndZeroCopy:
         # snapshot of the model at download time.
         from repro.fl.client import LocalUpdate
 
-        snapshot = server.download(0)
+        snapshot = server.download_block((0,))
         server.async_update(
             LocalUpdate(0, delta=np.ones(4), base_version=0, num_samples=1,
                         train_loss=0.0, momentum_norm=0.0, num_batches=1),
@@ -525,15 +526,15 @@ class TestUploadPayloadAndZeroCopy:
         from repro.fl.client import LocalUpdate
 
         server = ParameterServer(np.arange(4.0))
-        first = server.download(0)
-        assert server.download(1) is first and server.global_params() is first
+        first = server.download_block((0,))
+        assert server.download_block((1,)) is first and server.global_params() is first
         server.async_update(
             LocalUpdate(0, delta=np.ones(4), base_version=0, num_samples=1,
                         train_loss=0.0, momentum_norm=0.0, num_batches=1),
             time_s=0.0,
         )
-        second = server.download(1)
-        assert second is not first and server.download(2) is second
+        second = server.download_block((1,))
+        assert second is not first and server.download_block((2,)) is second
         # The cache is derived state and is not pickled; the restored
         # server (whose vector no longer owns its memory) still recognises
         # its own view.

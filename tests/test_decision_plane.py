@@ -1,8 +1,8 @@
 """The per-slot decision plane: incremental and array-native, bit for bit.
 
 Every shortcut the coordinator takes per slot is held to the per-user form
-it replaces: the in-flight index behind ``estimate_lags`` to the scalar
-``estimate_lag`` and a brute-force count, the Eq. (4) factor table to the
+it replaces: the in-flight index behind ``estimate_lags`` to the reference
+loop's dict-scan ``estimate_lag`` and a brute-force count, the Eq. (4) factor table to the
 scalar ``momentum_lag_factor``, ``OfflinePolicy.decide_all`` to per-user
 ``decide`` on a twin policy, the array decision log to the tuple list, and
 the single-shard slot loop to one ``open_slot`` per executed slot.
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_loop import estimate_lag
 from repro.core.granularity import DecisionIntervalPolicy
 from repro.core.offline import OfflinePolicy
 from repro.core.online import OnlineController, OnlinePolicy
@@ -109,7 +110,7 @@ class TestInflightIndex:
         model = {}  # user -> finish: what the in-flight set must be
         for op, (now_s, ready) in steps:
             if op[0] == "register":  # a known user re-registers: replace
-                server.register_inflight(op[1], op[2])
+                server.register_inflight_block((op[1],), (op[2],))
                 model[op[1]] = op[2]
             elif op[0] == "unregister":  # what buffer_sync_upload does
                 server.unregister_inflight(op[1])
@@ -137,14 +138,14 @@ class TestInflightIndex:
                 assert lags.dtype == np.int64
                 assert lags.tolist() == expected
                 assert [
-                    answering.estimate_lag(user, now_s, duration)
+                    estimate_lag(answering, user, now_s, duration)
                     for user, duration in ready
                 ] == expected
 
     def test_reregistration_replaces_the_old_finish(self):
         server = ParameterServer(np.zeros(3))
-        server.register_inflight(1, 10.0)
-        server.register_inflight(1, 50.0)
+        server.register_inflight_block((1,), (10.0,))
+        server.register_inflight_block((1,), (50.0,))
         assert server.inflight_count() == 1
         # The stale finish at 10 s must not be counted for anyone.
         assert server.estimate_lags(np.array([0]), 0.0, np.array([20.0])).tolist() == [0]
@@ -153,13 +154,13 @@ class TestInflightIndex:
     def test_equal_finishes_stay_distinct_entries(self):
         server = ParameterServer(np.zeros(3))
         for user in (1, 2, 3):
-            server.register_inflight(user, 30.0)
+            server.register_inflight_block((user,), (30.0,))
         server.unregister_inflight(2)
         assert server.estimate_lags(np.array([0, 1]), 0.0, np.array([30.0, 30.0])).tolist() == [2, 1]
 
     def test_unregistering_an_unknown_user_is_a_noop(self):
         server = ParameterServer(np.zeros(3))
-        server.register_inflight(4, 5.0)
+        server.register_inflight_block((4,), (5.0,))
         server.unregister_inflight(99)
         server.unregister_inflight(4)
         server.unregister_inflight(4)
@@ -169,7 +170,7 @@ class TestInflightIndex:
     def test_index_is_not_pickled(self):
         server = ParameterServer(np.zeros(3))
         for user in range(50):
-            server.register_inflight(user, float(user))
+            server.register_inflight_block((user,), (float(user),))
         state = server.__getstate__()
         assert {"_finishes", "_inflight_mask"}.isdisjoint(state)
         assert state["_inflight"] == {user: float(user) for user in range(50)}
@@ -179,9 +180,9 @@ class TestInflightIndex:
         with pytest.raises(ValueError, match="duration_s"):
             server.estimate_lags(np.array([0]), 0.0, np.array([0.0]))
         with pytest.raises(ValueError, match="duration_s"):
-            server.estimate_lag(0, 0.0, -1.0)
+            estimate_lag(server, 0, 0.0, -1.0)
         with pytest.raises(ValueError, match="user_id"):
-            server.register_inflight(-1, 5.0)
+            server.register_inflight_block((-1,), (5.0,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Tests for the mobile-device runtime, thermal model and FPS generator."""
+"""Tests for the reference loop's device runtime, the thermal model and the FPS generator."""
 
 import pytest
 
+from reference_loop import DeviceState, MobileDevice
 from repro.device.apps import APP_CATALOG, ForegroundApp
-from repro.device.device import DeviceState, MobileDevice
 from repro.device.fps import FpsTraceGenerator
 from repro.device.models import DEVICE_CATALOG
 from repro.device.thermal import ThermalModel

@@ -1,4 +1,4 @@
-"""Tests for the extension modules: decision granularity, DVFS, carbon, plotting."""
+"""Tests for the extension modules: decision granularity, carbon, plotting."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.analysis.plotting import ascii_multi_plot, ascii_plot, sparkline
 from repro.core.granularity import DecisionIntervalPolicy
 from repro.core.online import OnlinePolicy
 from repro.core.policies import Decision, ImmediatePolicy, SlotContext
-from repro.device.dvfs import DvfsGovernor, OperatingPoint, default_opp_table
 from repro.energy.carbon import GRID_INTENSITIES, CarbonAccountant, CarbonIntensity
 
 
@@ -68,49 +67,6 @@ class TestDecisionIntervalPolicy:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             DecisionIntervalPolicy(ImmediatePolicy(), interval_slots=0)
-
-
-class TestDvfsGovernor:
-    def test_default_opp_table_shapes(self):
-        table = default_opp_table(2.0, num_points=5)
-        assert len(table) == 5
-        assert table[-1].freq_ghz == pytest.approx(2.0)
-        assert table[-1].relative_power == pytest.approx(1.0)
-        frequencies = [p.freq_ghz for p in table]
-        assert frequencies == sorted(frequencies)
-
-    def test_frequency_follows_utilization(self):
-        governor = DvfsGovernor(default_opp_table(2.0))
-        low = governor.select(0.1)
-        high = governor.select(0.9)
-        assert low.freq_ghz < high.freq_ghz
-        assert governor.power_scale(0.1) < governor.power_scale(0.9)
-
-    def test_training_load_pins_max_frequency(self):
-        """Footnote 1: the CPU stays at the maximum frequency during training."""
-        governor = DvfsGovernor(default_opp_table(1.9))
-        assert governor.stays_at_max_under_training()
-
-    def test_frequency_trace(self):
-        governor = DvfsGovernor(default_opp_table(2.0))
-        trace = governor.frequency_trace([0.0, 0.5, 1.0])
-        assert len(trace) == 3
-        assert trace[0] <= trace[1] <= trace[2]
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            DvfsGovernor([])
-        with pytest.raises(ValueError):
-            DvfsGovernor(default_opp_table(2.0), margin=0.5)
-        with pytest.raises(ValueError):
-            default_opp_table(0.0)
-        with pytest.raises(ValueError):
-            default_opp_table(2.0, num_points=1)
-        with pytest.raises(ValueError):
-            OperatingPoint(freq_ghz=-1.0, relative_power=0.5)
-        governor = DvfsGovernor(default_opp_table(2.0))
-        with pytest.raises(ValueError):
-            governor.select(1.5)
 
 
 class TestCarbonAccounting:

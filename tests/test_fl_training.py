@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_loop import estimate_lag
 from repro.fl.client import FLClient, LocalUpdate
 from repro.fl.dataset import SyntheticCifar10, partition_iid
 from repro.fl.metrics import AccuracyTracker, evaluate_model, time_to_accuracy
@@ -143,7 +144,7 @@ class TestParameterServer:
 
     def test_download_records_version(self):
         server = ParameterServer(np.zeros(4))
-        server.download(3)
+        server.download_block((3,))
         assert server.downloaded_version(3) == 0
         assert server.downloaded_version(9) is None
 
@@ -212,17 +213,17 @@ class TestParameterServer:
 
     def test_inflight_lag_estimation(self):
         server = ParameterServer(np.zeros(2))
-        server.register_inflight(1, expected_finish_s=50.0)
-        server.register_inflight(2, expected_finish_s=300.0)
-        server.register_inflight(3, expected_finish_s=120.0)
+        server.register_inflight_block((1,), (50.0,))
+        server.register_inflight_block((2,), (300.0,))
+        server.register_inflight_block((3,), (120.0,))
         # A job by user 0 lasting 200 s should see users 1 and 3 finish first.
-        assert server.estimate_lag(0, now_s=0.0, duration_s=200.0) == 2
+        assert estimate_lag(server, 0, 0.0, 200.0) == 2
         # The requesting user's own job never counts.
-        assert server.estimate_lag(1, now_s=0.0, duration_s=200.0) == 1
+        assert estimate_lag(server, 1, 0.0, 200.0) == 1
         server.unregister_inflight(1)
-        assert server.estimate_lag(0, now_s=0.0, duration_s=200.0) == 1
+        assert estimate_lag(server, 0, 0.0, 200.0) == 1
         with pytest.raises(ValueError):
-            server.estimate_lag(0, now_s=0.0, duration_s=0.0)
+            estimate_lag(server, 0, 0.0, 0.0)
 
     def test_update_log_histories(self):
         base = np.zeros(2)

@@ -14,6 +14,10 @@ Each test fills that state with NaN (and the int8 activity codes with a code
 no state has) at the moment it is meant to be dead, and checks that every
 upload and the run digest are bitwise those of the clean run, in the
 single-process engine and on two inline shards.
+
+A third piece is shared by design: the momentum vectors a checkpoint slice
+holds are lent by the optimizers, not copied.  They must never be written
+again, and a write into one raises.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from repro.service.checkpoint import Checkpointer, RunInterrupted
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.fleet import FleetState
-from repro.sim.shard import ShardedEngine
+from repro.sim.shard import FleetShard, ShardedEngine
 
 #: Float columns ``_rebuild()`` derives; the int8 ``_state`` codes are
 #: poisoned separately (no NaN for integers).
@@ -47,6 +51,7 @@ DERIVED_FLOAT = (
 _REAL_TRAIN = FLClient.local_train
 _REAL_REBUILD = FleetState._rebuild
 _REAL_INIT = FleetState.__init__
+_REAL_CHECKPOINT_STATE = FleetShard.checkpoint_state
 
 #: mode -> (build from a config, restore from a checkpoint)
 MODES = {
@@ -154,4 +159,25 @@ class TestPoisoning:
         observed = run_digest(_interrupted_then_resumed(mode, config, 301))
         assert rebuilds
         assert uploads == clean
+        assert observed == expected
+
+    def test_a_lent_velocity_refuses_writes(self, monkeypatch, mode):
+        config = _config()
+        expected = run_digest(MODES[mode][0](config).run())
+        refused = []
+
+        def checkpoint_state(self):
+            state = _REAL_CHECKPOINT_STATE(self)
+            for velocity in state["velocities"]:
+                if velocity is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        velocity.fill(np.nan)
+                    refused.append(velocity)
+            return state
+
+        monkeypatch.setattr(FleetShard, "checkpoint_state", checkpoint_state)
+        observed = run_digest(
+            MODES[mode][0](config).run(Checkpointer(lambda checkpoint: None, every_slots=100))
+        )
+        assert refused
         assert observed == expected

@@ -1,8 +1,9 @@
-"""Tests for the Eq. (10) power model and the energy accountant."""
+"""Tests for the Eq. (10) power model and the reference loop's power dispatch and accountant."""
 
 import pytest
 
-from repro.energy.power_model import DeviceState, EnergyAccountant, EnergyBreakdown, PowerModel
+from reference_loop import DeviceState, EnergyAccountant, power
+from repro.energy.power_model import EnergyBreakdown, PowerModel
 
 
 @pytest.fixture()
@@ -13,19 +14,19 @@ def model(table):
 class TestPowerLevels:
     def test_idle_power(self, model, table):
         for device in table.devices():
-            assert model.power(device, DeviceState.IDLE) == table.idle_power(device)
+            assert power(model, device, DeviceState.IDLE) == table.idle_power(device)
 
     def test_training_power(self, model, table):
         for device in table.devices():
-            assert model.power(device, DeviceState.TRAINING_ONLY) == table.training_power(device)
+            assert power(model, device, DeviceState.TRAINING_ONLY) == table.training_power(device)
 
     def test_app_power_specific(self, model, table):
-        assert model.power("pixel2", DeviceState.APP_ONLY, "tiktok") == table.app_power(
+        assert power(model, "pixel2", DeviceState.APP_ONLY, "tiktok") == table.app_power(
             "pixel2", "tiktok"
         )
 
     def test_corun_power_specific(self, model, table):
-        assert model.power("pixel2", DeviceState.CORUNNING, "zoom") == table.corun_power(
+        assert power(model, "pixel2", DeviceState.CORUNNING, "zoom") == table.corun_power(
             "pixel2", "zoom"
         )
 
@@ -50,21 +51,23 @@ class TestPowerLevels:
 
     def test_unknown_state_rejected(self, model):
         with pytest.raises(ValueError):
-            model.power("pixel2", "unplugged")  # type: ignore[arg-type]
+            power(model, "pixel2", "unplugged")  # type: ignore[arg-type]
 
 
 class TestSchedulerOverhead:
     def test_overhead_disabled_by_default(self, model):
-        idle = model.power("pixel2", DeviceState.IDLE, deciding=True)
+        idle = power(model, "pixel2", DeviceState.IDLE, deciding=True)
         assert idle == model.idle_power("pixel2")
 
     def test_overhead_enabled(self, table):
-        model = PowerModel(table=table, include_scheduler_overhead=True)
-        deciding = model.power("pixel2", DeviceState.IDLE, deciding=True)
-        assert deciding == table.overhead_power("pixel2")
-        assert model.power("pixel2", DeviceState.IDLE, deciding=False) == table.idle_power(
-            "pixel2"
+        model = PowerModel(table=table)
+        deciding = power(
+            model, "pixel2", DeviceState.IDLE, deciding=True, include_scheduler_overhead=True
         )
+        assert deciding == table.overhead_power("pixel2")
+        assert power(
+            model, "pixel2", DeviceState.IDLE, deciding=False, include_scheduler_overhead=True
+        ) == table.idle_power("pixel2")
 
     def test_knapsack_saving_term(self, model, table):
         """s_i = P_b + P_a - P_a' matches the Table II components."""

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from reference_loop import GapTracker
 from repro.core.offline import KnapsackItem, KnapsackSolver, lag_upper_bound
 from repro.core.online import OnlineController
 from repro.core.queues import TaskQueue, VirtualQueue
-from repro.core.staleness import GapTracker, gradient_gap, momentum_lag_factor
+from repro.core.staleness import gradient_gap, momentum_lag_factor
 from repro.energy.measurements import energy_saving_fraction
 from repro.fl.model import build_mlp
 from repro.fl.optimizer import MomentumSGD

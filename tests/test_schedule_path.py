@@ -5,7 +5,7 @@ and ``run_slot`` is held to the per-user form it replaced: the same-slot
 coupling rule (``SameSlotLags``) to a server that registers one job at a
 time, ``OnlinePolicy.decide_all``'s repair pass and the generic fallback to
 the walk frozen in ``tests/oracle.py``, the coordinator's final lags to the
-per-user registration walk, the in-flight blocks to the scalar calls in
+per-user registration walk, the in-flight blocks to blocks of one in
 order, the ``start_training`` block to its all-or-nothing contract, and the
 whole of it to the per-user reference loop and to a checkpoint the parent
 commit wrote.
@@ -30,6 +30,7 @@ from oracle import (
     make_engine,
     run_digest,
 )
+from reference_loop import GapTracker, estimate_lag
 from repro.columns import ordered_sum
 from repro.core.online import OnlinePolicy
 from repro.core.policies import (
@@ -39,7 +40,7 @@ from repro.core.policies import (
     SchedulingPolicy,
     scheduled_lags,
 )
-from repro.core.staleness import GapTracker, gradient_gap
+from repro.core.staleness import gradient_gap
 from repro.fl.server import ParameterServer
 from repro.service.checkpoint import CHECKPOINT_FORMAT_VERSION, CheckpointStore
 from repro.sim.config import SimulationConfig
@@ -134,7 +135,7 @@ class TestSameSlotLags:
         now_s = slot * dt
         server = ParameterServer(np.zeros(3))
         for user, ahead in running:  # jobs already in flight at slot start
-            server.register_inflight(user, (slot + ahead) * dt)
+            server.register_inflight_block((user,), ((slot + ahead) * dt,))
         users = batch.user_ids.tolist()
         durations = batch.training_duration_slots.tolist()
         batch.estimated_lag = server.estimate_lags(
@@ -142,9 +143,9 @@ class TestSameSlotLags:
         )
         coupling = SameSlotLags(batch)
         for position, (user, duration) in enumerate(zip(users, durations)):
-            assert coupling.lag(position) == server.estimate_lag(user, now_s, duration * dt)
+            assert coupling.lag(position) == estimate_lag(server, user, now_s, duration * dt)
             if flags[position]:
-                server.register_inflight(user, (slot + duration) * dt)
+                server.register_inflight_block((user,), ((slot + duration) * dt,))
                 coupling.record(position)
 
     def test_a_shorter_job_raises_a_longer_one_and_not_the_reverse(self):
@@ -283,7 +284,7 @@ class TestRepairPass:
 
 
 # ---------------------------------------------------------------------------
-# (c) In-flight blocks against the scalar calls
+# (c) In-flight blocks against blocks of one
 # ---------------------------------------------------------------------------
 
 _USERS = st.integers(min_value=0, max_value=40)  # past the initial capacity of 16
@@ -316,7 +317,7 @@ class TestInflightBlocks:
             if op[0] == "register":
                 block.register_inflight_block([u for u, _ in op[1]], [f for _, f in op[1]])
                 for user, finish in op[1]:  # a repeated or in-flight id: replace
-                    scalar.register_inflight(user, finish)
+                    scalar.register_inflight_block((user,), (finish,))
                     model[user] = finish
             elif op[0] == "unregister":
                 block.unregister_inflight_block(op[1])

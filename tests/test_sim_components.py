@@ -27,6 +27,7 @@ from repro.sim.rng import spawn_generators
 from repro.sim.trace import SimulationTrace, SlotSample
 
 from oracle import FrozenLogs, FrozenUpdateSample
+from reference_loop import count_decision, launch_index
 
 
 class TestSpawnGenerators:
@@ -143,10 +144,11 @@ class TestArrivalSchedule:
 
     def test_app_starting_at_round_trip(self):
         schedule = self._schedule(seed=3)
+        launches = launch_index(schedule, 4)
         for user in range(4):
             for app in schedule.arrivals_for(user):
-                assert schedule.app_starting_at(user, app.arrival_slot) is app
-        assert schedule.app_starting_at(0, 10**9) is None
+                assert launches[user][app.arrival_slot] is app
+        assert launches[0].get(10**9) is None
 
     def test_next_arrival_oracle(self):
         schedule = self._schedule(prob=0.02, slots=3000, users=2, seed=4)
@@ -204,9 +206,9 @@ class TestSimulationTrace:
         trace = SimulationTrace()
         trace.record_update(ServerUpdate(time_s=5.0, user_id=1, version_before=0, lag=3,
                                          gradient_gap=0.4, train_loss=1.0, sync_round=False))
-        trace.record_decision(scheduled=True, corun=True)
-        trace.record_decision(scheduled=True, corun=False)
-        trace.record_decision(scheduled=False)
+        count_decision(trace, scheduled=True, corun=True)
+        count_decision(trace, scheduled=True, corun=False)
+        count_decision(trace, scheduled=False)
         assert trace.update_lags() == [3]
         assert trace.update_gaps() == [0.4]
         assert trace.corun_jobs == 1 and trace.background_jobs == 1
@@ -215,8 +217,7 @@ class TestSimulationTrace:
     def test_per_user_gap_traces_and_variance(self):
         trace = SimulationTrace()
         for t in range(5):
-            trace.record_user_gap(0, float(t), 1.0)
-            trace.record_user_gap(1, float(t), float(t))
+            trace.record_user_gaps(float(t), [1.0, float(t)])
         assert len(trace.user_gap_trace(0)) == 5
         assert trace.user_gap_trace(9) == []
         assert trace.gap_variance_across_users() > 0.0

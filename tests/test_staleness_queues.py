@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from reference_loop import GapTracker
 from repro.core.queues import LyapunovAnalyzer, TaskQueue, VirtualQueue
 from repro.core.staleness import (
-    GapTracker,
     gradient_gap,
     gradient_gap_from_params,
     linear_weight_prediction,
