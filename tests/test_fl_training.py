@@ -84,6 +84,25 @@ class TestMomentumSGD:
         optimizer.step(model)
         assert not np.allclose(before, model.get_flat_params())
 
+    def test_lent_velocity_is_read_only_and_copied_on_write(self):
+        lender = MomentumSGD(learning_rate=0.1, momentum=0.9)
+        keeper = MomentumSGD(learning_rate=0.1, momentum=0.9)
+        params, grads = np.array([1.0, -2.0, 3.0]), np.array([0.5, -0.25, 1.0])
+        for optimizer in (lender, keeper):
+            optimizer.apply_to_vector(params, grads)
+        lent = lender.lend_velocity()
+        held = lent.copy()
+        assert not lent.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            lent[0] = np.nan
+        # The next step continues on a private, writable copy; the lent array
+        # keeps its bits and lending changes nothing downstream.
+        stepped = lender.apply_to_vector(params, grads)
+        assert lender.velocity is not lent and lender.velocity.flags.writeable
+        assert np.array_equal(lent, held)
+        assert np.array_equal(stepped, keeper.apply_to_vector(params, grads))
+        assert np.array_equal(lender.velocity, keeper.velocity)
+
 
 class TestFLClient:
     def test_local_train_returns_update(self, client):

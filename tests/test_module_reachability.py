@@ -84,3 +84,60 @@ class TestModuleReachability:
         assert "repro.tools.reprolint.framework" in reached_from(["repro.cli"], modules)
         # Nothing is reached from outside the package.
         assert reached_from(["numpy", "tests.oracle"], modules) == set()
+
+
+def defined_names(path: Path) -> Dict[str, Set[str]]:
+    """Module-level class/function names of ``path`` (key ``""``) and, per
+    class, the names its body defines."""
+    tree = ast.parse(path.read_text(), str(path))
+    kinds = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    names: Dict[str, Set[str]] = {"": set()}
+    for node in tree.body:
+        if isinstance(node, kinds):
+            names[""].add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names[node.name] = {
+                child.name for child in node.body if isinstance(child, kinds)
+            }
+    return names
+
+
+class TestOneDataPlane:
+    """The per-user reference loop and the scalar models only it runs live in
+    ``tests/reference_loop.py``; the product keeps no twin of them."""
+
+    def test_the_oracle_and_its_scalar_models_are_not_in_the_product(self):
+        moved = {
+            "ReferenceLoopEngine", "MobileDevice", "TrainingJob", "StepOutcome",
+            "DeviceState", "EnergyAccountant", "GapTracker",
+            "ModelUpload", "ModelDownload", "DvfsGovernor", "OperatingPoint",
+        }
+        for name in ("sim/reference.py", "device/device.py", "device/dvfs.py"):
+            assert not (SRC / "repro" / name).exists()
+        defined = {
+            (module, name)
+            for module, path in product_modules().items()
+            for names in defined_names(path).values()
+            for name in names & moved
+        }
+        assert defined == set()
+
+    def test_product_classes_keep_no_scalar_hooks(self):
+        dropped = {
+            "PowerModel": {"power"},
+            "ParameterServer": {"download", "register_inflight", "estimate_lag"},
+            "ModelTransport": {"upload", "download"},
+            "SimulationTrace": {"record_decision", "record_user_gap"},
+            "ArrivalSchedule": {"app_starting_at"},
+        }
+        methods: Dict[str, Set[str]] = {}
+        for path in product_modules().values():
+            for owner, names in defined_names(path).items():
+                if owner in dropped:
+                    methods.setdefault(owner, set()).update(names)
+        assert set(methods) == set(dropped)  # each class is still found
+        # What the column plane and the bench tracer still call stays.
+        assert {"async_update", "unregister_inflight"} <= methods["ParameterServer"]
+        assert {owner: names & dropped[owner] for owner, names in methods.items()} == {
+            owner: set() for owner in dropped
+        }
