@@ -18,7 +18,15 @@ layer follows the same protocol:
   gradient with respect to the data.
 
 Shapes follow the ``(batch, ...)`` convention; convolutional layers use
-``(batch, channels, height, width)``.
+``(batch, channels, height, width)``.  ``Linear``, ``ReLU``, ``Tanh`` and
+:class:`SoftmaxCrossEntropy` also take an optional leading *block* axis —
+``(k, batch, features)`` activations against ``(k, in, out)`` weight and
+``(k, 1, out)`` bias views, ``k`` networks side by side (see
+:meth:`repro.fl.model.Sequential.stacked`).  The block form is the same
+code: products go through ``swapaxes(-1, -2)``, bias sums over ``axis=-2``
+and the loss reduces over ``axis=-1``, so each block slice runs the very
+ufunc and BLAS calls of the 2-D form on the same per-slice strides, and a
+2-D call is bit for bit what it was.
 """
 
 from __future__ import annotations
@@ -74,7 +82,7 @@ class Layer:
 
 
 class Linear(Layer):
-    """Fully-connected layer ``y = x W + b``."""
+    """Fully-connected layer ``y = x W + b`` (optionally one per block slice)."""
 
     def __init__(self, in_features: int, out_features: int, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
@@ -88,24 +96,26 @@ class Linear(Layer):
         self._cache_x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.params["w"].shape[0]:
+        w = self.params["w"]
+        if x.ndim != w.ndim or x.shape[-1] != w.shape[-2]:
             raise ValueError(
-                f"Linear expected input of shape (batch, {self.params['w'].shape[0]}), got {x.shape}"
+                f"Linear expected input of shape {w.shape[:-2]} + (batch, {w.shape[-2]}), "
+                f"got {x.shape}"
             )
         self._cache_x = x
-        out = x @ self.params["w"]
+        out = x @ w
         out += self.params["b"]
         return out
 
     def backward_params(self, grad_out: np.ndarray) -> None:
         if self._cache_x is None:
             raise RuntimeError("backward called before forward")
-        np.matmul(self._cache_x.T, grad_out, out=self.grads["w"])
-        grad_out.sum(axis=0, out=self.grads["b"])
+        np.matmul(self._cache_x.swapaxes(-1, -2), grad_out, out=self.grads["w"])
+        grad_out.sum(axis=-2, out=self.grads["b"])
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         self.backward_params(grad_out)
-        return grad_out @ self.params["w"].T
+        return grad_out @ self.params["w"].swapaxes(-1, -2)
 
 
 class ReLU(Layer):
@@ -316,51 +326,59 @@ class SoftmaxCrossEntropy:
     """Combined softmax activation and cross-entropy loss.
 
     Not a :class:`Layer` — it terminates the network: ``forward`` returns the
-    scalar loss and ``backward`` returns the gradient of the loss with
-    respect to the logits.
+    scalar loss (one per slice for ``(k, batch, classes)`` block logits) and
+    ``backward`` returns the gradient of the loss with respect to the logits.
     """
 
     def __init__(self) -> None:
         self._probs: Optional[np.ndarray] = None
         self._labels: Optional[np.ndarray] = None
-        #: ``arange(batch)`` per batch size seen (a round sees two at most).
-        self._rows: Dict[int, np.ndarray] = {}
+        #: The index of every label's row per label shape seen (a round sees
+        #: two at most): ``(arange(batch),)``, or ``(arange(k)[:, None],
+        #: arange(batch))`` for a block.
+        self._rows: Dict[Tuple[int, ...], Tuple[np.ndarray, ...]] = {}
 
-    def _row_index(self, batch: int) -> np.ndarray:
-        rows = self._rows.get(batch)
+    def _label_index(self, labels: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Fancy index of each sample's labelled class in the probabilities."""
+        rows = self._rows.get(labels.shape)
         if rows is None:
-            rows = self._rows[batch] = np.arange(batch)
-        return rows
+            if labels.ndim == 1:
+                rows = (np.arange(labels.shape[0]),)
+            else:
+                rows = (np.arange(labels.shape[0])[:, None], np.arange(labels.shape[1]))
+            self._rows[labels.shape] = rows
+        return rows + (labels,)
 
-    def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        """Compute mean cross-entropy of ``logits`` against integer ``labels``."""
-        if logits.ndim != 2:
-            raise ValueError("logits must have shape (batch, classes)")
-        batch = logits.shape[0]
-        if labels.shape[0] != batch:
+    def forward(self, logits: np.ndarray, labels: np.ndarray):
+        """Mean cross-entropy of ``logits`` against integer ``labels``: a
+        ``float``, or one per slice of a block (an array)."""
+        if logits.ndim not in (2, 3):
+            raise ValueError("logits must have shape (batch, classes) or (k, batch, classes)")
+        if labels.shape != logits.shape[:-1]:
             raise ValueError("labels and logits must agree on batch size")
-        probs = logits - logits.max(axis=1, keepdims=True)
+        batch = logits.shape[-2]
+        probs = logits - logits.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs /= probs.sum(axis=-1, keepdims=True)
         self._probs = probs
         self._labels = labels
         # The mean of the clipped logs, spelled as the ufunc calls
         # ``np.mean(np.log(np.clip(correct, 1e-12, None)))`` dispatches to.
-        logs = np.maximum(probs[self._row_index(batch), labels], 1e-12)
+        logs = np.maximum(probs[self._label_index(labels)], 1e-12)
         np.log(logs, out=logs)
-        return float(-(np.add.reduce(logs) / batch))
+        loss = -(np.add.reduce(logs, axis=-1) / batch)
+        return float(loss) if logits.ndim == 2 else loss
 
     def backward(self) -> np.ndarray:
         """Gradient of the mean loss with respect to the logits."""
         if self._probs is None or self._labels is None:
             raise RuntimeError("backward called before forward")
-        batch = self._probs.shape[0]
         grad = self._probs.copy()  # ``_probs`` stays intact: callable twice
-        grad[self._row_index(batch), self._labels] -= 1.0
-        grad /= batch
+        grad[self._label_index(self._labels)] -= 1.0
+        grad /= self._probs.shape[-2]
         return grad
 
     @staticmethod
     def predictions(logits: np.ndarray) -> np.ndarray:
         """Class predictions from raw logits."""
-        return logits.argmax(axis=1)
+        return logits.argmax(axis=-1)

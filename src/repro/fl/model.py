@@ -19,7 +19,8 @@ Two builders match the paper's setup:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+import copy
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from repro.fl.layers import (
 
 __all__ = ["Sequential", "build_mlp", "build_lenet5"]
 
+#: The layers whose math takes a leading block axis (:meth:`Sequential.stacked`).
+_STACKABLE_LAYERS = (Linear, ReLU, Tanh)
+
 
 class Sequential:
     """A feed-forward stack of layers with a softmax cross-entropy head."""
@@ -45,6 +49,10 @@ class Sequential:
             raise ValueError("a model needs at least one layer")
         self.layers: List[Layer] = list(layers)
         self.loss_fn = SoftmaxCrossEntropy()
+        #: :meth:`stacked` workspaces by row count, and the ``(3, rows, P)``
+        #: memory they view (never pickled).
+        self._stacked: Dict[int, "Sequential"] = {}
+        self._block_memory: Optional[np.ndarray] = None
         self._bind()
 
     def _bind(self) -> None:
@@ -62,6 +70,9 @@ class Sequential:
             layer.params[name] = self.flat_params[offset:stop].reshape(value.shape)
             layer.grads[name] = self.flat_grads[offset:stop].reshape(value.shape)
             offset = stop
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_stacked": {}, "_block_memory": None}
 
     def __setstate__(self, state: dict) -> None:
         # pickle / deepcopy restore every view as an independent array.
@@ -139,6 +150,58 @@ class Sequential:
     def get_flat_grads(self) -> np.ndarray:
         """Copy all parameter gradients into a single flat vector."""
         return self.flat_grads.copy()
+
+    # -- stacked copies --------------------------------------------------------------
+
+    def stackable(self) -> bool:
+        """Whether :meth:`stacked` applies: only ``Linear``, ``ReLU`` and
+        ``Tanh`` layers (no per-layer RNG, no image layout)."""
+        return all(type(layer) in _STACKABLE_LAYERS for layer in self.layers)
+
+    def stacked(self, rows: int) -> "Sequential":
+        """A workspace of ``rows`` copies of this network side by side.
+
+        Its ``flat_params`` / ``flat_grads`` are ``(rows, P)`` blocks, and
+        ``flat_momentum`` a third one for the optimizer (all three left
+        as the last use left them: a round loads parameters and momentum and
+        every backward pass writes every gradient).  Each layer tensor is a
+        ``(rows, *shape)`` view of its column segment — a bias parameter
+        ``(rows, 1, out)``, so it broadcasts over the batch the way the 1-D
+        bias does — and a forward / backward pass over ``(rows, batch,
+        features)`` inputs runs every product once per row on that row's
+        own ``(in, out)`` slices.
+
+        Like the model itself, a stacked copy is a workspace: this model
+        keeps one per row count, over one memory grown to the most rows
+        asked for, and the next call with as many rows reuses it (a fresh
+        quarter-megabyte block per round would cost more in page faults
+        than the stacking saves).
+        """
+        block = self._stacked.get(rows)
+        if block is not None:
+            return block
+        if not self.stackable():
+            raise ValueError("only Linear / ReLU / Tanh stacks have a stacked form")
+        memory = self._block_memory
+        if memory is None or memory.shape[1] < rows:
+            memory = self._block_memory = np.empty((3, rows, self.flat_params.size))
+            self._stacked.clear()  # their views are of the old memory
+        block = Sequential.__new__(Sequential)  # not ``copy``: that would re-bind our layers
+        block.layers = [copy.copy(layer) for layer in self.layers]
+        block.loss_fn = SoftmaxCrossEntropy()
+        block.flat_params, block.flat_grads, block.flat_momentum = memory[:, :rows]
+        offset = 0
+        for source, layer in zip(self.layers, block.layers):
+            layer.params, layer.grads = {}, {}
+            for name, value in source.params.items():
+                stop = offset + value.size
+                shape = (rows,) + value.shape
+                broadcast = (rows,) + (1,) * (2 - value.ndim) + value.shape
+                layer.params[name] = block.flat_params[:, offset:stop].reshape(broadcast)
+                layer.grads[name] = block.flat_grads[:, offset:stop].reshape(shape)
+                offset = stop
+        self._stacked[rows] = block
+        return block
 
 
 def build_mlp(

@@ -16,7 +16,7 @@ extrapolation.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,9 @@ class MomentumSGD:
 
     The optimizer works on the model's flat parameter and gradient vectors,
     updating parameters and momentum in place, so its momentum state can be
-    handed directly to the staleness estimators.
+    handed directly to the staleness estimators.  The update is elementwise,
+    so the same code steps a ``(k, P)`` block of ``k`` stacked networks
+    (:meth:`stacked`), each row bit for bit its own 1-D step.
 
     Args:
         learning_rate: ``eta`` in Eq. (1).
@@ -44,12 +46,12 @@ class MomentumSGD:
         momentum: float = 0.9,
         weight_decay: float = 0.0,
     ) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(learning_rate) and learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        if not (math.isfinite(weight_decay) and weight_decay >= 0):
+            raise ValueError("weight_decay must be finite and non-negative")
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -57,6 +59,26 @@ class MomentumSGD:
         #: A snapshot holds ``_velocity`` (:meth:`lend_velocity`): the next
         #: step must rebind it, not write into it.
         self._lent = False
+
+    @classmethod
+    def stacked(cls, optimizers: Sequence["MomentumSGD"], velocity: np.ndarray) -> "MomentumSGD":
+        """One optimizer stepping the momentum of ``optimizers`` as the rows
+        of ``velocity``, a ``(k, P)`` block it fills and then owns.
+
+        All of them must share the hyper-parameters of the first.  Row ``i``
+        starts as ``optimizers[i]``'s vector, or at zero when it has none
+        (what its own first step would start from); the optimizers
+        themselves are only read, so a lent vector stays untouched.
+        """
+        first = optimizers[0]
+        block = cls(first.learning_rate, first.momentum, first.weight_decay)
+        for row, optimizer in enumerate(optimizers):
+            if optimizer._velocity is None:
+                velocity[row] = 0.0
+            else:
+                velocity[row] = optimizer._velocity
+        block._velocity = velocity
+        return block
 
     @property
     def velocity(self) -> Optional[np.ndarray]:

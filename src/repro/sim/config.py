@@ -145,7 +145,7 @@ class SimulationConfig:
     user_data_alpha: Optional[Sequence[Optional[float]]] = None
 
     def __post_init__(self) -> None:
-        for name in ("num_users", "total_slots"):
+        for name in ("num_users", "total_slots", "batch_size", "local_epochs"):
             value = getattr(self, name)
             try:
                 operator.index(value)
@@ -161,6 +161,12 @@ class SimulationConfig:
             raise ValueError("evaluation and trace intervals must be positive")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError("epsilon must be finite and non-negative")
+        # Refused here, not at engine build (or, for a NaN rate, never: the
+        # run would train to chance level without a word).
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
         # A JSON spec names the rule by its value ("replace"); anything that
         # names no rule is refused here, not at the first upload.
         try:

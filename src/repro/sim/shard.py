@@ -557,14 +557,19 @@ class FleetShard:
         finished: List[Tuple[int, LocalUpdate]] = []
         if len(outcome.finished_users):
             tick = self.timers.start()
-            for local in outcome.finished_users.tolist():
+            finishers = outcome.finished_users.tolist()
+            bases = []
+            for local in finishers:
                 base = fleet.base_params[local]
                 assert base is not None  # pinned at download
-                update = self.clients[local].local_train(
-                    base,
-                    int(fleet.base_version[local]),
-                    include_params=self.include_params,
-                )
+                bases.append(base)
+            updates = FLClient.local_train(
+                [self.clients[local] for local in finishers],
+                bases,
+                [int(fleet.base_version[local]) for local in finishers],
+                include_params=self.include_params,
+            )
+            for local, update in zip(finishers, updates):
                 fleet.momentum_norms[local] = update.momentum_norm
                 finished.append((local + lo, update))
             self.timers.stop("training", tick)

@@ -55,7 +55,7 @@ from repro.device.models import DeviceSpec
 from repro.device.thermal import ThermalModel
 from repro.energy.measurements import MeasurementTable
 from repro.energy.power_model import EnergyBreakdown, PowerModel
-from repro.fl.client import LocalUpdate
+from repro.fl.client import FLClient, LocalUpdate
 from repro.fl.dataset import SyntheticCifar10
 from repro.fl.server import AsyncUpdateRule, ParameterServer
 from repro.sim.arrivals import ArrivalSchedule
@@ -665,9 +665,10 @@ class ReferenceLoopEngine(Coordinator):
             for user in finished_users:
                 state = self._user_states[user]
                 tick = self.timers.start()
-                update = self.clients[user].local_train(
-                    state.base_params,
-                    state.base_version,
+                (update,) = FLClient.local_train(
+                    [self.clients[user]],
+                    [state.base_params],
+                    [state.base_version],
                     include_params=self._upload_params,
                 )
                 self.timers.stop("training", tick)

@@ -27,9 +27,10 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from oracle import make_engine, run_digest
 from repro.core.online import OnlinePolicy
 from repro.core.policies import SyncPolicy
-from repro.fl.client import LocalUpdate
+from repro.fl.client import FLClient, LocalUpdate
 from repro.service import checkpoint as checkpoint_module
 from repro.service.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -327,6 +328,38 @@ class TestShardedRoundTrip:
         assert_same(reference, resumed, "widened (pre-compaction) checkpoint")
 
 
+class TestResumeWhereBlocksForm:
+    """One sample per user: a slot's finishers train as stacked blocks.  A
+    mid-run checkpoint, resumed single-process and on two inline or process
+    shards, ends on the digest of the reference loop, which trains every
+    round alone."""
+
+    CONFIG = dict(
+        num_users=40, total_slots=1000, num_train_samples=40, seed=5, num_test_samples=100
+    )
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        loop = make_engine("loop", make_config(**self.CONFIG), make_policy("online"))
+        return run_digest(loop.run())
+
+    @pytest.mark.parametrize("mode", ["single", "inline2", "process2"])
+    def test_resume_ends_on_the_per_client_digest(self, monkeypatch, reference, mode):
+        blocks = []
+        real_block = FLClient._train_block
+
+        def spy(clients, *args):
+            blocks.append(len(clients))
+            return real_block(clients, *args)
+
+        monkeypatch.setattr(FLClient, "_train_block", staticmethod(spy))
+        config = make_config(**self.CONFIG)
+        checkpoint = interrupt_at(build(mode, config, make_policy("online")), 500)
+        assert run_digest(restore(mode, checkpoint).run()) == reference
+        if mode != "process2":  # a worker's blocks are not seen here
+            assert len(blocks) > 10 and max(blocks) > 2
+
+
 class TestCheckpointStore:
     def test_disk_round_trip_preserves_the_contract(self):
         config = make_config()
@@ -585,7 +618,15 @@ class TestSnapshotIsolation:
         frozen = [None if v is None else v.copy() for v in lent]
         for client, velocity in zip(engine.clients, lent):
             assert client.optimizer.velocity is velocity  # no copy at capture
-            client.local_train(engine.server.global_params(), engine.server.version)
+        # One call: the clients train as one stacked block, which reads the
+        # lent vectors and hands each client a private successor.
+        clients = engine.clients
+        FLClient.local_train(
+            clients,
+            [engine.server.global_params()] * len(clients),
+            [engine.server.version] * len(clients),
+        )
+        for client, velocity in zip(clients, lent):
             assert client.optimizer.velocity is not velocity
             assert not np.array_equal(client.optimizer.velocity, velocity)
         assert same_state(lent, frozen)

@@ -328,7 +328,9 @@ class TestTheRound:
         base = client.model.get_flat_params()
         base.setflags(write=False)  # as the server's download view is
         for round_number in range(3):
-            update = client.local_train(base, round_number, include_params=include_params)
+            (update,) = FLClient.local_train(
+                [client], [base], [round_number], include_params=include_params
+            )
             want = frozen.local_train(base)
             assert np.array_equal(update.delta, want.delta)
             if include_params:
@@ -439,8 +441,8 @@ class TestUploadPayloadAndZeroCopy:
     def test_delta_only_upload_halves_payload(self):
         clients = _make_clients(1, 60)
         base = clients[0].model.get_flat_params()
-        full = clients[0].local_train(base, 0, include_params=True)
-        lean = clients[0].local_train(base, 1, include_params=False)
+        (full,) = FLClient.local_train(clients[:1], [base], [0], include_params=True)
+        (lean,) = FLClient.local_train(clients[:1], [base], [1], include_params=False)
         assert lean.params is None
         assert lean.payload_nbytes() == lean.delta.nbytes
         assert full.payload_nbytes() == 2 * lean.payload_nbytes()

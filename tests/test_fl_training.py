@@ -76,6 +76,12 @@ class TestMomentumSGD:
         with pytest.raises(ValueError):
             MomentumSGD(weight_decay=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("knob", ["learning_rate", "weight_decay"])
+    def test_non_finite_rates_are_refused(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            MomentumSGD(**{knob: value})
+
     def test_step_updates_model_params(self, rng):
         model = build_mlp(input_dim=6, hidden_dims=(4,), num_classes=3, seed=0)
         optimizer = MomentumSGD(learning_rate=0.1)
@@ -107,7 +113,7 @@ class TestMomentumSGD:
 class TestFLClient:
     def test_local_train_returns_update(self, client):
         base = client.model.get_flat_params()
-        update = client.local_train(base, base_version=3)
+        (update,) = FLClient.local_train([client], [base], [3])
         assert isinstance(update, LocalUpdate)
         assert update.user_id == 0
         assert update.base_version == 3
@@ -119,14 +125,14 @@ class TestFLClient:
     def test_momentum_persists_across_rounds(self, client):
         base = client.model.get_flat_params()
         assert client.momentum_norm() == 0.0
-        client.local_train(base, 0)
+        FLClient.local_train([client], [base], [0])
         norm_after_first = client.momentum_norm()
         assert norm_after_first > 0.0
         assert client.rounds_completed == 1
 
     def test_training_starts_from_supplied_global(self, client):
         global_params = np.zeros_like(client.model.get_flat_params())
-        update = client.local_train(global_params, 0)
+        (update,) = FLClient.local_train([client], [global_params], [0])
         # The update must be a perturbation of the supplied global model, not
         # of whatever the client model held before.
         assert np.linalg.norm(update.params) < 10.0
@@ -135,7 +141,7 @@ class TestFLClient:
         base = client.model.get_flat_params()
         params = base
         for _ in range(20):
-            update = client.local_train(params, 0)
+            (update,) = FLClient.local_train([client], [params], [0])
             params = update.params
         assert client.evaluate_local(params) > 0.5
 

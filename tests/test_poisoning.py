@@ -5,7 +5,7 @@ contract silently assumes each is fully rewritten before it is read:
 
 * the training workspace — every client of a slice trains in one
   :class:`~repro.fl.model.Sequential`, whose ``flat_params`` / ``flat_grads``
-  hold whatever the previous round left there;
+  and stacked blocks hold whatever the previous round left there;
 * the derived :class:`~repro.sim.fleet.FleetState` columns, which
   ``_rebuild()`` re-derives from the primary arrays on a fast-forward
   rollback and on a checkpoint restore.
@@ -18,6 +18,10 @@ single-process engine and on two inline shards.
 A third piece is shared by design: the momentum vectors a checkpoint slice
 holds are lent by the optimizers, not copied.  They must never be written
 again, and a write into one raises.
+
+A fourth is shared for one call: the clients of a stacked block train in
+one ``(k, P)`` program, so a NaN in one client's download or momentum
+must stay in that client's row.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ import pytest
 
 from oracle import run_digest, upload_bits
 from repro.core.online import OnlinePolicy
-from repro.fl.client import FLClient
+from repro.fl.client import BLOCK_BYTES, FLClient
+from repro.fl.dataset import DataPartition
+from repro.fl.model import build_mlp
 from repro.service.checkpoint import Checkpointer, RunInterrupted
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
@@ -82,23 +88,28 @@ def _config() -> SimulationConfig:
 
 def _recorded_uploads(monkeypatch, before_round=None) -> list:
     """Record every upload in training order; ``before_round(client)`` runs
-    right before each local round (the poisoning hook)."""
+    for each client right before its slot's local rounds (the poisoning
+    hook)."""
     uploads = []
 
-    def train(self, global_params, base_version, include_params=True):
+    def train(clients, bases, base_versions, include_params=True):
         if before_round is not None:
-            before_round(self)
-        update = _REAL_TRAIN(self, global_params, base_version, include_params)
-        uploads.append(upload_bits(update))
-        return update
+            for client in clients:
+                before_round(client)
+        updates = _REAL_TRAIN(clients, bases, base_versions, include_params)
+        uploads.extend(upload_bits(update) for update in updates)
+        return updates
 
     monkeypatch.setattr(FLClient, "local_train", train)
     return uploads
 
 
 def _poison_workspace(client: FLClient) -> None:
-    client.model.flat_params.fill(np.nan)
-    client.model.flat_grads.fill(np.nan)
+    model = client.model
+    model.flat_params.fill(np.nan)
+    model.flat_grads.fill(np.nan)
+    if model._block_memory is not None:  # the stacked rounds' blocks
+        model._block_memory.fill(np.nan)
 
 
 def _poisoned_rebuilds(monkeypatch) -> list:
@@ -181,3 +192,66 @@ class TestPoisoning:
         )
         assert refused
         assert observed == expected
+
+
+def _block_clients(count: int, samples: int = 9) -> list:
+    """``count`` clients of one stacked group (one model, as many samples)."""
+    model = build_mlp(input_dim=12, hidden_dims=(16,), seed=5)
+    rng = np.random.default_rng(8)
+    return [
+        FLClient(
+            user,
+            DataPartition(user, rng.normal(size=(samples, 12)), rng.integers(0, 10, samples)),
+            model,
+            batch_size=4,
+            seed=300 + user,
+        )
+        for user in range(count)
+    ]
+
+
+class TestBlockRowIsolation:
+    @pytest.mark.parametrize("poisoned", ["base", "velocity"])
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_a_nan_row_leaves_the_other_rows_solo(self, monkeypatch, poisoned, row):
+        count = 7
+        stacked, solo = _block_clients(count), _block_clients(count)
+        assert BLOCK_BYTES // stacked[0].model.flat_params.nbytes >= count
+        base = stacked[0].model.get_flat_params()
+        # A first round on both sides, one client at a time, so every client
+        # carries a velocity into the poisoned round.
+        for clients in (stacked, solo):
+            for client in clients:
+                FLClient.local_train([client], [base], [0])
+        bases = [base + 0.01 * user for user in range(count)]
+        if poisoned == "base":
+            bases[row] = bases[row].copy()
+            bases[row][5] = np.nan
+        else:
+            for clients in (stacked, solo):
+                velocity = clients[row].optimizer.velocity.copy()
+                velocity[5] = np.nan
+                clients[row].optimizer.load_velocity(velocity)
+        blocks = []
+        real_block = FLClient._train_block
+
+        def spy(clients, *args):
+            blocks.append(len(clients))
+            return real_block(clients, *args)
+
+        monkeypatch.setattr(FLClient, "_train_block", staticmethod(spy))
+        got = FLClient.local_train(stacked, bases, [1] * count)
+        assert blocks == [count]
+        want = [
+            FLClient.local_train([client], [base], [1])[0]
+            for client, base in zip(solo, bases)
+        ]
+        assert np.isnan(got[row].delta).any()
+        for user in range(count):
+            if user == row:
+                continue
+            assert upload_bits(got[user]) == upload_bits(want[user])
+            assert (
+                stacked[user].optimizer.velocity.tobytes()
+                == solo[user].optimizer.velocity.tobytes()
+            )

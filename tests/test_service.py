@@ -193,6 +193,12 @@ class TestSubmitValidation:
         "non-catalog-device-names": '{"spec": {"policy": "online", "config": '
                                     '{"num_users": 5, "device_names": [1, 2, 3, 4, 5]}}}',
         "non-integer-shards": '{"scenario": "paper-baseline", "shards": "x"}',
+        "nan-learning-rate": '{"spec": {"policy": "online", "config": '
+                             '{"learning_rate": NaN}}}',
+        "momentum-of-one": '{"spec": {"policy": "online", "config": '
+                           '{"momentum": 1.0}}}',
+        "zero-batch-size": '{"spec": {"policy": "online", "config": '
+                           '{"batch_size": 0}}}',
     }
 
     @pytest.fixture
@@ -205,6 +211,26 @@ class TestSubmitValidation:
     def test_unrunnable_spec_is_a_400(self, api, body):
         status, payload = api.handle("POST", "/jobs", json.loads(self.REFUSED[body]))
         assert status == 400, payload
+        assert api.service.list_jobs() == []
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(knob=st.one_of(
+        st.tuples(st.just("learning_rate"),
+                  st.floats(max_value=0.0) | st.sampled_from([float("nan"), float("inf")])),
+        st.tuples(st.just("momentum"),
+                  st.floats(max_value=-1e-300) | st.floats(min_value=1.0)
+                  | st.just(float("nan"))),
+        st.tuples(st.sampled_from(["batch_size", "local_epochs"]),
+                  st.integers(-10**6, 0) | st.floats() | st.text(max_size=3)),
+    ))
+    def test_hostile_training_knobs_are_400s(self, api, knob):
+        """The local round's knobs (also the stacked round's grouping key)
+        are refused at submission, not at engine build or never."""
+        name, value = knob
+        body = {"spec": {"policy": "online", "config": {name: value}}}
+        status, payload = api.handle("POST", "/jobs", body)
+        assert status == 400, (status, payload)
         assert api.service.list_jobs() == []
 
     def test_unknown_trace_level_and_policy_are_400s(self, api):

@@ -80,10 +80,28 @@ class TestSimulationConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "field",
-        ["slot_seconds", "epsilon", "battery_capacity_j", "battery_charge_rate_w"],
+        ["slot_seconds", "epsilon", "battery_capacity_j", "battery_charge_rate_w", "learning_rate"],
     )
     def test_non_finite_scalars_are_refused(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimulationConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("learning_rate", 0.0),
+            ("learning_rate", -0.01),
+            ("momentum", -0.1),
+            ("momentum", 1.0),
+            ("momentum", math.nan),
+            ("batch_size", 0),
+            ("batch_size", 2.5),
+            ("local_epochs", 0),
+            ("local_epochs", -1),
+        ],
+    )
+    def test_training_knobs_are_refused_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
             SimulationConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -8,21 +8,26 @@ Contracts under test (``src/repro/fl/model.py``, ``optimizer.py``,
 * the in-place round is bit for bit the flatten/unflatten round it replaced
   (``tests/oracle.py::FrozenLocalTrainer``);
 * a model is a workspace, not client state: clients sharing one instance
-  produce exactly the uploads of clients that each own one.
+  produce exactly the uploads of clients that each own one;
+* one ``FLClient.local_train`` call over a mix of stacked blocks and solo
+  rounds is, row for row, the frozen round of each client.
 """
 
 from __future__ import annotations
 
 import copy
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import FrozenLocalTrainer, partition_batches
-from repro.fl.client import FLClient
-from repro.fl.dataset import SyntheticCifar10, partition_iid
-from repro.fl.layers import Dropout, Layer, Linear, ReLU
+from repro.fl.client import BLOCK_BYTES, FLClient
+from repro.fl.dataset import DataPartition, SyntheticCifar10, partition_iid
+from repro.fl.layers import Dropout, Layer, Linear, ReLU, Tanh
 from repro.fl.model import Sequential, build_lenet5, build_mlp
 from repro.fl.optimizer import MomentumSGD
 from repro.sim import engine as engine_module
@@ -187,7 +192,7 @@ class TestFrozenStepParity:
         for round_number in range(3):
             deltas = []
             for client, reference in zip(clients, frozen):
-                update = client.local_train(base, round_number)
+                (update,) = FLClient.local_train([client], [base], [round_number])
                 want = reference.local_train(base)
                 assert np.array_equal(update.delta, want.delta)
                 assert np.array_equal(update.params, want.params)
@@ -217,8 +222,8 @@ class TestSharedWorkspace:
         # reach a different successor each time.
         for order in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 2, 0, 3, 1]):
             for user in order:
-                got = shared[user].local_train(bases[user], 0)
-                want = private[user].local_train(bases[user], 0)
+                (got,) = FLClient.local_train([shared[user]], [bases[user]], [0])
+                (want,) = FLClient.local_train([private[user]], [bases[user]], [0])
                 assert np.array_equal(got.params, want.params)
                 assert np.array_equal(got.delta, want.delta)
                 assert got.train_loss == want.train_loss
@@ -245,3 +250,164 @@ class TestSharedWorkspace:
         config = SimulationConfig(num_users=2, total_slots=10, num_train_samples=20)
         with pytest.raises(ValueError, match="Dropout"):
             build_clients(config, _partitions("mlp", 2, 20), 24)
+
+
+# ---------------------------------------------------------------------------
+# Stacked blocks
+# ---------------------------------------------------------------------------
+
+#: 7 658 parameters: a 61 KB row, so the budget cuts blocks of four.
+_WIDE = dict(input_dim=24, hidden_dims=(128, 32))
+_CHUNK = BLOCK_BYTES // (8 * build_mlp(**_WIDE).num_parameters())
+
+
+def _dropout_mlp(rng: np.random.Generator) -> Sequential:
+    """A non-stackable model; every copy draws its masks from ``rng``."""
+    init = np.random.default_rng(4)
+    return Sequential(
+        [Linear(24, 16, rng=init), Tanh(), Dropout(0.3, rng=rng), Linear(16, 10, rng=init)]
+    )
+
+
+#: One client's knobs: (model, samples, batch size, epochs, lr, momentum,
+#: weight decay).  Sample counts leave ragged last batches.
+_client_spec = st.tuples(
+    st.sampled_from(["mlp", "tanh", "dropout"]),
+    st.sampled_from([1, 3, 7, 23]),
+    st.sampled_from([5, 20]),
+    st.sampled_from([1, 2]),
+    st.sampled_from([0.05, 0.01]),
+    st.sampled_from([0.0, 0.9]),
+    st.sampled_from([0.0, 0.01]),
+)
+
+
+class TestStackedBlocks:
+    def test_the_budget_cuts_blocks_of_four(self):
+        assert _CHUNK == 4
+
+    def test_a_stacked_copy_leaves_its_source_bound(self):
+        model = _build("mlp")
+        block = model.stacked(3)
+        _assert_bound(model)
+        assert block.flat_params.shape == block.flat_grads.shape == (3, model.num_parameters())
+        for (layer, name, value), (source, _, original) in zip(
+            block.parameter_items(), model.parameter_items()
+        ):
+            assert layer.grads[name].shape == (3,) + original.shape
+            assert value.size == 3 * original.size and value.shape[-1] == original.shape[-1]
+            assert np.shares_memory(value, block.flat_params)
+            assert np.shares_memory(layer.grads[name], block.flat_grads)
+            assert not np.shares_memory(value, model.flat_params)
+            assert layer is not source
+
+    def test_only_linear_relu_tanh_stacks_stack(self):
+        assert _build("mlp").stackable()
+        assert not _build("lenet").stackable()
+        assert not _dropout_mlp(np.random.default_rng(0)).stackable()
+        with pytest.raises(ValueError, match="stacked form"):
+            _build("lenet").stacked(2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        specs=st.lists(_client_spec, min_size=1, max_size=12),
+        shared=st.integers(0, 2 * _CHUNK + 1),
+        include_params=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_call_equals_the_frozen_round_per_client(
+        self, specs, shared, include_params, seed
+    ):
+        """Clients given by ``specs`` plus ``shared`` clients of one knob set
+        (a group from none to past two blocks), shuffled together.  A first
+        call trains some of them and some velocities are lent; a second
+        trains all of them, each from its own base."""
+        rng = np.random.default_rng(seed)
+        specs = list(specs) + [("mlp", 7, 5, 1, 0.05, 0.9, 0.0)] * shared
+        specs = [specs[index] for index in rng.permutation(len(specs))]
+        models = {
+            "mlp": build_mlp(**_WIDE, seed=1),
+            "tanh": Sequential(
+                [Linear(24, 32, rng=np.random.default_rng(2)), Tanh(),
+                 Linear(32, 10, rng=np.random.default_rng(3))]
+            ),
+            "dropout": _dropout_mlp(np.random.default_rng(seed)),
+        }
+        frozen_dropout_rng = np.random.default_rng(seed)
+        clients, frozen = [], []
+        for user, (kind, size, batch, epochs, lr, momentum, decay) in enumerate(specs):
+            data = DataPartition(user, rng.normal(size=(size, 24)), rng.integers(0, 10, size))
+            client = FLClient(
+                user, data, models[kind], learning_rate=lr, momentum=momentum,
+                batch_size=batch, local_epochs=epochs, seed=seed + user,
+            )
+            client.optimizer.weight_decay = decay
+            clients.append(client)
+            twin = (
+                _dropout_mlp(frozen_dropout_rng) if kind == "dropout"
+                else copy.deepcopy(models[kind])
+            )
+            frozen.append(
+                FrozenLocalTrainer(
+                    twin, data, learning_rate=lr, momentum=momentum, weight_decay=decay,
+                    batch_size=batch, local_epochs=epochs, seed=seed + user,
+                )
+            )
+        blocks = []
+        real_block = FLClient._train_block
+
+        def spy(block, *args):
+            blocks.append(len(block))
+            return real_block(block, *args)
+
+        def train(users):
+            downloads = {
+                user: clients[user].model.get_flat_params()
+                + rng.normal(scale=0.05, size=clients[user].model.num_parameters())
+                for user in users
+            }
+            for base in downloads.values():
+                base.setflags(write=False)  # as the server's download view is
+            with mock.patch.object(FLClient, "_train_block", staticmethod(spy)):
+                updates = FLClient.local_train(
+                    [clients[user] for user in users],
+                    [downloads[user] for user in users],
+                    [100 + user for user in users],
+                    include_params=include_params,
+                )
+            assert len(updates) == len(users)
+            for user, update in zip(users, updates):
+                client, reference = clients[user], frozen[user]
+                want = reference.local_train(downloads[user])
+                assert update.user_id == user
+                assert update.base_version == 100 + user
+                assert update.num_samples == len(client.partition)
+                assert update.delta.tobytes() == want.delta.tobytes()
+                if include_params:
+                    assert update.params.tobytes() == want.params.tobytes()
+                else:
+                    assert update.params is None
+                assert type(update.train_loss) is float
+                assert float(update.train_loss).hex() == float(want.train_loss).hex()
+                assert type(update.momentum_norm) is float
+                assert update.momentum_norm == want.momentum_norm == client.momentum_norm()
+                assert client.optimizer.velocity.tobytes() == reference.velocity.tobytes()
+                assert client.optimizer.velocity.flags.writeable
+                assert client._rng.bit_generator.state == reference.rng.bit_generator.state
+
+        first = [user for user in range(len(clients)) if rng.random() < 0.6]
+        train(first)
+        lent = []
+        for user in first:
+            if rng.random() < 0.5:
+                velocity = clients[user].optimizer.lend_velocity()
+                lent.append((velocity, velocity.copy()))
+        train(list(range(len(clients))))
+        for user, client in enumerate(clients):
+            assert client.rounds_completed == 1 + (user in first)
+        for velocity, held in lent:
+            assert not velocity.flags.writeable
+            assert velocity.tobytes() == held.tobytes()
+        assert all(1 <= size <= _CHUNK for size in blocks)
+        if shared >= 2:
+            assert max(blocks) >= 2
