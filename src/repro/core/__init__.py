@@ -19,7 +19,6 @@ from repro.core.offline import KnapsackItem, KnapsackSolver, OfflinePolicy, lag_
 from repro.core.online import OnlineController, OnlinePolicy
 from repro.core.policies import (
     Decision,
-    DeviceObservation,
     ImmediatePolicy,
     SchedulingPolicy,
     SlotContext,
@@ -35,7 +34,6 @@ from repro.core.tradeoff import TradeoffAnalyzer, theorem1_energy_bound, theorem
 
 __all__ = [
     "Decision",
-    "DeviceObservation",
     "ImmediatePolicy",
     "KnapsackItem",
     "KnapsackSolver",

@@ -14,14 +14,9 @@ device idles, exactly as a coarser-grained JobScheduler period would behave.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import numpy as np
 
-from repro.core.policies import (
-    Decision,
-    DeviceObservation,
-    SchedulingPolicy,
-    SlotContext,
-)
+from repro.core.policies import ObservationBatch, SchedulingPolicy, SlotContext
 
 __all__ = ["DecisionIntervalPolicy"]
 
@@ -85,15 +80,18 @@ class DecisionIntervalPolicy(SchedulingPolicy):
 
     # -- the rate limiter ----------------------------------------------------------
 
-    def _is_decision_slot(self, observation: DeviceObservation) -> bool:
-        if self.interval_slots == 1:
-            return True
-        if self.align_to_arrival:
-            return observation.waiting_slots % self.interval_slots == 0
-        return observation.slot % self.interval_slots == 0
+    def decide_all(self, batch: ObservationBatch) -> np.ndarray:
+        """The inner rule on the entries at a decision point; the rest idle.
 
-    def decide(self, observation: DeviceObservation) -> Decision:
-        if not self._is_decision_slot(observation):
-            self.skipped_decisions += 1
-            return Decision.IDLE
-        return self.inner.decide(observation)
+        Skipped entries are never scheduled, so they take no part in the
+        inner rule's same-slot lag coupling.
+        """
+        if self.align_to_arrival:
+            due = batch.waiting_slots % self.interval_slots == 0
+        else:
+            due = np.full(len(batch), batch.slot % self.interval_slots == 0)
+        schedule = np.zeros(len(batch), dtype=bool)
+        self.skipped_decisions += len(batch) - int(due.sum())
+        if due.any():
+            schedule[due] = self.inner.decide_all(batch.select(due))
+        return schedule

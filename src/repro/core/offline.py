@@ -29,8 +29,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.policies import (
-    Decision,
-    DeviceObservation,
     IdleForecast,
     ObservationBatch,
     SchedulingPolicy,
@@ -222,8 +220,7 @@ class KnapsackSolver:
 #: but co-runs opportunistically with any app that comes to the foreground.
 _NO_PLAN, _IMMEDIATE, _CORUN = range(3)
 
-#: The observation fields a planning window reads — under these names on
-#: both :class:`DeviceObservation` and :class:`ObservationBatch`.
+#: The :class:`ObservationBatch` columns a planning window reads.
 _PLANNING_FIELDS = (
     "slot_seconds",
     "training_duration_slots",
@@ -414,36 +411,15 @@ class OfflinePolicy(SchedulingPolicy):
             self._plan_window(window_index * self.window_slots)
             self._last_planned_window = window_index
 
-    def _remember(self, observation: DeviceObservation) -> None:
-        """Mark the user pending with this observation's planning inputs."""
-        user = observation.user_id
-        self._reserve(user + 1)
-        self._pending[user] = True
-        self._planning_inputs[:, user] = [
-            getattr(observation, name) for name in _PLANNING_FIELDS
-        ]
-
-    def decide(self, observation: DeviceObservation) -> Decision:
-        self._decision_evaluations += 1
-        self._remember(observation)
-        user = observation.user_id
-        action = self._plan_action[user]
-        # Planned "immediate" trains now.  Everyone else trains once an app
-        # is in the foreground — planned "corun" from its planned slot on.
-        if action == _IMMEDIATE or (
-            observation.app_running
-            and (action != _CORUN or observation.slot >= self._plan_corun_slot[user])
-        ):
-            self._plan_action[user] = _NO_PLAN
-            self._pending[user] = False
-            return Decision.SCHEDULE
-        return Decision.IDLE
-
     def decide_all(self, batch: ObservationBatch) -> np.ndarray:
-        """The plan lookup of :meth:`decide` for a whole ready pool at once.
+        """The plan lookup for a whole ready pool at once.
 
-        The rule never reads the lag estimate, so the same-slot lag coupling
-        the per-user fallback replays cannot change a decision.
+        Every entry becomes pending with its planning inputs.  A planned
+        ``immediate`` trains now; everyone else trains once an app is in
+        the foreground — a planned ``corun`` from its planned slot on.  A
+        scheduled entry leaves the pending set and drops its plan.  The
+        rule never reads the lag estimate, so same-slot lag coupling cannot
+        change a decision.
         """
         users = batch.user_ids
         if not len(users):

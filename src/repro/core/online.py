@@ -33,8 +33,8 @@ overhead discussion of the paper can be quantified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from repro.columns import ColumnLog
 from repro.core.policies import (
     Aggregation,
     Decision,
-    DeviceObservation,
     IdleForecast,
     ObservationBatch,
     SameSlotLags,
@@ -52,37 +51,23 @@ from repro.core.policies import (
 from repro.core.queues import TaskQueue, VirtualQueue
 from repro.core.staleness import gradient_gap, gradient_gap_batch
 
-__all__ = ["DecisionCosts", "BatchDecisionCosts", "OnlineController", "OnlinePolicy"]
+__all__ = ["BatchDecisionCosts", "OnlineController", "OnlinePolicy"]
 
 #: Joules per kilojoule — the objective works in kJ to match the paper's V axis.
 _J_PER_KJ = 1000.0
 
 
 @dataclass(frozen=True)
-class DecisionCosts:
-    """The two Eq. (21) objective values evaluated for one device."""
-
-    schedule_cost: float
-    idle_cost: float
-    schedule_gap: float
-    idle_gap: float
-
-    def best(self) -> Decision:
-        """The decision minimising the drift-plus-penalty objective."""
-        if self.schedule_cost <= self.idle_cost:
-            return Decision.SCHEDULE
-        return Decision.IDLE
-
-
-@dataclass(frozen=True)
 class BatchDecisionCosts:
     """The Eq. (21) objective values for a whole ready pool at once.
 
-    Array analogue of :class:`DecisionCosts`: every field holds one value
-    per ready user, aligned with the :class:`ObservationBatch` that produced
-    it.  ``schedule_base`` is the part of ``schedule_cost`` that does not
-    depend on the lag estimate (``schedule_cost == schedule_base + H *
-    schedule_gap``, in that operation order).
+    Every field holds one value per ready user, aligned with the
+    :class:`ObservationBatch` that produced it (``schedule_gap`` is the
+    Eq. (4) gap of a job started now, ``idle_gap`` the Eq. (12) gap after
+    one more idle slot).  ``schedule_base`` is the part of
+    ``schedule_cost`` that does not depend on the lag estimate
+    (``schedule_cost == schedule_base + H * schedule_gap``, in that
+    operation order).
     """
 
     schedule_base: np.ndarray
@@ -92,16 +77,13 @@ class BatchDecisionCosts:
     idle_gap: np.ndarray
 
     def best(self) -> np.ndarray:
-        """Boolean mask of users whose minimising decision is ``SCHEDULE``.
-
-        Mirrors :meth:`DecisionCosts.best`, including the tie rule
-        (``schedule_cost <= idle_cost`` schedules).
-        """
+        """Boolean mask of users whose minimising decision is ``SCHEDULE``
+        (a tie, ``schedule_cost == idle_cost``, schedules)."""
         return self.schedule_cost <= self.idle_cost
 
 
 class OnlineController:
-    """Per-device evaluation of the Eq. (21)–(23) decision rule.
+    """Evaluation of the Eq. (21)–(23) decision rule over a ready pool.
 
     Args:
         v: the control knob ``V`` trading energy against staleness.
@@ -119,47 +101,6 @@ class OnlineController:
         #: ``momentum_lag_factor`` as lags are first seen.
         self._lag_factor_tables: Dict[float, np.ndarray] = {}  # reprolint: static (derived cache)
 
-    def evaluate(
-        self,
-        observation: DeviceObservation,
-        q_length: float,
-        h_length: float,
-    ) -> DecisionCosts:
-        """Evaluate both branches of the decision rule for one device."""
-        slot_s = observation.slot_seconds
-        if observation.app_running:
-            schedule_energy_kj = observation.power_corun_w * slot_s / _J_PER_KJ
-            idle_energy_kj = observation.power_app_w * slot_s / _J_PER_KJ
-        else:
-            schedule_energy_kj = observation.power_training_w * slot_s / _J_PER_KJ
-            idle_energy_kj = observation.power_idle_w * slot_s / _J_PER_KJ
-
-        schedule_gap = gradient_gap(
-            observation.momentum_norm,
-            observation.learning_rate,
-            observation.momentum_coeff,
-            observation.estimated_lag,
-        )
-        idle_gap = observation.current_gap + self.epsilon
-
-        schedule_cost = self.v * schedule_energy_kj - q_length + h_length * schedule_gap
-        idle_cost = self.v * idle_energy_kj + h_length * idle_gap
-        return DecisionCosts(
-            schedule_cost=schedule_cost,
-            idle_cost=idle_cost,
-            schedule_gap=schedule_gap,
-            idle_gap=idle_gap,
-        )
-
-    def decide(
-        self,
-        observation: DeviceObservation,
-        q_length: float,
-        h_length: float,
-    ) -> Decision:
-        """Return the decision minimising the Eq. (21) objective."""
-        return self.evaluate(observation, q_length, h_length).best()
-
     def evaluate_batch(
         self,
         batch: ObservationBatch,
@@ -168,11 +109,17 @@ class OnlineController:
     ) -> BatchDecisionCosts:
         """Evaluate both branches of Eq. (21) for every ready user at once.
 
-        This is the whole-fleet form of :meth:`evaluate`: the per-slot
-        energies of Eq. (10), the Eq. (4) gap estimate and the Eq. (12) idle
-        increment are computed as NumPy array expressions with exactly the
-        same per-element operation order as the scalar rule, so the batched
-        and per-user evaluations agree bit for bit.
+        Per user and slot, with energies in kJ::
+
+            schedule = V * E_train - Q + H * gap(lag)
+            idle     = V * E_idle      + H * (g_i + epsilon)
+
+        where ``E_train`` / ``E_idle`` are the Eq. (10) slot energies with
+        and without the training task (co-run / app alone while an app
+        runs, training / idle otherwise), ``gap`` the Eq. (4) estimate and
+        ``g_i + epsilon`` the Eq. (12) idle increment.  Each element follows
+        the operation order of the per-user rule, so a batch of one and a
+        batch of many agree bit for bit.
         """
         slot_s = batch.slot_seconds
         schedule_energy_kj = (
@@ -210,7 +157,7 @@ class OnlinePolicy(SchedulingPolicy):
     """System-level online scheduling policy (the paper's proposal).
 
     Maintains the task queue ``Q(t)`` and the virtual staleness queue
-    ``H(t)`` and delegates each per-device decision to an
+    ``H(t)`` and evaluates each slot's decisions with an
     :class:`OnlineController`.
 
     Args:
@@ -263,41 +210,19 @@ class OnlinePolicy(SchedulingPolicy):
     def begin_slot(self, context: SlotContext) -> None:
         self._arrivals_this_slot = context.num_arrivals
 
-    def decide(self, observation: DeviceObservation) -> Decision:
-        self._decision_evaluations += 1
-        if self.distributed:
-            # Algorithm 2: the user sends its duration, the server answers
-            # with the lag estimate and the queue backlogs, the user decides
-            # and reports only its decision.
-            self.messages_to_server += 2  # duration d_i, then alpha_i(t)
-            self.messages_to_users += 3  # l_{d_i}, Q(t), H(t)
-        else:
-            # Centralized: the user must reveal its application status and
-            # momentum norm so the server can evaluate the rule.
-            self.messages_to_server += 3  # s_i(t), ||v_t||, d_i
-            self.messages_to_users += 1  # alpha_i(t)
-        decision = self.controller.decide(
-            observation, self.task_queue.length, self.virtual_queue.length
-        )
-        self._decision_log.append(
-            (observation.slot, observation.user_id, decision is Decision.SCHEDULE)
-        )
-        return decision
-
     def decide_all(self, batch: ObservationBatch) -> np.ndarray:
         """Batched Eq. (22)/(23) decisions for a whole slot's ready pool.
 
         Evaluates the drift-plus-penalty objective for every ready user with
-        one :meth:`OnlineController.evaluate_batch` call instead of one
-        :meth:`decide` call per user.  The queue backlogs ``Q(t)`` / ``H(t)``
-        are frozen for the duration of the slot in both paths, exactly as
-        the paper's controller broadcasts them once per slot.
+        one :meth:`OnlineController.evaluate_batch` call.  The queue backlogs
+        ``Q(t)`` / ``H(t)`` are frozen for the duration of the slot, exactly
+        as the paper's controller broadcasts them once per slot.
 
-        One sequential effect survives batching: the loop engine registers a
-        scheduled job in flight immediately, so a user decided later in the
-        same slot sees a larger lag estimate ``l_{d_i}``.  Because the
-        schedule cost of Eq. (21) is non-decreasing in the lag (the Eq. (4)
-        gap factor grows with it) while the idle cost ignores it, a user the
+        One sequential effect survives batching: a scheduled job is in
+        flight at once, so a user decided later in the same slot sees a
+        larger lag estimate ``l_{d_i}``.  Because the schedule cost of
+        Eq. (21) is non-decreasing in the lag (the Eq. (4) gap factor grows
+        with it) while the idle cost ignores it, a user the
         speculative batch keeps idle stays idle under any larger lag — only
         speculative *schedulers* can flip, and only with another one ahead
         of them in the slot.  :meth:`_repair` walks just those; decisions
@@ -320,9 +245,14 @@ class OnlinePolicy(SchedulingPolicy):
         """Count ``n`` rule evaluations and the messages they exchange."""
         self._decision_evaluations += n
         if self.distributed:
+            # Algorithm 2: the user sends its duration, the server answers
+            # with the lag estimate and the queue backlogs, the user decides
+            # and reports only its decision.
             self.messages_to_server += 2 * n  # duration d_i, then alpha_i(t)
             self.messages_to_users += 3 * n  # l_{d_i}, Q(t), H(t)
         else:
+            # Centralized: the user must reveal its application status and
+            # momentum norm so the server can evaluate the rule.
             self.messages_to_server += 3 * n  # s_i(t), ||v_t||, d_i
             self.messages_to_users += 1 * n  # alpha_i(t)
 
@@ -374,8 +304,8 @@ class OnlinePolicy(SchedulingPolicy):
         Walks them in ascending order on Python scalars hoisted once per
         column; one whose estimate an earlier same-slot schedule raised is
         re-evaluated as ``schedule_base + H * gap(lag) <= idle_cost`` — the
-        scalar rule of :meth:`OnlineController.evaluate` — and clears its
-        entry of ``schedule`` when it flips to idle (it is then not
+        rule of :meth:`OnlineController.evaluate_batch` for one user — and
+        clears its entry of ``schedule`` when it flips to idle (it is then not
         recorded, so later users do not see it).
         """
         coupling = SameSlotLags(batch, chosen)

@@ -3,10 +3,11 @@
 A *policy* decides, for every user that is ready to train in a slot, whether
 to ``SCHEDULE`` the background training task now or keep the device ``IDLE``
 (typically to wait for an application co-running opportunity).  The
-simulation engine is policy-agnostic: it hands each ready device a
-:class:`DeviceObservation` snapshot and bookends every slot with
-:meth:`SchedulingPolicy.begin_slot` / :meth:`SchedulingPolicy.end_slot` so
-stateful policies (the Lyapunov online scheduler) can maintain their queues.
+simulation engine is policy-agnostic: it hands the slot's whole ready pool
+to :meth:`SchedulingPolicy.decide_all` as one :class:`ObservationBatch` and
+bookends every slot with :meth:`SchedulingPolicy.begin_slot` /
+:meth:`SchedulingPolicy.end_slot` so stateful policies (the Lyapunov online
+scheduler) can maintain their queues.
 
 Two baselines from the evaluation live here:
 
@@ -22,16 +23,15 @@ Two baselines from the evaluation live here:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 import numpy as np
 
 __all__ = [
     "Decision",
     "Aggregation",
-    "DeviceObservation",
     "IdleForecast",
     "ObservationBatch",
     "SameSlotLags",
@@ -57,67 +57,19 @@ class Aggregation(str, Enum):
     SYNC = "sync"
 
 
-@dataclass(frozen=True)
-class DeviceObservation:
-    """Everything a policy may observe about one ready device in one slot.
-
-    All power levels are instantaneous watts; the policy converts them to
-    per-slot energies itself (the online policy uses kilojoules so that its
-    ``V`` axis matches the paper's Fig. 4).
-
-    Attributes:
-        user_id: index of the user.
-        slot: current slot index.
-        slot_seconds: slot length in seconds.
-        device_name: catalog name of the device.
-        app_running: whether a foreground application is currently running
-            (the ``s(t) = 'app' / 'no app'`` status of Eq. 10).
-        app_name: name of the running application, if any.
-        power_corun_w: ``P_a'`` for the running app (or the device average).
-        power_app_w: ``P_a`` for the running app (or the device average).
-        power_training_w: ``P_b``.
-        power_idle_w: ``P_d``.
-        estimated_lag: server-supplied estimate of the lag ``l_{d_i}`` a job
-            started now would incur (Algorithm 2, line 4).
-        momentum_norm: ``||v_t||`` of the user's momentum vector.
-        learning_rate: ``eta`` of the user's optimizer.
-        momentum_coeff: ``beta`` of the user's optimizer.
-        training_duration_slots: training duration ``d_i`` in slots.
-        waiting_slots: slots this user has spent waiting since it became ready.
-        current_gap: the user's accumulated gradient gap ``g_i(t-1, ...)`` from
-            the engine's gap tracker (the idle branch of Eq. 12 builds on it).
-    """
-
-    user_id: int
-    slot: int
-    slot_seconds: float
-    device_name: str
-    app_running: bool
-    app_name: Optional[str]
-    power_corun_w: float
-    power_app_w: float
-    power_training_w: float
-    power_idle_w: float
-    estimated_lag: int
-    momentum_norm: float
-    learning_rate: float
-    momentum_coeff: float
-    training_duration_slots: int
-    waiting_slots: int
-    current_gap: float = 0.0
-
-
 @dataclass
 class ObservationBatch:
     """Struct-of-arrays view of every ready device's observation in one slot.
 
-    The vectorized fleet backend (:mod:`repro.sim.fleet`) builds one batch
-    per slot instead of one :class:`DeviceObservation` per ready user, so
-    batch-aware policies (:meth:`SchedulingPolicy.decide_all`) can evaluate
-    the Eq. (21)-(23) decision rule for the whole fleet with NumPy array
-    arithmetic.  Every array has one entry per ready user, in ascending
-    ``user_id`` order — the same order in which the loop engine iterates the
-    ready pool, so decision logs are comparable across backends.
+    The engine builds one batch per slot, so policies
+    (:meth:`SchedulingPolicy.decide_all`) evaluate the Eq. (21)-(23)
+    decision rule for the whole ready pool with NumPy array arithmetic.
+    Every array has one entry per ready user, in ascending ``user_id``
+    order, so decision logs are comparable across execution modes.
+
+    All power levels are instantaneous watts; the policy converts them to
+    per-slot energies itself (the online policy uses kilojoules so that its
+    ``V`` axis matches the paper's Fig. 4).
 
     Attributes:
         slot: current slot index (shared by all entries).
@@ -134,10 +86,6 @@ class ObservationBatch:
         training_duration_slots: ``d_i`` in slots, ``int64``.
         waiting_slots: slots spent waiting since the user became ready.
         current_gap: accumulated Eq. (12) gradient gap per ready user.
-        device_names: catalog name per ready user (only needed to
-            materialize per-user :class:`DeviceObservation` fallbacks).
-        app_names: running-application name per ready user (``None`` when
-            the device runs no foreground application).
     """
 
     slot: int
@@ -155,44 +103,18 @@ class ObservationBatch:
     training_duration_slots: np.ndarray
     waiting_slots: np.ndarray
     current_gap: np.ndarray
-    device_names: Sequence[str]
-    app_names: Sequence[Optional[str]]
 
     def __len__(self) -> int:
         return len(self.user_ids)
 
-    def observation(self, index: int, lag_override: Optional[int] = None) -> DeviceObservation:
-        """Materialize entry ``index`` as a scalar :class:`DeviceObservation`.
-
-        Used by :meth:`SchedulingPolicy.decide_all`'s generic fallback so
-        policies without a batched rule (e.g. a rate-limiting
-        :class:`~repro.core.granularity.DecisionIntervalPolicy` wrapper)
-        run unmodified under the vectorized backend.
-
-        Args:
-            index: position within the batch.
-            lag_override: replace :attr:`estimated_lag` with a corrected
-                value (the same-slot coupling of :class:`SameSlotLags`).
-        """
-        lag = int(self.estimated_lag[index]) if lag_override is None else lag_override
-        return DeviceObservation(
-            user_id=int(self.user_ids[index]),
-            slot=self.slot,
-            slot_seconds=self.slot_seconds,
-            device_name=self.device_names[index],
-            app_running=bool(self.app_running[index]),
-            app_name=self.app_names[index],
-            power_corun_w=float(self.power_corun_w[index]),
-            power_app_w=float(self.power_app_w[index]),
-            power_training_w=float(self.power_training_w[index]),
-            power_idle_w=float(self.power_idle_w[index]),
-            estimated_lag=lag,
-            momentum_norm=float(self.momentum_norm[index]),
-            learning_rate=float(self.learning_rate[index]),
-            momentum_coeff=float(self.momentum_coeff[index]),
-            training_duration_slots=int(self.training_duration_slots[index]),
-            waiting_slots=int(self.waiting_slots[index]),
-            current_gap=float(self.current_gap[index]),
+    def select(self, rows: np.ndarray) -> "ObservationBatch":
+        """The entries at ``rows`` (a boolean mask or ascending positions)."""
+        return replace(
+            self,
+            **{
+                column.name: getattr(self, column.name)[rows]
+                for column in fields(self)[2:]  # past slot / slot_seconds
+            },
         )
 
 
@@ -200,12 +122,11 @@ class SameSlotLags:
     """The same-slot coupling rule: lag estimates that include the jobs
     scheduled earlier in the same slot.
 
-    The per-user loop engine registers a scheduled job in flight
-    *immediately*, so a user decided later in the same slot sees it in its
-    server-supplied lag estimate ``l_{d_i}``, while a batch snapshots the
-    in-flight set at the start of the slot.  Every batched consumer (the
-    generic :meth:`SchedulingPolicy.decide_all`, the online policy's repair
-    pass, the coordinator's gap write) replays the difference with this one
+    A server that registers each scheduled job in flight *immediately*
+    shows a user decided later in the same slot that job in its lag
+    estimate ``l_{d_i}``, while a batch snapshots the in-flight set at the
+    start of the slot.  Both consumers (the online policy's repair pass and
+    the coordinator's gap write) replay the difference with this one
     walker: :meth:`lag` for the entry being decided, :meth:`record` for each
     entry whose final decision is ``schedule``, in ascending order.
 
@@ -317,36 +238,16 @@ class SchedulingPolicy(ABC):
         """Called once at the beginning of every slot, before any decision."""
 
     @abstractmethod
-    def decide(self, observation: DeviceObservation) -> Decision:
-        """Return the control decision for one ready device."""
-
     def decide_all(self, batch: ObservationBatch) -> np.ndarray:
         """Return the decisions for a whole slot's ready pool at once.
 
-        The vectorized engine backend calls this once per slot with an
-        :class:`ObservationBatch` instead of calling :meth:`decide` once per
-        ready user.  Returns a boolean array aligned with
-        ``batch.user_ids`` where ``True`` means :attr:`Decision.SCHEDULE`.
-
-        The default implementation materializes each entry and delegates to
-        :meth:`decide`, so any policy works under the vectorized backend;
-        policies with an array form of their rule (the Lyapunov online
-        scheduler's Eq. 22/23, the offline planner's plan lookup) override
-        this with a NumPy evaluation.
-
-        Entries are decided in batch (ascending user) order and the lag
-        estimate handed to each observation includes the users scheduled
-        earlier in the same slot (:class:`SameSlotLags`), replicating the
-        loop engine's immediate in-flight registration.
+        Returns a boolean array aligned with ``batch.user_ids`` where
+        ``True`` means :attr:`Decision.SCHEDULE`.  Entries are decided in
+        batch (ascending user) order; a rule that reads the lag estimate
+        must charge each entry the jobs scheduled ahead of it in the same
+        slot (:class:`SameSlotLags`), as a server registering every
+        scheduled job in flight at once would report.
         """
-        decisions = np.zeros(len(batch), dtype=bool)
-        coupling = SameSlotLags(batch)
-        for index in range(len(batch)):
-            observation = batch.observation(index, lag_override=coupling.lag(index))
-            if self.decide(observation) is Decision.SCHEDULE:
-                decisions[index] = True
-                coupling.record(index)
-        return decisions
 
     def end_slot(self, context: SlotContext, num_scheduled: int, gap_sum: float) -> None:
         """Called once after all decisions of the slot have been made.
@@ -398,9 +299,6 @@ class ImmediatePolicy(SchedulingPolicy):
 
     name = "immediate"
 
-    def decide(self, observation: DeviceObservation) -> Decision:
-        return Decision.SCHEDULE
-
     def decide_all(self, batch: ObservationBatch) -> np.ndarray:
         return np.ones(len(batch), dtype=bool)
 
@@ -418,9 +316,6 @@ class SyncPolicy(SchedulingPolicy):
 
     name = "sync"
     aggregation = Aggregation.SYNC
-
-    def decide(self, observation: DeviceObservation) -> Decision:
-        return Decision.SCHEDULE
 
     def decide_all(self, batch: ObservationBatch) -> np.ndarray:
         return np.ones(len(batch), dtype=bool)

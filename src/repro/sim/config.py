@@ -167,6 +167,16 @@ class SimulationConfig:
             raise ValueError("learning_rate must be finite and positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+        # The synthetic task's knobs and the merge weight, refused here: a
+        # NaN or infinite scale would train to chance level without a word.
+        for name in ("class_separation", "noise_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not 0.0 <= self.label_noise < 1.0:
+            raise ValueError("label_noise must be in [0, 1)")
+        if not 0.0 < self.mixing_alpha <= 1.0:
+            raise ValueError("mixing_alpha must be in (0, 1]")
         # A JSON spec names the rule by its value ("replace"); anything that
         # names no rule is refused here, not at the first upload.
         try:

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -358,15 +358,6 @@ class ReadyPayload:
     momentum_coeff: np.ndarray
     duration_slots: np.ndarray
     waiting_slots: np.ndarray
-    device_names: np.ndarray
-    app_names: np.ndarray
-    #: Catalog-code form of the two name columns plus their catalogs,
-    #: filled by :meth:`FleetState.ready_payload`.  ``None`` (e.g. for a
-    #: hand-built payload in a test) falls back to pickling the names as
-    #: string lists.
-    device_codes: Optional[np.ndarray] = None
-    app_codes: Optional[np.ndarray] = None
-    catalogs: Optional[Tuple[tuple, tuple]] = None
 
     def __len__(self) -> int:
         return len(self.users)
@@ -374,65 +365,24 @@ class ReadyPayload:
     def __reduce__(self):
         # Payloads cross the coordinator/shard boundary once per slot per
         # shard, so their pickle cost is protocol hot path.  Packing the
-        # numeric columns into one float64 matrix turns thirteen array
-        # reductions into one (and one large pickle-5 buffer the shm
-        # plane can place out-of-band); the name columns travel as float
-        # catalog codes — two more matrix rows plus a tuple of a few
-        # strings — instead of per-user string lists.  Every conversion
-        # is exact (ids, counters and catalog indices are far below
-        # 2**53) and the restore side casts back to the original dtypes,
-        # so the round trip is bitwise.
-        columns = [
-            self.users,
-            self.app_running,
-            self.power_corun_w,
-            self.power_app_w,
-            self.power_training_w,
-            self.power_idle_w,
-            self.momentum_norm,
-            self.learning_rate,
-            self.momentum_coeff,
-            self.duration_slots,
-            self.waiting_slots,
-        ]
-        if self.device_codes is not None and self.catalogs is not None:
-            columns.extend((self.device_codes, self.app_codes))
-            return (_restore_ready_payload, (np.stack(columns), self.catalogs))
-        return (
-            _restore_ready_payload,
-            (
-                np.stack(columns),
-                (self.device_names.tolist(), self.app_names.tolist()),
-            ),
-        )
+        # eleven columns, in field order, into one float64 matrix turns
+        # eleven array reductions into one (and one large pickle-5 buffer
+        # the shm plane can place out-of-band).  Every conversion is exact
+        # (ids and counters are far below 2**53) and the restore side casts
+        # back to the original dtypes, so the round trip is bitwise.
+        columns = [getattr(self, column.name) for column in fields(self)]
+        return (_restore_ready_payload, (np.stack(columns),))
 
 
-def _restore_ready_payload(packed: np.ndarray, names: tuple) -> ReadyPayload:
-    """Rebuild a :class:`ReadyPayload` from its packed pickle form.
-
-    ``names`` is either the pair of catalogs (13-row coded form) or the
-    pair of literal name lists (11-row fallback form).
-    """
-    if len(packed) > 11:
-        device_names = np.asarray(names[0], dtype=object)[packed[11].astype(np.intp)]
-        app_names = np.asarray(names[1], dtype=object)[packed[12].astype(np.intp)]
-    else:
-        device_names = np.asarray(names[0], dtype=object)
-        app_names = np.asarray(names[1], dtype=object)
+def _restore_ready_payload(packed: np.ndarray) -> ReadyPayload:
+    """Rebuild a :class:`ReadyPayload` from its packed pickle form."""
+    users, app_running, *powers_and_momenta, duration_slots, waiting_slots = packed
     return ReadyPayload(
-        users=packed[0].astype(np.int64),
-        app_running=packed[1].astype(bool),
-        power_corun_w=packed[2],
-        power_app_w=packed[3],
-        power_training_w=packed[4],
-        power_idle_w=packed[5],
-        momentum_norm=packed[6],
-        learning_rate=packed[7],
-        momentum_coeff=packed[8],
-        duration_slots=packed[9].astype(np.int32),
-        waiting_slots=packed[10].astype(np.int32),
-        device_names=device_names,
-        app_names=app_names,
+        users.astype(np.int64),
+        app_running.astype(bool),
+        *powers_and_momenta,
+        duration_slots.astype(np.int32),
+        waiting_slots.astype(np.int32),
     )
 
 
@@ -505,22 +455,6 @@ class FleetState:
         # -- static per-device calibration ------------------------------------
         names = [spec.name for spec in device_specs]
         self.device_names = np.asarray(names, dtype=object)  # reprolint: static
-        # Catalog-code view of the name columns: payloads cross the shard
-        # boundary once per slot, and shipping ~hundreds of strings per
-        # message dominated the frame codec.  Codes are float64 so they
-        # ride the packed payload matrix without a cast (catalog indices
-        # are tiny, so the float representation is exact).
-        device_catalog: List[str] = []
-        device_code_of: Dict[str, float] = {}
-        self._device_codes = np.empty(n)  # reprolint: static
-        for index, name in enumerate(names):
-            code = device_code_of.get(name)
-            if code is None:
-                code = float(len(device_catalog))
-                device_code_of[name] = code
-                device_catalog.append(name)
-            self._device_codes[index] = code
-        self._device_catalog: Tuple[str, ...] = tuple(device_catalog)  # reprolint: static
         self.idle_w = np.array([power_model.idle_power(d) for d in names])  # reprolint: static
         self.training_w = np.array([power_model.training_power(d) for d in names])  # reprolint: static
         self.overhead_w = np.array([power_model.overhead_power(d) for d in names])  # reprolint: static
@@ -572,13 +506,6 @@ class FleetState:
         self.corun_power_w = self.mean_corun_w.copy()
         self.app_slowdown = np.ones(n)
         self.app_names = np.array([None] * n, dtype=object)
-        # Code 0.0 is reserved for "no foreground app" (``None``); real app
-        # names are appended to the catalog on first launch.  Catalog order
-        # is launch-chronological and never observable — codes only ever
-        # translate back to the names they were assigned from.
-        self._app_catalog: List[Optional[str]] = [None]  # reprolint: static (rebuilt from restored app_names on load)
-        self._app_code_of: Dict[str, float] = {}  # reprolint: static (rebuilt from restored app_names on load)
-        self._app_codes = np.zeros(n)
 
         self.training_active = np.zeros(n, dtype=bool)
         self.remaining_slots = np.zeros(n)
@@ -818,7 +745,6 @@ class FleetState:
             self.corun_power_w[expired] = self.mean_corun_w[expired]
             self.app_slowdown[expired] = 1.0
             self.app_names[expired] = None
-            self._app_codes[expired] = 0.0
             self._refresh_next_expiry()
             touched = expired.tolist()
         for user, app in self._launches.get(slot, ()):
@@ -832,21 +758,11 @@ class FleetState:
             self.corun_power_w[user] = self.power_model.corun_power(device, app.name)
             self.app_slowdown[user] = app.spec.training_slowdown
             self.app_names[user] = app.name
-            self._app_codes[user] = self._app_code_for(app.name)
             if end_slot < self._next_expiry:
                 self._next_expiry = end_slot
             touched.append(user)
         if touched:
             self._retarget(touched)
-
-    def _app_code_for(self, name: str) -> float:
-        """Catalog code for ``name``, appending it on first sight."""
-        code = self._app_code_of.get(name)
-        if code is None:
-            code = float(len(self._app_catalog))
-            self._app_code_of[name] = code
-            self._app_catalog.append(name)
-        return code
 
     # -- step 2: ready pool ---------------------------------------------------------
 
@@ -893,11 +809,6 @@ class FleetState:
             momentum_coeff=self.momentum_coeffs[users],
             duration_slots=self.duration_slots[users],
             waiting_slots=self.waiting_slots[users],
-            device_names=self.device_names[users],
-            app_names=self.app_names[users],
-            device_codes=self._device_codes[users],
-            app_codes=self._app_codes[users],
-            catalogs=(self._device_catalog, tuple(self._app_catalog)),
         )
 
     def start_training(self, users: np.ndarray) -> None:
@@ -1101,7 +1012,6 @@ class FleetState:
             self.corun_power_w.copy(),
             self.app_slowdown.copy(),
             self.app_names.copy(),
-            self._app_codes.copy(),
             self.temperature_c.copy(),
             self.remaining_slots.copy(),
             self.battery_charge_j.copy(),
@@ -1119,7 +1029,6 @@ class FleetState:
             self.corun_power_w,
             self.app_slowdown,
             self.app_names,
-            self._app_codes,
             self.temperature_c,
             self.remaining_slots,
             self.battery_charge_j,
@@ -1178,14 +1087,6 @@ class FleetState:
         self.corun_power_w = np.asarray(state["corun_power_w"], dtype=float).copy()
         self.app_slowdown = np.asarray(state["app_slowdown"], dtype=float).copy()
         self.app_names = np.asarray(state["app_names"], dtype=object).copy()
-        # Codes are derived state: rebuild them from the restored names
-        # (checkpoints never persist the catalog — code numbering is free
-        # to differ between a fresh and a restored run because codes only
-        # ever translate back to the names they were assigned from).
-        self._app_codes = np.zeros(len(self.app_names))
-        for index, name in enumerate(self.app_names):
-            if name is not None:
-                self._app_codes[index] = self._app_code_for(name)
         self.training_active = np.asarray(state["training_active"], dtype=bool).copy()
         self.remaining_slots = np.asarray(state["remaining_slots"], dtype=float).copy()
         self.battery_charge_j = np.asarray(state["battery_charge_j"], dtype=float).copy()

@@ -340,8 +340,6 @@ def build_observation_batch(
         training_duration_slots=duration_slots,
         waiting_slots=column("waiting_slots"),
         current_gap=gaps[users],
-        device_names=column("device_names"),
-        app_names=column("app_names"),
     )
 
 

@@ -147,29 +147,9 @@ def rng() -> np.random.Generator:
 
 def make_observation(**overrides):
     """Build a DeviceObservation with Pixel 2 defaults for policy unit tests."""
-    from repro.core.policies import DeviceObservation
+    from oracle import DeviceObservation
 
-    defaults = dict(
-        user_id=0,
-        slot=10,
-        slot_seconds=1.0,
-        device_name="pixel2",
-        app_running=False,
-        app_name=None,
-        power_corun_w=2.5,
-        power_app_w=2.1,
-        power_training_w=1.35,
-        power_idle_w=0.689,
-        estimated_lag=2,
-        momentum_norm=1.0,
-        learning_rate=0.01,
-        momentum_coeff=0.9,
-        training_duration_slots=223,
-        waiting_slots=0,
-        current_gap=0.0,
-    )
-    defaults.update(overrides)
-    return DeviceObservation(**defaults)
+    return DeviceObservation(**overrides)
 
 
 @pytest.fixture()

@@ -28,9 +28,15 @@ element for element and type for type.
 :func:`frozen_online_decide_all`, :func:`frozen_generic_decide_all` and
 :func:`frozen_schedule_walk` are the schedule path exactly as it ran before
 the slot blocks (ISSUE 24): a dict rescan per lag estimate
-(:func:`frozen_coupled_lag`), a materialised ``DeviceObservation`` and a
-scalar ``decide`` per repaired scheduler, one registration and one gap per
-scheduled user.  :func:`run_digest` is every simulated statistic of a run,
+(:func:`frozen_coupled_lag`), a materialised :class:`DeviceObservation` and a
+scalar decision per repaired scheduler, one registration and one gap per
+scheduled user.
+
+:class:`DeviceObservation`, :func:`frozen_evaluate` (Eq. 21) and
+:func:`frozen_decide` (each policy's per-user ``decide``) are the scalar
+decision plane the product no longer has; :func:`decide_one` and
+:func:`rowwise_decide_all` run the product's ``decide_all`` on batches of
+one.  :func:`run_digest` is every simulated statistic of a run,
 :func:`upload_bits` every field of one upload.
 """
 
@@ -38,16 +44,18 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from types import SimpleNamespace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.comm.network import DEFAULT_PROFILES, NetworkCondition, NetworkType
 from repro.comm.transport import ModelTransport
+from repro.core.granularity import DecisionIntervalPolicy
+from repro.core.offline import _CORUN, _IMMEDIATE, _NO_PLAN, _PLANNING_FIELDS, OfflinePolicy
 from repro.core.online import OnlinePolicy
-from repro.core.policies import Decision
+from repro.core.policies import Decision, ImmediatePolicy, ObservationBatch, SyncPolicy
 from repro.core.staleness import gradient_gap, gradient_gap_from_params
 from repro.device.apps import ForegroundApp, sample_app
 from repro.energy.measurements import MeasurementTable
@@ -368,7 +376,6 @@ class FrozenLogs:
         real_sync = ParameterServer.sync_round
         real_async_block = ParameterServer.async_update_block
         real_transfer_block = ModelTransport.transfer_block
-        real_decide = OnlinePolicy.decide
         real_decide_all = OnlinePolicy.decide_all
         real_record_idle = OnlinePolicy.record_idle
 
@@ -430,11 +437,6 @@ class FrozenLogs:
             )
             return real_transfer_block(transport, user_ids, direction, time_s)
 
-        def decide(policy, observation):
-            decision = real_decide(policy, observation)
-            logs.decision_log.append((observation.slot, observation.user_id, decision))
-            return decision
-
         def decide_all(policy, batch):
             schedule = real_decide_all(policy, batch)
             logs.decision_log.extend(
@@ -456,7 +458,6 @@ class FrozenLogs:
         monkeypatch.setattr(ParameterServer, "sync_round", sync_round)
         monkeypatch.setattr(ParameterServer, "async_update_block", async_update_block)
         monkeypatch.setattr(ModelTransport, "transfer_block", transfer_block)
-        monkeypatch.setattr(OnlinePolicy, "decide", decide)
         monkeypatch.setattr(OnlinePolicy, "decide_all", decide_all)
         monkeypatch.setattr(OnlinePolicy, "record_idle", record_idle)
         return self
@@ -499,30 +500,26 @@ class FrozenSameSlotCoupling:
 
 
 def frozen_generic_decide_all(policy, batch):
-    """``SchedulingPolicy.decide_all`` as of PR 21: one ``decide`` per entry."""
+    """``SchedulingPolicy.decide_all``'s per-entry fallback, as it ran until
+    the product kept only array rules: one :func:`frozen_decide` per entry,
+    each seeing the earlier same-slot schedules in its lag."""
     decisions = np.zeros(len(batch), dtype=bool)
     coupling = FrozenSameSlotCoupling(batch)
     for index in range(len(batch)):
-        observation = batch.observation(index, lag_override=coupling.lag(index))
-        if policy.decide(observation) is Decision.SCHEDULE:
+        observation = batch_row(batch, index, lag=coupling.lag(index))
+        if frozen_decide(policy, observation) is Decision.SCHEDULE:
             decisions[index] = True
             coupling.record(index)
     return decisions
 
 
 def frozen_online_decide_all(policy, batch):
-    """``OnlinePolicy.decide_all`` as of PR 21: the speculative batch, then
-    every speculative scheduler whose lag an earlier one raised re-decided
-    through ``batch.observation()`` + ``controller.decide()``.  Returns the
+    """``OnlinePolicy.decide_all`` before the slot blocks: the speculative
+    batch, then every speculative scheduler whose lag an earlier one raised
+    re-decided through :func:`batch_row` + :func:`frozen_evaluate`.  Returns the
     schedule and the positions the repair flipped to idle."""
     n = len(batch)
-    policy._decision_evaluations += n
-    if policy.distributed:
-        policy.messages_to_server += 2 * n
-        policy.messages_to_users += 3 * n
-    else:
-        policy.messages_to_server += 3 * n
-        policy.messages_to_users += 1 * n
+    _count_messages(policy, n)
     q_length = policy.task_queue.length
     h_length = policy.virtual_queue.length
     schedule = policy.controller.evaluate_batch(batch, q_length, h_length).best()
@@ -532,8 +529,9 @@ def frozen_online_decide_all(policy, batch):
         index = int(index)
         lag = coupling.lag(index)
         if lag != int(batch.estimated_lag[index]):
-            observation = batch.observation(index, lag_override=lag)
-            if policy.controller.decide(observation, q_length, h_length) is Decision.IDLE:
+            observation = batch_row(batch, index, lag=lag)
+            costs = frozen_evaluate(policy.controller, observation, q_length, h_length)
+            if costs.best() is Decision.IDLE:
                 schedule[index] = False
                 flipped.append(index)
                 continue
@@ -561,6 +559,166 @@ def frozen_schedule_walk(batch, schedule):
         finish = (batch.slot + duration) * batch.slot_seconds
         walked.append((int(batch.user_ids[index]), finish, lag, gap))
     return walked
+
+
+# ---------------------------------------------------------------------------
+# Frozen scalar decision plane
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DeviceObservation:
+    """One ready device in one slot, as a per-user rule sees it; Pixel 2
+    defaults."""
+
+    user_id: int = 0
+    slot: int = 10
+    slot_seconds: float = 1.0
+    app_running: bool = False
+    power_corun_w: float = 2.5
+    power_app_w: float = 2.1
+    power_training_w: float = 1.35
+    power_idle_w: float = 0.689
+    estimated_lag: int = 2
+    momentum_norm: float = 1.0
+    learning_rate: float = 0.01
+    momentum_coeff: float = 0.9
+    training_duration_slots: int = 223
+    waiting_slots: int = 0
+    current_gap: float = 0.0
+
+
+#: The per-user columns: named alike on the observation and the batch.
+_ROW_FIELDS = [f.name for f in fields(DeviceObservation)[3:]]
+
+
+def batch_row(batch, index, lag=None) -> DeviceObservation:
+    """Entry ``index`` of ``batch`` as Python scalars; ``lag`` replaces its
+    estimate (the same-slot coupling)."""
+    row = {name: getattr(batch, name)[index].item() for name in _ROW_FIELDS}
+    if lag is not None:
+        row["estimated_lag"] = lag
+    return DeviceObservation(int(batch.user_ids[index]), batch.slot, batch.slot_seconds, **row)
+
+
+def observation_batch(observations) -> ObservationBatch:
+    """``observations`` (one slot, ascending users) as an :class:`ObservationBatch`."""
+    first = observations[0]
+    return ObservationBatch(
+        slot=first.slot,
+        slot_seconds=first.slot_seconds,
+        user_ids=np.array([o.user_id for o in observations], dtype=np.int64),
+        **{name: np.array([getattr(o, name) for o in observations]) for name in _ROW_FIELDS},
+    )
+
+
+def pool_batch(slot, users, app_running, slot_seconds=1.0, **columns) -> ObservationBatch:
+    """A hand-built ready pool over ``users``; a column not given holds the
+    :class:`DeviceObservation` default, but lags are 0 and jobs 7 slots."""
+    users = np.asarray(users, dtype=np.int64)
+    given = {"estimated_lag": 0, "training_duration_slots": 7, **columns}
+    given["app_running"] = app_running
+    batch = {}
+    for f in fields(DeviceObservation)[3:]:
+        value = np.asarray(given.get(f.name, f.default), dtype=type(f.default))
+        batch[f.name] = np.array(np.broadcast_to(value, users.shape))
+    return ObservationBatch(slot=slot, slot_seconds=slot_seconds, user_ids=users, **batch)
+
+
+def decide_one(policy, observation) -> Decision:
+    """The product's decision for one device: ``decide_all`` on a batch of one."""
+    schedule = policy.decide_all(observation_batch([observation]))
+    return Decision.SCHEDULE if schedule[0] else Decision.IDLE
+
+
+def rowwise_decide_all(policy, batch):
+    """The reference loop's walk: entry by entry, each through the product's
+    ``decide_all`` on a batch of one whose lag counts earlier schedules."""
+    decisions = np.zeros(len(batch), dtype=bool)
+    coupling = FrozenSameSlotCoupling(batch)
+    for index in range(len(batch)):
+        row = replace(batch.select([index]), estimated_lag=np.array([coupling.lag(index)]))
+        if policy.decide_all(row)[0]:
+            decisions[index] = True
+            coupling.record(index)
+    return decisions
+
+
+class FrozenDecisionCosts(NamedTuple):
+    """The two Eq. (21) objective values of one device."""
+
+    schedule_cost: float
+    idle_cost: float
+    schedule_gap: float
+    idle_gap: float
+
+    def best(self) -> Decision:
+        """The minimising decision; a tie schedules."""
+        return Decision.SCHEDULE if self.schedule_cost <= self.idle_cost else Decision.IDLE
+
+
+def frozen_evaluate(controller, observation, q_length, h_length) -> FrozenDecisionCosts:
+    """``OnlineController.evaluate``: both branches of Eq. (21) for one
+    device (energies in kJ), on Python floats and the scalar Eq. (4) gap."""
+    o = observation
+    schedule_w, idle_w = (
+        (o.power_corun_w, o.power_app_w) if o.app_running else (o.power_training_w, o.power_idle_w)
+    )
+    schedule_gap = gradient_gap(o.momentum_norm, o.learning_rate, o.momentum_coeff, o.estimated_lag)
+    idle_gap = o.current_gap + controller.epsilon
+    return FrozenDecisionCosts(
+        controller.v * (schedule_w * o.slot_seconds / 1000.0) - q_length + h_length * schedule_gap,
+        controller.v * (idle_w * o.slot_seconds / 1000.0) + h_length * idle_gap,
+        schedule_gap,
+        idle_gap,
+    )
+
+
+def _count_messages(policy: OnlinePolicy, n: int) -> None:
+    """``n`` Algorithm 2 (or centralized) rule evaluations and their messages."""
+    policy._decision_evaluations += n
+    if policy.distributed:
+        policy.messages_to_server += 2 * n
+        policy.messages_to_users += 3 * n
+    else:
+        policy.messages_to_server += 3 * n
+        policy.messages_to_users += 1 * n
+
+
+def frozen_decide(policy, observation) -> Decision:
+    """``policy.decide(observation)``: each product policy's per-user rule —
+    the interval wrapper's rate limiter, Eq. (21) with its counters and
+    log, the offline plan lookup — mutating ``policy`` as it did."""
+    o = observation
+    if isinstance(policy, DecisionIntervalPolicy):
+        counter = o.waiting_slots if policy.align_to_arrival else o.slot
+        if policy.interval_slots != 1 and counter % policy.interval_slots != 0:
+            policy.skipped_decisions += 1
+            return Decision.IDLE
+        return frozen_decide(policy.inner, o)
+    if isinstance(policy, OnlinePolicy):
+        _count_messages(policy, 1)
+        decision = frozen_evaluate(
+            policy.controller, o, policy.task_queue.length, policy.virtual_queue.length
+        ).best()
+        policy._decision_log.append((o.slot, o.user_id, decision is Decision.SCHEDULE))
+        return decision
+    if isinstance(policy, OfflinePolicy):
+        policy._decision_evaluations += 1
+        policy._reserve(o.user_id + 1)
+        policy._pending[o.user_id] = True
+        policy._planning_inputs[:, o.user_id] = [getattr(o, n) for n in _PLANNING_FIELDS]
+        action = policy._plan_action[o.user_id]
+        if action == _IMMEDIATE or (
+            o.app_running and (action != _CORUN or o.slot >= policy._plan_corun_slot[o.user_id])
+        ):
+            policy._plan_action[o.user_id] = _NO_PLAN
+            policy._pending[o.user_id] = False
+            return Decision.SCHEDULE
+        return Decision.IDLE
+    if isinstance(policy, (ImmediatePolicy, SyncPolicy)):
+        return Decision.SCHEDULE
+    raise TypeError(f"no frozen per-user rule for {type(policy).__name__}")
 
 
 def run_digest(result) -> str:

@@ -3,8 +3,8 @@
 :class:`ReferenceLoopEngine` simulates the same system as
 :class:`~repro.sim.engine.SimulationEngine` with one Python object per user
 (:class:`MobileDevice`, :class:`~repro.energy.battery.Battery`,
-:class:`GapTracker`, ...) and one scalar ``policy.decide`` call per ready
-user — the five-step slot timeline of :mod:`repro.sim.engine` written the
+:class:`GapTracker`, ...) and one ``policy.decide_all`` call on a batch of
+one per ready user — the five-step slot timeline of :mod:`repro.sim.engine` written the
 way the paper states it: the four Eq. (10) power levels chosen per device
 (:func:`power`), the Eq. (12) gap recursion per user and one Algorithm 2
 decision per ready device.  It is the oracle the vectorized kernels, the
@@ -44,8 +44,7 @@ import numpy as np
 from repro.columns import ordered_sum
 from repro.core.policies import (
     Aggregation,
-    Decision,
-    DeviceObservation,
+    ObservationBatch,
     SchedulingPolicy,
     SlotContext,
 )
@@ -500,36 +499,38 @@ class ReferenceLoopEngine(Coordinator):
             [user], slot * self.config.slot_seconds
         )
 
-    def _observation(self, user: int, slot: int) -> DeviceObservation:
-        device = self.devices[user]
-        client = self.clients[user]
-        spec = device.spec
+    def _decision_row(self, user: int, slot: int) -> ObservationBatch:
+        """The batch of one ``user`` is decided with in ``slot``: its own
+        state plus the dict-scan lag estimate, which counts every job this
+        slot scheduled so far (each is registered in flight at once)."""
+        device, client = self.devices[user], self.clients[user]
+        name = device.spec.name
         app_name = device.current_app.name if device.current_app is not None else None
         duration_slots = device.training_duration_slots()
-        estimated_lag = estimate_lag(
-            self.server,
-            user,
-            now_s=slot * self.config.slot_seconds,
-            duration_s=duration_slots * self.config.slot_seconds,
-        )
-        return DeviceObservation(
-            user_id=user,
-            slot=slot,
-            slot_seconds=self.config.slot_seconds,
-            device_name=spec.name,
+        columns = dict(
             app_running=device.app_running,
-            app_name=app_name,
-            power_corun_w=self.power_model.corun_power(spec.name, app_name),
-            power_app_w=self.power_model.app_power(spec.name, app_name),
-            power_training_w=self.power_model.training_power(spec.name),
-            power_idle_w=self.power_model.idle_power(spec.name),
-            estimated_lag=estimated_lag,
+            power_corun_w=self.power_model.corun_power(name, app_name),
+            power_app_w=self.power_model.app_power(name, app_name),
+            power_training_w=self.power_model.training_power(name),
+            power_idle_w=self.power_model.idle_power(name),
+            estimated_lag=estimate_lag(
+                self.server,
+                user,
+                now_s=slot * self.config.slot_seconds,
+                duration_s=duration_slots * self.config.slot_seconds,
+            ),
             momentum_norm=client.momentum_norm(),
             learning_rate=client.learning_rate,
             momentum_coeff=client.momentum,
             training_duration_slots=duration_slots,
             waiting_slots=self._user_states[user].waiting_slots,
             current_gap=self.gap_tracker.current_gap(user),
+        )
+        return ObservationBatch(
+            slot=slot,
+            slot_seconds=self.config.slot_seconds,
+            user_ids=np.array([user], dtype=np.int64),
+            **{column: np.array([value]) for column, value in columns.items()},
         )
 
     def _apply_async_update(self, user: int, slot: int, update: LocalUpdate) -> float:
@@ -610,19 +611,18 @@ class ReferenceLoopEngine(Coordinator):
             num_scheduled = 0
             decided_idle_users: List[int] = []
             for user in ready_users:
-                observation = self._observation(user, slot)
-                decision = self.policy.decide(observation)
+                row = self._decision_row(user, slot)
                 device = self.devices[user]
-                if decision is Decision.SCHEDULE:
+                if self.policy.decide_all(row)[0]:
                     job = device.start_training(slot, self._user_states[user].base_version)
                     self.server.register_inflight_block(
                         (user,), ((slot + job.duration_slots) * config.slot_seconds,)
                     )
                     scheduled_gap = gradient_gap(
-                        observation.momentum_norm,
-                        observation.learning_rate,
-                        observation.momentum_coeff,
-                        observation.estimated_lag,
+                        float(row.momentum_norm[0]),
+                        float(row.learning_rate[0]),
+                        float(row.momentum_coeff[0]),
+                        int(row.estimated_lag[0]),
                     )
                     self.gap_tracker.on_scheduled(user, scheduled_gap)
                     self._user_states[user].ready = False

@@ -3,9 +3,9 @@
 Every shortcut the coordinator takes per slot is held to the per-user form
 it replaces: the in-flight index behind ``estimate_lags`` to the reference
 loop's dict-scan ``estimate_lag`` and a brute-force count, the Eq. (4) factor table to the
-scalar ``momentum_lag_factor``, ``OfflinePolicy.decide_all`` to per-user
-``decide`` on a twin policy, the array decision log to the tuple list, and
-the single-shard slot loop to one ``open_slot`` per executed slot.
+scalar ``momentum_lag_factor``, ``OfflinePolicy.decide_all`` to the frozen
+per-user plan lookup on a twin policy, the array decision log to the tuple
+list, and the single-shard slot loop to one ``open_slot`` per executed slot.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import batch_row, frozen_evaluate, frozen_generic_decide_all
+from oracle import pool_batch as make_batch
 from reference_loop import estimate_lag
 from repro.core.granularity import DecisionIntervalPolicy
 from repro.core.offline import OfflinePolicy
 from repro.core.online import OnlineController, OnlinePolicy
 from repro.core.policies import (
     Decision,
-    ObservationBatch,
     SchedulingPolicy,
     SlotContext,
 )
@@ -37,37 +38,6 @@ from repro.sim.shard import (
     ShardedEngine,
     SlotExecReply,
 )
-
-
-def make_batch(slot, users, app_running, durations=None, **columns) -> ObservationBatch:
-    """An :class:`ObservationBatch` over ``users`` with Pixel 2 defaults."""
-    users = np.asarray(users, dtype=np.int64)
-    n = len(users)
-    defaults = dict(
-        power_corun_w=np.full(n, 2.5),
-        power_app_w=np.full(n, 2.1),
-        power_training_w=np.full(n, 1.35),
-        power_idle_w=np.full(n, 0.689),
-        estimated_lag=np.zeros(n, dtype=np.int64),
-        momentum_norm=np.ones(n),
-        learning_rate=np.full(n, 0.01),
-        momentum_coeff=np.full(n, 0.9),
-        waiting_slots=np.zeros(n, dtype=np.int64),
-        current_gap=np.zeros(n),
-    )
-    defaults.update(columns)
-    if durations is None:
-        durations = np.full(n, 7, dtype=np.int64)
-    return ObservationBatch(
-        slot=slot,
-        slot_seconds=1.0,
-        user_ids=users,
-        app_running=np.asarray(app_running, dtype=bool),
-        training_duration_slots=np.asarray(durations, dtype=np.int64),
-        device_names=["pixel2"] * n,
-        app_names=[None] * n,
-        **defaults,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +156,7 @@ class TestInflightIndex:
 
 
 # ---------------------------------------------------------------------------
-# (b) OfflinePolicy.decide_all against per-user decide on a twin
+# (b) OfflinePolicy.decide_all against the frozen per-user lookup on a twin
 # ---------------------------------------------------------------------------
 
 
@@ -217,11 +187,6 @@ _DURATIONS = np.array([7, 9, 7, 11, 9, 7], dtype=np.int64)
 _GATED = range(24, 45)
 _WINDOW = 20
 _TOTAL_SLOTS = 120
-
-
-def _per_user_decisions(policy: SchedulingPolicy, batch: ObservationBatch) -> np.ndarray:
-    """The base-class fallback: one ``decide`` per ready user."""
-    return SchedulingPolicy.decide_all(policy, batch)
 
 
 def _drive_twins(array_policy, per_user_policy):
@@ -256,14 +221,14 @@ def _drive_twins(array_policy, per_user_policy):
         array_policy.begin_slot(context)
         per_user_policy.begin_slot(context)
         batch = make_batch(
-            slot, users, app[users], _DURATIONS[users],
+            slot, users, app[users], training_duration_slots=_DURATIONS[users],
             waiting_slots=waiting[users],
             momentum_norm=1.0 + 0.1 * users + 0.01 * slot,  # drifts: staleness matters
             power_app_w=np.where(app[users], 2.4, 2.1),
         )
         schedule = array_policy.decide_all(batch)
         assert schedule.dtype == bool
-        assert schedule.tolist() == _per_user_decisions(per_user_policy, batch).tolist(), slot
+        assert schedule.tolist() == frozen_generic_decide_all(per_user_policy, batch).tolist(), slot
         for user, flag in zip(users.tolist(), schedule.tolist()):
             just_returned = busy_until[user] == slot and slot % _WINDOW != 0 and slot > 0
             if just_returned:
@@ -336,22 +301,27 @@ class TestOfflineDecideAll:
         assert policy.decide_all(make_batch(0, [], [])).tolist() == []
         assert policy.decision_cost_evaluations() == 0
 
-    def test_interval_wrapper_still_takes_the_base_fallback(self):
-        """A policy without an array rule keeps the per-user fallback."""
-        assert DecisionIntervalPolicy.decide_all is SchedulingPolicy.decide_all
-        assert OfflinePolicy.decide_all is not SchedulingPolicy.decide_all
+    def test_interval_wrapper_matches_the_frozen_fallback(self):
+        """The wrapper's own array rule equals the per-user fallback it used
+        to take."""
+        assert DecisionIntervalPolicy.decide_all is not SchedulingPolicy.decide_all
+        assert getattr(SchedulingPolicy.decide_all, "__isabstractmethod__", False)
 
         def inner():
             made = OfflinePolicy(staleness_bound=0.4, window_slots=_WINDOW)
             made.attach_oracle(_ListOracle(_LAUNCHES))
             return made
 
-        # interval 1 reduces to the inner policy: the wrapped per-user path
-        # and the bare array path agree over the whole history.
+        # interval 1 reduces to the inner policy: the wrapped frozen per-user
+        # path and the bare array path agree over the whole history ...
         array_policy = inner()
         wrapped = DecisionIntervalPolicy(inner(), interval_slots=1)
         wrapped.solutions = wrapped.inner.solutions  # what _drive_twins compares
         _drive_twins(array_policy, wrapped)
+        # ... and so do the wrapped array path and the bare frozen one.
+        wrapped = DecisionIntervalPolicy(inner(), interval_slots=1)
+        wrapped.solutions = wrapped.inner.solutions
+        _drive_twins(wrapped, inner())
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +375,7 @@ class TestLagFactorTable:
         assert list(first._lag_factor_tables) == [0.9]
         assert second._lag_factor_tables == {}
         for index in range(2):
-            scalar = second.evaluate(batch.observation(index), 1.0, 1.0)
+            scalar = frozen_evaluate(second, batch_row(batch, index), 1.0, 1.0)
             assert costs.schedule_gap[index] == scalar.schedule_gap
             assert costs.schedule_cost[index] == scalar.schedule_cost
             assert costs.idle_cost[index] == scalar.idle_cost
@@ -429,7 +399,7 @@ class TestDecisionLog:
         ]:
             batch = make_batch(slot, users, app)
             schedule = array_policy.decide_all(batch)
-            SchedulingPolicy.decide_all(per_user_policy, batch)
+            frozen_generic_decide_all(per_user_policy, batch)
             schedule[:] = False  # the caller owns the returned array
         log = array_policy.decision_log
         assert log == per_user_policy.decision_log

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracle import decide_one
 from repro.analysis.plotting import ascii_multi_plot, ascii_plot, sparkline
 from repro.core.granularity import DecisionIntervalPolicy
 from repro.core.online import OnlinePolicy
@@ -19,13 +20,13 @@ class TestDecisionIntervalPolicy:
         wrapped = DecisionIntervalPolicy(ImmediatePolicy(), interval_slots=1)
         for waiting in range(5):
             obs = observation_factory(waiting_slots=waiting)
-            assert wrapped.decide(obs) is Decision.SCHEDULE
+            assert decide_one(wrapped, obs) is Decision.SCHEDULE
         assert wrapped.skipped_decisions == 0
 
     def test_skips_between_decision_points(self, observation_factory):
         wrapped = DecisionIntervalPolicy(ImmediatePolicy(), interval_slots=10)
         decisions = [
-            wrapped.decide(observation_factory(waiting_slots=w)) for w in range(20)
+            decide_one(wrapped, observation_factory(waiting_slots=w)) for w in range(20)
         ]
         assert decisions[0] is Decision.SCHEDULE
         assert decisions[10] is Decision.SCHEDULE
@@ -35,15 +36,15 @@ class TestDecisionIntervalPolicy:
     def test_global_alignment_mode(self, observation_factory):
         wrapped = DecisionIntervalPolicy(ImmediatePolicy(), interval_slots=5,
                                          align_to_arrival=False)
-        assert wrapped.decide(observation_factory(slot=5, waiting_slots=3)) is Decision.SCHEDULE
-        assert wrapped.decide(observation_factory(slot=6, waiting_slots=0)) is Decision.IDLE
+        assert decide_one(wrapped, observation_factory(slot=5, waiting_slots=3)) is Decision.SCHEDULE
+        assert decide_one(wrapped, observation_factory(slot=6, waiting_slots=0)) is Decision.IDLE
 
     def test_fewer_inner_evaluations_reduce_overhead(self, observation_factory):
         inner = OnlinePolicy(v=0.0, staleness_bound=100.0)
         wrapped = DecisionIntervalPolicy(inner, interval_slots=4)
         wrapped.begin_slot(self._context())
         for waiting in range(8):
-            wrapped.decide(observation_factory(waiting_slots=waiting))
+            decide_one(wrapped, observation_factory(waiting_slots=waiting))
         assert wrapped.decision_cost_evaluations() == 2
 
     def test_delegation_of_queues_and_lifecycle(self, observation_factory):
@@ -51,7 +52,7 @@ class TestDecisionIntervalPolicy:
         wrapped = DecisionIntervalPolicy(inner, interval_slots=2)
         context = self._context()
         wrapped.begin_slot(context)
-        wrapped.decide(observation_factory(waiting_slots=0))
+        decide_one(wrapped, observation_factory(waiting_slots=0))
         wrapped.end_slot(context, num_scheduled=0, gap_sum=100.0)
         assert wrapped.virtual_queue.length > 0.0
         assert wrapped.task_queue is inner.task_queue

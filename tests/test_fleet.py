@@ -173,8 +173,9 @@ class TestBackendEquivalence:
         _assert_matrix_bitwise_equal(config, results)
 
     def test_offline_policy_identical_via_fallback(self):
-        """The knapsack planner has no batched rule; the generic per-user
-        fallback of ``decide_all`` must still reproduce the loop exactly."""
+        """The knapsack planner's plan lookup over a whole ready pool
+        (``OfflinePolicy.decide_all``) reproduces the loop's batches of one
+        exactly."""
         config = _paper_fleet_config(seed=4, total_slots=300)
         results, _ = _run_matrix(
             config, lambda: OfflinePolicy(staleness_bound=1000.0, window_slots=100)

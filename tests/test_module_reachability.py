@@ -88,7 +88,7 @@ class TestModuleReachability:
 
 def defined_names(path: Path) -> Dict[str, Set[str]]:
     """Module-level class/function names of ``path`` (key ``""``) and, per
-    class, the names its body defines."""
+    class, the names its body defines (annotated fields included)."""
     tree = ast.parse(path.read_text(), str(path))
     kinds = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     names: Dict[str, Set[str]] = {"": set()}
@@ -98,6 +98,10 @@ def defined_names(path: Path) -> Dict[str, Set[str]]:
         if isinstance(node, ast.ClassDef):
             names[node.name] = {
                 child.name for child in node.body if isinstance(child, kinds)
+            } | {
+                child.target.id
+                for child in node.body
+                if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name)
             }
     return names
 
@@ -111,6 +115,7 @@ class TestOneDataPlane:
             "ReferenceLoopEngine", "MobileDevice", "TrainingJob", "StepOutcome",
             "DeviceState", "EnergyAccountant", "GapTracker",
             "ModelUpload", "ModelDownload", "DvfsGovernor", "OperatingPoint",
+            "DeviceObservation", "DecisionCosts",
         }
         for name in ("sim/reference.py", "device/device.py", "device/dvfs.py"):
             assert not (SRC / "repro" / name).exists()
@@ -129,6 +134,18 @@ class TestOneDataPlane:
             "ModelTransport": {"upload", "download"},
             "SimulationTrace": {"record_decision", "record_user_gap"},
             "ArrivalSchedule": {"app_starting_at"},
+            # One decision plane: ``decide_all`` over a batch is the only
+            # policy interface.
+            "SchedulingPolicy": {"decide"},
+            "OnlinePolicy": {"decide"},
+            "OfflinePolicy": {"decide", "_remember"},
+            "ImmediatePolicy": {"decide"},
+            "SyncPolicy": {"decide"},
+            "DecisionIntervalPolicy": {"decide"},
+            "OnlineController": {"evaluate", "decide"},
+            # ... over numbers only: no name columns (or codes for them).
+            "ObservationBatch": {"observation", "device_names", "app_names"},
+            "ReadyPayload": {"device_names", "app_names", "device_codes", "app_codes", "catalogs"},
         }
         methods: Dict[str, Set[str]] = {}
         for path in product_modules().values():
@@ -138,6 +155,12 @@ class TestOneDataPlane:
         assert set(methods) == set(dropped)  # each class is still found
         # What the column plane and the bench tracer still call stays.
         assert {"async_update", "unregister_inflight"} <= methods["ParameterServer"]
+        assert {"decide_all", "idle_slots", "record_idle"} <= methods["SchedulingPolicy"]
+        assert "evaluate_batch" in methods["OnlineController"]
+        columns = methods["ObservationBatch"] | methods["ReadyPayload"]
+        assert {"user_ids", "users", "app_running"} <= columns
+        assert not {name for name in columns if "name" in name or "code" in name}
         assert {owner: names & dropped[owner] for owner, names in methods.items()} == {
             owner: set() for owner in dropped
         }
+

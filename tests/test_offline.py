@@ -8,6 +8,7 @@ from repro.core.offline import (
     OfflinePolicy,
     lag_upper_bound,
 )
+from oracle import decide_one, observation_batch
 from repro.core.policies import Decision, SlotContext
 
 
@@ -191,7 +192,7 @@ class TestOfflinePolicy:
 
     def test_requires_oracle(self, observation_factory):
         policy = OfflinePolicy(staleness_bound=100.0, window_slots=100)
-        policy._remember(observation_factory(user_id=0))
+        decide_one(policy, observation_factory(user_id=0))  # idle: now pending
         with pytest.raises(RuntimeError):
             policy.begin_slot(self._context(0))
 
@@ -201,21 +202,21 @@ class TestOfflinePolicy:
         obs_early = observation_factory(user_id=0, slot=0, app_running=False)
         # First decision registers the user; planning happens at slot 0.
         policy.begin_slot(self._context(0))
-        assert policy.decide(obs_early) is Decision.IDLE
+        assert decide_one(policy, obs_early) is Decision.IDLE
         policy.begin_slot(self._context(1))
-        assert policy.decide(observation_factory(user_id=0, slot=10)) is Decision.IDLE
+        assert decide_one(policy, observation_factory(user_id=0, slot=10)) is Decision.IDLE
         # Once the app arrives the user co-runs.
-        obs_app = observation_factory(user_id=0, slot=50, app_running=True, app_name="zoom")
-        assert policy.decide(obs_app) is Decision.SCHEDULE
+        obs_app = observation_factory(user_id=0, slot=50, app_running=True)
+        assert decide_one(policy, obs_app) is Decision.SCHEDULE
 
     def test_user_without_arrival_defers_by_default(self, observation_factory):
         policy = OfflinePolicy(staleness_bound=1000.0, window_slots=100)
         policy.attach_oracle(_FakeOracle({}))
         policy.begin_slot(self._context(0))
         obs = observation_factory(user_id=0, slot=0, app_running=False)
-        policy._remember(obs)
+        assert decide_one(policy, obs) is Decision.IDLE  # now pending
         policy.begin_slot(self._context(100))  # replan with the user pending
-        assert policy.decide(observation_factory(user_id=0, slot=100)) is Decision.IDLE
+        assert decide_one(policy, observation_factory(user_id=0, slot=100)) is Decision.IDLE
 
     def test_user_without_arrival_can_schedule_immediately_when_configured(
         self, observation_factory
@@ -224,22 +225,22 @@ class TestOfflinePolicy:
                                schedule_unmatched_immediately=True)
         policy.attach_oracle(_FakeOracle({}))
         obs = observation_factory(user_id=0, slot=0, app_running=False)
-        policy._remember(obs)
+        assert decide_one(policy, obs) is Decision.IDLE  # no plan yet: pending
         policy.begin_slot(self._context(0))
-        assert policy.decide(obs) is Decision.SCHEDULE
+        assert decide_one(policy, obs) is Decision.SCHEDULE
 
     def test_opportunistic_corun_for_unplanned_user(self, observation_factory):
         policy = OfflinePolicy(staleness_bound=1000.0, window_slots=500)
         policy.attach_oracle(_FakeOracle({}))
         policy.begin_slot(self._context(0))
-        obs = observation_factory(user_id=3, slot=20, app_running=True, app_name="news")
-        assert policy.decide(obs) is Decision.SCHEDULE
+        obs = observation_factory(user_id=3, slot=20, app_running=True)
+        assert decide_one(policy, obs) is Decision.SCHEDULE
 
     def test_reset_clears_state(self, observation_factory):
         policy = OfflinePolicy(staleness_bound=500.0, window_slots=100)
         policy.attach_oracle(_FakeOracle({0: (10, "zoom")}))
         policy.begin_slot(self._context(0))
-        policy.decide(observation_factory(user_id=0))
+        decide_one(policy, observation_factory(user_id=0))
         policy.reset()
         assert policy.decision_cost_evaluations() == 0
         assert policy.solutions == []
@@ -256,8 +257,8 @@ class TestOfflinePolicy:
         """With gap_metric='lag' the knapsack weights are the Lemma 1 counts."""
         policy = OfflinePolicy(staleness_bound=10.0, window_slots=200, gap_metric="lag")
         policy.attach_oracle(_FakeOracle({0: (50, "zoom"), 1: (60, "news")}))
-        for user in (0, 1):
-            policy._remember(observation_factory(user_id=user))
+        pool = observation_batch([observation_factory(user_id=user) for user in (0, 1)])
+        assert policy.decide_all(pool).tolist() == [False, False]  # both pending
         policy.begin_slot(self._context(0))
         assert policy.solutions, "planning should have produced a knapsack solution"
         solution = policy.solutions[-1]
@@ -293,7 +294,7 @@ class TestOracleAttachment:
     def test_swapping_after_planning_raises(self, observation_factory):
         policy, _ = self._ready_policy()
         policy.begin_slot(self._context(0))
-        policy.decide(observation_factory(user_id=0))
+        decide_one(policy, observation_factory(user_id=0))
         policy.begin_slot(self._context(10))  # plans the next window
         with pytest.raises(RuntimeError):
             policy.attach_oracle(_FakeOracle({}))
@@ -301,7 +302,7 @@ class TestOracleAttachment:
     def test_reset_allows_a_fresh_oracle(self, observation_factory):
         policy, _ = self._ready_policy()
         policy.begin_slot(self._context(0))
-        policy.decide(observation_factory(user_id=0))
+        decide_one(policy, observation_factory(user_id=0))
         policy.begin_slot(self._context(10))
         policy.reset()
         replacement = _FakeOracle({})

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracle import decide_one, frozen_decide
 from repro.core.policies import (
     Aggregation,
     Decision,
@@ -21,14 +22,17 @@ class TestBaselinePolicies:
     def test_immediate_always_schedules(self, observation_factory):
         policy = ImmediatePolicy()
         for app_running in (True, False):
-            assert policy.decide(observation_factory(app_running=app_running)) is Decision.SCHEDULE
+            observation = observation_factory(app_running=app_running)
+            assert decide_one(policy, observation) is Decision.SCHEDULE
+            assert frozen_decide(policy, observation) is Decision.SCHEDULE
 
     def test_immediate_uses_async_aggregation(self):
         assert ImmediatePolicy.aggregation is Aggregation.ASYNC
 
     def test_sync_always_schedules(self, observation_factory):
         policy = SyncPolicy()
-        assert policy.decide(observation_factory()) is Decision.SCHEDULE
+        assert decide_one(policy, observation_factory()) is Decision.SCHEDULE
+        assert frozen_decide(policy, observation_factory()) is Decision.SCHEDULE
 
     def test_sync_uses_sync_aggregation(self):
         assert SyncPolicy.aggregation is Aggregation.SYNC

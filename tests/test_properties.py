@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracle import frozen_evaluate, observation_batch
 from reference_loop import GapTracker
 from repro.core.offline import KnapsackItem, KnapsackSolver, lag_upper_bound
 from repro.core.online import OnlineController
+from repro.core.policies import Decision
 from repro.core.queues import TaskQueue, VirtualQueue
 from repro.core.staleness import gradient_gap, momentum_lag_factor
 from repro.energy.measurements import energy_saving_fraction
@@ -139,11 +141,12 @@ class TestOnlineControllerProperties:
 
         controller = OnlineController(v=v, epsilon=0.05)
         observation = make_observation(app_running=app_running, current_gap=gap)
-        costs = controller.evaluate(observation, q, h)
-        decision = controller.decide(observation, q, h)
-        assert decision is costs.best()
+        costs = controller.evaluate_batch(observation_batch([observation]), q, h)
+        frozen = frozen_evaluate(controller, observation, q, h)
+        assert (costs.schedule_cost[0], costs.idle_cost[0]) == frozen[:2]
+        assert bool(costs.best()[0]) is (frozen.best() is Decision.SCHEDULE)
         # The objective values are finite.
-        assert np.isfinite(costs.schedule_cost) and np.isfinite(costs.idle_cost)
+        assert np.isfinite(frozen.schedule_cost) and np.isfinite(frozen.idle_cost)
 
     @DEFAULT_SETTINGS
     @given(st.floats(0.0, 30.0), st.floats(0.0, 500.0))
@@ -153,10 +156,51 @@ class TestOnlineControllerProperties:
 
         controller = OnlineController(v=4000.0, epsilon=0.05)
         observation = make_observation(app_running=False, current_gap=1.0)
-        from repro.core.policies import Decision
+        batch = observation_batch([observation])
 
-        if controller.decide(observation, q, h) is Decision.SCHEDULE:
-            assert controller.decide(observation, q + 5.0, h) is Decision.SCHEDULE
+        if controller.evaluate_batch(batch, q, h).best()[0]:
+            assert controller.evaluate_batch(batch, q + 5.0, h).best()[0]
+        if frozen_evaluate(controller, observation, q, h).best() is Decision.SCHEDULE:
+            assert frozen_evaluate(controller, observation, q + 5.0, h).best() is Decision.SCHEDULE
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # (beta, eta, ||v_t||, lag l, increase d)
+        rows=st.lists(
+            st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 10.0, exclude_min=True),
+                      st.floats(0.0, 1e3), st.integers(0, 300), st.integers(1, 300)),
+            min_size=1, max_size=6,
+        ),
+        shared_beta=st.booleans(),
+        v=st.floats(0.0, 1e5), q=st.floats(0.0, 30.0), h=st.floats(0.0, 1e4),
+        app_running=st.booleans(), gap=st.floats(0.0, 10.0),
+    )
+    def test_schedule_cost_is_non_decreasing_in_the_lag(
+        self, rows, shared_beta, v, q, h, app_running, gap
+    ):
+        """What the repair pass rests on: Eq. (21)'s schedule cost never falls
+        as the lag grows and the idle cost ignores it, so an idler stays idle."""
+        from tests.conftest import make_observation
+
+        if shared_beta:  # one beta: the factor-table read
+            rows = [(rows[0][0], *row[1:]) for row in rows]
+        observations = [
+            make_observation(
+                user_id=2 * index + step, app_running=app_running, current_gap=gap,
+                momentum_coeff=beta, learning_rate=eta, momentum_norm=norm,
+                estimated_lag=lag + step * more,
+            )
+            for index, (beta, eta, norm, lag, more) in enumerate(rows)
+            for step in (0, 1)
+        ]
+        costs = OnlineController(v=v, epsilon=0.05).evaluate_batch(
+            observation_batch(observations), q, h
+        )
+        low, high = costs.schedule_cost[0::2], costs.schedule_cost[1::2]
+        assert (high >= low).all(), (low, high)
+        assert costs.idle_cost[0::2].tolist() == costs.idle_cost[1::2].tolist()
+        assert not (~costs.best()[0::2] & costs.best()[1::2]).any()  # idle -> schedule
 
 
 class TestEnergyProperties:

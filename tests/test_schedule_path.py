@@ -3,8 +3,8 @@
 Everything that happens to a slot's schedulers between the speculative batch
 and ``run_slot`` is held to the per-user form it replaced: the same-slot
 coupling rule (``SameSlotLags``) to a server that registers one job at a
-time, ``OnlinePolicy.decide_all``'s repair pass and the generic fallback to
-the walk frozen in ``tests/oracle.py``, the coordinator's final lags to the
+time, ``OnlinePolicy.decide_all``'s repair pass and the per-user decisions
+to the walk frozen in ``tests/oracle.py``, the coordinator's final lags to the
 per-user registration walk, the in-flight blocks to blocks of one in
 order, the ``start_training`` block to its all-or-nothing contract, and the
 whole of it to the per-user reference loop and to a checkpoint the parent
@@ -17,6 +17,7 @@ import hashlib
 import json
 import pickle
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +29,20 @@ from oracle import (
     frozen_online_decide_all,
     frozen_schedule_walk,
     make_engine,
+    pool_batch,
+    rowwise_decide_all,
     run_digest,
 )
 from reference_loop import GapTracker, estimate_lag
 from repro.columns import ordered_sum
+from repro.core.granularity import DecisionIntervalPolicy
+from repro.core.offline import OfflinePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.policies import (
     ImmediatePolicy,
     ObservationBatch,
     SameSlotLags,
-    SchedulingPolicy,
+    SlotContext,
     scheduled_lags,
 )
 from repro.core.staleness import gradient_gap
@@ -59,25 +64,10 @@ _BETAS = st.sampled_from([0.0, 0.5, 0.9])
 
 
 def make_batch(slot, slot_seconds, durations, lags, norms, betas, app, gaps) -> ObservationBatch:
-    n = len(durations)
-    return ObservationBatch(
-        slot=slot,
-        slot_seconds=slot_seconds,
-        user_ids=np.arange(3, 3 + 2 * n, 2, dtype=np.int64),
-        app_running=np.asarray(app, dtype=bool),
-        power_corun_w=np.full(n, 2.5),
-        power_app_w=np.full(n, 2.1),
-        power_training_w=np.full(n, 1.35),
-        power_idle_w=np.full(n, 0.689),
-        estimated_lag=np.asarray(lags, dtype=np.int64),
-        momentum_norm=np.asarray(norms, dtype=np.float64),
-        learning_rate=np.full(n, 0.01),
-        momentum_coeff=np.asarray(betas, dtype=np.float64),
-        training_duration_slots=np.asarray(durations, dtype=np.int64),
-        waiting_slots=np.zeros(n, dtype=np.int64),
-        current_gap=np.asarray(gaps, dtype=np.float64),
-        device_names=["pixel2"] * n,
-        app_names=[None] * n,
+    return pool_batch(
+        slot, np.arange(3, 3 + 2 * len(durations), 2), app, slot_seconds,
+        training_duration_slots=durations, estimated_lag=lags, momentum_norm=norms,
+        momentum_coeff=betas, current_gap=gaps,
     )
 
 
@@ -183,7 +173,7 @@ class TestSameSlotLags:
 
 
 # ---------------------------------------------------------------------------
-# (b) The repair pass and the generic fallback
+# (b) The repair pass and the per-user decisions
 # ---------------------------------------------------------------------------
 
 
@@ -199,9 +189,9 @@ class TestRepairPass:
         schedule = block.decide_all(batch)
         expected, _ = frozen_online_decide_all(frozen, batch)
         assert schedule.dtype == bool and schedule.tolist() == expected.tolist()
-        # ... which is the per-user loop's answer, through the live fallback
-        # and through the frozen one.
-        assert SchedulingPolicy.decide_all(per_user, batch).tolist() == expected.tolist()
+        # ... which is the per-user loop's answer, through the live rule on
+        # batches of one and through the frozen scalar fallback.
+        assert rowwise_decide_all(per_user, batch).tolist() == expected.tolist()
         assert frozen_generic_decide_all(frozen_per_user, batch).tolist() == expected.tolist()
         for policy in (frozen, per_user, frozen_per_user):
             assert block.decision_log == policy.decision_log
@@ -281,6 +271,74 @@ class TestRepairPass:
         assert calls == []
         self._decide([2.0, 2.0])
         assert calls == [1]
+
+
+class _StaggeredArrivals:
+    """Arrival oracle: user ``u``'s app arrives ``u % 4`` slots into a window."""
+
+    def next_arrival(self, user_id, start_slot, end_slot):
+        slot = start_slot + user_id % 4
+        return (slot, "news") if slot < end_slot else None
+
+
+def interval_inner(kind, backlogs):
+    """A fresh inner policy for the interval wrapper."""
+    if kind == "online":
+        return online_policy(*backlogs)
+    if kind == "offline":
+        policy = OfflinePolicy(staleness_bound=0.05, window_slots=3)
+        policy.attach_oracle(_StaggeredArrivals())
+        return policy
+    return ImmediatePolicy()
+
+
+class TestIntervalWrapper:
+    @settings(max_examples=250, deadline=None)
+    @given(
+        # (pool, waiting slots, slots since the last decision, G(t))
+        slots=st.lists(st.tuples(
+            pools(), st.lists(st.integers(0, 11), min_size=10, max_size=10),
+            st.integers(1, 3), st.floats(0.0, 3.0),
+        ), min_size=1, max_size=4),
+        kind=st.sampled_from(["online", "offline", "immediate"]),
+        interval=st.sampled_from([1, 2, 5]),
+        align=st.booleans(),
+        backlogs=_BACKLOGS,
+    )
+    def test_equals_the_frozen_per_user_fallback(self, slots, kind, interval, align, backlogs):
+        """The wrapper's array rule (the inner ``decide_all`` on the rows at a
+        decision point) is the per-entry fallback it used to run; the pools
+        flip online schedulers (``test_random_pools_do_exercise_the_flip``)."""
+        live, frozen = (
+            DecisionIntervalPolicy(interval_inner(kind, backlogs), interval, align)
+            for _ in range(2)
+        )
+        slot = 0
+        for batch, waiting, step, gap_sum in slots:
+            slot += step
+            batch = replace(
+                batch, slot=slot, waiting_slots=np.array(waiting[: len(batch)], dtype=np.int64)
+            )
+            context = SlotContext(
+                slot=slot, slot_seconds=batch.slot_seconds, num_arrivals=1,
+                num_ready=len(batch), num_training=0, num_users=24,
+            )
+            for policy in (live, frozen):
+                policy.begin_slot(context)
+            schedule = live.decide_all(batch)
+            expected = frozen_generic_decide_all(frozen, batch)
+            assert schedule.dtype == bool and schedule.tolist() == expected.tolist()
+            live.end_slot(context, int(expected.sum()), gap_sum)
+            frozen.end_slot(context, int(expected.sum()), gap_sum)
+        assert live.skipped_decisions == frozen.skipped_decisions
+        assert live.decision_cost_evaluations() == frozen.decision_cost_evaluations()
+        if kind == "online":
+            assert live.inner.decision_log == frozen.inner.decision_log
+            assert live.inner.messages_to_server == frozen.inner.messages_to_server
+        if kind == "offline":
+            assert live.inner.solutions == frozen.inner.solutions
+            pending = [np.flatnonzero(p.inner._pending).tolist() for p in (live, frozen)]
+            assert pending[0] == pending[1]
 
 
 # ---------------------------------------------------------------------------

@@ -223,10 +223,19 @@ class TestSubmitValidation:
                   | st.just(float("nan"))),
         st.tuples(st.sampled_from(["batch_size", "local_epochs"]),
                   st.integers(-10**6, 0) | st.floats() | st.text(max_size=3)),
+        st.tuples(st.sampled_from(["noise_std", "class_separation"]),
+                  st.floats(max_value=-1e-300) | st.sampled_from([float("nan"), float("inf")])),
+        st.tuples(st.just("label_noise"),
+                  st.floats(max_value=-1e-300) | st.floats(min_value=1.0)
+                  | st.just(float("nan"))),
+        st.tuples(st.just("mixing_alpha"),
+                  st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
+                  | st.just(float("nan"))),
     ))
     def test_hostile_training_knobs_are_400s(self, api, knob):
-        """The local round's knobs (also the stacked round's grouping key)
-        are refused at submission, not at engine build or never."""
+        """The local round's knobs (also the stacked round's grouping key),
+        the synthetic task's and the merge weight are refused at
+        submission, not at engine build or never."""
         name, value = knob
         body = {"spec": {"policy": "online", "config": {name: value}}}
         status, payload = api.handle("POST", "/jobs", body)

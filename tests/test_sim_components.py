@@ -1,6 +1,7 @@
 """Tests for the simulation components: RNG, config, arrivals and traces."""
 
 import dataclasses
+import itertools
 import math
 import pickle
 import time
@@ -103,6 +104,22 @@ class TestSimulationConfig:
     def test_training_knobs_are_refused_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimulationConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,values",
+        [
+            ("noise_std", [math.nan, math.inf, -0.5]),
+            ("class_separation", [math.nan, math.inf, -1.0]),
+            ("label_noise", [-0.1, 1.0, math.nan]),
+            ("mixing_alpha", [0.0, 1.5, math.nan]),
+        ],
+    )
+    def test_dataset_and_merge_knobs_are_refused_at_construction(self, field, values):
+        for value, rule in itertools.product(values, ["accumulate", "mixing"]):
+            with pytest.raises(ValueError, match=field):
+                SimulationConfig(async_rule=rule, **{field: value})
+        # The closed ends stay open to use.
+        SimulationConfig(noise_std=0.0, class_separation=0.0, label_noise=0.0, mixing_alpha=1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["user_battery_capacity_j", "user_charge_rate_w"])
