@@ -11,7 +11,8 @@ scratch in NumPy:
   substitution for the real download) with IID and Dirichlet non-IID
   partitioning across users.
 * :mod:`repro.fl.optimizer` — momentum SGD exactly as Eq. (1).
-* :mod:`repro.fl.client` — local training of one participant.
+* :mod:`repro.fl.client` — local training of the participants, as one
+  column plane per user range.
 * :mod:`repro.fl.server` — the parameter server with synchronous (FedAvg)
   and asynchronous update rules plus version/lag bookkeeping.
 * :mod:`repro.fl.metrics` — accuracy/loss evaluation and convergence-time
@@ -20,7 +21,7 @@ scratch in NumPy:
 
 from repro.fl.client import FLClient, LocalUpdate
 from repro.fl.dataset import (
-    DataPartition,
+    Partition,
     SyntheticCifar10,
     partition_dirichlet,
     partition_iid,
@@ -33,11 +34,11 @@ from repro.fl.server import AsyncUpdateRule, ParameterServer, ServerUpdate
 __all__ = [
     "AccuracyTracker",
     "AsyncUpdateRule",
-    "DataPartition",
     "FLClient",
     "LocalUpdate",
     "MomentumSGD",
     "ParameterServer",
+    "Partition",
     "Sequential",
     "ServerUpdate",
     "SyntheticCifar10",

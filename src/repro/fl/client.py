@@ -1,4 +1,4 @@
-"""Federated-learning client: one participant's local training routine.
+"""Federated-learning clients: the participants' local training routine.
 
 Each device runs the Training App of Section VI: it downloads the current
 global model, performs one local epoch of mini-batch momentum SGD (batch size
@@ -6,26 +6,28 @@ global model, performs one local epoch of mini-batch momentum SGD (batch size
 together with meta information (device id, base version) to the parameter
 server.
 
-The client keeps its momentum vector across rounds — that vector is exactly
-the ``v_t`` consumed by the gradient-gap estimate of Eq. (4), so the
-simulation engine queries :meth:`FLClient.momentum_norm` when the online
-controller evaluates its decision rule.
+:class:`FLClient` holds the clients of one contiguous user range as columns
+(the client plane) rather than as one object per user: the range's training
+samples gathered once into user order with an offsets column, a round
+counter column, one momentum vector per user (``None`` until its first
+round; it is exactly the ``v_t`` consumed by the gradient-gap estimate of
+Eq. (4), whose norm every upload reports), the shuffling generators of the
+users that have drawn, and hyper-parameters shared by the range.
 
 :meth:`FLClient.local_train` runs the rounds of a whole slot's finishers in
-one call: clients that train the same model on as many samples with the same
-hyper-parameters run as one stacked program, bit for bit their own rounds.
+one call: users with as many samples run as one stacked program, bit for
+bit their own rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fl.dataset import DataPartition
 from repro.fl.model import Sequential
-from repro.fl.optimizer import MomentumSGD
+from repro.fl.optimizer import MomentumSGD, vector_norm
 
 __all__ = ["LocalUpdate", "FLClient", "BLOCK_BYTES"]
 
@@ -34,6 +36,8 @@ __all__ = ["LocalUpdate", "FLClient", "BLOCK_BYTES"]
 #: more than the per-round dispatch they save (the paper's 128-64 MLP, 138 KB
 #: a row, therefore trains in blocks of one).
 BLOCK_BYTES = 256 * 1024
+
+_LOW = (1 << 64) - 1  # the low word of a 128-bit PCG64 state
 
 
 @dataclass
@@ -81,26 +85,37 @@ class LocalUpdate:
 
 
 class FLClient:
-    """One participant of the federated system.
+    """The federated clients of users ``[lo, lo + n)``, as one column plane.
+
+    User ``lo + i`` holds the sample rows ``offsets[i]:offsets[i + 1]`` of
+    ``x`` / ``y``; methods name users by their index ``i`` in the range.
+    Its shuffling generator is seeded ``seed + lo + i`` and made the first
+    time a shuffle would draw: ``Generator.shuffle`` of at most one element
+    leaves the bit-generator state unchanged, so a user with one sample
+    never needs one, and a lazily made generator draws the same stream as
+    one made at build.
 
     Args:
-        user_id: participant index.
-        partition: the participant's local data shard.
+        x / y: the range's training samples and labels, user by user.
+        offsets: ``(n + 1,)`` row offsets, from 0 to ``len(x)``.
         model: the :class:`Sequential` to train in — a workspace, not client
             state: every round loads the download first and reads its result
-            out last, so clients may share one instance (the engine's do).
+            out last, so planes may share one instance.
+        lo: global id of the range's first user.
         learning_rate: ``eta`` of Eq. (1).
         momentum: ``beta`` of Eq. (1).
         batch_size: mini-batch size (20 in the paper).
         local_epochs: local epochs per round (1 in the paper).
-        seed: seed for the client-local shuffling RNG.
+        seed: user ``u``'s shuffling generator is seeded ``seed + u``.
     """
 
     def __init__(
         self,
-        user_id: int,
-        partition: DataPartition,
+        x: np.ndarray,
+        y: np.ndarray,
+        offsets: np.ndarray,
         model: Sequential,
+        lo: int = 0,
         learning_rate: float = 0.05,
         momentum: float = 0.9,
         batch_size: int = 20,
@@ -109,58 +124,146 @@ class FLClient:
     ) -> None:
         if batch_size <= 0 or local_epochs <= 0:
             raise ValueError("batch_size and local_epochs must be positive")
-        self.user_id = user_id
-        self.partition = partition
-        self.model = model
-        self.batch_size = batch_size
-        self.local_epochs = local_epochs
-        self.optimizer = MomentumSGD(learning_rate=learning_rate, momentum=momentum)
-        self._rng = np.random.default_rng(seed)
-        self.rounds_completed = 0
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if (
+            len(x) != len(y)
+            or len(offsets) == 0
+            or offsets[0] != 0
+            or offsets[-1] != len(x)
+            or np.any(offsets[1:] < offsets[:-1])
+        ):
+            raise ValueError("offsets must rise from 0 to len(x), and y must align with x")
+        self.x = x  # reprolint: static
+        self.y = y  # reprolint: static
+        self.offsets = offsets  # reprolint: static
+        self.model = model  # reprolint: static (a workspace, see above)
+        self.lo = lo  # reprolint: static
+        self.batch_size = batch_size  # reprolint: static
+        self.local_epochs = local_epochs  # reprolint: static
+        self.seed = seed  # reprolint: static
+        #: The shared hyper-parameters; it steps every solo round, borrowing
+        #: the user's momentum vector for that round only.
+        self.optimizer = MomentumSGD(learning_rate, momentum)  # reprolint: static
+        users = len(offsets) - 1
+        self.rounds_completed = np.zeros(users, dtype=np.int64)
+        self.velocities: List[Optional[np.ndarray]] = [None] * users
+        self._generators: Dict[int, np.random.Generator] = {}
+        #: Every user's seeded PCG64 ``state`` and ``inc``, as 64-bit high and
+        #: low words: made at the first snapshot, 32 B a user.
+        self._seeded_words: Optional[np.ndarray] = None  # reprolint: static (derived from seed)
+        self._stackable = model.stackable()  # reprolint: static
 
-    # -- staleness hooks -----------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.velocities)
 
-    @property
-    def learning_rate(self) -> float:
-        """The client's learning rate ``eta``."""
-        return self.optimizer.learning_rate
+    def num_samples(self, user: int) -> int:
+        """Size of ``user``'s local shard."""
+        return int(self.offsets[user + 1] - self.offsets[user])
 
-    @property
-    def momentum(self) -> float:
-        """The client's momentum coefficient ``beta``."""
-        return self.optimizer.momentum
+    # -- shuffling generators ---------------------------------------------------------
 
-    def momentum_norm(self) -> float:
-        """L2 norm of the client's current momentum vector ``v_t``."""
-        return self.optimizer.velocity_norm()
+    def _generator(self, user: int) -> np.random.Generator:
+        """``user``'s shuffling generator, made (seeded) on first use."""
+        generator = self._generators.get(user)
+        if generator is None:
+            generator = np.random.default_rng(self.seed + self.lo + user)
+            self._generators[user] = generator
+        return generator
+
+    def _epoch_order(self, user: int, size: int) -> np.ndarray:
+        """The sample order of one of ``user``'s epochs: one shuffle draw."""
+        order = np.arange(size)
+        if size > 1:  # a shuffle of one element draws nothing
+            self._generator(user).shuffle(order)
+        return order
+
+    def rng_state(self, user: int) -> dict:
+        """``user``'s bit-generator state; the seeded one while it has never
+        drawn (the whole range's seeded states are computed once, as words)."""
+        generator = self._generators.get(user)
+        if generator is not None:
+            return generator.bit_generator.state
+        if self._seeded_words is None:
+            first = self.seed + self.lo
+            seeds = range(first, first + len(self))
+            seeded = [np.random.PCG64(seed).state["state"] for seed in seeds]
+            self._seeded_words = np.array(
+                [[s["state"] >> 64, s["state"] & _LOW, s["inc"] >> 64, s["inc"] & _LOW]
+                 for s in seeded],
+                dtype=np.uint64,
+            ).reshape(-1, 4)
+        state_hi, state_lo, inc_hi, inc_lo = self._seeded_words[user].tolist()
+        return {
+            "bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    # -- checkpointing ------------------------------------------------------------------
+
+    def checkpoint_state(self) -> Tuple[List[dict], List[Optional[np.ndarray]]]:
+        """Per user ``{rng_state, rounds_completed}``, and the momentum vectors.
+
+        The vectors are *lent*, not copied: each comes back read-only, so the
+        next round continues on a private copy (copy-on-write) and the
+        snapshot may hold them for as long as it likes.
+        """
+        clients = [
+            {"rng_state": self.rng_state(user), "rounds_completed": rounds}
+            for user, rounds in enumerate(self.rounds_completed.tolist())
+        ]
+        velocities = list(self.velocities)
+        for velocity in velocities:
+            if velocity is not None:
+                velocity.flags.writeable = False
+        return clients, velocities
+
+    def restore_state(
+        self, clients: Sequence[dict], velocities: Sequence[Optional[np.ndarray]]
+    ) -> None:
+        """Install state in the form :meth:`checkpoint_state` returns.
+
+        A user that never finished a round, or whose shuffles hold at most
+        one sample, has never drawn: its generator is left to its first draw.
+        """
+        if not len(clients) == len(velocities) == len(self):
+            raise ValueError("client state must cover exactly the plane's users")
+        self.velocities = [None if v is None else v.copy() for v in velocities]
+        self.rounds_completed = np.array(
+            [client["rounds_completed"] for client in clients], dtype=np.int64
+        )
+        self._generators = {}
+        drew = (self.rounds_completed > 0) & (self.offsets[1:] - self.offsets[:-1] > 1)
+        for user in np.flatnonzero(drew).tolist():
+            self._generator(user).bit_generator.state = clients[user]["rng_state"]
 
     # -- training ---------------------------------------------------------------------
 
-    @staticmethod
     def local_train(
-        clients: Sequence["FLClient"],
+        self,
+        users: Sequence[int],
         bases: Sequence[np.ndarray],
         base_versions: Sequence[int],
         include_params: bool = True,
     ) -> List[LocalUpdate]:
-        """Run one local round for each client, ``clients[i]`` from ``bases[i]``.
+        """Run one local round for each of ``users``, ``users[i]`` from ``bases[i]``.
 
-        A round is ``local_epochs`` passes over the client's shard in
-        shuffled mini-batches (one sample order and one gather per epoch,
-        the batches its row slices), with the client's persistent momentum.
-        Clients that train one model on as many samples with the same batch
-        size, epochs, learning rate, momentum and weight decay run together
-        as one stacked program (:meth:`~repro.fl.model.Sequential.stacked`)
-        in blocks of at most :data:`BLOCK_BYTES` of parameters; every other
-        client — a block of one, or a model with ``Conv2D`` / ``MaxPool2D`` /
-        ``Dropout`` layers, whose shared RNG is drawn client by client in
-        input order — runs its own round.  Either way each client's
-        shuffling RNG, momentum vector, round counter and upload are bit for
-        bit those of its own round.
+        A round is ``local_epochs`` passes over the user's shard in shuffled
+        mini-batches (one sample order and one gather per epoch, the batches
+        its row slices), with the user's persistent momentum.  Users with as
+        many samples run together as one stacked program
+        (:meth:`~repro.fl.model.Sequential.stacked`) in blocks of at most
+        :data:`BLOCK_BYTES` of parameters; every other user — a block of
+        one, an empty shard, or a model with ``Conv2D`` / ``MaxPool2D`` /
+        ``Dropout`` layers, whose shared RNG is drawn user by user in input
+        order — runs its own round.  Either way each user's shuffling
+        generator, momentum vector, round counter and upload are bit for bit
+        those of its own round.
 
         Args:
-            clients: the training clients (the slot's finishers), each at
-                most once.
+            users: the training users (the slot's finishers, indices into
+                the range), each at most once.
             bases: the downloaded global model each trains from (flat vectors).
             base_versions: parameter-server version of each base.
             include_params: also ship the absolute parameter vectors; the
@@ -169,39 +272,26 @@ class FLClient:
                 ``True`` under replace / mixing / staleness-weighted.
 
         Returns:
-            One :class:`LocalUpdate` per client, in input order.
+            One :class:`LocalUpdate` per user, in input order.
         """
-        if not len(clients) == len(bases) == len(base_versions):
-            raise ValueError("clients, bases and base_versions must align")
-        updates: List[Optional[LocalUpdate]] = [None] * len(clients)
-        groups: Dict[tuple, List[int]] = {}
-        stackable: Dict[Sequential, bool] = {}
-        for index, client in enumerate(clients):
-            model, size = client.model, len(client.partition)
-            if model not in stackable:
-                stackable[model] = model.stackable()
-            if stackable[model] and size:
-                optimizer = client.optimizer
-                key = (
-                    model,
-                    size,
-                    client.batch_size,
-                    client.local_epochs,
-                    optimizer.learning_rate,
-                    optimizer.momentum,
-                    optimizer.weight_decay,
+        if not len(users) == len(bases) == len(base_versions):
+            raise ValueError("users, bases and base_versions must align")
+        updates: List[Optional[LocalUpdate]] = [None] * len(users)
+        groups: Dict[int, List[int]] = {}
+        for index, user in enumerate(users):
+            size = self.num_samples(user)
+            if self._stackable and size:
+                groups.setdefault(size, []).append(index)
+            else:  # now, in input order: a shared dropout RNG is drawn user by user
+                updates[index] = self._train_round(
+                    user, bases[index], base_versions[index], include_params
                 )
-                groups.setdefault(key, []).append(index)
-            else:  # now, in input order: a shared dropout RNG is drawn client by client
-                updates[index] = client._train_round(
-                    bases[index], base_versions[index], include_params
-                )
-        for (model, *_), group in groups.items():
-            rows = max(1, BLOCK_BYTES // model.flat_params.nbytes)
+        rows = max(1, BLOCK_BYTES // self.model.flat_params.nbytes)
+        for group in groups.values():
             for start in range(0, len(group), rows):
                 block = group[start : start + rows]
-                trained = FLClient._train_block(
-                    [clients[index] for index in block],
+                trained = self._train_block(
+                    [users[index] for index in block],
                     [bases[index] for index in block],
                     [base_versions[index] for index in block],
                     include_params,
@@ -211,72 +301,78 @@ class FLClient:
         return updates  # type: ignore[return-value]
 
     def _train_round(
-        self, global_params: np.ndarray, base_version: int, include_params: bool
+        self, user: int, global_params: np.ndarray, base_version: int, include_params: bool
     ) -> LocalUpdate:
-        """One client's round in the shared model workspace (a block of one)."""
-        model, partition, batch_size = self.model, self.partition, self.batch_size
+        """One user's round in the shared model workspace (a block of one)."""
+        model, batch_size, optimizer = self.model, self.batch_size, self.optimizer
         model.set_flat_params(global_params)
         model.train_mode(True)
-        size = len(partition)
+        first = int(self.offsets[user])
+        size = int(self.offsets[user + 1]) - first
+        optimizer.velocity = self.velocities[user]
         losses = []
         for _ in range(self.local_epochs):
-            indices = partition.epoch_indices(self._rng)
-            x, y = partition.x[indices], partition.y[indices]
+            rows = first + self._epoch_order(user, size)
+            x, y = self.x[rows], self.y[rows]
             for start in range(0, size, batch_size):
                 stop = start + batch_size
                 losses.append(model.train_step_gradients(x[start:stop], y[start:stop]))
-                self.optimizer.step(model)
-        self.rounds_completed += 1
+                optimizer.step(model)
+        self.velocities[user], optimizer.velocity = optimizer.velocity, None
+        self.rounds_completed[user] += 1
         num_batches = len(losses)
         if num_batches > 1:  # what ``np.mean`` computes
             train_loss = float(np.add.reduce(np.array(losses)) / num_batches)
         else:
             train_loss = losses[0] if losses else 0.0
+        velocity = self.velocities[user]
         return LocalUpdate(
-            user_id=self.user_id,
+            user_id=self.lo + user,
             delta=model.flat_params - global_params,
             base_version=base_version,
             num_samples=size,
             train_loss=train_loss,
-            momentum_norm=self.optimizer.velocity_norm(),
+            momentum_norm=0.0 if velocity is None else vector_norm(velocity),
             num_batches=num_batches,
             params=model.get_flat_params() if include_params else None,
         )
 
-    @staticmethod
     def _train_block(
-        clients: Sequence["FLClient"],
+        self,
+        users: Sequence[int],
         bases: Sequence[np.ndarray],
         base_versions: Sequence[int],
         include_params: bool,
     ) -> List[LocalUpdate]:
-        """The rounds of ``k`` same-shape clients as one stacked program (a
-        block of one is the client's own round).
+        """The rounds of ``k`` users with as many samples as one stacked
+        program (a block of one is the user's own round).
 
-        Row ``i`` of every block is client ``i``: the ``(k, P)`` parameters,
-        gradients and velocities, the ``(k, n, ...)`` epoch gather drawn
-        from each client's own RNG, and the ``(k,)`` batch losses.  The
-        blocks are the model's reusable workspace, so every vector that
-        leaves the round — upload, momentum — is a fresh copy of its row.
+        Row ``i`` of every block is ``users[i]``: the ``(k, P)`` parameters,
+        gradients and velocities, the ``(k, n, ...)`` epoch gather — one
+        fancy index over the offsets, in the order each user's own generator
+        draws — and the ``(k,)`` batch losses.  The blocks are the model's
+        reusable workspace, so every vector that leaves the round — upload,
+        momentum — is a fresh copy of its row.
         """
-        first = clients[0]
-        if len(clients) == 1:
-            return [first._train_round(bases[0], base_versions[0], include_params)]
-        size, batch_size = len(first.partition), first.batch_size
-        block = first.model.stacked(len(clients))
+        if len(users) == 1:
+            return [self._train_round(users[0], bases[0], base_versions[0], include_params)]
+        index = np.asarray(users, dtype=np.int64)
+        first = self.offsets[index][:, None]
+        size, batch_size = self.num_samples(users[0]), self.batch_size
+        block = self.model.stacked(len(users))
         params = block.flat_params
         for row, base in enumerate(bases):
             params[row] = base
-        optimizer = MomentumSGD.stacked(
-            [client.optimizer for client in clients], block.flat_momentum
+        optimizer = self.optimizer.stacked(
+            [self.velocities[user] for user in users], block.flat_momentum
         )
         losses = []
-        for _ in range(first.local_epochs):
-            gathers = [
-                client.partition.epoch_indices(client._rng) for client in clients
-            ]
-            x = np.stack([c.partition.x[i] for c, i in zip(clients, gathers)])
-            y = np.stack([c.partition.y[i] for c, i in zip(clients, gathers)])
+        for _ in range(self.local_epochs):
+            if size == 1:  # nothing to shuffle
+                rows = first
+            else:
+                rows = first + np.stack([self._epoch_order(user, size) for user in users])
+            x, y = self.x[rows], self.y[rows]
             for start in range(0, size, batch_size):
                 stop = start + batch_size
                 losses.append(block.train_step_gradients(x[:, start:stop], y[:, start:stop]))
@@ -286,26 +382,21 @@ class FLClient:
             train_losses = np.add.reduce(np.stack(losses, axis=1), axis=1) / num_batches
         else:
             train_losses = losses[0]
+        self.rounds_completed[index] += 1
         updates = []
-        for row, client in enumerate(clients):
-            client.rounds_completed += 1
-            client.optimizer.load_velocity(block.flat_momentum[row])
+        for row, user in enumerate(users):
+            velocity = block.flat_momentum[row].copy()
+            self.velocities[user] = velocity
             updates.append(
                 LocalUpdate(
-                    user_id=client.user_id,
+                    user_id=self.lo + user,
                     delta=params[row] - bases[row],
                     base_version=base_versions[row],
                     num_samples=size,
                     train_loss=float(train_losses[row]),
-                    momentum_norm=client.optimizer.velocity_norm(),
+                    momentum_norm=vector_norm(velocity),
                     num_batches=num_batches,
                     params=params[row].copy() if include_params else None,
                 )
             )
         return updates
-
-    def evaluate_local(self, params: np.ndarray) -> float:
-        """Training-set accuracy of ``params`` on the client's own shard (diagnostics)."""
-        self.model.set_flat_params(params)
-        predictions = self.model.predict(self.partition.x)
-        return float(np.mean(predictions == self.partition.y))

@@ -18,13 +18,12 @@ heterogeneity ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "DataPartition",
+    "Partition",
     "SyntheticCifar10",
     "partition_iid",
     "partition_dirichlet",
@@ -37,31 +36,19 @@ __all__ = [
 IID_EQUIVALENT_ALPHA = 1e4
 
 
-@dataclass
-class DataPartition:
-    """One user's local shard of the dataset."""
+class Partition(NamedTuple):
+    """Every user's samples, back to back in user order: user ``u`` holds
+    the dataset rows ``order[offsets[u]:offsets[u + 1]]``."""
 
-    user_id: int
-    x: np.ndarray
-    y: np.ndarray
+    order: np.ndarray
+    offsets: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.x.shape[0] != self.y.shape[0]:
-            raise ValueError("x and y must have the same number of samples")
 
-    def __len__(self) -> int:
-        return int(self.x.shape[0])
-
-    def epoch_indices(self, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """The (shuffled) sample order of one epoch: one ``rng.shuffle`` draw."""
-        indices = np.arange(len(self))
-        if rng is not None:
-            rng.shuffle(indices)
-        return indices
-
-    def label_distribution(self, num_classes: int) -> np.ndarray:
-        """Histogram of labels, useful for checking non-IID skew."""
-        return np.bincount(self.y, minlength=num_classes).astype(float)
+def _offsets(sizes) -> np.ndarray:
+    """``(len(sizes) + 1,)`` int64 running totals of ``sizes``, from 0."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
 
 
 class SyntheticCifar10:
@@ -173,37 +160,42 @@ class SyntheticCifar10:
 
 def partition_iid(
     x: np.ndarray, y: np.ndarray, num_users: int, rng: np.random.Generator
-) -> List[DataPartition]:
-    """Equal random partition of the dataset across users (the paper's setup)."""
+) -> Partition:
+    """Equal random partition of the dataset across users (the paper's setup):
+    one shuffle, cut into ``num_users`` runs the way ``np.array_split`` cuts."""
     if num_users <= 0:
         raise ValueError("num_users must be positive")
     if x.shape[0] < num_users:
         raise ValueError("not enough samples to give every user at least one")
-    indices = np.arange(x.shape[0])
+    indices = np.arange(x.shape[0], dtype=np.int64)
     rng.shuffle(indices)
-    shards = np.array_split(indices, num_users)
-    return [
-        DataPartition(user_id=i, x=x[shard], y=y[shard]) for i, shard in enumerate(shards)
-    ]
+    each, extra = divmod(x.shape[0], num_users)
+    sizes = np.full(num_users, each, dtype=np.int64)
+    sizes[:extra] += 1
+    return Partition(indices, _offsets(sizes))
 
 
 def _partition_by_class_proportions(
-    x: np.ndarray,
     y: np.ndarray,
     num_users: int,
     rng: np.random.Generator,
     num_classes: Optional[int],
     draw_proportions,
-) -> List[DataPartition]:
+) -> Partition:
     """Shared label-skew partitioning loop.
 
     Per class: shuffle the class pool, obtain one per-user proportion vector
     from ``draw_proportions()`` (called after the shuffle, preserving the
     historical RNG draw order of :func:`partition_dirichlet`), split the
     pool by those proportions with the rounding remainder distributed
-    round-robin, then donate samples so every user ends up non-empty.
+    round-robin, then donate samples so every user ends up non-empty: each
+    empty user takes one from the next donor in descending initial size, or
+    from the largest remaining one when that donor would be left empty.
+    Each user's samples are in ascending dataset order.
     """
     num_classes = int(num_classes if num_classes is not None else y.max() + 1)
+    if np.count_nonzero(y < num_classes) < num_users:
+        raise ValueError("not enough samples to give every user at least one")
     user_indices: Dict[int, List[int]] = {u: [] for u in range(num_users)}
     for cls in range(num_classes):
         cls_idx = np.where(y == cls)[0]
@@ -223,13 +215,15 @@ def _partition_by_class_proportions(
     donors = sorted(user_indices, key=lambda u: -len(user_indices[u]))
     for i, user in enumerate(empty):
         donor = donors[i % len(donors)]
-        if user_indices[donor]:
-            user_indices[user].append(user_indices[donor].pop())
-    partitions = []
-    for user in range(num_users):
-        idx = np.array(sorted(user_indices[user]), dtype=int)
-        partitions.append(DataPartition(user_id=user, x=x[idx], y=y[idx]))
-    return partitions
+        if len(user_indices[donor]) < 2:
+            donor = max(donors, key=lambda u: len(user_indices[u]))
+        user_indices[user].append(user_indices[donor].pop())
+    shards = [sorted(user_indices[user]) for user in range(num_users)]
+    offsets = _offsets([len(shard) for shard in shards])
+    order = np.fromiter(
+        (index for shard in shards for index in shard), dtype=np.int64, count=offsets[-1]
+    )
+    return Partition(order, offsets)
 
 
 def partition_dirichlet(
@@ -239,18 +233,18 @@ def partition_dirichlet(
     rng: np.random.Generator,
     alpha: float = 0.5,
     num_classes: Optional[int] = None,
-) -> List[DataPartition]:
+) -> Partition:
     """Dirichlet(label-skew) non-IID partition, for heterogeneity ablations.
 
     Smaller ``alpha`` concentrates each class on fewer users.  Every user is
-    guaranteed at least one sample (leftovers are assigned round-robin).
+    guaranteed at least one sample, so fewer samples than users are refused.
     """
     if num_users <= 0:
         raise ValueError("num_users must be positive")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return _partition_by_class_proportions(
-        x, y, num_users, rng, num_classes,
+        y, num_users, rng, num_classes,
         lambda: rng.dirichlet([alpha] * num_users),
     )
 
@@ -261,7 +255,7 @@ def partition_mixed(
     alphas: Sequence[Optional[float]],
     rng: np.random.Generator,
     num_classes: Optional[int] = None,
-) -> List[DataPartition]:
+) -> Partition:
     """Per-user label-skew partition with heterogeneous Dirichlet concentrations.
 
     The scenario subsystem's cohorts may mix skewed and unskewed data: each
@@ -280,7 +274,8 @@ def partition_mixed(
     distributed exactly as :func:`partition_dirichlet`'s symmetric
     Dirichlet.
 
-    Every user is guaranteed at least one sample.
+    Every user is guaranteed at least one sample, so fewer samples than
+    users are refused.
     """
     num_users = len(alphas)
     if num_users <= 0:
@@ -300,5 +295,5 @@ def partition_mixed(
         return weights / total
 
     return _partition_by_class_proportions(
-        x, y, num_users, rng, num_classes, draw_proportions
+        y, num_users, rng, num_classes, draw_proportions
     )

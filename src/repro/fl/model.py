@@ -119,10 +119,6 @@ class Sequential:
         for layer in self.layers:
             layer.train_mode(training)
 
-    def zero_grads(self) -> None:
-        """Reset all parameter gradients."""
-        self.flat_grads.fill(0.0)
-
     # -- parameter access ----------------------------------------------------------
 
     def parameter_items(self) -> Iterable[Tuple[Layer, str, np.ndarray]]:
@@ -146,10 +142,6 @@ class Sequential:
                 f"expected a flat vector of length {self.flat_params.size}, got {flat.shape}"
             )
         np.copyto(self.flat_params, flat)
-
-    def get_flat_grads(self) -> np.ndarray:
-        """Copy all parameter gradients into a single flat vector."""
-        return self.flat_grads.copy()
 
     # -- stacked copies --------------------------------------------------------------
 

@@ -22,7 +22,12 @@ import numpy as np
 
 from repro.fl.model import Sequential
 
-__all__ = ["MomentumSGD"]
+__all__ = ["MomentumSGD", "vector_norm"]
+
+
+def vector_norm(vector: np.ndarray) -> float:
+    """L2 norm of a real 1-D vector, what ``np.linalg.norm`` computes."""
+    return math.sqrt(vector.dot(vector))
 
 
 class MomentumSGD:
@@ -33,6 +38,12 @@ class MomentumSGD:
     handed directly to the staleness estimators.  The update is elementwise,
     so the same code steps a ``(k, P)`` block of ``k`` stacked networks
     (:meth:`stacked`), each row bit for bit its own 1-D step.
+
+    :attr:`velocity` is the momentum vector ``v_t`` (``None`` before the
+    first step).  It may be borrowed: a caller assigns a vector it keeps, and
+    the steps write into it — unless it is read-only (a snapshot holds it),
+    in which case the first step continues on a private copy
+    (copy-on-write) and the held array keeps its bits.
 
     Args:
         learning_rate: ``eta`` in Eq. (1).
@@ -55,74 +66,34 @@ class MomentumSGD:
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity: Optional[np.ndarray] = None
-        #: A snapshot holds ``_velocity`` (:meth:`lend_velocity`): the next
-        #: step must rebind it, not write into it.
-        self._lent = False
+        self.velocity: Optional[np.ndarray] = None
 
-    @classmethod
-    def stacked(cls, optimizers: Sequence["MomentumSGD"], velocity: np.ndarray) -> "MomentumSGD":
-        """One optimizer stepping the momentum of ``optimizers`` as the rows
-        of ``velocity``, a ``(k, P)`` block it fills and then owns.
+    def stacked(
+        self, velocities: Sequence[Optional[np.ndarray]], block: np.ndarray
+    ) -> "MomentumSGD":
+        """An optimizer with these hyper-parameters stepping ``velocities``
+        as the rows of ``block``, a ``(k, P)`` array it fills and then owns.
 
-        All of them must share the hyper-parameters of the first.  Row ``i``
-        starts as ``optimizers[i]``'s vector, or at zero when it has none
-        (what its own first step would start from); the optimizers
-        themselves are only read, so a lent vector stays untouched.
+        Row ``i`` starts as ``velocities[i]``, or at zero for ``None`` (what
+        its own first step would start from); the vectors themselves are
+        only read, so a lent one stays untouched.
         """
-        first = optimizers[0]
-        block = cls(first.learning_rate, first.momentum, first.weight_decay)
-        for row, optimizer in enumerate(optimizers):
-            if optimizer._velocity is None:
-                velocity[row] = 0.0
+        optimizer = MomentumSGD(self.learning_rate, self.momentum, self.weight_decay)
+        for row, velocity in enumerate(velocities):
+            if velocity is None:
+                block[row] = 0.0
             else:
-                velocity[row] = optimizer._velocity
-        block._velocity = velocity
-        return block
-
-    @property
-    def velocity(self) -> Optional[np.ndarray]:
-        """The momentum vector ``v_t`` (``None`` before the first step)."""
-        return self._velocity
+                block[row] = velocity
+        optimizer.velocity = block
+        return optimizer
 
     def velocity_norm(self) -> float:
         """L2 norm of the momentum vector (0 before the first step)."""
-        velocity = self._velocity
-        if velocity is None:
-            return 0.0
-        # What ``np.linalg.norm`` computes for a real 1-D vector.
-        return math.sqrt(velocity.dot(velocity))
-
-    def reset(self) -> None:
-        """Clear the momentum state."""
-        self._velocity = None
-        self._lent = False
-
-    def load_velocity(self, velocity: Optional[np.ndarray]) -> None:
-        """Restore a previously-saved momentum vector (e.g. across rounds)."""
-        self._velocity = None if velocity is None else velocity.copy()
-        self._lent = False
-
-    def lend_velocity(self) -> Optional[np.ndarray]:
-        """The momentum vector itself, for a snapshot to keep without copying.
-
-        The array is never written again: the next :meth:`step` continues on
-        a private copy (copy-on-write), so the caller may hold it for as
-        long as it likes.  It comes back read-only (a write raises).
-        """
-        velocity = self._velocity
-        self._lent = velocity is not None
-        if velocity is not None:
-            velocity.flags.writeable = False
-        return velocity
+        return 0.0 if self.velocity is None else vector_norm(self.velocity)
 
     def step(self, model: Sequential) -> None:
         """Apply one update, in place, using the gradients stored in ``model``."""
         model.flat_params -= self._advance(model.flat_params, model.flat_grads)
-
-    def apply_to_vector(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """Vector-space variant of :meth:`step` (no model object involved)."""
-        return params - self._advance(params, grads)
 
     def _advance(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         """Update ``v_t`` in place; return the decrement ``eta * v_t`` (a fresh array).
@@ -135,11 +106,10 @@ class MomentumSGD:
         if self.weight_decay > 0.0:
             grads = grads + self.weight_decay * params
         scratch = grads * (1.0 - self.momentum)
-        if self._velocity is None:
-            self._velocity = np.zeros_like(params)
-        elif self._lent:
-            self._velocity = self._velocity.copy()
-            self._lent = False
-        self._velocity *= self.momentum
-        self._velocity += scratch
-        return np.multiply(self._velocity, self.learning_rate, out=scratch)
+        if self.velocity is None:
+            self.velocity = np.zeros_like(params)
+        elif not self.velocity.flags.writeable:
+            self.velocity = self.velocity.copy()
+        self.velocity *= self.momentum
+        self.velocity += scratch
+        return np.multiply(self.velocity, self.learning_rate, out=scratch)

@@ -41,6 +41,7 @@ from repro.energy.power_model import PowerModel
 from repro.fl.blas import pin_blas_threads
 from repro.fl.client import FLClient
 from repro.fl.dataset import (
+    Partition,
     SyntheticCifar10,
     partition_dirichlet,
     partition_iid,
@@ -203,7 +204,7 @@ def build_dataset(
     )
 
 
-def build_partitions(config: SimulationConfig, dataset: SyntheticCifar10, rng):
+def build_partitions(config: SimulationConfig, dataset: SyntheticCifar10, rng) -> Partition:
     """The full-population data partition (consumes the ``dataset`` stream)."""
     x_train, y_train = dataset.train_set()
     if config.user_data_alpha is not None:
@@ -228,39 +229,41 @@ def build_partitions(config: SimulationConfig, dataset: SyntheticCifar10, rng):
 
 def build_clients(
     config: SimulationConfig,
-    partitions,
-    input_dim: int,
+    dataset: SyntheticCifar10,
+    partition: Partition,
     lo: int = 0,
     hi: Optional[int] = None,
-) -> List[FLClient]:
-    """FL clients for users ``[lo, hi)`` (the whole fleet by default).
+) -> FLClient:
+    """The FL client plane of users ``[lo, hi)`` (the whole fleet by default).
 
-    The slice trains in one shared model workspace (a local round loads the
-    download first and reads its result out last, so the model carries
-    nothing between rounds or users); momentum, round counter and a
-    ``(seed, user)``-salted shuffling RNG are per client, so the
-    construction is slice-independent: building users 40..80 yields the
-    same 40 clients whether or not the rest of the fleet is built.
+    The range's training samples are gathered once into user order; each
+    user's rows hold the values of its partition.  The range trains in one
+    model workspace (a local round loads the download first and reads its
+    result out last, so the model carries nothing between rounds or users);
+    momentum, round counter and a ``(seed, user)``-salted shuffling
+    generator are per user, so the construction is slice-independent:
+    building users 40..80 yields the same 40 clients whether or not the rest
+    of the fleet is built.
     """
     hi = config.num_users if hi is None else hi
-    workspace = build_eval_model(config, input_dim)
+    workspace = build_eval_model(config, dataset.input_dim())
     if any(isinstance(layer, Dropout) for layer in workspace.layers):
         raise ValueError("a Dropout layer owns a per-client RNG and cannot be shared by clients")
-    clients: List[FLClient] = []
-    for user in range(lo, hi):
-        clients.append(
-            FLClient(
-                user_id=user,
-                partition=partitions[user],
-                model=workspace,
-                learning_rate=config.learning_rate,
-                momentum=config.momentum,
-                batch_size=config.batch_size,
-                local_epochs=config.local_epochs,
-                seed=config.seed + 1000 + user,
-            )
-        )
-    return clients
+    x_train, y_train = dataset.train_set()
+    offsets = partition.offsets[lo : hi + 1]
+    rows = partition.order[offsets[0] : offsets[-1]]
+    return FLClient(
+        x_train[rows],
+        y_train[rows],
+        offsets - offsets[0],
+        workspace,
+        lo=lo,
+        learning_rate=config.learning_rate,
+        momentum=config.momentum,
+        batch_size=config.batch_size,
+        local_epochs=config.local_epochs,
+        seed=config.seed + 1000,
+    )
 
 
 def build_arrival_schedule(
@@ -417,8 +420,8 @@ def build_population(
     rng,
     lo: int = 0,
     hi: Optional[int] = None,
-) -> Tuple[PowerModel, List[Optional[Battery]], List[FLClient]]:
-    """Power model, batteries and clients of users ``[lo, hi)``.
+) -> Tuple[PowerModel, List[Optional[Battery]], FLClient]:
+    """Power model, batteries and client plane of users ``[lo, hi)``.
 
     ``device_specs`` covers the whole population and ``rng`` is the
     ``dataset`` stream: the partition is drawn for everyone, so a slice gets
@@ -426,8 +429,7 @@ def build_population(
     """
     power_model = PowerModel(table=table)
     batteries = build_batteries(config, device_specs)[lo:hi]
-    partitions = build_partitions(config, dataset, rng)
-    clients = build_clients(config, partitions, dataset.input_dim(), lo, hi)
+    clients = build_clients(config, dataset, build_partitions(config, dataset, rng), lo, hi)
     return power_model, batteries, clients
 
 

@@ -72,7 +72,6 @@ from repro.device.models import DeviceSpec
 from repro.device.thermal import ThermalModel
 from repro.energy.battery import Battery
 from repro.energy.power_model import EnergyBreakdown, PowerModel
-from repro.fl.client import FLClient
 from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.config import SimulationConfig
 
@@ -427,7 +426,6 @@ class FleetState:
         device_specs: static device description per user.
         power_model: the Eq. (10) power function (Table II/III calibrated).
         batteries: per-user battery or ``None`` (dev boards, disabled).
-        clients: the FL clients (source of ``eta``, ``beta``, ``||v_t||``).
         arrivals: the pre-generated application arrival schedule.
     """
 
@@ -437,7 +435,6 @@ class FleetState:
         device_specs: Sequence[DeviceSpec],
         power_model: PowerModel,
         batteries: Sequence[Optional[Battery]],
-        clients: Sequence[FLClient],
         arrivals: ArrivalSchedule,
     ) -> None:
         # The fleet covers len(device_specs) users — the whole population in
@@ -445,8 +442,8 @@ class FleetState:
         # engine.  Every internal index is local to this slice; the shard
         # layer owns the local <-> global translation.
         n = len(device_specs)
-        if not (len(batteries) == len(clients) == n):
-            raise ValueError("device_specs, batteries and clients must be equal-length")
+        if len(batteries) != n:
+            raise ValueError("device_specs and batteries must be equal-length")
         self.config = config  # reprolint: static
         self.num_users = n  # reprolint: static
         self.slot_seconds = config.slot_seconds  # reprolint: static
@@ -483,11 +480,11 @@ class FleetState:
         self.temperature_c = self.ambient_c.copy()
 
         # -- FL-side observation inputs ---------------------------------------
-        self.learning_rates = np.array([c.learning_rate for c in clients])  # reprolint: static
-        self.momentum_coeffs = np.array([c.momentum for c in clients])  # reprolint: static
+        self.learning_rates = np.full(n, config.learning_rate)  # reprolint: static
+        self.momentum_coeffs = np.full(n, config.momentum)  # reprolint: static
         #: ``||v_t||_2`` cache — a client's momentum vector only changes when
         #: it trains, so the engine refreshes the entry after `local_train`.
-        self.momentum_norms = np.array([c.momentum_norm() for c in clients])
+        self.momentum_norms = np.zeros(n)
 
         # -- dynamic scheduling / app / training state -------------------------
         # Slot/version counters are int32: both are bounded far below 2**31

@@ -361,8 +361,9 @@ class FleetShard:
     Args:
         config: the (full-population) run configuration.
         lo / hi: the global user range ``[lo, hi)`` this shard owns.
-        device_specs / batteries / clients: the slice's components, already
-            sliced to ``hi - lo`` entries.
+        device_specs / batteries: the slice's components, already sliced to
+            ``hi - lo`` entries.
+        clients: the slice's client plane (users ``[lo, hi)``).
         arrivals: the slice's arrival schedule, re-indexed to local ids
             (:meth:`~repro.sim.arrivals.ArrivalSchedule.slice_users`).
         include_params: ship absolute parameter vectors in uploads (non-
@@ -379,7 +380,7 @@ class FleetShard:
         device_specs: Sequence["DeviceSpec"],
         power_model: PowerModel,
         batteries: Sequence[Optional["Battery"]],
-        clients: Sequence[FLClient],
+        clients: FLClient,
         arrivals: ArrivalSchedule,
         include_params: bool,
         timers: Optional[EngineTimers] = None,
@@ -389,13 +390,14 @@ class FleetShard:
         self.config = config  # reprolint: static
         self.lo = lo
         self.hi = hi
-        self.clients = list(clients)
+        if len(clients) != hi - lo:
+            raise ValueError("clients must cover exactly [lo, hi)")
+        self.clients = clients
         self.fleet = FleetState(
             config=config,
             device_specs=device_specs,
             power_model=power_model,
             batteries=batteries,
-            clients=self.clients,
             arrivals=arrivals,
         )
         self.include_params = include_params  # reprolint: static
@@ -562,7 +564,8 @@ class FleetShard:
                 assert base is not None  # pinned at download
                 bases.append(base)
             updates = FLClient.local_train(
-                [self.clients[local] for local in finishers],
+                self.clients,
+                finishers,
                 bases,
                 [int(fleet.base_version[local]) for local in finishers],
                 include_params=self.include_params,
@@ -730,27 +733,22 @@ class FleetShard:
         :func:`repro.service.checkpoint.reslice` can re-partition them for a
         restore under a different shard count.
         Client state captures exactly what training mutates: the
-        bit-generator state of the per-client batch-sampling RNG and the
-        round counter in ``clients``, the momentum vector in ``velocities``.
-        A velocity is *lent*, not copied: the optimizer's next step rebinds
-        instead of writing into the (read-only) array the snapshot holds, so
-        a snapshot costs nothing for users that do not train while it is
-        alive, and ``(user, rounds_completed)`` names a vector's content for
-        good.
+        bit-generator state of the per-user batch-sampling RNG and the
+        round counter in ``clients``, the momentum vector in ``velocities``
+        (:meth:`FLClient.checkpoint_state`).  A velocity is *lent*, not
+        copied: the next round continues on a private copy instead of
+        writing into the (read-only) array the snapshot holds, so a snapshot
+        costs nothing for users that do not train while it is alive, and
+        ``(user, rounds_completed)`` names a vector's content for good.
         """
         self._require_downloads("checkpoint_state")
+        clients, velocities = self.clients.checkpoint_state()
         return {
             "lo": self.lo,
             "hi": self.hi,
             "fleet": self.fleet.state_dict(),
-            "clients": [
-                {
-                    "rng_state": client._rng.bit_generator.state,
-                    "rounds_completed": client.rounds_completed,
-                }
-                for client in self.clients
-            ],
-            "velocities": [client.optimizer.lend_velocity() for client in self.clients],
+            "clients": clients,
+            "velocities": velocities,
         }
 
     def restore_state(self, state: Dict, bases: Dict[int, np.ndarray]) -> None:
@@ -774,12 +772,7 @@ class FleetShard:
         # must run the churn on its first open_slot.
         self._opened_slot = -1
         self._awaiting_download = []
-        for client, client_state, velocity in zip(
-            self.clients, state["clients"], state["velocities"]
-        ):
-            client.optimizer.load_velocity(velocity)
-            client._rng.bit_generator.state = client_state["rng_state"]
-            client.rounds_completed = int(client_state["rounds_completed"])
+        self.clients.restore_state(state["clients"], state["velocities"])
 
     # -- queries / teardown -------------------------------------------------------
 

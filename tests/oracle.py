@@ -13,7 +13,14 @@ before the flat training plane (ISSUE 15): the reference the in-place
 
 :func:`partition_batches` is the mini-batch generator that frozen round
 draws from, the product's ``DataPartition.batches`` before the round took
-one gather per epoch.
+one gather per epoch.  :class:`DataPartition` is the per-user shard copy the
+partition functions returned before the client plane;
+:func:`user_partitions` cuts a :class:`repro.fl.dataset.Partition` into
+them, :func:`client_plane` builds an ``FLClient`` plane over them, and
+:func:`frozen_class_partition` is the label-skew partition loop as it ran
+before it refused to leave a user empty.  :func:`apply_to_vector`,
+:func:`zero_grads`, :func:`flat_grads` and :func:`evaluate_local` are
+diagnostics the product no longer has.
 
 :func:`dense_arrival_schedule` is the per-slot arrival generator — one
 scalar uniform per non-busy slot — that the product's sparse launch-event
@@ -59,6 +66,7 @@ from repro.core.policies import Decision, ImmediatePolicy, ObservationBatch, Syn
 from repro.core.staleness import gradient_gap, gradient_gap_from_params
 from repro.device.apps import ForegroundApp, sample_app
 from repro.energy.measurements import MeasurementTable
+from repro.fl.client import FLClient
 from repro.fl.layers import Conv2D, Linear, _col2im
 from repro.fl.server import AsyncUpdateRule, ParameterServer
 from repro.sim.arrivals import ArrivalSchedule
@@ -114,6 +122,96 @@ def dense_arrival_schedule(
 # ---------------------------------------------------------------------------
 # Frozen training step
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class DataPartition:
+    """One user's local shard of the dataset, as a copy (before the client plane)."""
+
+    user_id: int
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        if self.x.shape[0] != self.y.shape[0]:
+            raise ValueError("x and y must have the same number of samples")
+
+    def __len__(self):
+        return int(self.x.shape[0])
+
+    def epoch_indices(self, rng=None):
+        """The (shuffled) sample order of one epoch: one ``rng.shuffle`` draw."""
+        indices = np.arange(len(self))
+        if rng is not None:
+            rng.shuffle(indices)
+        return indices
+
+    def label_distribution(self, num_classes):
+        """Histogram of labels, useful for checking non-IID skew."""
+        return np.bincount(self.y, minlength=num_classes).astype(float)
+
+
+def user_partitions(x, y, partition):
+    """``partition`` (order + offsets) as one :class:`DataPartition` per user."""
+    shards = np.split(partition.order, partition.offsets[1:-1])
+    return [DataPartition(user, x[shard], y[shard]) for user, shard in enumerate(shards)]
+
+
+def client_plane(partitions, model, lo=0, **knobs):
+    """An ``FLClient`` plane holding ``partitions`` as users ``lo, lo + 1, ...``."""
+    sizes = [len(part) for part in partitions]
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    x = np.concatenate([part.x for part in partitions])
+    y = np.concatenate([part.y for part in partitions])
+    return FLClient(x, y, offsets, model, lo=lo, **knobs)
+
+
+def frozen_class_partition(y, num_users, rng, num_classes, draw_proportions):
+    """The label-skew partition loop before the empty-user fix, as per-user
+    sorted index arrays: a donor with fewer than two samples could leave its
+    recipient or itself empty."""
+    num_classes = int(num_classes if num_classes is not None else y.max() + 1)
+    user_indices = {u: [] for u in range(num_users)}
+    for cls in range(num_classes):
+        cls_idx = np.where(y == cls)[0]
+        rng.shuffle(cls_idx)
+        proportions = draw_proportions()
+        counts = (proportions * len(cls_idx)).astype(int)
+        remainder = len(cls_idx) - counts.sum()
+        for i in range(remainder):
+            counts[i % num_users] += 1
+        start = 0
+        for user, count in enumerate(counts):
+            user_indices[user].extend(cls_idx[start : start + count].tolist())
+            start += count
+    empty = [u for u, idx in user_indices.items() if not idx]
+    donors = sorted(user_indices, key=lambda u: -len(user_indices[u]))
+    for i, user in enumerate(empty):
+        donor = donors[i % len(donors)]
+        if user_indices[donor]:
+            user_indices[user].append(user_indices[donor].pop())
+    return [np.array(sorted(user_indices[user]), dtype=int) for user in range(num_users)]
+
+
+def apply_to_vector(optimizer, params, grads):
+    """``MomentumSGD.apply_to_vector``: one Eq. (1) step on a bare vector."""
+    return params - optimizer._advance(params, grads)
+
+
+def zero_grads(model):
+    """``Sequential.zero_grads``: reset every parameter gradient."""
+    model.flat_grads.fill(0.0)
+
+
+def flat_grads(model):
+    """``Sequential.get_flat_grads``: a copy of the flat gradient vector."""
+    return model.flat_grads.copy()
+
+
+def evaluate_local(model, partition, params):
+    """``FLClient.evaluate_local``: accuracy of ``params`` on a user's own shard."""
+    model.set_flat_params(params)
+    return float(np.mean(model.predict(partition.x) == partition.y))
 
 
 def partition_batches(partition, batch_size, rng=None):

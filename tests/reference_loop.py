@@ -55,6 +55,7 @@ from repro.device.thermal import ThermalModel
 from repro.energy.measurements import MeasurementTable
 from repro.energy.power_model import EnergyBreakdown, PowerModel
 from repro.fl.client import FLClient, LocalUpdate
+from repro.fl.optimizer import vector_norm
 from repro.fl.dataset import SyntheticCifar10
 from repro.fl.server import AsyncUpdateRule, ParameterServer
 from repro.sim.arrivals import ArrivalSchedule
@@ -503,7 +504,8 @@ class ReferenceLoopEngine(Coordinator):
         """The batch of one ``user`` is decided with in ``slot``: its own
         state plus the dict-scan lag estimate, which counts every job this
         slot scheduled so far (each is registered in flight at once)."""
-        device, client = self.devices[user], self.clients[user]
+        device, clients = self.devices[user], self.clients
+        velocity = clients.velocities[user]
         name = device.spec.name
         app_name = device.current_app.name if device.current_app is not None else None
         duration_slots = device.training_duration_slots()
@@ -519,9 +521,9 @@ class ReferenceLoopEngine(Coordinator):
                 now_s=slot * self.config.slot_seconds,
                 duration_s=duration_slots * self.config.slot_seconds,
             ),
-            momentum_norm=client.momentum_norm(),
-            learning_rate=client.learning_rate,
-            momentum_coeff=client.momentum,
+            momentum_norm=0.0 if velocity is None else vector_norm(velocity),
+            learning_rate=clients.optimizer.learning_rate,
+            momentum_coeff=clients.optimizer.momentum,
             training_duration_slots=duration_slots,
             waiting_slots=self._user_states[user].waiting_slots,
             current_gap=self.gap_tracker.current_gap(user),
@@ -666,7 +668,8 @@ class ReferenceLoopEngine(Coordinator):
                 state = self._user_states[user]
                 tick = self.timers.start()
                 (update,) = FLClient.local_train(
-                    [self.clients[user]],
+                    self.clients,
+                    [user],
                     [state.base_params],
                     [state.base_version],
                     include_params=self._upload_params,

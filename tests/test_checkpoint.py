@@ -348,16 +348,48 @@ class TestResumeWhereBlocksForm:
         blocks = []
         real_block = FLClient._train_block
 
-        def spy(clients, *args):
-            blocks.append(len(clients))
-            return real_block(clients, *args)
+        def spy(plane, users, *args):
+            blocks.append(len(users))
+            return real_block(plane, users, *args)
 
-        monkeypatch.setattr(FLClient, "_train_block", staticmethod(spy))
+        monkeypatch.setattr(FLClient, "_train_block", spy)
         config = make_config(**self.CONFIG)
         checkpoint = interrupt_at(build(mode, config, make_policy("online")), 500)
         assert run_digest(restore(mode, checkpoint).run()) == reference
         if mode != "process2":  # a worker's blocks are not seen here
             assert len(blocks) > 10 and max(blocks) > 2
+
+
+class TestResumeWhereSomeNeverTrained:
+    """Ragged shards of two to sixteen samples: every user that trains makes
+    its shuffling generator on its first round.  A checkpoint at a boundary
+    where some users have trained and others never have, resumed
+    single-process and on two inline or process shards, ends on the digest
+    of the reference loop."""
+
+    CONFIG = dict(
+        num_users=12, total_slots=900, num_train_samples=96, seed=9,
+        num_test_samples=100, non_iid_alpha=0.5, hidden_dims=(8,),
+    )
+    AT_SLOT = 225  # eight users finished a round, four (two of one sample) not
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        loop = make_engine("loop", make_config(**self.CONFIG), make_policy("online"))
+        return run_digest(loop.run())
+
+    @pytest.mark.parametrize("mode", ["single", "inline2", "process2"])
+    def test_resume_ends_on_the_reference_digest(self, reference, mode):
+        config = make_config(**self.CONFIG)
+        checkpoint = interrupt_at(build(mode, config, make_policy("online")), self.AT_SLOT)
+        clients = [client for piece in checkpoint.slices for client in piece["clients"]]
+        rounds = [client["rounds_completed"] for client in clients]
+        assert 0 < rounds.count(0) < len(rounds)  # some trained, some never did
+        for user, client in enumerate(clients):
+            if client["rounds_completed"] == 0:  # never drew: the seeded state
+                seeded = np.random.default_rng(config.seed + 1000 + user)
+                assert client["rng_state"] == seeded.bit_generator.state
+        assert run_digest(restore(mode, checkpoint).run()) == reference
 
 
 class TestCheckpointStore:
@@ -616,19 +648,21 @@ class TestSnapshotIsolation:
         lent = [v for piece in checkpoint.slices for v in piece["velocities"]]
         assert any(v is not None for v in lent)
         frozen = [None if v is None else v.copy() for v in lent]
-        for client, velocity in zip(engine.clients, lent):
-            assert client.optimizer.velocity is velocity  # no copy at capture
-        # One call: the clients train as one stacked block, which reads the
-        # lent vectors and hands each client a private successor.
         clients = engine.clients
+        for kept, velocity in zip(clients.velocities, lent):
+            assert kept is velocity  # no copy at capture
+        # One call: the users train as one stacked block, which reads the
+        # lent vectors and hands each user a private successor.
+        users = list(range(len(clients)))
         FLClient.local_train(
             clients,
-            [engine.server.global_params()] * len(clients),
-            [engine.server.version] * len(clients),
+            users,
+            [engine.server.global_params()] * len(users),
+            [engine.server.version] * len(users),
         )
-        for client, velocity in zip(clients, lent):
-            assert client.optimizer.velocity is not velocity
-            assert not np.array_equal(client.optimizer.velocity, velocity)
+        for kept, velocity in zip(clients.velocities, lent):
+            assert kept is not velocity
+            assert not np.array_equal(kept, velocity)
         assert same_state(lent, frozen)
 
 

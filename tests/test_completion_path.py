@@ -33,7 +33,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import FrozenLocalTrainer, frozen_transfer, make_engine, run_digest
+from oracle import (
+    DataPartition,
+    FrozenLocalTrainer,
+    client_plane,
+    frozen_transfer,
+    make_engine,
+    run_digest,
+    user_partitions,
+)
 from repro.comm.messages import TransferRecord
 from repro.comm.network import NetworkModel, NetworkType
 from repro.comm.transport import RADIO_POWER_W, ModelTransport
@@ -42,9 +50,10 @@ from repro.core.online import OnlinePolicy
 from repro.core.policies import ImmediatePolicy, SyncPolicy
 from repro.core.staleness import gradient_gap_from_params
 from repro.fl.client import FLClient, LocalUpdate
-from repro.fl.dataset import DataPartition, SyntheticCifar10, partition_iid
+from repro.fl.dataset import SyntheticCifar10, partition_iid
 from repro.fl.layers import Dropout, Linear, SoftmaxCrossEntropy
 from repro.fl.model import Sequential, build_lenet5, build_mlp
+from repro.fl.optimizer import vector_norm
 from repro.fl.server import AsyncUpdateRule, ParameterServer
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
@@ -323,13 +332,13 @@ class TestTheRound:
         self, kind, size, local_epochs, include_params
     ):
         shard = _shard(kind, size)
-        client = FLClient(0, shard, _stack(kind), local_epochs=local_epochs, seed=41)
+        client = client_plane([shard], _stack(kind), local_epochs=local_epochs, seed=41)
         frozen = FrozenLocalTrainer(_stack(kind), shard, local_epochs=local_epochs, seed=41)
         base = client.model.get_flat_params()
         base.setflags(write=False)  # as the server's download view is
         for round_number in range(3):
             (update,) = FLClient.local_train(
-                [client], [base], [round_number], include_params=include_params
+                client, [0], [base], [round_number], include_params=include_params
             )
             want = frozen.local_train(base)
             assert np.array_equal(update.delta, want.delta)
@@ -341,13 +350,14 @@ class TestTheRound:
             assert not np.shares_memory(update.delta, client.model.flat_params)
             assert type(update.train_loss) is float and update.train_loss == want.train_loss
             assert type(update.momentum_norm) is float
-            assert update.momentum_norm == want.momentum_norm == client.momentum_norm()
+            assert update.momentum_norm == want.momentum_norm
+            assert update.momentum_norm == vector_norm(client.velocities[0])
             assert update.num_batches == local_epochs * -(-size // 20)
             assert update.num_samples == size
-            assert np.array_equal(client.optimizer.velocity, frozen.velocity)
-            assert client._rng.bit_generator.state == frozen.rng.bit_generator.state
+            assert np.array_equal(client.velocities[0], frozen.velocity)
+            assert client.rng_state(0) == frozen.rng.bit_generator.state
             base = base + update.delta
-        assert client.rounds_completed == 3
+        assert client.rounds_completed[0] == 3
 
     def test_backward_twice_returns_equal_arrays(self):
         rng = np.random.default_rng(0)
@@ -389,9 +399,7 @@ class TestTheRound:
     def test_the_three_identities_the_round_leans_on(self, seed, size):
         rng = np.random.default_rng(seed)
         vector = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4)
-        client = FLClient(0, _shard("mlp", 1), _stack("mlp"))
-        client.optimizer.load_velocity(vector)
-        assert client.momentum_norm() == float(np.linalg.norm(vector))
+        assert vector_norm(vector) == float(np.linalg.norm(vector))
         assert float(np.add.reduce(vector) / size) == float(np.mean(vector))
         twin = copy.deepcopy(rng)
         block = np.maximum(1.0 + rng.normal(0.0, 0.15, size=size), 0.1).tolist()
@@ -404,21 +412,16 @@ class TestTheRound:
 # ---------------------------------------------------------------------------
 
 
-def _make_clients(num_clients: int, num_samples: int, seed: int = 0):
-    """MLP clients over IID shards of one synthetic dataset."""
+def _make_clients(num_clients: int, num_samples: int, seed: int = 0) -> FLClient:
+    """An MLP client plane over IID shards of one synthetic dataset."""
     dataset = SyntheticCifar10(num_train=num_samples, num_test=40, feature_dim=24, seed=seed)
-    partitions = partition_iid(
-        dataset.x_train, dataset.y_train, num_clients, np.random.default_rng(seed + 17)
+    x, y = dataset.train_set()
+    partitions = user_partitions(
+        x, y, partition_iid(x, y, num_clients, np.random.default_rng(seed + 17))
     )
-    return [
-        FLClient(
-            user_id=user,
-            partition=partitions[user],
-            model=build_mlp(input_dim=24, hidden_dims=(32, 16), seed=seed),
-            seed=100 + user,
-        )
-        for user in range(num_clients)
-    ]
+    return client_plane(
+        partitions, build_mlp(input_dim=24, hidden_dims=(32, 16), seed=seed), seed=100
+    )
 
 
 def _matrix_config(seed: int, dirichlet: bool) -> SimulationConfig:
@@ -440,9 +443,9 @@ def _matrix_config(seed: int, dirichlet: bool) -> SimulationConfig:
 class TestUploadPayloadAndZeroCopy:
     def test_delta_only_upload_halves_payload(self):
         clients = _make_clients(1, 60)
-        base = clients[0].model.get_flat_params()
-        (full,) = FLClient.local_train(clients[:1], [base], [0], include_params=True)
-        (lean,) = FLClient.local_train(clients[:1], [base], [1], include_params=False)
+        base = clients.model.get_flat_params()
+        (full,) = FLClient.local_train(clients, [0], [base], [0], include_params=True)
+        (lean,) = FLClient.local_train(clients, [0], [base], [1], include_params=False)
         assert lean.params is None
         assert lean.payload_nbytes() == lean.delta.nbytes
         assert full.payload_nbytes() == 2 * lean.payload_nbytes()
@@ -620,13 +623,14 @@ class TestEngineEquivalenceMatrix:
         assert got.trace.update_samples == want.trace.update_samples
         assert got.accuracy.accuracies() == want.accuracy.accuracies()
         # Per-client round state: same rounds, same momentum, same RNG stream.
-        for ours, theirs in zip(fleet.clients, loop.clients):
-            assert ours.rounds_completed == theirs.rounds_completed
-            assert ours._rng.bit_generator.state == theirs._rng.bit_generator.state
-            if theirs.optimizer.velocity is None:
-                assert ours.optimizer.velocity is None
+        ours, theirs = fleet.clients, loop.clients
+        assert np.array_equal(ours.rounds_completed, theirs.rounds_completed)
+        for user in range(config.num_users):
+            assert ours.rng_state(user) == theirs.rng_state(user)
+            if theirs.velocities[user] is None:
+                assert ours.velocities[user] is None
             else:
-                assert np.array_equal(ours.optimizer.velocity, theirs.optimizer.velocity)
+                assert np.array_equal(ours.velocities[user], theirs.velocities[user])
 
     def test_rounds_run_only_at_their_completion_slot(self):
         """No round is trained ahead: with every upload delivered, a client's
@@ -640,4 +644,4 @@ class TestEngineEquivalenceMatrix:
         applied = [0] * config.num_users
         for sample in result.trace.update_samples:
             applied[sample.user_id] += 1
-        assert [client.rounds_completed for client in engine.clients] == applied
+        assert engine.clients.rounds_completed.tolist() == applied

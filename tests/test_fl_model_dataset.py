@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from oracle import partition_batches
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle import DataPartition, flat_grads, frozen_class_partition, partition_batches, user_partitions
 from repro.fl.dataset import (
-    DataPartition,
     SyntheticCifar10,
     partition_dirichlet,
     partition_iid,
+    partition_mixed,
 )
 from repro.fl.model import Sequential, build_lenet5, build_mlp
 
@@ -44,7 +47,7 @@ class TestSequential:
         y = rng.integers(0, 3, size=10)
         loss = model.train_step_gradients(x, y)
         assert loss > 0.0
-        grads = model.get_flat_grads()
+        grads = flat_grads(model)
         assert grads.shape == model.get_flat_params().shape
         assert np.abs(grads).sum() > 0.0
 
@@ -141,10 +144,20 @@ class TestSyntheticDataset:
 class TestPartitioning:
     def test_iid_partition_covers_everything(self, rng):
         dataset = SyntheticCifar10(num_train=250, num_test=20, seed=0)
-        parts = partition_iid(dataset.x_train, dataset.y_train, 25, rng)
-        assert len(parts) == 25
-        assert sum(len(p) for p in parts) == 250
-        assert all(len(p) == 10 for p in parts)
+        order, offsets = partition_iid(dataset.x_train, dataset.y_train, 25, rng)
+        assert offsets.dtype == order.dtype == np.int64
+        assert offsets.tolist() == list(range(0, 251, 10))
+        assert sorted(order.tolist()) == list(range(250))
+
+    def test_iid_partition_cuts_as_array_split_does(self):
+        dataset = SyntheticCifar10(num_train=233, num_test=20, seed=0)
+        x, y = dataset.train_set()
+        parts = user_partitions(x, y, partition_iid(x, y, 7, np.random.default_rng(4)))
+        indices = np.arange(233)
+        np.random.default_rng(4).shuffle(indices)
+        for part, shard in zip(parts, np.array_split(indices, 7)):
+            assert part.x.tobytes() == x[shard].tobytes()
+            assert part.y.tobytes() == y[shard].tobytes()
 
     def test_iid_partition_requires_enough_samples(self, rng):
         dataset = SyntheticCifar10(num_train=10, num_test=5, seed=0)
@@ -153,9 +166,12 @@ class TestPartitioning:
 
     def test_dirichlet_partition_covers_everything(self, rng):
         dataset = SyntheticCifar10(num_train=400, num_test=20, seed=0)
-        parts = partition_dirichlet(dataset.x_train, dataset.y_train, 10, rng, alpha=0.5)
-        assert sum(len(p) for p in parts) == 400
-        assert all(len(p) >= 1 for p in parts)
+        order, offsets = partition_dirichlet(
+            dataset.x_train, dataset.y_train, 10, rng, alpha=0.5
+        )
+        assert len(offsets) == 11 and offsets[-1] == 400
+        assert all(np.diff(offsets) >= 1)
+        assert sorted(order.tolist()) == list(range(400))
 
     def test_dirichlet_small_alpha_is_more_skewed(self, rng):
         dataset = SyntheticCifar10(num_train=2000, num_test=20, seed=0)
@@ -168,17 +184,19 @@ class TestPartitioning:
                 skews.append(dist.max())
             return float(np.mean(skews))
 
-        skewed = partition_dirichlet(
-            dataset.x_train, dataset.y_train, 10, np.random.default_rng(0), alpha=0.1
+        x, y = dataset.train_set()
+        skewed = user_partitions(
+            x, y, partition_dirichlet(x, y, 10, np.random.default_rng(0), alpha=0.1)
         )
-        uniform = partition_dirichlet(
-            dataset.x_train, dataset.y_train, 10, np.random.default_rng(0), alpha=100.0
+        uniform = user_partitions(
+            x, y, partition_dirichlet(x, y, 10, np.random.default_rng(0), alpha=100.0)
         )
         assert mean_skew(skewed) > mean_skew(uniform)
 
     def test_partition_batches(self, rng):
         dataset = SyntheticCifar10(num_train=100, num_test=20, seed=0)
-        part = partition_iid(dataset.x_train, dataset.y_train, 5, rng)[0]
+        x, y = dataset.train_set()
+        part = user_partitions(x, y, partition_iid(x, y, 5, rng))[0]
         batches = partition_batches(part, 8, rng=rng)
         assert sum(x.shape[0] for x, _ in batches) == len(part)
         assert all(x.shape[0] <= 8 for x, _ in batches)
@@ -196,3 +214,62 @@ class TestPartitioning:
             partition_dirichlet(dataset.x_train, dataset.y_train, 0, rng)
         with pytest.raises(ValueError):
             partition_dirichlet(dataset.x_train, dataset.y_train, 5, rng, alpha=0.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x, y, users, rng: partition_dirichlet(x, y, users, rng, alpha=0.01),
+            lambda x, y, users, rng: partition_mixed(x, y, [0.01] * users, rng),
+        ],
+        ids=["dirichlet", "mixed"],
+    )
+    def test_fewer_samples_than_users_are_refused(self, make):
+        dataset = SyntheticCifar10(num_train=5, num_test=5, seed=0)
+        with pytest.raises(ValueError, match="at least one"):
+            make(dataset.x_train, dataset.y_train, 8, np.random.default_rng(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.integers(1, 60),
+        extra_users=st.integers(0, 30),
+        alpha=st.sampled_from([0.005, 0.05, 0.5, 5.0]),
+        classes=st.integers(2, 10),
+        seed=st.integers(0, 2**16),
+        mixed=st.booleans(),
+    )
+    def test_label_skew_leaves_no_user_empty(
+        self, samples, extra_users, alpha, classes, seed, mixed
+    ):
+        """Every user gets at least one sample and every sample one user;
+        wherever the loop before the fix left nobody empty, the partition
+        is exactly its partition."""
+        users = max(1, samples - extra_users)
+        y = np.random.default_rng(seed).integers(0, classes, samples)
+        x = np.zeros((samples, 1))
+
+        def run(rng):
+            if mixed:
+                return partition_mixed(x, y, [alpha] * users, rng, num_classes=classes)
+            return partition_dirichlet(x, y, users, rng, alpha=alpha, num_classes=classes)
+
+        order, offsets = run(np.random.default_rng(seed))
+        sizes = np.diff(offsets)
+        assert len(sizes) == users and (sizes >= 1).all()
+        assert sorted(order.tolist()) == list(range(samples))
+        shards = np.split(order, offsets[1:-1])
+        assert all((np.diff(shard) > 0).all() for shard in shards)  # ascending
+
+        rng = np.random.default_rng(seed)
+        if mixed:
+            def draw():
+                weights = rng.gamma(shape=np.full(users, alpha), scale=1.0) / alpha
+                total = float(weights.sum())
+                if total <= 0:
+                    return np.full(users, 1.0 / users)
+                return weights / total
+        else:
+            def draw():
+                return rng.dirichlet([alpha] * users)
+        before = frozen_class_partition(y, users, rng, classes, draw)
+        if all(len(shard) for shard in before):
+            assert [shard.tolist() for shard in shards] == [s.tolist() for s in before]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracle import apply_to_vector, client_plane, evaluate_local, user_partitions
 from reference_loop import estimate_lag
 from repro.fl.client import FLClient, LocalUpdate
 from repro.fl.dataset import SyntheticCifar10, partition_iid
@@ -20,11 +21,17 @@ def small_dataset():
 
 
 @pytest.fixture()
-def client(small_dataset, rng):
-    parts = partition_iid(small_dataset.x_train, small_dataset.y_train, 4, rng)
+def parts(small_dataset, rng):
+    x, y = small_dataset.train_set()
+    return user_partitions(x, y, partition_iid(x, y, 4, rng))
+
+
+@pytest.fixture()
+def client(parts):
+    """A plane of the first user alone."""
     model = build_mlp(input_dim=16, hidden_dims=(16,), num_classes=10, seed=0)
-    return FLClient(user_id=0, partition=parts[0], model=model,
-                    learning_rate=0.05, momentum=0.9, batch_size=10, seed=0)
+    return client_plane(parts[:1], model, learning_rate=0.05, momentum=0.9,
+                        batch_size=10, seed=0)
 
 
 class TestMomentumSGD:
@@ -33,10 +40,10 @@ class TestMomentumSGD:
         optimizer = MomentumSGD(learning_rate=0.1, momentum=0.5)
         params = np.array([1.0, -2.0])
         grads = np.array([0.5, 0.5])
-        updated = optimizer.apply_to_vector(params, grads)
+        updated = apply_to_vector(optimizer, params, grads)
         expected_v = 0.5 * np.zeros(2) + 0.5 * grads
         assert np.allclose(updated, params - 0.1 * expected_v)
-        updated2 = optimizer.apply_to_vector(updated, grads)
+        updated2 = apply_to_vector(optimizer, updated, grads)
         expected_v2 = 0.5 * expected_v + 0.5 * grads
         assert np.allclose(updated2, updated - 0.1 * expected_v2)
 
@@ -44,29 +51,30 @@ class TestMomentumSGD:
         optimizer = MomentumSGD(learning_rate=0.2, momentum=0.0)
         params = np.array([1.0])
         grads = np.array([2.0])
-        assert np.allclose(optimizer.apply_to_vector(params, grads), [0.6])
+        assert np.allclose(apply_to_vector(optimizer, params, grads), [0.6])
 
     def test_velocity_norm_tracks_state(self):
         optimizer = MomentumSGD(learning_rate=0.1, momentum=0.9)
         assert optimizer.velocity_norm() == 0.0
-        optimizer.apply_to_vector(np.zeros(3), np.ones(3))
+        apply_to_vector(optimizer, np.zeros(3), np.ones(3))
         assert optimizer.velocity_norm() > 0.0
-        optimizer.reset()
-        assert optimizer.velocity is None
+        optimizer.velocity = None
+        assert optimizer.velocity_norm() == 0.0
 
-    def test_load_velocity_copies(self):
-        optimizer = MomentumSGD()
+    def test_a_borrowed_velocity_is_stepped_in_place(self):
+        optimizer = MomentumSGD(learning_rate=0.1, momentum=0.5)
         velocity = np.ones(4)
-        optimizer.load_velocity(velocity)
-        velocity[:] = 5.0
-        assert np.allclose(optimizer.velocity, 1.0)
+        optimizer.velocity = velocity
+        apply_to_vector(optimizer, np.zeros(4), np.full(4, 3.0))
+        assert optimizer.velocity is velocity
+        assert np.array_equal(velocity, np.full(4, 2.0))
 
     def test_weight_decay_shrinks_params(self):
         plain = MomentumSGD(learning_rate=0.1, momentum=0.0)
         decayed = MomentumSGD(learning_rate=0.1, momentum=0.0, weight_decay=0.1)
         params = np.array([10.0])
         grads = np.array([0.0])
-        assert decayed.apply_to_vector(params, grads)[0] < plain.apply_to_vector(params, grads)[0]
+        assert apply_to_vector(decayed, params, grads)[0] < apply_to_vector(plain, params, grads)[0]
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
@@ -95,63 +103,73 @@ class TestMomentumSGD:
         keeper = MomentumSGD(learning_rate=0.1, momentum=0.9)
         params, grads = np.array([1.0, -2.0, 3.0]), np.array([0.5, -0.25, 1.0])
         for optimizer in (lender, keeper):
-            optimizer.apply_to_vector(params, grads)
-        lent = lender.lend_velocity()
+            apply_to_vector(optimizer, params, grads)
+        lent = lender.velocity
+        lent.flags.writeable = False  # what a snapshot's loan does
         held = lent.copy()
         assert not lent.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             lent[0] = np.nan
         # The next step continues on a private, writable copy; the lent array
         # keeps its bits and lending changes nothing downstream.
-        stepped = lender.apply_to_vector(params, grads)
+        stepped = apply_to_vector(lender, params, grads)
         assert lender.velocity is not lent and lender.velocity.flags.writeable
         assert np.array_equal(lent, held)
-        assert np.array_equal(stepped, keeper.apply_to_vector(params, grads))
+        assert np.array_equal(stepped, apply_to_vector(keeper, params, grads))
         assert np.array_equal(lender.velocity, keeper.velocity)
 
 
 class TestFLClient:
     def test_local_train_returns_update(self, client):
         base = client.model.get_flat_params()
-        (update,) = FLClient.local_train([client], [base], [3])
+        (update,) = FLClient.local_train(client, [0], [base], [3])
         assert isinstance(update, LocalUpdate)
         assert update.user_id == 0
         assert update.base_version == 3
-        assert update.num_samples == len(client.partition)
+        assert update.num_samples == client.num_samples(0) == 50
         assert update.num_batches > 0
         assert update.params.shape == base.shape
         assert np.allclose(update.delta, update.params - base)
 
     def test_momentum_persists_across_rounds(self, client):
         base = client.model.get_flat_params()
-        assert client.momentum_norm() == 0.0
-        FLClient.local_train([client], [base], [0])
-        norm_after_first = client.momentum_norm()
-        assert norm_after_first > 0.0
-        assert client.rounds_completed == 1
+        assert client.velocities[0] is None
+        (first,) = FLClient.local_train(client, [0], [base], [0])
+        assert first.momentum_norm > 0.0
+        assert first.momentum_norm == float(np.linalg.norm(client.velocities[0]))
+        assert client.rounds_completed[0] == 1
+        held = client.velocities[0].copy()
+        FLClient.local_train(client, [0], [base], [0])
+        assert client.rounds_completed[0] == 2
+        assert not np.array_equal(client.velocities[0], held)
 
     def test_training_starts_from_supplied_global(self, client):
         global_params = np.zeros_like(client.model.get_flat_params())
-        (update,) = FLClient.local_train([client], [global_params], [0])
+        (update,) = FLClient.local_train(client, [0], [global_params], [0])
         # The update must be a perturbation of the supplied global model, not
         # of whatever the client model held before.
         assert np.linalg.norm(update.params) < 10.0
 
-    def test_local_accuracy_improves(self, client):
+    def test_local_accuracy_improves(self, client, parts):
         base = client.model.get_flat_params()
         params = base
         for _ in range(20):
-            (update,) = FLClient.local_train([client], [params], [0])
+            (update,) = FLClient.local_train(client, [0], [params], [0])
             params = update.params
-        assert client.evaluate_local(params) > 0.5
+        assert evaluate_local(client.model, parts[0], params) > 0.5
 
-    def test_invalid_construction(self, small_dataset, rng):
-        parts = partition_iid(small_dataset.x_train, small_dataset.y_train, 2, rng)
+    def test_invalid_construction(self, parts):
         model = build_mlp(input_dim=16, hidden_dims=(4,), num_classes=10)
         with pytest.raises(ValueError):
-            FLClient(0, parts[0], model, batch_size=0)
+            client_plane(parts, model, batch_size=0)
         with pytest.raises(ValueError):
-            FLClient(0, parts[0], model, local_epochs=0)
+            client_plane(parts, model, local_epochs=0)
+        x, y = parts[0].x, parts[0].y
+        for offsets in ([0, 20, 49], [0, 30, 20, 50], [1, 50], []):
+            with pytest.raises(ValueError, match="offsets"):
+                FLClient(x, y, np.array(offsets), model)
+        with pytest.raises(ValueError, match="offsets"):
+            FLClient(x, y[:-1], np.array([0, 50]), model)
 
 
 class TestParameterServer:

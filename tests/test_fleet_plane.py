@@ -62,7 +62,6 @@ def build_fleet(
         engine.device_specs,
         engine.power_model,
         engine.batteries,
-        engine.clients,
         engine.arrivals if launches is None else ArrivalSchedule(launches),
     )
 
@@ -435,7 +434,7 @@ class TestSatelliteReports:
         engine = SimulationEngine(config, ImmediatePolicy())
         fleet = FleetState(
             config, engine.device_specs, engine.power_model, engine.batteries,
-            engine.clients, engine.arrivals,
+            engine.arrivals,
         )
         monkeypatch.setattr(
             FleetState, "battery_ok", lambda self: pytest.fail("battery_ok on a fleet with no battery")

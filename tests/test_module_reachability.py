@@ -116,6 +116,8 @@ class TestOneDataPlane:
             "DeviceState", "EnergyAccountant", "GapTracker",
             "ModelUpload", "ModelDownload", "DvfsGovernor", "OperatingPoint",
             "DeviceObservation", "DecisionCosts",
+            # The per-user shard copy; the client plane holds row offsets.
+            "DataPartition",
         }
         for name in ("sim/reference.py", "device/device.py", "device/dvfs.py"):
             assert not (SRC / "repro" / name).exists()
@@ -146,6 +148,11 @@ class TestOneDataPlane:
             # ... over numbers only: no name columns (or codes for them).
             "ObservationBatch": {"observation", "device_names", "app_names"},
             "ReadyPayload": {"device_names", "app_names", "device_codes", "app_codes", "catalogs"},
+            # One client plane per user range: no per-user optimizer state
+            # or generator, and no diagnostics nothing in the product calls.
+            "FLClient": {"evaluate_local", "momentum_norm"},
+            "MomentumSGD": {"apply_to_vector", "load_velocity", "lend_velocity", "reset"},
+            "Sequential": {"zero_grads", "get_flat_grads"},
         }
         methods: Dict[str, Set[str]] = {}
         for path in product_modules().values():
@@ -157,6 +164,7 @@ class TestOneDataPlane:
         assert {"async_update", "unregister_inflight"} <= methods["ParameterServer"]
         assert {"decide_all", "idle_slots", "record_idle"} <= methods["SchedulingPolicy"]
         assert "evaluate_batch" in methods["OnlineController"]
+        assert {"local_train", "checkpoint_state", "restore_state"} <= methods["FLClient"]
         columns = methods["ObservationBatch"] | methods["ReadyPayload"]
         assert {"user_ids", "users", "app_running"} <= columns
         assert not {name for name in columns if "name" in name or "code" in name}

@@ -29,10 +29,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracle import run_digest, upload_bits
+from oracle import DataPartition, client_plane, run_digest, upload_bits
 from repro.core.online import OnlinePolicy
 from repro.fl.client import BLOCK_BYTES, FLClient
-from repro.fl.dataset import DataPartition
 from repro.fl.model import build_mlp
 from repro.service.checkpoint import Checkpointer, RunInterrupted
 from repro.sim.config import SimulationConfig
@@ -87,16 +86,14 @@ def _config() -> SimulationConfig:
 
 
 def _recorded_uploads(monkeypatch, before_round=None) -> list:
-    """Record every upload in training order; ``before_round(client)`` runs
-    for each client right before its slot's local rounds (the poisoning
-    hook)."""
+    """Record every upload in training order; ``before_round(clients)`` runs
+    right before each slot's local rounds (the poisoning hook)."""
     uploads = []
 
-    def train(clients, bases, base_versions, include_params=True):
+    def train(clients, users, bases, base_versions, include_params=True):
         if before_round is not None:
-            for client in clients:
-                before_round(client)
-        updates = _REAL_TRAIN(clients, bases, base_versions, include_params)
+            before_round(clients)
+        updates = _REAL_TRAIN(clients, users, bases, base_versions, include_params)
         uploads.extend(upload_bits(update) for update in updates)
         return updates
 
@@ -104,8 +101,8 @@ def _recorded_uploads(monkeypatch, before_round=None) -> list:
     return uploads
 
 
-def _poison_workspace(client: FLClient) -> None:
-    model = client.model
+def _poison_workspace(clients: FLClient) -> None:
+    model = clients.model
     model.flat_params.fill(np.nan)
     model.flat_grads.fill(np.nan)
     if model._block_memory is not None:  # the stacked rounds' blocks
@@ -194,20 +191,15 @@ class TestPoisoning:
         assert observed == expected
 
 
-def _block_clients(count: int, samples: int = 9) -> list:
-    """``count`` clients of one stacked group (one model, as many samples)."""
+def _block_clients(count: int, samples: int = 9) -> FLClient:
+    """A plane of ``count`` users of one stacked group (as many samples)."""
     model = build_mlp(input_dim=12, hidden_dims=(16,), seed=5)
     rng = np.random.default_rng(8)
-    return [
-        FLClient(
-            user,
-            DataPartition(user, rng.normal(size=(samples, 12)), rng.integers(0, 10, samples)),
-            model,
-            batch_size=4,
-            seed=300 + user,
-        )
+    parts = [
+        DataPartition(user, rng.normal(size=(samples, 12)), rng.integers(0, 10, samples))
         for user in range(count)
     ]
+    return client_plane(parts, model, batch_size=4, seed=300)
 
 
 class TestBlockRowIsolation:
@@ -216,42 +208,39 @@ class TestBlockRowIsolation:
     def test_a_nan_row_leaves_the_other_rows_solo(self, monkeypatch, poisoned, row):
         count = 7
         stacked, solo = _block_clients(count), _block_clients(count)
-        assert BLOCK_BYTES // stacked[0].model.flat_params.nbytes >= count
-        base = stacked[0].model.get_flat_params()
-        # A first round on both sides, one client at a time, so every client
+        assert BLOCK_BYTES // stacked.model.flat_params.nbytes >= count
+        base = stacked.model.get_flat_params()
+        # A first round on both sides, one user at a time, so every user
         # carries a velocity into the poisoned round.
         for clients in (stacked, solo):
-            for client in clients:
-                FLClient.local_train([client], [base], [0])
+            for user in range(count):
+                FLClient.local_train(clients, [user], [base], [0])
         bases = [base + 0.01 * user for user in range(count)]
         if poisoned == "base":
             bases[row] = bases[row].copy()
             bases[row][5] = np.nan
         else:
             for clients in (stacked, solo):
-                velocity = clients[row].optimizer.velocity.copy()
+                velocity = clients.velocities[row].copy()
                 velocity[5] = np.nan
-                clients[row].optimizer.load_velocity(velocity)
+                clients.velocities[row] = velocity
         blocks = []
         real_block = FLClient._train_block
 
-        def spy(clients, *args):
-            blocks.append(len(clients))
-            return real_block(clients, *args)
+        def spy(clients, users, *args):
+            blocks.append(len(users))
+            return real_block(clients, users, *args)
 
-        monkeypatch.setattr(FLClient, "_train_block", staticmethod(spy))
-        got = FLClient.local_train(stacked, bases, [1] * count)
+        monkeypatch.setattr(FLClient, "_train_block", spy)
+        got = FLClient.local_train(stacked, list(range(count)), bases, [1] * count)
         assert blocks == [count]
         want = [
-            FLClient.local_train([client], [base], [1])[0]
-            for client, base in zip(solo, bases)
+            FLClient.local_train(solo, [user], [base], [1])[0]
+            for user, base in enumerate(bases)
         ]
         assert np.isnan(got[row].delta).any()
         for user in range(count):
             if user == row:
                 continue
             assert upload_bits(got[user]) == upload_bits(want[user])
-            assert (
-                stacked[user].optimizer.velocity.tobytes()
-                == solo[user].optimizer.velocity.tobytes()
-            )
+            assert stacked.velocities[user].tobytes() == solo.velocities[user].tobytes()

@@ -441,12 +441,15 @@ class TestMixedPartitionBalance:
         """Low-alpha users get skewed *labels*, not starved shards."""
         import numpy as np
 
+        from oracle import user_partitions
         from repro.fl.dataset import SyntheticCifar10, partition_mixed
 
         dataset = SyntheticCifar10(num_train=2000, num_test=100, seed=0)
         x, y = dataset.train_set()
         alphas = [0.05] * 12 + [None] * 12
-        parts = partition_mixed(x, y, alphas, np.random.default_rng(0), num_classes=10)
+        parts = user_partitions(
+            x, y, partition_mixed(x, y, alphas, np.random.default_rng(0), num_classes=10)
+        )
         sizes = [len(p) for p in parts]
         # No starvation: every skewed user holds a real shard, and the two
         # halves hold the same share of the data in expectation.
@@ -471,9 +474,11 @@ class TestMixedPartitionBalance:
 
         dataset = SyntheticCifar10(num_train=500, num_test=50, seed=1)
         x, y = dataset.train_set()
-        parts = partition_mixed(x, y, [0.5] * 8, np.random.default_rng(2))
-        assert sum(len(p) for p in parts) == 500
-        assert all(len(p) >= 1 for p in parts)
+        order, offsets = partition_mixed(x, y, [0.5] * 8, np.random.default_rng(2))
+        sizes = np.diff(offsets)
+        assert len(sizes) == 8 and sizes.sum() == 500
+        assert all(sizes >= 1)
+        assert sorted(order.tolist()) == list(range(500))
 
 
 class TestCarbonReporting:

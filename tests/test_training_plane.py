@@ -10,7 +10,9 @@ Contracts under test (``src/repro/fl/model.py``, ``optimizer.py``,
 * a model is a workspace, not client state: clients sharing one instance
   produce exactly the uploads of clients that each own one;
 * one ``FLClient.local_train`` call over a mix of stacked blocks and solo
-  rounds is, row for row, the frozen round of each client.
+  rounds is, row for row, the frozen round of each client;
+* the client plane's lazily made shuffling generators are the eager
+  per-user generators: rounds, uploads and checkpointed ``rng_state`` dicts.
 """
 
 from __future__ import annotations
@@ -24,9 +26,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import FrozenLocalTrainer, partition_batches
+from oracle import (
+    DataPartition,
+    FrozenLocalTrainer,
+    client_plane,
+    evaluate_local,
+    flat_grads,
+    partition_batches,
+    user_partitions,
+    zero_grads,
+)
 from repro.fl.client import BLOCK_BYTES, FLClient
-from repro.fl.dataset import DataPartition, SyntheticCifar10, partition_iid
+from repro.fl.dataset import SyntheticCifar10, partition_iid
 from repro.fl.layers import Dropout, Layer, Linear, ReLU, Tanh
 from repro.fl.model import Sequential, build_lenet5, build_mlp
 from repro.fl.optimizer import MomentumSGD
@@ -50,9 +61,8 @@ def _partitions(kind: str, num_clients: int, num_samples: int):
     dataset = SyntheticCifar10(
         num_train=num_samples, num_test=10, feature_dim=24, image_shape=image_shape, seed=5
     )
-    return partition_iid(
-        dataset.x_train, dataset.y_train, num_clients, np.random.default_rng(11)
-    )
+    x, y = dataset.train_set()
+    return user_partitions(x, y, partition_iid(x, y, num_clients, np.random.default_rng(11)))
 
 
 def _assert_bound(model: Sequential) -> None:
@@ -66,7 +76,7 @@ def _assert_bound(model: Sequential) -> None:
         model.get_flat_params(), np.concatenate([p.ravel() for p, _ in tensors])
     )
     assert np.array_equal(
-        model.get_flat_grads(), np.concatenate([g.ravel() for _, g in tensors])
+        flat_grads(model), np.concatenate([g.ravel() for _, g in tensors])
     )
 
 
@@ -91,7 +101,7 @@ class TestLayerViews:
         assert not np.array_equal(before, model.get_flat_params())
         assert np.any(model.flat_grads != 0.0)
         model.set_flat_params(before)
-        model.zero_grads()
+        zero_grads(model)
         _assert_bound(model)
         assert np.array_equal(model.flat_params, before)
         assert not model.flat_grads.any()
@@ -174,11 +184,10 @@ class TestFrozenStepParity:
         partitions = _partitions(kind, num_clients, 233)
         assert any(len(part) % 20 for part in partitions)
         workspace = _build(kind)
-        clients, frozen = [], []
+        clients = client_plane(partitions, workspace, momentum=momentum, seed=100)
+        clients.optimizer.weight_decay = weight_decay
+        frozen = []
         for user, part in enumerate(partitions):
-            client = FLClient(user, part, workspace, momentum=momentum, seed=100 + user)
-            client.optimizer.weight_decay = weight_decay
-            clients.append(client)
             frozen.append(
                 FrozenLocalTrainer(
                     _build(kind),
@@ -191,15 +200,15 @@ class TestFrozenStepParity:
         base = workspace.get_flat_params()
         for round_number in range(3):
             deltas = []
-            for client, reference in zip(clients, frozen):
-                (update,) = FLClient.local_train([client], [base], [round_number])
+            for user, reference in enumerate(frozen):
+                (update,) = FLClient.local_train(clients, [user], [base], [round_number])
                 want = reference.local_train(base)
                 assert np.array_equal(update.delta, want.delta)
                 assert np.array_equal(update.params, want.params)
                 assert update.train_loss == want.train_loss
                 assert update.momentum_norm == want.momentum_norm
-                assert np.array_equal(client.optimizer.velocity, reference.velocity)
-                assert client._rng.bit_generator.state == reference.rng.bit_generator.state
+                assert np.array_equal(clients.velocities[user], reference.velocity)
+                assert clients.rng_state(user) == reference.rng.bit_generator.state
                 # The upload owns its arrays: the next client's round in the
                 # same workspace must not reach back into it.
                 assert not np.shares_memory(update.params, workspace.flat_params)
@@ -214,33 +223,52 @@ class TestSharedWorkspace:
         num_clients = 4
         partitions = _partitions(kind, num_clients, 150)
         workspace = _build(kind)
-        shared = [FLClient(u, partitions[u], workspace, seed=u) for u in range(num_clients)]
-        private = [FLClient(u, partitions[u], _build(kind), seed=u) for u in range(num_clients)]
+        # One plane on the shared workspace; one single-user plane per user,
+        # each on its own model.
+        shared = client_plane(partitions, workspace)
+        private = [
+            client_plane([partitions[u]], _build(kind), lo=u) for u in range(num_clients)
+        ]
         bases = [workspace.get_flat_params() for _ in range(num_clients)]
         # Clients come up in a different order every round, each from its own
         # (diverging) base, so any residue one leaves in the workspace would
         # reach a different successor each time.
         for order in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 2, 0, 3, 1]):
             for user in order:
-                (got,) = FLClient.local_train([shared[user]], [bases[user]], [0])
-                (want,) = FLClient.local_train([private[user]], [bases[user]], [0])
+                (got,) = FLClient.local_train(shared, [user], [bases[user]], [0])
+                (want,) = FLClient.local_train(private[user], [0], [bases[user]], [0])
+                assert got.user_id == want.user_id == user
                 assert np.array_equal(got.params, want.params)
                 assert np.array_equal(got.delta, want.delta)
                 assert got.train_loss == want.train_loss
                 assert got.momentum_norm == want.momentum_norm
                 bases[user] = got.params
         for user in range(num_clients):
-            assert shared[user].evaluate_local(bases[user]) == private[user].evaluate_local(
-                bases[user]
+            assert evaluate_local(shared.model, partitions[user], bases[user]) == (
+                evaluate_local(private[user].model, partitions[user], bases[user])
             )
 
     def test_build_clients_shares_one_workspace_per_slice(self):
-        config = SimulationConfig(num_users=6, total_slots=10, num_train_samples=60)
-        partitions = _partitions("mlp", 6, 60)
-        clients = build_clients(config, partitions, 24, 2, 5)
-        assert [client.user_id for client in clients] == [2, 3, 4]
-        assert len({id(client.model) for client in clients}) == 1
-        assert len({id(client.optimizer) for client in clients}) == 3
+        config = SimulationConfig(
+            num_users=6, total_slots=10, num_train_samples=62, feature_dim=24,
+            non_iid_alpha=0.5,
+        )
+        dataset = SyntheticCifar10(num_train=62, num_test=10, feature_dim=24, seed=5)
+        x, y = dataset.train_set()
+        partition = engine_module.build_partitions(config, dataset, np.random.default_rng(3))
+        parts = user_partitions(x, y, partition)
+        assert len({len(part) for part in parts}) > 1  # ragged shards
+        clients = build_clients(config, dataset, partition, 2, 5)
+        assert (clients.lo, len(clients)) == (2, 3)
+        assert clients.offsets.tolist() == [0] + np.cumsum(
+            [len(part) for part in parts[2:5]]
+        ).tolist()
+        for local, part in enumerate(parts[2:5]):
+            rows = slice(clients.offsets[local], clients.offsets[local + 1])
+            assert clients.x[rows].tobytes() == part.x.tobytes()
+            assert clients.y[rows].tobytes() == part.y.tobytes()
+        # Only the slice's samples are held.
+        assert len(clients.x) == sum(len(part) for part in parts[2:5])
 
     def test_dropout_is_refused(self, monkeypatch):
         model = Sequential(
@@ -249,7 +277,10 @@ class TestSharedWorkspace:
         monkeypatch.setattr(engine_module, "build_eval_model", lambda config, input_dim: model)
         config = SimulationConfig(num_users=2, total_slots=10, num_train_samples=20)
         with pytest.raises(ValueError, match="Dropout"):
-            build_clients(config, _partitions("mlp", 2, 20), 24)
+            build_clients(
+                config, SyntheticCifar10(num_train=20, num_test=10, feature_dim=24),
+                partition_iid(np.zeros((20, 1)), np.zeros(20), 2, np.random.default_rng(0)),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +350,11 @@ class TestStackedBlocks:
         self, specs, shared, include_params, seed
     ):
         """Clients given by ``specs`` plus ``shared`` clients of one knob set
-        (a group from none to past two blocks), shuffled together.  A first
-        call trains some of them and some velocities are lent; a second
-        trains all of them, each from its own base."""
+        (a group from none to past two blocks), shuffled together; the users
+        of one knob set form one plane, of mixed sample counts.  A first
+        call per plane trains some of them and some planes lend their
+        velocities to a snapshot; a second trains all of them, each from its
+        own base."""
         rng = np.random.default_rng(seed)
         specs = list(specs) + [("mlp", 7, 5, 1, 0.05, 0.9, 0.0)] * shared
         specs = [specs[index] for index in rng.permutation(len(specs))]
@@ -334,77 +367,98 @@ class TestStackedBlocks:
             "dropout": _dropout_mlp(np.random.default_rng(seed)),
         }
         frozen_dropout_rng = np.random.default_rng(seed)
-        clients, frozen = [], []
-        for user, (kind, size, batch, epochs, lr, momentum, decay) in enumerate(specs):
-            data = DataPartition(user, rng.normal(size=(size, 24)), rng.integers(0, 10, size))
-            client = FLClient(
-                user, data, models[kind], learning_rate=lr, momentum=momentum,
-                batch_size=batch, local_epochs=epochs, seed=seed + user,
-            )
-            client.optimizer.weight_decay = decay
-            clients.append(client)
-            twin = (
-                _dropout_mlp(frozen_dropout_rng) if kind == "dropout"
-                else copy.deepcopy(models[kind])
-            )
-            frozen.append(
-                FrozenLocalTrainer(
-                    twin, data, learning_rate=lr, momentum=momentum, weight_decay=decay,
-                    batch_size=batch, local_epochs=epochs, seed=seed + user,
+        members = {}  # knob set -> its users, in plane order
+        for user, (kind, size, *knobs) in enumerate(specs):
+            members.setdefault((kind, *knobs), []).append(user)
+        planes, place, frozen = {}, {}, [None] * len(specs)
+        for number, (key, users) in enumerate(members.items()):
+            kind, batch, epochs, lr, momentum, decay = key
+            parts = []
+            for local, user in enumerate(users):
+                size = specs[user][1]
+                data = DataPartition(user, rng.normal(size=(size, 24)), rng.integers(0, 10, size))
+                parts.append(data)
+                place[user] = (key, local)
+                twin = (
+                    _dropout_mlp(frozen_dropout_rng) if kind == "dropout"
+                    else copy.deepcopy(models[kind])
                 )
+                frozen[user] = FrozenLocalTrainer(
+                    twin, data, learning_rate=lr, momentum=momentum, weight_decay=decay,
+                    batch_size=batch, local_epochs=epochs, seed=seed + 100 * number + local,
+                )
+            planes[key] = client_plane(
+                parts, models[kind], lo=10 * number, learning_rate=lr, momentum=momentum,
+                batch_size=batch, local_epochs=epochs,
+                seed=seed + 90 * number,  # user lo + i draws from seed + 100 * number + i
             )
+            planes[key].optimizer.weight_decay = decay
         blocks = []
         real_block = FLClient._train_block
 
-        def spy(block, *args):
-            blocks.append(len(block))
-            return real_block(block, *args)
+        def spy(plane, users, *args):
+            blocks.append(len(users))
+            return real_block(plane, users, *args)
 
         def train(users):
-            downloads = {
-                user: clients[user].model.get_flat_params()
-                + rng.normal(scale=0.05, size=clients[user].model.num_parameters())
-                for user in users
-            }
-            for base in downloads.values():
-                base.setflags(write=False)  # as the server's download view is
-            with mock.patch.object(FLClient, "_train_block", staticmethod(spy)):
-                updates = FLClient.local_train(
-                    [clients[user] for user in users],
-                    [downloads[user] for user in users],
-                    [100 + user for user in users],
-                    include_params=include_params,
-                )
-            assert len(updates) == len(users)
-            for user, update in zip(users, updates):
-                client, reference = clients[user], frozen[user]
-                want = reference.local_train(downloads[user])
-                assert update.user_id == user
-                assert update.base_version == 100 + user
-                assert update.num_samples == len(client.partition)
-                assert update.delta.tobytes() == want.delta.tobytes()
-                if include_params:
-                    assert update.params.tobytes() == want.params.tobytes()
-                else:
-                    assert update.params is None
-                assert type(update.train_loss) is float
-                assert float(update.train_loss).hex() == float(want.train_loss).hex()
-                assert type(update.momentum_norm) is float
-                assert update.momentum_norm == want.momentum_norm == client.momentum_norm()
-                assert client.optimizer.velocity.tobytes() == reference.velocity.tobytes()
-                assert client.optimizer.velocity.flags.writeable
-                assert client._rng.bit_generator.state == reference.rng.bit_generator.state
+            """One call per plane, in plane order; frozen rounds in the order
+            the plane's dropout draws run (plane order, then input order)."""
+            for key, plane in planes.items():
+                mine = [user for user in users if place[user][0] == key]
+                if not mine:
+                    continue
+                model = plane.model
+                downloads = [
+                    model.get_flat_params()
+                    + rng.normal(scale=0.05, size=model.num_parameters())
+                    for _ in mine
+                ]
+                for base in downloads:
+                    base.setflags(write=False)  # as the server's download view is
+                with mock.patch.object(FLClient, "_train_block", spy):
+                    updates = FLClient.local_train(
+                        plane,
+                        [place[user][1] for user in mine],
+                        downloads,
+                        [100 + user for user in mine],
+                        include_params=include_params,
+                    )
+                assert len(updates) == len(mine)
+                for user, base, update in zip(mine, downloads, updates):
+                    local, reference = place[user][1], frozen[user]
+                    want = reference.local_train(base)
+                    assert update.user_id == plane.lo + local
+                    assert update.base_version == 100 + user
+                    assert update.num_samples == plane.num_samples(local) == specs[user][1]
+                    assert update.delta.tobytes() == want.delta.tobytes()
+                    if include_params:
+                        assert update.params.tobytes() == want.params.tobytes()
+                    else:
+                        assert update.params is None
+                    assert type(update.train_loss) is float
+                    assert float(update.train_loss).hex() == float(want.train_loss).hex()
+                    assert type(update.momentum_norm) is float
+                    velocity = plane.velocities[local]
+                    assert update.momentum_norm == want.momentum_norm
+                    assert update.momentum_norm == float(np.linalg.norm(velocity))
+                    assert velocity.tobytes() == reference.velocity.tobytes()
+                    assert velocity.flags.writeable
+                    assert plane.rng_state(local) == reference.rng.bit_generator.state
 
-        first = [user for user in range(len(clients)) if rng.random() < 0.6]
+        first = [user for user in range(len(specs)) if rng.random() < 0.6]
         train(first)
         lent = []
-        for user in first:
+        for plane in planes.values():
             if rng.random() < 0.5:
-                velocity = clients[user].optimizer.lend_velocity()
-                lent.append((velocity, velocity.copy()))
-        train(list(range(len(clients))))
-        for user, client in enumerate(clients):
-            assert client.rounds_completed == 1 + (user in first)
+                clients, velocities = plane.checkpoint_state()
+                for local, (client, velocity) in enumerate(zip(clients, velocities)):
+                    assert client["rng_state"] == plane.rng_state(local)
+                    if velocity is not None:
+                        lent.append((velocity, velocity.copy()))
+        train(list(range(len(specs))))
+        for user in range(len(specs)):
+            key, local = place[user]
+            assert planes[key].rounds_completed[local] == 1 + (user in first)
         for velocity, held in lent:
             assert not velocity.flags.writeable
             assert velocity.tobytes() == held.tobytes()
