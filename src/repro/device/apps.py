@@ -21,16 +21,17 @@ of an application occurrence (:class:`ForegroundApp`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "AppIntensity",
     "AppSpec",
     "APP_CATALOG",
     "ForegroundApp",
-    "sample_app",
+    "app_pool",
 ]
 
 
@@ -131,34 +132,32 @@ class ForegroundApp:
         """First slot at which the application is no longer running."""
         return self.arrival_slot + self.duration_slots
 
-    def is_running(self, slot: int) -> bool:
-        """Whether the app occupies the foreground during ``slot``."""
-        return self.arrival_slot <= slot < self.end_slot()
 
-
-def sample_app(
-    rng,
+def app_pool(
     names: Optional[Sequence[str]] = None,
     weights: Optional[Sequence[float]] = None,
-) -> AppSpec:
-    """Sample an application uniformly (or with ``weights``) from the catalog.
+) -> Tuple[List[AppSpec], Optional[List[float]]]:
+    """The applications a launch picks from, and their normalised weights.
 
     The Section VII evaluation chooses "uniformly randomly from the 8
-    representative applications"; weighted sampling supports the diurnal
-    usage-pattern extension.
+    representative applications" (``weights`` ``None``); weighted picks
+    support the diurnal usage-pattern extension.  Everything a weighted
+    ``Generator.choice`` would refuse is refused here, before any draw.
     """
     pool: List[str] = list(names) if names is not None else list(APP_CATALOG)
     for name in pool:
         if name not in APP_CATALOG:
             raise KeyError(f"unknown app {name!r}; known: {sorted(APP_CATALOG)}")
-    if weights is not None:
-        if len(weights) != len(pool):
-            raise ValueError("weights must match the number of apps")
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        probs = [w / total for w in weights]
-        index = int(rng.choice(len(pool), p=probs))
-    else:
-        index = int(rng.integers(0, len(pool)))
-    return APP_CATALOG[pool[index]]
+    if not pool:
+        raise ValueError("need at least one app to pick from")
+    specs = [APP_CATALOG[name] for name in pool]
+    if weights is None:
+        return specs, None
+    if len(weights) != len(pool):
+        raise ValueError("weights must match the number of apps")
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise ValueError("weights must be finite and non-negative")
+    total = float(sum(weights))
+    if total <= 0:
+        raise ValueError("weights must sum to a positive value")
+    return specs, [w / total for w in weights]

@@ -175,8 +175,10 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
             mix = cohort.device_mix or DEFAULT_FLEET_MIX
             device_names.extend(_sample_devices(rng, mix, size))
         if user_arrivals is not None:
+            # One spec object per cohort, shared by its users: the engine
+            # builds one arrival process per distinct spec.
             arrival = dict(cohort.arrival or default_arrival)
-            user_arrivals.extend(dict(arrival) for _ in range(size))
+            user_arrivals.extend([arrival] * size)
         if user_wifi is not None:
             fraction = (
                 cohort.wifi_fraction
@@ -210,7 +212,7 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
     if device_names is not None:
         overrides["device_names"] = list(device_names)
     if user_arrivals is not None:
-        overrides["user_arrivals"] = [dict(a) for a in user_arrivals]
+        overrides["user_arrivals"] = list(user_arrivals)
         # The per-user processes embed (and supersede) the global knobs.
         overrides.pop("diurnal_arrivals", None)
     if user_wifi is not None:

@@ -330,7 +330,7 @@ def _megafleet_1M() -> ScenarioSpec:
 def _weekend_gamers() -> ScenarioSpec:
     # Application popularity skewed towards the two intensive games; the
     # weights align with APP_CATALOG insertion order (map, news, etrade,
-    # youtube, tiktok, zoom, candycrush, angrybird), as sample_app consumes
+    # youtube, tiktok, zoom, candycrush, angrybird), as app_pool consumes
     # them.
     return ScenarioSpec(
         name="weekend-gamers",

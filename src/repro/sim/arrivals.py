@@ -22,11 +22,13 @@ arrival probability follows a day/night profile.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+import operator
+from bisect import bisect_left, bisect_right
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.device.apps import ForegroundApp, sample_app
+from repro.device.apps import ForegroundApp, app_pool
 from repro.device.models import DeviceSpec
 from repro.energy.measurements import MeasurementTable
 
@@ -36,6 +38,7 @@ __all__ = [
     "TraceArrivalProcess",
     "ArrivalSchedule",
     "build_arrival_process",
+    "build_arrival_processes",
 ]
 
 
@@ -75,8 +78,12 @@ class DiurnalArrivalProcess:
     ) -> None:
         if not 0.0 <= trough_probability <= peak_probability <= 1.0:
             raise ValueError("need 0 <= trough <= peak <= 1")
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
+        # A NaN or infinite period or phase makes every slot's probability
+        # NaN: the cohort would never launch an app, without a word.
+        if not (math.isfinite(period_s) and period_s > 0):
+            raise ValueError("period_s must be finite and positive")
+        if not math.isfinite(phase_s):
+            raise ValueError("phase_s must be finite")
         self.peak_probability = peak_probability
         self.trough_probability = trough_probability
         self.period_s = period_s
@@ -109,7 +116,8 @@ class TraceArrivalProcess:
     processes.
 
     Args:
-        slots: launch slots of the trace (non-negative, deduplicated).
+        slots: launch slots of the trace (non-negative integers,
+            deduplicated).
         period_slots: when set, the trace repeats with this period — slot
             ``s`` launches when ``s % period_slots`` is in the trace.
     """
@@ -117,7 +125,10 @@ class TraceArrivalProcess:
     def __init__(self, slots: Sequence[int], period_slots: Optional[int] = None) -> None:
         if period_slots is not None and period_slots <= 0:
             raise ValueError("period_slots must be positive when set")
-        cleaned = sorted({int(s) for s in slots})
+        try:
+            cleaned = sorted({operator.index(s) for s in slots})
+        except TypeError:
+            raise ValueError(f"trace slots must be integers, got {list(slots)!r}") from None
         if cleaned and cleaned[0] < 0:
             raise ValueError("trace slots must be non-negative")
         if period_slots is not None and cleaned and cleaned[-1] >= period_slots:
@@ -168,20 +179,53 @@ def build_arrival_process(spec: Dict):
     )
 
 
-#: Uniform variates drawn per vectorized scan step of the sparse generator.
-_SPARSE_CHUNK = 2_048
+def _canonical_spec(value) -> Hashable:
+    """A hashable form of a JSON-like spec: equal specs, equal keys.
+
+    Dict entries are unordered and leaves keep their type, so ``1`` and
+    ``1.0`` (an integer trace slot and a refused one) never share a key.
+    """
+    if isinstance(value, dict):
+        return frozenset((key, _canonical_spec(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_canonical_spec(item) for item in value)
+    return type(value), value
+
+
+def build_arrival_processes(specs: Sequence[Dict]) -> list:
+    """Each user's process for the per-user ``specs``, one object per distinct spec.
+
+    A cohort's users share one spec, so a million-user fleet builds as many
+    processes as it has distinct specs.  A run of users holding the same
+    spec object is looked up once.  An invalid spec is refused naming the
+    first user that holds it.
+    """
+    built: Dict[Hashable, object] = {}
+    processes = []
+    previous = process = None
+    for user, spec in enumerate(specs):
+        if spec is not previous or process is None:
+            previous = spec
+            try:
+                key = _canonical_spec(spec)
+                process = built.get(key)
+                if process is None:
+                    process = built[key] = build_arrival_process(spec)
+            except (TypeError, ValueError) as error:
+                raise ValueError(f"user_arrivals[{user}] is invalid: {error}") from None
+        processes.append(process)
+    return processes
 
 
 def _process_probability_key(process) -> object:
     """Hashable identity of a process's probability profile, for caching.
 
-    The scenario compiler materialises one process object per user even when
-    a whole cohort shares identical parameters, so keying the per-slot
-    probability vectors on the *parameters* (not the object) lets a 100k-user
-    cohort share a single vector.  Unknown process types fall back to the
-    object itself as key — identity semantics, but unlike ``id()`` the dict
-    entry keeps the process alive, so the key can never be reused by a new
-    object after garbage collection.
+    Keying the per-slot probability vectors on the *parameters* (not the
+    object) lets distinct process objects with equal parameters share one
+    vector.  Unknown process types fall back to the object itself as key —
+    identity semantics, but unlike ``id()`` the dict entry keeps the
+    process alive, so the key can never be reused by a new object after
+    garbage collection.
     """
     if isinstance(process, BernoulliArrivalProcess):
         return ("bernoulli", process.probability)
@@ -196,6 +240,53 @@ def _process_probability_key(process) -> object:
     if isinstance(process, TraceArrivalProcess):
         return ("trace", tuple(process.slots), process.period_slots)
     return process
+
+
+def _probability_vector(process, total_slots: int, slot_seconds: float) -> np.ndarray:
+    """``process.probability_at`` over the horizon (closed forms where exact)."""
+    if isinstance(process, BernoulliArrivalProcess):
+        return np.full(total_slots, float(process.probability))
+    if isinstance(process, TraceArrivalProcess):
+        vector = np.zeros(total_slots)
+        period = process.period_slots or total_slots
+        for start in range(0, total_slots, period):
+            slots = [start + s for s in process.slots if start + s < total_slots]
+            vector[slots] = 1.0
+        return vector
+    vector = np.array(
+        [process.probability_at(slot, slot_seconds) for slot in range(total_slots)],
+        dtype=np.float64,
+    )
+    if np.isnan(vector).any():
+        raise ValueError("arrival probabilities must not be NaN")
+    return vector
+
+
+def _profiles(processes: list, total_slots: int, slot_seconds: float):
+    """One probability vector per distinct profile, and each user's index into them."""
+    distinct = list(dict.fromkeys(processes))  # identity hash: a cohort's shared object once
+    vectors: List[np.ndarray] = []
+    of_key: Dict[object, int] = {}
+    remap = []
+    for process in distinct:
+        key = _process_probability_key(process)
+        if key not in of_key:
+            of_key[key] = len(vectors)
+            vectors.append(_probability_vector(process, total_slots, slot_seconds))
+        remap.append(of_key[key])
+    position = {process: i for i, process in enumerate(distinct)}
+    user_index = np.fromiter(
+        map(position.__getitem__, processes), dtype=np.intp, count=len(processes)
+    )
+    return vectors, np.asarray(remap, dtype=np.intp)[user_index]
+
+
+#: Raw 64-bit words read from the stream per chunk (512 KiB): the pass's
+#: memory does not grow with users x slots.
+_CHUNK_WORDS = 1 << 16
+#: ``Generator.random`` is ``(word >> 11) * 2**-53``.
+_DOUBLE_UNIT = 2.0 ** -53
+_LOW_HALF = 0xFFFF_FFFF
 
 
 class ArrivalSchedule:
@@ -229,105 +320,49 @@ class ArrivalSchedule:
         ``process`` is either one arrival process shared by the whole fleet
         (the paper's setting) or a sequence of per-user processes (one per
         user, the scenario subsystem's heterogeneous fleets).  Either way
-        the generator draws exactly one uniform variate per non-busy slot,
-        so a user's arrival stream depends only on its own process.
+        the schedule is the one drawn user after user, slot after slot: one
+        ``rng.random()`` per non-busy slot (a launch when it is below the
+        slot's probability) and one application draw per launch.
 
-        The draws are made by the sparse launch-event scan
-        (:meth:`_generate_user_sparse`): chunks of the uniform stream are
-        scanned vectorized and the generator state is rewound at each launch,
-        so that exactly one draw per non-busy slot is consumed.  The schedule
-        and the final generator state are **bitwise identical** to drawing
-        one scalar uniform per non-busy slot — the reference
-        ``tests/oracle.py::dense_arrival_schedule`` that
-        ``tests/test_shard.py`` holds this to.
+        It is drawn in one pass over the raw words of ``rng``'s PCG64
+        stream (:func:`_walk_launches`), never rewound; the schedule and
+        the final generator state are **bitwise identical** to those scalar
+        draws, the reference ``tests/oracle.py::dense_arrival_schedule``
+        that ``tests/test_arrivals.py`` holds this to.
         """
         if len(device_specs) != num_users:
             raise ValueError("device_specs must have one entry per user")
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError(
+                "arrival generation reads the PCG64 word stream; got a "
+                f"{type(rng.bit_generator).__name__} generator"
+            )
         if isinstance(process, (list, tuple)):
             if len(process) != num_users:
                 raise ValueError("per-user processes must have one entry per user")
             processes = list(process)
         else:
             processes = [process] * num_users
+        vectors, user_profile = _profiles(processes, total_slots, slot_seconds)
+        pool, weights = app_pool(app_names, app_weights)  # refused before any draw
         table = table or MeasurementTable()
-        probability_cache: Dict[object, np.ndarray] = {}
-        return cls(
-            {
-                user: cls._generate_user_sparse(
-                    processes[user],
-                    probability_cache,
-                    total_slots,
-                    slot_seconds,
-                    device_specs[user],
-                    rng,
-                    table,
-                    app_names,
-                    app_weights,
-                )
-                for user in range(num_users)
-            }
-        )
+        durations: Dict[Tuple[str, int], int] = {}
 
-    @staticmethod
-    def _generate_user_sparse(
-        process,
-        probability_cache: Dict[object, np.ndarray],
-        total_slots: int,
-        slot_seconds: float,
-        device: DeviceSpec,
-        rng: np.random.Generator,
-        table: MeasurementTable,
-        app_names: Optional[Sequence[str]],
-        app_weights: Optional[Sequence[float]],
-    ) -> List[ForegroundApp]:
-        """One user's arrivals via the sparse launch-event scan.
+        def duration(user: int, app: int) -> int:
+            key = (device_specs[user].name, app)
+            if key not in durations:
+                duration_s = table.corun_time(key[0], pool[app].name)
+                durations[key] = max(1, int(round(duration_s / slot_seconds)))
+            return durations[key]
 
-        Consumes the *exact* draw sequence of the per-slot reference: one
-        uniform per non-busy slot, then the ``sample_app`` draws at each
-        launch.  Chunks of uniforms are drawn vectorized and scanned for the
-        first hit (``u < p``, the complement of the reference's ``u >= p``
-        skip); on a hit the generator state is rewound to the chunk start
-        and exactly the consumed prefix is re-drawn, so the stream position
-        after every launch matches the reference bit for bit.  The per-slot probability
-        vector is evaluated through the process's own ``probability_at`` (no
-        re-derivation) and cached across users with equal parameters.
-        """
-        key = _process_probability_key(process)
-        probabilities = probability_cache.get(key)
-        if probabilities is None:
-            probabilities = np.array(
-                [
-                    process.probability_at(slot, slot_seconds)
-                    for slot in range(total_slots)
-                ],
-                dtype=np.float64,
-            )
-            probability_cache[key] = probabilities
-        apps: List[ForegroundApp] = []
-        bit_generator = rng.bit_generator
-        slot = 0
-        while slot < total_slots:
-            span = min(_SPARSE_CHUNK, total_slots - slot)
-            state = bit_generator.state
-            draws = rng.random(span)
-            hits = np.nonzero(draws < probabilities[slot : slot + span])[0]
-            if len(hits) == 0:
-                slot += span
-                continue
-            first = int(hits[0])
-            # Rewind: the per-slot reference consumes only the draws up to
-            # (and including) the hit before the app-sampling draws.
-            bit_generator.state = state
-            rng.random(first + 1)
-            spec = sample_app(rng, names=app_names, weights=app_weights)
-            duration_s = table.corun_time(device.name, spec.name)
-            duration_slots = max(1, int(round(duration_s / slot_seconds)))
-            app = ForegroundApp(
-                spec=spec, arrival_slot=slot + first, duration_slots=duration_slots
-            )
-            apps.append(app)
-            slot = app.end_slot()  # the busy window draws nothing
-        return apps
+        arrivals: Dict[int, List[ForegroundApp]] = {user: [] for user in range(num_users)}
+        for user, slot, app, slots in _walk_launches(
+            rng.bit_generator, total_slots, vectors, user_profile, len(pool), weights, duration
+        ):
+            arrivals[user].append(ForegroundApp(spec=pool[app], arrival_slot=slot, duration_slots=slots))
+        schedule = cls({})
+        schedule._arrivals = arrivals  # the walk yields each user's launches in slot order
+        return schedule
 
     # -- replay (engine) -----------------------------------------------------------
 
@@ -388,8 +423,143 @@ class ArrivalSchedule:
                 return app.arrival_slot, app.name
         return None
 
-    def arrival_rate(self, total_slots: int, num_users: int) -> float:
-        """Empirical per-user, per-slot arrival rate of the schedule."""
-        if total_slots <= 0 or num_users <= 0:
-            raise ValueError("total_slots and num_users must be positive")
-        return self.total_arrivals() / (total_slots * num_users)
+
+def _walk_launches(bit_generator, total_slots, vectors, user_profile, app_count, weights, duration):
+    """Yield ``(user, slot, app, duration_slots)`` for every launch, in stream order.
+
+    The scalar draws this reproduces give user after user, slot after slot,
+    one word per non-busy slot (``random()``), then the launch's app draw.
+    Between two launches that map is affine: word ``base + user * T + slot``
+    is the draw of ``(user, slot)``.  A launch moves ``base`` by the words
+    its app draw takes minus the busy slots it skips, so the walker only
+    visits words that can launch:
+
+    * candidates — words below ``ceil(p_max * 2**53) << 11`` (``p_max`` the
+      largest probability under 1), one integer compare per word, each
+      checked exactly against the probability of the slot it maps to;
+    * certain launches — slots with probability >= 1, looked up directly.
+
+    The app draw is read off the same words: ``integers(0, n)`` takes one
+    32-bit half through PCG64's ``has_uint32`` / ``uinteger`` buffer with
+    Lemire's rejection threshold, a weighted pick one double through the
+    normalised cdf (``Generator.choice``).  At the end the generator is set
+    to its start state advanced by the words consumed, with the buffered
+    half restored.
+    """
+    num_users = len(user_profile)
+    span = num_users * total_slots
+    start_state = bit_generator.state
+    has_half = bool(start_state["has_uint32"])
+    half = int(start_state["uinteger"])
+    threshold = (1 << 32) % app_count
+    cdf = None
+    if weights is not None:
+        cumulative = np.asarray(weights, dtype=np.float64).cumsum()
+        cumulative /= cumulative[-1]
+        cdf = cumulative.tolist()
+
+    chances = [vector[vector < 1.0] for vector in vectors]
+    p_max = max((float(c.max()) for c in chances if c.size), default=0.0)
+    limit = np.uint64(math.ceil(p_max * 2.0**53) << 11) if p_max > 0 else None
+    probabilities = [vector.tolist() for vector in vectors]
+    certain = [np.flatnonzero(vector >= 1.0).tolist() for vector in vectors]
+    certain_users = np.flatnonzero(
+        np.array([bool(slots) for slots in certain])[user_profile]
+    )
+    has_certain = bool(len(certain_users))
+
+    chunk = np.empty(0, dtype=np.uint64)
+    chunk_start = 0  # stream index of chunk[0]
+    read = 0  # words drawn from the generator so far
+    candidates: List[int] = []
+    next_candidate = 0
+
+    def load(at: int) -> None:
+        """Make ``chunk`` the words from stream index ``at`` on."""
+        nonlocal chunk, chunk_start, read, candidates, next_candidate
+        if at > read:
+            bit_generator.advance(at - read)  # words no slot or app draw needs
+        chunk, chunk_start = bit_generator.random_raw(_CHUNK_WORDS), at
+        read = at + _CHUNK_WORDS
+        candidates = [] if limit is None else (np.flatnonzero(chunk < limit) + at).tolist()
+        next_candidate = 0
+
+    def word(index: int) -> int:
+        if index >= chunk_start + len(chunk):
+            load(index)
+        return int(chunk[index - chunk_start])
+
+    def certain_after(position: int) -> int:
+        """Stream index of the first certain launch at or after ``position``."""
+        if not has_certain:
+            return end
+        user, slot = divmod(position - base, total_slots)
+        if user >= num_users:
+            return end
+        slots = certain[user_profile[user]]
+        at = bisect_left(slots, slot)
+        if at < len(slots):
+            return base + user * total_slots + slots[at]
+        later = int(np.searchsorted(certain_users, user, side="right"))
+        if later == len(certain_users):
+            return end
+        user = int(certain_users[later])
+        return base + user * total_slots + certain[user_profile[user]][0]
+
+    base = 0  # word base + user * T + slot is (user, slot)'s draw until the next launch
+    end = span  # words the whole schedule consumes, as far as the walk knows
+    cursor = 0  # first word not yet walked past
+    forced = certain_after(0)
+    while True:
+        stop = min(forced, end)
+        candidate = None
+        while limit is not None:
+            while next_candidate < len(candidates) and candidates[next_candidate] < cursor:
+                next_candidate += 1
+            if next_candidate < len(candidates):
+                candidate = candidates[next_candidate]
+                break
+            if chunk_start + len(chunk) >= stop:
+                break
+            load(chunk_start + len(chunk))
+        if candidate is not None and candidate < stop:
+            next_candidate += 1
+            user, slot = divmod(candidate - base, total_slots)
+            draw = (int(chunk[candidate - chunk_start]) >> 11) * _DOUBLE_UNIT
+            if not draw < probabilities[user_profile[user]][slot]:
+                continue
+            launch = candidate
+        elif forced < end:
+            launch = forced
+            user, slot = divmod(launch - base, total_slots)
+        else:
+            break
+        cursor = launch + 1
+        if cdf is not None:
+            app = bisect_right(cdf, (word(cursor) >> 11) * _DOUBLE_UNIT)
+            cursor += 1
+        elif app_count == 1:
+            app = 0  # integers(0, 1) draws nothing
+        else:
+            while True:
+                if has_half:
+                    bits, has_half = half, False
+                else:
+                    raw = word(cursor)
+                    cursor += 1
+                    bits, half, has_half = raw & _LOW_HALF, raw >> 32, True
+                scaled = bits * app_count
+                if scaled & _LOW_HALF >= threshold:
+                    break
+            app = scaled >> 32
+        slots = duration(user, app)
+        yield user, slot, app, slots
+        base += cursor - launch - min(slots, total_slots - slot)
+        end = base + span
+        forced = certain_after(cursor)
+
+    bit_generator.state = start_state
+    bit_generator.advance(end)
+    state = bit_generator.state
+    state["has_uint32"], state["uinteger"] = int(has_half), half
+    bit_generator.state = state

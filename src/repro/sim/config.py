@@ -266,15 +266,9 @@ class SimulationConfig:
             if value is not None and len(value) != self.num_users:
                 raise ValueError(f"{name} must have one entry per user")
         if self.user_arrivals is not None:
-            from repro.sim.arrivals import build_arrival_process
+            from repro.sim.arrivals import build_arrival_processes
 
-            for user, spec in enumerate(self.user_arrivals):
-                try:
-                    build_arrival_process(spec)
-                except (TypeError, ValueError) as error:
-                    raise ValueError(
-                        f"user_arrivals[{user}] is invalid: {error}"
-                    ) from None
+            build_arrival_processes(self.user_arrivals)
         if self.user_battery_capacity_j is not None and any(
             c is not None and not (math.isfinite(c) and c > 0)
             for c in self.user_battery_capacity_j

@@ -55,7 +55,7 @@ from repro.sim.arrivals import (
     ArrivalSchedule,
     BernoulliArrivalProcess,
     DiurnalArrivalProcess,
-    build_arrival_process,
+    build_arrival_processes,
 )
 from repro.sim.config import SimulationConfig
 from repro.sim.coupling import CouplingCore
@@ -274,7 +274,7 @@ def build_arrival_schedule(
 ) -> ArrivalSchedule:
     """The pre-generated application arrivals (consumes the ``arrivals`` stream)."""
     if config.user_arrivals is not None:
-        process = [build_arrival_process(spec) for spec in config.user_arrivals]
+        process = build_arrival_processes(config.user_arrivals)
     elif config.diurnal_arrivals:
         process = DiurnalArrivalProcess(peak_probability=2.0 * config.app_arrival_prob)
     else:

@@ -23,9 +23,11 @@ before it refused to leave a user empty.  :func:`apply_to_vector`,
 diagnostics the product no longer has.
 
 :func:`dense_arrival_schedule` is the per-slot arrival generator — one
-scalar uniform per non-busy slot — that the product's sparse launch-event
-scan (``ArrivalSchedule.generate``) must reproduce bit for bit, generator
-state included.
+scalar uniform per non-busy slot, one :func:`sample_app` per launch — that
+the product's one-pass word walk (``ArrivalSchedule.generate``) must
+reproduce bit for bit, generator state included.  :func:`arrival_rate` and
+:func:`is_running` are schedule and app diagnostics the product no longer
+has.
 
 :class:`FrozenLogs` keeps the run's four append-only logs as lists of record
 objects, the way the program itself did before the column logs (ISSUE 19):
@@ -64,7 +66,7 @@ from repro.core.offline import _CORUN, _IMMEDIATE, _NO_PLAN, _PLANNING_FIELDS, O
 from repro.core.online import OnlinePolicy
 from repro.core.policies import Decision, ImmediatePolicy, ObservationBatch, SyncPolicy
 from repro.core.staleness import gradient_gap, gradient_gap_from_params
-from repro.device.apps import ForegroundApp, sample_app
+from repro.device.apps import ForegroundApp, app_pool
 from repro.energy.measurements import MeasurementTable
 from repro.fl.client import FLClient
 from repro.fl.layers import Conv2D, Linear, _col2im
@@ -86,6 +88,28 @@ def make_engine(mode: str, config, policy, fast_forward: bool = True, **kwargs):
 # ---------------------------------------------------------------------------
 # Dense arrival generation
 # ---------------------------------------------------------------------------
+
+
+def sample_app(rng, names=None, weights=None):
+    """Pick an application uniformly (or with ``weights``) by ``Generator`` calls."""
+    pool, probabilities = app_pool(names, weights)
+    if probabilities is not None:
+        index = int(rng.choice(len(pool), p=probabilities))
+    else:
+        index = int(rng.integers(0, len(pool)))
+    return pool[index]
+
+
+def arrival_rate(schedule, total_slots, num_users):
+    """Empirical per-user, per-slot arrival rate of ``schedule``."""
+    if total_slots <= 0 or num_users <= 0:
+        raise ValueError("total_slots and num_users must be positive")
+    return schedule.total_arrivals() / (total_slots * num_users)
+
+
+def is_running(app, slot):
+    """Whether ``app`` occupies the foreground during ``slot``."""
+    return app.arrival_slot <= slot < app.end_slot()
 
 
 def dense_arrival_schedule(

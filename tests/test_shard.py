@@ -9,9 +9,8 @@ and a heterogeneous registry scenario (per-cohort devices, connectivity and
 arrivals), sync-round quorums that span shards, battery flips inside quiet
 regions (the two-phase fast-forward commit), and ragged last-shard sizing.
 
-The substrate pieces ride along: the sparse launch-event arrival generator
-(bitwise-equal to the dense per-slot draws), schedule slicing, the
-memory-bounded ``trace_level`` telemetry, and the shared-memory data plane
+The substrate pieces ride along: schedule slicing, the memory-bounded
+``trace_level`` telemetry, and the shared-memory data plane
 (the packed ``run_slot`` upload block, a frame-size gate counted in bytes).
 """
 
@@ -28,12 +27,7 @@ from repro.fl.client import LocalUpdate
 from repro.fl.server import AsyncUpdateRule, ParameterServer
 from repro.scenarios import compile_scenario, get_scenario
 from repro.sim import shard as shard_mod
-from repro.sim.arrivals import (
-    ArrivalSchedule,
-    BernoulliArrivalProcess,
-    DiurnalArrivalProcess,
-    TraceArrivalProcess,
-)
+from repro.sim.arrivals import ArrivalSchedule, BernoulliArrivalProcess
 from repro.sim.config import SimulationConfig
 from repro.sim.coupling import CouplingCore
 from repro.sim.engine import SimulationEngine
@@ -47,7 +41,7 @@ from repro.sim.shard import (
 )
 from repro.sim.shmplane import _INLINE_MAX, REPLY, ShardMailbox
 
-from oracle import dense_arrival_schedule, upload_bits
+from oracle import upload_bits
 
 PHONE_MIX = {"pixel2": 1.0 / 3, "nexus6": 1.0 / 3, "nexus6p": 1.0 / 3}
 
@@ -723,78 +717,6 @@ class TestTraceLevels:
         config = SimulationConfig(num_users=4, total_slots=10)
         with pytest.raises(ValueError, match="trace_level"):
             SimulationEngine(config, ImmediatePolicy(), trace_level="everything")
-
-
-class TestSparseArrivals:
-    """The sparse launch-event generator consumes the dense draw stream."""
-
-    def _specs(self, n, seed):
-        from repro.device.models import build_device_fleet
-
-        return build_device_fleet(n, np.random.default_rng(seed))
-
-    def _compare(self, process, num_users=8, total_slots=2000, seed=0, **kwargs):
-        specs = self._specs(num_users, seed)
-        dense_rng = np.random.default_rng(seed)
-        sparse_rng = np.random.default_rng(seed)
-        dense = dense_arrival_schedule(
-            num_users=num_users, total_slots=total_slots, slot_seconds=1.0,
-            process=process, device_specs=specs, rng=dense_rng, **kwargs,
-        )
-        sparse = ArrivalSchedule.generate(
-            num_users=num_users, total_slots=total_slots, slot_seconds=1.0,
-            process=process, device_specs=specs, rng=sparse_rng, **kwargs,
-        )
-        for user in range(num_users):
-            dense_apps = [
-                (a.arrival_slot, a.name, a.duration_slots)
-                for a in dense.arrivals_for(user)
-            ]
-            sparse_apps = [
-                (a.arrival_slot, a.name, a.duration_slots)
-                for a in sparse.arrivals_for(user)
-            ]
-            assert dense_apps == sparse_apps
-        # Equal stream positions: later users (and later components) see the
-        # same generator state whichever generator produced the schedule.
-        assert dense_rng.bit_generator.state == sparse_rng.bit_generator.state
-        return dense
-
-    def test_bernoulli_equivalence(self):
-        schedule = self._compare(BernoulliArrivalProcess(0.01), seed=3)
-        assert schedule.total_arrivals() > 0
-
-    def test_diurnal_equivalence(self):
-        self._compare(DiurnalArrivalProcess(peak_probability=0.02), seed=1)
-
-    def test_trace_replay_equivalence(self):
-        self._compare(TraceArrivalProcess([3, 50, 400], period_slots=500), seed=2)
-
-    def test_per_user_process_mix_equivalence(self):
-        processes = [
-            BernoulliArrivalProcess(0.01)
-            if user % 3 == 0
-            else (
-                DiurnalArrivalProcess(peak_probability=0.03)
-                if user % 3 == 1
-                else TraceArrivalProcess([5, 60, 200], period_slots=300)
-            )
-            for user in range(9)
-        ]
-        self._compare(processes, num_users=9, seed=4)
-
-    def test_weighted_apps_equivalence(self):
-        self._compare(
-            BernoulliArrivalProcess(0.02),
-            seed=5,
-            app_weights=[1.0, 1.0, 0.5, 2.0, 2.0, 0.5, 6.0, 6.0],
-        )
-
-    def test_long_horizon_equivalence(self):
-        # Hundreds of scan chunks and rewinds per user (megafleet volume).
-        self._compare(
-            BernoulliArrivalProcess(0.005), num_users=4, total_slots=600_000, seed=0
-        )
 
 
 class TestScheduleSlicing:

@@ -27,7 +27,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.rng import spawn_generators
 from repro.sim.trace import SimulationTrace, SlotSample
 
-from oracle import FrozenLogs, FrozenUpdateSample
+from oracle import FrozenLogs, FrozenUpdateSample, arrival_rate
 from reference_loop import count_decision, launch_index
 
 
@@ -165,7 +165,7 @@ class TestArrivalSchedule:
 
     def test_empirical_rate_close_to_nominal(self):
         schedule = self._schedule(prob=0.005, slots=20_000, users=5, seed=1)
-        rate = schedule.arrival_rate(20_000, 5)
+        rate = arrival_rate(schedule, 20_000, 5)
         # Arrivals are suppressed while an app runs, so the empirical rate is
         # a bit below the nominal per-slot probability but the same order.
         assert 0.001 < rate <= 0.005
