@@ -2,8 +2,9 @@
 """Train the paper's on-device model (LeNet-5) on image-shaped synthetic data.
 
 The phones in the paper run LeNet-5 on CIFAR-10 with batch size 20
-(Section VI).  The simulation studies in this repository default to a faster
-MLP, but the full convolutional path exists and this example exercises it:
+(Section VI).  The simulation studies in this repository train a faster MLP
+(their client plane runs ``Linear`` / ``ReLU`` / ``Tanh`` stacks only), but
+the full convolutional path exists and this example exercises it:
 it builds 3x32x32 synthetic images, runs a few local epochs of momentum SGD
 exactly as one federated participant would, reports accuracy, and uses the
 measured per-epoch times of Table II to translate the work into on-device

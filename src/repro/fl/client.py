@@ -15,8 +15,11 @@ Eq. (4), whose norm every upload reports), the shuffling generators of the
 users that have drawn, and hyper-parameters shared by the range.
 
 :meth:`FLClient.local_train` runs the rounds of a whole slot's finishers in
-one call: users with as many samples run as one stacked program, bit for
-bit their own rounds.
+one call, every round a row of a stacked program: users with as many
+samples share one, and a user alone runs a block of one, the model itself
+— each bit for bit its own round.  The plane therefore trains
+``Linear`` / ``ReLU`` / ``Tanh`` stacks (the simulation's MLP) and users
+holding at least one sample, and refuses anything else at construction.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.fl.layers import Linear, ReLU, Tanh
 from repro.fl.model import Sequential
 from repro.fl.optimizer import MomentumSGD, vector_norm
 
@@ -38,6 +42,9 @@ __all__ = ["LocalUpdate", "FLClient", "BLOCK_BYTES"]
 BLOCK_BYTES = 256 * 1024
 
 _LOW = (1 << 64) - 1  # the low word of a 128-bit PCG64 state
+
+#: The layers whose math takes a leading block axis (:meth:`Sequential.stacked`).
+_BLOCK_LAYERS = (Linear, ReLU, Tanh)
 
 
 @dataclass
@@ -97,10 +104,12 @@ class FLClient:
 
     Args:
         x / y: the range's training samples and labels, user by user.
-        offsets: ``(n + 1,)`` row offsets, from 0 to ``len(x)``.
-        model: the :class:`Sequential` to train in — a workspace, not client
-            state: every round loads the download first and reads its result
-            out last, so planes may share one instance.
+        offsets: ``(n + 1,)`` row offsets, rising strictly from 0 to
+            ``len(x)``: every user holds a sample.
+        model: the ``Linear`` / ``ReLU`` / ``Tanh`` :class:`Sequential` to
+            train in — a workspace, not client state: every round loads the
+            download first and reads its result out last, so planes may
+            share one instance.
         lo: global id of the range's first user.
         learning_rate: ``eta`` of Eq. (1).
         momentum: ``beta`` of Eq. (1).
@@ -130,9 +139,14 @@ class FLClient:
             or len(offsets) == 0
             or offsets[0] != 0
             or offsets[-1] != len(x)
-            or np.any(offsets[1:] < offsets[:-1])
+            or np.any(offsets[1:] <= offsets[:-1])
         ):
-            raise ValueError("offsets must rise from 0 to len(x), and y must align with x")
+            raise ValueError(
+                "offsets must rise strictly from 0 to len(x) (no user without samples), "
+                "and y must align with x"
+            )
+        if any(type(layer) not in _BLOCK_LAYERS for layer in model.layers):
+            raise ValueError("the client plane trains Linear / ReLU / Tanh stacks only")
         self.x = x  # reprolint: static
         self.y = y  # reprolint: static
         self.offsets = offsets  # reprolint: static
@@ -141,8 +155,8 @@ class FLClient:
         self.batch_size = batch_size  # reprolint: static
         self.local_epochs = local_epochs  # reprolint: static
         self.seed = seed  # reprolint: static
-        #: The shared hyper-parameters; it steps every solo round, borrowing
-        #: the user's momentum vector for that round only.
+        #: The shared hyper-parameters; it steps every block, holding the
+        #: block's momentum (:meth:`~MomentumSGD.load_rows`) for one round.
         self.optimizer = MomentumSGD(learning_rate, momentum)  # reprolint: static
         users = len(offsets) - 1
         self.rounds_completed = np.zeros(users, dtype=np.int64)
@@ -151,7 +165,6 @@ class FLClient:
         #: Every user's seeded PCG64 ``state`` and ``inc``, as 64-bit high and
         #: low words: made at the first snapshot, 32 B a user.
         self._seeded_words: Optional[np.ndarray] = None  # reprolint: static (derived from seed)
-        self._stackable = model.stackable()  # reprolint: static
 
     def __len__(self) -> int:
         return len(self.velocities)
@@ -254,12 +267,9 @@ class FLClient:
         its row slices), with the user's persistent momentum.  Users with as
         many samples run together as one stacked program
         (:meth:`~repro.fl.model.Sequential.stacked`) in blocks of at most
-        :data:`BLOCK_BYTES` of parameters; every other user — a block of
-        one, an empty shard, or a model with ``Conv2D`` / ``MaxPool2D`` /
-        ``Dropout`` layers, whose shared RNG is drawn user by user in input
-        order — runs its own round.  Either way each user's shuffling
-        generator, momentum vector, round counter and upload are bit for bit
-        those of its own round.
+        :data:`BLOCK_BYTES` of parameters, a user alone in its group as a
+        block of one.  Each user's shuffling generator, momentum vector,
+        round counter and upload are bit for bit those of its own round.
 
         Args:
             users: the training users (the slot's finishers, indices into
@@ -279,13 +289,7 @@ class FLClient:
         updates: List[Optional[LocalUpdate]] = [None] * len(users)
         groups: Dict[int, List[int]] = {}
         for index, user in enumerate(users):
-            size = self.num_samples(user)
-            if self._stackable and size:
-                groups.setdefault(size, []).append(index)
-            else:  # now, in input order: a shared dropout RNG is drawn user by user
-                updates[index] = self._train_round(
-                    user, bases[index], base_versions[index], include_params
-                )
+            groups.setdefault(self.num_samples(user), []).append(index)
         rows = max(1, BLOCK_BYTES // self.model.flat_params.nbytes)
         for group in groups.values():
             for start in range(0, len(group), rows):
@@ -300,43 +304,6 @@ class FLClient:
                     updates[index] = update
         return updates  # type: ignore[return-value]
 
-    def _train_round(
-        self, user: int, global_params: np.ndarray, base_version: int, include_params: bool
-    ) -> LocalUpdate:
-        """One user's round in the shared model workspace (a block of one)."""
-        model, batch_size, optimizer = self.model, self.batch_size, self.optimizer
-        model.set_flat_params(global_params)
-        model.train_mode(True)
-        first = int(self.offsets[user])
-        size = int(self.offsets[user + 1]) - first
-        optimizer.velocity = self.velocities[user]
-        losses = []
-        for _ in range(self.local_epochs):
-            rows = first + self._epoch_order(user, size)
-            x, y = self.x[rows], self.y[rows]
-            for start in range(0, size, batch_size):
-                stop = start + batch_size
-                losses.append(model.train_step_gradients(x[start:stop], y[start:stop]))
-                optimizer.step(model)
-        self.velocities[user], optimizer.velocity = optimizer.velocity, None
-        self.rounds_completed[user] += 1
-        num_batches = len(losses)
-        if num_batches > 1:  # what ``np.mean`` computes
-            train_loss = float(np.add.reduce(np.array(losses)) / num_batches)
-        else:
-            train_loss = losses[0] if losses else 0.0
-        velocity = self.velocities[user]
-        return LocalUpdate(
-            user_id=self.lo + user,
-            delta=model.flat_params - global_params,
-            base_version=base_version,
-            num_samples=size,
-            train_loss=train_loss,
-            momentum_norm=0.0 if velocity is None else vector_norm(velocity),
-            num_batches=num_batches,
-            params=model.get_flat_params() if include_params else None,
-        )
-
     def _train_block(
         self,
         users: Sequence[int],
@@ -344,59 +311,67 @@ class FLClient:
         base_versions: Sequence[int],
         include_params: bool,
     ) -> List[LocalUpdate]:
-        """The rounds of ``k`` users with as many samples as one stacked
-        program (a block of one is the user's own round).
+        """The rounds of ``k`` users with as many samples as one stacked program.
 
         Row ``i`` of every block is ``users[i]``: the ``(k, P)`` parameters,
         gradients and velocities, the ``(k, n, ...)`` epoch gather — one
         fancy index over the offsets, in the order each user's own generator
-        draws — and the ``(k,)`` batch losses.  The blocks are the model's
-        reusable workspace, so every vector that leaves the round — upload,
-        momentum — is a fresh copy of its row.
+        draws — and the ``(k,)`` batch losses.  A block of one (a network
+        without ``flat_momentum`` rows: the model itself) runs in the
+        model's own shapes: ``(P,)`` vectors, an ``(n, ...)`` gather, float
+        losses, and the user's own momentum vector stepped in place.  The
+        blocks are the model's reusable workspace, so every vector that
+        leaves the round — upload, momentum row — is a fresh copy of its
+        row.
         """
-        if len(users) == 1:
-            return [self._train_round(users[0], bases[0], base_versions[0], include_params)]
-        index = np.asarray(users, dtype=np.int64)
-        first = self.offsets[index][:, None]
         size, batch_size = self.num_samples(users[0]), self.batch_size
-        block = self.model.stacked(len(users))
-        params = block.flat_params
+        block, optimizer = self.model.stacked(len(users)), self.optimizer
+        # A block of one has no momentum rows: it is the model itself, and
+        # steps the user's own vector in place.
+        alone = block.flat_momentum is None
+        params = block.flat_params.reshape(len(users), -1)  # one row per user
         for row, base in enumerate(bases):
             params[row] = base
-        optimizer = self.optimizer.stacked(
-            [self.velocities[user] for user in users], block.flat_momentum
-        )
+        optimizer.load_rows([self.velocities[user] for user in users], block.flat_momentum)
+        if alone:
+            first = self.offsets[users[0] : users[0] + 1]
+        else:
+            first = self.offsets[users][:, None]
         losses = []
         for _ in range(self.local_epochs):
             if size == 1:  # nothing to shuffle
                 rows = first
             else:
-                rows = first + np.stack([self._epoch_order(user, size) for user in users])
+                orders = [self._epoch_order(user, size) for user in users]
+                rows = first + (orders[0] if alone else np.array(orders))
             x, y = self.x[rows], self.y[rows]
             for start in range(0, size, batch_size):
                 stop = start + batch_size
-                losses.append(block.train_step_gradients(x[:, start:stop], y[:, start:stop]))
+                losses.append(
+                    block.train_step_gradients(x[..., start:stop, :], y[..., start:stop])
+                )
                 optimizer.step(block)
         num_batches = len(losses)
-        if num_batches > 1:  # per row, what ``np.mean`` computes
-            train_losses = np.add.reduce(np.stack(losses, axis=1), axis=1) / num_batches
-        else:
-            train_losses = losses[0]
-        self.rounds_completed[index] += 1
+        # One contiguous row of batch losses per user — ``(num_batches,)``
+        # for a block of one — reduced as ``np.mean`` reduces it.
+        per_row = np.ascontiguousarray(np.array(losses).T)
+        train_losses = np.add.reduce(per_row, -1) / num_batches
         updates = []
         for row, user in enumerate(users):
-            velocity = block.flat_momentum[row].copy()
+            velocity = optimizer.velocity if alone else optimizer.velocity[row].copy()
             self.velocities[user] = velocity
+            self.rounds_completed[user] += 1
             updates.append(
                 LocalUpdate(
                     user_id=self.lo + user,
                     delta=params[row] - bases[row],
                     base_version=base_versions[row],
                     num_samples=size,
-                    train_loss=float(train_losses[row]),
+                    train_loss=train_losses.item(row),
                     momentum_norm=vector_norm(velocity),
                     num_batches=num_batches,
                     params=params[row].copy() if include_params else None,
                 )
             )
+        optimizer.velocity = None  # the plane's optimizer keeps no user's vector
         return updates

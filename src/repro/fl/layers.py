@@ -22,11 +22,13 @@ Shapes follow the ``(batch, ...)`` convention; convolutional layers use
 :class:`SoftmaxCrossEntropy` also take an optional leading *block* axis —
 ``(k, batch, features)`` activations against ``(k, in, out)`` weight and
 ``(k, 1, out)`` bias views, ``k`` networks side by side (see
-:meth:`repro.fl.model.Sequential.stacked`).  The block form is the same
-code: products go through ``swapaxes(-1, -2)``, bias sums over ``axis=-2``
-and the loss reduces over ``axis=-1``, so each block slice runs the very
-ufunc and BLAS calls of the 2-D form on the same per-slice strides, and a
-2-D call is bit for bit what it was.
+:meth:`repro.fl.model.Sequential.stacked`; a block of one keeps the 2-D
+form).  The block form is the same code: products go through
+``swapaxes(-1, -2)``, bias sums over ``axis=-2`` and the loss reduces over
+``axis=-1``, so each block slice runs the very ufunc and BLAS calls of the
+2-D form on the same per-slice strides.  No layer keeps a random state or a
+training / evaluation switch: a forward pass is a function of the
+parameters and the input alone.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "Flatten",
     "Conv2D",
     "MaxPool2D",
-    "Dropout",
     "SoftmaxCrossEntropy",
 ]
 
@@ -58,7 +59,6 @@ class Layer:
     def __init__(self) -> None:
         self.params: Dict[str, np.ndarray] = {}
         self.grads: Dict[str, np.ndarray] = {}
-        self.training = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Compute the layer output for input ``x``."""
@@ -75,10 +75,6 @@ class Layer:
         input gradient costs a product of its own overrides this.
         """
         self.backward(grad_out)
-
-    def train_mode(self, training: bool = True) -> None:
-        """Switch between training and evaluation behaviour (dropout only)."""
-        self.training = training
 
 
 class Linear(Layer):
@@ -167,31 +163,6 @@ class Flatten(Layer):
         if self._shape is None:
             raise RuntimeError("backward called before forward")
         return grad_out.reshape(self._shape)
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity in evaluation mode."""
-
-    def __init__(self, rate: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("rate must be in [0, 1)")
-        self.rate = rate
-        self._rng = rng or np.random.default_rng(0)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int) -> Tuple[np.ndarray, int, int]:

@@ -27,12 +27,11 @@ def evaluate_model(
 ) -> Tuple[float, float]:
     """Return ``(accuracy, mean_loss)`` of ``model`` on ``(x, y)``.
 
-    Evaluation runs in eval mode (dropout disabled) and in mini-batches so
-    large test sets do not blow up memory.
+    Evaluation runs in mini-batches so large test sets do not blow up
+    memory.
     """
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    model.train_mode(False)
     correct = 0
     losses: List[float] = []
     for start in range(0, x.shape[0], batch_size):
@@ -41,7 +40,6 @@ def evaluate_model(
         logits = model.forward(xb)
         losses.append(model.loss_fn.forward(logits, yb))
         correct += int((logits.argmax(axis=1) == yb).sum())
-    model.train_mode(True)
     return correct / x.shape[0], float(np.mean(losses))
 
 

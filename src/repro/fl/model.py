@@ -6,14 +6,18 @@ so the container keeps the whole network in a single contiguous ``numpy``
 vector (and its gradients in a second one); every layer tensor is a
 reshaped view of its segment.  :meth:`Sequential.get_flat_params` /
 :meth:`Sequential.set_flat_params` are therefore one copy each, and the
-optimizer updates the vector in place.
+optimizer updates the vector in place.  A ``Linear`` / ``ReLU`` / ``Tanh``
+stack also has a stacked form (:meth:`Sequential.stacked`): ``k`` copies as
+the rows of ``(k, P)`` blocks, the form every local round of the client
+plane runs in (a block of one is the model itself).
 
 Two builders match the paper's setup:
 
 * :func:`build_lenet5` — the LeNet-5 architecture trained on the devices
-  (Section VI), for 3x32x32 CIFAR-10-shaped inputs.
+  (Section VI), for 3x32x32 CIFAR-10-shaped inputs; it is trained through
+  :class:`Sequential` directly (``examples/lenet_on_device_training.py``).
 * :func:`build_mlp` — a small multi-layer perceptron on flattened features,
-  the default for simulation studies because it is 1-2 orders of magnitude
+  the model of every simulation because it is 1-2 orders of magnitude
   faster while exercising exactly the same optimizer/staleness machinery.
 """
 
@@ -37,12 +41,13 @@ from repro.fl.layers import (
 
 __all__ = ["Sequential", "build_mlp", "build_lenet5"]
 
-#: The layers whose math takes a leading block axis (:meth:`Sequential.stacked`).
-_STACKABLE_LAYERS = (Linear, ReLU, Tanh)
-
 
 class Sequential:
     """A feed-forward stack of layers with a softmax cross-entropy head."""
+
+    #: The ``(rows, P)`` momentum block of a :meth:`stacked` copy of several
+    #: rows; ``None`` on a network of its own (and so on a block of one).
+    flat_momentum: Optional[np.ndarray] = None
 
     def __init__(self, layers: Sequence[Layer]) -> None:
         if not layers:
@@ -114,11 +119,6 @@ class Sequential:
         """Class predictions for a batch."""
         return SoftmaxCrossEntropy.predictions(self.forward(x))
 
-    def train_mode(self, training: bool = True) -> None:
-        """Toggle training-time behaviour (dropout)."""
-        for layer in self.layers:
-            layer.train_mode(training)
-
     # -- parameter access ----------------------------------------------------------
 
     def parameter_items(self) -> Iterable[Tuple[Layer, str, np.ndarray]]:
@@ -145,11 +145,6 @@ class Sequential:
 
     # -- stacked copies --------------------------------------------------------------
 
-    def stackable(self) -> bool:
-        """Whether :meth:`stacked` applies: only ``Linear``, ``ReLU`` and
-        ``Tanh`` layers (no per-layer RNG, no image layout)."""
-        return all(type(layer) in _STACKABLE_LAYERS for layer in self.layers)
-
     def stacked(self, rows: int) -> "Sequential":
         """A workspace of ``rows`` copies of this network side by side.
 
@@ -161,7 +156,14 @@ class Sequential:
         ``(rows, 1, out)``, so it broadcasts over the batch the way the 1-D
         bias does — and a forward / backward pass over ``(rows, batch,
         features)`` inputs runs every product once per row on that row's
-        own ``(in, out)`` slices.
+        own ``(in, out)`` slices.  Only ``Linear``, ``ReLU`` and ``Tanh``
+        stacks have a stacked form.  A block of one is this network itself:
+        its own layers and 1-D vectors, and no ``flat_momentum`` (a single
+        momentum vector is stepped where it lives,
+        :meth:`~repro.fl.optimizer.MomentumSGD.load_rows`), so it makes the
+        very calls of the unstacked network with no second copy of
+        anything.  Callers tell the two forms apart by ``flat_momentum``
+        alone.
 
         Like the model itself, a stacked copy is a workspace: this model
         keeps one per row count, over one memory grown to the most rows
@@ -169,18 +171,18 @@ class Sequential:
         quarter-megabyte block per round would cost more in page faults
         than the stacking saves).
         """
+        if rows == 1:
+            return self
         block = self._stacked.get(rows)
         if block is not None:
             return block
-        if not self.stackable():
-            raise ValueError("only Linear / ReLU / Tanh stacks have a stacked form")
         memory = self._block_memory
         if memory is None or memory.shape[1] < rows:
             memory = self._block_memory = np.empty((3, rows, self.flat_params.size))
             self._stacked.clear()  # their views are of the old memory
         block = Sequential.__new__(Sequential)  # not ``copy``: that would re-bind our layers
-        block.layers = [copy.copy(layer) for layer in self.layers]
         block.loss_fn = SoftmaxCrossEntropy()
+        block.layers = [copy.copy(layer) for layer in self.layers]
         block.flat_params, block.flat_grads, block.flat_momentum = memory[:, :rows]
         offset = 0
         for source, layer in zip(self.layers, block.layers):

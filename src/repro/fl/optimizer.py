@@ -37,7 +37,7 @@ class MomentumSGD:
     updating parameters and momentum in place, so its momentum state can be
     handed directly to the staleness estimators.  The update is elementwise,
     so the same code steps a ``(k, P)`` block of ``k`` stacked networks
-    (:meth:`stacked`), each row bit for bit its own 1-D step.
+    (:meth:`load_rows`), each row bit for bit its own 1-D step.
 
     :attr:`velocity` is the momentum vector ``v_t`` (``None`` before the
     first step).  It may be borrowed: a caller assigns a vector it keeps, and
@@ -68,24 +68,29 @@ class MomentumSGD:
         self.weight_decay = weight_decay
         self.velocity: Optional[np.ndarray] = None
 
-    def stacked(
-        self, velocities: Sequence[Optional[np.ndarray]], block: np.ndarray
-    ) -> "MomentumSGD":
-        """An optimizer with these hyper-parameters stepping ``velocities``
-        as the rows of ``block``, a ``(k, P)`` array it fills and then owns.
+    def load_rows(
+        self, velocities: Sequence[Optional[np.ndarray]], block: Optional[np.ndarray]
+    ) -> None:
+        """Make :attr:`velocity` the momentum of ``k`` networks for their next
+        steps: a stacked network's ``(k, P)`` rows, or one network's vector.
 
-        Row ``i`` starts as ``velocities[i]``, or at zero for ``None`` (what
-        its own first step would start from); the vectors themselves are
-        only read, so a lent one stays untouched.
+        With a ``block`` (a stacked network's ``flat_momentum``) the vectors
+        are copied into it: row ``i`` starts as ``velocities[i]``, or at zero
+        for ``None`` (what its own first step would start from), and the
+        vectors themselves are only read, so a lent one stays untouched.
+        Without one (a block of one is a network of its own) the single
+        vector is borrowed and stepped in place, read-only and ``None``
+        vectors as :attr:`velocity` always treats them.
         """
-        optimizer = MomentumSGD(self.learning_rate, self.momentum, self.weight_decay)
+        if block is None:
+            (self.velocity,) = velocities
+            return
         for row, velocity in enumerate(velocities):
             if velocity is None:
                 block[row] = 0.0
             else:
                 block[row] = velocity
-        optimizer.velocity = block
-        return optimizer
+        self.velocity = block
 
     def velocity_norm(self) -> float:
         """L2 norm of the momentum vector (0 before the first step)."""

@@ -25,6 +25,22 @@ __all__ = ["SimulationConfig"]
 _MIX_SUM_TOLERANCE = 1e-6
 
 
+def _check_count(name: str, value: Any, least: int = 1) -> None:
+    """Refuse a count that is not an integer (a ``bool`` is not) of at least ``least``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        integral = False
+    else:
+        integral = not isinstance(value, bool)
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(
+            f"{name} must be positive" if least == 1 else f"{name} must be at least {least}"
+        )
+
+
 @dataclass
 class SimulationConfig:
     """All knobs of one simulation run.
@@ -145,20 +161,28 @@ class SimulationConfig:
     user_data_alpha: Optional[Sequence[Optional[float]]] = None
 
     def __post_init__(self) -> None:
-        for name in ("num_users", "total_slots", "batch_size", "local_epochs"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name, least in (
+            ("num_users", 1), ("total_slots", 1), ("batch_size", 1), ("local_epochs", 1),
+            ("eval_interval_slots", 1), ("trace_interval_slots", 1),
+            # The model's and the synthetic task's shapes, refused here, not
+            # at engine build after a job was accepted: every user holds a
+            # sample, and a classifier tells two classes apart at least.
+            ("feature_dim", 1), ("num_classes", 2), ("num_test_samples", 1),
+            ("clusters_per_class", 1), ("num_train_samples", self.num_users),
+        ):
+            _check_count(name, getattr(self, name), least)
+        try:
+            widths = list(self.hidden_dims)
+        except TypeError:
+            raise ValueError(
+                f"hidden_dims must be a list of widths, got {self.hidden_dims!r}"
+            ) from None
+        for layer, width in enumerate(widths):
+            _check_count(f"hidden_dims[{layer}]", width)
         if not (math.isfinite(self.slot_seconds) and self.slot_seconds > 0):
             raise ValueError("slot_seconds must be finite and positive")
         if not 0.0 <= self.app_arrival_prob <= 1.0:
             raise ValueError("app_arrival_prob must be in [0, 1]")
-        if self.eval_interval_slots <= 0 or self.trace_interval_slots <= 0:
-            raise ValueError("evaluation and trace intervals must be positive")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError("epsilon must be finite and non-negative")
         # Refused here, not at engine build (or, for a NaN rate, never: the

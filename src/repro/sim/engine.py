@@ -47,7 +47,6 @@ from repro.fl.dataset import (
     partition_iid,
     partition_mixed,
 )
-from repro.fl.layers import Dropout
 from repro.fl.metrics import AccuracyTracker
 from repro.fl.model import Sequential, build_mlp
 from repro.fl.server import AsyncUpdateRule, ParameterServer
@@ -247,8 +246,6 @@ def build_clients(
     """
     hi = config.num_users if hi is None else hi
     workspace = build_eval_model(config, dataset.input_dim())
-    if any(isinstance(layer, Dropout) for layer in workspace.layers):
-        raise ValueError("a Dropout layer owns a per-client RNG and cannot be shared by clients")
     x_train, y_train = dataset.train_set()
     offsets = partition.offsets[lo : hi + 1]
     rows = partition.order[offsets[0] : offsets[-1]]

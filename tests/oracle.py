@@ -344,7 +344,6 @@ class FrozenLocalTrainer:
     def local_train(self, global_params):
         """One local round; returns ``delta``, ``params``, ``train_loss``, ``momentum_norm``."""
         self._set_flat_params(global_params)
-        self.model.train_mode(True)
         losses = []
         for _ in range(self.local_epochs):
             for xb, yb in partition_batches(self.partition, self.batch_size, rng=self.rng):

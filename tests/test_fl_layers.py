@@ -5,7 +5,6 @@ import pytest
 
 from repro.fl.layers import (
     Conv2D,
-    Dropout,
     Flatten,
     Linear,
     MaxPool2D,
@@ -108,22 +107,6 @@ class TestActivations:
         assert out.shape == (2, 48)
         back = layer.backward(out)
         assert back.shape == x.shape
-
-    def test_dropout_eval_mode_is_identity(self, rng):
-        layer = Dropout(rate=0.5, rng=rng)
-        layer.train_mode(False)
-        x = rng.normal(size=(4, 6))
-        assert np.allclose(layer.forward(x), x)
-
-    def test_dropout_training_preserves_expectation(self, rng):
-        layer = Dropout(rate=0.5, rng=np.random.default_rng(0))
-        x = np.ones((2000, 10))
-        out = layer.forward(x)
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(rate=1.0)
 
 
 class TestConvAndPool:

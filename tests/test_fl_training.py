@@ -69,6 +69,19 @@ class TestMomentumSGD:
         assert optimizer.velocity is velocity
         assert np.array_equal(velocity, np.full(4, 2.0))
 
+    def test_load_rows_copies_into_a_block_and_borrows_without_one(self):
+        optimizer = MomentumSGD(learning_rate=0.1, momentum=0.5)
+        lent, block = np.ones(3), np.full((2, 3), np.nan)
+        optimizer.load_rows([lent, None], block)
+        assert optimizer.velocity is block
+        assert np.array_equal(block, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        block[0] = 7.0
+        assert np.array_equal(lent, np.ones(3))  # only read
+        optimizer.load_rows([lent], None)
+        assert optimizer.velocity is lent
+        optimizer.load_rows([None], None)
+        assert optimizer.velocity is None
+
     def test_weight_decay_shrinks_params(self):
         plain = MomentumSGD(learning_rate=0.1, momentum=0.0)
         decayed = MomentumSGD(learning_rate=0.1, momentum=0.0, weight_decay=0.1)

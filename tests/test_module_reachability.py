@@ -120,6 +120,9 @@ class TestOneDataPlane:
             "DataPartition",
             # The scalar app draw; the arrival walk reads it off the words.
             "sample_app",
+            # A layer with a generator of its own: every round is a row of
+            # a stacked block, so the client plane trains none.
+            "Dropout",
         }
         for name in ("sim/reference.py", "device/device.py", "device/dvfs.py"):
             assert not (SRC / "repro" / name).exists()
@@ -153,9 +156,12 @@ class TestOneDataPlane:
             "ReadyPayload": {"device_names", "app_names", "device_codes", "app_codes", "catalogs"},
             # One client plane per user range: no per-user optimizer state
             # or generator, and no diagnostics nothing in the product calls.
-            "FLClient": {"evaluate_local", "momentum_norm"},
+            "FLClient": {"evaluate_local", "momentum_norm", "_train_round"},
             "MomentumSGD": {"apply_to_vector", "load_velocity", "lend_velocity", "reset"},
-            "Sequential": {"zero_grads", "get_flat_grads"},
+            # One local-round form (every round a row of a stacked block),
+            # and no layer with a training / evaluation switch.
+            "Sequential": {"zero_grads", "get_flat_grads", "stackable", "train_mode"},
+            "Layer": {"train_mode"},
         }
         methods: Dict[str, Set[str]] = {}
         for path in product_modules().values():
@@ -168,6 +174,7 @@ class TestOneDataPlane:
         assert {"decide_all", "idle_slots", "record_idle"} <= methods["SchedulingPolicy"]
         assert "evaluate_batch" in methods["OnlineController"]
         assert {"local_train", "checkpoint_state", "restore_state"} <= methods["FLClient"]
+        assert "_train_block" in methods["FLClient"] and "stacked" in methods["Sequential"]
         columns = methods["ObservationBatch"] | methods["ReadyPayload"]
         assert {"user_ids", "users", "app_running"} <= columns
         assert not {name for name in columns if "name" in name or "code" in name}

@@ -177,6 +177,10 @@ def _fuzz_config():
     return st.dictionaries(fields, values, max_size=2)
 
 
+#: Values no count may take.
+_NOT_INTEGERS = st.floats() | st.booleans() | st.text(max_size=3)
+
+
 class TestSubmitValidation:
     """A spec that can only fail at run time is refused at ``POST /jobs``."""
 
@@ -207,6 +211,18 @@ class TestSubmitValidation:
                                    '"user_arrivals": [{"kind": "diurnal", "period_s": 1e400}]}}}',
         "fractional-trace-slot": '{"spec": {"policy": "online", "config": {"num_users": 1, '
                                  '"user_arrivals": [{"kind": "trace", "slots": [1.5, 2]}]}}}',
+        "zero-hidden-width": '{"spec": {"policy": "online", "config": {"hidden_dims": [0]}}}',
+        "fractional-hidden-width": '{"spec": {"policy": "online", "config": '
+                                   '{"hidden_dims": [2.5]}}}',
+        "string-hidden-width": '{"spec": {"policy": "online", "config": {"hidden_dims": ["8"]}}}',
+        "zero-feature-dim": '{"spec": {"policy": "online", "config": {"feature_dim": 0}}}',
+        "one-class": '{"spec": {"policy": "online", "config": {"num_classes": 1}}}',
+        "no-test-samples": '{"spec": {"policy": "online", "config": {"num_test_samples": 0}}}',
+        "no-clusters": '{"spec": {"policy": "online", "config": {"clusters_per_class": 0}}}',
+        "fewer-samples-than-users": '{"spec": {"policy": "online", "config": '
+                                    '{"num_users": 25, "num_train_samples": 3}}}',
+        "fractional-eval-interval": '{"spec": {"policy": "online", "config": '
+                                    '{"eval_interval_slots": 2.5}}}',
     }
 
     @pytest.fixture
@@ -239,11 +255,22 @@ class TestSubmitValidation:
         st.tuples(st.just("mixing_alpha"),
                   st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True)
                   | st.just(float("nan"))),
+        # The model's and the synthetic task's shapes: no integer (a bool is
+        # none), or below the least.
+        st.one_of(
+            st.tuples(st.sampled_from(["feature_dim", "num_test_samples", "clusters_per_class"]),
+                      st.integers(-10**6, 0) | _NOT_INTEGERS),
+            st.tuples(st.just("num_classes"), st.integers(-10**6, 1) | _NOT_INTEGERS),
+            st.tuples(st.just("hidden_dims"),
+                      st.tuples(st.lists(st.integers(1, 64), max_size=2),
+                                st.integers(-10**6, 0) | _NOT_INTEGERS).map(
+                          lambda drawn: drawn[0] + [drawn[1]])),
+        ),
     ))
     def test_hostile_training_knobs_are_400s(self, api, knob):
         """The local round's knobs (also the stacked round's grouping key),
-        the synthetic task's and the merge weight are refused at
-        submission, not at engine build or never."""
+        the synthetic task's, the model's shapes and the merge weight are
+        refused at submission, not at engine build or never."""
         name, value = knob
         body = {"spec": {"policy": "online", "config": {name: value}}}
         status, payload = api.handle("POST", "/jobs", body)

@@ -9,8 +9,11 @@ Contracts under test (``src/repro/fl/model.py``, ``optimizer.py``,
   (``tests/oracle.py::FrozenLocalTrainer``);
 * a model is a workspace, not client state: clients sharing one instance
   produce exactly the uploads of clients that each own one;
-* one ``FLClient.local_train`` call over a mix of stacked blocks and solo
-  rounds is, row for row, the frozen round of each client;
+* one ``FLClient.local_train`` call over a mix of blocks of one and of
+  many is, row for row, the frozen round of each client; a block of one
+  runs in the model's own 2-D shapes;
+* the client plane refuses what it cannot stack: a model of other layers
+  than ``Linear`` / ``ReLU`` / ``Tanh``, a user without samples;
 * the client plane's lazily made shuffling generators are the eager
   per-user generators: rounds, uploads and checkpointed ``rng_state`` dicts.
 """
@@ -38,7 +41,7 @@ from oracle import (
 )
 from repro.fl.client import BLOCK_BYTES, FLClient
 from repro.fl.dataset import SyntheticCifar10, partition_iid
-from repro.fl.layers import Dropout, Layer, Linear, ReLU, Tanh
+from repro.fl.layers import Layer, Linear, ReLU, Tanh
 from repro.fl.model import Sequential, build_lenet5, build_mlp
 from repro.fl.optimizer import MomentumSGD
 from repro.sim import engine as engine_module
@@ -46,11 +49,19 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import build_clients
 
 KINDS = ("mlp", "lenet")
+#: The models a client plane trains.
+PLANE_KINDS = ("mlp", "tanh")
 
 
 def _build(kind: str) -> Sequential:
     if kind == "lenet":
         return build_lenet5(in_channels=3, image_size=16, seed=3)
+    if kind == "tanh":
+        init = np.random.default_rng(3)
+        return Sequential(
+            [Linear(24, 32, rng=init), Tanh(), Linear(32, 16, rng=init), Tanh(),
+             Linear(16, 10, rng=init)]
+        )
     return build_mlp(input_dim=24, hidden_dims=(32, 16), seed=3)
 
 
@@ -176,7 +187,7 @@ class TestLayerViews:
 
 
 class TestFrozenStepParity:
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", PLANE_KINDS)
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_local_train_matches_frozen_round_bitwise(self, kind, momentum, weight_decay):
@@ -218,7 +229,7 @@ class TestFrozenStepParity:
 
 
 class TestSharedWorkspace:
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", PLANE_KINDS)
     def test_interleaved_shared_equals_private(self, kind):
         num_clients = 4
         partitions = _partitions(kind, num_clients, 150)
@@ -270,17 +281,42 @@ class TestSharedWorkspace:
         # Only the slice's samples are held.
         assert len(clients.x) == sum(len(part) for part in parts[2:5])
 
-    def test_dropout_is_refused(self, monkeypatch):
-        model = Sequential(
-            [Linear(24, 8), ReLU(), Dropout(0.3, rng=np.random.default_rng(0)), Linear(8, 10)]
+    def test_a_model_it_cannot_stack_is_refused(self, monkeypatch):
+        x, y = np.zeros((4, 24)), np.zeros(4, dtype=np.int64)
+        noisy = Sequential(
+            [Linear(24, 8), ReLU(), _Noise(np.random.default_rng(0)), Linear(8, 10)]
         )
-        monkeypatch.setattr(engine_module, "build_eval_model", lambda config, input_dim: model)
+        for model in (_build("lenet"), noisy):
+            with pytest.raises(ValueError, match="Linear / ReLU / Tanh"):
+                FLClient(x, y, np.array([0, 2, 4]), model)
+        # The engine builds its planes through the same refusal.
+        monkeypatch.setattr(engine_module, "build_eval_model", lambda config, input_dim: noisy)
         config = SimulationConfig(num_users=2, total_slots=10, num_train_samples=20)
-        with pytest.raises(ValueError, match="Dropout"):
+        with pytest.raises(ValueError, match="Linear / ReLU / Tanh"):
             build_clients(
                 config, SyntheticCifar10(num_train=20, num_test=10, feature_dim=24),
                 partition_iid(np.zeros((20, 1)), np.zeros(20), 2, np.random.default_rng(0)),
             )
+
+    @pytest.mark.parametrize("offsets", [[0, 0, 4], [0, 2, 2, 4], [0, 4, 4]])
+    def test_a_user_without_samples_is_refused(self, offsets):
+        x, y = np.zeros((4, 24)), np.zeros(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="no user without samples"):
+            FLClient(x, y, np.array(offsets), _build("mlp"))
+
+
+class _Noise(Layer):
+    """A layer drawing from a generator of its own, as a dropout layer does."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        super().__init__()
+        self._rng = rng
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x + self._rng.normal(size=x.shape)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        return grad_out
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +328,10 @@ _WIDE = dict(input_dim=24, hidden_dims=(128, 32))
 _CHUNK = BLOCK_BYTES // (8 * build_mlp(**_WIDE).num_parameters())
 
 
-def _dropout_mlp(rng: np.random.Generator) -> Sequential:
-    """A non-stackable model; every copy draws its masks from ``rng``."""
-    init = np.random.default_rng(4)
-    return Sequential(
-        [Linear(24, 16, rng=init), Tanh(), Dropout(0.3, rng=rng), Linear(16, 10, rng=init)]
-    )
-
-
 #: One client's knobs: (model, samples, batch size, epochs, lr, momentum,
 #: weight decay).  Sample counts leave ragged last batches.
 _client_spec = st.tuples(
-    st.sampled_from(["mlp", "tanh", "dropout"]),
+    st.sampled_from(["mlp", "tanh"]),
     st.sampled_from([1, 3, 7, 23]),
     st.sampled_from([5, 20]),
     st.sampled_from([1, 2]),
@@ -332,12 +360,37 @@ class TestStackedBlocks:
             assert not np.shares_memory(value, model.flat_params)
             assert layer is not source
 
-    def test_only_linear_relu_tanh_stacks_stack(self):
-        assert _build("mlp").stackable()
-        assert not _build("lenet").stackable()
-        assert not _dropout_mlp(np.random.default_rng(0)).stackable()
-        with pytest.raises(ValueError, match="stacked form"):
-            _build("lenet").stacked(2)
+    def test_a_block_of_one_is_the_model_itself(self):
+        model = _build("mlp")
+        assert model.stacked(1) is model
+        assert model.flat_momentum is None  # a round steps the user's own vector
+        # Larger blocks, which grow the block memory, leave it as it was.
+        assert model.stacked(3).flat_momentum.shape == (3, model.num_parameters())
+        assert model.stacked(1) is model and model.flat_momentum is None
+        _assert_bound(model)
+        loss = model.stacked(1).train_step_gradients(
+            np.zeros((7, 24)), np.zeros(7, dtype=np.int64)
+        )
+        assert type(loss) is float
+
+    def test_a_block_of_one_steps_the_users_own_momentum(self):
+        plane = client_plane(_partitions("mlp", 2, 40), _build("mlp"))
+        assert plane.num_samples(0) == plane.num_samples(1)
+        base = plane.model.get_flat_params()
+        FLClient.local_train(plane, [0], [base], [0])
+        first = plane.velocities[0]
+        FLClient.local_train(plane, [0], [base], [1])
+        assert np.shares_memory(plane.velocities[0], first)  # stepped in place
+        _, lent = plane.checkpoint_state()
+        held = lent[0].copy()
+        FLClient.local_train(plane, [0], [base], [2])
+        assert not np.shares_memory(plane.velocities[0], first)  # copied on write
+        assert plane.velocities[0].flags.writeable
+        assert lent[0].tobytes() == held.tobytes()
+        FLClient.local_train(plane, [0, 1], [base, base], [3, 3])
+        rows = plane.model.stacked(2).flat_momentum
+        assert not any(np.shares_memory(v, rows) for v in plane.velocities)
+        assert plane.optimizer.velocity is None  # it held the rows for the round only
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -364,9 +417,7 @@ class TestStackedBlocks:
                 [Linear(24, 32, rng=np.random.default_rng(2)), Tanh(),
                  Linear(32, 10, rng=np.random.default_rng(3))]
             ),
-            "dropout": _dropout_mlp(np.random.default_rng(seed)),
         }
-        frozen_dropout_rng = np.random.default_rng(seed)
         members = {}  # knob set -> its users, in plane order
         for user, (kind, size, *knobs) in enumerate(specs):
             members.setdefault((kind, *knobs), []).append(user)
@@ -379,12 +430,8 @@ class TestStackedBlocks:
                 data = DataPartition(user, rng.normal(size=(size, 24)), rng.integers(0, 10, size))
                 parts.append(data)
                 place[user] = (key, local)
-                twin = (
-                    _dropout_mlp(frozen_dropout_rng) if kind == "dropout"
-                    else copy.deepcopy(models[kind])
-                )
                 frozen[user] = FrozenLocalTrainer(
-                    twin, data, learning_rate=lr, momentum=momentum, weight_decay=decay,
+                    copy.deepcopy(models[kind]), data, learning_rate=lr, momentum=momentum, weight_decay=decay,
                     batch_size=batch, local_epochs=epochs, seed=seed + 100 * number + local,
                 )
             planes[key] = client_plane(
@@ -401,8 +448,7 @@ class TestStackedBlocks:
             return real_block(plane, users, *args)
 
         def train(users):
-            """One call per plane, in plane order; frozen rounds in the order
-            the plane's dropout draws run (plane order, then input order)."""
+            """One call per plane, in plane order."""
             for key, plane in planes.items():
                 mine = [user for user in users if place[user][0] == key]
                 if not mine:
