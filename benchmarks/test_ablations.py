@@ -21,7 +21,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import print_artifact
-from repro.analysis.experiments import ExperimentScale, paper_config, run_policy, _shared_dataset
+from repro.analysis.experiments import ExperimentScale, paper_config, run_policy
 from repro.analysis.reporting import format_table
 from repro.core.granularity import DecisionIntervalPolicy
 from repro.core.offline import OfflinePolicy
@@ -45,7 +45,6 @@ def ablation_scale(bench_scale):
 def test_ablation_scheduling_granularity(benchmark, ablation_scale):
     """Coarser decision intervals trade co-running opportunities for overhead."""
     config = paper_config(ablation_scale, include_scheduler_overhead=True)
-    dataset = _shared_dataset(config)
 
     def run_all():
         results = {}
@@ -53,7 +52,7 @@ def test_ablation_scheduling_granularity(benchmark, ablation_scale):
             policy = DecisionIntervalPolicy(
                 OnlinePolicy(v=20_000.0, staleness_bound=500.0), interval_slots=interval
             )
-            results[interval] = run_policy(config, policy, dataset)
+            results[interval] = run_policy(config, policy)
         return results
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -80,8 +79,6 @@ def test_ablation_scheduling_granularity(benchmark, ablation_scale):
 
 def test_ablation_epsilon_sensitivity(benchmark, ablation_scale):
     """A larger idle-slot gap increment pushes the controller to schedule sooner."""
-    config = paper_config(ablation_scale)
-    dataset = _shared_dataset(config)
 
     def run_all():
         results = {}
@@ -89,7 +86,6 @@ def test_ablation_epsilon_sensitivity(benchmark, ablation_scale):
             results[epsilon] = run_policy(
                 paper_config(ablation_scale, epsilon=epsilon),
                 OnlinePolicy(v=50_000.0, staleness_bound=100.0, epsilon=epsilon),
-                dataset,
             )
         return results
 
@@ -124,8 +120,7 @@ def test_ablation_async_update_rule(benchmark, ablation_scale):
         results = {}
         for rule in rules:
             config = paper_config(ablation_scale, async_rule=rule)
-            dataset = _shared_dataset(config)
-            results[rule.value] = run_policy(config, ImmediatePolicy(), dataset)
+            results[rule.value] = run_policy(config, ImmediatePolicy())
         return results
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -155,18 +150,15 @@ def test_ablation_async_update_rule(benchmark, ablation_scale):
 def test_ablation_offline_gap_metric(benchmark, ablation_scale):
     """Knapsack weighted by gradient gap (Def. 2) vs raw lag count (Def. 1)."""
     config = paper_config(ablation_scale)
-    dataset = _shared_dataset(config)
 
     def run_all():
         gap = run_policy(
             config,
             OfflinePolicy(staleness_bound=1000.0, window_slots=500, gap_metric="gradient_gap"),
-            dataset,
         )
         lag = run_policy(
             config,
             OfflinePolicy(staleness_bound=50.0, window_slots=500, gap_metric="lag"),
-            dataset,
         )
         return {"gradient_gap": gap, "lag": lag}
 

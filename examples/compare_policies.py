@@ -25,7 +25,6 @@ from repro import (
     SyncPolicy,
 )
 from repro.analysis.reporting import format_table
-from repro.fl.dataset import SyntheticCifar10
 
 
 def main() -> None:
@@ -47,18 +46,6 @@ def main() -> None:
         seed=args.seed,
         eval_interval_slots=max(args.slots // 30, 60),
     )
-    dataset = SyntheticCifar10(
-        num_train=config.num_train_samples,
-        num_test=config.num_test_samples,
-        num_classes=config.num_classes,
-        feature_dim=config.feature_dim,
-        class_separation=config.class_separation,
-        noise_std=config.noise_std,
-        label_noise=config.label_noise,
-        clusters_per_class=config.clusters_per_class,
-        seed=config.seed,
-    )
-
     policies = {
         "immediate": ImmediatePolicy(),
         "sync": SyncPolicy(),
@@ -69,7 +56,7 @@ def main() -> None:
     results = {}
     for name, policy in policies.items():
         print(f"running {name} ...")
-        results[name] = SimulationEngine(config, policy, dataset=dataset).run()
+        results[name] = SimulationEngine(config, policy).run()
 
     rows = []
     for name, result in results.items():

@@ -21,7 +21,6 @@ import argparse
 
 from repro import ImmediatePolicy, OnlinePolicy, SimulationConfig, SimulationEngine
 from repro.analysis.reporting import format_table
-from repro.fl.dataset import SyntheticCifar10
 
 
 def corun_fraction(result) -> float:
@@ -50,22 +49,10 @@ def main() -> None:
         eval_interval_slots=max(args.slots // 10, 120),
         diurnal_arrivals=True,
     )
-    dataset = SyntheticCifar10(
-        num_train=config.num_train_samples,
-        num_test=config.num_test_samples,
-        num_classes=config.num_classes,
-        feature_dim=config.feature_dim,
-        class_separation=config.class_separation,
-        noise_std=config.noise_std,
-        label_noise=config.label_noise,
-        clusters_per_class=config.clusters_per_class,
-        seed=config.seed,
-    )
-
     online = SimulationEngine(
-        config, OnlinePolicy(v=args.v, staleness_bound=args.staleness_bound), dataset=dataset
+        config, OnlinePolicy(v=args.v, staleness_bound=args.staleness_bound)
     ).run()
-    immediate = SimulationEngine(config, ImmediatePolicy(), dataset=dataset).run()
+    immediate = SimulationEngine(config, ImmediatePolicy()).run()
 
     rows = [
         ["immediate", immediate.total_energy_kj(), immediate.final_accuracy(),

@@ -19,7 +19,6 @@ from repro import ImmediatePolicy, OfflinePolicy, OnlinePolicy, SimulationConfig
 from repro.analysis.reporting import format_table
 from repro.core.queues import LyapunovAnalyzer
 from repro.core.tradeoff import SweepPoint, TradeoffAnalyzer, theorem1_energy_bound
-from repro.fl.dataset import SyntheticCifar10
 
 
 def main() -> None:
@@ -40,21 +39,9 @@ def main() -> None:
         seed=args.seed,
         eval_interval_slots=max(args.slots // 10, 120),
     )
-    dataset = SyntheticCifar10(
-        num_train=config.num_train_samples,
-        num_test=config.num_test_samples,
-        num_classes=config.num_classes,
-        feature_dim=config.feature_dim,
-        class_separation=config.class_separation,
-        noise_std=config.noise_std,
-        label_noise=config.label_noise,
-        clusters_per_class=config.clusters_per_class,
-        seed=config.seed,
-    )
-
-    immediate = SimulationEngine(config, ImmediatePolicy(), dataset=dataset).run()
+    immediate = SimulationEngine(config, ImmediatePolicy()).run()
     offline = SimulationEngine(
-        config, OfflinePolicy(staleness_bound=max(args.bounds), window_slots=500), dataset=dataset
+        config, OfflinePolicy(staleness_bound=max(args.bounds), window_slots=500)
     ).run()
     print(f"immediate scheduling energy: {immediate.total_energy_kj():.1f} kJ")
     print(f"offline (knapsack) energy:   {offline.total_energy_kj():.1f} kJ\n")
@@ -63,7 +50,7 @@ def main() -> None:
         points, rows = [], []
         for v in args.v_values:
             result = SimulationEngine(
-                config, OnlinePolicy(v=v, staleness_bound=bound), dataset=dataset
+                config, OnlinePolicy(v=v, staleness_bound=bound)
             ).run()
             point = SweepPoint(
                 v=v,

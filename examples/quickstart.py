@@ -23,7 +23,6 @@ from repro import (
     SimulationEngine,
 )
 from repro.analysis.reporting import format_table
-from repro.fl.dataset import SyntheticCifar10
 
 
 def build_config(paper_scale: bool, seed: int) -> SimulationConfig:
@@ -48,20 +47,6 @@ def build_config(paper_scale: bool, seed: int) -> SimulationConfig:
     )
 
 
-def shared_dataset(config: SimulationConfig) -> SyntheticCifar10:
-    """Build the dataset once so both policies train on identical data."""
-    return SyntheticCifar10(
-        num_train=config.num_train_samples,
-        num_test=config.num_test_samples,
-        num_classes=config.num_classes,
-        feature_dim=config.feature_dim,
-        class_separation=config.class_separation,
-        noise_std=config.noise_std,
-        label_noise=config.label_noise,
-        clusters_per_class=config.clusters_per_class,
-        seed=config.seed,
-    )
-
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -72,15 +57,14 @@ def main() -> None:
     args = parser.parse_args()
 
     config = build_config(args.paper, args.seed)
-    dataset = shared_dataset(config)
 
     print(f"Simulating {config.num_users} devices for {config.total_seconds():.0f} s "
           f"(app arrival probability {config.app_arrival_prob} per slot)\n")
 
     online = SimulationEngine(
-        config, OnlinePolicy(v=args.v, staleness_bound=args.staleness_bound), dataset=dataset
+        config, OnlinePolicy(v=args.v, staleness_bound=args.staleness_bound)
     ).run()
-    immediate = SimulationEngine(config, ImmediatePolicy(), dataset=dataset).run()
+    immediate = SimulationEngine(config, ImmediatePolicy()).run()
 
     rows = [
         ["immediate", immediate.total_energy_kj(), immediate.final_accuracy(),

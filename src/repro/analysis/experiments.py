@@ -12,9 +12,9 @@ reported artefact.
 The grid-shaped runners (Fig. 4's V-sweep, Fig. 5c's seed repetition,
 Fig. 6's arrival-rate sweep) accept ``jobs``: with ``jobs > 1`` the
 independent runs fan out across processes via
-:class:`repro.analysis.runner.ExperimentSuite`.  Workers rebuild the
-synthetic dataset from the config seed, which reproduces the shared-dataset
-sequential path exactly, so ``jobs`` changes wall-clock time, never results.
+:class:`repro.analysis.runner.ExperimentSuite`.  Every engine builds its
+synthetic dataset from the config seed, in a worker or not, so ``jobs``
+changes wall-clock time, never results.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.core.tradeoff import SweepPoint
 from repro.device.fps import FpsTraceGenerator
 from repro.energy.measurements import MeasurementTable
 from repro.energy.profiler import PowerProfiler
-from repro.fl.dataset import SyntheticCifar10
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine, SimulationResult
 
@@ -117,28 +116,9 @@ def paper_config(scale: Optional[ExperimentScale] = None, **overrides) -> Simula
     return config
 
 
-def _shared_dataset(config: SimulationConfig) -> SyntheticCifar10:
-    """Build the dataset once so every policy trains on identical data."""
-    return SyntheticCifar10(
-        num_train=config.num_train_samples,
-        num_test=config.num_test_samples,
-        num_classes=config.num_classes,
-        feature_dim=config.feature_dim,
-        class_separation=config.class_separation,
-        noise_std=config.noise_std,
-        label_noise=config.label_noise,
-        clusters_per_class=config.clusters_per_class,
-        seed=config.seed,
-    )
-
-
-def run_policy(
-    config: SimulationConfig,
-    policy: SchedulingPolicy,
-    dataset: Optional[SyntheticCifar10] = None,
-) -> SimulationResult:
+def run_policy(config: SimulationConfig, policy: SchedulingPolicy) -> SimulationResult:
     """Run one simulation of ``policy`` under ``config``."""
-    return SimulationEngine(config, policy, dataset=dataset).run()
+    return SimulationEngine(config, policy).run()
 
 
 def _grid_results(
@@ -308,7 +288,7 @@ def fig4_v_sweep(
     Args:
         jobs: with ``jobs > 1`` the ``3 + |V| x |Lb|`` independent runs fan
             out across processes; results are identical to the sequential
-            path (each worker rebuilds the seed-determined dataset).
+            path (each engine builds the seed-determined dataset).
     """
     config = paper_config(scale)
     grid = [(v, lb) for lb in staleness_bounds for v in v_values]
@@ -324,18 +304,16 @@ def fig4_v_sweep(
         baselines = dict(zip(("immediate", "sync", "offline"), grid_results[:3]))
         results = dict(zip(grid, grid_results[3:]))
     else:
-        dataset = _shared_dataset(config)
         baselines = {
-            "immediate": run_policy(config, ImmediatePolicy(), dataset),
-            "sync": run_policy(config, SyncPolicy(), dataset),
+            "immediate": run_policy(config, ImmediatePolicy()),
+            "sync": run_policy(config, SyncPolicy()),
             "offline": run_policy(
                 config,
                 OfflinePolicy(staleness_bound=offline_lb, window_slots=offline_window),
-                dataset,
             ),
         }
         results = {
-            (v, lb): run_policy(config, OnlinePolicy(v=v, staleness_bound=lb), dataset)
+            (v, lb): run_policy(config, OnlinePolicy(v=v, staleness_bound=lb))
             for v, lb in grid
         }
     sweeps: Dict[float, List[SweepPoint]] = {}
@@ -370,18 +348,14 @@ def fig5_convergence(
     accuracy curves are available on each result's ``trace`` and ``accuracy``.
     """
     config = paper_config(scale)
-    dataset = _shared_dataset(config)
     return {
-        "online": run_policy(
-            config, OnlinePolicy(v=v, staleness_bound=staleness_bound), dataset
-        ),
+        "online": run_policy(config, OnlinePolicy(v=v, staleness_bound=staleness_bound)),
         "offline": run_policy(
             config,
             OfflinePolicy(staleness_bound=offline_lb, window_slots=offline_window),
-            dataset,
         ),
-        "immediate": run_policy(config, ImmediatePolicy(), dataset),
-        "sync": run_policy(config, SyncPolicy(), dataset),
+        "immediate": run_policy(config, ImmediatePolicy()),
+        "sync": run_policy(config, SyncPolicy()),
     }
 
 
@@ -498,15 +472,10 @@ def fig6_arrival_sweep(
         return output
     for prob in arrival_probs:
         config = paper_config(base_scale, app_arrival_prob=prob)
-        dataset = _shared_dataset(config)
         runs = {
-            "online": run_policy(
-                config, OnlinePolicy(v=v, staleness_bound=staleness_bound), dataset
-            ),
-            "immediate": run_policy(config, ImmediatePolicy(), dataset),
-            "offline": run_policy(
-                config, OfflinePolicy(staleness_bound=offline_lb), dataset
-            ),
+            "online": run_policy(config, OnlinePolicy(v=v, staleness_bound=staleness_bound)),
+            "immediate": run_policy(config, ImmediatePolicy()),
+            "offline": run_policy(config, OfflinePolicy(staleness_bound=offline_lb)),
         }
         for name, result in runs.items():
             output[name].append((prob, result.total_energy_kj(), result.final_accuracy()))

@@ -248,8 +248,8 @@ def run_spec(spec: RunSpec) -> SimulationResult:
     """Execute one spec and return the full :class:`SimulationResult`.
 
     Module-level (not a method) so ``multiprocessing`` can pickle it by
-    reference; the dataset is rebuilt from the config seed inside the
-    worker, which reproduces the shared-dataset sequential runs exactly.
+    reference; every engine builds its dataset from the config seed, so a
+    worker reproduces an in-process run exactly.
     ``shards > 1`` runs the sharded engine
     (:class:`repro.sim.shard.ShardedEngine`) — same results, partitioned
     execution.

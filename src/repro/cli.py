@@ -43,7 +43,7 @@ from repro.core.offline import OfflinePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.policies import ImmediatePolicy, SchedulingPolicy, SyncPolicy
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import SimulationResult, build_dataset, build_engine
+from repro.sim.engine import SimulationResult, build_engine
 
 __all__ = ["main", "build_parser"]
 
@@ -200,18 +200,15 @@ def _switches(args: argparse.Namespace) -> dict:
     )
 
 
-def _build_engine(args: argparse.Namespace, config: SimulationConfig, policy, dataset):
+def _build_engine(args: argparse.Namespace, config: SimulationConfig, policy):
     """The engine the command-line switches describe."""
-    return build_engine(
-        config, policy, dataset=dataset, profile=args.profile, **_switches(args)
-    )
+    return build_engine(config, policy, profile=args.profile, **_switches(args))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    dataset = build_dataset(config)
     carbon = _carbon_accountant(args)
-    result = _build_engine(args, config, _build_policy(args), dataset).run()
+    result = _build_engine(args, config, _build_policy(args)).run()
     print(format_table(_result_headers(carbon),
                        [_result_row(args.policy, result, None, carbon)],
                        float_format=".3f", title="Simulation summary"))
@@ -230,7 +227,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    dataset = build_dataset(config)
     policies = {
         "immediate": ImmediatePolicy(),
         "sync": SyncPolicy(),
@@ -240,7 +236,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     results = {}
     for name, policy in policies.items():
         print(f"running {name} ...", file=sys.stderr)
-        results[name] = _build_engine(args, config, policy, dataset).run()
+        results[name] = _build_engine(args, config, policy).run()
     baseline = results["immediate"]
     carbon = _carbon_accountant(args)
     rows = [

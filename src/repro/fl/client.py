@@ -7,12 +7,13 @@ together with meta information (device id, base version) to the parameter
 server.
 
 :class:`FLClient` holds the clients of one contiguous user range as columns
-(the client plane) rather than as one object per user: the range's training
-samples gathered once into user order with an offsets column, a round
-counter column, one momentum vector per user (``None`` until its first
-round; it is exactly the ``v_t`` consumed by the gradient-gap estimate of
-Eq. (4), whose norm every upload reports), the shuffling generators of the
-users that have drawn, and hyper-parameters shared by the range.
+(the client plane) rather than as one object per user: the range's slice of
+the partition order with an offsets column (the dataset's own arrays are
+read through it, never copied), a round counter column, one momentum vector
+per user (``None`` until its first round; it is exactly the ``v_t``
+consumed by the gradient-gap estimate of Eq. (4), whose norm every upload
+reports), the shuffling generators of the users that have drawn, and
+hyper-parameters shared by the range.
 
 :meth:`FLClient.local_train` runs the rounds of a whole slot's finishers in
 one call, every round a row of a stacked program: users with as many
@@ -94,8 +95,9 @@ class LocalUpdate:
 class FLClient:
     """The federated clients of users ``[lo, lo + n)``, as one column plane.
 
-    User ``lo + i`` holds the sample rows ``offsets[i]:offsets[i + 1]`` of
-    ``x`` / ``y``; methods name users by their index ``i`` in the range.
+    User ``lo + i`` holds the samples ``x[order[offsets[i]:offsets[i + 1]]]``
+    (and their labels in ``y``); methods name users by their index ``i`` in
+    the range.
     Its shuffling generator is seeded ``seed + lo + i`` and made the first
     time a shuffle would draw: ``Generator.shuffle`` of at most one element
     leaves the bit-generator state unchanged, so a user with one sample
@@ -103,9 +105,11 @@ class FLClient:
     one made at build.
 
     Args:
-        x / y: the range's training samples and labels, user by user.
-        offsets: ``(n + 1,)`` row offsets, rising strictly from 0 to
-            ``len(x)``: every user holds a sample.
+        x / y: the training samples and labels, read, never written (a
+            dataset's arrays may be shared).
+        order: the rows of ``x`` / ``y`` the range holds, user by user.
+        offsets: ``(n + 1,)`` offsets into ``order``, rising strictly from 0
+            to ``len(order)``: every user holds a sample.
         model: the ``Linear`` / ``ReLU`` / ``Tanh`` :class:`Sequential` to
             train in — a workspace, not client state: every round loads the
             download first and reads its result out last, so planes may
@@ -122,6 +126,7 @@ class FLClient:
         self,
         x: np.ndarray,
         y: np.ndarray,
+        order: np.ndarray,
         offsets: np.ndarray,
         model: Sequential,
         lo: int = 0,
@@ -133,22 +138,24 @@ class FLClient:
     ) -> None:
         if batch_size <= 0 or local_epochs <= 0:
             raise ValueError("batch_size and local_epochs must be positive")
+        order = np.asarray(order, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         if (
             len(x) != len(y)
             or len(offsets) == 0
             or offsets[0] != 0
-            or offsets[-1] != len(x)
+            or offsets[-1] != len(order)
             or np.any(offsets[1:] <= offsets[:-1])
         ):
             raise ValueError(
-                "offsets must rise strictly from 0 to len(x) (no user without samples), "
-                "and y must align with x"
+                "offsets must rise strictly from 0 to len(order) (no user without "
+                "samples), and y must align with x"
             )
         if any(type(layer) not in _BLOCK_LAYERS for layer in model.layers):
             raise ValueError("the client plane trains Linear / ReLU / Tanh stacks only")
         self.x = x  # reprolint: static
         self.y = y  # reprolint: static
+        self.order = order  # reprolint: static
         self.offsets = offsets  # reprolint: static
         self.model = model  # reprolint: static (a workspace, see above)
         self.lo = lo  # reprolint: static
@@ -315,12 +322,12 @@ class FLClient:
 
         Row ``i`` of every block is ``users[i]``: the ``(k, P)`` parameters,
         gradients and velocities, the ``(k, n, ...)`` epoch gather — one
-        fancy index over the offsets, in the order each user's own generator
-        draws — and the ``(k,)`` batch losses.  A block of one (a network
-        without ``flat_momentum`` rows: the model itself) runs in the
-        model's own shapes: ``(P,)`` vectors, an ``(n, ...)`` gather, float
-        losses, and the user's own momentum vector stepped in place.  The
-        blocks are the model's reusable workspace, so every vector that
+        fancy index through the order, in the order each user's own
+        generator draws — and the ``(k,)`` batch losses.  A block of one (a
+        network without ``flat_momentum`` rows: the model itself) runs in
+        the model's own shapes: ``(P,)`` vectors, an ``(n, ...)`` gather,
+        float losses, and the user's own momentum vector stepped in place.
+        The blocks are the model's reusable workspace, so every vector that
         leaves the round — upload, momentum row — is a fresh copy of its
         row.
         """
@@ -333,10 +340,13 @@ class FLClient:
         for row, base in enumerate(bases):
             params[row] = base
         optimizer.load_rows([self.velocities[user] for user in users], block.flat_momentum)
+        # A block of one indexes by scalar: a one-row fancy index costs ~4 us.
         if alone:
-            first = self.offsets[users[0] : users[0] + 1]
+            index = users[0]
+            first = self.offsets[index : index + 1]
         else:
-            first = self.offsets[users][:, None]
+            index = np.array(users)
+            first = self.offsets[index][:, None]
         losses = []
         for _ in range(self.local_epochs):
             if size == 1:  # nothing to shuffle
@@ -344,30 +354,38 @@ class FLClient:
             else:
                 orders = [self._epoch_order(user, size) for user in users]
                 rows = first + (orders[0] if alone else np.array(orders))
-            x, y = self.x[rows], self.y[rows]
-            for start in range(0, size, batch_size):
-                stop = start + batch_size
-                losses.append(
-                    block.train_step_gradients(x[..., start:stop, :], y[..., start:stop])
-                )
+            picked = self.order[rows]
+            x, y = self.x[picked], self.y[picked]
+            if size <= batch_size:  # one batch: the whole gather, unsliced
+                batches = [(x, y)]
+            else:
+                batches = [
+                    (x[..., start : start + batch_size, :], y[..., start : start + batch_size])
+                    for start in range(0, size, batch_size)
+                ]
+            for x_batch, y_batch in batches:
+                losses.append(block.train_step_gradients(x_batch, y_batch))
                 optimizer.step(block)
         num_batches = len(losses)
-        # One contiguous row of batch losses per user — ``(num_batches,)``
-        # for a block of one — reduced as ``np.mean`` reduces it.
-        per_row = np.ascontiguousarray(np.array(losses).T)
-        train_losses = np.add.reduce(per_row, -1) / num_batches
+        if num_batches == 1:  # the mean of one loss is that loss
+            train_losses = losses[0]
+        else:
+            # One contiguous row of batch losses per user — ``(num_batches,)``
+            # for a block of one — reduced as ``np.mean`` reduces it.
+            per_row = np.ascontiguousarray(np.array(losses).T)
+            train_losses = np.add.reduce(per_row, -1) / num_batches
+        self.rounds_completed[index] += 1
         updates = []
         for row, user in enumerate(users):
             velocity = optimizer.velocity if alone else optimizer.velocity[row].copy()
             self.velocities[user] = velocity
-            self.rounds_completed[user] += 1
             updates.append(
                 LocalUpdate(
                     user_id=self.lo + user,
                     delta=params[row] - bases[row],
                     base_version=base_versions[row],
                     num_samples=size,
-                    train_loss=train_losses.item(row),
+                    train_loss=float(train_losses) if alone else train_losses.item(row),
                     momentum_norm=vector_norm(velocity),
                     num_batches=num_batches,
                     params=params[row].copy() if include_params else None,

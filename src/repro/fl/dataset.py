@@ -133,7 +133,7 @@ class SyntheticCifar10:
             flip = self._rng.random(count) < label_noise
             labels = labels.copy()
             labels[flip] = self._rng.integers(0, self.num_classes, size=int(flip.sum()))
-        return features.astype(np.float64), labels.astype(np.int64)
+        return features.astype(np.float64, copy=False), labels.astype(np.int64, copy=False)
 
     def _to_images(self, flat: np.ndarray) -> np.ndarray:
         channels, height, width = self.image_shape

@@ -39,6 +39,7 @@ __all__ = [
     "ArrivalSchedule",
     "build_arrival_process",
     "build_arrival_processes",
+    "specs_key",
 ]
 
 
@@ -190,6 +191,18 @@ def _canonical_spec(value) -> Hashable:
     if isinstance(value, (list, tuple)):
         return tuple(_canonical_spec(item) for item in value)
     return type(value), value
+
+
+def specs_key(specs: Sequence[Dict]) -> Tuple[Hashable, ...]:
+    """A hashable form of per-user ``specs``, one entry per user; a run of
+    users holding the same spec object is canonicalised once."""
+    keys: List[Hashable] = []
+    previous = key = None
+    for spec in specs:
+        if spec is not previous or key is None:
+            previous, key = spec, _canonical_spec(spec)
+        keys.append(key)
+    return tuple(keys)
 
 
 def build_arrival_processes(specs: Sequence[Dict]) -> list:

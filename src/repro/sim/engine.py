@@ -25,8 +25,11 @@ eventual update — exactly the trade-off the schedulers navigate.
 
 from __future__ import annotations
 
+import os
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -55,6 +58,7 @@ from repro.sim.arrivals import (
     BernoulliArrivalProcess,
     DiurnalArrivalProcess,
     build_arrival_processes,
+    specs_key,
 )
 from repro.sim.config import SimulationConfig
 from repro.sim.coupling import CouplingCore
@@ -72,6 +76,7 @@ __all__ = [
     "build_batteries",
     "build_clients",
     "build_dataset",
+    "build_device_specs",
     "build_engine",
     "build_eval_model",
     "build_partitions",
@@ -88,6 +93,40 @@ __all__ = [
 #: the others (each name is an independent child generator, so consumers may
 #: ignore streams they do not draw from).
 RNG_STREAM_NAMES = ("devices", "arrivals", "dataset", "clients", "network", "apps")
+
+_T = TypeVar("_T")
+
+#: The static inputs alive in this process, by content: the dataset and the
+#: arrival schedule of every configuration some engine still holds.  An
+#: entry dies with the last engine holding it.
+_STATIC: "weakref.WeakValueDictionary[Hashable, Any]" = weakref.WeakValueDictionary()
+_STATIC_LOCK = threading.Lock()
+
+
+def _reset_static_lock() -> None:
+    """A forked child starts with the lock free, whatever a parent thread held."""
+    global _STATIC_LOCK
+    _STATIC_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_static_lock)
+
+
+def _shared(key: Hashable, build: Callable[[], _T]) -> _T:
+    """The live object built for ``key``, else a new one from ``build()``.
+
+    ``build`` must be a pure function of ``key`` — it seeds its own
+    generators from :func:`build_rngs` — so an engine handed a live object
+    holds bit for bit what it would have built.  Builds run under the lock:
+    two threads building one configuration get one object.
+    """
+    with _STATIC_LOCK:
+        value = _STATIC.get(key)
+        if value is None:
+            value = build()
+            _STATIC[key] = value
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +225,27 @@ def build_transport(config: SimulationConfig, rng) -> ModelTransport:
     )
 
 
-def build_dataset(
-    config: SimulationConfig, dataset: Optional[SyntheticCifar10] = None
-) -> SyntheticCifar10:
-    """The synthetic dataset of this configuration (seed-deterministic)."""
-    return dataset or SyntheticCifar10(
+def build_device_specs(config: SimulationConfig, rng) -> List[DeviceSpec]:
+    """Every user's device (consumes the ``devices`` stream)."""
+    return build_device_fleet(
+        config.num_users, rng, mix=config.device_mix, names=config.device_names
+    )
+
+
+def _read_only_dataset(**arguments: Any) -> SyntheticCifar10:
+    """A dataset whose arrays refuse writes: it may be shared."""
+    dataset = SyntheticCifar10(**arguments)
+    for value in vars(dataset).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return dataset
+
+
+def build_dataset(config: SimulationConfig) -> SyntheticCifar10:
+    """The synthetic dataset of this configuration, read-only and shared by
+    every engine of the process whose configuration gives the same nine
+    :class:`SyntheticCifar10` arguments."""
+    arguments = dict(
         num_train=config.num_train_samples,
         num_test=config.num_test_samples,
         num_classes=config.num_classes,
@@ -200,6 +255,10 @@ def build_dataset(
         label_noise=config.label_noise,
         clusters_per_class=config.clusters_per_class,
         seed=config.seed,
+    )
+    return _shared(
+        ("dataset",) + tuple(arguments.values()),
+        lambda: _read_only_dataset(**arguments),
     )
 
 
@@ -235,23 +294,23 @@ def build_clients(
 ) -> FLClient:
     """The FL client plane of users ``[lo, hi)`` (the whole fleet by default).
 
-    The range's training samples are gathered once into user order; each
-    user's rows hold the values of its partition.  The range trains in one
-    model workspace (a local round loads the download first and reads its
-    result out last, so the model carries nothing between rounds or users);
-    momentum, round counter and a ``(seed, user)``-salted shuffling
-    generator are per user, so the construction is slice-independent:
-    building users 40..80 yields the same 40 clients whether or not the rest
-    of the fleet is built.
+    The plane reads the dataset's own arrays through the range's slice of
+    the partition order, so it holds no copy of a sample.  The range trains
+    in one model workspace (a local round loads the download first and
+    reads its result out last, so the model carries nothing between rounds
+    or users); momentum, round counter and a ``(seed, user)``-salted
+    shuffling generator are per user, so the construction is
+    slice-independent: building users 40..80 yields the same 40 clients
+    whether or not the rest of the fleet is built.
     """
     hi = config.num_users if hi is None else hi
     workspace = build_eval_model(config, dataset.input_dim())
     x_train, y_train = dataset.train_set()
     offsets = partition.offsets[lo : hi + 1]
-    rows = partition.order[offsets[0] : offsets[-1]]
     return FLClient(
-        x_train[rows],
-        y_train[rows],
+        x_train,
+        y_train,
+        partition.order[offsets[0] : offsets[-1]],
         offsets - offsets[0],
         workspace,
         lo=lo,
@@ -264,12 +323,31 @@ def build_clients(
 
 
 def build_arrival_schedule(
-    config: SimulationConfig,
-    device_specs: Sequence[DeviceSpec],
-    rng,
-    table: MeasurementTable,
+    config: SimulationConfig, table: MeasurementTable
 ) -> ArrivalSchedule:
-    """The pre-generated application arrivals (consumes the ``arrivals`` stream)."""
+    """The pre-generated application arrivals, shared by every engine of the
+    process whose configuration gives the same arrival fields, the same
+    device-fleet inputs and the same measurement table."""
+    key = (
+        "arrivals",
+        config.seed,
+        config.num_users,
+        config.total_slots,
+        config.slot_seconds,
+        config.app_arrival_prob,
+        config.diurnal_arrivals,
+        None if config.user_arrivals is None else specs_key(config.user_arrivals),
+        None if config.app_weights is None else tuple(config.app_weights),
+        None if config.device_mix is None else tuple(config.device_mix.items()),
+        None if config.device_names is None else tuple(config.device_names),
+        tuple(table.rows()),
+    )
+    return _shared(key, lambda: _generate_arrivals(config, table))
+
+
+def _generate_arrivals(config: SimulationConfig, table: MeasurementTable) -> ArrivalSchedule:
+    """Draw the schedule from the ``devices`` and ``arrivals`` streams."""
+    rngs = build_rngs(config)
     if config.user_arrivals is not None:
         process = build_arrival_processes(config.user_arrivals)
     elif config.diurnal_arrivals:
@@ -281,8 +359,8 @@ def build_arrival_schedule(
         total_slots=config.total_slots,
         slot_seconds=config.slot_seconds,
         process=process,
-        device_specs=device_specs,
-        rng=rng,
+        device_specs=build_device_specs(config, rngs["devices"]),
+        rng=rngs["arrivals"],
         table=table,
         app_weights=config.app_weights,
     )
@@ -453,7 +531,6 @@ class Coordinator:
         self,
         config: SimulationConfig,
         policy: SchedulingPolicy,
-        dataset: Optional[SyntheticCifar10],
         measurement_table: Optional[MeasurementTable],
         profile: bool,
         trace_level: str,
@@ -463,7 +540,9 @@ class Coordinator:
         Device specs, calibration table, dataset, evaluation model, arrivals
         and the :class:`CouplingCore` — and nothing per-user: the sharded
         coordinator's clients, partitions, batteries and fleet arrays are
-        built inside its workers.
+        built inside its workers.  The dataset and the arrivals are shared
+        with every live engine of the same configuration
+        (:func:`build_dataset`, :func:`build_arrival_schedule`).
         """
         if trace_level not in TRACE_LEVELS:
             raise ValueError(
@@ -476,18 +555,11 @@ class Coordinator:
         self.timers.blas_threads = pin_blas_threads()
         self.table = measurement_table or MeasurementTable()
         rngs = build_rngs(config)
-        self.device_specs = build_device_fleet(
-            config.num_users,
-            rngs["devices"],
-            mix=config.device_mix,
-            names=config.device_names,
-        )
+        self.device_specs = build_device_specs(config, rngs["devices"])
         self._has_batteries = fleet_has_batteries(config, self.device_specs)
-        self.dataset = build_dataset(config, dataset)
+        self.dataset = build_dataset(config)
         self.eval_model = build_eval_model(config, self.dataset.input_dim())
-        self.arrivals = build_arrival_schedule(
-            config, self.device_specs, rngs["arrivals"], self.table
-        )
+        self.arrivals = build_arrival_schedule(config, self.table)
         server = ParameterServer(
             self.eval_model.get_flat_params(),
             async_rule=config.async_rule,
@@ -619,8 +691,6 @@ class SimulationEngine(Coordinator):
     Args:
         config: run configuration.
         policy: the scheduling policy to evaluate.
-        dataset: optionally share a pre-built dataset across runs (policy
-            comparisons should use the same dataset and seed).
         measurement_table: optionally override the Table II/III calibration.
         fast_forward: enable the event-horizon fast-forward path (default
             on).  At the top of each slot the engine checks whether a
@@ -650,19 +720,17 @@ class SimulationEngine(Coordinator):
         self,
         config: SimulationConfig,
         policy: SchedulingPolicy,
-        dataset: Optional[SyntheticCifar10] = None,
         measurement_table: Optional[MeasurementTable] = None,
         fast_forward: bool = True,
         profile: bool = False,
         trace_level: str = "full",
     ) -> None:
         rngs = self.build_coordinator(
-            config, policy, dataset, measurement_table, profile, trace_level
+            config, policy, measurement_table, profile, trace_level
         )
         self.fast_forward = bool(fast_forward)
         # The per-user substrate of the one inline shard run() drives, built
-        # here from the coordinator's own dataset and specs (FleetShard.build
-        # would construct the dataset a second time).
+        # here from the coordinator's own dataset and specs.
         self.power_model, self.batteries, self.clients = build_population(
             config, self.table, self.device_specs, self.dataset, rngs["dataset"]
         )
@@ -677,7 +745,7 @@ class SimulationEngine(Coordinator):
         any shard count; see :func:`repro.service.checkpoint.reslice`).
 
         ``kwargs`` are the constructor keywords a checkpoint does not carry
-        (``dataset``, ``measurement_table``, ``profile``).  ``run()`` on the restored engine continues
+        (``measurement_table``, ``profile``).  ``run()`` on the restored engine continues
         from the checkpoint slot, bitwise-identical to the uninterrupted run.
         """
         return restore_engine(cls, checkpoint, **kwargs)
@@ -754,7 +822,7 @@ def build_engine(
     :class:`~repro.service.checkpoint.EngineCheckpoint`) the engine is
     restored instead: configuration, policy and switches then come from the
     checkpoint, and ``shards`` may differ from the layout that wrote it.
-    ``kwargs`` (``dataset``, ``profile``) pass through,
+    ``kwargs`` (``measurement_table``, ``profile``) pass through,
     so each engine keeps its own defaults; ``fault_injector`` reaches only
     the sharded engine, the one with workers to inject into.
     """

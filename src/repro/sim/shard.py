@@ -71,7 +71,6 @@ from repro.core.policies import (
     scheduled_lags,
 )
 from repro.core.staleness import gradient_gap
-from repro.device.models import build_device_fleet
 from repro.energy.measurements import MeasurementTable
 from repro.energy.power_model import PowerModel
 from repro.faults.retry import RetryPolicy, poll_intervals
@@ -85,6 +84,7 @@ from repro.sim.engine import (
     Coordinator,
     SimulationResult,
     build_dataset,
+    build_device_specs,
     build_population,
     build_rngs,
     install_coordinator,
@@ -439,12 +439,7 @@ class FleetShard:
         """
         pin_blas_threads()  # a fresh worker process: before its first gemm
         rngs = build_rngs(config)
-        device_specs = build_device_fleet(
-            config.num_users,
-            rngs["devices"],
-            mix=config.device_mix,
-            names=config.device_names,
-        )
+        device_specs = build_device_specs(config, rngs["devices"])
         power_model, batteries, clients = build_population(
             config,
             measurement_table or MeasurementTable(),
@@ -1758,8 +1753,6 @@ class ShardedEngine(Coordinator):
     Args:
         config: run configuration (the full population).
         policy: scheduling policy (coordinator-resident).
-        dataset: optional pre-built dataset for the coordinator's
-            evaluation; workers always rebuild from the config seed.
         measurement_table: optional Table II/III calibration override
             (shipped to workers; must pickle).
         shards: number of worker processes (clamped to ``num_users``).
@@ -1799,7 +1792,6 @@ class ShardedEngine(Coordinator):
         self,
         config: SimulationConfig,
         policy: SchedulingPolicy,
-        dataset: Any = None,
         measurement_table: Optional[MeasurementTable] = None,
         shards: int = 2,
         fast_forward: bool = True,
@@ -1817,9 +1809,7 @@ class ShardedEngine(Coordinator):
             raise ValueError("max_respawns must be non-negative")
         if recovery_every_slots is not None and recovery_every_slots <= 0:
             raise ValueError("recovery_every_slots must be positive when set")
-        self.build_coordinator(
-            config, policy, dataset, measurement_table, profile, trace_level
-        )
+        self.build_coordinator(config, policy, measurement_table, profile, trace_level)
         self.bounds = shard_bounds(config.num_users, shards)
         self.fast_forward = bool(fast_forward)
         if start_method is None:

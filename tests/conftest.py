@@ -17,7 +17,6 @@ import pytest
 from repro.core.online import OnlinePolicy
 from repro.core.policies import ImmediatePolicy
 from repro.energy.measurements import MeasurementTable
-from repro.fl.dataset import SyntheticCifar10
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine, SimulationResult
 
@@ -110,33 +109,16 @@ def smoke_config() -> SimulationConfig:
 
 
 @pytest.fixture(scope="session")
-def smoke_dataset(smoke_config) -> SyntheticCifar10:
-    """Dataset shared by every smoke-scale simulation."""
-    cfg = smoke_config
-    return SyntheticCifar10(
-        num_train=cfg.num_train_samples,
-        num_test=cfg.num_test_samples,
-        num_classes=cfg.num_classes,
-        feature_dim=cfg.feature_dim,
-        class_separation=cfg.class_separation,
-        noise_std=cfg.noise_std,
-        label_noise=cfg.label_noise,
-        clusters_per_class=cfg.clusters_per_class,
-        seed=cfg.seed,
-    )
-
-
-@pytest.fixture(scope="session")
-def immediate_result(smoke_config, smoke_dataset) -> SimulationResult:
+def immediate_result(smoke_config) -> SimulationResult:
     """One smoke-scale run of the Immediate policy."""
-    return SimulationEngine(smoke_config, ImmediatePolicy(), dataset=smoke_dataset).run()
+    return SimulationEngine(smoke_config, ImmediatePolicy()).run()
 
 
 @pytest.fixture(scope="session")
-def online_result(smoke_config, smoke_dataset) -> SimulationResult:
+def online_result(smoke_config) -> SimulationResult:
     """One smoke-scale run of the online policy at V=4000, Lb=500."""
     policy = OnlinePolicy(v=4000.0, staleness_bound=500.0)
-    return SimulationEngine(smoke_config, policy, dataset=smoke_dataset).run()
+    return SimulationEngine(smoke_config, policy).run()
 
 
 @pytest.fixture()

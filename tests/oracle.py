@@ -187,7 +187,7 @@ def client_plane(partitions, model, lo=0, **knobs):
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     x = np.concatenate([part.x for part in partitions])
     y = np.concatenate([part.y for part in partitions])
-    return FLClient(x, y, offsets, model, lo=lo, **knobs)
+    return FLClient(x, y, np.arange(len(x)), offsets, model, lo=lo, **knobs)
 
 
 def frozen_class_partition(y, num_users, rng, num_classes, draw_proportions):

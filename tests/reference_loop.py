@@ -56,7 +56,6 @@ from repro.energy.measurements import MeasurementTable
 from repro.energy.power_model import EnergyBreakdown, PowerModel
 from repro.fl.client import FLClient, LocalUpdate
 from repro.fl.optimizer import vector_norm
-from repro.fl.dataset import SyntheticCifar10
 from repro.fl.server import AsyncUpdateRule, ParameterServer
 from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.config import SimulationConfig
@@ -460,7 +459,7 @@ class ReferenceLoopEngine(Coordinator):
     """Simulate the federated system one user object at a time.
 
     Args:
-        config / policy / dataset / measurement_table / trace_level: as for
+        config / policy / measurement_table / trace_level: as for
             :class:`~repro.sim.engine.SimulationEngine`.
     """
 
@@ -468,13 +467,10 @@ class ReferenceLoopEngine(Coordinator):
         self,
         config: SimulationConfig,
         policy: SchedulingPolicy,
-        dataset: Optional[SyntheticCifar10] = None,
         measurement_table: Optional[MeasurementTable] = None,
         trace_level: str = "full",
     ) -> None:
-        rngs = self.build_coordinator(
-            config, policy, dataset, measurement_table, False, trace_level
-        )
+        rngs = self.build_coordinator(config, policy, measurement_table, False, trace_level)
         self.power_model, self.batteries, self.clients = build_population(
             config, self.table, self.device_specs, self.dataset, rngs["dataset"]
         )

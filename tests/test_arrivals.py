@@ -377,8 +377,7 @@ class TestOneProcessPerSpec:
 
         with mock.patch.object(arrivals_mod, "build_arrival_process", counting):
             config = compile_scenario(spec).build_config()
-            specs = build_device_fleet(num_users, np.random.default_rng(0))
-            build_arrival_schedule(config, specs, np.random.default_rng(1), MeasurementTable())
+            build_arrival_schedule(config, MeasurementTable())
         return len(calls)
 
     def test_process_count_does_not_grow_with_the_fleet(self):

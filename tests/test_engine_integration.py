@@ -53,8 +53,8 @@ class TestImmediateRun:
     def test_communication_happened(self, immediate_result):
         assert immediate_result.comm_bytes_mb > 0.0
 
-    def test_engine_is_single_shot(self, smoke_config, smoke_dataset):
-        engine = SimulationEngine(smoke_config, ImmediatePolicy(), dataset=smoke_dataset)
+    def test_engine_is_single_shot(self, smoke_config):
+        engine = SimulationEngine(smoke_config, ImmediatePolicy())
         engine.run()
         with pytest.raises(RuntimeError):
             engine.run()
@@ -86,38 +86,33 @@ class TestOnlineRun:
 
 
 class TestOtherPolicies:
-    def test_sync_rounds_aggregate_all_users(self, smoke_config, smoke_dataset):
-        result = SimulationEngine(smoke_config, SyncPolicy(), dataset=smoke_dataset).run()
+    def test_sync_rounds_aggregate_all_users(self, smoke_config):
+        result = SimulationEngine(smoke_config, SyncPolicy()).run()
         assert result.num_updates > 0
         # Every applied update in sync mode is part of a full round.
         assert result.num_updates % smoke_config.num_users == 0
         assert all(s.sync_round for s in result.trace.update_samples)
         assert all(s.lag == 0 for s in result.trace.update_samples)
 
-    def test_offline_policy_waits_for_corunning(self, smoke_config, smoke_dataset):
+    def test_offline_policy_waits_for_corunning(self, smoke_config):
         policy = OfflinePolicy(staleness_bound=1000.0, window_slots=200)
-        result = SimulationEngine(smoke_config, policy, dataset=smoke_dataset).run()
-        immediate = SimulationEngine(
-            smoke_config, ImmediatePolicy(), dataset=smoke_dataset
-        ).run()
+        result = SimulationEngine(smoke_config, policy).run()
+        immediate = SimulationEngine(smoke_config, ImmediatePolicy()).run()
         assert result.total_energy_j() < immediate.total_energy_j()
         assert result.num_updates <= immediate.num_updates
         # Most offline jobs should be co-running jobs.
         assert result.trace.corun_jobs >= result.trace.background_jobs
 
-    def test_scheduler_overhead_accounting(self, smoke_dataset):
+    def test_scheduler_overhead_accounting(self):
         config = SimulationConfig(
             num_users=4, total_slots=300, app_arrival_prob=0.01, seed=7,
             num_train_samples=600, num_test_samples=300, eval_interval_slots=150,
             include_scheduler_overhead=True,
         )
-        with_overhead = SimulationEngine(
-            config, OnlinePolicy(v=1e5, staleness_bound=500.0), dataset=smoke_dataset
-        ).run()
+        with_overhead = SimulationEngine(config, OnlinePolicy(v=1e5, staleness_bound=500.0)).run()
         without = SimulationEngine(
             config.scaled(include_scheduler_overhead=False),
             OnlinePolicy(v=1e5, staleness_bound=500.0),
-            dataset=smoke_dataset,
         ).run()
         assert with_overhead.total_energy_j() > without.total_energy_j()
         extra = with_overhead.total_energy_j() - without.total_energy_j()
@@ -153,24 +148,26 @@ class TestOtherPolicies:
 
 
 class TestDeterminism:
-    def test_same_seed_same_result(self, smoke_dataset):
+    def test_same_seed_same_result(self):
         config = SimulationConfig(
             num_users=4, total_slots=300, app_arrival_prob=0.01, seed=11,
             num_train_samples=600, num_test_samples=300, eval_interval_slots=150,
         )
-        first = SimulationEngine(config, OnlinePolicy(v=4000.0), dataset=smoke_dataset).run()
-        second = SimulationEngine(config, OnlinePolicy(v=4000.0), dataset=smoke_dataset).run()
+        first = SimulationEngine(config, OnlinePolicy(v=4000.0)).run()
+        second = SimulationEngine(config, OnlinePolicy(v=4000.0)).run()
         assert first.total_energy_j() == pytest.approx(second.total_energy_j())
         assert first.num_updates == second.num_updates
         assert first.final_accuracy() == pytest.approx(second.final_accuracy())
 
-    def test_different_seeds_differ(self, smoke_dataset):
+    def test_different_seeds_differ(self):
         base = SimulationConfig(
             num_users=4, total_slots=300, app_arrival_prob=0.02, seed=11,
             num_train_samples=600, num_test_samples=300, eval_interval_slots=150,
         )
-        first = SimulationEngine(base, ImmediatePolicy(), dataset=smoke_dataset).run()
-        second = SimulationEngine(
-            base.scaled(seed=12), ImmediatePolicy(), dataset=smoke_dataset
-        ).run()
+        engines = [
+            SimulationEngine(config, ImmediatePolicy()) for config in (base, base.scaled(seed=12))
+        ]
+        # Each engine trains on its own configuration's data, never another seed's.
+        assert engines[0].dataset.x_train.tobytes() != engines[1].dataset.x_train.tobytes()
+        first, second = (engine.run() for engine in engines)
         assert first.total_energy_j() != pytest.approx(second.total_energy_j())

@@ -178,11 +178,14 @@ class TestFLClient:
         with pytest.raises(ValueError):
             client_plane(parts, model, local_epochs=0)
         x, y = parts[0].x, parts[0].y
+        order = np.arange(len(x))
         for offsets in ([0, 20, 49], [0, 30, 20, 50], [1, 50], []):
             with pytest.raises(ValueError, match="offsets"):
-                FLClient(x, y, np.array(offsets), model)
+                FLClient(x, y, order, np.array(offsets), model)
         with pytest.raises(ValueError, match="offsets"):
-            FLClient(x, y[:-1], np.array([0, 50]), model)
+            FLClient(x, y[:-1], order, np.array([0, 50]), model)
+        with pytest.raises(ValueError, match="offsets"):
+            FLClient(x, y, order[:-1], np.array([0, 50]), model)
 
 
 class TestParameterServer:

@@ -123,6 +123,9 @@ class TestOneDataPlane:
             # A layer with a generator of its own: every round is a row of
             # a stacked block, so the client plane trains none.
             "Dropout",
+            # A second dataset builder for callers to pass around: engines
+            # of one configuration share theirs by content.
+            "_shared_dataset",
         }
         for name in ("sim/reference.py", "device/device.py", "device/dvfs.py"):
             assert not (SRC / "repro" / name).exists()

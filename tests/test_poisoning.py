@@ -169,6 +169,23 @@ class TestPoisoning:
         assert uploads == clean
         assert observed == expected
 
+    def test_a_poisoned_engine_beside_a_clean_one_of_its_configuration(self, monkeypatch, mode):
+        """The two share their dataset and arrivals (read-only); a NaN
+        workspace in one leaves the other's run that of an engine alone."""
+        config = _config()
+        build = MODES[mode][0]
+        expected = run_digest(build(config).run())
+        poisoned, clean = build(config), build(config)
+        assert poisoned.dataset is clean.dataset and poisoned.arrivals is clean.arrivals
+        for array in poisoned.dataset.train_set() + poisoned.dataset.test_set():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        active = [True]
+        _recorded_uploads(monkeypatch, lambda clients: active[0] and _poison_workspace(clients))
+        assert run_digest(poisoned.run()) == expected
+        active[0] = False
+        assert run_digest(clean.run()) == expected
+
     def test_a_lent_velocity_refuses_writes(self, monkeypatch, mode):
         config = _config()
         expected = run_digest(MODES[mode][0](config).run())

@@ -275,11 +275,12 @@ class TestSharedWorkspace:
             [len(part) for part in parts[2:5]]
         ).tolist()
         for local, part in enumerate(parts[2:5]):
-            rows = slice(clients.offsets[local], clients.offsets[local + 1])
+            rows = clients.order[clients.offsets[local] : clients.offsets[local + 1]]
             assert clients.x[rows].tobytes() == part.x.tobytes()
             assert clients.y[rows].tobytes() == part.y.tobytes()
-        # Only the slice's samples are held.
-        assert len(clients.x) == sum(len(part) for part in parts[2:5])
+        # The dataset's own arrays are read, and only the slice's order is held.
+        assert clients.x is x and clients.y is y
+        assert len(clients.order) == sum(len(part) for part in parts[2:5])
 
     def test_a_model_it_cannot_stack_is_refused(self, monkeypatch):
         x, y = np.zeros((4, 24)), np.zeros(4, dtype=np.int64)
@@ -288,7 +289,7 @@ class TestSharedWorkspace:
         )
         for model in (_build("lenet"), noisy):
             with pytest.raises(ValueError, match="Linear / ReLU / Tanh"):
-                FLClient(x, y, np.array([0, 2, 4]), model)
+                FLClient(x, y, np.arange(4), np.array([0, 2, 4]), model)
         # The engine builds its planes through the same refusal.
         monkeypatch.setattr(engine_module, "build_eval_model", lambda config, input_dim: noisy)
         config = SimulationConfig(num_users=2, total_slots=10, num_train_samples=20)
@@ -302,7 +303,7 @@ class TestSharedWorkspace:
     def test_a_user_without_samples_is_refused(self, offsets):
         x, y = np.zeros((4, 24)), np.zeros(4, dtype=np.int64)
         with pytest.raises(ValueError, match="no user without samples"):
-            FLClient(x, y, np.array(offsets), _build("mlp"))
+            FLClient(x, y, np.arange(4), np.array(offsets), _build("mlp"))
 
 
 class _Noise(Layer):
