@@ -39,7 +39,7 @@ from repro.core.policies import (
     SyncPolicy,
 )
 from repro.core.queues import LyapunovAnalyzer, TaskQueue, VirtualQueue
-from repro.core.staleness import gradient_gap, linear_weight_prediction
+from repro.core.staleness import gradient_gap
 from repro.device.apps import APP_CATALOG, AppSpec
 from repro.device.models import DEVICE_CATALOG, DeviceSpec
 from repro.energy.power_model import PowerModel
@@ -72,6 +72,5 @@ __all__ = [
     "VirtualQueue",
     "gradient_gap",
     "lag_upper_bound",
-    "linear_weight_prediction",
     "__version__",
 ]

@@ -37,7 +37,7 @@ from repro.analysis.experiments import (
     table2_rows,
     table3_overhead_rows,
 )
-from repro.analysis.reporting import format_csv, format_table, summarize_series
+from repro.analysis.reporting import format_table
 
 __all__ = [
     "ExperimentScale",
@@ -50,14 +50,12 @@ __all__ = [
     "fig5_convergence",
     "fig5c_time_to_accuracy",
     "fig6_arrival_sweep",
-    "format_csv",
     "format_table",
     "make_policy",
     "paper_config",
     "run_policy",
     "run_spec",
     "summarize_result",
-    "summarize_series",
     "sweep_grid",
     "table2_rows",
     "table3_overhead_rows",

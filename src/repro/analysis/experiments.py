@@ -23,8 +23,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.offline import OfflinePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.policies import ImmediatePolicy, SchedulingPolicy, SyncPolicy
@@ -47,7 +45,6 @@ __all__ = [
     "fig5_convergence",
     "fig5c_time_to_accuracy",
     "fig6_arrival_sweep",
-    "scenario_policy_rows",
 ]
 
 
@@ -480,78 +477,3 @@ def fig6_arrival_sweep(
         for name, result in runs.items():
             output[name].append((prob, result.total_energy_kj(), result.final_accuracy()))
     return output
-
-
-# ---------------------------------------------------------------------------
-# Scenario gallery
-# ---------------------------------------------------------------------------
-
-
-def scenario_policy_rows(
-    scenario,
-    policies: Sequence[str] = ("immediate", "sync", "offline", "online"),
-    v: float = 4000.0,
-    staleness_bound: float = 500.0,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    carbon_intensity=None,
-    metrics_store=None,
-) -> List[Tuple]:
-    """All scheduling schemes on one named scenario, as report-ready rows.
-
-    The scenario-subsystem sibling of the Fig. 5 comparison: every policy
-    runs on the *same compiled population* (identical devices, arrivals,
-    connectivity, batteries and shards), so differences are attributable to
-    scheduling alone.  Returns one
-    ``(policy, energy_kj, saving_vs_first_pct, updates, final_accuracy[,
-    carbon_g])`` tuple per policy; the saving column is relative to the
-    first policy in ``policies``.
-
-    The rows are read back from a :class:`repro.metrics.store.MetricsStore`
-    rather than straight off the in-memory summaries — the sweep ingests
-    into the store (an ephemeral in-memory one by default), so the report
-    path and the persisted-analytics path can never drift apart.
-
-    Args:
-        scenario: registry name, :class:`~repro.scenarios.spec.ScenarioSpec`
-            or compiled scenario.
-        carbon_intensity: when set, appends a CO2-equivalent grams column
-            (see :func:`repro.analysis.runner.annotate_carbon`).
-        metrics_store: a store (or path) to persist the sweep's summaries
-            into; ``None`` uses a throwaway in-memory store.
-    """
-    from repro.analysis.runner import annotate_carbon
-    from repro.metrics.store import MetricsStore, as_store
-    from repro.scenarios.runner import ScenarioRunner
-
-    store = as_store(metrics_store)
-    if store is None:
-        store = MetricsStore(":memory:")
-    runner = ScenarioRunner(cache_dir=cache_dir, jobs=jobs, metrics_store=store)
-    summaries = runner.sweep_policies(
-        scenario,
-        policies=policies,
-        online_kwargs={"v": v, "staleness_bound": staleness_bound},
-    )
-    if carbon_intensity is not None:
-        annotate_carbon(summaries, carbon_intensity)
-        for summary in summaries:  # idempotent upsert; carbon_g now set
-            store.ingest_run(summary)
-    baseline = store.run(summaries[0].spec_hash) or {}
-    baseline_j = baseline.get("energy_j") or 0.0
-    rows: List[Tuple] = []
-    for policy, summary in zip(policies, summaries):
-        row_data = store.run(summary.spec_hash) or {}
-        energy_j = row_data.get("energy_j") or 0.0
-        saving = 100.0 * (1.0 - energy_j / baseline_j) if baseline_j > 0 else 0.0
-        row = [
-            policy,
-            row_data.get("energy_kj"),
-            saving,
-            row_data.get("num_updates"),
-            row_data.get("final_accuracy"),
-        ]
-        if carbon_intensity is not None:
-            row.append(row_data.get("carbon_g"))
-        rows.append(tuple(row))
-    return rows

@@ -11,24 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["ascii_plot", "ascii_multi_plot", "sparkline"]
-
-_SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """Render a compact one-line sparkline of ``values``."""
-    if not values:
-        raise ValueError("values must not be empty")
-    low = min(values)
-    high = max(values)
-    if high == low:
-        return _SPARK_LEVELS[0] * len(values)
-    chars = []
-    for value in values:
-        level = int((value - low) / (high - low) * (len(_SPARK_LEVELS) - 1))
-        chars.append(_SPARK_LEVELS[level])
-    return "".join(chars)
+__all__ = ["ascii_multi_plot"]
 
 
 def _scale(value: float, low: float, high: float, size: int) -> int:
@@ -36,21 +19,6 @@ def _scale(value: float, low: float, high: float, size: int) -> int:
         return 0
     position = (value - low) / (high - low)
     return min(size - 1, max(0, int(round(position * (size - 1)))))
-
-
-def ascii_plot(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    width: int = 60,
-    height: int = 15,
-    title: str = "",
-    x_label: str = "x",
-    y_label: str = "y",
-    marker: str = "*",
-) -> str:
-    """Render one series as an ASCII scatter/line chart."""
-    return ascii_multi_plot({y_label: (xs, ys)}, width=width, height=height,
-                            title=title, x_label=x_label, markers=[marker])
 
 
 def ascii_multi_plot(

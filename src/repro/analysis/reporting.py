@@ -1,7 +1,7 @@
 """Plain-text rendering of experiment results.
 
 The benchmark harness prints every reproduced table and figure as a
-fixed-width text table (and optionally CSV) so the output can be diffed
+fixed-width text table so the output can be diffed
 against the paper's reported rows without any plotting dependencies.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Union
 
-__all__ = ["format_table", "format_csv", "summarize_series"]
+__all__ = ["format_table"]
 
 Cell = Union[str, int, float, None]
 
@@ -60,30 +60,3 @@ def format_table(
     parts.append(line(["-" * w for w in widths]))
     parts.extend(line(row) for row in rendered_rows)
     return "\n".join(parts)
-
-
-def format_csv(headers: Sequence[str], rows: Iterable[Sequence[Cell]]) -> str:
-    """Render ``rows`` as a CSV string (no quoting; cells must be simple)."""
-    lines = [",".join(str(h) for h in headers)]
-    for row in rows:
-        cells = list(row)
-        if len(cells) != len(headers):
-            raise ValueError(
-                f"row has {len(cells)} cells but there are {len(headers)} headers"
-            )
-        lines.append(",".join("" if c is None else str(c) for c in cells))
-    return "\n".join(lines)
-
-
-def summarize_series(values: Sequence[float]) -> dict:
-    """Mean / min / max / final summary of a numeric series."""
-    if not values:
-        raise ValueError("series must not be empty")
-    values = list(values)
-    return {
-        "mean": sum(values) / len(values),
-        "min": min(values),
-        "max": max(values),
-        "final": values[-1],
-        "count": len(values),
-    }

@@ -29,7 +29,3 @@ class TransferRecord:
     network_type: str
     succeeded: bool
     failure_reason: Optional[str] = None
-
-    def end_time_s(self) -> float:
-        """Wall-clock completion time of the transfer."""
-        return self.start_time_s + self.duration_s

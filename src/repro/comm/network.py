@@ -108,18 +108,6 @@ class NetworkModel:
             self._assignment[user_id] = NetworkType.WIFI if wifi else NetworkType.LTE
         return self._assignment[user_id]
 
-    def condition(self, user_id: int) -> NetworkCondition:
-        """Sample the current link condition for ``user_id``."""
-        (profile,), (jitter,) = self.sample_block((user_id,))
-        if not profile.connected:
-            return profile
-        return NetworkCondition(
-            network_type=profile.network_type,
-            uplink_mbps=profile.uplink_mbps * jitter,
-            downlink_mbps=profile.downlink_mbps * jitter,
-            rtt_ms=profile.rtt_ms,
-        )
-
     def sample_block(
         self, user_ids: Sequence[int]
     ) -> Tuple[List[NetworkCondition], List[float]]:

@@ -114,13 +114,6 @@ class ModelTransport:
         succeeded = self.transfers.column("succeeded")
         return int(succeeded.size - np.count_nonzero(succeeded))
 
-    def mean_duration_s(self) -> float:
-        """Mean duration of successful transfers (0 when none)."""
-        durations = self._succeeded("duration_s")
-        if not durations:
-            return 0.0
-        return sum(durations) / len(durations)
-
     def _succeeded(self, name: str) -> List[float]:
         """One column over the successful transfers, in call order."""
         return self.transfers.column(name)[self.transfers.column("succeeded")].tolist()

@@ -1,7 +1,7 @@
 """The paper's contribution: staleness metrics, offline and online schedulers.
 
-* :mod:`repro.core.staleness` — lag (Definition 1), gradient gap
-  (Definition 2, Eq. 2/4) and linear weight prediction (Eq. 3).
+* :mod:`repro.core.staleness` — lag (Definition 1) and gradient gap
+  (Definition 2, Eq. 2/4, the closed form of the Eq. 3 prediction).
 * :mod:`repro.core.queues` — the task queue ``Q(t)`` (Eq. 15), the virtual
   staleness queue ``H(t)`` (Eq. 16), and the Lyapunov function/drift
   machinery of Lemma 2.
@@ -28,7 +28,6 @@ from repro.core.queues import LyapunovAnalyzer, TaskQueue, VirtualQueue
 from repro.core.staleness import (
     gradient_gap,
     gradient_gap_from_params,
-    linear_weight_prediction,
 )
 from repro.core.tradeoff import TradeoffAnalyzer, theorem1_energy_bound, theorem1_queue_bound
 
@@ -50,7 +49,6 @@ __all__ = [
     "gradient_gap",
     "gradient_gap_from_params",
     "lag_upper_bound",
-    "linear_weight_prediction",
     "theorem1_energy_bound",
     "theorem1_queue_bound",
 ]

@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "momentum_lag_factor",
     "momentum_lag_factor_batch",
-    "linear_weight_prediction",
     "gradient_gap",
     "gradient_gap_batch",
     "gradient_gap_from_params",
@@ -105,32 +104,6 @@ def momentum_lag_factor_batch(
             float(momentum.flat[index]), int(lags.flat[index])
         )
     return out
-
-
-def linear_weight_prediction(
-    params: np.ndarray,
-    velocity: np.ndarray,
-    learning_rate: float,
-    momentum: float,
-    lag: int,
-) -> np.ndarray:
-    """Predict the global parameters ``lag`` updates into the future (Eq. 3).
-
-    ``theta_{t+tau} = theta_t - eta * (1 - beta**lag) / (1 - beta) * v_t``
-
-    Args:
-        params: current parameter vector ``theta_t``.
-        velocity: momentum vector ``v_t`` (same shape as ``params``).
-        learning_rate: ``eta``.
-        momentum: ``beta``.
-        lag: predicted number of intervening updates ``l_tau``.
-    """
-    if params.shape != velocity.shape:
-        raise ValueError("params and velocity must have the same shape")
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
-    factor = momentum_lag_factor(momentum, lag)
-    return params - learning_rate * factor * velocity
 
 
 def gradient_gap(

@@ -23,7 +23,7 @@ this saturation is what produces the co-running discount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.device.models import DeviceSpec
@@ -198,25 +198,6 @@ class BigLittleCpu:
     def idle_power(self) -> float:
         """Power of the idle device."""
         return self.power(CpuLoad())
-
-    def corun_saving(self, app_load: CpuLoad, training_time_s: float,
-                     app_time_s: float) -> float:
-        """Analytical energy-saving fraction of co-running vs separate runs.
-
-        Mirrors the Table II saving definition with model-derived powers.  On
-        homogeneous CPUs the co-running execution time is inflated by a
-        contention factor (both workloads fight for the same cluster and the
-        resulting throttling elongates the run — the effect behind the
-        Nexus 6's negative Table II entries); big.LITTLE devices keep the
-        nominal duration.
-        """
-        if training_time_s <= 0 or app_time_s <= 0:
-            raise ValueError("execution times must be positive")
-        contention_time_factor = 1.0 if self.spec.heterogeneous else 1.5
-        corun_time_s = app_time_s * contention_time_factor
-        separate = self.training_power() * training_time_s + self.app_power(app_load) * app_time_s
-        corun = self.corun_power(app_load) * corun_time_s
-        return 1.0 - corun / separate
 
 
 def load_for_intensity(intensity: str) -> CpuLoad:

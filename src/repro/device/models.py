@@ -19,7 +19,7 @@ Each :class:`DeviceSpec` bundles the microarchitectural description used by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.energy.measurements import (
@@ -71,10 +71,6 @@ class DeviceSpec:
     training_time_s: float
     idle_power_w: float
     overhead_power_w: float
-
-    def total_cores(self) -> int:
-        """Total number of CPU cores."""
-        return self.big_cores + self.little_cores
 
     def is_dev_board(self) -> bool:
         """Whether the device is a development board (no battery/screen)."""

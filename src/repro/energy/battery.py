@@ -5,14 +5,14 @@ concerns on battery-powered devices (Section I).  The federated scheduler in
 the paper gates participation on "battery energy conditions" (Section III.B
 and VI: the Android ``JobScheduler`` can require the device to be charging or
 above a charge threshold).  This module provides the small battery substrate
-those conditions need: a coulomb-counting state of charge, charge/discharge
-cycles, and a crude cycle-ageing counter.
+those conditions need: the per-device battery parameters and initial
+state of charge.
 
-The vectorized fleet backend (:mod:`repro.sim.fleet`) replays
-:meth:`Battery.discharge` / :meth:`Battery.charge` and the participation
-condition as array kernels over the whole fleet; mirror any change to the
-charging semantics there (the equivalence tests compare end-of-run SoC bit
-for bit).
+The charge, discharge and participation rules run as array kernels over
+the whole fleet (:mod:`repro.sim.fleet`), which reads these fields into its
+columns.  Their scalar form, one battery at a time, is the reference loop's
+(``tests/reference_loop.py``); mirror any change to the charging semantics
+in both (the equivalence tests compare end-of-run SoC bit for bit).
 """
 
 from __future__ import annotations
@@ -57,33 +57,3 @@ class Battery:
     def soc(self) -> float:
         """State of charge in [0, 1]."""
         return self.charge_j / self.capacity_j
-
-    @property
-    def depleted(self) -> bool:
-        """Whether the battery is fully drained."""
-        return self.charge_j <= 0.0
-
-    def can_participate(self) -> bool:
-        """Whether the device satisfies the battery participation condition."""
-        return self.soc >= self.min_participation_soc
-
-    def discharge(self, energy_j: float) -> float:
-        """Remove ``energy_j`` joules; returns the energy actually drawn."""
-        if energy_j < 0:
-            raise ValueError("energy_j must be non-negative")
-        drawn = min(energy_j, self.charge_j)
-        self.charge_j -= drawn
-        self.cycle_energy_j += drawn
-        return drawn
-
-    def charge(self, duration_s: float) -> float:
-        """Charge for ``duration_s`` seconds; returns the energy added."""
-        if duration_s < 0:
-            raise ValueError("duration_s must be non-negative")
-        added = min(self.charge_rate_w * duration_s, self.capacity_j - self.charge_j)
-        self.charge_j += added
-        return added
-
-    def equivalent_full_cycles(self) -> float:
-        """Number of equivalent full discharge cycles so far."""
-        return self.cycle_energy_j / self.capacity_j

@@ -66,30 +66,3 @@ class CarbonAccountant:
     def grams_co2_from_result(self, result) -> float:
         """CO2-equivalent grams of a :class:`~repro.sim.engine.SimulationResult`."""
         return self.grams_co2(result.total_energy_j())
-
-    def saving_grams(self, result, baseline) -> float:
-        """Emissions avoided by ``result`` relative to ``baseline``."""
-        return self.grams_co2_from_result(baseline) - self.grams_co2_from_result(result)
-
-    def fleet_extrapolation(
-        self,
-        energy_j_per_device: float,
-        num_devices: int,
-        rounds_per_day: float = 1.0,
-        days: float = 365.0,
-    ) -> float:
-        """Extrapolate yearly emissions (grams) of a large deployment.
-
-        Args:
-            energy_j_per_device: training-attributable energy of one device
-                over one simulated horizon.
-            num_devices: deployment size.
-            rounds_per_day: how many such horizons a device runs per day.
-            days: extrapolation length in days.
-        """
-        if num_devices <= 0:
-            raise ValueError("num_devices must be positive")
-        if rounds_per_day < 0 or days < 0:
-            raise ValueError("rounds_per_day and days must be non-negative")
-        total_j = energy_j_per_device * num_devices * rounds_per_day * days
-        return self.grams_co2(total_j)

@@ -1,4 +1,4 @@
-"""The per-slot power levels of Eq. (10) and the per-state energy breakdown.
+"""The per-slot power levels of Eq. (10).
 
 Eq. (10) of the paper assigns one of four power levels to a device in each
 time slot depending on the control decision and the application status::
@@ -16,12 +16,11 @@ the across-app average is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.energy.measurements import MeasurementTable
 
-__all__ = ["PowerModel", "EnergyBreakdown"]
+__all__ = ["PowerModel"]
 
 
 class PowerModel:
@@ -74,34 +73,3 @@ class PowerModel:
     def energy_saving(self, device: str, app: str) -> float:
         """Co-running energy-saving fraction for ``(device, app)``."""
         return self.table.energy_saving(device, app)
-
-    def expected_corun_saving_power(self, device: str, app: Optional[str] = None) -> float:
-        """Per-slot power saved by co-running instead of separate execution.
-
-        This is the ``s_i = P_b + P_a - P_a'`` quantity of the offline
-        knapsack objective (Section IV).
-        """
-        return (
-            self.training_power(device)
-            + self.app_power(device, app)
-            - self.corun_power(device, app)
-        )
-
-
-@dataclass
-class EnergyBreakdown:
-    """Energy (J) decomposed by activity state."""
-
-    idle_j: float = 0.0
-    app_j: float = 0.0
-    training_j: float = 0.0
-    corunning_j: float = 0.0
-    overhead_j: float = 0.0
-
-    def total_j(self) -> float:
-        """Total energy across all states."""
-        return self.idle_j + self.app_j + self.training_j + self.corunning_j + self.overhead_j
-
-    def total_kj(self) -> float:
-        """Total energy in kilojoules (the unit of Fig. 4/6)."""
-        return self.total_j() / 1000.0

@@ -167,17 +167,3 @@ class PowerProfiler:
     def profile_device(self, device: str) -> List[ScheduleComparison]:
         """Profile every catalog application on ``device`` (one Fig. 1 panel)."""
         return [self.profile_schedules(device, app) for app in self.table.apps(device)]
-
-    def idle_power_trace(self, device: str, duration_s: int) -> List[float]:
-        """A noisy idle power trace, used by the Table III overhead benchmark."""
-        if duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        run = self._run("idle", self.table.idle_power(device), float(duration_s))
-        return run.power_trace_w
-
-    def decision_power_trace(self, device: str, duration_s: int) -> List[float]:
-        """A noisy power trace while evaluating the online decision rule."""
-        if duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        run = self._run("decision", self.table.overhead_power(device), float(duration_s))
-        return run.power_trace_w

@@ -262,14 +262,3 @@ class FaultInjector:
                     self._fired.add(key)
                     return event.kind
         return None
-
-    # -- introspection ----------------------------------------------------------
-
-    def fired_events(self) -> List[FaultEvent]:
-        """The events that have been injected (or consumed by recovery)."""
-        with self._lock:
-            return [e for e in self.plan.events if self._key(e) in self._fired]
-
-    def pending_events(self) -> List[FaultEvent]:
-        with self._lock:
-            return [e for e in self.plan.events if self._key(e) not in self._fired]

@@ -84,13 +84,6 @@ class LocalUpdate:
     num_batches: int
     params: Optional[np.ndarray] = None
 
-    def payload_nbytes(self) -> int:
-        """Bytes of parameter data this upload actually ships."""
-        size = int(self.delta.nbytes)
-        if self.params is not None:
-            size += int(self.params.nbytes)
-        return size
-
 
 class FLClient:
     """The federated clients of users ``[lo, lo + n)``, as one column plane.

@@ -349,7 +349,3 @@ class SoftmaxCrossEntropy:
         grad /= self._probs.shape[-2]
         return grad
 
-    @staticmethod
-    def predictions(logits: np.ndarray) -> np.ndarray:
-        """Class predictions from raw logits."""
-        return logits.argmax(axis=-1)

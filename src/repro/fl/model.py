@@ -115,10 +115,6 @@ class Sequential:
         self.backward()
         return loss
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class predictions for a batch."""
-        return SoftmaxCrossEntropy.predictions(self.forward(x))
-
     # -- parameter access ----------------------------------------------------------
 
     def parameter_items(self) -> Iterable[Tuple[Layer, str, np.ndarray]]:

@@ -63,8 +63,8 @@ class ServerUpdate:
     """Record of one update applied to the global model.
 
     The one row type of the applied-update log: the server's
-    :attr:`ParameterServer.update_log` and the trace's ``update_samples``
-    are both views of the same rows.
+    :attr:`ParameterServer.updates` holds the rows, and the trace's
+    ``update_samples`` is a view of them.
     """
 
     time_s: float
@@ -115,8 +115,8 @@ class ParameterServer:
         self.async_rule = AsyncUpdateRule(async_rule)
         self.mixing_alpha = mixing_alpha
         self.version = 0
-        #: One row per applied update, in application order (read it as
-        #: :attr:`update_log`); the engine's trace reads the same rows.
+        #: One row per applied update, in application order; the engine's
+        #: trace reads the same rows.
         self.updates = new_update_log()
         self._inflight: Dict[int, float] = {}
         self._download_versions: Dict[int, int] = {}
@@ -159,11 +159,6 @@ class ParameterServer:
     def num_updates(self) -> int:
         """Number of updates applied so far (the version counter)."""
         return self.version
-
-    @property
-    def update_log(self) -> List[ServerUpdate]:
-        """Every applied update so far, in application order."""
-        return [ServerUpdate(*row) for row in self.updates.rows()]
 
     def _count_update(
         self,
@@ -304,10 +299,6 @@ class ParameterServer:
                 write += position - read
             read = position + len(list(run))
         finishes[write : write + count - read] = finishes[read:count]
-
-    def inflight_count(self) -> int:
-        """Number of currently running training jobs."""
-        return len(self._inflight)
 
     def estimate_lags(
         self, user_ids: np.ndarray, now_s: Union[float, np.ndarray], durations_s: np.ndarray
@@ -474,13 +465,3 @@ class ParameterServer:
         ]
         self._log_applied(rows)
         return [ServerUpdate(*row) for row in rows]
-
-    # -- diagnostics -------------------------------------------------------------------------------
-
-    def lag_history(self) -> List[int]:
-        """Lag of every applied update, in application order."""
-        return self.updates.column("lag").tolist()
-
-    def gap_history(self) -> List[float]:
-        """Gradient gap of every applied update, in application order."""
-        return self.updates.column("gradient_gap").tolist()

@@ -15,8 +15,6 @@ from repro.metrics.store import MetricsStore
 
 __all__ = [
     "headline_pivot",
-    "policy_deltas",
-    "seed_spread",
     "store_summary",
     "version_history",
 ]
@@ -34,8 +32,7 @@ def headline_pivot(
 ) -> Dict[str, Dict[str, float]]:
     """``{scenario: {policy: value}}`` for one headline metric.
 
-    Multiple rows in one cell (several seeds, several versions) average;
-    use :func:`seed_spread` when the spread itself is the question.
+    Multiple rows in one cell (several seeds, several versions) average.
     """
     cells: Dict[str, Dict[str, List[float]]] = {}
     for row in store.runs():
@@ -51,70 +48,6 @@ def headline_pivot(
         }
         for scenario, policies in cells.items()
     }
-
-
-def policy_deltas(
-    store: MetricsStore,
-    baseline_policy: str = "immediate",
-    metric: str = "energy_j",
-) -> List[Dict[str, Any]]:
-    """Per-scenario savings of every policy against a baseline policy.
-
-    One dict per (scenario, policy) with the metric value, the baseline's
-    value, and ``saving_pct`` (positive = less than baseline — the paper's
-    Fig. 5/6 energy-saving convention).  Scenarios without a baseline row
-    are skipped.
-    """
-    pivot = headline_pivot(store, metric=metric)
-    rows: List[Dict[str, Any]] = []
-    for scenario in sorted(pivot):
-        policies = pivot[scenario]
-        baseline = policies.get(baseline_policy)
-        if baseline is None:
-            continue
-        for policy in sorted(policies):
-            value = policies[policy]
-            rows.append(
-                {
-                    "scenario": scenario,
-                    "policy": policy,
-                    "metric": metric,
-                    "value": value,
-                    "baseline": baseline,
-                    "saving_pct": (
-                        100.0 * (1.0 - value / baseline) if baseline else 0.0
-                    ),
-                }
-            )
-    return rows
-
-
-def seed_spread(
-    store: MetricsStore, metric: str = "final_accuracy"
-) -> List[Dict[str, Any]]:
-    """Min/mean/max of a metric across seeds per (scenario, policy) cell."""
-    cells: Dict[Tuple[str, str], List[float]] = {}
-    for row in store.runs():
-        value = row.get(metric)
-        if value is None or row.get("policy") is None:
-            continue
-        key = (_scenario_key(row), str(row["policy"]))
-        cells.setdefault(key, []).append(float(value))
-    out = []
-    for (scenario, policy) in sorted(cells):
-        values = cells[(scenario, policy)]
-        out.append(
-            {
-                "scenario": scenario,
-                "policy": policy,
-                "metric": metric,
-                "runs": len(values),
-                "min": min(values),
-                "mean": sum(values) / len(values),
-                "max": max(values),
-            }
-        )
-    return out
 
 
 def version_history(

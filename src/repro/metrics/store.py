@@ -322,14 +322,6 @@ class MetricsStore:
             out.setdefault(name, []).append((int(slot), float(value)))
         return out
 
-    def series_metrics(self, spec_hash: str) -> List[str]:
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT DISTINCT metric FROM series WHERE spec_hash = ? ORDER BY metric",
-                (spec_hash,),
-            ).fetchall()
-        return [row[0] for row in rows]
-
 
 def as_store(
     value: Union[None, str, Path, MetricsStore],

@@ -15,7 +15,6 @@ from repro.scenarios.registry import (
     get_scenario,
     list_scenarios,
     load_scenario_file,
-    register_scenario,
 )
 from repro.scenarios.runner import ScenarioRunner, resolve_scenario, scenario_run_spec
 from repro.scenarios.spec import (
@@ -37,7 +36,6 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
     "load_scenario_file",
-    "register_scenario",
     "resolve_battery",
     "resolve_scenario",
     "scenario_run_spec",

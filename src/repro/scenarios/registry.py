@@ -23,7 +23,6 @@ __all__ = [
     "BUILTIN_SCENARIO_NAMES",
     "get_scenario",
     "list_scenarios",
-    "register_scenario",
     "load_scenario_file",
 ]
 
@@ -369,39 +368,18 @@ _BUILTIN_FACTORIES: Dict[str, Callable[[], ScenarioSpec]] = {
 #: Names of the built-in scenario gallery, in registry order.
 BUILTIN_SCENARIO_NAMES: List[str] = list(_BUILTIN_FACTORIES)
 
-#: Specs registered at runtime (tests, notebooks, plugins).
-_RUNTIME_REGISTRY: Dict[str, ScenarioSpec] = {}
-
-
-def register_scenario(spec: ScenarioSpec, overwrite: bool = False) -> None:
-    """Register a runtime scenario under its name.
-
-    Built-in names are protected; runtime names collide unless
-    ``overwrite`` is set.
-    """
-    if spec.name in _BUILTIN_FACTORIES:
-        raise ValueError(f"{spec.name!r} is a built-in scenario and cannot be replaced")
-    if spec.name in _RUNTIME_REGISTRY and not overwrite:
-        raise ValueError(f"scenario {spec.name!r} is already registered")
-    _RUNTIME_REGISTRY[spec.name] = spec
-
 
 def get_scenario(name: str) -> ScenarioSpec:
-    """Look up a scenario by name (built-ins first, then runtime registry)."""
+    """Look up a built-in scenario by name."""
     factory = _BUILTIN_FACTORIES.get(name)
-    if factory is not None:
-        return factory()
-    if name in _RUNTIME_REGISTRY:
-        return _RUNTIME_REGISTRY[name]
-    known = BUILTIN_SCENARIO_NAMES + sorted(_RUNTIME_REGISTRY)
-    raise KeyError(f"unknown scenario {name!r}; known: {known}")
+    if factory is None:
+        raise KeyError(f"unknown scenario {name!r}; known: {BUILTIN_SCENARIO_NAMES}")
+    return factory()
 
 
 def list_scenarios() -> List[ScenarioSpec]:
-    """All registered scenarios (built-ins in registry order, then runtime)."""
-    specs = [factory() for factory in _BUILTIN_FACTORIES.values()]
-    specs.extend(_RUNTIME_REGISTRY[name] for name in sorted(_RUNTIME_REGISTRY))
-    return specs
+    """All built-in scenarios, in registry order."""
+    return [factory() for factory in _BUILTIN_FACTORIES.values()]
 
 
 def load_scenario_file(path: str) -> ScenarioSpec:

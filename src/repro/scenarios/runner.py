@@ -13,16 +13,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.analysis.runner import (
-    ExperimentSuite,
-    RunSpec,
-    RunSummary,
-    run_spec,
-)
+from repro.analysis.runner import ExperimentSuite, RunSpec, RunSummary
 from repro.scenarios.compiler import CompiledScenario, compile_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.engine import SimulationResult
 
 __all__ = ["ScenarioRunner", "scenario_run_spec", "resolve_scenario"]
 
@@ -126,25 +120,6 @@ class ScenarioRunner:
         """Run one policy across many scenarios (cached, parallel)."""
         specs = [self._spec(s, policy, policy_kwargs) for s in scenarios]
         return self.suite.run(specs, refresh=refresh)
-
-    def run_one(
-        self,
-        scenario: ScenarioLike,
-        policy: str = "online",
-        policy_kwargs: Optional[Dict[str, Any]] = None,
-        refresh: bool = False,
-    ) -> RunSummary:
-        """Run a single scenario and return its summary."""
-        return self.run([scenario], policy, policy_kwargs, refresh=refresh)[0]
-
-    def run_full(
-        self,
-        scenario: ScenarioLike,
-        policy: str = "online",
-        policy_kwargs: Optional[Dict[str, Any]] = None,
-    ) -> SimulationResult:
-        """Run a scenario and return the *full* result (never cached)."""
-        return run_spec(self._spec(scenario, policy, policy_kwargs))
 
     def sweep_policies(
         self,

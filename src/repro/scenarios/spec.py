@@ -130,16 +130,6 @@ class CohortSpec:
                     f"cohort {self.name!r}: device_mix must have positive mass"
                 )
 
-    def is_default(self) -> bool:
-        """Whether the cohort adds no heterogeneity beyond the global knobs."""
-        return (
-            self.device_mix is None
-            and self.arrival is None
-            and self.wifi_fraction is None
-            and self.battery is None
-            and self.data_alpha is None
-        )
-
 
 def resolve_battery(
     battery: Mapping[str, Any], cohort: str = "?"

@@ -318,14 +318,9 @@ def reslice(slices: Sequence[dict], bounds: Sequence[Tuple[int, int]]) -> List[d
     """Re-partition per-slice fleet state dicts onto new contiguous bounds.
 
     When the new bounds equal the stored ones the slices pass through
-    verbatim (fully bitwise, including each shard's cumulative energy
-    series).  Otherwise the per-user arrays and lists concatenate in
-    ascending user order and re-slice; the cumulative per-slot energy
-    *series* — a cross-user fold that cannot be split back per-user — is
-    merged element-wise and assigned wholly to the new first slice, with
-    equal-length zero series elsewhere, which keeps every headline number
-    (all per-user array folds) exact and only perturbs the plot-only merged
-    series by re-association.
+    verbatim.  Otherwise the per-user arrays and lists concatenate in
+    ascending user order and re-slice: every piece of shard state is
+    per-user, so the result is exact.
     """
     import numpy as np
 
@@ -353,6 +348,8 @@ def reslice(slices: Sequence[dict], bounds: Sequence[Tuple[int, int]]) -> List[d
         return np.concatenate(parts)
 
     fleet_keys = [k for k in slices[0]["fleet"] if k != "accountant"]
+    # Stores written before the accountant dropped its per-slot series hold
+    # two more keys, which restore ignores.
     acct_keys = [
         k
         for k in slices[0]["fleet"]["accountant"]
@@ -363,25 +360,10 @@ def reslice(slices: Sequence[dict], bounds: Sequence[Tuple[int, int]]) -> List[d
     full_clients = concat(("clients",))
     full_velocities = concat(("velocities",))
 
-    from repro.sim.fleet import merge_slot_series
-
-    stacked = merge_slot_series(
-        [s["fleet"]["accountant"]["per_slot_total"] for s in slices]
-    )
-    merged_series: List[float] = [] if stacked is None else stacked.tolist()
-
     out: List[dict] = []
-    for index, (lo, hi) in enumerate(bounds):
+    for lo, hi in bounds:
         a, b = lo - lo0, hi - lo0
         accountant = {k: full_acct[k][a:b] for k in acct_keys}
-        if index == 0:
-            accountant["per_slot_total"] = list(merged_series)
-            accountant["running_total_j"] = (
-                float(merged_series[-1]) if merged_series else 0.0
-            )
-        else:
-            accountant["per_slot_total"] = [0.0] * len(merged_series)
-            accountant["running_total_j"] = 0.0
         fleet = {k: full_fleet[k][a:b] for k in fleet_keys}
         fleet["accountant"] = accountant
         out.append(
@@ -660,12 +642,6 @@ class CheckpointStore:
                 shutil.rmtree(path, ignore_errors=True)
                 pruned.append(path.name)
         return pruned
-
-    def retained_slots(self) -> List[int]:
-        """Slots of the snapshots the manifest currently retains."""
-        if not self.exists():
-            return []
-        return [entry["slot"] for entry in self._read_manifest().get("retained", [])]
 
     def load(self) -> EngineCheckpoint:
         manifest = self._read_manifest()

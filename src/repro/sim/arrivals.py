@@ -413,10 +413,6 @@ class ArrivalSchedule:
             {user - lo: list(self._arrivals.get(user, [])) for user in range(lo, hi)}
         )
 
-    def total_arrivals(self) -> int:
-        """Total number of application launches across all users."""
-        return sum(len(apps) for apps in self._arrivals.values())
-
     # -- oracle (offline policy) ------------------------------------------------------
 
     def next_arrival(

@@ -71,7 +71,7 @@ from repro.device.apps import ForegroundApp
 from repro.device.models import DeviceSpec
 from repro.device.thermal import ThermalModel
 from repro.energy.battery import Battery
-from repro.energy.power_model import EnergyBreakdown, PowerModel
+from repro.energy.power_model import PowerModel
 from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.config import SimulationConfig
 
@@ -81,7 +81,6 @@ __all__ = [
     "MERGE_FANIN",
     "ReadyPayload",
     "SlotAdvance",
-    "merge_slot_series",
 ]
 
 #: Contention penalty for homogeneous (non-big.LITTLE) CPUs (Observation 2,
@@ -109,46 +108,19 @@ _NO_USERS = np.empty(0, dtype=np.int64)
 MERGE_FANIN = 8
 
 
-def merge_slot_series(series: Sequence[Sequence[float]]) -> Optional[np.ndarray]:
-    """Pairwise tree reduction of per-shard cumulative slot-total series.
-
-    Shards record the same slots, so the series are equal-length and the
-    merged series is their element-wise sum.  The tree association is exact
-    for the *shape* (element-wise sums commute with grouping up to float
-    rounding) and this series is plot-only by contract — no headline number
-    reads it — so re-association is acceptable; the same helper serves the
-    accountant merge and checkpoint reslicing so both agree.  Returns
-    ``None`` when no shard recorded any slots.
-    """
-    live = [np.asarray(entry, dtype=float) for entry in series if len(entry)]
-    if not live:
-        return None
-    while len(live) > 1:
-        live = [
-            live[index] + live[index + 1] if index + 1 < len(live) else live[index]
-            for index in range(0, len(live), 2)
-        ]
-    return live[0]
-
-
 class FleetEnergyAccountant:
     """Array-backed energy accounting for the vectorized backend.
 
     Accumulates the Eq. (10) per-slot energies into one ``float64`` row
-    per activity state (plus the Table III scheduler overhead) instead of
-    one :class:`~repro.energy.power_model.EnergyBreakdown` object per user;
-    :meth:`user_breakdown` builds one on demand.
+    per activity state (plus the Table III scheduler overhead): the state
+    is O(users), whatever the run length.
 
     Reduction order matters for the bitwise-equivalence contract: the loop
     accountant computes ``total_j`` as a left-to-right Python ``sum`` of
     per-user totals in user order, so :meth:`total_j` does exactly that
-    over ``tolist()`` values instead of calling ``np.sum``.
-
-    The cumulative per-slot total series is maintained *incrementally*: every
-    recorded slot contributes its left-to-right per-user energy sum to a
-    running total (the loop accountant mirrors this).  The fleet caches that
-    sum between activity transitions, so a slot in which nobody changed
-    state extends the series with one float add.
+    over ``tolist()`` values instead of calling ``np.sum``.  The trace's
+    cumulative energy (``SlotSample.cumulative_energy_j``) is that fold,
+    taken on the sampling grid.
     """
 
     #: The four activity-state accumulators, in state-code order.
@@ -163,9 +135,6 @@ class FleetEnergyAccountant:
         #: ``corunning_j`` are its rows — so a slot is one add.
         self._state_j = np.zeros((4, num_users))
         self.overhead_j = np.zeros(num_users)
-        self._per_slot_total: List[float] = []
-        self._running_total_j = 0.0
-        self._slot_energy_j = 0.0
 
     @property
     def idle_j(self) -> np.ndarray:
@@ -185,32 +154,18 @@ class FleetEnergyAccountant:
 
     # -- recording -----------------------------------------------------------------
 
-    def add_slot(
-        self,
-        routed_j: np.ndarray,
-        slot_energy_j: float,
-        overhead_j: Optional[np.ndarray] = None,
-    ) -> None:
+    def add_slot(self, routed_j: np.ndarray, overhead_j: Optional[np.ndarray] = None) -> None:
         """Record one slot of fleet-wide energy, split by activity state.
 
         ``routed_j`` is the fleet's ``(4, users)`` energy-routing matrix: a
         user's Eq. (10) slot energy in the row of its own state and ``0.0``
         in the other three, so the masked per-state adds of the scalar
         model become one contiguous add (``x + 0.0 == x`` bit for bit; no
-        accumulator can hold ``-0.0``).  ``slot_energy_j`` is the
-        left-to-right per-user sum of the slot's energy, overhead included;
-        :meth:`close_slot` folds it into the cumulative series.
+        accumulator can hold ``-0.0``).
         """
         self._state_j += routed_j
         if overhead_j is not None:
             self.overhead_j += overhead_j
-        self._slot_energy_j = slot_energy_j
-
-    def close_slot(self) -> None:
-        """Snapshot the running system-wide total at the end of a slot."""
-        self._running_total_j += self._slot_energy_j
-        self._per_slot_total.append(self._running_total_j)
-        self._slot_energy_j = 0.0
 
     # -- snapshot / merge (the shard layer's mutation-set contract) -------------------
 
@@ -222,17 +177,11 @@ class FleetEnergyAccountant:
         commit) delegates to it.  ``overhead_j`` moves in a region whose
         ready users are kept idle (their Table III decision overhead).
         """
-        return (
-            self._state_j.copy(),
-            self.overhead_j.copy(),
-            list(self._per_slot_total),
-            self._running_total_j,
-        )
+        return self._state_j.copy(), self.overhead_j.copy()
 
     def restore_quiet_state(self, state: tuple) -> None:
         """Restore :meth:`quiet_state` (single-use: the arrays bind directly)."""
-        self._state_j, self.overhead_j, per_slot_total, self._running_total_j = state
-        self._per_slot_total = list(per_slot_total)
+        self._state_j, self.overhead_j = state
 
     # -- checkpointing -----------------------------------------------------------------
 
@@ -240,28 +189,22 @@ class FleetEnergyAccountant:
         """Everything mutable in the accountant, as plain copies.
 
         The checkpoint subsystem (:mod:`repro.service.checkpoint`) persists
-        this dict; :meth:`load_state_dict` restores it.  Checkpoints are
-        only taken at slot boundaries, where ``_slot_energy_j`` has been
-        folded into the series by :meth:`close_slot`, so it is not part of
-        the state.
+        this dict; :meth:`load_state_dict` restores it.
         """
         state: Dict[str, object] = {
             key: row.copy() for key, row in zip(self._STATE_KEYS, self._state_j)
         }
         state["overhead_j"] = self.overhead_j.copy()
-        state["per_slot_total"] = list(self._per_slot_total)
-        state["running_total_j"] = self._running_total_j
         return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore the state captured by :meth:`state_dict`."""
+        """Restore the state captured by :meth:`state_dict`.  Stores written
+        before the accountant dropped its per-slot series also hold
+        ``per_slot_total`` and ``running_total_j``; they are ignored."""
         self._state_j = np.stack(
             [np.asarray(state[key], dtype=float) for key in self._STATE_KEYS]
         )
         self.overhead_j = np.asarray(state["overhead_j"], dtype=float).copy()
-        self._per_slot_total = list(state["per_slot_total"])
-        self._running_total_j = float(state["running_total_j"])
-        self._slot_energy_j = 0.0
 
     @classmethod
     def merged(cls, accountants: Sequence["FleetEnergyAccountant"]) -> "FleetEnergyAccountant":
@@ -274,11 +217,7 @@ class FleetEnergyAccountant:
         so grouping preserves the ascending-user order — and therefore every
         headline fold — bitwise for *any* shard count, while a wide
         coordinator pays O(log shards) merge levels instead of one giant
-        serial pass.  The cumulative per-slot *series* is reconstituted as
-        the element-wise sum of the shard series; summing shard subtotals
-        re-associates the per-slot float fold, so that one series (a
-        convenience for plots; no headline number reads it) may differ from
-        a single-process run in the last ulp.
+        serial pass.
         """
         accountants = list(accountants)
         if len(accountants) > MERGE_FANIN:
@@ -290,24 +229,9 @@ class FleetEnergyAccountant:
         merged = cls(sum(accountant.num_users for accountant in accountants))
         merged._state_j = np.concatenate([a._state_j for a in accountants], axis=1)
         merged.overhead_j = np.concatenate([a.overhead_j for a in accountants])
-        stacked = merge_slot_series([a._per_slot_total for a in accountants])
-        if stacked is not None:
-            merged._per_slot_total = stacked.tolist()
-            merged._running_total_j = float(stacked[-1])
         return merged
 
     # -- accessors ---------------------------------------------------------------------
-
-    def user_breakdown(self, user_id: int) -> EnergyBreakdown:
-        """Energy breakdown for one user."""
-        idle_j, app_j, training_j, corunning_j = self._state_j[:, user_id].tolist()
-        return EnergyBreakdown(
-            idle_j=idle_j,
-            app_j=app_j,
-            training_j=training_j,
-            corunning_j=corunning_j,
-            overhead_j=float(self.overhead_j[user_id]),
-        )
 
     def user_totals_j(self) -> np.ndarray:
         """Per-user total energy, in the loop accountant's operand order."""
@@ -320,14 +244,6 @@ class FleetEnergyAccountant:
     def total_kj(self) -> float:
         """System-wide total energy in kilojoules."""
         return self.total_j() / 1000.0
-
-    def training_related_j(self) -> float:
-        """Energy attributable to training (training-alone + co-running)."""
-        return ordered_sum(self.training_j + self.corunning_j)
-
-    def per_slot_totals(self) -> list:
-        """Cumulative system energy at the end of each recorded slot."""
-        return list(self._per_slot_total)
 
 
 @dataclass
@@ -580,7 +496,6 @@ class FleetState:
         self._num_training = 0  # reprolint: static (derived, rebuilt by _rebuild)
         self._next_expiry = _NEVER  # reprolint: static (derived, rebuilt by _rebuild)
         self._started: List[int] = []  # reprolint: static (users whose start awaits the next advance; empty at slot boundaries)
-        self._slot_energy_j: Optional[float] = None  # reprolint: static (cache, dropped by _retarget)
         self._thermal_rest = False  # reprolint: static (proved by a probe step, dropped by _retarget)
         self._battery_rest = False  # reprolint: static (proved by a probe step, dropped by _retarget)
         self._until_probe = REST_PROBE_SLOTS  # reprolint: static (probe cadence; any value is exact)
@@ -622,8 +537,7 @@ class FleetState:
         self._wake()
 
     def _wake(self) -> None:
-        """Some column changed: drop the slot-energy cache, end both rests."""
-        self._slot_energy_j = None
+        """Some column changed: end both rests."""
         self._thermal_rest = False
         self._battery_rest = False
 
@@ -880,17 +794,11 @@ class FleetState:
 
         # Eq. (10) energy, routed to the accumulator of each user's state.
         draw_j = self._draw_j
-        if overhead_j is None:
-            slot_energy_j = self._slot_energy_j
-            if slot_energy_j is None:
-                slot_energy_j = ordered_sum(self._energy_j)
-                self._slot_energy_j = slot_energy_j
-        else:
+        if overhead_j is not None:
             spent_j = self._energy_j + overhead_j
-            slot_energy_j = ordered_sum(spent_j)
             draw_j = np.where(self.has_battery, spent_j, 0.0)
             self._battery_rest = False  # a draw no column holds
-        self.accountant.add_slot(self._energy_rows, slot_energy_j, overhead_j)
+        self.accountant.add_slot(self._energy_rows, overhead_j)
 
         # Battery coulomb counting: discharge what the slot drew, then charge
         # idle devices that are plugged in.
@@ -1198,7 +1106,6 @@ class FleetState:
             if self._corun_outruns_clock:
                 break
             self._step(overhead_j)
-            acc.close_slot()
             if trace_interval is not None and slot % trace_interval == 0:
                 user_totals = acc.user_totals_j()  # folded as total_j() does
                 tick_offsets.append(advanced)

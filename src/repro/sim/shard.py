@@ -569,7 +569,6 @@ class FleetShard:
                 fleet.momentum_norms[local] = update.momentum_norm
                 finished.append((local + lo, update))
             self.timers.stop("training", tick)
-        fleet.accountant.close_slot()
         tick_total = None
         tick_user_totals = None
         if want_tick:

@@ -131,22 +131,6 @@ class SimulationTrace:
         """Sampled slot times in seconds."""
         return [s.time_s for s in self.slot_samples]
 
-    def energy_series_kj(self) -> List[float]:
-        """Cumulative system energy (kJ) at each sampled slot."""
-        return [s.cumulative_energy_j / 1000.0 for s in self.slot_samples]
-
-    def queue_series(self) -> List[float]:
-        """Task-queue backlog at each sampled slot."""
-        return [s.queue_length for s in self.slot_samples]
-
-    def virtual_queue_series(self) -> List[float]:
-        """Virtual-queue backlog at each sampled slot."""
-        return [s.virtual_queue_length for s in self.slot_samples]
-
-    def gap_sum_series(self) -> List[float]:
-        """Per-slot gradient-gap sum at each sampled slot."""
-        return [s.gap_sum for s in self.slot_samples]
-
     def update_lags(self) -> List[int]:
         """Lag of every applied update (Fig. 5a lower panel)."""
         return self._update_column("lag")
@@ -154,14 +138,6 @@ class SimulationTrace:
     def update_gaps(self) -> List[float]:
         """Gradient gap of every applied update (Fig. 5a upper panel)."""
         return self._update_column("gradient_gap")
-
-    def update_times(self) -> List[float]:
-        """Time of every applied update."""
-        return self._update_column("time_s")
-
-    def user_gap_trace(self, user_id: int) -> List[Tuple[float, float]]:
-        """The (time, gap) trace of one user (Fig. 5d)."""
-        return list(self.per_user_gaps.get(user_id, []))
 
     def gap_variance_across_users(self) -> float:
         """Variance of the final per-user mean gaps (the Fig. 5d comparison)."""

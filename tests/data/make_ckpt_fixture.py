@@ -16,7 +16,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parent)]
 
-from oracle import run_digest  # noqa: E402
+from oracle import inflight_count, run_digest  # noqa: E402
 from repro.core.online import OnlinePolicy  # noqa: E402
 from repro.service.checkpoint import (  # noqa: E402
     CHECKPOINT_FORMAT_VERSION,
@@ -45,7 +45,7 @@ def main() -> None:
     expected = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "slot": checkpoint.slot,
-        "inflight": SimulationEngine.restore(checkpoint).server.inflight_count(),
+        "inflight": inflight_count(SimulationEngine.restore(checkpoint).server),
         "updates": result.num_updates,
         "digest": run_digest(result),
     }

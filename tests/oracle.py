@@ -47,12 +47,19 @@ decision plane the product no longer has; :func:`decide_one` and
 :func:`rowwise_decide_all` run the product's ``decide_all`` on batches of
 one.  :func:`run_digest` is every simulated statistic of a run,
 :func:`upload_bits` every field of one upload.
+
+:func:`energy_breakdowns`, :func:`server_updates`, :func:`inflight_count`,
+:func:`total_arrivals` and :func:`retained_slots` read what the product
+holds in columns (the accountant's state rows, the server's update log and
+in-flight index, a schedule's launches, a store's manifest) the way the
+suite compares it; the product has no caller for such views.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import json
 from dataclasses import astuple, dataclass, fields, replace
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
@@ -70,9 +77,10 @@ from repro.device.apps import ForegroundApp, app_pool
 from repro.energy.measurements import MeasurementTable
 from repro.fl.client import FLClient
 from repro.fl.layers import Conv2D, Linear, _col2im
-from repro.fl.server import AsyncUpdateRule, ParameterServer
+from repro.fl.server import AsyncUpdateRule, ParameterServer, ServerUpdate
 from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.engine import SimulationEngine
+from repro.sim.fleet import FleetEnergyAccountant
 from reference_loop import ReferenceLoopEngine
 
 
@@ -104,7 +112,12 @@ def arrival_rate(schedule, total_slots, num_users):
     """Empirical per-user, per-slot arrival rate of ``schedule``."""
     if total_slots <= 0 or num_users <= 0:
         raise ValueError("total_slots and num_users must be positive")
-    return schedule.total_arrivals() / (total_slots * num_users)
+    return total_arrivals(schedule) / (total_slots * num_users)
+
+
+def total_arrivals(schedule):
+    """Number of application launches in ``schedule``, across all users."""
+    return sum(len(apps) for apps in schedule._arrivals.values())
 
 
 def is_running(app, slot):
@@ -235,7 +248,7 @@ def flat_grads(model):
 def evaluate_local(model, partition, params):
     """``FLClient.evaluate_local``: accuracy of ``params`` on a user's own shard."""
     model.set_flat_params(params)
-    return float(np.mean(model.predict(partition.x) == partition.y))
+    return float(np.mean(model.forward(partition.x).argmax(axis=-1) == partition.y))
 
 
 def partition_batches(partition, batch_size, rng=None):
@@ -842,13 +855,44 @@ def frozen_decide(policy, observation) -> Decision:
     raise TypeError(f"no frozen per-user rule for {type(policy).__name__}")
 
 
+def energy_breakdowns(accountant, num_users):
+    """Per-user ``(idle, app, training, corunning, overhead)`` joules, from
+    either accountant (the fleet's state rows or the reference loop's
+    per-user :class:`reference_loop.EnergyBreakdown` objects)."""
+    if isinstance(accountant, FleetEnergyAccountant):
+        rows = (
+            accountant.idle_j, accountant.app_j, accountant.training_j,
+            accountant.corunning_j, accountant.overhead_j,
+        )
+        return list(zip(*(row.tolist() for row in rows)))
+    return [astuple(accountant.user_breakdown(user)) for user in range(num_users)]
+
+
+def server_updates(server):
+    """Every update ``server`` applied, as record objects, in application order."""
+    return [ServerUpdate(*row) for row in server.updates.rows()]
+
+
+def inflight_count(server):
+    """Number of training jobs ``server`` holds in flight."""
+    return len(server._inflight)
+
+
+def retained_slots(store):
+    """Slots of the snapshots ``store``'s manifest retains."""
+    if not store.exists():
+        return []
+    manifest = json.loads((store.root / store.MANIFEST).read_text())
+    return [entry["slot"] for entry in manifest.get("retained", [])]
+
+
 def run_digest(result) -> str:
     """sha256 over every simulated statistic of one run, floats bit-exact."""
     parts = [
         result.total_energy_j().hex(),
         [
-            [float(value).hex() for value in astuple(result.accountant.user_breakdown(user))]
-            for user in range(len(result.device_names))
+            [float(value).hex() for value in breakdown]
+            for breakdown in energy_breakdowns(result.accountant, len(result.device_names))
         ],
         sorted(result.trace.decisions.items()),
         result.trace.corun_jobs,

@@ -20,7 +20,12 @@ scalar models it runs on live here too, next to it:
 * :class:`DeviceState` and :func:`power` — the four cases of Eq. (10) and
   the per-slot dispatch over a :class:`~repro.energy.power_model.PowerModel`;
 * :class:`MobileDevice` — one handset's app / training state machine;
-* :class:`EnergyAccountant` — per-user energy by state, summed left to right;
+* :func:`discharge`, :func:`charge`, :func:`can_participate` — one
+  :class:`~repro.energy.battery.Battery` at a time: coulomb counting and
+  the participation condition (with :func:`depleted` and
+  :func:`equivalent_full_cycles`, the ageing diagnostics);
+* :class:`EnergyAccountant` — per-user :class:`EnergyBreakdown` by state,
+  summed left to right;
 * :class:`GapTracker` — the per-user Eq. (12) gap dynamics;
 * :func:`estimate_lag` — the dict-scan lag estimate of Algorithm 2 line 4;
 * :func:`launch_index` — each user's launches keyed by arrival slot.
@@ -53,7 +58,8 @@ from repro.device.apps import ForegroundApp
 from repro.device.models import DeviceSpec
 from repro.device.thermal import ThermalModel
 from repro.energy.measurements import MeasurementTable
-from repro.energy.power_model import EnergyBreakdown, PowerModel
+from repro.energy.battery import Battery
+from repro.energy.power_model import PowerModel
 from repro.fl.client import FLClient, LocalUpdate
 from repro.fl.optimizer import vector_norm
 from repro.fl.server import AsyncUpdateRule, ParameterServer
@@ -269,8 +275,67 @@ class MobileDevice:
 
 
 # ---------------------------------------------------------------------------
+# The battery, one device at a time
+# ---------------------------------------------------------------------------
+
+
+def depleted(battery: Battery) -> bool:
+    """Whether the battery is fully drained."""
+    return battery.charge_j <= 0.0
+
+
+def can_participate(battery: Battery) -> bool:
+    """Whether the device satisfies the battery participation condition."""
+    return battery.soc >= battery.min_participation_soc
+
+
+def discharge(battery: Battery, energy_j: float) -> float:
+    """Remove ``energy_j`` joules; returns the energy actually drawn."""
+    if energy_j < 0:
+        raise ValueError("energy_j must be non-negative")
+    drawn = min(energy_j, battery.charge_j)
+    battery.charge_j -= drawn
+    battery.cycle_energy_j += drawn
+    return drawn
+
+
+def charge(battery: Battery, duration_s: float) -> float:
+    """Charge for ``duration_s`` seconds; returns the energy added."""
+    if duration_s < 0:
+        raise ValueError("duration_s must be non-negative")
+    added = min(battery.charge_rate_w * duration_s, battery.capacity_j - battery.charge_j)
+    battery.charge_j += added
+    return added
+
+
+def equivalent_full_cycles(battery: Battery) -> float:
+    """Number of equivalent full discharge cycles so far."""
+    return battery.cycle_energy_j / battery.capacity_j
+
+
+# ---------------------------------------------------------------------------
 # Energy, gaps, lags and launches, one user at a time
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class EnergyBreakdown:
+    """Energy (J) of one user, decomposed by activity state."""
+
+    idle_j: float = 0.0
+    app_j: float = 0.0
+    training_j: float = 0.0
+    corunning_j: float = 0.0
+    overhead_j: float = 0.0
+
+    def total_j(self) -> float:
+        """Total energy across all states."""
+        return self.idle_j + self.app_j + self.training_j + self.corunning_j + self.overhead_j
+
+    def total_kj(self) -> float:
+        """Total energy in kilojoules (the unit of Fig. 4/6)."""
+        return self.total_j() / 1000.0
+
 
 
 class EnergyAccountant:
@@ -591,7 +656,7 @@ class ReferenceLoopEngine(Coordinator):
                 for user, state in enumerate(self._user_states)
                 if state.ready
                 and self.devices[user].available
-                and (self.batteries[user] is None or self.batteries[user].can_participate())
+                and (self.batteries[user] is None or can_participate(self.batteries[user]))
             ]
             training_users = [u for u, d in enumerate(self.devices) if d.training_running]
             context = SlotContext(
@@ -651,9 +716,9 @@ class ReferenceLoopEngine(Coordinator):
 
                 battery = self.batteries[user]
                 if battery is not None:
-                    battery.discharge(outcome.energy_j + overhead_j)
+                    discharge(battery, outcome.energy_j + overhead_j)
                     if outcome.state is DeviceState.IDLE and battery.charge_rate_w > 0:
-                        battery.charge(config.slot_seconds)
+                        charge(battery, config.slot_seconds)
 
                 if outcome.training_finished:
                     finished_users.append(user)
@@ -733,7 +798,7 @@ class ReferenceLoopEngine(Coordinator):
             if (
                 battery is not None
                 and battery.charge_rate_w == 0.0
-                and not battery.can_participate()
+                and not can_participate(battery)
                 and not self.devices[user].training_running
             ):
                 stalled.append(user)

@@ -13,7 +13,7 @@ from repro.analysis.experiments import (
     table2_rows,
     table3_overhead_rows,
 )
-from repro.analysis.reporting import format_csv, format_table, summarize_series
+from repro.analysis.reporting import format_table
 from repro.core.policies import ImmediatePolicy
 
 
@@ -32,20 +32,6 @@ class TestReporting:
     def test_format_table_row_length_mismatch(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [[1]])
-
-    def test_format_csv(self):
-        text = format_csv(["a", "b"], [[1, 2], [3, None]])
-        assert text.splitlines() == ["a,b", "1,2", "3,"]
-        with pytest.raises(ValueError):
-            format_csv(["a"], [[1, 2]])
-
-    def test_summarize_series(self):
-        summary = summarize_series([1.0, 2.0, 3.0])
-        assert summary["mean"] == pytest.approx(2.0)
-        assert summary["final"] == 3.0
-        assert summary["count"] == 3
-        with pytest.raises(ValueError):
-            summarize_series([])
 
 
 class TestStaticExperiments:

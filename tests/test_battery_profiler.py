@@ -1,7 +1,9 @@
-"""Tests for the battery model and the software power profiler."""
+"""Tests for the battery model (its scalar rules are the reference loop's)
+and the software power profiler."""
 
 import pytest
 
+from reference_loop import can_participate, charge, depleted, discharge, equivalent_full_cycles
 from repro.energy.battery import Battery
 from repro.energy.profiler import PowerProfiler
 
@@ -10,39 +12,39 @@ class TestBattery:
     def test_initial_state(self):
         battery = Battery()
         assert battery.soc == pytest.approx(1.0)
-        assert battery.can_participate()
-        assert not battery.depleted
+        assert can_participate(battery)
+        assert not depleted(battery)
 
     def test_discharge_reduces_soc(self):
         battery = Battery(capacity_j=1000.0, charge_j=1000.0)
-        drawn = battery.discharge(250.0)
+        drawn = discharge(battery, 250.0)
         assert drawn == pytest.approx(250.0)
         assert battery.soc == pytest.approx(0.75)
 
     def test_discharge_clamps_at_empty(self):
         battery = Battery(capacity_j=100.0, charge_j=30.0)
-        drawn = battery.discharge(50.0)
+        drawn = discharge(battery, 50.0)
         assert drawn == pytest.approx(30.0)
-        assert battery.depleted
+        assert depleted(battery)
 
     def test_participation_threshold(self):
         battery = Battery(capacity_j=100.0, charge_j=15.0, min_participation_soc=0.2)
-        assert not battery.can_participate()
-        battery.charge(duration_s=1.0)  # +10 J at default 10 W
-        assert battery.can_participate()
+        assert not can_participate(battery)
+        charge(battery, duration_s=1.0)  # +10 J at default 10 W
+        assert can_participate(battery)
 
     def test_charge_clamps_at_capacity(self):
         battery = Battery(capacity_j=100.0, charge_j=95.0, charge_rate_w=10.0)
-        added = battery.charge(duration_s=10.0)
+        added = charge(battery, duration_s=10.0)
         assert added == pytest.approx(5.0)
         assert battery.soc == pytest.approx(1.0)
 
     def test_equivalent_full_cycles(self):
         battery = Battery(capacity_j=100.0, charge_j=100.0)
-        battery.discharge(100.0)
-        battery.charge(duration_s=10.0)
-        battery.discharge(50.0)
-        assert battery.equivalent_full_cycles() == pytest.approx(1.5)
+        discharge(battery, 100.0)
+        charge(battery, duration_s=10.0)
+        discharge(battery, 50.0)
+        assert equivalent_full_cycles(battery) == pytest.approx(1.5)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -55,9 +57,9 @@ class TestBattery:
     def test_negative_operations_rejected(self):
         battery = Battery()
         with pytest.raises(ValueError):
-            battery.discharge(-1.0)
+            discharge(battery, -1.0)
         with pytest.raises(ValueError):
-            battery.charge(-1.0)
+            charge(battery, -1.0)
 
 
 class TestPowerProfiler:
@@ -104,8 +106,10 @@ class TestPowerProfiler:
             PowerProfiler(source="oracle")
 
     def test_traces_have_requested_length(self, table):
-        profiler = PowerProfiler(table=table)
-        assert len(profiler.idle_power_trace("pixel2", 30)) == 30
-        assert len(profiler.decision_power_trace("pixel2", 15)) == 15
-        with pytest.raises(ValueError):
-            profiler.idle_power_trace("pixel2", 0)
+        """Each profiled run holds one power sample per second it lasts."""
+        comparison = PowerProfiler(table=table).profile_schedules("pixel2", "zoom")
+        assert len(comparison.training_separate.power_trace_w) == round(
+            table.training_time("pixel2")
+        )
+        for run in (comparison.app_separate, comparison.corunning):
+            assert len(run.power_trace_w) == round(table.corun_time("pixel2", "zoom"))

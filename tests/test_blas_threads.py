@@ -72,7 +72,7 @@ def _fingerprint(engine, result) -> tuple:
     """Includes the per-user gap traces: they carry the momentum norms, the
     first floats to differ between one and two BLAS threads."""
     params = hashlib.sha256(engine.server.global_params().tobytes()).hexdigest()
-    gaps = [result.trace.user_gap_trace(user) for user in range(engine.config.num_users)]
+    gaps = [result.trace.per_user_gaps.get(user, []) for user in range(engine.config.num_users)]
     return params, gaps, result.total_energy_j(), result.num_updates, result.final_accuracy()
 
 
@@ -256,7 +256,7 @@ _SCRIPT = textwrap.dedent(
     engine = SimulationEngine(SimulationConfig(**{config!r}), OnlinePolicy())
     result = engine.run()
     floats = [engine.server.global_params().tolist(), result.total_energy_j()]
-    floats += [result.trace.user_gap_trace(user) for user in range(engine.config.num_users)]
+    floats += [result.trace.per_user_gaps.get(user, []) for user in range(engine.config.num_users)]
     print(blas_threads(), hashlib.sha256(repr(floats).encode()).hexdigest(), result.num_updates)
     """
 )

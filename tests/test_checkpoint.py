@@ -27,7 +27,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from oracle import make_engine, run_digest
+from oracle import make_engine, retained_slots, run_digest
 from repro.core.online import OnlinePolicy
 from repro.core.policies import SyncPolicy
 from repro.fl.client import FLClient, LocalUpdate
@@ -327,6 +327,20 @@ class TestShardedRoundTrip:
         resumed = digest(engine.run())
         assert_same(reference, resumed, "widened (pre-compaction) checkpoint")
 
+    def test_checkpoint_holding_the_old_series_keys_restores_bitwise(
+        self, reference, checkpoint
+    ):
+        """Stores written while the accountant kept a per-slot energy series
+        carry two more accountant keys; re-sharding drops them and the
+        resumed run is bitwise the reference."""
+        legacy = copy.deepcopy(checkpoint)
+        for state in legacy.slices:
+            accountant = state["fleet"]["accountant"]
+            accountant["per_slot_total"] = [1.0] * checkpoint.slot
+            accountant["running_total_j"] = 1.0
+        resumed = digest(ShardedEngine.restore(legacy, shards=3, inline=True).run())
+        assert_same(reference, resumed, "checkpoint holding the old series keys")
+
 
 class TestResumeWhereBlocksForm:
     """One sample per user: a slot's finishers train as stacked blocks.  A
@@ -463,7 +477,7 @@ class TestCheckpointStore:
             store.save(first)
             store.save(second)
             assert store.load().slot == 137
-            assert store.retained_slots() == [137]
+            assert retained_slots(store) == [137]
             assert_only_needed_files_remain(store)
             # Once nothing of the first snapshot is still current, it goes.
             trained = copy.deepcopy(second)
@@ -536,7 +550,7 @@ class TestCheckpointStore:
                 intercept_writes(patch, lambda handle, data: handle.write(land(data)))
                 with pytest.raises(CheckpointError, match="write verification"):
                     store.save(second)
-            assert store.retained_slots() == [37]
+            assert retained_slots(store) == [37]
             assert store.load().slot == 37
 
     def test_at_rest_corruption_of_a_slice_file_is_caught_at_load(self):
@@ -736,7 +750,7 @@ class TestResumeFromAStoreOfSeveralSnapshots:
         with pytest.raises(RunInterrupted):
             build(kind, config, make_policy(policy)).run(checkpointer)
         assert [cp.slot for cp in taken] == slots
-        assert store.retained_slots() == slots[-2:]
+        assert retained_slots(store) == slots[-2:]
         return store, taken, digest(reference)
 
     @pytest.mark.parametrize("written_by,restored_by,policy,overrides", RESUME_CASES)

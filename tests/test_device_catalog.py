@@ -143,17 +143,15 @@ class TestBigLittleCpu:
         assert second_half < first_half
 
     def test_corun_saving_positive_on_big_little(self):
-        cpu = BigLittleCpu(DEVICE_CATALOG["pixel2"])
-        saving = cpu.corun_saving(LIGHT_APP_LOAD, training_time_s=220.0, app_time_s=200.0)
-        assert saving > 0.0
-
-    def test_corun_saving_worse_on_homogeneous_cpu(self):
-        """The Nexus 6's single cluster erodes (or reverses) the discount."""
-        hetero = BigLittleCpu(DEVICE_CATALOG["pixel2"])
-        homog = BigLittleCpu(DEVICE_CATALOG["nexus6"])
-        s_hetero = hetero.corun_saving(INTENSIVE_APP_LOAD, 220.0, 200.0)
-        s_homog = homog.corun_saving(INTENSIVE_APP_LOAD, 204.0, 200.0)
-        assert s_homog < s_hetero
+        """Co-running for the app's duration costs less than training and
+        the app run one after the other, on every heterogeneous device."""
+        for spec in DEVICE_CATALOG.values():
+            if not spec.heterogeneous:
+                continue
+            cpu = BigLittleCpu(spec)
+            for load in (LIGHT_APP_LOAD, INTENSIVE_APP_LOAD):
+                separate = cpu.training_power() * 220.0 + cpu.app_power(load) * 200.0
+                assert cpu.corun_power(load) * 200.0 < separate, (spec.name, load)
 
     def test_idle_below_training_below_corun(self):
         cpu = BigLittleCpu(DEVICE_CATALOG["hikey970"])

@@ -1,5 +1,7 @@
 """Integration tests: the full simulation engine under every policy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,8 +42,15 @@ class TestImmediateRun:
         assert immediate_result.best_accuracy() > random_guess + 0.05
 
     def test_cumulative_energy_is_monotone(self, immediate_result):
-        series = immediate_result.trace.energy_series_kj()
+        series = [s.cumulative_energy_j for s in immediate_result.trace.slot_samples]
         assert all(b >= a for a, b in zip(series, series[1:]))
+
+    def test_cumulative_energy_ends_at_the_total(self, smoke_config):
+        config = dataclasses.replace(smoke_config, trace_interval_slots=1)
+        result = SimulationEngine(config, ImmediatePolicy()).run()
+        samples = result.trace.slot_samples
+        assert [s.slot for s in samples] == list(range(config.total_slots))
+        assert samples[-1].cumulative_energy_j == result.total_energy_j()
 
     def test_immediate_schedules_every_decision(self, immediate_result):
         assert immediate_result.trace.decisions["idle"] == 0
@@ -82,7 +91,7 @@ class TestOnlineRun:
 
     def test_gap_traces_recorded_for_all_users(self, online_result, smoke_config):
         for user in range(smoke_config.num_users):
-            assert online_result.trace.user_gap_trace(user)
+            assert online_result.trace.per_user_gaps[user]
 
 
 class TestOtherPolicies:

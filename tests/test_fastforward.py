@@ -24,7 +24,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.shard import FleetShard, ShardedEngine
 
-from oracle import make_engine, run_digest
+from oracle import energy_breakdowns, make_engine, run_digest
 
 
 PHONE_MIX = {"pixel2": 1.0 / 3, "nexus6": 1.0 / 3, "nexus6p": 1.0 / 3}
@@ -139,15 +139,15 @@ class TestFastForwardEndToEnd:
 
     def test_per_slot_series_covers_every_slot(self):
         """Fast-forwarded slots must still backfill the cumulative series."""
-        config = _overnight_config()
+        config = _overnight_config(trace_interval_slots=1)
         result = SimulationEngine(config, ImmediatePolicy()).run()
-        assert len(result.accountant.per_slot_totals()) == config.total_slots
-        totals = result.accountant.per_slot_totals()
+        assert [s.slot for s in result.trace.slot_samples] == list(range(config.total_slots))
+        totals = [s.cumulative_energy_j for s in result.trace.slot_samples]
         assert all(b >= a for a, b in zip(totals, totals[1:]))
 
     def test_overnight_sparse_identical_to_slot_by_slot(self):
         """The drained-fleet regime exercises the longest quiet regions."""
-        config = _overnight_config()
+        config = _overnight_config(trace_interval_slots=1)
         slow = SimulationEngine(
             config, ImmediatePolicy(), fast_forward=False
         ).run()
@@ -159,15 +159,15 @@ class TestFastForwardEndToEnd:
         assert slow.queue_history == fast.queue_history
         assert slow.virtual_queue_history == fast.virtual_queue_history
         assert slow.total_energy_j() == fast.total_energy_j()
-        assert slow.accountant.per_slot_totals() == fast.accountant.per_slot_totals()
         assert slow.trace.slot_samples == fast.trace.slot_samples
         assert slow.trace.update_samples == fast.trace.update_samples
         assert slow.accuracy.accuracies() == fast.accuracy.accuracies()
         assert slow.accuracy.times() == fast.accuracy.times()
         assert slow.final_battery_soc == fast.final_battery_soc
-        for user in range(config.num_users):
-            assert slow.trace.user_gap_trace(user) == fast.trace.user_gap_trace(user)
-            assert slow.accountant.user_breakdown(user) == fast.accountant.user_breakdown(user)
+        assert slow.trace.per_user_gaps == fast.trace.per_user_gaps
+        assert energy_breakdowns(slow.accountant, config.num_users) == energy_breakdowns(
+            fast.accountant, config.num_users
+        )
 
     def test_online_policy_queue_histories_backfilled(self):
         """Quiet regions under the online policy replay both queue recursions."""
@@ -225,12 +225,11 @@ def _stretch_config(**overrides) -> SimulationConfig:
 
 def _observed(result, policy):
     """Every observable of a run, per-slot series and decision log included."""
-    users = range(result.config.num_users)
     return (
         run_digest(result),
         result.trace.slot_samples,
-        [result.trace.user_gap_trace(user) for user in users],
-        [result.accountant.user_breakdown(user) for user in users],
+        result.trace.per_user_gaps,
+        energy_breakdowns(result.accountant, result.config.num_users),
         result.decision_evaluations,
         result.final_battery_soc,
         getattr(policy, "decision_log", None),
@@ -267,7 +266,7 @@ class TestCertifiedIdleRegions:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {},
+            {"trace_interval_slots": 1},
             {"include_scheduler_overhead": True},
             {"trace_interval_slots": 1, "include_scheduler_overhead": True},
         ],
@@ -285,11 +284,11 @@ class TestCertifiedIdleRegions:
             policy = make()
             calls = _count_run_slots(monkeypatch)
             result = make_engine(mode, config, policy, fast_forward=fast_forward).run()
-            runs[label] = (_observed(result, policy), result.accountant.per_slot_totals(), len(calls))
-        assert runs["regions"][:2] == runs["slots"][:2] == runs["loop"][:2]
-        assert runs["slots"][2] == config.total_slots
+            runs[label] = (_observed(result, policy), len(calls))
+        assert runs["regions"][0] == runs["slots"][0] == runs["loop"][0]
+        assert runs["slots"][1] == config.total_slots
         # The region path fired: far fewer slots ran the slot path.
-        assert runs["regions"][2] < config.total_slots // 2
+        assert runs["regions"][1] < config.total_slots // 2
 
     @pytest.mark.parametrize(
         "make", [lambda: OnlinePolicy(v=4000.0), OfflinePolicy], ids=["online", "offline"]
@@ -300,19 +299,17 @@ class TestCertifiedIdleRegions:
         config = SimulationConfig(
             num_users=25, total_slots=3_600, app_arrival_prob=0.001, seed=0,
             hidden_dims=(16,), num_train_samples=500, num_test_samples=200,
-            eval_interval_slots=600,
+            eval_interval_slots=600, trace_interval_slots=1,
         )
         runs = {}
         for fast_forward in (False, True):
             policy = make()
             calls = _count_run_slots(monkeypatch)
             result = SimulationEngine(config, policy, fast_forward=fast_forward).run()
-            runs[fast_forward] = (
-                _observed(result, policy), result.accountant.per_slot_totals(), len(calls)
-            )
-        assert runs[True][:2] == runs[False][:2]
-        assert runs[False][2] == config.total_slots
-        assert runs[True][2] < config.total_slots
+            runs[fast_forward] = (_observed(result, policy), len(calls))
+        assert runs[True][0] == runs[False][0]
+        assert runs[False][1] == config.total_slots
+        assert runs[True][1] < config.total_slots
 
     def test_small_budget_flips_a_decision_inside_a_stretch(self):
         """With a tight ``Lb``, ``H(t)`` grows while users wait until one of

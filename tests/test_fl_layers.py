@@ -190,7 +190,3 @@ class TestSoftmaxCrossEntropy:
             loss.forward(np.zeros((2, 3, 1)), np.array([0, 1]))
         with pytest.raises(ValueError):
             loss.forward(np.zeros((2, 3)), np.array([0]))
-
-    def test_predictions(self):
-        logits = np.array([[0.1, 2.0, -1.0], [3.0, 0.0, 0.0]])
-        assert SoftmaxCrossEntropy.predictions(logits).tolist() == [1, 0]

@@ -13,6 +13,7 @@ from repro.fl.dataset import (
     partition_iid,
     partition_mixed,
 )
+from repro.fl.metrics import evaluate_model
 from repro.fl.model import Sequential, build_lenet5, build_mlp
 
 
@@ -66,10 +67,15 @@ class TestSequential:
         assert final_loss < first_loss * 0.7
 
     def test_predict_returns_classes(self, rng):
+        """Evaluation scores the argmax of the logits against the labels."""
         model = build_mlp(input_dim=8, hidden_dims=(6,), num_classes=5, seed=4)
-        predictions = model.predict(rng.normal(size=(7, 8)))
-        assert predictions.shape == (7,)
-        assert set(predictions.tolist()) <= set(range(5))
+        x = rng.normal(size=(7, 8))
+        predictions = model.forward(x).argmax(axis=1)
+        assert evaluate_model(model, x, predictions)[0] == 1.0
+        assert evaluate_model(model, x, (predictions + 1) % 5)[0] == 0.0
+        hits = np.array([True, False, True, True, False, False, True])
+        labels = np.where(hits, predictions, (predictions + 1) % 5)
+        assert evaluate_model(model, x, labels, batch_size=3)[0] == pytest.approx(4 / 7)
 
     def test_empty_layer_list_rejected(self):
         with pytest.raises(ValueError):

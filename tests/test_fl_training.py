@@ -288,8 +288,8 @@ class TestParameterServer:
         base = np.zeros(2)
         server = ParameterServer(base)
         server.async_update(self._update(0, base, np.ones(2)), time_s=1.0, gradient_gap=0.7)
-        assert server.lag_history() == [0]
-        assert server.gap_history() == [0.7]
+        assert server.updates.column("lag").tolist() == [0]
+        assert server.updates.column("gradient_gap").tolist() == [0.7]
 
     def test_shape_and_alpha_validation(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,8 @@ horizon and the synthetic dataset so the whole module runs in seconds.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.fleet import FleetEnergyAccountant
 from repro.sim.shard import ShardedEngine
 
-from oracle import make_engine
+from oracle import energy_breakdowns, make_engine
 
 
 def _paper_fleet_config(**overrides) -> SimulationConfig:
@@ -42,7 +44,7 @@ def _paper_fleet_config(**overrides) -> SimulationConfig:
         num_train_samples=600,
         num_test_samples=300,
         eval_interval_slots=200,
-        trace_interval_slots=10,
+        trace_interval_slots=1,
     )
     base.update(overrides)
     return SimulationConfig(**base)
@@ -88,27 +90,22 @@ def _assert_matrix_bitwise_equal(config, results):
     reference = results["loop"]
     for name, result in results.items():
         if name != "loop":
-            # Shards sum their own per-slot subtotals: the one plot-only
-            # series that re-associates (FleetEnergyAccountant.merged).
-            _assert_bitwise_equal(
-                config, reference, result, per_slot_series=not name.endswith("-shard")
-            )
+            _assert_bitwise_equal(config, reference, result)
 
 
-def _assert_bitwise_equal(config, loop, fleet, per_slot_series=True):
+def _assert_bitwise_equal(config, loop, fleet):
     """Every observable trace of the two runs must match exactly."""
     # Decisions and job mix.
     assert loop.trace.decisions == fleet.trace.decisions
     assert loop.trace.corun_jobs == fleet.trace.corun_jobs
     assert loop.trace.background_jobs == fleet.trace.background_jobs
-    # Eq. (10) energy: totals, per-user breakdowns and the per-slot series.
+    # Eq. (10) energy: totals and per-user breakdowns.
     assert loop.total_energy_j() == fleet.total_energy_j()
-    if per_slot_series:
-        assert loop.accountant.per_slot_totals() == fleet.accountant.per_slot_totals()
-    assert loop.accountant.training_related_j() == fleet.accountant.training_related_j()
-    for user in range(config.num_users):
-        assert loop.accountant.user_breakdown(user) == fleet.accountant.user_breakdown(user)
-    # Slot-sampled series (energy, queues, gap sum) and applied updates.
+    assert energy_breakdowns(loop.accountant, config.num_users) == energy_breakdowns(
+        fleet.accountant, config.num_users
+    )
+    # Slot-sampled series (cumulative energy, queues, gap sum) and applied
+    # updates: at the default ``trace_interval_slots=1``, every slot.
     assert loop.trace.slot_samples == fleet.trace.slot_samples
     # The queue backlogs inside the sampled SlotSamples must agree
     # slot-for-slot (not merely on aggregate statistics).
@@ -120,8 +117,7 @@ def _assert_bitwise_equal(config, loop, fleet, per_slot_series=True):
     ]
     assert loop.trace.update_samples == fleet.trace.update_samples
     # Eq. (12) per-user gap traces.
-    for user in range(config.num_users):
-        assert loop.trace.user_gap_trace(user) == fleet.trace.user_gap_trace(user)
+    assert loop.trace.per_user_gaps == fleet.trace.per_user_gaps
     # Queue backlogs, model updates, accuracy curve, batteries, comms.
     assert loop.queue_history == fleet.queue_history
     assert loop.virtual_queue_history == fleet.virtual_queue_history
@@ -270,7 +266,10 @@ def _run_five(config: SimulationConfig, make_policy, trace_level="full", **kwarg
 def _assert_headlines_equal(reference, result):
     """What survives ``trace_level="summary"``: totals, breakdowns, curves."""
     assert reference.total_energy_j() == result.total_energy_j()
-    assert reference.accountant.training_related_j() == result.accountant.training_related_j()
+    num_users = len(reference.device_names)
+    assert energy_breakdowns(reference.accountant, num_users) == energy_breakdowns(
+        result.accountant, num_users
+    )
     assert reference.num_updates == result.num_updates
     assert dict(reference.trace.decisions) == dict(result.trace.decisions)
     assert reference.accuracy.accuracies() == result.accuracy.accuracies()
@@ -389,7 +388,7 @@ class TestFleetPlaneRegimes:
         checkpoint = interrupt_at(SimulationEngine(config, ImmediatePolicy()), 450)
         resumed = ShardedEngine.restore(checkpoint, shards=2, inline=True).run()
         _assert_bitwise_equal(config, reference, uninterrupted)
-        _assert_bitwise_equal(config, reference, resumed, per_slot_series=False)
+        _assert_bitwise_equal(config, reference, resumed)
 
 
 class TestFleetScale:
@@ -417,7 +416,7 @@ class TestFleetScale:
         assert result.total_energy_j() > 0.0
         assert policy.decision_cost_evaluations() >= config.num_users
         assert len(result.queue_history) == config.total_slots + 1
-        assert len(result.accountant.per_slot_totals()) == config.total_slots
+        assert len(result.trace.slot_samples) == config.total_slots // config.trace_interval_slots
 
 
     def test_users_on_one_model_version_pin_one_view(self):
@@ -454,22 +453,43 @@ class TestFleetEnergyAccountant:
     def test_matches_loop_reduction_order(self):
         """total_j must be the left-to-right Python sum of per-user totals."""
         accountant = FleetEnergyAccountant(3)
-        energy = np.array([1.1, 2.2, 3.3])
         # One user idle, one on an app, one training: each energy sits in
         # the routing row of its user's state, 0.0 in the other three.
         routed = np.array(
             [[1.1, 0.0, 0.0], [0.0, 2.2, 0.0], [0.0, 0.0, 3.3], [0.0, 0.0, 0.0]]
         )
         overhead = np.array([0.5, 0.0, 0.0])
-        accountant.add_slot(routed, float(sum((energy + overhead).tolist())), overhead)
+        accountant.add_slot(routed, overhead)
         expected = sum([1.1 + 0.5, 2.2, 3.3])
         assert accountant.total_j() == expected
         assert accountant.total_kj() == expected / 1000.0
-        assert accountant.user_breakdown(0).idle_j == 1.1
-        assert accountant.user_breakdown(0).overhead_j == 0.5
-        assert accountant.training_related_j() == 3.3
-        accountant.close_slot()
-        assert accountant.per_slot_totals() == [expected]
+        assert energy_breakdowns(accountant, 3) == [
+            (1.1, 0.0, 0.0, 0.0, 0.5), (0.0, 2.2, 0.0, 0.0, 0.0), (0.0, 0.0, 3.3, 0.0, 0.0)
+        ]
+
+    def test_state_is_o_users_not_o_slots(self):
+        """Twice the horizon, the same state: nothing the accountant keeps
+        (checkpointed or snapshotted for a quiet region) grows with slots."""
+        sizes = []
+        for total_slots in (150, 300):
+            config = _paper_fleet_config(num_users=6, total_slots=total_slots)
+            accountant = SimulationEngine(config, ImmediatePolicy()).run().accountant
+            assert accountant.total_j() > 0.0
+            state, quiet = accountant.state_dict(), accountant.quiet_state()
+            sizes.append((len(pickle.dumps(state)), len(pickle.dumps(quiet))))
+        assert sizes[0] == sizes[1]
+
+    def test_load_ignores_the_old_per_slot_keys(self):
+        accountant = FleetEnergyAccountant(2)
+        accountant.add_slot(
+            np.array([[1.5, 0.0], [0.0, 2.5], [0.0, 0.0], [0.0, 0.0]]), np.array([0.0, 0.25])
+        )
+        state = accountant.state_dict()
+        restored = FleetEnergyAccountant(2)
+        restored.load_state_dict({**state, "per_slot_total": [4.25], "running_total_j": 4.25})
+        assert restored.total_j() == accountant.total_j() == 4.25
+        assert energy_breakdowns(restored, 2) == energy_breakdowns(accountant, 2)
+        assert set(restored.state_dict()) == set(state)
 
     def test_rejects_empty_fleet(self):
         with pytest.raises(ValueError):

@@ -131,8 +131,6 @@ def assert_columns_current(fleet: FleetState) -> None:
     earliest = int(fleet.app_end_slot[active].min()) if active.any() else None
     assert earliest is None or fleet._next_expiry <= earliest
     assert fleet._num_training == int(fleet.training_active.sum())
-    if fleet._slot_energy_j is not None:
-        assert fleet._slot_energy_j == float(sum(fleet._energy_j.tolist()))
 
 
 def accumulators(fleet: FleetState) -> list:
@@ -194,7 +192,6 @@ class FleetPlaneMachine(RuleBasedStateMachine):
                 decided_idle[[u for u in idle_deciders if not fleet.training_active[u]]] = True
             outcome = fleet.advance(decided_idle)
             assert not fleet.training_active[outcome.finished_users].any()
-            fleet.accountant.close_slot()
             self.slot += 1
             assert_columns_current(fleet)
 
@@ -206,12 +203,12 @@ class FleetPlaneMachine(RuleBasedStateMachine):
         horizon = min(slots, fleet.quiet_horizon(self.slot, TOTAL_SLOTS))
         if horizon <= 0:
             return
-        series = len(fleet.accountant.per_slot_totals())
+        steps = fleet.steps
         advanced, offsets, totals, user_totals = fleet.advance_quiet(
             self.slot, horizon, ticks, capture_user_totals=True
         )
         assert 0 <= advanced <= horizon
-        assert len(fleet.accountant.per_slot_totals()) == series + advanced
+        assert fleet.steps == steps + advanced  # one slot step per slot
         assert len(offsets) == len(totals) == len(user_totals)
         assert all((self.slot + offset) % ticks == 0 for offset in offsets)
         if offsets and offsets[-1] == advanced - 1:
@@ -225,7 +222,6 @@ class FleetPlaneMachine(RuleBasedStateMachine):
         for _ in range(400):
             self.open_slot()
             outcome = fleet.advance(np.zeros(NUM_USERS, dtype=bool))
-            fleet.accountant.close_slot()
             self.slot += 1
             if len(outcome.finished_users):
                 assert (fleet.remaining_slots[outcome.finished_users] <= 0.0).all()
@@ -381,7 +377,6 @@ class TestRest:
         fleet.begin_slot_apps(launch_slot)
         assert fleet.retargets == 1 and fleet.app_active.tolist().count(True) == 1
         assert not fleet._thermal_rest and not fleet._battery_rest
-        assert fleet._slot_energy_j is None
         assert_columns_current(fleet)
         fleet.advance_quiet(launch_slot, 10, None)
         assert fleet.temperature_c[3] > at_rest[3]

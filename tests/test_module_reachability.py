@@ -1,4 +1,5 @@
-"""Every module under ``src/repro`` is reachable from the product's entry points.
+"""Every module and every definition under ``src/repro`` is reachable from
+the product's entry points.
 
 The product surface is the ``repro-sim`` command line (``repro.cli``) plus the
 modules the figure/table reproductions (``benchmarks/*.py``) and the examples
@@ -8,23 +9,49 @@ imports inside functions, and the package ``__init__`` every import of a
 submodule executes (so a package's re-exports count) — without importing
 anything.  A module nothing reaches is code only the test suite runs: it
 belongs under ``tests/``, or nowhere.  ``__main__`` entry points are exempt.
+
+The same holds one level down (:class:`TestDefinitionReachability`): every
+module-level or class-body definition of ``src/repro`` is named somewhere on
+the product surface (``src/``, ``bench/``, ``benchmarks/``, ``examples/``)
+besides its own ``def``, or is listed in :data:`ALLOWED` with the reason it
+stays.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
-from typing import Dict, Iterable, Set
+from typing import Dict, Iterable, Set, Tuple
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
+#: The directories whose code is the product: a definition some file here
+#: names has a product caller.
+SURFACE = ("src", "bench", "benchmarks", "examples")
 
-def product_modules() -> Dict[str, Path]:
+#: Definitions nothing on the product surface names, and why each stays.
+ALLOWED = {
+    "do_GET": "BaseHTTPRequestHandler hook: http.server dispatches to it by name",
+    "do_POST": "BaseHTTPRequestHandler hook: http.server dispatches to it by name",
+    "log_message": "BaseHTTPRequestHandler hook: silences the per-request log",
+    "drift": "Lemma 2's one-slot Lyapunov drift, the paper's analysis",
+    "drift_plus_penalty_bound": "Eq. 20's drift-plus-penalty bound, the paper's analysis",
+    "theorem1_queue_bound": "Eq. 25's Theorem 1 queue bound, the paper's analysis",
+    "decision_log": "the per-decision record the equivalence suites compare",
+}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def product_modules(src: Path = SRC) -> Dict[str, Path]:
     """Dotted name -> file of every module of the ``repro`` package."""
     modules = {}
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        parts = path.relative_to(SRC).with_suffix("").parts
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
         modules[".".join(parts)] = path
@@ -88,22 +115,134 @@ class TestModuleReachability:
 
 def defined_names(path: Path) -> Dict[str, Set[str]]:
     """Module-level class/function names of ``path`` (key ``""``) and, per
-    class, the names its body defines (annotated fields included)."""
+    class — nested in a function or not — the names its body defines
+    (annotated fields included)."""
     tree = ast.parse(path.read_text(), str(path))
     kinds = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-    names: Dict[str, Set[str]] = {"": set()}
-    for node in tree.body:
-        if isinstance(node, kinds):
-            names[""].add(node.name)
+    names: Dict[str, Set[str]] = {"": {node.name for node in tree.body if isinstance(node, kinds)}}
+    for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
-            names[node.name] = {
-                child.name for child in node.body if isinstance(child, kinds)
-            } | {
-                child.target.id
-                for child in node.body
-                if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name)
-            }
+            names.setdefault(node.name, set()).update(
+                {child.name for child in node.body if isinstance(child, kinds)}
+                | {
+                    child.target.id
+                    for child in node.body
+                    if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name)
+                }
+            )
     return names
+
+
+def used_names(path: Path) -> Set[str]:
+    """Every name ``path`` uses: an ``ast.Name``, an attribute, or a string
+    shaped like an identifier (``getattr(obj, "name")``, a ``post("name")``
+    dispatch, an ``(owner, "attr")`` patch tuple).  An ``__all__`` entry
+    does not count, nor does an import alias or a ``def``'s own name."""
+    tree = ast.parse(path.read_text(), str(path))
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets):
+                exported.update(id(entry) for entry in ast.walk(node.value))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in exported
+            and _IDENTIFIER.match(node.value)
+        ):
+            names.add(node.value)
+    return names
+
+
+def unreached_definitions(root: Path = ROOT) -> Set[Tuple[str, str, str]]:
+    """``(module, class or "", name)`` of every non-dunder definition of
+    ``root/src/repro`` that no file on the product surface names."""
+    used: Set[str] = set()
+    for directory in SURFACE:
+        for path in sorted((root / directory).rglob("*.py")):
+            used |= used_names(path)
+    return {
+        (module, owner, name)
+        for module, path in product_modules(root / "src").items()
+        for owner, names in defined_names(path).items()
+        for name in names
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    }
+
+
+class TestDefinitionReachability:
+    def test_every_definition_has_a_product_caller(self):
+        unreached = sorted(
+            entry for entry in unreached_definitions() if entry[2] not in ALLOWED
+        )
+        assert unreached == []
+
+    def test_every_allowed_name_is_still_defined_and_unreached(self):
+        """A stale entry fails: the list can only shrink."""
+        assert set(ALLOWED) <= {name for _, _, name in unreached_definitions()}
+
+    @pytest.fixture()
+    def synthetic_tree(self, tmp_path):
+        """A two-file package plus a ``bench/`` script, with one case of
+        every rule of the gate; returns what the gate finds unreached."""
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text('from repro.mod import Owner\n__all__ = ["Owner"]\n')
+        (package / "mod.py").write_text(
+            "__all__ = ['Owner', 'exported_only']\n"
+            "def exported_only():\n    pass\n"
+            "class Owner:\n"
+            "    def called(self):\n        return getattr(self, 'looked_up')\n"
+            "    def looked_up(self):\n        pass\n"
+            "    def patched(self):\n        pass\n"
+            "    def unused(self):\n        pass\n"
+            "    def __repr__(self):\n        return 'Owner'\n"
+            "def main():\n    def server():\n"
+            "        class Handler:\n            def hook(self):\n                pass\n"
+            "    return Owner().called(), server\n"
+        )
+        (tmp_path / "bench").mkdir()
+        (tmp_path / "bench" / "trace.py").write_text(
+            "from repro.mod import Owner, main as entry\n"
+            "PATCHES = [(Owner, 'patched')]\nentry()\n"
+        )
+        return unreached_definitions(tmp_path)
+
+    def test_the_gate_on_a_synthetic_tree(self, synthetic_tree):
+        assert synthetic_tree == {
+            ("repro.mod", "Owner", "unused"),
+            ("repro.mod", "", "exported_only"),
+            ("repro.mod", "Handler", "hook"),
+            ("repro.mod", "", "main"),
+        }
+
+    def test_an_unused_method_is_flagged(self, synthetic_tree):
+        assert ("repro.mod", "Owner", "unused") in synthetic_tree
+        # Dunders are exempt: Python calls them by protocol, not by name.
+        assert ("repro.mod", "Owner", "__repr__") not in synthetic_tree
+
+    def test_an_all_entry_alone_is_no_use(self, synthetic_tree):
+        assert ("repro.mod", "", "exported_only") in synthetic_tree
+        # ``Owner`` is in both ``__all__`` lists, but ``called`` reaches it.
+        assert ("repro.mod", "", "Owner") not in synthetic_tree
+
+    def test_an_import_alias_is_no_use(self, synthetic_tree):
+        """``main as entry`` names ``entry``; ``main`` itself stays unreached."""
+        assert ("repro.mod", "", "main") in synthetic_tree
+
+    def test_a_getattr_string_and_a_patch_tuple_are_uses(self, synthetic_tree):
+        assert ("repro.mod", "Owner", "looked_up") not in synthetic_tree
+        assert ("repro.mod", "Owner", "patched") not in synthetic_tree
+
+    def test_class_bodies_inside_functions_are_walked(self, synthetic_tree):
+        assert ("repro.mod", "Handler", "hook") in synthetic_tree
 
 
 class TestOneDataPlane:

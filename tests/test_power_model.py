@@ -2,8 +2,11 @@
 
 import pytest
 
-from reference_loop import DeviceState, EnergyAccountant, power
-from repro.energy.power_model import EnergyBreakdown, PowerModel
+from oracle import DeviceObservation, decide_one
+from reference_loop import DeviceState, EnergyAccountant, EnergyBreakdown, power
+from repro.core.offline import OfflinePolicy
+from repro.core.policies import SlotContext
+from repro.energy.power_model import PowerModel
 
 
 @pytest.fixture()
@@ -70,14 +73,34 @@ class TestSchedulerOverhead:
         ) == table.idle_power("pixel2")
 
     def test_knapsack_saving_term(self, model, table):
-        """s_i = P_b + P_a - P_a' matches the Table II components."""
-        value = model.expected_corun_saving_power("pixel2", "map")
+        """The offline planner values a co-run at s_i = P_b + P_a - P_a'
+        (the Table II components) over the training duration."""
+
+        class OneArrival:
+            def next_arrival(self, user_id, start_slot, end_slot):
+                return (50, "map") if start_slot <= 50 < end_slot else None
+
+        policy = OfflinePolicy(staleness_bound=1000.0, window_slots=200)
+        policy.attach_oracle(OneArrival())
+        observation = DeviceObservation(
+            user_id=0,
+            slot=0,
+            power_training_w=model.training_power("pixel2"),
+            power_app_w=model.app_power("pixel2", "map"),
+            power_corun_w=model.corun_power("pixel2", "map"),
+            training_duration_slots=223,
+        )
+        decide_one(policy, observation)  # idle: now pending
+        policy.begin_slot(SlotContext(slot=0, slot_seconds=1.0, num_arrivals=0,
+                                      num_ready=1, num_training=0, num_users=1))
+        (solution,) = policy.solutions
+        assert solution.selected_user_ids == [0]
         expected = (
             table.training_power("pixel2")
             + table.app_power("pixel2", "map")
             - table.corun_power("pixel2", "map")
         )
-        assert value == pytest.approx(expected)
+        assert solution.total_saving_j == pytest.approx(expected * 223)
 
 
 class TestEnergyAccountant:

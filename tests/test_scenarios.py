@@ -33,7 +33,6 @@ from repro.scenarios import (
     get_scenario,
     list_scenarios,
     load_scenario_file,
-    register_scenario,
     scenario_run_spec,
 )
 from repro.sim.config import SimulationConfig
@@ -270,15 +269,6 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown scenario"):
             get_scenario("no-such-scenario")
 
-    def test_register_runtime_scenario(self):
-        spec = _two_cohort_spec(name="runtime-test-scenario")
-        register_scenario(spec, overwrite=True)
-        assert get_scenario("runtime-test-scenario") == spec
-
-    def test_builtin_names_protected(self):
-        with pytest.raises(ValueError, match="built-in"):
-            register_scenario(_two_cohort_spec(name="paper-baseline"))
-
     def test_json_file_round_trip(self, tmp_path):
         spec = _two_cohort_spec()
         path = tmp_path / "spec.json"
@@ -377,8 +367,8 @@ class TestScenarioRunnerCache:
     def test_second_run_served_from_cache(self, tmp_path):
         runner = self._runner(tmp_path)
         spec = _two_cohort_spec()
-        first = runner.run_one(spec, policy="immediate")
-        second = runner.run_one(spec, policy="immediate")
+        first = runner.run([spec], "immediate")[0]
+        second = runner.run([spec], "immediate")[0]
         assert not first.from_cache
         assert second.from_cache
         assert second.energy_j == first.energy_j
@@ -387,7 +377,7 @@ class TestScenarioRunnerCache:
         """Any cohort-parameter change must miss the cache (new content hash)."""
         runner = self._runner(tmp_path)
         spec = _two_cohort_spec()
-        runner.run_one(spec, policy="immediate")
+        runner.run([spec], "immediate")
         cohorts = list(spec.cohorts)
         cohorts[1] = CohortSpec(
             name="budget",
@@ -398,7 +388,7 @@ class TestScenarioRunnerCache:
         )
         changed = spec.scaled(cohorts=tuple(cohorts))
         assert changed.spec_hash() != spec.spec_hash()
-        rerun = runner.run_one(changed, policy="immediate")
+        rerun = runner.run([changed], "immediate")[0]
         assert not rerun.from_cache
 
     def test_run_spec_hash_tracks_scenario_content(self):
@@ -422,8 +412,8 @@ class TestScenarioRunnerCache:
                         eval_interval_slots=200)
             spec = spec.scaled(num_users=min(spec.num_users, 8),
                                total_slots=min(spec.total_slots, 600), base=base)
-            first = runner.run_one(spec, policy="immediate")
-            replay = runner.run_one(spec, policy="immediate")
+            first = runner.run([spec], "immediate")[0]
+            replay = runner.run([spec], "immediate")[0]
             assert not first.from_cache and replay.from_cache, name
             assert first.num_updates > 0, name
             assert replay.energy_j == first.energy_j, name
@@ -431,7 +421,7 @@ class TestScenarioRunnerCache:
     def test_cache_files_exist_on_disk(self, tmp_path):
         runner = self._runner(tmp_path)
         spec = _two_cohort_spec()
-        summary = runner.run_one(spec, policy="immediate")
+        summary = runner.run([spec], "immediate")[0]
         path = os.path.join(str(tmp_path / "cache"), f"{summary.spec_hash}.json")
         assert os.path.exists(path)
 
@@ -486,7 +476,7 @@ class TestCarbonReporting:
         from repro.analysis.runner import annotate_carbon
 
         runner = ScenarioRunner(cache_dir=None, jobs=1)
-        summary = runner.run_one(_two_cohort_spec(), policy="immediate")
+        summary = runner.run([_two_cohort_spec()], "immediate")[0]
         assert summary.carbon_g is None  # off by default
         annotate_carbon([summary], "world_average")
         expected = summary.energy_j / 3.6e6 * 475.0

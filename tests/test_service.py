@@ -31,6 +31,8 @@ from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.jobs import ExperimentService
 from repro.sim.config import SimulationConfig
 
+from oracle import retained_slots
+
 REPO = Path(__file__).resolve().parents[1]
 
 #: RunSummary fields that report wall-clock, not simulation state.
@@ -425,7 +427,7 @@ class TestKillAndResume:
             server.wait(timeout=30)
 
         store = CheckpointStore(tmp_path / "jobs" / job_id / "checkpoint")
-        retained = store.retained_slots()
+        retained = retained_slots(store)
         assert len(retained) == 2 and retained[-1] >= 3 * self.EVERY
         assert retained[-1] < spec.build_config().total_slots
 

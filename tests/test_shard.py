@@ -41,7 +41,7 @@ from repro.sim.shard import (
 )
 from repro.sim.shmplane import _INLINE_MAX, REPLY, ShardMailbox
 
-from oracle import upload_bits
+from oracle import energy_breakdowns, total_arrivals, upload_bits
 
 PHONE_MIX = {"pixel2": 1.0 / 3, "nexus6": 1.0 / 3, "nexus6p": 1.0 / 3}
 
@@ -58,10 +58,7 @@ def _observables(result, num_users: int) -> dict:
     """Everything the bitwise contract covers, ``==``-comparable."""
     return {
         "energy_j": result.total_energy_j(),
-        "training_related_j": result.accountant.training_related_j(),
-        "breakdowns": tuple(
-            result.accountant.user_breakdown(u) for u in range(num_users)
-        ),
+        "breakdowns": tuple(energy_breakdowns(result.accountant, num_users)),
         "accuracies": tuple(result.accuracy.accuracies()),
         "accuracy_times": tuple(result.accuracy.times()),
         "num_updates": result.num_updates,
@@ -72,7 +69,7 @@ def _observables(result, num_users: int) -> dict:
         "slot_samples": tuple(result.trace.slot_samples),
         "update_samples": tuple(result.trace.update_samples),
         "user_gaps": tuple(
-            tuple(result.trace.user_gap_trace(u)) for u in range(num_users)
+            tuple(result.trace.per_user_gaps.get(u, ())) for u in range(num_users)
         ),
         "queue_history": tuple(result.queue_history),
         "virtual_queue_history": tuple(result.virtual_queue_history),
@@ -735,7 +732,7 @@ class TestScheduleSlicing:
             assert [a.arrival_slot for a in sliced.arrivals_for(local)] == [
                 a.arrival_slot for a in schedule.arrivals_for(user)
             ]
-        assert sliced.total_arrivals() == sum(
+        assert total_arrivals(sliced) == sum(
             len(schedule.arrivals_for(user)) for user in range(2, 5)
         )
 

@@ -27,7 +27,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.rng import spawn_generators
 from repro.sim.trace import SimulationTrace, SlotSample
 
-from oracle import FrozenLogs, FrozenUpdateSample, arrival_rate
+from oracle import FrozenLogs, FrozenUpdateSample, arrival_rate, server_updates, total_arrivals
 from reference_loop import count_decision, launch_index
 
 
@@ -202,7 +202,7 @@ class TestArrivalSchedule:
 
     def test_zero_probability_produces_no_arrivals(self):
         schedule = self._schedule(prob=0.0)
-        assert schedule.total_arrivals() == 0
+        assert total_arrivals(schedule) == 0
 
     def test_durations_match_table(self, table):
         schedule = self._schedule(prob=0.05, slots=3000, users=2, seed=5)
@@ -235,7 +235,7 @@ class TestSimulationTrace:
             trace.maybe_record_slot(self._sample(slot))
         assert [s.slot for s in trace.slot_samples] == [0, 10, 20]
         assert trace.times() == [0.0, 10.0, 20.0]
-        assert trace.energy_series_kj() == [0.1, 0.1, 0.1]
+        assert [s.cumulative_energy_j for s in trace.slot_samples] == [100.0] * 3
 
     def test_update_and_decision_records(self):
         trace = SimulationTrace()
@@ -253,8 +253,8 @@ class TestSimulationTrace:
         trace = SimulationTrace()
         for t in range(5):
             trace.record_user_gaps(float(t), [1.0, float(t)])
-        assert len(trace.user_gap_trace(0)) == 5
-        assert trace.user_gap_trace(9) == []
+        assert len(trace.per_user_gaps[0]) == 5
+        assert 9 not in trace.per_user_gaps
         assert trace.gap_variance_across_users() > 0.0
 
     def test_empty_trace_defaults(self):
@@ -360,7 +360,7 @@ class TestLogViewsEqualTheFrozenRecordLists:
     def test_views_match_over_a_midfleet_smoke_run(self, online):
         logs, engine, result = online
         assert len(logs.update_log) > 20 and len(logs.decision_log) > 100
-        same_records(engine.server.update_log, logs.update_log)
+        same_records(server_updates(engine.server), logs.update_log)
         same_records(result.trace.update_samples, logs.update_samples)
         same_records(engine.transport.records, logs.records)
         decisions = engine.policy.decision_log
@@ -368,8 +368,9 @@ class TestLogViewsEqualTheFrozenRecordLists:
         assert all(
             type(slot) is int and type(user) is int for slot, user, _ in decisions
         )
-        assert engine.server.lag_history() == [u.lag for u in logs.update_log]
-        assert engine.server.gap_history() == [u.gradient_gap for u in logs.update_log]
+        updates = engine.server.updates
+        assert updates.column("lag").tolist() == [u.lag for u in logs.update_log]
+        assert updates.column("gradient_gap").tolist() == [u.gradient_gap for u in logs.update_log]
         assert result.comm_bytes_mb == sum(r.size_mb for r in logs.records if r.succeeded)
         assert result.comm_failures == sum(1 for r in logs.records if not r.succeeded)
 
@@ -378,7 +379,7 @@ class TestLogViewsEqualTheFrozenRecordLists:
         unit, _ = engine.core.checkpoint_unit()
         policy, server, transport, trace = pickle.loads(pickle.dumps(unit))[:4]
         assert trace.updates is server.updates  # one set of rows, still shared
-        same_records(server.update_log, logs.update_log)
+        same_records(server_updates(server), logs.update_log)
         same_records(trace.update_samples, logs.update_samples)
         same_records(transport.records, logs.records)
         assert policy.decision_log == logs.decision_log
@@ -406,7 +407,7 @@ class TestLogViewsEqualTheFrozenRecordLists:
         assert logs.update_samples and all(s.sync_round for s in logs.update_samples)
         same_records(result.trace.update_samples, logs.update_samples)
         same_records(engine.transport.records, logs.records)
-        views = engine.server.update_log
+        views = server_updates(engine.server)
         same_records(
             views,
             [
@@ -422,7 +423,7 @@ class TestLogViewsEqualTheFrozenRecordLists:
         )
         result = engine.run()
         assert result.trace.update_samples == logs.update_samples == []
-        same_records(engine.server.update_log, logs.update_log)
+        same_records(server_updates(engine.server), logs.update_log)
 
     def test_an_engine_trace_refuses_direct_update_records(self, online):
         _, engine, _ = online

@@ -8,7 +8,6 @@ from repro.core.queues import LyapunovAnalyzer, TaskQueue, VirtualQueue
 from repro.core.staleness import (
     gradient_gap,
     gradient_gap_from_params,
-    linear_weight_prediction,
     momentum_lag_factor,
 )
 
@@ -69,31 +68,11 @@ class TestGradientGap:
         with pytest.raises(ValueError):
             gradient_gap_from_params(theta_old, np.zeros(2))
 
-
-class TestLinearWeightPrediction:
-    def test_eq3_prediction(self):
-        params = np.array([1.0, 1.0])
-        velocity = np.array([0.5, -0.5])
-        predicted = linear_weight_prediction(params, velocity, learning_rate=0.1,
-                                             momentum=0.5, lag=2)
-        factor = (1 - 0.25) / 0.5
-        assert np.allclose(predicted, params - 0.1 * factor * velocity)
-
-    def test_prediction_norm_matches_gap(self):
-        params = np.zeros(3)
+    def test_gap_is_the_norm_of_the_eq3_displacement(self):
+        """Eq. 3 moves the parameters by ``eta * (1 - beta**lag) / (1 - beta) * v``."""
         velocity = np.array([3.0, 0.0, 4.0])  # norm 5
-        predicted = linear_weight_prediction(params, velocity, 0.1, 0.9, 4)
-        gap = gradient_gap(5.0, 0.1, 0.9, 4)
-        assert np.linalg.norm(predicted - params) == pytest.approx(gap)
-
-    def test_zero_lag_returns_params(self):
-        params = np.array([1.0, 2.0])
-        predicted = linear_weight_prediction(params, np.ones(2), 0.1, 0.9, 0)
-        assert np.allclose(predicted, params)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            linear_weight_prediction(np.zeros(2), np.zeros(3), 0.1, 0.9, 1)
+        displacement = 0.1 * momentum_lag_factor(0.9, 4) * velocity
+        assert np.linalg.norm(displacement) == pytest.approx(gradient_gap(5.0, 0.1, 0.9, 4))
 
 
 class TestGapTracker:

@@ -32,6 +32,7 @@ def _battery_sync_config(**overrides) -> SimulationConfig:
         num_train_samples=240,
         num_test_samples=100,
         eval_interval_slots=300,
+        trace_interval_slots=1,
         battery_capacity_j=50_000.0,
         battery_charge_rate_w=0.0,
         min_battery_soc=0.2,
@@ -81,7 +82,7 @@ class TestSyncQuorumDeadlock:
             assert other.num_updates == reference.num_updates
             assert other.total_energy_j() == reference.total_energy_j()
             assert other.trace.update_samples == reference.trace.update_samples
-            assert other.accountant.per_slot_totals() == reference.accountant.per_slot_totals()
+            assert other.trace.slot_samples == reference.trace.slot_samples
             assert other.final_battery_soc == reference.final_battery_soc
 
     def test_full_fleet_quorum_unchanged_without_batteries(self):
