@@ -851,7 +851,6 @@ def _cmd_metrics_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_metrics_regress(args: argparse.Namespace) -> int:
     from repro.metrics.regress import (
-        detect_bench_regressions,
         detect_store_regressions,
         format_regressions,
         parse_tolerance_overrides,
@@ -863,24 +862,9 @@ def _cmd_metrics_regress(args: argparse.Namespace) -> int:
             tolerances = parse_tolerance_overrides(args.tolerance)
         except ValueError as error:
             raise SystemExit(str(error))
-    findings = []
-    if args.artifacts and Path(args.artifacts).is_dir():
-        bench_findings, stats = detect_bench_regressions(
-            args.artifacts, tolerances=tolerances
-        )
-        findings.extend(bench_findings)
-        print(f"bench: {stats['files']} file(s), {stats['groups']} "
-              f"group(s) with history, {stats['checks']} check(s)")
-    elif args.artifacts:
-        print(f"bench: no artifact directory at {args.artifacts}")
-    store = _open_store(args, required=False)
-    if store is not None:
-        store_findings, stats = detect_store_regressions(
-            store, tolerances=tolerances
-        )
-        findings.extend(store_findings)
-        print(f"store: {stats['groups']} group(s) with history, "
-              f"{stats['checks']} check(s)")
+    findings, stats = detect_store_regressions(_open_store(args), tolerances=tolerances)
+    print(f"store: {stats['groups']} group(s) with history, "
+          f"{stats['checks']} check(s)")
     print(format_regressions(findings))
     return 1 if findings else 0
 
@@ -888,12 +872,9 @@ def _cmd_metrics_regress(args: argparse.Namespace) -> int:
 def _cmd_metrics_dashboard(args: argparse.Namespace) -> int:
     from repro.metrics.dashboard import write_dashboard
 
-    store = _open_store(args, required=False)
-    artifacts = args.artifacts if args.artifacts else None
     out = write_dashboard(
         args.out,
-        store=store,
-        artifact_dir=artifacts,
+        store=_open_store(args, required=False),
         title=args.title,
         baseline_policy=args.baseline_policy,
     )
@@ -1224,17 +1205,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     m_regress = metrics_sub.add_parser(
         "regress",
-        help="detect metric regressions across BENCH trajectories and "
-             "store history (nonzero exit on findings)",
+        help="detect metric regressions across a store's version-to-version "
+             "history (nonzero exit on findings)",
     )
-    m_regress.add_argument("--artifacts", default="benchmark_artifacts",
-                           metavar="DIR",
-                           help="BENCH_*.json trajectory directory "
-                                "(default: benchmark_artifacts; pass '' to "
-                                "skip)")
-    m_regress.add_argument("--store", default=None, metavar="DB",
-                           help="also compare version-to-version history in "
-                                "this metrics store")
+    m_regress.add_argument("--store", required=True, metavar="DB",
+                           help="sqlite metrics store whose history to compare")
     m_regress.add_argument("--tolerance", action="append", default=None,
                            metavar="PATTERN=REL[:ABS[:DIR]]",
                            help="override a metric tolerance (repeatable); "
@@ -1247,10 +1222,6 @@ def build_parser() -> argparse.ArgumentParser:
     m_dash.add_argument("--out", required=True, metavar="FILE",
                         help="output HTML file")
     m_dash.add_argument("--store", default=None, metavar="DB")
-    m_dash.add_argument("--artifacts", default="benchmark_artifacts",
-                        metavar="DIR",
-                        help="BENCH_*.json directory for trajectory "
-                             "sparklines (pass '' to skip)")
     m_dash.add_argument("--title", default="repro-sim metrics")
     m_dash.add_argument("--baseline-policy", default="immediate",
                         help="policy the energy pivot's deltas compare "

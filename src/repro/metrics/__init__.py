@@ -13,10 +13,8 @@ the SimCash ``web/`` + ``experiments/`` split referenced in ROADMAP.md:
   streamed over HTTP by the service layer;
 * :mod:`repro.metrics.query` — cross-scenario / cross-policy / cross-seed
   delta queries over a store;
-* :mod:`repro.metrics.bench` — the one ``BENCH_*.json`` trajectory
-  record schema and its loader;
-* :mod:`repro.metrics.regress` — per-metric tolerance gates over BENCH
-  trajectories and store headline metrics (``repro-sim metrics regress``);
+* :mod:`repro.metrics.regress` — per-metric tolerance gates over a store's
+  version-to-version headline metrics (``repro-sim metrics regress``);
 * :mod:`repro.metrics.dashboard` — a zero-dependency static HTML
   comparison dashboard (``repro-sim metrics dashboard``).
 

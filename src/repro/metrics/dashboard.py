@@ -2,16 +2,14 @@
 
 ``repro-sim metrics dashboard --out report.html`` renders one self-contained
 file (inline CSS + SVG, no scripts, no external assets) from a
-:class:`~repro.metrics.store.MetricsStore` and/or a ``benchmark_artifacts``
-directory:
+:class:`~repro.metrics.store.MetricsStore`:
 
 * headline stat tiles (runs, series points, scenarios, policies);
 * the ingested-runs table;
 * a scenario × policy energy pivot with savings vs a baseline policy
   (the paper's Fig. 5/6 comparison shape);
 * per-run telemetry sparklines (accuracy and energy over slots) for runs
-  that streamed frames into the store;
-* BENCH trajectory sparklines (each persisted smoke metric over CI runs).
+  that streamed frames into the store.
 
 Rendering follows the project chart conventions: single-hue single-series
 sparklines (no legend needed), one axis, thin 2px line marks, text in text
@@ -26,7 +24,6 @@ import html
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.metrics.bench import load_bench_dir
 from repro.metrics.query import headline_pivot, store_summary
 from repro.metrics.store import MetricsStore
 
@@ -255,59 +252,8 @@ def _series_section(store: MetricsStore, rows: List[Dict[str, Any]], cap: int = 
     return f"<table><thead><tr>{head}</tr></thead><tbody>{''.join(blocks)}</tbody></table>"
 
 
-def _bench_section(artifact_dir: Union[str, Path], metrics_cap: int = 8) -> str:
-    trajectories = load_bench_dir(artifact_dir)
-    if not trajectories:
-        return '<p class="empty">No BENCH_*.json trajectories found.</p>'
-    blocks = []
-    for file_name, runs in trajectories.items():
-        groups: Dict[Tuple, List] = {}
-        for run in runs:
-            groups.setdefault(run.group_key(), []).append(run)
-        rows = []
-        for _, group_runs in sorted(groups.items()):
-            if len(group_runs) < 2:
-                continue  # a single point is a number, not a trajectory
-            metric_names = sorted(
-                {m for run in group_runs for m in run.metrics}
-            )[:metrics_cap]
-            label = " ".join(
-                f"{k}={v}" for k, v in sorted(group_runs[-1].context.items())
-            ) or "default"
-            for metric in metric_names:
-                points = [
-                    (float(index), run.metrics[metric])
-                    for index, run in enumerate(group_runs)
-                    if metric in run.metrics
-                ]
-                if len(points) < 2:
-                    continue
-                rows.append(
-                    "<tr>"
-                    f"<td>{html.escape(label)}</td>"
-                    f'<td class="mono">{html.escape(metric)}</td>'
-                    f'<td class="num">{_fmt(points[-1][1])}</td>'
-                    f"<td>{_sparkline(points, f'{file_name} {metric} by CI run')}</td>"
-                    "</tr>"
-                )
-        if rows:
-            blocks.append(
-                f"<h2>{html.escape(file_name)}</h2>"
-                "<table><thead><tr><th>group</th><th>metric</th>"
-                '<th class="num">latest</th><th>trajectory</th></tr></thead>'
-                f"<tbody>{''.join(rows)}</tbody></table>"
-            )
-    if not blocks:
-        return (
-            '<p class="empty">Trajectories exist but no context group has two '
-            "or more comparable records yet.</p>"
-        )
-    return "".join(blocks)
-
-
 def render_dashboard(
     store: Optional[MetricsStore] = None,
-    artifact_dir: Union[None, str, Path] = None,
     title: str = "repro-sim metrics",
     baseline_policy: str = "immediate",
 ) -> str:
@@ -331,9 +277,6 @@ def render_dashboard(
         sections.append(_series_section(store, rows))
     else:
         sections.append('<p class="empty">No metrics store given.</p>')
-    if artifact_dir is not None and Path(artifact_dir).is_dir():
-        sections.append("<h2>Benchmark trajectories</h2>")
-        sections.append(_bench_section(artifact_dir))
     body = "\n".join(sections)
     return (
         "<!DOCTYPE html>\n"
@@ -353,7 +296,6 @@ def render_dashboard(
 def write_dashboard(
     out: Union[str, Path],
     store: Optional[MetricsStore] = None,
-    artifact_dir: Union[None, str, Path] = None,
     title: str = "repro-sim metrics",
     baseline_policy: str = "immediate",
 ) -> Path:
@@ -363,7 +305,6 @@ def write_dashboard(
     out.write_text(
         render_dashboard(
             store=store,
-            artifact_dir=artifact_dir,
             title=title,
             baseline_policy=baseline_policy,
         ),

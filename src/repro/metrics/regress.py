@@ -1,37 +1,29 @@
-"""Regression detection over BENCH trajectories and store headline metrics.
+"""Regression detection over a metrics store's headline metrics.
 
-Two sources, one report:
+:func:`detect_store_regressions` groups a
+:class:`~repro.metrics.store.MetricsStore`'s run rows by run identity
+(scenario, label, policy, seed, shards) and compares the newest ingest
+against the *median* of the earlier ones, metric by metric — the
+version-to-version trajectory of one experiment cell.
 
-* :func:`detect_bench_regressions` — loads every ``BENCH_*.json``
-  trajectory (via the :mod:`repro.metrics.bench` loader),
-  groups records by their context (scenario/config identity), and inside
-  each group compares the newest record against the *median* of the
-  earlier ones, metric by metric.
-* :func:`detect_store_regressions` — groups a
-  :class:`~repro.metrics.store.MetricsStore`'s run rows by run identity
-  (scenario, label, policy, seed, shards) and compares the
-  newest ingest against the median of the earlier ones — the
-  version-to-version trajectory of one experiment cell.
-
-Per-metric tolerances carry a *direction*: wall-clock metrics only regress
-upward (CI machines are noisy, so their relative tolerance is generous);
-accuracy and speedup only regress downward; deterministic metrics (energy,
-update counts) regress in *either* direction with a tight tolerance —
+Per-metric tolerances carry a *direction*: wall-clock only regresses
+upward (CI machines are noisy, so its relative tolerance is generous);
+accuracy only regresses downward; deterministic metrics (energy, update
+counts, queues) regress in *either* direction with a tight tolerance —
 a "faster but different answer" drift is a determinism bug, not a win.
 
-``repro-sim metrics regress`` wraps both detectors with a nonzero exit
-when anything trips, so CI can gate on it.
+``repro-sim metrics regress --store DB`` wraps the detector with a nonzero
+exit when anything trips, so CI can gate on it.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from fnmatch import fnmatch
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.metrics.bench import BenchRun, load_bench_dir
 from repro.metrics.query import version_history
 from repro.metrics.store import MetricsStore
 
@@ -39,7 +31,6 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "Regression",
     "Tolerance",
-    "detect_bench_regressions",
     "detect_store_regressions",
     "format_regressions",
     "parse_tolerance_overrides",
@@ -51,9 +42,9 @@ __all__ = [
 class Tolerance:
     """Allowed delta for one metric: ``abs_tol + rel * |baseline|``.
 
-    ``direction`` names which way is *worse*: ``"high"`` (wall-clock,
-    failure counts), ``"low"`` (accuracy, speedup), or ``"both"``
-    (deterministic quantities where any drift is suspect).
+    ``direction`` names which way is *worse*: ``"high"`` (wall-clock),
+    ``"low"`` (accuracy), or ``"both"`` (deterministic quantities where any
+    drift is suspect).  ``rel`` and ``abs_tol`` are finite and non-negative.
     """
 
     rel: float = 0.5
@@ -63,20 +54,20 @@ class Tolerance:
     def __post_init__(self) -> None:
         if self.direction not in ("high", "low", "both"):
             raise ValueError(f"unknown tolerance direction {self.direction!r}")
+        for name in ("rel", "abs_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"tolerance {name} must be finite and non-negative, got {value!r}"
+                )
 
     def allowed(self, baseline: float) -> float:
         return self.abs_tol + self.rel * abs(baseline)
 
 
-#: First fnmatch pattern (against the dotted metric name, then its last
-#: component) wins.  Appear-in-order: most specific first.
+#: First fnmatch pattern against the metric name wins; every name of
+#: :data:`STORE_METRICS` matches one.
 DEFAULT_TOLERANCES: Tuple[Tuple[str, Tolerance], ...] = (
-    # Bitwise-determinism sentinels: any growth is a bug.
-    ("max_divergence", Tolerance(rel=0.0, abs_tol=1e-12, direction="high")),
-    ("mismatches", Tolerance(rel=0.0, abs_tol=0.0, direction="high")),
-    ("failures", Tolerance(rel=0.0, abs_tol=0.0, direction="high")),
-    ("reproducible", Tolerance(rel=0.0, abs_tol=0.0, direction="low")),
-    ("attempts", Tolerance(rel=0.0, abs_tol=0.5, direction="high")),
     # Deterministic simulation outputs: tight, direction-free.
     ("*energy*", Tolerance(rel=0.01, direction="both")),
     ("*updates*", Tolerance(rel=0.01, direction="both")),
@@ -85,26 +76,21 @@ DEFAULT_TOLERANCES: Tuple[Tuple[str, Tolerance], ...] = (
     ("*schedule_fraction*", Tolerance(rel=0.05, direction="both")),
     # Model quality: only a drop is a regression.
     ("*accuracy*", Tolerance(rel=0.0, abs_tol=0.02, direction="low")),
-    ("*speedup*", Tolerance(rel=0.5, direction="low")),
     # Wall-clock: CI hosts are noisy; only flag large slowdowns.
     ("*_s", Tolerance(rel=2.0, direction="high")),
-    ("*share*", Tolerance(rel=0.5, direction="both")),
 )
-
-_FALLBACK = Tolerance(rel=1.0, direction="both")
 
 
 def tolerance_for(
     metric: str,
     tolerances: Optional[Sequence[Tuple[str, Tolerance]]] = None,
 ) -> Tolerance:
-    """The first matching tolerance for a (possibly dotted) metric name."""
+    """The first matching tolerance for a metric name."""
     name = metric.lower()
-    leaf = name.rsplit(".", 1)[-1]
     for pattern, tolerance in tolerances if tolerances is not None else DEFAULT_TOLERANCES:
-        if fnmatch(name, pattern) or fnmatch(leaf, pattern):
+        if fnmatch(name, pattern):
             return tolerance
-    return _FALLBACK
+    raise LookupError(f"no tolerance pattern matches metric {metric!r}")
 
 
 def parse_tolerance_overrides(
@@ -114,7 +100,7 @@ def parse_tolerance_overrides(
 
     Overrides are prepended to the default table, so they win for every
     metric they match — e.g. ``--tolerance '*_s=5.0'`` or
-    ``--tolerance 'speedup=0.8:0:low'``.
+    ``--tolerance 'final_accuracy=0:0.05:low'``.
     """
     table: List[Tuple[str, Tolerance]] = []
     for spec in specs:
@@ -133,7 +119,6 @@ def parse_tolerance_overrides(
 class Regression:
     """One metric beyond tolerance: where, what, and by how much."""
 
-    source: str  # "bench:<file>" or "store"
     group: str  # human-readable identity of the compared trajectory
     metric: str
     baseline: float
@@ -152,14 +137,13 @@ class Regression:
             else ""
         )
         return (
-            f"{self.source} [{self.group}] {self.metric}: "
+            f"[{self.group}] {self.metric}: "
             f"{self.baseline:g} -> {self.latest:g}{pct}, "
             f"allowed ±{self.allowed:g} ({self.direction})"
         )
 
 
 def _check(
-    source: str,
     group: str,
     metric: str,
     baseline: float,
@@ -179,7 +163,6 @@ def _check(
     if not flagged:
         return None
     return Regression(
-        source=source,
         group=group,
         metric=metric,
         baseline=baseline,
@@ -187,78 +170,6 @@ def _check(
         allowed=allowed,
         direction=tolerance.direction,
     )
-
-
-def _group_label(context: Mapping[str, Any]) -> str:
-    if not context:
-        return "default"
-    return " ".join(f"{k}={v}" for k, v in sorted(context.items()))
-
-
-def _compare_group(
-    source: str,
-    group: str,
-    history: Sequence[Mapping[str, float]],
-    tolerances: Optional[Sequence[Tuple[str, Tolerance]]],
-) -> Tuple[List[Regression], int]:
-    """Latest record vs the median of the earlier ones; (findings, checks)."""
-    latest = history[-1]
-    earlier = history[:-1]
-    regressions: List[Regression] = []
-    checked = 0
-    for metric in sorted(latest):
-        value = latest[metric]
-        baselines = [
-            record[metric]
-            for record in earlier
-            if record.get(metric) is not None
-        ]
-        if value is None or not baselines:
-            continue  # metric newly added (or newly absent): nothing to compare
-        checked += 1
-        finding = _check(
-            source,
-            group,
-            metric,
-            statistics.median(baselines),
-            float(value),
-            tolerance_for(metric, tolerances),
-        )
-        if finding is not None:
-            regressions.append(finding)
-    return regressions, checked
-
-
-def detect_bench_regressions(
-    artifact_dir: Union[str, Path],
-    tolerances: Optional[Sequence[Tuple[str, Tolerance]]] = None,
-) -> Tuple[List[Regression], Dict[str, int]]:
-    """Scan every ``BENCH_*.json`` trajectory in a directory.
-
-    Returns ``(regressions, stats)`` where stats counts the files, context
-    groups with history (>= 2 records), and metric comparisons performed —
-    so a CI log shows how much was actually gated, not just "no findings".
-    """
-    regressions: List[Regression] = []
-    stats = {"files": 0, "groups": 0, "checks": 0}
-    for file_name, runs in load_bench_dir(artifact_dir).items():
-        stats["files"] += 1
-        groups: Dict[Tuple, List[BenchRun]] = {}
-        for run in runs:
-            groups.setdefault(run.group_key(), []).append(run)
-        for key, group_runs in sorted(groups.items()):
-            if len(group_runs) < 2:
-                continue  # no history to regress against
-            stats["groups"] += 1
-            found, checked = _compare_group(
-                f"bench:{file_name}",
-                _group_label(group_runs[-1].context),
-                [run.metrics for run in group_runs],
-                tolerances,
-            )
-            regressions.extend(found)
-            stats["checks"] += checked
-    return regressions, stats
 
 
 #: Store columns the version-to-version detector compares.
@@ -279,7 +190,12 @@ def detect_store_regressions(
     store: MetricsStore,
     tolerances: Optional[Sequence[Tuple[str, Tolerance]]] = None,
 ) -> Tuple[List[Regression], Dict[str, int]]:
-    """Compare each run identity's newest ingest against its history."""
+    """Compare each run identity's newest ingest against its history.
+
+    Returns ``(regressions, stats)`` where stats counts the identities with
+    history (>= 2 ingests) and the metric comparisons performed — so a CI
+    log shows how much was actually gated, not just "no findings".
+    """
     regressions: List[Regression] = []
     stats = {"groups": 0, "checks": 0}
     for key, history in sorted(
@@ -294,17 +210,22 @@ def detect_store_regressions(
             f"{scenario or label or '?'} policy={policy} seed={seed} "
             f"shards={shards}"
         )
-        found, checked = _compare_group(
-            "store",
-            group,
-            [
-                {metric: entry.get(metric) for metric in STORE_METRICS}
-                for entry in history
-            ],
-            tolerances,
-        )
-        regressions.extend(found)
-        stats["checks"] += checked
+        latest, earlier = history[-1], history[:-1]
+        for metric in sorted(STORE_METRICS):
+            value = latest[metric]
+            baselines = [entry[metric] for entry in earlier if entry[metric] is not None]
+            if value is None or not baselines:
+                continue  # metric newly recorded (or newly absent): nothing to compare
+            stats["checks"] += 1
+            finding = _check(
+                group,
+                metric,
+                statistics.median(baselines),
+                float(value),
+                tolerance_for(metric, tolerances),
+            )
+            if finding is not None:
+                regressions.append(finding)
     return regressions, stats
 
 

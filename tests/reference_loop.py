@@ -348,9 +348,6 @@ class EnergyAccountant:
 
     def __init__(self) -> None:
         self._per_user: Dict[int, EnergyBreakdown] = defaultdict(EnergyBreakdown)
-        self._per_slot_total: list = []
-        self._running_total_j = 0.0
-        self._slot_energy_j = 0.0
 
     def record(
         self, user_id: int, state: DeviceState, energy_j: float, overhead_j: float = 0.0
@@ -370,14 +367,6 @@ class EnergyAccountant:
         else:
             raise ValueError(f"unknown device state: {state!r}")
         breakdown.overhead_j += overhead_j
-        self._slot_energy_j += energy_j + overhead_j
-
-    def close_slot(self) -> None:
-        """Add the slot's energies, summed in recording (user) order, to the
-        running total and snapshot it."""
-        self._running_total_j += self._slot_energy_j
-        self._per_slot_total.append(self._running_total_j)
-        self._slot_energy_j = 0.0
 
     def user_breakdown(self, user_id: int) -> EnergyBreakdown:
         """Energy breakdown for one user."""
@@ -401,10 +390,6 @@ class EnergyAccountant:
                 dtype=np.float64,
             )
         )
-
-    def per_slot_totals(self) -> list:
-        """Cumulative system energy at the end of each recorded slot."""
-        return list(self._per_slot_total)
 
 
 @dataclass
@@ -754,7 +739,6 @@ class ReferenceLoopEngine(Coordinator):
             policy_tick = self.timers.start()
             self.policy.end_slot(context, num_scheduled, gap_sum)
             self.timers.stop("policy", policy_tick)
-            self.accountant.close_slot()
 
             queue_length = getattr(getattr(self.policy, "task_queue", None), "length", 0.0)
             virtual_length = getattr(

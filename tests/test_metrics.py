@@ -2,29 +2,26 @@
 
 ``TestLivePath`` drives the operator's path end to end (sweep -> store ->
 chunked HTTP stream -> dashboard); ``TestRegressionDetector`` runs
-``repro-sim metrics regress`` on the repo's real ``benchmark_artifacts`` and
-on a seeded regression.  The rest pins down the layer contracts: idempotent /
-concurrent store ingest, the sink's strictly-increasing frame stream across
-recoveries, the one ``BENCH_*.json`` record schema, tolerance matching, and
-dashboard rendering edges.
+``repro-sim metrics regress`` on a seeded store, flat and drifted.  The rest
+pins down the layer contracts: idempotent / concurrent store ingest, the
+sink's strictly-increasing frame stream across recoveries, tolerance
+matching and validation, and dashboard rendering edges.
 """
 
 import dataclasses
-import json
 import multiprocessing
 import sqlite3
-from pathlib import Path
 
 import pytest
 
 from repro.analysis.runner import RunSpec, RunSummary
 from repro.faults import FaultEvent, FaultPlan
-from repro.metrics.bench import load_bench_dir, load_bench_file, normalize_run
 from repro.metrics.dashboard import render_dashboard, write_dashboard
 from repro.metrics.ingest import TelemetrySink, last_frame, read_frames
 from repro.metrics.query import headline_pivot, version_history
 from repro.metrics.regress import (
-    detect_bench_regressions,
+    STORE_METRICS,
+    Tolerance,
     detect_store_regressions,
     parse_tolerance_overrides,
     tolerance_for,
@@ -320,107 +317,86 @@ class TestLivePath:
             assert needle in html
 
 
-ARTIFACTS = Path(__file__).resolve().parents[1] / "benchmark_artifacts"
-
-
-def _record(benchmark, metrics, **extra):
-    """One literal schema-1 trajectory record."""
-    record = {"schema": 1, "benchmark": benchmark,
-              "context": {"scenario": "fixture"}, "metrics": metrics, "gates": {}}
-    record.update(extra)
-    return record
-
-
-def _flat_trajectory(path, energies, benchmark="seeded"):
-    runs = [_record(benchmark, {"energy_kj": energy}) for energy in energies]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"benchmark": benchmark, "runs": runs}, handle)
+def seeded_store(path, values, metric="energy_j"):
+    """A store holding one run identity ingested once per value, oldest
+    first: each ingest is a new package version of the same sweep cell."""
+    store = MetricsStore(path)
+    for index, value in enumerate(values):
+        store.ingest_run(fake_summary(f"{index + 1:x}" * 16, label="sweep",
+                                      **{metric: value}))
+    return store
 
 
 class TestRegressionDetector:
     def test_seeded_regression_is_detected(self, tmp_path):
-        _flat_trajectory(tmp_path / "BENCH_seeded.json", [100.0, 100.0, 300.0])
-        regressions, stats = detect_bench_regressions(tmp_path)
-        assert stats == {"files": 1, "groups": 1, "checks": 1}
-        assert len(regressions) == 1
-        assert regressions[0].metric == "energy_kj"
-
-    def test_flat_trajectory_is_clean(self, tmp_path):
-        _flat_trajectory(tmp_path / "BENCH_seeded.json", [100.0, 100.0, 100.0])
-        regressions, _ = detect_bench_regressions(tmp_path)
-        assert regressions == []
-
-    def test_direction_low_ignores_improvements(self, tmp_path):
-        runs = [
-            _record("acc", {"accuracy": value})
-            for value in (0.80, 0.80, 0.95)  # accuracy went UP
-        ]
-        with open(tmp_path / "BENCH_acc.json", "w", encoding="utf-8") as handle:
-            json.dump({"benchmark": "acc", "runs": runs}, handle)
-        regressions, _ = detect_bench_regressions(tmp_path)
-        assert regressions == []
-
-    def test_overrides_widen_the_tolerance(self, tmp_path):
-        _flat_trajectory(tmp_path / "BENCH_seeded.json", [100.0, 100.0, 300.0])
-        overrides = parse_tolerance_overrides(["*energy*=5.0"])
-        regressions, _ = detect_bench_regressions(tmp_path, tolerances=overrides)
-        assert regressions == []
-
-    def test_cli_exit_codes_on_real_artifacts_and_seeded_fixture(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
-        # Records of two workloads under one benchmark are two histories.
-        assert cli_main(["metrics", "regress", "--artifacts", str(ARTIFACTS)]) == 0
-        _flat_trajectory(tmp_path / "BENCH_seeded.json", [100.0, 100.0, 300.0])
-        assert cli_main(["metrics", "regress", "--artifacts", str(tmp_path)]) == 1
-
-    def test_tolerance_table_matching(self):
-        assert tolerance_for("max_divergence").abs_tol == pytest.approx(1e-12)
-        assert tolerance_for("energy_kj").rel == pytest.approx(0.01)
-        assert tolerance_for("wall_s").direction == "high"
-        assert tolerance_for("gate.wall_s").direction == "high"  # leaf match
-        assert tolerance_for("final_accuracy").direction == "low"
-
-    def test_store_history_regression(self, tmp_path):
-        store = MetricsStore(tmp_path / "m.sqlite")
-        # same identity (label/policy/seed), new package version = new hash
-        store.ingest_run(fake_summary("1" * 16, label="sweep", energy_j=1000.0))
-        store.ingest_run(fake_summary("2" * 16, label="sweep", energy_j=1000.0))
-        store.ingest_run(fake_summary("3" * 16, label="sweep", energy_j=3000.0))
+        store = seeded_store(tmp_path / "m.sqlite", [1000.0, 1000.0, 3000.0])
         assert len(version_history(store)) == 1
         regressions, stats = detect_store_regressions(store)
-        assert stats["groups"] == 1
-        assert any(r.metric == "energy_j" for r in regressions)
+        assert stats == {"groups": 1, "checks": len(STORE_METRICS) - 1}  # no carbon
+        assert [r.metric for r in regressions] == ["energy_j"]
+        assert regressions[0].describe().startswith("[sweep policy=online")
 
+    def test_flat_history_is_clean(self, tmp_path):
+        store = seeded_store(tmp_path / "m.sqlite", [1000.0, 1000.0, 1000.0])
+        assert detect_store_regressions(store)[0] == []
 
-class TestBenchSchema:
-    def test_every_repo_trajectory_record_is_schema_1(self):
-        checked = 0
-        for path in sorted(ARTIFACTS.glob("BENCH_*.json")):
-            runs = json.loads(path.read_text()).get("runs")
-            for index, run in enumerate(runs if isinstance(runs, list) else []):
-                assert run.get("schema") == 1, (path.name, index)
-                assert isinstance(run.get("metrics"), dict), (path.name, index)
-                checked += 1
-        assert checked > 0
+    def test_direction_low_ignores_improvements(self, tmp_path):
+        # final accuracy went UP; a drop of the same size is flagged
+        store = seeded_store(tmp_path / "up.sqlite", [0.80, 0.80, 0.95],
+                             metric="final_accuracy")
+        assert detect_store_regressions(store)[0] == []
+        store = seeded_store(tmp_path / "down.sqlite", [0.95, 0.95, 0.80],
+                             metric="final_accuracy")
+        assert [r.metric for r in detect_store_regressions(store)[0]] == [
+            "final_accuracy"
+        ]
 
-    def test_record_without_schema_is_refused(self, tmp_path):
-        with pytest.raises(ValueError, match="schema-1"):
-            normalize_run("x", {"scenario": "old", "wall_s": 1.0})
-        path = tmp_path / "BENCH_old.json"
-        path.write_text(json.dumps({"benchmark": "old", "runs": [
-            _record("old", {"wall_s": 1.0}), {"scenario": "old", "wall_s": 1.0},
-        ]}))
-        with pytest.raises(ValueError):
-            load_bench_file(path)
-        assert load_bench_dir(tmp_path) == {"BENCH_old.json": []}
+    def test_overrides_widen_the_tolerance(self, tmp_path):
+        store = seeded_store(tmp_path / "m.sqlite", [1000.0, 1000.0, 3000.0])
+        overrides = parse_tolerance_overrides(["*energy*=5.0"])
+        assert detect_store_regressions(store, tolerances=overrides)[0] == []
 
-    def test_extra_rides_at_top_level_without_breaking_metrics(self):
-        record = _record("x", {"wall_s": 1.0, "ok": True, "note": "text"},
-                         failures=["boom"], detail={"a": 1})
-        run = normalize_run("x", record)
-        assert run.metrics == {"ok": 1.0, "wall_s": 1.0}
-        assert run.context == {"scenario": "fixture"}
+    def test_cli_exit_codes_on_flat_and_drifted_stores(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        flat = tmp_path / "flat.sqlite"
+        drifted = tmp_path / "drifted.sqlite"
+        seeded_store(flat, [1000.0, 1000.0, 1000.0])
+        seeded_store(drifted, [1000.0, 1000.0, 3000.0])
+        assert cli_main(["metrics", "regress", "--store", str(flat)]) == 0
+        assert "1 group(s) with history" in capsys.readouterr().out
+        assert cli_main(["metrics", "regress", "--store", str(drifted)]) == 1
+        assert "energy_j: 1000 -> 3000" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as usage:  # nothing to check
+            cli_main(["metrics", "regress"])
+        assert usage.value.code == 2
+        assert "--store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["*energy*=nan", "*energy*=-1",
+                                      "*energy*=inf", "*energy*=0:nan",
+                                      "*energy*=0:-1"])
+    def test_non_finite_or_negative_tolerance_is_refused(self, spec, tmp_path):
+        from repro.cli import main as cli_main
+
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            parse_tolerance_overrides([spec])
+        store = tmp_path / "m.sqlite"
+        seeded_store(store, [100.0, 100.0, 1e9])
+        with pytest.raises(SystemExit, match="finite and non-negative"):
+            cli_main(["metrics", "regress", "--store", str(store),
+                      "--tolerance", spec])
+
+    def test_tolerance_table_matching(self):
+        assert tolerance_for("energy_j").rel == pytest.approx(0.01)
+        assert tolerance_for("wall_time_s").direction == "high"
+        assert tolerance_for("final_accuracy").direction == "low"
+        assert tolerance_for("best_accuracy").abs_tol == pytest.approx(0.02)
+        for metric in STORE_METRICS:  # every compared column has a row
+            tolerance_for(metric)
+        with pytest.raises(LookupError):
+            tolerance_for("max_divergence")
+        with pytest.raises(ValueError, match="direction"):
+            Tolerance(direction="sideways")
 
 
 class TestDashboard:

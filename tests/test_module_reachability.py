@@ -276,6 +276,20 @@ class TestOneDataPlane:
         }
         assert defined == set()
 
+    def test_no_second_benchmark_record_reader(self):
+        """The store is the one regression source: nothing in the product
+        reads the frozen schema-1 ``BENCH_*.json`` trajectories."""
+        modules = product_modules()
+        assert "repro.metrics.bench" not in modules
+        gone = {"detect_bench_regressions", "load_bench_dir", "_bench_section"}
+        defined = {
+            (module, name)
+            for module, path in modules.items()
+            for names in defined_names(path).values()
+            for name in names & gone
+        }
+        assert defined == set()
+
     def test_product_classes_keep_no_scalar_hooks(self):
         dropped = {
             "PowerModel": {"power"},

@@ -136,15 +136,6 @@ class TestEnergyAccountant:
         with pytest.raises(ValueError):
             accountant.record(0, DeviceState.IDLE, -1.0)
 
-    def test_per_slot_totals_monotone(self):
-        accountant = EnergyAccountant()
-        for i in range(5):
-            accountant.record(0, DeviceState.IDLE, 1.0)
-            accountant.close_slot()
-        totals = accountant.per_slot_totals()
-        assert totals == sorted(totals)
-        assert totals[-1] == pytest.approx(5.0)
-
     def test_breakdown_total(self):
         breakdown = EnergyBreakdown(idle_j=1, app_j=2, training_j=3, corunning_j=4, overhead_j=0.5)
         assert breakdown.total_j() == pytest.approx(10.5)
