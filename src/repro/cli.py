@@ -788,12 +788,18 @@ def _cmd_jobs_watch(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _open_store(args: argparse.Namespace, required: bool = True):
+def _open_store(args: argparse.Namespace, required: bool = True, create: bool = False):
+    """The ``--store`` of a metrics subcommand; only ``create`` may make one
+    (a read-only subcommand on a mistyped path would read an empty store and
+    pass).  A missing store is a usage error: exit 2."""
     path = getattr(args, "store", None)
     if path is None:
         if required:
             raise SystemExit("pass --store <sqlite file>")
         return None
+    if not create and not Path(path).is_file():
+        print(f"error: no metrics store at {path}", file=sys.stderr)
+        raise SystemExit(2)
     from repro.metrics.store import MetricsStore
 
     return MetricsStore(path)
@@ -834,7 +840,7 @@ def _cmd_metrics_ingest(args: argparse.Namespace) -> int:
     """Backfill a store from an ExperimentSuite cache directory."""
     from repro.analysis.runner import RunSummary
 
-    store = _open_store(args)
+    store = _open_store(args, create=True)
     ingested = skipped = 0
     for path in sorted(Path(args.cache_dir).glob("*.json")):
         try:

@@ -4,9 +4,10 @@ A run appends to a handful of logs for its whole horizon and a checkpoint
 serialises them at every snapshot.  A list of record objects pickles one
 Python object per field per row; the same rows as NumPy columns pickle as a
 few buffers.  :class:`ColumnLog` keeps the append as cheap as
-``list.append`` (rows wait as tuples until something reads the columns),
-and :meth:`ColumnLog.rows` yields Python ``int`` / ``float`` / ``bool`` /
-object fields, so the record lists built from it never show a NumPy scalar.
+``list.append`` (rows wait as tuples, at most :data:`TAIL_ROWS` of them,
+before they become one column block), and :meth:`ColumnLog.rows` yields
+Python ``int`` / ``float`` / ``bool`` / object fields, so the record lists
+built from it never show a NumPy scalar.
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ from typing import Any, Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 __all__ = ["ColumnLog", "ordered_sum"]
+
+#: Rows a log holds as Python tuples before it turns them into one column
+#: block.  A transfer or update row costs ~200-250 B as a tuple of boxed
+#: fields and 49-57 B as column cells, so an unbounded tail made a long
+#: run's logs (~10^6 rows at ``megafleet-100k``) the largest object
+#: population of the process.
+TAIL_ROWS = 4096
 
 
 def ordered_sum(values: np.ndarray) -> float:
@@ -50,17 +58,22 @@ class ColumnLog:
         self.names: Tuple[str, ...] = tuple(dtypes)
         self._columns = tuple(np.empty(0, dtype=dtype) for dtype in dtypes.values())
         #: Appended since the last consolidation, oldest first: column
-        #: blocks, then the rows that arrived after the last block.
+        #: blocks, then the fewer than :data:`TAIL_ROWS` rows that arrived
+        #: after the last block.
         self._blocks: List[Tuple[np.ndarray, ...]] = []
         self._rows: List[tuple] = []
 
     def append(self, row: tuple) -> None:
         """Append one row (a tuple in column order)."""
         self._rows.append(row)
+        if len(self._rows) >= TAIL_ROWS:
+            self._flush_rows()
 
     def extend_rows(self, rows: Iterable[tuple]) -> None:
         """Append several rows (tuples in column order), oldest first."""
         self._rows.extend(rows)
+        if len(self._rows) >= TAIL_ROWS:
+            self._flush_rows()
 
     def extend(self, *columns: Sequence) -> None:
         """Append a block of rows given as one equal-length sequence per

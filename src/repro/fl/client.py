@@ -321,8 +321,9 @@ class FLClient:
         the model's own shapes: ``(P,)`` vectors, an ``(n, ...)`` gather,
         float losses, and the user's own momentum vector stepped in place.
         The blocks are the model's reusable workspace, so every vector that
-        leaves the round — upload, momentum row — is a fresh copy of its
-        row.
+        leaves the round is a fresh copy: a momentum row on its own, the
+        uploads (deltas, and ``params`` under ``include_params``) as rows of
+        one fresh ``(k, P)`` block each.
         """
         size, batch_size = self.num_samples(users[0]), self.batch_size
         block, optimizer = self.model.stacked(len(users)), self.optimizer
@@ -368,6 +369,10 @@ class FLClient:
             per_row = np.ascontiguousarray(np.array(losses).T)
             train_losses = np.add.reduce(per_row, -1) / num_batches
         self.rounds_completed[index] += 1
+        # The uploads leave as rows of one block each (one allocation, not
+        # ``k``), as a process shard's reply decodes them.
+        deltas = np.empty_like(params)
+        uploaded = params.copy() if include_params else None
         updates = []
         for row, user in enumerate(users):
             velocity = optimizer.velocity if alone else optimizer.velocity[row].copy()
@@ -375,13 +380,13 @@ class FLClient:
             updates.append(
                 LocalUpdate(
                     user_id=self.lo + user,
-                    delta=params[row] - bases[row],
+                    delta=np.subtract(params[row], bases[row], out=deltas[row]),
                     base_version=base_versions[row],
                     num_samples=size,
                     train_loss=float(train_losses) if alone else train_losses.item(row),
                     momentum_norm=vector_norm(velocity),
                     num_batches=num_batches,
-                    params=params[row].copy() if include_params else None,
+                    params=None if uploaded is None else uploaded[row],
                 )
             )
         optimizer.velocity = None  # the plane's optimizer keeps no user's vector

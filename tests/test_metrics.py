@@ -372,7 +372,35 @@ class TestRegressionDetector:
         assert usage.value.code == 2
         assert "--store" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", ["*energy*=nan", "*energy*=-1",
+    @pytest.mark.parametrize("command", [
+        ["regress"], ["runs"], ["dashboard", "--out", "dash.html"],
+    ], ids=["regress", "runs", "dashboard"])
+    def test_read_only_commands_refuse_a_missing_store(self, command, tmp_path,
+                                                      capsys, monkeypatch):
+        """A mistyped path must not read as an empty, clean store."""
+        from repro.cli import main as cli_main
+
+        monkeypatch.chdir(tmp_path)
+        missing = tmp_path / "missing.sqlite"
+        with pytest.raises(SystemExit) as usage:
+            cli_main(["metrics", *command, "--store", str(missing)])
+        assert usage.value.code == 2
+        assert str(missing) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no store, no dashboard
+
+    def test_ingest_creates_the_store(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        store = tmp_path / "new" / "runs.sqlite"
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        assert cli_main(["metrics", "ingest", "--store", str(store),
+                         "--cache-dir", str(cache)]) == 0
+        assert store.is_file()
+        assert cli_main(["metrics", "regress", "--store", str(store)]) == 0
+        assert "0 group(s) with history" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec",["*energy*=nan", "*energy*=-1",
                                       "*energy*=inf", "*energy*=0:nan",
                                       "*energy*=0:-1"])
     def test_non_finite_or_negative_tolerance_is_refused(self, spec, tmp_path):

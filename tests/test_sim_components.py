@@ -9,10 +9,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bench.check import digest
 from bench.workloads import configs
-from repro.columns import ColumnLog
+from repro.columns import TAIL_ROWS, ColumnLog
 from repro.core.online import OnlinePolicy
 from repro.core.policies import SyncPolicy
 from repro.device.models import DEVICE_CATALOG
@@ -336,6 +338,61 @@ class TestColumnLog:
             return min(times)
 
         assert best(columns) <= 1.5 * best(records)
+
+
+def _mixed_log():
+    return ColumnLog(user=np.int64, gap=np.float64, flag=np.bool_, reason=object)
+
+
+def _mixed_row(i):
+    return (i, i / 7.0, i % 3 == 0, None if i % 5 else f"r{i % 4}")
+
+
+class TestColumnLogTail:
+    """Pending rows become a column block every ``TAIL_ROWS`` rows; the
+    log reads, pickles and counts as one that converts only when read."""
+
+    def test_ten_thousand_appends_leave_a_short_tail(self):
+        log = _mixed_log()
+        for i in range(10_000):
+            log.append(_mixed_row(i))
+            assert len(log._rows) < TAIL_ROWS
+        assert len(log) == 10_000
+        log.extend_rows(_mixed_row(i) for i in range(10_000, 20_000))
+        assert len(log._rows) < TAIL_ROWS and len(log) == 20_000
+
+    @settings(max_examples=25, deadline=None)
+    @given(calls=st.lists(
+        st.tuples(st.sampled_from(["append", "extend_rows", "extend"]),
+                  st.integers(0, 3 * TAIL_ROWS)),
+        min_size=1, max_size=8,
+    ))
+    def test_reads_equal_a_log_converted_once_at_the_end(self, calls):
+        bounded, rows = _mixed_log(), []
+        for kind, count in calls:
+            block = [_mixed_row(len(rows) + i) for i in range(count)]
+            if kind == "append":
+                for row in block:
+                    bounded.append(row)
+            elif kind == "extend_rows":
+                bounded.extend_rows(iter(block))
+            elif block:
+                bounded.extend(*zip(*block))
+            rows.extend(block)
+        # The reference holds every row pending until it is read.
+        once = _mixed_log()
+        once._rows.extend(rows)
+        assert len(bounded) == len(once) == len(rows)
+        for got, want in zip(bounded.columns(), once.columns()):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert bounded.rows() == once.rows() == [
+            (u, g, f, r) for u, g, f, r in rows
+        ]
+        if rows:
+            assert [type(v) for v in bounded.rows()[0]] == [int, float, bool, type(rows[0][3])]
+        copy = pickle.loads(pickle.dumps(bounded))
+        assert copy.rows() == once.rows()
+        assert pickle.dumps(bounded) == pickle.dumps(once)
 
 
 def same_records(views, frozen):

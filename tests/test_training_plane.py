@@ -15,7 +15,10 @@ Contracts under test (``src/repro/fl/model.py``, ``optimizer.py``,
 * the client plane refuses what it cannot stack: a model of other layers
   than ``Linear`` / ``ReLU`` / ``Tanh``, a user without samples;
 * the client plane's lazily made shuffling generators are the eager
-  per-user generators: rounds, uploads and checkpointed ``rng_state`` dicts.
+  per-user generators: rounds, uploads and checkpointed ``rng_state`` dicts;
+* a block's uploads are rows of one fresh ``(k, P)`` array (and of a second
+  one for ``params``), each delta bit for bit ``params - base``, and a
+  buffered one checkpoints and resumes bitwise.
 """
 
 from __future__ import annotations
@@ -39,14 +42,16 @@ from oracle import (
     user_partitions,
     zero_grads,
 )
+from repro.core.policies import SyncPolicy
 from repro.fl.client import BLOCK_BYTES, FLClient
 from repro.fl.dataset import SyntheticCifar10, partition_iid
 from repro.fl.layers import Layer, Linear, ReLU, Tanh
 from repro.fl.model import Sequential, build_lenet5, build_mlp
 from repro.fl.optimizer import MomentumSGD
+from repro.service.checkpoint import Checkpointer, CheckpointStore, RunInterrupted
 from repro.sim import engine as engine_module
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import build_clients
+from repro.sim.engine import SimulationEngine, build_clients
 
 KINDS = ("mlp", "lenet")
 #: The models a client plane trains.
@@ -512,3 +517,91 @@ class TestStackedBlocks:
         assert all(1 <= size <= _CHUNK for size in blocks)
         if shared >= 2:
             assert max(blocks) >= 2
+
+
+# ---------------------------------------------------------------------------
+# Upload blocks
+# ---------------------------------------------------------------------------
+
+
+def _equal_plane():
+    """Six users of 10 samples each: one group, cut into blocks of 4 and 2."""
+    return client_plane(_partitions("mlp", 6, 60), build_mlp(**_WIDE, seed=1))
+
+
+class TestUploadBlocks:
+    """A block's uploads leave as rows of one fresh ``(k, P)`` array each."""
+
+    @pytest.mark.parametrize("include_params", [False, True])
+    def test_a_blocks_uploads_share_one_allocation(self, include_params):
+        plane = _equal_plane()
+        base = plane.model.get_flat_params()
+        bases = [base + 0.01 * user for user in range(6)]
+        updates = FLClient.local_train(
+            plane, list(range(6)), bases, [0] * 6, include_params=include_params
+        )
+        for field in ("delta", "params") if include_params else ("delta",):
+            owners = [getattr(update, field).base for update in updates]
+            assert [owner.shape for owner in owners] == [(4, base.size)] * 4 + [(2, base.size)] * 2
+            assert all(owner is owners[0] for owner in owners[:4])
+            assert all(owner is owners[4] for owner in owners[4:])
+            for row, update in enumerate(updates):
+                assert np.shares_memory(getattr(update, field), owners[row][row % 4])
+                assert not np.shares_memory(owners[row], plane.model.stacked(4).flat_params)
+        if include_params:
+            assert not np.shares_memory(updates[0].params, updates[0].delta.base)
+        else:
+            assert all(update.params is None for update in updates)
+
+    def test_a_block_of_one_uploads_a_private_row(self):
+        plane = _equal_plane()
+        base = plane.model.get_flat_params()
+        (update,) = FLClient.local_train(plane, [0], [base], [0], include_params=True)
+        assert update.delta.base.shape == update.params.base.shape == (1, base.size)
+        assert not np.shares_memory(update.delta, plane.model.flat_params)
+        assert not np.shares_memory(update.params, plane.model.flat_params)
+
+    def test_each_delta_is_params_minus_base_bitwise(self):
+        full, lean = _equal_plane(), _equal_plane()
+        base = full.model.get_flat_params()
+        bases = [base * (1.0 + 0.1 * user) for user in range(6)]
+        with_params = FLClient.local_train(full, list(range(6)), bases, [0] * 6, True)
+        delta_only = FLClient.local_train(lean, list(range(6)), bases, [0] * 6, False)
+        for got, want, start in zip(delta_only, with_params, bases):
+            assert want.delta.tobytes() == (want.params - start).tobytes()
+            assert got.delta.tobytes() == want.delta.tobytes()
+
+    def test_a_buffered_sync_upload_survives_save_load_and_resume(self, tmp_path):
+        """Users 0 and 3 finish in one slot and wait in ``sync_buffer`` as
+        two rows of one block when slot 225's snapshot is taken."""
+        config = SimulationConfig(
+            num_users=6, total_slots=300, app_arrival_prob=0.01, seed=7,
+            num_train_samples=360, num_test_samples=60, hidden_dims=(8,),
+            eval_interval_slots=100, trace_interval_slots=10,
+        )
+        reference = SimulationEngine(config, SyncPolicy())
+        result = reference.run()
+        engine = SimulationEngine(config, SyncPolicy())
+        buffered = {}
+
+        def sink(checkpoint):
+            buffered.update(engine.core.sync_buffer)
+            CheckpointStore(tmp_path).save(checkpoint)
+            checkpointer.request_stop()
+
+        checkpointer = Checkpointer(sink, at_slots=[225])
+        with pytest.raises(RunInterrupted):
+            engine.run(checkpointer)
+        assert buffered[0].delta.base is buffered[3].delta.base
+        assert buffered[0].delta.base.shape[0] == 2
+        loaded = CheckpointStore(tmp_path).load()
+        restored = loaded.coordinator.materialize().sync_buffer
+        assert sorted(restored) == sorted(buffered)
+        for user, update in buffered.items():
+            assert restored[user].delta.tobytes() == update.delta.tobytes()
+        resumed = SimulationEngine.restore(loaded)
+        again = resumed.run()
+        assert again.total_energy_j() == result.total_energy_j()
+        assert again.num_updates == result.num_updates
+        assert resumed.server.global_params().tobytes() == reference.server.global_params().tobytes()
+        assert resumed.server.updates.rows() == reference.server.updates.rows()
