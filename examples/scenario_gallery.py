@@ -74,7 +74,6 @@ def custom_scenario() -> ScenarioSpec:
                 name="lectures",
                 fraction=0.5,
                 arrival={"kind": "trace", "slots": [0, 60, 120], "period_slots": 600},
-                wifi_fraction=1.0,
             ),
             CohortSpec(
                 name="dorms",

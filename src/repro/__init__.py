@@ -8,11 +8,10 @@ The package is organised around three layers:
     catalog, and a power model calibrated against the paper's Table II/III
     measurements (four power levels ``P_a' > P_a > P_b > P_d`` per device).
 
-``repro.fl`` / ``repro.comm``
+``repro.fl``
     A from-scratch federated-learning substrate: NumPy neural networks,
     momentum SGD, a parameter server with synchronous (FedAvg) and
-    asynchronous update rules, staleness bookkeeping, and a simulated
-    network transport.
+    asynchronous update rules, and staleness bookkeeping.
 
 ``repro.core`` / ``repro.sim``
     The paper's contribution: staleness metrics (lag, gradient gap), the

@@ -59,7 +59,8 @@ __all__ = [
 #: 3: ``shards`` and ``trace_level`` joined the canonical spec payload.
 #: 4: ``backend`` left it.
 #: 5: ``batched_training`` left it.
-CACHE_VERSION = 5
+#: 6: ``comm_failures`` left the summary.
+CACHE_VERSION = 6
 
 #: Registered policy constructors, keyed by the CLI / spec name.
 _POLICY_FACTORIES = {
@@ -191,7 +192,6 @@ class RunSummary:
     corun_jobs: int
     background_jobs: int
     comm_bytes_mb: float
-    comm_failures: int
     mean_final_battery_soc: float
     wall_time_s: float
     #: Per-subsystem wall-clock shares (training / policy / eval /
@@ -278,7 +278,6 @@ def summarize_result(
         corun_jobs=result.trace.corun_jobs,
         background_jobs=result.trace.background_jobs,
         comm_bytes_mb=result.comm_bytes_mb,
-        comm_failures=result.comm_failures,
         mean_final_battery_soc=result.mean_final_battery_soc(),
         wall_time_s=wall_time_s,
         timing_shares=result.timing_shares(),

@@ -392,12 +392,11 @@ def _cmd_scenario_show(args: argparse.Namespace) -> int:
             size,
             "default" if cohort.device_mix is None else str(cohort.device_mix),
             "default" if cohort.arrival is None else cohort.arrival.get("kind"),
-            "default" if cohort.wifi_fraction is None else f"{cohort.wifi_fraction:g}",
             "none" if cohort.battery is None else str(cohort.battery),
             "none" if cohort.data_alpha is None else f"{cohort.data_alpha:g}",
         ])
     print(format_table(
-        ["cohort", "users", "devices", "arrival", "wifi", "battery", "data skew"],
+        ["cohort", "users", "devices", "arrival", "battery", "data skew"],
         rows,
         title="Cohorts",
     ))

@@ -47,7 +47,6 @@ class DecisionIntervalPolicy(SchedulingPolicy):
         self.align_to_arrival = align_to_arrival
         self.name = f"{inner.name}@{interval_slots}s"
         self.aggregation = inner.aggregation
-        self.skipped_decisions = 0
 
     # -- delegation -------------------------------------------------------------
 
@@ -72,7 +71,6 @@ class DecisionIntervalPolicy(SchedulingPolicy):
 
     def reset(self) -> None:
         self.inner.reset()
-        self.skipped_decisions = 0
 
     def decision_cost_evaluations(self) -> int:
         """Only the slots where the inner rule actually ran cost energy."""
@@ -91,7 +89,6 @@ class DecisionIntervalPolicy(SchedulingPolicy):
         else:
             due = np.full(len(batch), batch.slot % self.interval_slots == 0)
         schedule = np.zeros(len(batch), dtype=bool)
-        self.skipped_decisions += len(batch) - int(due.sum())
         if due.any():
             schedule[due] = self.inner.decide_all(batch.select(due))
         return schedule

@@ -17,18 +17,10 @@ therefore converts per-slot energies to kJ before weighting by ``V``; with
 1-second slots and watt-level powers this reproduces the paper's ``V`` scale
 exactly (V around 4000 is the recommended operating point).
 
-Both implementations of Section V.A are provided:
-
-* **centralized** — the server evaluates the rule for every user (it must
-  therefore learn each user's application status);
-* **distributed** (Algorithm 2) — each user evaluates its own rule locally
-  using only its application status, the queue backlogs broadcast by the
-  server and the server-supplied lag estimate ``l_{d_i}``.
-
-The two produce identical decisions; they differ in which side performs the
-computation and what information crosses the network, which the policy
-tracks (``messages_to_server`` / ``messages_to_users``) so the privacy and
-overhead discussion of the paper can be quantified.
+Section V.A's centralized and distributed (Algorithm 2) implementations
+evaluate the same rule on the same inputs and so make identical decisions;
+they differ only in which side computes it, so one implementation serves
+both.
 """
 
 from __future__ import annotations
@@ -164,8 +156,6 @@ class OnlinePolicy(SchedulingPolicy):
         v: the control knob ``V`` (the paper recommends around 4000).
         staleness_bound: ``Lb``, the per-slot gradient-gap budget of Eq. (14).
         epsilon: idle-slot gap increment of Eq. (12).
-        distributed: use the Algorithm 2 distributed implementation
-            (identical decisions; different information flow accounting).
     """
 
     name = "online"
@@ -176,21 +166,15 @@ class OnlinePolicy(SchedulingPolicy):
         v: float = 4000.0,
         staleness_bound: float = 500.0,
         epsilon: float = 0.01,
-        distributed: bool = True,
     ) -> None:
         self.v = float(v)
         self.staleness_bound = float(staleness_bound)
         self.epsilon = float(epsilon)
-        self.distributed = distributed
         self.controller = OnlineController(v=v, epsilon=epsilon)
         self.task_queue = TaskQueue()
         self.virtual_queue = VirtualQueue(staleness_bound)
         self._arrivals_this_slot = 0
         self._decision_evaluations = 0
-        #: Count of scalar values sent user -> server (duration, decision).
-        self.messages_to_server = 0
-        #: Count of scalar values sent server -> user (lag, queue backlogs).
-        self.messages_to_users = 0
         #: One row per decision, in decision order; read it as
         #: :attr:`decision_log`.
         self._decision_log = ColumnLog(
@@ -229,7 +213,7 @@ class OnlinePolicy(SchedulingPolicy):
         match the per-user loop bit for bit.
         """
         n = len(batch)
-        self._count_evaluations(n)
+        self._decision_evaluations += n
         h_length = self.virtual_queue.length
         costs = self.controller.evaluate_batch(batch, self.task_queue.length, h_length)
         schedule = costs.best()
@@ -240,21 +224,6 @@ class OnlinePolicy(SchedulingPolicy):
         # buffer and the caller owns ``schedule``.
         self._decision_log.extend(np.full(n, batch.slot), batch.user_ids, schedule)
         return schedule
-
-    def _count_evaluations(self, n: int) -> None:
-        """Count ``n`` rule evaluations and the messages they exchange."""
-        self._decision_evaluations += n
-        if self.distributed:
-            # Algorithm 2: the user sends its duration, the server answers
-            # with the lag estimate and the queue backlogs, the user decides
-            # and reports only its decision.
-            self.messages_to_server += 2 * n  # duration d_i, then alpha_i(t)
-            self.messages_to_users += 3 * n  # l_{d_i}, Q(t), H(t)
-        else:
-            # Centralized: the user must reveal its application status and
-            # momentum norm so the server can evaluate the rule.
-            self.messages_to_server += 3 * n  # s_i(t), ||v_t||, d_i
-            self.messages_to_users += 1 * n  # alpha_i(t)
 
     def idle_slots(self, batch: ObservationBatch, forecast: IdleForecast) -> int:
         """Eq. (21) for every slot of ``forecast`` at once; the first slot in
@@ -283,7 +252,7 @@ class OnlinePolicy(SchedulingPolicy):
 
     def record_idle(self, batch: ObservationBatch, first_slot: int, slots: int) -> None:
         n = len(batch)
-        self._count_evaluations(n * slots)
+        self._decision_evaluations += n * slots
         self._decision_log.extend(
             np.repeat(np.arange(first_slot, first_slot + slots), n),
             np.tile(batch.user_ids, slots),
@@ -332,8 +301,6 @@ class OnlinePolicy(SchedulingPolicy):
         self.virtual_queue.reset(0.0)
         self._arrivals_this_slot = 0
         self._decision_evaluations = 0
-        self.messages_to_server = 0
-        self.messages_to_users = 0
         self._decision_log.clear()
 
     def decision_cost_evaluations(self) -> int:

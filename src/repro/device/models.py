@@ -50,7 +50,7 @@ class DeviceSpec:
         heterogeneous: ``True`` for big.LITTLE parts; ``False`` for the
             Nexus 6, whose homogeneous cores cause resource contention and
             degrade the co-running discount.
-        memory_mb: device RAM, used by the transport/heap checks.
+        memory_mb: device RAM (catalog data).
         training_power_w: ``P_b`` from Table II.
         training_time_s: ``d_i`` from Table II.
         idle_power_w: ``P_d`` from Table III.

@@ -46,7 +46,9 @@ if TYPE_CHECKING:
 __all__ = ["HEADLINE_METRICS", "MetricsStore", "as_store", "scenario_from_label"]
 
 #: ``RunSummary`` fields persisted as ``runs`` columns (all REAL except
-#: ``num_updates``/``decision_evaluations``/``comm_failures``).
+#: ``num_updates``/``decision_evaluations``).  A store created while runs
+#: also reported ``comm_failures`` keeps that column; inserts name their
+#: columns, so it stays NULL in new rows.
 HEADLINE_METRICS = (
     "energy_j",
     "energy_kj",
@@ -59,7 +61,6 @@ HEADLINE_METRICS = (
     "final_virtual_queue_length",
     "schedule_fraction",
     "comm_bytes_mb",
-    "comm_failures",
     "mean_final_battery_soc",
     "wall_time_s",
     "carbon_g",
@@ -99,7 +100,6 @@ CREATE TABLE IF NOT EXISTS runs (
     final_virtual_queue_length REAL,
     schedule_fraction REAL,
     comm_bytes_mb REAL,
-    comm_failures INTEGER,
     mean_final_battery_soc REAL,
     wall_time_s REAL,
     carbon_g REAL,

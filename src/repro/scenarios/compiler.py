@@ -2,8 +2,8 @@
 
 :func:`compile_scenario` expands a :class:`~repro.scenarios.spec.ScenarioSpec`
 into the per-user inputs the simulation engine understands — device
-assignments, arrival-process dicts, Wi-Fi booleans, battery capacities and
-charge rates, data-skew concentrations — and packages them as
+assignments, arrival-process dicts, battery capacities and charge rates,
+data-skew concentrations — and packages them as
 :class:`~repro.sim.config.SimulationConfig` field overrides (the same dict
 shape that :class:`~repro.analysis.runner.RunSpec` carries, so compiled
 scenarios flow straight into the cached parallel experiment runner).
@@ -89,7 +89,6 @@ class CompiledScenario:
     cohort_of: List[int]
     device_names: Optional[List[str]]
     user_arrivals: Optional[List[Dict[str, Any]]]
-    user_wifi: Optional[List[bool]]
     user_battery_capacity_j: Optional[List[Optional[float]]]
     user_charge_rate_w: Optional[List[float]]
     user_data_alpha: Optional[List[Optional[float]]]
@@ -158,14 +157,12 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         }
     else:
         default_arrival = {"kind": "bernoulli", "probability": base_probability}
-    default_wifi_fraction = float(base.get("wifi_probability", 0.7))
     global_capacity = base.get("battery_capacity_j")
     global_rate = float(base.get("battery_charge_rate_w", 0.0))
     global_alpha = base.get("non_iid_alpha")
 
     device_names: Optional[List[str]] = [] if want_devices else None
     user_arrivals: Optional[List[Dict[str, Any]]] = [] if want_arrivals else None
-    user_wifi: Optional[List[bool]] = [] if want_wifi else None
     capacities: Optional[List[Optional[float]]] = [] if want_battery else None
     rates: Optional[List[float]] = [] if want_battery else None
     alphas: Optional[List[Optional[float]]] = [] if want_alpha else None
@@ -179,21 +176,9 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
             # builds one arrival process per distinct spec.
             arrival = dict(cohort.arrival or default_arrival)
             user_arrivals.extend([arrival] * size)
-        if user_wifi is not None:
-            fraction = (
-                cohort.wifi_fraction
-                if cohort.wifi_fraction is not None
-                else default_wifi_fraction
-            )
-            # A wifi_fraction is a *fraction*, not a per-user probability:
-            # exactly round(fraction * size) members are on Wi-Fi, with the
-            # membership permuted so it does not correlate with the (also
-            # seed-deterministic) device sampling above.
-            wifi_count = int(round(fraction * size))
-            members = [False] * size
-            for position in rng.permutation(size)[:wifi_count]:
-                members[int(position)] = True
-            user_wifi.extend(members)
+        if want_wifi:
+            # The retired Wi-Fi membership draw, kept: later cohorts' device draws follow it.
+            rng.permutation(size)
         if capacities is not None and rates is not None:
             if cohort.battery is not None:
                 capacity, rate = resolve_battery(cohort.battery, cohort=cohort.name)
@@ -215,8 +200,6 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         overrides["user_arrivals"] = list(user_arrivals)
         # The per-user processes embed (and supersede) the global knobs.
         overrides.pop("diurnal_arrivals", None)
-    if user_wifi is not None:
-        overrides["user_wifi"] = list(user_wifi)
     if capacities is not None and rates is not None:
         overrides["user_battery_capacity_j"] = list(capacities)
         overrides["user_charge_rate_w"] = list(rates)
@@ -233,7 +216,6 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         cohort_of=cohort_of,
         device_names=device_names,
         user_arrivals=user_arrivals,
-        user_wifi=user_wifi,
         user_battery_capacity_j=capacities,
         user_charge_rate_w=rates,
         user_data_alpha=alphas,

@@ -2,7 +2,7 @@
 
 The built-ins form a gallery spanning the axes the DSL can express — device
 heterogeneity, arrival patterns (Bernoulli / diurnal / trace replay),
-connectivity, charging personas, data skew and population scale — so
+charging personas, data skew and population scale — so
 ``repro-sim scenario run <name>`` exercises workloads the paper names as
 future work (Section VIII) without any hand-assembled configuration.
 
@@ -105,7 +105,7 @@ def _flagship_vs_budget() -> ScenarioSpec:
     return ScenarioSpec(
         name="flagship-vs-budget",
         description="Flagship big.LITTLE handsets against a budget tier of "
-        "homogeneous Nexus 6 devices on slower uplinks.",
+        "homogeneous Nexus 6 devices.",
         num_users=40,
         total_slots=10_800,
         cohorts=(
@@ -122,23 +122,7 @@ def _flagship_vs_budget() -> ScenarioSpec:
                 wifi_fraction=0.4,
             ),
         ),
-        tags=("devices", "network"),
-    )
-
-
-def _metered_uplink() -> ScenarioSpec:
-    return ScenarioSpec(
-        name="metered-uplink",
-        description="A mostly-LTE fleet with radio energy accounted: what "
-        "asynchronous FL costs when uplinks are metered.",
-        num_users=25,
-        total_slots=10_800,
-        cohorts=(
-            CohortSpec(name="metered", fraction=0.8, wifi_fraction=0.1),
-            CohortSpec(name="home-wifi", fraction=0.2, wifi_fraction=1.0),
-        ),
-        base={"account_radio_energy": True},
-        tags=("network", "energy"),
+        tags=("devices",),
     )
 
 
@@ -225,19 +209,18 @@ def _megafleet_1k() -> ScenarioSpec:
 
 
 def _megafleet_100k() -> ScenarioSpec:
-    # The sharded-engine workload: two orders of magnitude past megafleet-1k.
-    # Sized for a manual run on one machine — a 15-minute horizon,
-    # one training sample per user and a narrow MLP keep the absolute compute
-    # honest-but-bounded while the *population mechanics* (100k arrival
-    # streams, 100k-entry ready pools and in-flight set, per-shard fleets)
-    # run at full scale.  Intended execution: ShardedEngine (``--shards``)
-    # with sparse arrival generation (automatic at this volume) and
-    # ``--trace-level summary`` so telemetry stays memory-bounded.
+    # Two orders of magnitude past megafleet-1k, sized for a manual run on
+    # one machine — a 15-minute horizon, one training sample per user and a
+    # narrow MLP keep the absolute compute honest-but-bounded while the
+    # *population mechanics* (100k arrival streams, 100k-entry ready pools
+    # and in-flight set) run at full scale.  Intended execution: one process
+    # with ``--trace-level summary`` so telemetry stays memory-bounded;
+    # ``--shards 2`` is 1.2x slower on a 2-vCPU host.
     return ScenarioSpec(
         name="megafleet-100k",
-        description="100 000-user sharded-fleet workload over a 15 min "
-        "horizon: the population-partitioning scale target "
-        "(run with --shards N --trace-level summary).",
+        description="100 000-user fleet over a 15 min horizon: the "
+        "population scale target (run in one process with "
+        "--trace-level summary).",
         num_users=100_000,
         total_slots=900,
         cohorts=(
@@ -270,26 +253,23 @@ def _megafleet_100k() -> ScenarioSpec:
             "eval_interval_slots": 300,
             "trace_interval_slots": 120,
         },
-        tags=("scale", "megafleet", "sharded"),
+        tags=("scale", "megafleet"),
     )
 
 
 def _megafleet_1M() -> ScenarioSpec:
-    # The shared-memory data plane's scale target: one order of magnitude
-    # past megafleet-100k.  Population mechanics run at full scale — a
-    # million arrival streams, million-entry ready pools, compact int32
-    # slot counters, per-shard fleets exchanging payloads through the
-    # mailbox slabs — while the per-step compute stays bounded by a short
-    # horizon, one training sample per user, and the narrowest MLP.
-    # Intended execution: ShardedEngine (``--shards``) with sparse arrival
-    # generation and ``--trace-level summary``; anything else at this
-    # volume is an error in the making (a full trace alone would dwarf
-    # the fleet state).
+    # One order of magnitude past megafleet-100k.  Population mechanics run
+    # at full scale — a million arrival streams, million-entry ready pools,
+    # compact int32 slot counters — while the per-step compute stays bounded
+    # by a short horizon, one training sample per user, and the narrowest
+    # MLP.  Intended execution: one process with ``--trace-level summary``
+    # (a full trace alone would dwarf the fleet state), on a host with the
+    # ~8 GiB its per-user bytes add up to.
     return ScenarioSpec(
         name="megafleet-1M",
-        description="1 000 000-user sharded-fleet workload over a 5 min "
-        "horizon: the shared-memory data-plane scale target "
-        "(run with --shards N --trace-level summary).",
+        description="1 000 000-user fleet over a 5 min horizon: the "
+        "per-user bytes scale target (run in one process with "
+        "--trace-level summary).",
         num_users=1_000_000,
         total_slots=300,
         cohorts=(
@@ -322,7 +302,7 @@ def _megafleet_1M() -> ScenarioSpec:
             "eval_interval_slots": 300,
             "trace_interval_slots": 150,
         },
-        tags=("scale", "megafleet", "sharded"),
+        tags=("scale", "megafleet"),
     )
 
 
@@ -356,7 +336,6 @@ _BUILTIN_FACTORIES: Dict[str, Callable[[], ScenarioSpec]] = {
     "diurnal-commuters": _diurnal_commuters,
     "overnight-chargers": _overnight_chargers,
     "flagship-vs-budget": _flagship_vs_budget,
-    "metered-uplink": _metered_uplink,
     "non-iid-pathological": _non_iid_pathological,
     "churny-fleet": _churny_fleet,
     "megafleet-1k": _megafleet_1k,

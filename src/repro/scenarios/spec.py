@@ -74,8 +74,8 @@ class CohortSpec:
             :func:`repro.sim.arrivals.build_arrival_process`
             (``bernoulli`` / ``diurnal`` / ``trace``); ``None`` inherits the
             global Bernoulli process.
-        wifi_fraction: fraction of this cohort on Wi-Fi (the rest are LTE);
-            ``None`` inherits the stochastic global assignment.
+        wifi_fraction: fraction of this cohort on Wi-Fi; validated, and
+            otherwise inert (model transfers are counted, not timed).
         battery: either ``{"persona": <name>}`` with a
             :data:`CHARGING_PERSONAS` key, or explicit
             ``{"capacity_j": ..., "charge_rate_w": ...}``; ``None`` means
@@ -89,7 +89,7 @@ class CohortSpec:
     fraction: float
     device_mix: Optional[Dict[str, float]] = None
     arrival: Optional[Dict[str, Any]] = None
-    wifi_fraction: Optional[float] = None
+    wifi_fraction: Optional[float] = None  # inert; kept because bench/workloads/configs.py passes it
     battery: Optional[Dict[str, Any]] = None
     data_alpha: Optional[float] = None
 
@@ -219,7 +219,6 @@ class ScenarioSpec:
             "seed",
             "device_names",
             "user_arrivals",
-            "user_wifi",
             "user_battery_capacity_j",
             "user_charge_rate_w",
             "user_data_alpha",

@@ -2,7 +2,7 @@
 
 A checkpoint captures everything a run has mutated — the coordinator-side
 coupling state (parameter server, policy queues, lag estimates, the
-Eq. (12) gap array, transport accounting, trace aggregates, the evaluation
+Eq. (12) gap array, the transfer count, trace aggregates, the evaluation
 cache) plus the per-user state (device/app/thermal/battery arrays, client
 RNG generator states, momentum velocities).  Everything *static* — device
 calibration, arrival schedules, data partitions — is rebuilt bitwise from the configuration by the existing
@@ -70,11 +70,10 @@ __all__ = [
 
 #: Bumped whenever the on-disk layout or the state dicts change shape.
 #: v7: write-once vectors (``vectors.bin`` packs referenced across
-#: snapshots), slices without base parameters, column logs.  v7 stores
-#: written while the batched trainer existed also carry a meta flag and two
-#: per-slice dicts of its train-ahead state; :meth:`CheckpointStore.load`
-#: drops them when they are empty and refuses the store otherwise.
-CHECKPOINT_FORMAT_VERSION = 7
+#: snapshots), slices without base parameters, column logs.
+#: v8: the coupling unit holds a transfer count where v7 held a transport.
+#: A store of any other version is refused with a :class:`CheckpointError`.
+CHECKPOINT_FORMAT_VERSION = 8
 
 #: One INFO record per save, one WARNING per failed verification.  Silent
 #: unless the application configures a handler (the NullHandler keeps
@@ -90,7 +89,8 @@ class CheckpointError(RuntimeError):
     bit-for-bit (torn write, bad disk, injected ``corrupt_checkpoint``
     fault), *before* the manifest flips — the previous snapshot stays the
     loadable one.  Raised at load time when a published snapshot's content
-    no longer matches its recorded checksums (at-rest corruption).
+    no longer matches its recorded checksums (at-rest corruption), or when
+    the store was written in another format version.
     """
 
 
@@ -111,7 +111,7 @@ class RunInterrupted(Exception):
 class CoordinatorState:
     """The coordinator-side coupling state of one checkpoint, serialised once.
 
-    ``payload`` is the nine coupled objects pickled by *one* ``dumps`` call,
+    ``payload`` is the nine coupled values pickled by *one* ``dumps`` call,
     so references shared between them (the update log the server writes and
     the trace reads) are shared again in whatever :meth:`materialize`
     returns.  The pinned bases are factored out: the payload says which
@@ -137,7 +137,7 @@ class CoordinatorState:
     _FIELDS = (
         "policy",
         "server",
-        "transport",
+        "transfers",
         "trace",
         "accuracy",
         "gaps",
@@ -183,7 +183,7 @@ class MaterializedCoordinator:
 
     policy: Any
     server: Any
-    transport: Any
+    transfers: int
     trace: Any
     accuracy: Any
     gaps: Any
@@ -348,13 +348,7 @@ def reslice(slices: Sequence[dict], bounds: Sequence[Tuple[int, int]]) -> List[d
         return np.concatenate(parts)
 
     fleet_keys = [k for k in slices[0]["fleet"] if k != "accountant"]
-    # Stores written before the accountant dropped its per-slot series hold
-    # two more keys, which restore ignores.
-    acct_keys = [
-        k
-        for k in slices[0]["fleet"]["accountant"]
-        if k not in ("per_slot_total", "running_total_j")
-    ]
+    acct_keys = list(slices[0]["fleet"]["accountant"])
     full_fleet = {k: concat(("fleet", k)) for k in fleet_keys}
     full_acct = {k: concat(("fleet", "accountant", k)) for k in acct_keys}
     full_clients = concat(("clients",))
@@ -380,7 +374,7 @@ def reslice(slices: Sequence[dict], bounds: Sequence[Tuple[int, int]]) -> List[d
 
 class CheckpointStore:
     """On-disk layout of one run's checkpoints: a manifest plus snapshots
-    (format v7; layout, retention and compaction in ``docs/service.md``).
+    (format v8; layout, retention and compaction in ``docs/service.md``).
 
     *What is immutable once produced is written once*: a client's momentum
     vector after ``r`` rounds and the parameter vector of model version ``v``
@@ -484,9 +478,9 @@ class CheckpointStore:
     def _read_manifest(self) -> Dict[str, Any]:
         manifest = json.loads((self.root / self.MANIFEST).read_text())
         if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(
-                f"checkpoint format {manifest.get('format_version')} unsupported "
-                f"(expected {CHECKPOINT_FORMAT_VERSION})"
+            raise CheckpointError(
+                f"checkpoint store {self.root}: format {manifest.get('format_version')} "
+                f"unsupported (expected {CHECKPOINT_FORMAT_VERSION})"
             )
         return manifest
 
@@ -666,17 +660,8 @@ class CheckpointStore:
             vectors.update(self._read_rows(name, directory, pack["rows"]))
         head = files[self.HEAD]
         slices = []
-        train_ahead = bool(meta.get("batched_training"))
         for listed in meta["slices"]:
             piece = files[listed["file"]]
-            for key in ("pending", "trained"):
-                train_ahead |= bool(piece.pop(key, None))
-            if train_ahead:
-                raise ValueError(
-                    f"checkpoint snapshot {name} holds batched-training "
-                    "train-ahead state, which this version cannot resume: "
-                    "every local round now runs serially at its completion slot"
-                )
             piece["velocities"] = [
                 vectors.get(f"v:{piece['lo'] + offset}:{client['rounds_completed']}")
                 for offset, client in enumerate(piece["clients"])

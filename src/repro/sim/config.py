@@ -80,9 +80,6 @@ class SimulationConfig:
         trace_interval_slots: how often per-slot series are recorded.
         include_scheduler_overhead: account the Table III decision-rule
             power for idle devices that evaluated a decision in the slot.
-        wifi_probability: fraction of users on Wi-Fi (communication model).
-        account_radio_energy: include radio energy of model transfers in the
-            (separately reported) communication statistics.
         app_weights: optional non-uniform application popularity (aligned
             with ``repro.device.apps.APP_CATALOG`` order).
         diurnal_arrivals: use the diurnal arrival process instead of the
@@ -102,9 +99,6 @@ class SimulationConfig:
             global ``app_arrival_prob`` / ``diurnal_arrivals`` knobs.  The
             scenario compiler emits this for heterogeneous fleets; ``None``
             (default) keeps the paper's single shared process.
-        user_wifi: explicit per-user home-network assignment (``True`` =
-            Wi-Fi, ``False`` = LTE); overrides the stochastic
-            ``wifi_probability`` assignment.
         user_battery_capacity_j: per-user battery capacity in joules, with
             ``None`` entries meaning "no battery" for that user; overrides
             the global ``battery_capacity_j``.  Dev boards remain
@@ -147,15 +141,12 @@ class SimulationConfig:
     eval_interval_slots: int = 120
     trace_interval_slots: int = 10
     include_scheduler_overhead: bool = False
-    wifi_probability: float = 0.7
-    account_radio_energy: bool = False
     app_weights: Optional[Sequence[float]] = None
     diurnal_arrivals: bool = False
     battery_capacity_j: Optional[float] = None
     min_battery_soc: float = 0.2
     battery_charge_rate_w: float = 0.0
     user_arrivals: Optional[Sequence[Dict[str, Any]]] = None
-    user_wifi: Optional[Sequence[bool]] = None
     user_battery_capacity_j: Optional[Sequence[Optional[float]]] = None
     user_charge_rate_w: Optional[Sequence[float]] = None
     user_data_alpha: Optional[Sequence[Optional[float]]] = None
@@ -281,7 +272,6 @@ class SimulationConfig:
         """Per-user heterogeneity arrays must cover the fleet exactly."""
         for name in (
             "user_arrivals",
-            "user_wifi",
             "user_battery_capacity_j",
             "user_charge_rate_w",
             "user_data_alpha",

@@ -10,7 +10,7 @@ thermal state, batteries, application churn, local training) is per-user and
 partitions cleanly.
 
 :class:`CouplingCore` makes that boundary a first-class object: it owns
-exactly the coupling state plus its bookkeeping (transport accounting,
+exactly the coupling state plus its bookkeeping (the transfer count,
 traces, evaluation), and exposes the staged kernels the slot loop needs —
 download registration, asynchronous upload application in deterministic user
 order, synchronous-round quorum completion, the gap-sum fold and the
@@ -26,7 +26,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.columns import ordered_sum
-from repro.comm.transport import ModelTransport
 from repro.core.policies import IdleForecast, ObservationBatch, SchedulingPolicy
 from repro.fl.client import LocalUpdate
 from repro.fl.metrics import AccuracyTracker, evaluate_model
@@ -35,7 +34,12 @@ from repro.sim.config import SimulationConfig
 from repro.sim.timers import EngineTimers
 from repro.sim.trace import SimulationTrace
 
-__all__ = ["CouplingCore"]
+__all__ = ["CouplingCore", "MODEL_SIZE_MB"]
+
+#: Serialized model size reported in the paper (Section VI): what one
+#: download or upload moves.  The paper leaves communication time and radio
+#: energy out of its results, so a transfer is counted, not timed.
+MODEL_SIZE_MB = 2.5
 
 
 class CouplingCore:
@@ -54,6 +58,8 @@ class CouplingCore:
             left-to-right fold :meth:`total_gap` is the ``G(t)`` the virtual
             queue consumes.
         sync_buffer: uploads of the current synchronous round, by user id.
+        transfers: model downloads plus asynchronous uploads so far, each
+            one :data:`MODEL_SIZE_MB` over the network.
     """
 
     #: The mutable coupling state a checkpoint must carry.  Kept in lockstep
@@ -65,7 +71,7 @@ class CouplingCore:
     _CHECKPOINT_ATTRS = (
         "policy",
         "server",
-        "transport",
+        "transfers",
         "trace",
         "accuracy",
         "gaps",
@@ -79,7 +85,6 @@ class CouplingCore:
         config: SimulationConfig,
         policy: SchedulingPolicy,
         server: ParameterServer,
-        transport: ModelTransport,
         trace: SimulationTrace,
         accuracy: AccuracyTracker,
         eval_model: Any,
@@ -89,7 +94,7 @@ class CouplingCore:
         self.config = config  # reprolint: static
         self.policy = policy
         self.server = server
-        self.transport = transport
+        self.transfers = 0
         self.trace = trace
         self.accuracy = accuracy
         self.eval_model = eval_model  # reprolint: static
@@ -142,19 +147,19 @@ class CouplingCore:
 
     # -- downloads ---------------------------------------------------------------
 
-    def record_download(self, users: Sequence[int], time_s: float) -> Tuple[int, np.ndarray]:
-        """``users`` download the current model: server + transport bookkeeping.
+    def record_download(self, users: Sequence[int]) -> Tuple[int, np.ndarray]:
+        """``users`` download the current model: server bookkeeping and one
+        transfer each.
 
         Returns the ``(version, params)`` pair the fleet stores as their
         training base (one shared read-only view).  ``users`` are one
         shard's arrivals of the slot, ascending, and a slot's blocks follow
-        in ascending order too — the transport's network process draws from
-        one stream.
+        in ascending order too.
         """
         version = self.server.version
         params = self.server.download_block(users)
         self._pinned_base.update(dict.fromkeys(users, params))
-        self.transport.transfer_block(users, "download", time_s)
+        self.transfers += len(users)
         return version, params
 
     def pinned_bases(self) -> Dict[int, np.ndarray]:
@@ -215,7 +220,7 @@ class CouplingCore:
         time_s = slot * self.config.slot_seconds
         bases = [self._pinned_base.pop(user) for user in users]
         rows = self.server.async_update_block(updates, bases, time_s)
-        self.transport.transfer_block(users, "upload", time_s)
+        self.transfers += len(users)
         if type(self.policy).notify_update_applied is not SchedulingPolicy.notify_update_applied:
             for user, row in zip(users, rows):  # only a policy that listens
                 self.policy.notify_update_applied(user, row[3], row[4])

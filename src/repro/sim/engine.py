@@ -33,8 +33,6 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.comm.network import NetworkModel
-from repro.comm.transport import ModelTransport
 from repro.core.offline import OfflinePolicy
 from repro.core.policies import SchedulingPolicy
 from repro.device.models import DeviceSpec, build_device_fleet
@@ -61,7 +59,7 @@ from repro.sim.arrivals import (
     specs_key,
 )
 from repro.sim.config import SimulationConfig
-from repro.sim.coupling import CouplingCore
+from repro.sim.coupling import MODEL_SIZE_MB, CouplingCore
 from repro.sim.fleet import FleetEnergyAccountant
 from repro.sim.rng import spawn_generators
 from repro.sim.timers import EngineTimers
@@ -82,7 +80,6 @@ __all__ = [
     "build_partitions",
     "build_population",
     "build_rngs",
-    "build_transport",
     "install_coordinator",
     "restore_engine",
 ]
@@ -92,7 +89,14 @@ __all__ = [
 #: workers alike — adding a stream in one place cannot silently desynchronise
 #: the others (each name is an independent child generator, so consumers may
 #: ignore streams they do not draw from).
-RNG_STREAM_NAMES = ("devices", "arrivals", "dataset", "clients", "network", "apps")
+RNG_STREAM_NAMES = (
+    "devices",
+    "arrivals",
+    "dataset",
+    "clients",
+    "network",  # no longer drawn; children spawn by position, so dropping it reseeds "apps"
+    "apps",
+)
 
 _T = TypeVar("_T")
 
@@ -210,18 +214,6 @@ def build_eval_model(config: SimulationConfig, input_dim: int) -> Sequential:
         hidden_dims=config.hidden_dims,
         num_classes=config.num_classes,
         seed=config.seed,
-    )
-
-
-def build_transport(config: SimulationConfig, rng) -> ModelTransport:
-    """The network/transport stack (consumes the ``network`` stream)."""
-    return ModelTransport(
-        NetworkModel(
-            rng=rng,
-            wifi_probability=config.wifi_probability,
-            assignments=config.user_wifi,
-        ),
-        account_radio_energy=config.account_radio_energy,
     )
 
 
@@ -404,7 +396,6 @@ class SimulationResult:
     queue_history: List[float] = field(default_factory=list)
     virtual_queue_history: List[float] = field(default_factory=list)
     comm_bytes_mb: float = 0.0
-    comm_failures: int = 0
     final_battery_soc: List[float] = field(default_factory=list)
     timers: Optional[EngineTimers] = None
     #: Streamed queue aggregates (``mean_queue`` / ``mean_virtual`` /
@@ -523,7 +514,6 @@ class Coordinator:
         core = self.core
         self.policy = core.policy
         self.server = core.server
-        self.transport = core.transport
         self.trace = core.trace
         self.accuracy = core.accuracy
 
@@ -569,7 +559,6 @@ class Coordinator:
             config=config,
             policy=policy,
             server=server,
-            transport=build_transport(config, rngs["network"]),
             trace=SimulationTrace(
                 trace_interval_slots=config.trace_interval_slots,
                 level=trace_level,
@@ -641,8 +630,7 @@ class Coordinator:
             virtual_queue_history=(
                 [] if virtual_queue is None else list(virtual_queue.history())
             ),
-            comm_bytes_mb=self.transport.total_bytes_mb(),
-            comm_failures=self.transport.failure_count(),
+            comm_bytes_mb=MODEL_SIZE_MB * self.core.transfers,
             final_battery_soc=final_battery_soc,
             timers=self.timers if self.timers.enabled else None,
             queue_stats=_policy_queue_stats(policy),

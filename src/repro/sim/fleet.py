@@ -198,9 +198,7 @@ class FleetEnergyAccountant:
         return state
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore the state captured by :meth:`state_dict`.  Stores written
-        before the accountant dropped its per-slot series also hold
-        ``per_slot_total`` and ``running_total_j``; they are ignored."""
+        """Restore the state captured by :meth:`state_dict`."""
         self._state_j = np.stack(
             [np.asarray(state[key], dtype=float) for key in self._STATE_KEYS]
         )

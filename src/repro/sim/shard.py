@@ -9,7 +9,7 @@ that boundary literally:
 
 * the **coordinator** owns exactly the coupling state
   (:class:`~repro.sim.coupling.CouplingCore`: server, policy queues, gaps,
-  sync buffer, transport accounting, traces, evaluation);
+  sync buffer, transfer count, traces, evaluation);
 * each **shard** owns a contiguous slice of the population's per-user state
   (:class:`FleetShard`: the struct-of-arrays
   :class:`~repro.sim.fleet.FleetState`, batteries, application churn, FL
@@ -1240,7 +1240,7 @@ def drive_fleet_loop(
         time_s = slot * config.slot_seconds
 
         # 1+2. Applications and arrivals -> ready pool.  Downloads are
-        # coordinator work (server version bookkeeping, transport RNG) and
+        # coordinator work (server version bookkeeping, pinned bases) and
         # run in ascending global user order; the per-user state lands in
         # the owning shard.
         arriving_by_shard = _split_users(pending_arrivals, bounds)
@@ -1253,7 +1253,7 @@ def drive_fleet_loop(
             version = params = None
             if arriving:
                 coupling_tick = timers.start()
-                version, params = core.record_download(arriving, time_s)
+                version, params = core.record_download(arriving)
                 timers.stop("coupling", coupling_tick)
             if spec_opens[index] is not None and (not arriving or not sync_mode):
                 # The piggybacked open already covers this shard.  Under
@@ -1743,7 +1743,7 @@ class ShardedEngine(Coordinator):
     supervisor loop and the accountant merge.
 
     The coordinator process owns the coupling state (parameter server,
-    policy queues, gaps, sync quorum, transport accounting, traces,
+    policy queues, gaps, sync quorum, transfer count, traces,
     evaluation); each worker process rebuilds its contiguous population
     slice from the configuration (same RNG streams as a full build) and runs
     the per-user kernels — including the actual NumPy local training, which

@@ -10,7 +10,7 @@ engine run and buckets wall-clock into:
 * ``policy``  — building observations and evaluating scheduling decisions;
 * ``eval``    — held-out evaluation of the global model;
 * ``coupling`` — the slot's download block and upload block on the
-  coordinator (server merge, realised gaps, transport log): two sections
+  coordinator (server merge, realised gaps, transfer count): two sections
   per slot;
 * ``ipc_send`` — coordinator-side encode + doorbell write of shard
   requests (zero for single-process runs);

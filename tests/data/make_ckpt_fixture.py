@@ -1,11 +1,13 @@
-"""Write ``tests/data/ckpt_v7_pr21``: a checkpoint store and the digest of
-the uninterrupted run, both produced by the checkout this script runs from.
+"""Write ``tests/data/ckpt_v<N>`` (``N`` the checkpoint format version): a
+checkpoint store and the digest of the uninterrupted run, both produced by
+the checkout this script runs from.
 
     python3 tests/data/make_ckpt_fixture.py            # from the commit to freeze
 
 ``tests/test_schedule_path.py::TestParentCheckpoint`` resumes the store on
 the current code and expects the recorded digest, so the fixture is only
-regenerated when the on-disk checkpoint format version changes.
+regenerated when the on-disk checkpoint format version changes (delete the
+previous version's directory then).
 """
 
 import json
@@ -30,7 +32,7 @@ SLOT = 150
 
 
 def main() -> None:
-    out = HERE / "ckpt_v7_pr21"
+    out = HERE / f"ckpt_v{CHECKPOINT_FORMAT_VERSION}"
     shutil.rmtree(out, ignore_errors=True)
     config = SimulationConfig(
         num_users=8, total_slots=600, app_arrival_prob=0.02, seed=5,

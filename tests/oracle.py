@@ -29,7 +29,7 @@ reproduce bit for bit, generator state included.  :func:`arrival_rate` and
 :func:`is_running` are schedule and app diagnostics the product no longer
 has.
 
-:class:`FrozenLogs` keeps the run's four append-only logs as lists of record
+:class:`FrozenLogs` keeps the run's three append-only logs as lists of record
 objects, the way the program itself did before the column logs (ISSUE 19):
 the reference the list views of :class:`repro.columns.ColumnLog` must equal
 element for element and type for type.
@@ -57,17 +57,14 @@ suite compares it; the product has no caller for such views.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import astuple, dataclass, fields, replace
 from types import SimpleNamespace
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.comm.network import DEFAULT_PROFILES, NetworkCondition, NetworkType
-from repro.comm.transport import ModelTransport
 from repro.core.granularity import DecisionIntervalPolicy
 from repro.core.offline import _CORUN, _IMMEDIATE, _NO_PLAN, _PLANNING_FIELDS, OfflinePolicy
 from repro.core.online import OnlinePolicy
@@ -415,89 +412,22 @@ class FrozenUpdateSample:
     sync_round: bool
 
 
-@dataclass(frozen=True)
-class FrozenTransferRecord:
-    """``repro.comm.messages.TransferRecord`` as of PR 18."""
-
-    user_id: int
-    direction: str
-    size_mb: float
-    start_time_s: float
-    duration_s: float
-    network_type: str
-    succeeded: bool
-    failure_reason: Optional[str] = None
-
-
-def frozen_condition(network, user_id):
-    """``NetworkModel.condition`` as of PR 20: one user's draws on the
-    network's generator — offline check, home network the first time, one
-    scalar jitter — and a condition object."""
-    rng = network._rng
-    if network.offline_probability > 0.0 and rng.random() < network.offline_probability:
-        return DEFAULT_PROFILES[NetworkType.OFFLINE]
-    if user_id not in network._assignment:
-        wifi = rng.random() < network.wifi_probability
-        network._assignment[user_id] = NetworkType.WIFI if wifi else NetworkType.LTE
-    profile = DEFAULT_PROFILES[network._assignment[user_id]]
-    jitter = 1.0 + rng.normal(0.0, network.bandwidth_jitter)
-    jitter = max(0.1, jitter)
-    return NetworkCondition(
-        network_type=profile.network_type,
-        uplink_mbps=profile.uplink_mbps * jitter,
-        downlink_mbps=profile.downlink_mbps * jitter,
-        rtt_ms=profile.rtt_ms,
-    )
-
-
-def frozen_transfer(transport, network, user_id, direction, start_time_s):
-    """One transfer as ``ModelTransport.upload`` / ``download`` logged it at
-    PR 20, sampled on ``network`` (the transport's own, or a shadow of it)."""
-    condition = frozen_condition(network, user_id)
-    if not condition.connected:
-        return FrozenTransferRecord(
-            user_id=user_id,
-            direction=direction,
-            size_mb=transport.model_size_mb,
-            start_time_s=start_time_s,
-            duration_s=0.0,
-            network_type=condition.network_type.value,
-            succeeded=False,
-            failure_reason="offline",
-        )
-    throughput = condition.uplink_mbps if direction == "upload" else condition.downlink_mbps
-    return FrozenTransferRecord(
-        user_id=user_id,
-        direction=direction,
-        size_mb=transport.model_size_mb,
-        start_time_s=start_time_s,
-        duration_s=transport.transfer_duration_s(
-            transport.model_size_mb, throughput, condition.rtt_ms
-        ),
-        network_type=condition.network_type.value,
-        succeeded=True,
-    )
-
-
 class FrozenLogs:
-    """The four append-only logs of one run, kept as PR 18 kept them.
+    """The three append-only logs of one run, kept as lists of record objects.
 
     ``attach(monkeypatch)`` wraps the producers at class level (so the
     objects of the run stay picklable) and appends one record object per
     event to a plain list — ``ParameterServer.update_log``, the trace's
-    ``update_samples``, ``ModelTransport.records`` and
-    ``OnlinePolicy.decision_log`` as they were built then.  The block
-    producers (``async_update_block``, ``transfer_block``) are replayed one
-    event at a time on shadow state — the merge rules and the per-user
-    network draws as they were then (:func:`frozen_condition`) — before the
-    real block runs.  Run exactly one engine while attached.
+    ``update_samples`` and ``OnlinePolicy.decision_log`` as they were built
+    then.  The block producer ``async_update_block`` is replayed one event
+    at a time on shadow state — the merge rules as they were then — before
+    the real block runs.  Run exactly one engine while attached.
     """
 
     def __init__(self, trace_level: str = "full") -> None:
         self.trace_level = trace_level
         self.update_log = []
         self.update_samples = []
-        self.records = []
         self.decision_log = []
 
     def _sample(self, *fields) -> None:
@@ -509,7 +439,6 @@ class FrozenLogs:
         real_async = ParameterServer.async_update
         real_sync = ParameterServer.sync_round
         real_async_block = ParameterServer.async_update_block
-        real_transfer_block = ModelTransport.transfer_block
         real_decide_all = OnlinePolicy.decide_all
         real_record_idle = OnlinePolicy.record_idle
 
@@ -563,14 +492,6 @@ class FrozenLogs:
                     params = (1.0 - alpha) * params + alpha * update.params
             return real_async_block(server, updates, bases, time_s)
 
-        def transfer_block(transport, user_ids, direction, time_s):
-            shadow = copy.deepcopy(transport.network)
-            logs.records.extend(
-                frozen_transfer(transport, shadow, user_id, direction, time_s)
-                for user_id in user_ids
-            )
-            return real_transfer_block(transport, user_ids, direction, time_s)
-
         def decide_all(policy, batch):
             schedule = real_decide_all(policy, batch)
             logs.decision_log.extend(
@@ -591,7 +512,6 @@ class FrozenLogs:
         monkeypatch.setattr(ParameterServer, "async_update", async_update)
         monkeypatch.setattr(ParameterServer, "sync_round", sync_round)
         monkeypatch.setattr(ParameterServer, "async_update_block", async_update_block)
-        monkeypatch.setattr(ModelTransport, "transfer_block", transfer_block)
         monkeypatch.setattr(OnlinePolicy, "decide_all", decide_all)
         monkeypatch.setattr(OnlinePolicy, "record_idle", record_idle)
         return self
@@ -653,7 +573,7 @@ def frozen_online_decide_all(policy, batch):
     re-decided through :func:`batch_row` + :func:`frozen_evaluate`.  Returns the
     schedule and the positions the repair flipped to idle."""
     n = len(batch)
-    _count_messages(policy, n)
+    policy._decision_evaluations += n
     q_length = policy.task_queue.length
     h_length = policy.virtual_queue.length
     schedule = policy.controller.evaluate_batch(batch, q_length, h_length).best()
@@ -808,17 +728,6 @@ def frozen_evaluate(controller, observation, q_length, h_length) -> FrozenDecisi
     )
 
 
-def _count_messages(policy: OnlinePolicy, n: int) -> None:
-    """``n`` Algorithm 2 (or centralized) rule evaluations and their messages."""
-    policy._decision_evaluations += n
-    if policy.distributed:
-        policy.messages_to_server += 2 * n
-        policy.messages_to_users += 3 * n
-    else:
-        policy.messages_to_server += 3 * n
-        policy.messages_to_users += 1 * n
-
-
 def frozen_decide(policy, observation) -> Decision:
     """``policy.decide(observation)``: each product policy's per-user rule —
     the interval wrapper's rate limiter, Eq. (21) with its counters and
@@ -827,11 +736,10 @@ def frozen_decide(policy, observation) -> Decision:
     if isinstance(policy, DecisionIntervalPolicy):
         counter = o.waiting_slots if policy.align_to_arrival else o.slot
         if policy.interval_slots != 1 and counter % policy.interval_slots != 0:
-            policy.skipped_decisions += 1
             return Decision.IDLE
         return frozen_decide(policy.inner, o)
     if isinstance(policy, OnlinePolicy):
-        _count_messages(policy, 1)
+        policy._decision_evaluations += 1
         decision = frozen_evaluate(
             policy.controller, o, policy.task_queue.length, policy.virtual_queue.length
         ).best()

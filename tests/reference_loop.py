@@ -542,9 +542,7 @@ class ReferenceLoopEngine(Coordinator):
         state = self._user_states[user]
         state.ready = True
         state.waiting_slots = 0
-        state.base_version, state.base_params = self.core.record_download(
-            [user], slot * self.config.slot_seconds
-        )
+        state.base_version, state.base_params = self.core.record_download([user])
 
     def _decision_row(self, user: int, slot: int) -> ObservationBatch:
         """The batch of one ``user`` is decided with in ``slot``: its own

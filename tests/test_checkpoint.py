@@ -69,7 +69,7 @@ def make_config(**overrides) -> SimulationConfig:
 def make_policy(name: str):
     if name == "sync":
         return SyncPolicy()
-    return OnlinePolicy(v=4000.0, staleness_bound=500.0, epsilon=0.01, distributed=True)
+    return OnlinePolicy(v=4000.0, staleness_bound=500.0, epsilon=0.01)
 
 
 def digest(result) -> dict:
@@ -85,7 +85,7 @@ def digest(result) -> dict:
              s.virtual_queue_length, s.gap_sum)
             for s in result.trace.slot_samples
         ],
-        comm=(result.comm_bytes_mb, result.comm_failures),
+        comm=result.comm_bytes_mb,
         soc=list(result.final_battery_soc),
     )
 
@@ -237,6 +237,36 @@ class TestSingleEngineRoundTrip:
         assert [cp.slot for cp in taken] == list(range(50, config.total_slots, 50))
 
 
+class TestTransferCountResumes:
+    """The transfer count rides the coupling unit: a checkpoint holds the
+    count so far and a resumed run ends on the uninterrupted run's count."""
+
+    @staticmethod
+    def build(kind, policy):
+        if kind == "sharded":
+            return ShardedEngine(make_config(), make_policy(policy), shards=2, inline=True)
+        return SimulationEngine(make_config(), make_policy(policy))
+
+    @pytest.mark.parametrize("policy", ["online", "sync"])
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    def test_the_count_resumes_where_it_stopped(self, kind, policy):
+        uninterrupted = self.build(kind, policy)
+        uninterrupted.run()
+        interrupted = self.build(kind, policy)
+        checkpoint = interrupt_at(interrupted, 137)
+        held = checkpoint.coordinator.materialize().transfers
+        assert type(held) is int
+        assert held == interrupted.core.transfers >= make_config().num_users
+        assert held < uninterrupted.core.transfers
+        if kind == "sharded":
+            resumed = ShardedEngine.restore(checkpoint, inline=True)
+        else:
+            resumed = SimulationEngine.restore(checkpoint)
+        result = resumed.run()
+        assert resumed.core.transfers == uninterrupted.core.transfers
+        assert result.comm_bytes_mb == 2.5 * uninterrupted.core.transfers
+
+
 class TestShardedRoundTrip:
     @pytest.fixture(scope="class")
     def reference(self):
@@ -326,20 +356,6 @@ class TestShardedRoundTrip:
 
         resumed = digest(engine.run())
         assert_same(reference, resumed, "widened (pre-compaction) checkpoint")
-
-    def test_checkpoint_holding_the_old_series_keys_restores_bitwise(
-        self, reference, checkpoint
-    ):
-        """Stores written while the accountant kept a per-slot energy series
-        carry two more accountant keys; re-sharding drops them and the
-        resumed run is bitwise the reference."""
-        legacy = copy.deepcopy(checkpoint)
-        for state in legacy.slices:
-            accountant = state["fleet"]["accountant"]
-            accountant["per_slot_total"] = [1.0] * checkpoint.slot
-            accountant["running_total_j"] = 1.0
-        resumed = digest(ShardedEngine.restore(legacy, shards=3, inline=True).run())
-        assert_same(reference, resumed, "checkpoint holding the old series keys")
 
 
 class TestResumeWhereBlocksForm:
@@ -500,7 +516,7 @@ class TestCheckpointStore:
         with tempfile.TemporaryDirectory() as tmp:
             store = CheckpointStore(tmp)
             store.save(checkpoint)
-            with pytest.raises(ValueError, match="unsupported"):
+            with pytest.raises(CheckpointError, match="unsupported"):
                 store.load()
 
     @staticmethod
@@ -512,7 +528,10 @@ class TestCheckpointStore:
                 json.dumps({"format_version": version, "latest": "snapshot-00000000",
                             "retained": []})
             )
-            with pytest.raises(ValueError, match=f"format {version} unsupported"):
+            with pytest.raises(
+                CheckpointError,
+                match=rf"format {version} unsupported \(expected {CHECKPOINT_FORMAT_VERSION}\)",
+            ):
                 store.load()
 
     def test_format_v3_store_is_rejected(self):
@@ -837,6 +856,10 @@ class TestStoreIntegrity:
     def test_format_v6_store_is_rejected(self):
         """v6 wrote every vector into every snapshot and kept logs as objects."""
         TestCheckpointStore._assert_old_format_rejected(6)
+
+    def test_format_v7_store_is_rejected(self):
+        """v7 pickled a network transport into the coupling unit."""
+        TestCheckpointStore._assert_old_format_rejected(7)
 
     def test_crash_at_any_point_of_a_save_leaves_a_loadable_snapshot(self, tmp_path):
         first, second, third = engine_checkpoints()

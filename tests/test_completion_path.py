@@ -3,12 +3,9 @@
 Everything that completes in a slot is one block of work: a download block
 and an upload block on the coordinator (``CouplingCore.record_download`` /
 ``apply_async_update`` over ``ParameterServer.download_block`` /
-``async_update_block`` and ``ModelTransport.transfer_block``) and a lean
+``async_update_block``, each counting one transfer per user) and a lean
 local round per finisher.  Contracts under test:
 
-* a transport block leaves the rows, the radio energy and the network
-  generator exactly as one transfer per user did (the per-user sampler and
-  record frozen in ``tests/oracle.py``) and as blocks of one do;
 * a block of uploads leaves the server exactly as the scalar sequence
   ``gap = ||params - base||; async_update(update, gap)`` would, under all four
   merge rules, and raises where that sequence raises;
@@ -26,7 +23,6 @@ local round per finisher.  Contracts under test:
 from __future__ import annotations
 
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
@@ -37,15 +33,12 @@ from oracle import (
     DataPartition,
     FrozenLocalTrainer,
     client_plane,
-    frozen_transfer,
     inflight_count,
     make_engine,
     run_digest,
     user_partitions,
 )
-from repro.comm.messages import TransferRecord
-from repro.comm.network import NetworkModel, NetworkType
-from repro.comm.transport import RADIO_POWER_W, ModelTransport
+from repro.core.granularity import DecisionIntervalPolicy
 from repro.core.offline import OfflinePolicy
 from repro.core.online import OnlinePolicy
 from repro.core.policies import ImmediatePolicy, SyncPolicy
@@ -57,114 +50,8 @@ from repro.fl.model import Sequential, build_mlp
 from repro.fl.optimizer import vector_norm
 from repro.fl.server import AsyncUpdateRule, ParameterServer
 from repro.sim.config import SimulationConfig
+from repro.sim.coupling import CouplingCore
 from repro.sim.engine import SimulationEngine
-
-# ---------------------------------------------------------------------------
-# Transport blocks
-# ---------------------------------------------------------------------------
-
-
-def _transport(seed, jitter, radio, offline, pinned, num_users=48):
-    rng = np.random.default_rng(seed)
-    assignments = [bool(flag) for flag in rng.random(num_users) < 0.6] if pinned else None
-    network = NetworkModel(
-        rng=rng,
-        offline_probability=offline,
-        bandwidth_jitter=jitter,
-        assignments=assignments,
-    )
-    return ModelTransport(network, account_radio_energy=radio)
-
-
-def _frozen_transfers(transport, users, direction, time_s, radio):
-    """The per-user sampler and record of PR 20 (``tests/oracle.py``), driven
-    on ``transport``'s own network; returns the records and the radio energy."""
-    records = [frozen_transfer(transport, transport.network, u, direction, time_s) for u in users]
-    for record in records:
-        if record.succeeded and transport.account_radio_energy:
-            radio += RADIO_POWER_W[record.network_type] * record.duration_s
-    return records, radio
-
-
-class TestTransportBlocks:
-    @settings(max_examples=120, deadline=None)
-    @given(
-        seed=st.integers(0, 2**16),
-        sizes=st.lists(st.sampled_from([0, 1, 2, 40]), min_size=1, max_size=4),
-        jitter=st.sampled_from([0.0, 0.15, 2.0]),  # 2.0: the 0.1 floor binds often
-        radio=st.booleans(),
-        offline=st.sampled_from([0.0, 0.2]),
-        pinned=st.booleans(),
-        data=st.data(),
-    )
-    def test_block_equals_the_frozen_scalar_calls_in_order(
-        self, seed, sizes, jitter, radio, offline, pinned, data
-    ):
-        block = _transport(seed, jitter, radio, offline, pinned)
-        scalar = _transport(seed, jitter, radio, offline, pinned)
-        want, want_radio = [], 0.0
-        for step, size in enumerate(sizes):
-            users = data.draw(
-                st.lists(st.integers(0, 47), min_size=size, max_size=size, unique=True)
-            )
-            direction = "upload" if step % 2 else "download"
-            rows = block.transfer_block(users, direction, 3.5 * step)
-            records, want_radio = _frozen_transfers(scalar, users, direction, 3.5 * step, want_radio)
-            assert [TransferRecord(*row) for row in rows] == block.records[len(want):]
-            want += records
-        assert [dataclasses.astuple(record) for record in want] == block.transfers.rows()
-        assert [dataclasses.astuple(record) for record in block.records] == block.transfers.rows()
-        assert block.radio_energy_j == want_radio
-        assert (
-            block.network._rng.bit_generator.state == scalar.network._rng.bit_generator.state
-        )
-        assert block.network._assignment == scalar.network._assignment
-
-    @pytest.mark.parametrize("offline", [0.0, 0.2])
-    @pytest.mark.parametrize("pinned", [True, False])
-    def test_the_public_scalar_calls_are_blocks_of_one(self, offline, pinned):
-        block = _transport(5, 0.15, True, offline, pinned)
-        scalar = _transport(5, 0.15, True, offline, pinned)
-        rows = block.transfer_block([7, 3], "upload", 2.0) + block.transfer_block([3], "download", 4.0)
-        ones = ((7, "upload", 2.0), (3, "upload", 2.0), (3, "download", 4.0))
-        records = [
-            TransferRecord(*row)
-            for user, direction, time_s in ones
-            for row in scalar.transfer_block([user], direction, time_s)
-        ]
-        assert records == [TransferRecord(*row) for row in rows] == scalar.records
-        assert block.radio_energy_j == scalar.radio_energy_j
-        assert scalar.network.sample_block((9,))[0][0].network_type in set(NetworkType)
-
-    def test_one_draw_only_when_nothing_interleaves(self, monkeypatch):
-        """A block of several assigned users on an always-on network is one
-        ``size=k`` normal; anything else draws user by user."""
-        calls = []
-
-        class Spy:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def normal(self, loc, scale, size=None):
-                calls.append(size)
-                return self.rng.normal(loc, scale, size=size)
-
-            def random(self):
-                return self.rng.random()
-
-        def sizes(offline, pinned, users):
-            network = _transport(0, 0.15, False, offline, pinned).network
-            network._rng = Spy(network._rng)
-            calls.clear()
-            network.sample_block(users)
-            return list(calls)
-
-        assert sizes(0.0, True, [4, 5, 6]) == [3]
-        assert sizes(0.0, True, [4]) == [None]
-        assert sizes(0.0, False, [4, 5, 6]) == [None, None, None]  # homes still to assign
-        assert all(size is None for size in sizes(0.2, True, [4, 5, 6]))  # offline checks
-        assert sizes(0.0, True, []) == []
-
 
 # ---------------------------------------------------------------------------
 # Server blocks
@@ -596,6 +483,55 @@ def _matrix_policy(name: str):
     return OnlinePolicy(v=4000.0, staleness_bound=500.0)
 
 
+#: Transfers of a 1200-slot ``_matrix_config(seed=2)`` run per policy, as the
+#: length of the retired per-transfer log (one row per download and per
+#: asynchronous upload), in every execution mode.
+TIMED_TRANSFER_LOG_LENGTH = {
+    "immediate": 71,
+    "sync": 35,
+    "offline": 65,
+    "online": 57,
+    "interval": 53,
+}
+
+
+def _transfer_policy(name: str):
+    if name == "interval":
+        return DecisionIntervalPolicy(_matrix_policy("online"), interval_slots=30)
+    return _matrix_policy(name)
+
+
+class TestTransferCount:
+    """``CouplingCore.transfers`` is one integer where a transport logged a
+    row per transfer: the count, and the megabytes it reports, are those of
+    the log."""
+
+    @pytest.mark.parametrize("policy_name", sorted(TIMED_TRANSFER_LOG_LENGTH))
+    def test_the_count_is_the_retired_log_length(self, monkeypatch, policy_name):
+        blocks = []
+        real_download = CouplingCore.record_download
+        real_upload = CouplingCore.apply_async_update
+
+        def record_download(core, users):
+            blocks.append(len(users))
+            return real_download(core, users)
+
+        def apply_async_update(core, slot, users, updates):
+            blocks.append(len(users))
+            return real_upload(core, slot, users, updates)
+
+        monkeypatch.setattr(CouplingCore, "record_download", record_download)
+        monkeypatch.setattr(CouplingCore, "apply_async_update", apply_async_update)
+        config = _matrix_config(seed=2, dirichlet=False).scaled(total_slots=1200)
+        want = TIMED_TRANSFER_LOG_LENGTH[policy_name]
+        for mode, fast_forward in (("loop", False), ("fleet", False), ("fleet", True)):
+            blocks.clear()
+            engine = make_engine(mode, config, _transfer_policy(policy_name), fast_forward=fast_forward)
+            result = engine.run()
+            assert engine.core.transfers == sum(blocks) == want, (mode, fast_forward)
+            assert result.comm_bytes_mb == sum(2.5 for _ in range(want))
+
+
 class TestEngineEquivalenceMatrix:
     """The fleet engine's round at the completion slot vs the reference
     loop's: seeds x policies x partitions x fast-forward, on ragged shards."""
@@ -632,11 +568,15 @@ class TestEngineEquivalenceMatrix:
     def test_rounds_run_only_at_their_completion_slot(self):
         """No round is trained ahead: with every upload delivered, a client's
         round counter is the number of its updates the server applied, and
-        the jobs still in flight at the horizon have not trained yet."""
+        the jobs still in flight at the horizon have not trained yet.  Every
+        user downloaded once at the start and once after each upload, so the
+        run moved two models per update plus one per user."""
         config = _matrix_config(seed=2, dirichlet=False)
         engine = SimulationEngine(config, ImmediatePolicy())
         result = engine.run()
-        assert result.comm_failures == 0 and result.num_updates > 0
+        assert result.num_updates > 0
+        assert engine.core.transfers == 2 * result.num_updates + config.num_users
+        assert result.comm_bytes_mb == 2.5 * engine.core.transfers
         assert inflight_count(engine.server) == config.num_users
         applied = [0] * config.num_users
         for sample in result.trace.update_samples:

@@ -233,8 +233,6 @@ def _observed(result, policy):
         result.decision_evaluations,
         result.final_battery_soc,
         getattr(policy, "decision_log", None),
-        getattr(policy, "messages_to_server", None),
-        getattr(policy, "messages_to_users", None),
     )
 
 

@@ -202,7 +202,6 @@ def _engine_observables(result) -> dict:
         "queue_history": tuple(result.queue_history),
         "virtual_queue_history": tuple(result.virtual_queue_history),
         "comm_bytes_mb": result.comm_bytes_mb,
-        "comm_failures": result.comm_failures,
         "battery_soc": tuple(result.final_battery_soc),
         "user_gaps": tuple(
             tuple(result.trace.per_user_gaps.get(u, [])) for u in range(config.num_users)

@@ -127,7 +127,6 @@ def _assert_bitwise_equal(config, loop, fleet):
     assert loop.accuracy.times() == fleet.accuracy.times()
     assert loop.final_battery_soc == fleet.final_battery_soc
     assert loop.comm_bytes_mb == fleet.comm_bytes_mb
-    assert loop.comm_failures == fleet.comm_failures
     assert loop.device_names == fleet.device_names
 
 
@@ -144,8 +143,9 @@ class TestBackendEquivalence:
         reference = policies["loop"]
         for name, policy in policies.items():
             assert policy.decision_log == reference.decision_log, name
-            assert policy.messages_to_server == reference.messages_to_server, name
-            assert policy.messages_to_users == reference.messages_to_users, name
+            assert (
+                policy.decision_cost_evaluations() == reference.decision_cost_evaluations()
+            ), name
 
     @pytest.mark.parametrize("v", [0.0, 2000.0, 100000.0])
     def test_online_policy_identical_across_v(self, v):
@@ -478,18 +478,6 @@ class TestFleetEnergyAccountant:
             state, quiet = accountant.state_dict(), accountant.quiet_state()
             sizes.append((len(pickle.dumps(state)), len(pickle.dumps(quiet))))
         assert sizes[0] == sizes[1]
-
-    def test_load_ignores_the_old_per_slot_keys(self):
-        accountant = FleetEnergyAccountant(2)
-        accountant.add_slot(
-            np.array([[1.5, 0.0], [0.0, 2.5], [0.0, 0.0], [0.0, 0.0]]), np.array([0.0, 0.25])
-        )
-        state = accountant.state_dict()
-        restored = FleetEnergyAccountant(2)
-        restored.load_state_dict({**state, "per_slot_total": [4.25], "running_total_j": 4.25})
-        assert restored.total_j() == accountant.total_j() == 4.25
-        assert energy_breakdowns(restored, 2) == energy_breakdowns(accountant, 2)
-        assert set(restored.state_dict()) == set(state)
 
     def test_rejects_empty_fleet(self):
         with pytest.raises(ValueError):

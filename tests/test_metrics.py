@@ -70,7 +70,6 @@ def fake_summary(spec_hash: str, policy: str = "online",
         corun_jobs=3,
         background_jobs=7,
         comm_bytes_mb=1.25,
-        comm_failures=0,
         mean_final_battery_soc=0.7,
         wall_time_s=2.0,
     )
@@ -127,6 +126,36 @@ class TestMetricsStore:
         assert [row["spec_hash"] for row in store.runs(policy="online", seed=3)] == [
             "old-hash", "n" * 16
         ]
+        (trajectory,) = version_history(store).values()
+        assert [entry["energy_j"] for entry in trajectory] == [990.0, 1000.0]
+
+    def test_store_file_with_the_old_comm_failures_column_still_works(self, tmp_path):
+        """A sqlite file created while runs reported ``comm_failures`` keeps
+        that column: new rows ingest with it NULL, old rows keep their value,
+        and both line up as one trajectory."""
+        from repro.metrics import store as store_module
+
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            store_module._SCHEMA.replace(
+                "comm_bytes_mb REAL,", "comm_bytes_mb REAL,\n    comm_failures INTEGER,"
+            )
+        )
+        conn.execute(
+            "INSERT INTO runs (spec_hash, policy, label, seed, shards, repro_version, "
+            "energy_j, comm_bytes_mb, comm_failures, ingested_at) "
+            "VALUES ('old-hash', 'online', 'sweep', 3, 1, '0.9', 990.0, 2.5, 0, 1.0)"
+        )
+        conn.commit()
+        conn.close()
+
+        store = MetricsStore(path)
+        store.ingest_run(fake_summary("n" * 16, label="sweep"), spec=tiny_spec())
+        rows = store.runs(policy="online", seed=3)
+        assert [row["spec_hash"] for row in rows] == ["old-hash", "n" * 16]
+        assert [row["comm_failures"] for row in rows] == [0, None]
+        assert [row["comm_bytes_mb"] for row in rows] == [2.5, 1.25]
         (trajectory,) = version_history(store).values()
         assert [entry["energy_j"] for entry in trajectory] == [990.0, 1000.0]
 

@@ -14,7 +14,8 @@ The same holds one level down (:class:`TestDefinitionReachability`): every
 module-level or class-body definition of ``src/repro`` is named somewhere on
 the product surface (``src/``, ``bench/``, ``benchmarks/``, ``examples/``)
 besides its own ``def``, or is listed in :data:`ALLOWED` with the reason it
-stays.
+stays.  And for state (:class:`TestStateReachability`): every attribute
+``src/repro`` assigns on ``self`` is read somewhere on the product surface.
 """
 
 from __future__ import annotations
@@ -245,6 +246,90 @@ class TestDefinitionReachability:
         assert ("repro.mod", "Handler", "hook") in synthetic_tree
 
 
+def assigned_attributes(path: Path) -> Set[Tuple[str, str]]:
+    """``(class, attribute)`` of every ``self.<attribute>`` that ``path``
+    assigns (plain, augmented or annotated), under the innermost class."""
+    found: Set[Tuple[str, str]] = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.ctx, ast.Store)
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "self"
+            ):
+                found.add((owner, child.attr))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+def read_names(path: Path) -> Set[str]:
+    """Every attribute ``path`` reads (a ``Load``-context attribute) and every
+    string shaped like an identifier (``getattr(obj, "name")``)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _IDENTIFIER.match(node.value):
+                names.add(node.value)
+    return names
+
+
+def write_only_attributes(root: Path = ROOT) -> Set[Tuple[str, str, str]]:
+    """``(module, class, attribute)`` of every attribute ``root/src/repro``
+    assigns on ``self`` that no file on the product surface reads."""
+    read: Set[str] = set()
+    for directory in SURFACE:
+        for path in sorted((root / directory).rglob("*.py")):
+            read |= read_names(path)
+    return {
+        (module, owner, attribute)
+        for module, path in product_modules(root / "src").items()
+        for owner, attribute in assigned_attributes(path)
+        if attribute not in read
+    }
+
+
+class TestStateReachability:
+    def test_every_assigned_attribute_is_read(self):
+        """State the product writes and never reads is a counter nothing
+        reports: delete it, or give it a reader."""
+        assert sorted(write_only_attributes()) == []
+
+    def test_the_gate_on_a_synthetic_tree(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            "class Owner:\n"
+            "    def __init__(self):\n"
+            "        self.read = 0\n"
+            "        self.looked_up = 0\n"
+            "        self.benched = 0\n"
+            "        self.counter = 0\n"
+            "        self.noted: int = 0\n"
+            "    def step(self):\n"
+            "        self.counter += 1\n"
+            "        return self.read + getattr(self, 'looked_up')\n"
+            "    class Inner:\n"
+            "        def __init__(self):\n"
+            "            self.inner_only = 1\n"
+        )
+        (tmp_path / "bench").mkdir()
+        (tmp_path / "bench" / "probe.py").write_text("def probe(owner):\n    return owner.benched\n")
+        assert write_only_attributes(tmp_path) == {
+            ("repro.mod", "Owner", "counter"),
+            ("repro.mod", "Owner", "noted"),
+            ("repro.mod", "Inner", "inner_only"),
+        }
+
+
 class TestOneDataPlane:
     """The per-user reference loop and the scalar models only it runs live in
     ``tests/reference_loop.py``; the product keeps no twin of them."""
@@ -290,11 +375,24 @@ class TestOneDataPlane:
         }
         assert defined == set()
 
+    def test_a_transfer_is_a_count(self):
+        """Model transfers are counted, not timed: no network model, transport
+        or per-transfer record in the product."""
+        modules = product_modules()
+        assert not [name for name in modules if name.startswith("repro.comm")]
+        gone = {"ModelTransport", "NetworkModel", "NetworkCondition", "TransferRecord"}
+        defined = {
+            (module, name)
+            for module, path in modules.items()
+            for names in defined_names(path).values()
+            for name in names & gone
+        }
+        assert defined == set()
+
     def test_product_classes_keep_no_scalar_hooks(self):
         dropped = {
             "PowerModel": {"power"},
             "ParameterServer": {"download", "register_inflight", "estimate_lag"},
-            "ModelTransport": {"upload", "download"},
             "SimulationTrace": {"record_decision", "record_user_gap"},
             "ArrivalSchedule": {"app_starting_at", "arrival_rate", "_generate_user_sparse"},
             "ForegroundApp": {"is_running"},

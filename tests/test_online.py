@@ -108,27 +108,11 @@ class TestOnlinePolicy:
         decide_one(policy, observation_factory(user_id=1))
         assert policy.decision_cost_evaluations() == 2
 
-    def test_distributed_vs_centralized_same_decisions(self, observation_factory):
-        distributed = OnlinePolicy(v=4000.0, staleness_bound=500.0, distributed=True)
-        centralized = OnlinePolicy(v=4000.0, staleness_bound=500.0, distributed=False)
-        for policy in (distributed, centralized):
-            policy.begin_slot(_context(num_arrivals=3))
-        observations = [
-            observation_factory(user_id=i, app_running=(i % 2 == 0), current_gap=float(i))
-            for i in range(6)
-        ]
-        decisions_d = [decide_one(distributed, o) for o in observations]
-        decisions_c = [decide_one(centralized, o) for o in observations]
-        assert decisions_d == decisions_c
-
-    def test_distributed_mode_hides_app_status_from_server(self, observation_factory):
-        """Algorithm 2: the user sends fewer scalars than the centralized scheme."""
-        distributed = OnlinePolicy(v=100.0, staleness_bound=100.0, distributed=True)
-        centralized = OnlinePolicy(v=100.0, staleness_bound=100.0, distributed=False)
-        for policy in (distributed, centralized):
-            policy.begin_slot(_context())
-            decide_one(policy, observation_factory())
-        assert distributed.messages_to_server <= centralized.messages_to_server
+    def test_the_retired_distributed_knob_is_refused(self):
+        """Algorithm 2's message split only fed counters no output read; the
+        decisions never depended on it, so the knob is gone, not ignored."""
+        with pytest.raises(TypeError, match="distributed"):
+            OnlinePolicy(v=4000.0, staleness_bound=500.0, distributed=True)
 
     def test_reset_clears_queues_and_logs(self, observation_factory):
         policy = OnlinePolicy(v=10.0, staleness_bound=50.0)

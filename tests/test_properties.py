@@ -269,7 +269,7 @@ class TestBackendDifferentialFuzz:
                  s.virtual_queue_length, s.gap_sum)
                 for s in result.trace.slot_samples
             ],
-            comm=(result.comm_bytes_mb, result.comm_failures),
+            comm=result.comm_bytes_mb,
             soc=list(result.final_battery_soc),
         )
 
@@ -323,9 +323,7 @@ class TestBackendDifferentialFuzz:
                 return SyncPolicy()
             if policy_name == "immediate":
                 return ImmediatePolicy()
-            return OnlinePolicy(
-                v=4000.0, staleness_bound=500.0, epsilon=0.01, distributed=True
-            )
+            return OnlinePolicy(v=4000.0, staleness_bound=500.0, epsilon=0.01)
 
         reference = self._digest(
             make_engine("loop", config, policy()).run()
@@ -380,6 +378,7 @@ class TestQueueRecursionsAcrossRegions:
         from repro.core.online import OnlinePolicy
         from repro.core.policies import Decision
         from repro.sim.config import SimulationConfig
+        from repro.sim.coupling import CouplingCore
         from repro.sim.engine import SimulationEngine
         from repro.sim.shard import FleetShard
 
@@ -390,6 +389,23 @@ class TestQueueRecursionsAcrossRegions:
             "run_slot",
             lambda shard, slot, *args: executed.append(slot) or run_slot(shard, slot, *args),
         )
+        # A slot's downloads come before its policy.begin_slot: count them
+        # there, independently of the context the policy is handed.
+        arrivals, downloaded = Counter(), []
+        record_download = CouplingCore.record_download
+        begin_slot = OnlinePolicy.begin_slot
+
+        def count_download(core, users):
+            downloaded.extend(users)
+            return record_download(core, users)
+
+        def attribute(policy, context):
+            arrivals[context.slot] = len(downloaded)
+            downloaded.clear()
+            begin_slot(policy, context)
+
+        monkeypatch.setattr(CouplingCore, "record_download", count_download)
+        monkeypatch.setattr(OnlinePolicy, "begin_slot", attribute)
         config = SimulationConfig(
             num_users=10, total_slots=700, app_arrival_prob=0.002, seed=5,
             num_train_samples=240, num_test_samples=100, hidden_dims=(8,),
@@ -400,11 +416,6 @@ class TestQueueRecursionsAcrossRegions:
         samples = engine.run().trace.slot_samples
         assert [s.slot for s in samples] == list(range(config.total_slots))
         assert len(executed) < config.total_slots // 2  # regions were active
-        arrivals = Counter(
-            round(record.start_time_s / config.slot_seconds)
-            for record in engine.transport.records
-            if record.direction == "download"
-        )
         services = Counter(
             slot for slot, _, decision in policy.decision_log if decision is Decision.SCHEDULE
         )

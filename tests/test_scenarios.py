@@ -115,6 +115,19 @@ class TestSpecValidation:
                 base={"num_users": 99},
             )
 
+    def test_a_base_naming_a_retired_network_knob_is_refused(self):
+        """Transfers are counted, not timed: a spec whose base still sets the
+        Wi-Fi share fails when built instead of running without it."""
+        spec = ScenarioSpec(
+            name="wifi-base",
+            num_users=4,
+            total_slots=10,
+            cohorts=(CohortSpec(name="a", fraction=1.0),),
+            base={"wifi_probability": 0.5},
+        )
+        with pytest.raises(TypeError, match="wifi_probability"):
+            compile_scenario(spec).build_config()
+
     def test_personas_resolve(self):
         for persona in CHARGING_PERSONAS:
             cohort = CohortSpec(name="x", fraction=1.0, battery={"persona": persona})
@@ -183,23 +196,29 @@ class TestCompiler:
         # Data skew: only budget is skewed.
         assert overrides["user_data_alpha"][0] is None
         assert overrides["user_data_alpha"][6] == 0.2
-        # Wi-Fi: flagship pinned to all-wifi.
-        assert all(overrides["user_wifi"][:6])
 
-    def test_wifi_fraction_is_deterministic_count(self):
-        """wifi_fraction is a fraction of the cohort, not a per-user coin flip."""
-        spec = ScenarioSpec(
-            name="wifi-count",
-            num_users=20,
-            total_slots=100,
-            cohorts=(
-                CohortSpec(name="mostly", fraction=0.5, wifi_fraction=0.7),
-                CohortSpec(name="rarely", fraction=0.5, wifi_fraction=0.1),
-            ),
-        )
-        compiled = compile_scenario(spec)
-        assert sum(compiled.user_wifi[:10]) == 7
-        assert sum(compiled.user_wifi[10:]) == 1
+    def test_wifi_fraction_is_inert_but_keeps_its_draw(self):
+        """A wifi_fraction compiles to nothing, whatever its value, yet still
+        takes its per-cohort draw from the compiler's stream: the later
+        cohorts' devices are the ones every earlier release assigned."""
+        mix = {"pixel2": 0.5, "nexus6": 0.5}
+
+        def compiled(*fractions):
+            cohorts = tuple(
+                CohortSpec(name=f"c{i}", fraction=0.5, wifi_fraction=f, device_mix=mix)
+                for i, f in enumerate(fractions)
+            )
+            spec = ScenarioSpec(name="wifi-draw", num_users=12, total_slots=100, cohorts=cohorts)
+            return compile_scenario(spec)
+
+        drawn = compiled(0.7, 0.1)
+        assert drawn.overrides == compiled(0.0, 1.0).overrides
+        assert drawn.device_names == [
+            "nexus6", "nexus6", "pixel2", "nexus6", "nexus6", "pixel2",
+            "nexus6", "nexus6", "nexus6", "pixel2", "nexus6", "nexus6",
+        ]
+        # Without any wifi_fraction the second cohort draws from earlier in the stream.
+        assert compiled(None, None).device_names[6:] != drawn.device_names[6:]
 
     def test_default_cohort_inherits_base_diurnal_arrivals(self):
         """base diurnal_arrivals=True must survive per-user arrival lowering."""
@@ -332,6 +351,49 @@ class TestPaperBaselineBitwise:
             (s.time_s, s.user_id, s.lag, s.gradient_gap)
             for s in default_result.trace.update_samples
         ]
+
+
+#: ``comm_bytes_mb`` of every registry scenario shrunk as in
+#: :func:`_shrunk`, under ``immediate`` and ``online``, as the timed Wi-Fi /
+#: LTE transport computed them (a sum of 2.5 MB per logged transfer).
+TIMED_TRANSPORT_COMM_MB = {
+    "paper-baseline": (100.0, 80.0),
+    "diurnal-commuters": (100.0, 75.0),
+    "overnight-chargers": (100.0, 75.0),
+    "flagship-vs-budget": (100.0, 75.0),
+    "non-iid-pathological": (100.0, 80.0),
+    "churny-fleet": (100.0, 85.0),
+    "megafleet-1k": (100.0, 80.0),
+    "megafleet-100k": (100.0, 85.0),
+    "megafleet-1M": (60.0, 55.0),
+    "weekend-gamers": (100.0, 80.0),
+}
+
+
+def _shrunk(name: str) -> ScenarioSpec:
+    """A registry scenario at 8 users and 600 slots, cohort structure intact."""
+    spec = get_scenario(name)
+    base = dict(spec.base, num_train_samples=300, num_test_samples=100, eval_interval_slots=200)
+    return spec.scaled(
+        num_users=min(spec.num_users, 8), total_slots=min(spec.total_slots, 600), base=base
+    )
+
+
+class TestRegistryTransfers:
+    def test_the_table_covers_the_registry(self):
+        assert sorted(TIMED_TRANSPORT_COMM_MB) == sorted(BUILTIN_SCENARIO_NAMES)
+
+    @pytest.mark.parametrize("name", sorted(TIMED_TRANSPORT_COMM_MB))
+    def test_comm_bytes_are_those_of_the_timed_transport(self, name):
+        """Counting transfers reports, bit for bit, the megabytes the
+        retired per-transfer log summed, whatever cohorts a scenario pins."""
+        config = compile_scenario(_shrunk(name)).build_config()
+        policies = (ImmediatePolicy(), OnlinePolicy(v=4000.0))
+        for policy, want in zip(policies, TIMED_TRANSPORT_COMM_MB[name]):
+            engine = SimulationEngine(config, policy)
+            result = engine.run()
+            assert result.comm_bytes_mb == want, (name, policy.name)
+            assert result.comm_bytes_mb == sum(2.5 for _ in range(engine.core.transfers))
 
 
 class TestHeterogeneousBackendEquivalence:
@@ -565,7 +627,7 @@ class TestConfigValidation:
 
     def test_per_user_field_lengths_checked(self):
         with pytest.raises(ValueError, match="one entry per user"):
-            SimulationConfig(num_users=3, user_wifi=[True, False])
+            SimulationConfig(num_users=3, user_charge_rate_w=[0.0, 0.0])
         with pytest.raises(ValueError, match="one entry per user"):
             SimulationConfig(num_users=2, user_data_alpha=[0.5])
 

@@ -48,7 +48,7 @@ from repro.core.policies import (
 )
 from repro.core.staleness import gradient_gap
 from repro.fl.server import ParameterServer
-from repro.service.checkpoint import CHECKPOINT_FORMAT_VERSION, CheckpointStore
+from repro.service.checkpoint import CHECKPOINT_FORMAT_VERSION, CheckpointError, CheckpointStore
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from test_fleet_plane import build_fleet
@@ -180,13 +180,11 @@ class TestSameSlotLags:
 
 class TestRepairPass:
     @settings(max_examples=300, deadline=None)
-    @given(batch=pools(), backlogs=_BACKLOGS, distributed=st.booleans())
-    def test_block_form_equals_the_frozen_walk(self, batch, backlogs, distributed):
+    @given(batch=pools(), backlogs=_BACKLOGS)
+    def test_block_form_equals_the_frozen_walk(self, batch, backlogs):
         block, frozen, per_user, frozen_per_user = (
             online_policy(*backlogs) for _ in range(4)
         )
-        for policy in (block, frozen, per_user, frozen_per_user):
-            policy.distributed = distributed
         schedule = block.decide_all(batch)
         expected, _ = frozen_online_decide_all(frozen, batch)
         assert schedule.dtype == bool and schedule.tolist() == expected.tolist()
@@ -197,8 +195,6 @@ class TestRepairPass:
         for policy in (frozen, per_user, frozen_per_user):
             assert block.decision_log == policy.decision_log
             assert block.decision_cost_evaluations() == policy.decision_cost_evaluations()
-            assert block.messages_to_server == policy.messages_to_server
-            assert block.messages_to_users == policy.messages_to_users
 
     def test_random_pools_do_exercise_the_flip(self):
         """The strategy above is not vacuous: seeded pools of its shape flip."""
@@ -331,11 +327,9 @@ class TestIntervalWrapper:
             assert schedule.dtype == bool and schedule.tolist() == expected.tolist()
             live.end_slot(context, int(expected.sum()), gap_sum)
             frozen.end_slot(context, int(expected.sum()), gap_sum)
-        assert live.skipped_decisions == frozen.skipped_decisions
         assert live.decision_cost_evaluations() == frozen.decision_cost_evaluations()
         if kind == "online":
             assert live.inner.decision_log == frozen.inner.decision_log
-            assert live.inner.messages_to_server == frozen.inner.messages_to_server
         if kind == "offline":
             assert live.inner.solutions == frozen.inner.solutions
             pending = [np.flatnonzero(p.inner._pending).tolist() for p in (live, frozen)]
@@ -569,48 +563,41 @@ class TestWholeFleetSchedulesInSlotZero:
         assert run_digest(results["fleet"]) == run_digest(results["loop"])
 
 
-#: A v7 store the parent commit (PR 21) wrote at slot 150 of a 360-slot run,
-#: with jobs in flight, and the digest its own uninterrupted run ended on:
-#: ``python3 tests/data/make_ckpt_fixture.py`` from a checkout of that commit.
-_FIXTURE = Path(__file__).parent / "data" / "ckpt_v7_pr21"
+#: A v8 store written at slot 150 of a 600-slot run, with jobs in flight,
+#: and the digest its own uninterrupted run ended on:
+#: ``python3 tests/data/make_ckpt_fixture.py`` from the commit that froze it.
+_FIXTURE = Path(__file__).parent / "data" / "ckpt_v8"
 
 
 class TestParentCheckpoint:
     def test_a_store_written_by_the_parent_resumes_to_its_digest(self):
         expected = json.loads((_FIXTURE / "expected.json").read_text())
-        assert CHECKPOINT_FORMAT_VERSION == expected["format_version"] == 7
+        assert CHECKPOINT_FORMAT_VERSION == expected["format_version"] == 8
         checkpoint = CheckpointStore(_FIXTURE / "store").load()
         assert checkpoint.slot == expected["slot"]
         engine = SimulationEngine.restore(checkpoint)
         assert inflight_count(engine.server) == expected["inflight"] > 0
         assert run_digest(engine.run()) == expected["digest"]
 
-    @pytest.mark.parametrize("where", ["meta", "slice", "slice-trained"])
-    def test_a_store_holding_train_ahead_state_is_refused(self, tmp_path, where):
-        """A v7 store written with batched training holds rounds trained
-        ahead of their completion slot, which the serial round cannot
-        resume; the fixture store with the flag set, or with one pending or
-        one trained-ahead round in its slice, must fail to load with the
-        reason."""
+    def test_a_v7_store_is_refused_by_its_version(self, tmp_path):
+        """A v7 coordinator head pickles a ``repro.comm`` transport, which no
+        longer imports.  The store is refused by its format version, before
+        anything is unpickled, with both versions named."""
         root = tmp_path / "store"
         shutil.copytree(_FIXTURE / "store", root)
         snapshot = root / "snapshot-00000000"
+        head = b"crepro.comm.transport\nModelTransport\n."
+        with pytest.raises(ModuleNotFoundError):
+            pickle.loads(head)
+        (snapshot / "coordinator.pkl").write_bytes(head)
         meta = json.loads((snapshot / "meta.json").read_text())
-        if where == "meta":
-            meta["batched_training"] = True
-        else:
-            piece = pickle.loads((snapshot / "users_0_8.pkl").read_bytes())
-            if where == "slice":
-                piece["pending"] = {3: (np.zeros(4), 2)}
-            else:
-                piece["trained"] = {3: np.zeros(4)}
-            data = pickle.dumps(piece)
-            (snapshot / "users_0_8.pkl").write_bytes(data)
-            meta["checksums"]["users_0_8.pkl"] = hashlib.sha256(data).hexdigest()
+        meta["format_version"] = 7
+        meta["checksums"]["coordinator.pkl"] = hashlib.sha256(head).hexdigest()
         meta_bytes = json.dumps(meta).encode()
         (snapshot / "meta.json").write_bytes(meta_bytes)
         manifest = json.loads((root / "manifest.json").read_text())
+        manifest["format_version"] = 7
         manifest["retained"][0]["meta_sha256"] = hashlib.sha256(meta_bytes).hexdigest()
         (root / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="train-ahead state"):
+        with pytest.raises(CheckpointError, match=r"format 7 unsupported \(expected 8\)"):
             CheckpointStore(root).load()

@@ -154,7 +154,7 @@ _json_values = st.recursive(
 #: often as every other field together.
 _STRUCTURED_FIELDS = (
     "device_mix", "device_names", "app_weights", "hidden_dims", "user_arrivals",
-    "user_wifi", "user_battery_capacity_j", "user_charge_rate_w", "user_data_alpha",
+    "user_battery_capacity_j", "user_charge_rate_w", "user_data_alpha",
 )
 
 

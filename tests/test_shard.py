@@ -76,7 +76,6 @@ def _observables(result, num_users: int) -> dict:
         "mean_queue": result.mean_queue_length(),
         "mean_virtual": result.mean_virtual_queue_length(),
         "comm_bytes_mb": result.comm_bytes_mb,
-        "comm_failures": result.comm_failures,
         "battery_soc": tuple(result.final_battery_soc),
         "device_names": tuple(result.device_names),
     }

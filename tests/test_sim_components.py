@@ -25,7 +25,8 @@ from repro.sim.arrivals import (
     DiurnalArrivalProcess,
 )
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import SimulationEngine
+from repro.sim.coupling import CouplingCore
+from repro.sim.engine import RNG_STREAM_NAMES, SimulationEngine, build_rngs
 from repro.sim.rng import spawn_generators
 from repro.sim.trace import SimulationTrace, SlotSample
 
@@ -50,6 +51,16 @@ class TestSpawnGenerators:
             spawn_generators(0, [])
         with pytest.raises(ValueError):
             spawn_generators(0, ["a", "a"])
+
+    def test_the_retired_network_stream_keeps_its_slot(self):
+        """Nothing draws from ``network`` any more, but children spawn by
+        position: the streams after it are the ones earlier releases drew."""
+        assert RNG_STREAM_NAMES == ("devices", "arrivals", "dataset", "clients", "network", "apps")
+        rngs = build_rngs(SimulationConfig(seed=7))
+        assert rngs["apps"].integers(0, 2**31, size=3).tolist() == [
+            1029472635, 1348834135, 484674692,
+        ]
+        assert rngs["clients"].integers(0, 2**31, size=2).tolist() == [1029798310, 2109522148]
 
 
 class TestSimulationConfig:
@@ -122,6 +133,16 @@ class TestSimulationConfig:
                 SimulationConfig(async_rule=rule, **{field: value})
         # The closed ends stay open to use.
         SimulationConfig(noise_std=0.0, class_separation=0.0, label_noise=0.0, mixing_alpha=1.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("wifi_probability", 0.5), ("user_wifi", [True]), ("account_radio_energy", True)],
+    )
+    def test_the_retired_network_knobs_are_refused(self, field, value):
+        """Transfers are counted, not timed: a caller still setting a
+        network knob fails loudly instead of running without it."""
+        with pytest.raises(TypeError, match=field):
+            SimulationConfig(num_users=1, **{field: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["user_battery_capacity_j", "user_charge_rate_w"])
@@ -404,12 +425,28 @@ def same_records(views, frozen):
             assert type(ours) is type(theirs) and ours == theirs, (field.name, view, reference)
 
 
+def count_downloads(monkeypatch):
+    """A list that ``CouplingCore.record_download`` extends with the users of
+    every download block from now on."""
+    downloads = []
+    real = CouplingCore.record_download
+
+    def record_download(core, users):
+        downloads.extend(users)
+        return real(core, users)
+
+    monkeypatch.setattr(CouplingCore, "record_download", record_download)
+    return downloads
+
+
 class TestLogViewsEqualTheFrozenRecordLists:
-    """The four column logs, read back as lists, against ``oracle.FrozenLogs``."""
+    """The three column logs, read back as lists, against ``oracle.FrozenLogs``;
+    the transfer count against the downloads plus the asynchronous uploads."""
 
     @pytest.fixture()
     def online(self, monkeypatch):
         logs = FrozenLogs().attach(monkeypatch)
+        logs.downloads = count_downloads(monkeypatch)
         policy = OnlinePolicy(v=4000.0)
         engine = SimulationEngine(configs.midfleet_config(0, "smoke"), policy)
         return logs, engine, engine.run()
@@ -419,7 +456,7 @@ class TestLogViewsEqualTheFrozenRecordLists:
         assert len(logs.update_log) > 20 and len(logs.decision_log) > 100
         same_records(server_updates(engine.server), logs.update_log)
         same_records(result.trace.update_samples, logs.update_samples)
-        same_records(engine.transport.records, logs.records)
+        assert engine.core.transfers == len(logs.downloads) + len(logs.update_log)
         decisions = engine.policy.decision_log
         assert decisions == logs.decision_log
         assert all(
@@ -428,17 +465,16 @@ class TestLogViewsEqualTheFrozenRecordLists:
         updates = engine.server.updates
         assert updates.column("lag").tolist() == [u.lag for u in logs.update_log]
         assert updates.column("gradient_gap").tolist() == [u.gradient_gap for u in logs.update_log]
-        assert result.comm_bytes_mb == sum(r.size_mb for r in logs.records if r.succeeded)
-        assert result.comm_failures == sum(1 for r in logs.records if not r.succeeded)
+        assert result.comm_bytes_mb == sum(2.5 for _ in range(engine.core.transfers))
 
     def test_views_survive_a_pickle_round_trip(self, online):
         logs, engine, result = online
         unit, _ = engine.core.checkpoint_unit()
-        policy, server, transport, trace = pickle.loads(pickle.dumps(unit))[:4]
+        policy, server, transfers, trace = pickle.loads(pickle.dumps(unit))[:4]
         assert trace.updates is server.updates  # one set of rows, still shared
         same_records(server_updates(server), logs.update_log)
         same_records(trace.update_samples, logs.update_samples)
-        same_records(transport.records, logs.records)
+        assert transfers == engine.core.transfers
         assert policy.decision_log == logs.decision_log
 
     def test_digest_is_the_digest_of_the_record_lists(self, online):
@@ -459,11 +495,12 @@ class TestLogViewsEqualTheFrozenRecordLists:
         round's gap in the server's view too (it was a 0.0 placeholder there,
         while the trace always reported the gap)."""
         logs = FrozenLogs().attach(monkeypatch)
+        downloads = count_downloads(monkeypatch)
         engine = SimulationEngine(configs.midfleet_config(0, "smoke"), SyncPolicy())
         result = engine.run()
         assert logs.update_samples and all(s.sync_round for s in logs.update_samples)
         same_records(result.trace.update_samples, logs.update_samples)
-        same_records(engine.transport.records, logs.records)
+        assert engine.core.transfers == len(downloads)  # a round's uploads are not counted
         views = server_updates(engine.server)
         same_records(
             views,

@@ -117,7 +117,7 @@ class TestSharing:
 
     def test_a_field_no_builder_reads_keeps_the_sharing(self):
         other = dataclasses.replace(
-            BASE, learning_rate=0.01, hidden_dims=(8,), wifi_probability=0.2
+            BASE, learning_rate=0.01, hidden_dims=(8,), include_scheduler_overhead=True
         )
         (first,), (second,) = _engines(BASE, 1), _engines(other, 1)
         assert first.dataset is second.dataset and first.arrivals is second.arrivals
