@@ -8,8 +8,8 @@ the grid is embarrassingly parallel and its results are cacheable.  This
 module supplies both pieces:
 
 * :class:`RunSpec` — one cell of a grid: a policy (by name, with kwargs), a
-  :class:`~repro.sim.config.SimulationConfig` override dict, and the
-  execution-mode switches.  A spec has a canonical JSON form and a stable content hash.
+  :class:`~repro.sim.config.SimulationConfig` override dict, the shard count
+  and the trace level.  A spec has a canonical JSON form and a stable content hash.
 * :class:`RunSummary` — the headline numbers of one finished run (energy,
   accuracy, queue backlogs, decision counts, ...), JSON-serialisable so it
   can live in the on-disk cache.
@@ -42,6 +42,7 @@ from repro.core.online import OnlinePolicy
 from repro.core.policies import ImmediatePolicy, SchedulingPolicy, SyncPolicy
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationResult, build_engine
+from repro.sim.shard import default_start_method
 
 __all__ = [
     "RunSpec",
@@ -98,8 +99,6 @@ class RunSpec:
             the offline window, ...).
         config: :class:`~repro.sim.config.SimulationConfig` field overrides;
             unspecified fields keep the paper's Section VII.B defaults.
-        fast_forward: enable the engine's event-horizon fast-forward path
-            (on by default).
         shards: partition the population across this many worker processes
             (:class:`repro.sim.shard.ShardedEngine`); ``1`` (default) runs
             the single-process engine.  Any shard count produces a bitwise-
@@ -117,7 +116,6 @@ class RunSpec:
     policy: str
     policy_kwargs: Dict[str, Any] = field(default_factory=dict)
     config: Dict[str, Any] = field(default_factory=dict)
-    fast_forward: bool = True
     shards: int = 1
     trace_level: str = "full"
     label: Optional[str] = None
@@ -144,9 +142,9 @@ class RunSpec:
 
         The display label is deliberately excluded: it does not change the
         simulated system, so relabelled grids still hit the cache.  The
-        package version, the fast-forward switch and the shard count are
-        all *included*: a code release or an execution-mode switch must not
-        silently serve summaries simulated by different code.
+        package version and the shard count are *included*: a code release
+        or an execution-mode switch must not silently serve summaries
+        simulated by different code.
         """
         payload = {
             "cache_version": CACHE_VERSION,
@@ -154,7 +152,6 @@ class RunSpec:
             "policy": self.policy,
             "policy_kwargs": self.policy_kwargs,
             "config": self.config,
-            "fast_forward": self.fast_forward,
             "shards": self.shards,
             "trace_level": self.trace_level,
         }
@@ -236,7 +233,6 @@ def execute_spec(
         spec.build_policy(),
         shards=spec.shards,
         resume_from=resume_from,
-        fast_forward=spec.fast_forward,
         profile=True,
         trace_level=spec.trace_level,
         fault_injector=fault_injector,
@@ -320,11 +316,10 @@ class ExperimentSuite:
     Args:
         cache_dir: directory for cached :class:`RunSummary` JSON files,
             keyed by :meth:`RunSpec.config_hash`; ``None`` disables caching.
-        jobs: worker processes. ``1`` runs sequentially in-process;
-            ``0`` or negative resolves to ``os.cpu_count()``.
-        start_method: ``multiprocessing`` start method; defaults to
-            ``"fork"`` where available (cheap on Linux) and the platform
-            default elsewhere.
+        jobs: worker processes, started with
+            :func:`~repro.sim.shard.default_start_method`. ``1`` runs
+            sequentially in-process; ``0`` or negative resolves to
+            ``os.cpu_count()``.
         metrics_store: optional :class:`repro.metrics.store.MetricsStore`
             (or a path for one); every summary this suite produces — cached
             and fresh alike — is ingested into it, so cross-run queries and
@@ -335,15 +330,10 @@ class ExperimentSuite:
         self,
         cache_dir: Optional[str] = None,
         jobs: int = 1,
-        start_method: Optional[str] = None,
         metrics_store: Any = None,
     ) -> None:
         self.cache_dir = cache_dir
         self.jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
         from repro.metrics.store import as_store  # local: keep import cycle-free
 
         self.metrics = as_store(metrics_store)
@@ -385,7 +375,7 @@ class ExperimentSuite:
         """Order-preserving map, sequential or across a process pool."""
         if self.jobs <= 1 or len(items) <= 1:
             return [function(item) for item in items]
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context(default_start_method())
         with context.Pool(processes=min(self.jobs, len(items))) as pool:
             return pool.map(function, items)
 
@@ -437,7 +427,6 @@ def sweep_grid(
     arrival_probs: Sequence[Optional[float]] = (None,),
     staleness_bound: float = 500.0,
     base_config: Optional[Dict[str, Any]] = None,
-    fast_forward: bool = True,
     shards: int = 1,
     trace_level: str = "full",
 ) -> List[RunSpec]:
@@ -454,16 +443,10 @@ def sweep_grid(
             keeps the base configuration's value.
         staleness_bound: ``Lb`` handed to the online scheduler.
         base_config: shared :class:`SimulationConfig` overrides.
-        fast_forward: fast-forward switch for every spec.
         shards: population shard count for every spec (1 = single-process).
         trace_level: telemetry volume for every spec.
     """
     base = dict(base_config or {})
-    switches = dict(
-        fast_forward=fast_forward,
-        shards=shards,
-        trace_level=trace_level,
-    )
     specs: List[RunSpec] = []
     for policy in policies:
         for seed in seeds:
@@ -484,8 +467,9 @@ def sweep_grid(
                                     "staleness_bound": float(staleness_bound),
                                 },
                                 config=config,
+                                shards=shards,
+                                trace_level=trace_level,
                                 label=f"online V={v:g}{suffix}",
-                                **switches,
                             )
                         )
                 else:
@@ -493,8 +477,9 @@ def sweep_grid(
                         RunSpec(
                             policy=policy,
                             config=config,
+                            shards=shards,
+                            trace_level=trace_level,
                             label=f"{policy}{suffix}",
-                            **switches,
                         )
                     )
     return specs

@@ -191,18 +191,15 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     return 0
 
 
-def _switches(args: argparse.Namespace) -> dict:
-    """The execution-mode switches every engine- or spec-building command shares."""
-    return dict(
-        fast_forward=not args.no_fast_forward,
-        shards=args.shards,
-        trace_level=args.trace_level,
-    )
-
-
 def _build_engine(args: argparse.Namespace, config: SimulationConfig, policy):
     """The engine the command-line switches describe."""
-    return build_engine(config, policy, profile=args.profile, **_switches(args))
+    return build_engine(
+        config,
+        policy,
+        shards=args.shards,
+        trace_level=args.trace_level,
+        profile=args.profile,
+    )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -265,14 +262,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config_kwargs = _config_kwargs(args)
     baseline_spec = RunSpec(
         policy="immediate", config=dict(config_kwargs), label="immediate",
-        **_switches(args),
+        shards=args.shards, trace_level=args.trace_level,
     )
     online_specs = sweep_grid(
         v_values=args.v_values,
         seeds=(args.seed,),
         staleness_bound=args.staleness_bound,
         base_config=config_kwargs,
-        **_switches(args),
+        shards=args.shards,
+        trace_level=args.trace_level,
     )
     suite = ExperimentSuite(
         cache_dir=args.cache_dir,
@@ -349,7 +347,8 @@ def _scenario_runner(args: argparse.Namespace):
         cache_dir=args.cache_dir,
         jobs=args.jobs,
         metrics_store=getattr(args, "metrics_store", None),
-        **_switches(args),
+        shards=args.shards,
+        trace_level=args.trace_level,
     )
 
 
@@ -674,7 +673,8 @@ def _cmd_jobs_submit(args: argparse.Namespace) -> int:
             if args.policy == "online"
             else None
         ),
-        **_switches(args),
+        shards=args.shards,
+        trace_level=args.trace_level,
     )
     service = _build_service(args)
     if args.run:
@@ -926,10 +926,6 @@ def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--staleness-bound", type=float, default=500.0)
     parser.add_argument("--offline-bound", type=float, default=1000.0)
     parser.add_argument("--window", type=int, default=500)
-    parser.add_argument("--no-fast-forward", action="store_true",
-                        help="disable the engine's event-horizon "
-                             "fast-forward (results are identical either way; "
-                             "this only trades speed for a per-slot execution)")
     parser.add_argument("--shards", type=int, default=1,
                         help="partition the population across this many "
                              "worker processes (the sharded engine); "
@@ -1025,7 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="online")
         sub.add_argument("--v", type=float, default=4000.0)
         sub.add_argument("--staleness-bound", type=float, default=500.0)
-        sub.add_argument("--no-fast-forward", action="store_true")
         sub.add_argument("--shards", type=int, default=1,
                          help="partition each run's population across this "
                               "many worker processes (bitwise-identical "
@@ -1159,7 +1154,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default="online")
     j_submit.add_argument("--v", type=float, default=4000.0)
     j_submit.add_argument("--staleness-bound", type=float, default=500.0)
-    j_submit.add_argument("--no-fast-forward", action="store_true")
     j_submit.add_argument("--shards", type=int, default=1)
     j_submit.add_argument("--trace-level", choices=["full", "summary", "off"],
                           default="full")

@@ -36,7 +36,6 @@ def scenario_run_spec(
     scenario: ScenarioLike,
     policy: str = "online",
     policy_kwargs: Optional[Dict[str, Any]] = None,
-    fast_forward: bool = True,
     shards: int = 1,
     trace_level: str = "full",
     label: Optional[str] = None,
@@ -45,7 +44,7 @@ def scenario_run_spec(
 
     The returned spec's ``config`` holds the compiled per-user expansion, so
     :meth:`RunSpec.config_hash` keys the cache on the scenario content (plus
-    policy and execution-mode switches, as for every spec).
+    policy, shard count and trace level, as for every spec).
     """
     compiled = resolve_scenario(scenario)
     name = compiled.spec.name
@@ -53,7 +52,6 @@ def scenario_run_spec(
         policy=policy,
         policy_kwargs=dict(policy_kwargs or {}),
         config=dict(compiled.overrides),
-        fast_forward=fast_forward,
         shards=shards,
         trace_level=trace_level,
         label=label or f"scenario:{name}[{policy}]",
@@ -66,8 +64,6 @@ class ScenarioRunner:
     Args:
         cache_dir: summary cache directory (``None`` disables caching).
         jobs: worker processes for grids (``1`` = sequential).
-        fast_forward: engine execution mode for every run launched by
-            this runner.
         shards: partition each run's population across this many worker
             processes (:class:`repro.sim.shard.ShardedEngine`); ``1`` keeps
             the single-process engine.  Composes with ``jobs``: a grid fans
@@ -83,7 +79,6 @@ class ScenarioRunner:
         self,
         cache_dir: Optional[str] = None,
         jobs: int = 1,
-        fast_forward: bool = True,
         shards: int = 1,
         trace_level: str = "full",
         metrics_store: Any = None,
@@ -91,7 +86,6 @@ class ScenarioRunner:
         self.suite = ExperimentSuite(
             cache_dir=cache_dir, jobs=jobs, metrics_store=metrics_store
         )
-        self.fast_forward = fast_forward
         self.shards = shards
         self.trace_level = trace_level
 
@@ -105,7 +99,6 @@ class ScenarioRunner:
             scenario,
             policy=policy,
             policy_kwargs=policy_kwargs,
-            fast_forward=self.fast_forward,
             shards=self.shards,
             trace_level=self.trace_level,
         )

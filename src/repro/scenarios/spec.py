@@ -12,9 +12,9 @@ engine inputs by :mod:`repro.scenarios.compiler`.
 Two properties anchor the subsystem:
 
 * **Canonical hashing** — :meth:`ScenarioSpec.spec_hash` digests the sorted
-  canonical JSON form, so equal specs hash equally regardless of field or
-  cohort-dict ordering, and any change to a cohort parameter changes the
-  hash (and thereby every downstream cache key).
+  canonical JSON form of what compiles into engine inputs, so equal specs
+  hash equally regardless of field or cohort-dict ordering or wording, and
+  any change to a cohort parameter changes the hash.
 * **Bitwise baseline** — a homogeneous single-cohort spec with no explicit
   pinning lowers to pure global configuration knobs, so the built-in
   ``paper-baseline`` scenario reproduces the default
@@ -268,8 +268,16 @@ class ScenarioSpec:
         return cls(**data)
 
     def canonical(self) -> str:
-        """Canonical JSON (sorted keys) — the hashing and caching substrate."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """Canonical JSON (sorted keys) of what compiles into engine inputs —
+        the hashing substrate.  The free text (the scenario's name,
+        description and tags, each cohort's name) never reaches the engine,
+        so it is left out: rewording a scenario keeps its hash."""
+        payload = self.to_dict()
+        for key in ("name", "description", "tags"):
+            del payload[key]
+        for cohort in payload["cohorts"]:
+            del cohort["name"]
+        return json.dumps(payload, sort_keys=True)
 
     def spec_hash(self) -> str:
         """Stable content hash of the scenario (16 hex chars)."""

@@ -5,8 +5,8 @@ following the SimCash shape referenced in ROADMAP.md — a thin REST/CLI
 surface over a deterministic engine:
 
 * :mod:`repro.service.checkpoint` — the snapshot/restore subsystem with a
-  bitwise resume contract for both engines (single-process with or
-  without fast-forward, sharded under any shard count);
+  bitwise resume contract for both engines (single-process, sharded
+  under any shard count);
 * :mod:`repro.service.jobs` — the experiment orchestrator: a JSON-on-disk
   job store keyed by :class:`~repro.analysis.runner.RunSpec` content hash,
   a worker pool, periodic auto-checkpointing and crash-resume;

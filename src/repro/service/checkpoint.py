@@ -11,8 +11,8 @@ immutable inputs the original run had.
 
 The determinism contract: a run restored from a checkpoint taken at slot
 ``S`` and driven to the horizon produces results bitwise-identical to the
-uninterrupted run, for the single-process engine with or without
-event-horizon fast-forward and for the sharded engine — including restoring
+uninterrupted run, for the single-process engine and for the sharded
+engine — including restoring
 under a *different* shard count than the one that wrote the checkpoint
 (per-user state is sliced contiguously, and every cross-user reduction in
 the engine folds in ascending user order regardless of layout).
@@ -218,7 +218,6 @@ class EngineCheckpoint:
     pending_arrivals: List[int]
     global_ready: int
     config: SimulationConfig
-    fast_forward: bool
     trace_level: str
     coordinator: CoordinatorState
     slices: List[dict]
@@ -511,7 +510,6 @@ class CheckpointStore:
             "slot": checkpoint.slot,
             "pending_arrivals": list(checkpoint.pending_arrivals),
             "global_ready": checkpoint.global_ready,
-            "fast_forward": checkpoint.fast_forward,
             "trace_level": checkpoint.trace_level,
             "slices": [],
             "checksums": {},
@@ -673,7 +671,6 @@ class CheckpointStore:
             pending_arrivals=list(meta["pending_arrivals"]),
             global_ready=meta["global_ready"],
             config=head["config"],
-            fast_forward=meta["fast_forward"],
             trace_level=meta["trace_level"],
             coordinator=replace(
                 head["coordinator"],

@@ -58,8 +58,9 @@ class CouplingCore:
             left-to-right fold :meth:`total_gap` is the ``G(t)`` the virtual
             queue consumes.
         sync_buffer: uploads of the current synchronous round, by user id.
-        transfers: model downloads plus asynchronous uploads so far, each
-            one :data:`MODEL_SIZE_MB` over the network.
+        transfers: model downloads plus uploads (asynchronous and
+            synchronous-round) so far, each one :data:`MODEL_SIZE_MB` over
+            the network.
     """
 
     #: The mutable coupling state a checkpoint must carry.  Kept in lockstep
@@ -230,6 +231,7 @@ class CouplingCore:
         """Park a synchronous-round upload until the quorum completes."""
         self.sync_buffer[user] = update
         self.server.unregister_inflight(user)
+        self.transfers += 1
 
     def maybe_complete_sync_round(
         self, slot: int, stalled_fn: Optional[Callable[[], List[int]]] = None

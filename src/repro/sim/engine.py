@@ -656,7 +656,6 @@ def restore_engine(cls, checkpoint, **kwargs):
     engine = cls(
         checkpoint.config,
         coordinator.policy,
-        fast_forward=checkpoint.fast_forward,
         trace_level=checkpoint.trace_level,
         **kwargs,
     )
@@ -676,21 +675,19 @@ class SimulationEngine(Coordinator):
     loop the kernels are held bitwise-equal to is a test instrument
     (``tests/reference_loop.py``), not part of the package.
 
+    Quiet regions are fast-forwarded: at the top of each slot the loop
+    checks whether a region starts there — no pending arrival, a ready pool
+    that is empty or that the policy certifies idle
+    (:meth:`~repro.core.policies.SchedulingPolicy.idle_slots`), no training
+    completion due — and, if so, advances all slots up to the next event in
+    one fused kernel (:meth:`repro.sim.fleet.FleetState.advance_quiet`),
+    bitwise-identical to running them one by one (``tests/test_fleet.py``
+    holds the two to each other).
+
     Args:
         config: run configuration.
         policy: the scheduling policy to evaluate.
         measurement_table: optionally override the Table II/III calibration.
-        fast_forward: enable the event-horizon fast-forward path (default
-            on).  At the top of each slot the engine checks whether a
-            region starts there — no pending arrival, a ready pool that is
-            empty or that the policy certifies idle
-            (:meth:`~repro.core.policies.SchedulingPolicy.idle_slots`), no
-            training completion due — and, if so, advances all slots up to
-            the next event in one fused kernel
-            (:meth:`repro.sim.fleet.FleetState.advance_quiet`).  The
-            fast-forward path is bitwise-identical to slot-by-slot
-            execution: decisions, energy, gap, queue and accuracy traces
-            all match exactly (``tests/test_fleet.py`` enforces this).
         profile: collect per-subsystem wall-clock shares
             (:class:`repro.sim.timers.EngineTimers`) — training vs policy vs
             evaluation vs slot mechanics.  Never affects results.
@@ -709,14 +706,12 @@ class SimulationEngine(Coordinator):
         config: SimulationConfig,
         policy: SchedulingPolicy,
         measurement_table: Optional[MeasurementTable] = None,
-        fast_forward: bool = True,
         profile: bool = False,
         trace_level: str = "full",
     ) -> None:
         rngs = self.build_coordinator(
             config, policy, measurement_table, profile, trace_level
         )
-        self.fast_forward = bool(fast_forward)
         # The per-user substrate of the one inline shard run() drives, built
         # here from the coordinator's own dataset and specs.
         self.power_model, self.batteries, self.clients = build_population(
@@ -798,7 +793,6 @@ def build_engine(
     shards: int = 1,
     resume_from=None,
     fault_injector=None,
-    fast_forward: bool = True,
     trace_level: str = "full",
     **kwargs,
 ):
@@ -808,8 +802,8 @@ def build_engine(
     :func:`repro.analysis.runner.execute_spec` and through it scenarios and
     the service all come here.  With ``resume_from`` (an
     :class:`~repro.service.checkpoint.EngineCheckpoint`) the engine is
-    restored instead: configuration, policy and switches then come from the
-    checkpoint, and ``shards`` may differ from the layout that wrote it.
+    restored instead: configuration, policy and trace level then come from
+    the checkpoint, and ``shards`` may differ from the layout that wrote it.
     ``kwargs`` (``measurement_table``, ``profile``) pass through,
     so each engine keeps its own defaults; ``fault_injector`` reaches only
     the sharded engine, the one with workers to inject into.
@@ -824,10 +818,4 @@ def build_engine(
         cls = SimulationEngine
     if resume_from is not None:
         return cls.restore(resume_from, **kwargs)
-    return cls(
-        config,
-        policy,
-        fast_forward=fast_forward,
-        trace_level=trace_level,
-        **kwargs,
-    )
+    return cls(config, policy, trace_level=trace_level, **kwargs)

@@ -25,7 +25,7 @@ fast-forwards its quiet region in lock-step to the global event horizon
 shard overshoot).
 
 **Determinism contract.**  For any shard count, a sharded run is *bitwise
-identical* to the single-process fleet fast-forward run: shards are
+identical* to the single-process run: shards are
 contiguous (so per-shard iteration in shard order is ascending-user
 iteration), uploads apply in deterministic ascending user order, decisions
 are made on the concatenated global observation batch (the policy sees the
@@ -110,9 +110,28 @@ __all__ = [
     "ShardTimeout",
     "ShardedEngine",
     "build_observation_batch",
+    "default_start_method",
     "drive_fleet_loop",
     "shard_bounds",
 ]
+
+#: Deadline (s) of any one coordinator wait on a shard worker's reply; a
+#: worker silent for longer is declared hung (:class:`ShardTimeout`).
+IPC_TIMEOUT_S = 600.0
+
+#: Shard failures (worker death, IPC timeout) one supervised run repairs
+#: before it re-raises the last of them.
+MAX_RESPAWNS = 3
+
+#: Backoff before each respawn of a supervised run.
+_RESPAWN_BACKOFF = RetryPolicy(max_attempts=MAX_RESPAWNS, base_delay_s=0.05, cap_s=2.0)
+
+
+def default_start_method() -> str:
+    """The ``multiprocessing`` start method of every worker pool and shard
+    worker: ``"fork"`` where the platform has it, else its default."""
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else methods[0]
 
 
 class ShardFailure(RuntimeError):
@@ -939,10 +958,10 @@ class ProcessShardHandle:
     overlaps across workers.
 
     All coordinator-side IPC is *bounded*: :meth:`wait` polls the pipe with
-    capped exponentially-growing intervals against a deadline, watching the
-    worker's liveness the whole time, and raises :class:`ShardDied` /
-    :class:`ShardTimeout` instead of blocking forever on a dead or hung
-    worker.  A worker that replied with a Python traceback still raises a
+    capped exponentially-growing intervals against :data:`IPC_TIMEOUT_S`,
+    watching the worker's liveness the whole time, and raises
+    :class:`ShardDied` / :class:`ShardTimeout` instead of blocking forever on
+    a dead or hung worker.  A worker that replied with a Python traceback still raises a
     plain ``RuntimeError`` — that is a deterministic bug, not a fault the
     supervisor should respawn through.
 
@@ -952,7 +971,6 @@ class ProcessShardHandle:
             ``fault_events`` list the worker executes against itself).
         shard_index: position in the coordinator's handle list (carried on
             failures so the supervisor can report which shard was lost).
-        ipc_timeout_s: deadline for any single :meth:`wait`.
         mailbox_bytes: ``(request, reply)`` slab sizes of the shard's
             shared-memory mailbox (:func:`_mailbox_bytes`).
         timers: coordinator timers charged with ``ipc_send`` (encode +
@@ -971,12 +989,8 @@ class ProcessShardHandle:
         mailbox_bytes: Tuple[int, int],
         timers: EngineTimers,
         shard_index: int = 0,
-        ipc_timeout_s: float = 600.0,
     ) -> None:
-        if ipc_timeout_s <= 0:
-            raise ValueError("ipc_timeout_s must be positive")
         self.shard_index = shard_index
-        self.ipc_timeout_s = ipc_timeout_s
         self.timers = timers
         #: Highest slot this shard was asked to execute; the supervisor
         #: consumes fault events up to here before a recovery replay.
@@ -1018,7 +1032,7 @@ class ProcessShardHandle:
 
     def wait(self) -> Any:
         tick = self.timers.start()
-        deadline = time.monotonic() + self.ipc_timeout_s  # reprolint: allow(wall-clock): IPC liveness deadline, never feeds sim state
+        deadline = time.monotonic() + IPC_TIMEOUT_S  # reprolint: allow(wall-clock): IPC liveness deadline, never feeds sim state
         for interval in poll_intervals():
             if self._conn.poll(interval):
                 break
@@ -1035,7 +1049,7 @@ class ProcessShardHandle:
                 raise ShardTimeout(
                     self.shard_index,
                     f"shard {self.shard_index} worker sent no reply within "
-                    f"{self.ipc_timeout_s:.1f}s",
+                    f"{IPC_TIMEOUT_S:.1f}s",
                 )
         try:
             # poll() above guaranteed data (or EOF) is ready; this cannot block.
@@ -1139,7 +1153,6 @@ def drive_fleet_loop(
     core = engine.core
     config = engine.config
     timers = engine.timers
-    fast_forward = engine.fast_forward
     policy = core.policy
     server = core.server
     trace = core.trace
@@ -1183,8 +1196,7 @@ def drive_fleet_loop(
     #: Whether the policy can certify ready users idle (``idle_slots``).  Not
     #: with one process shard: its batch columns are views over the reply slab.
     certifies = (
-        fast_forward
-        and not sync_mode
+        not sync_mode
         and type(policy).idle_slots is not SchedulingPolicy.idle_slots
         and (num_shards > 1 or not handles[0].piggyback_open)
     )
@@ -1208,7 +1220,7 @@ def drive_fleet_loop(
                         engine, handles, slot, list(pending_arrivals), global_ready
                     )
                 )
-        if fast_forward and not pending_arrivals:
+        if not pending_arrivals:
             limit = None if checkpointer is None else checkpointer.limit(slot)
             region: Optional[Tuple[ObservationBatch, IdleForecast, List[np.ndarray]]] = None
             if global_ready > 0 and idle_batch is not None:
@@ -1595,73 +1607,48 @@ def _fast_forward_epoch(
 
 
 # ---------------------------------------------------------------------------
-# Supervision: in-memory recovery snapshots multiplexed with user checkpoints
+# Supervision: user checkpoints double as recovery points
 # ---------------------------------------------------------------------------
 
 
 class _SupervisedCheckpointer:
-    """Fan a single checkpointer slot out to the user and the supervisor.
+    """The caller's checkpointer, remembering each snapshot it takes.
 
-    :func:`drive_fleet_loop` accepts exactly one checkpointer.  Supervision
-    needs its own recovery snapshots (in-memory, never persisted) alongside
-    whatever the caller asked for, so this adapter multiplexes both through
-    that one slot: ``due``/``limit``/``begin`` combine the two schedules,
-    and every snapshot that gets taken — for either reason — is remembered
-    as the latest recovery point.  User checkpoints therefore double as
-    free recovery points, and a dedicated recovery cadence
-    (``recovery_every_slots``) is only needed when the caller checkpoints
-    rarely or not at all.
+    Supervision keeps no snapshot cadence of its own: the snapshots the
+    caller's :class:`~repro.service.checkpoint.Checkpointer` takes, and the
+    eager pre-loop snapshot of a fresh run, are the points a failed run
+    replays from.  ``begin``/``due``/``limit`` are the caller's; without a
+    caller's checkpointer the object only holds the pre-loop snapshot and
+    the loop runs with no checkpointer at all.
     """
 
-    def __init__(
-        self,
-        user: Optional["Checkpointer"],
-        recovery_every_slots: Optional[int],
-    ) -> None:
+    def __init__(self, user: Optional["Checkpointer"]) -> None:
         self.user = user
-        self.recovery: Optional["Checkpointer"] = None
-        if recovery_every_slots is not None:
-            from repro.service.checkpoint import Checkpointer
-
-            self.recovery = Checkpointer(
-                lambda checkpoint: None, every_slots=recovery_every_slots
-            )
         #: Latest snapshot paired with whether the initial slot-0 evaluation
         #: is already folded into its coordinator state (``False`` for the
         #: eager pre-loop snapshot of a fresh run, which replays with
         #: ``initial_eval=True``).
         self.latest: Optional[Tuple["EngineCheckpoint", bool]] = None
 
-    @property
-    def parts(self) -> List["Checkpointer"]:
-        return [part for part in (self.recovery, self.user) if part is not None]
-
     def remember(self, checkpoint: "EngineCheckpoint", eval_done: bool) -> None:
         self.latest = (checkpoint, eval_done)
 
     def begin(self, slot: int) -> None:
-        for part in self.parts:
-            part.begin(slot)
+        self.user.begin(slot)
 
     def due(self, slot: int) -> bool:
-        return any(part.due(slot) for part in self.parts)
+        return self.user.due(slot)
 
     def limit(self, slot: int) -> Optional[int]:
-        limits = [
-            limit for part in self.parts if (limit := part.limit(slot)) is not None
-        ]
-        return min(limits) if limits else None
+        return self.user.limit(slot)
 
     def take(self, checkpoint: "EngineCheckpoint") -> None:
         # In-loop snapshots are taken at the top of a slot, after the run's
         # initial evaluation — replaying from one must not re-evaluate.
         self.remember(checkpoint, eval_done=True)
-        if self.recovery is not None and self.recovery.due(checkpoint.slot):
-            self.recovery.take(checkpoint)
-        if self.user is not None and self.user.due(checkpoint.slot):
-            # May raise RunInterrupted (stop requested) or any sink error;
-            # both unwind the run, which is the user part's contract.
-            self.user.take(checkpoint)
+        # May raise RunInterrupted (stop requested) or any sink error; both
+        # unwind the run, which is the caller's contract.
+        self.user.take(checkpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -1717,7 +1704,6 @@ def snapshot_shards(
         pending_arrivals=pending_arrivals,
         global_ready=global_ready,
         config=engine.config,
-        fast_forward=engine.fast_forward,
         trace_level=engine.trace_level,
         coordinator=coordinator,
         slices=[handle.wait() for handle in handles],
@@ -1755,7 +1741,6 @@ class ShardedEngine(Coordinator):
         measurement_table: optional Table II/III calibration override
             (shipped to workers; must pickle).
         shards: number of worker processes (clamped to ``num_users``).
-        fast_forward: event-horizon fast-forward across shards (default on).
         profile: collect per-subsystem wall-clock shares on the
             coordinator; each worker process's own training seconds are
             reported beside them (``EngineTimers.worker_training_s``), not
@@ -1764,7 +1749,7 @@ class ShardedEngine(Coordinator):
             :class:`~repro.sim.engine.SimulationEngine`); ``summary`` is the
             intended setting for megafleet populations.
         start_method: ``multiprocessing`` start method; defaults to
-            ``"fork"`` where available.
+            :func:`default_start_method`.
         inline: run the shards in-process through
             :class:`InlineShardHandle` instead of worker processes.  Same
             staged protocol, same results; useful for tests that exercise
@@ -1772,19 +1757,6 @@ class ShardedEngine(Coordinator):
         fault_injector: optional :class:`~repro.faults.plan.FaultInjector`
             whose engine events are shipped to the worker processes (chaos
             testing; see ``docs/faults.md``).  Inline shards never inject.
-        ipc_timeout_s: per-reply coordinator↔worker deadline; a worker
-            silent for longer is declared hung and respawned.
-        max_respawns: how many shard failures (worker death, IPC timeout)
-            the supervisor repairs before giving up and re-raising; ``0``
-            disables supervision entirely.
-        recovery_every_slots: cadence of in-memory recovery snapshots; by
-            default only user checkpoints and the pre-loop snapshot serve
-            as recovery points.
-        degrade_on_failure: after a shard failure, redistribute the
-            population over one fewer worker instead of respawning the full
-            count — graceful degradation for hosts losing capacity.
-            Results stay bitwise-identical (the contract is shard-count
-            independent).
     """
 
     def __init__(
@@ -1793,39 +1765,17 @@ class ShardedEngine(Coordinator):
         policy: SchedulingPolicy,
         measurement_table: Optional[MeasurementTable] = None,
         shards: int = 2,
-        fast_forward: bool = True,
         profile: bool = False,
         trace_level: str = "full",
         start_method: Optional[str] = None,
         inline: bool = False,
         fault_injector: Optional["FaultInjector"] = None,
-        ipc_timeout_s: float = 600.0,
-        max_respawns: int = 3,
-        recovery_every_slots: Optional[int] = None,
-        degrade_on_failure: bool = False,
     ) -> None:
-        if max_respawns < 0:
-            raise ValueError("max_respawns must be non-negative")
-        if recovery_every_slots is not None and recovery_every_slots <= 0:
-            raise ValueError("recovery_every_slots must be positive when set")
         self.build_coordinator(config, policy, measurement_table, profile, trace_level)
         self.bounds = shard_bounds(config.num_users, shards)
-        self.fast_forward = bool(fast_forward)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
+        self.start_method = start_method or default_start_method()
         self.inline = bool(inline)
         self.fault_injector = fault_injector
-        self.ipc_timeout_s = float(ipc_timeout_s)
-        self.max_respawns = int(max_respawns)
-        self.recovery_every_slots = recovery_every_slots
-        self.degrade_on_failure = bool(degrade_on_failure)
-        self._respawn_backoff = RetryPolicy(
-            max_attempts=max(1, self.max_respawns),
-            base_delay_s=0.05,
-            cap_s=2.0,
-        )
 
     @classmethod
     def restore(
@@ -1839,8 +1789,7 @@ class ShardedEngine(Coordinator):
         contiguously (:func:`repro.service.checkpoint.reslice`), and every
         headline metric of the resumed run stays bitwise-identical.
         ``kwargs`` are the constructor keywords a checkpoint does not carry
-        (everything but the configuration, the policy, ``fast_forward``
-        and ``trace_level``).
+        (everything but the configuration, the policy and ``trace_level``).
         """
         return restore_engine(
             cls,
@@ -1877,7 +1826,6 @@ class ShardedEngine(Coordinator):
                             hi - lo, int(self.server.global_params().nbytes)
                         ),
                         shard_index=index,
-                        ipc_timeout_s=self.ipc_timeout_s,
                         timers=self.timers,
                     )
                 )
@@ -1887,13 +1835,12 @@ class ShardedEngine(Coordinator):
         """Run the sharded simulation and return its (merged) result.
 
         Supervised: when a shard worker dies or stops answering within
-        ``ipc_timeout_s``, the supervisor kills the remaining workers, rolls
-        the coordinator back to the latest recovery snapshot (the pre-loop
-        snapshot, the last user checkpoint, or the last
-        ``recovery_every_slots`` point — whichever is newest), respawns the
-        workers (over one fewer shard with ``degrade_on_failure``), restores
-        their slices via :func:`~repro.service.checkpoint.reslice`, and
-        replays forward.  Replay re-executes the same deterministic slot
+        :data:`IPC_TIMEOUT_S`, the supervisor kills the remaining workers,
+        rolls the coordinator back to the latest recovery snapshot (the
+        pre-loop snapshot or the last checkpoint ``checkpointer`` took,
+        whichever is newer), respawns the workers, restores their slices,
+        and replays forward; the :data:`MAX_RESPAWNS` + 1st failure of one
+        run is re-raised.  Replay re-executes the same deterministic slot
         timeline, so the recovered result is bitwise-identical to the
         fault-free run.  Worker replies carrying a Python traceback are
         deterministic bugs, not faults — they raise ``RuntimeError`` and
@@ -1907,11 +1854,7 @@ class ShardedEngine(Coordinator):
         # either way (the handles drive the same FleetShard methods); only
         # the process isolation is lost, which a pool worker already lacks.
         nested = self.inline or multiprocessing.current_process().daemon
-        supervising = not nested and self.max_respawns > 0
-        supervised = _SupervisedCheckpointer(
-            checkpointer, self.recovery_every_slots if supervising else None
-        )
-        use_supervised = supervising or checkpointer is not None
+        supervised = _SupervisedCheckpointer(checkpointer)
         handles: List[Any] = []
         respawns = 0
         # The checkpoint whose state coordinator and shards currently hold.
@@ -1922,7 +1865,7 @@ class ShardedEngine(Coordinator):
             if start is not None:
                 restore_shards(self, handles, self.bounds, start)
                 supervised.remember(start, eval_done=True)
-            elif supervising:
+            elif not nested:
                 # Eager pre-loop snapshot: without one, the first failure of
                 # a fresh, never-checkpointed run would be unrecoverable.
                 # It pre-dates the initial evaluation, so a replay from it
@@ -1939,37 +1882,27 @@ class ShardedEngine(Coordinator):
                         self.bounds,
                         start,
                         initial_eval,
-                        supervised if use_supervised else None,
+                        None if checkpointer is None else supervised,
                     )
                     break
                 except ShardFailure:
                     respawns += 1
                     latest = supervised.latest
-                    if (
-                        not supervising
-                        or respawns > self.max_respawns
-                        or latest is None
-                    ):
+                    if respawns > MAX_RESPAWNS or latest is None:
                         raise
                     # Recovery replays the window since the snapshot; the
                     # fault events inside it already did their damage and
                     # must not re-fire on the respawned workers.
-                    high_slot = max(
-                        (getattr(handle, "last_slot", -1) for handle in handles),
-                        default=-1,
-                    )
                     if self.fault_injector is not None:
-                        self.fault_injector.consume_engine_through(high_slot)
+                        self.fault_injector.consume_engine_through(
+                            max(handle.last_slot for handle in handles)
+                        )
                     for handle in handles:
                         handle.kill()
                     handles = []
-                    time.sleep(self._respawn_backoff.delay_s(respawns))
+                    time.sleep(_RESPAWN_BACKOFF.delay_s(respawns))
                     start, eval_done = latest
                     initial_eval = not eval_done
-                    if self.degrade_on_failure and len(self.bounds) > 1:
-                        self.bounds = shard_bounds(
-                            self.config.num_users, len(self.bounds) - 1
-                        )
                     install_coordinator(self, start.coordinator.materialize())
                     handles = self._spawn_handles(context, nested)
                     restore_shards(self, handles, self.bounds, start)

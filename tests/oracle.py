@@ -2,10 +2,12 @@
 
 :func:`make_engine` is the one entry point through which the suite reaches
 the per-user reference loop.  Equivalence matrices name their execution
-modes ``"loop"`` (that loop, :class:`reference_loop.ReferenceLoopEngine`)
-and ``"fleet"`` (the product engine, with or without fast-forward); the
-helper turns a mode name into an engine so the parametrisation ids stay what
-they always were while the product engine itself has no mode switch.
+modes ``"loop"`` (that loop, :class:`reference_loop.ReferenceLoopEngine`),
+``"slots"`` (:class:`SlotBySlotEngine`, the product engine with every quiet
+horizon forced to zero, so each slot runs the slot path) and ``"fleet"``
+(the product engine, fast-forwarding its quiet regions); the helper turns a
+mode name into an engine while the product engine itself has no mode
+switch.
 
 :class:`FrozenLocalTrainer` is the local training round exactly as it ran
 before the flat training plane (ISSUE 15): the reference the in-place
@@ -59,9 +61,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
 from types import SimpleNamespace
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 
@@ -77,16 +81,35 @@ from repro.fl.layers import Conv2D, Linear, _col2im
 from repro.fl.server import AsyncUpdateRule, ParameterServer, ServerUpdate
 from repro.sim.arrivals import ArrivalSchedule
 from repro.sim.engine import SimulationEngine
-from repro.sim.fleet import FleetEnergyAccountant
+from repro.sim.fleet import FleetEnergyAccountant, FleetState
 from reference_loop import ReferenceLoopEngine
 
 
-def make_engine(mode: str, config, policy, fast_forward: bool = True, **kwargs):
-    """An engine for ``mode``; ``fast_forward`` only means something to ``fleet``."""
+@contextmanager
+def slot_by_slot():
+    """Within the block, every quiet horizon is zero: no region starts, and
+    each slot of a run takes the slot path."""
+    with mock.patch.object(FleetState, "quiet_horizon", lambda self, slot, total_slots: 0):
+        yield
+
+
+class SlotBySlotEngine(SimulationEngine):
+    """The product engine run under :func:`slot_by_slot`: the slot-by-slot
+    execution its fast-forwarded regions are held bitwise equal to."""
+
+    def run(self, checkpointer=None):
+        with slot_by_slot():
+            return super().run(checkpointer)
+
+
+def make_engine(mode: str, config, policy, **kwargs):
+    """An engine for ``mode``: ``loop``, ``slots`` or ``fleet``."""
     if mode == "loop":
         return ReferenceLoopEngine(config, policy, **kwargs)
+    if mode == "slots":
+        return SlotBySlotEngine(config, policy, **kwargs)
     if mode == "fleet":
-        return SimulationEngine(config, policy, fast_forward=fast_forward, **kwargs)
+        return SimulationEngine(config, policy, **kwargs)
     raise ValueError(f"unknown execution mode {mode!r}")
 
 

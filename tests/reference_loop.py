@@ -720,9 +720,8 @@ class ReferenceLoopEngine(Coordinator):
                 )
                 self.timers.stop("training", tick)
                 if sync_mode:
-                    self._sync_buffer[user] = update
+                    self.core.buffer_sync_upload(user, update)
                     state.uploaded_this_round = True
-                    self.server.unregister_inflight(user)
                 else:
                     realized_gap = self._apply_async_update(user, slot, update)
                     self.gap_tracker.on_update_applied(user, realized_gap)

@@ -4,8 +4,8 @@ The contract under test (see ``src/repro/service/checkpoint.py``): a run
 interrupted at any slot boundary and restored from its checkpoint finishes
 with results bitwise-identical to the uninterrupted run — same energy
 folds, same accuracy samples, same queue histories, same trace — for the
-single-process engine with and without event-horizon
-fast-forward, and the sharded engine (including restoring under a
+single-process engine, fast-forwarding or held to the slot path
+(``oracle.SlotBySlotEngine``), and the sharded engine (including restoring under a
 different shard count).
 """
 
@@ -186,25 +186,22 @@ def assert_same(reference: dict, resumed: dict, label: str) -> None:
 # exactly at the boundary), and under the sync policy a mid-run slot sits
 # inside an open synchronous round with partial uploads buffered.
 CASES = [
-    pytest.param(False, "online", 137, id="fleet-mid-quiet"),
-    pytest.param(True, "online", 137, id="fleet-ff-mid-quiet"),
-    pytest.param(True, "online", 37, id="fleet-ff-mid-flight"),
-    pytest.param(True, "sync", 151, id="fleet-ff-mid-sync-round"),
+    pytest.param("slots", "online", 137, id="fleet-mid-quiet"),
+    pytest.param("fleet", "online", 137, id="fleet-ff-mid-quiet"),
+    pytest.param("fleet", "online", 37, id="fleet-ff-mid-flight"),
+    pytest.param("fleet", "sync", 151, id="fleet-ff-mid-sync-round"),
 ]
 
 
 class TestSingleEngineRoundTrip:
-    @pytest.mark.parametrize("ff,policy,at_slot", CASES)
-    def test_resume_is_bitwise_identical(self, ff, policy, at_slot):
+    @pytest.mark.parametrize("mode,policy,at_slot", CASES)
+    def test_resume_is_bitwise_identical(self, mode, policy, at_slot):
         config = make_config()
-        reference = digest(
-            SimulationEngine(config, make_policy(policy), fast_forward=ff).run()
-        )
-        checkpoint = interrupt_at(
-            SimulationEngine(config, make_policy(policy), fast_forward=ff), at_slot
-        )
-        resumed = digest(SimulationEngine.restore(checkpoint).run())
-        assert_same(reference, resumed, f"ff={ff}")
+        reference = digest(make_engine(mode, config, make_policy(policy)).run())
+        engine = make_engine(mode, config, make_policy(policy))
+        checkpoint = interrupt_at(engine, at_slot)
+        resumed = digest(type(engine).restore(checkpoint).run())
+        assert_same(reference, resumed, mode)
 
     def test_checkpoint_is_restorable_twice(self):
         """One in-memory checkpoint feeds two restores without aliasing."""
@@ -272,9 +269,7 @@ class TestShardedRoundTrip:
     def reference(self):
         config = make_config()
         return digest(
-            SimulationEngine(
-                config, make_policy("online"), fast_forward=True
-            ).run()
+            SimulationEngine(config, make_policy("online")).run()
         )
 
     @pytest.fixture(scope="class")
@@ -1064,7 +1059,6 @@ class ToyRun:
             pending_arrivals=[],
             global_ready=0,
             config=self.config,
-            fast_forward=True,
             trace_level="full",
             coordinator=CoordinatorState(
                 payload=pickle.dumps((self.slot, dict(self.pinned))),

@@ -41,6 +41,24 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--no-fast-forward"],
+            ["compare", "--no-fast-forward"],
+            ["sweep", "--no-fast-forward"],
+            ["scenario", "run", "paper-baseline", "--no-fast-forward"],
+            ["jobs", "submit", "paper-baseline", "--no-fast-forward"],
+        ],
+        ids=["simulate", "compare", "sweep", "scenario-run", "jobs-submit"],
+    )
+    def test_no_fast_forward_flag_is_gone(self, argv, capsys):
+        """Quiet regions are always fast-forwarded: no switch to turn it off."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--no-fast-forward" in capsys.readouterr().err
+
 
 class TestStaticCommands:
     def test_table2_output(self, capsys):

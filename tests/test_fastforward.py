@@ -130,13 +130,6 @@ class TestArrivalEventIterator:
 
 
 class TestFastForwardEndToEnd:
-    def test_flag_validation_and_default(self):
-        config = _overnight_config(total_slots=50)
-        engine = SimulationEngine(config, ImmediatePolicy())
-        assert engine.fast_forward is True
-        engine = SimulationEngine(config, ImmediatePolicy(), fast_forward=False)
-        assert engine.fast_forward is False
-
     def test_per_slot_series_covers_every_slot(self):
         """Fast-forwarded slots must still backfill the cumulative series."""
         config = _overnight_config(trace_interval_slots=1)
@@ -148,12 +141,8 @@ class TestFastForwardEndToEnd:
     def test_overnight_sparse_identical_to_slot_by_slot(self):
         """The drained-fleet regime exercises the longest quiet regions."""
         config = _overnight_config(trace_interval_slots=1)
-        slow = SimulationEngine(
-            config, ImmediatePolicy(), fast_forward=False
-        ).run()
-        fast = SimulationEngine(
-            config, ImmediatePolicy(), fast_forward=True
-        ).run()
+        slow = make_engine("slots", config, ImmediatePolicy()).run()
+        fast = SimulationEngine(config, ImmediatePolicy()).run()
         assert slow.trace.decisions == fast.trace.decisions
         assert slow.decision_evaluations == fast.decision_evaluations
         assert slow.queue_history == fast.queue_history
@@ -172,16 +161,10 @@ class TestFastForwardEndToEnd:
     def test_online_policy_queue_histories_backfilled(self):
         """Quiet regions under the online policy replay both queue recursions."""
         config = _overnight_config(total_slots=1200)
-        slow = SimulationEngine(
-            config,
-            OnlinePolicy(v=0.0, staleness_bound=500.0),
-            fast_forward=False,
+        slow = make_engine(
+            "slots", config, OnlinePolicy(v=0.0, staleness_bound=500.0)
         ).run()
-        fast = SimulationEngine(
-            config,
-            OnlinePolicy(v=0.0, staleness_bound=500.0),
-            fast_forward=True,
-        ).run()
+        fast = SimulationEngine(config, OnlinePolicy(v=0.0, staleness_bound=500.0)).run()
         assert len(fast.queue_history) == config.total_slots + 1
         assert slow.queue_history == fast.queue_history
         assert slow.virtual_queue_history == fast.virtual_queue_history
@@ -274,14 +257,10 @@ class TestCertifiedIdleRegions:
         config = _stretch_config(**overrides)
         make = CERTIFYING_POLICIES[name]
         runs = {}
-        for label, mode, fast_forward in (
-            ("loop", "loop", False),
-            ("slots", "fleet", False),
-            ("regions", "fleet", True),
-        ):
+        for label, mode in (("loop", "loop"), ("slots", "slots"), ("regions", "fleet")):
             policy = make()
             calls = _count_run_slots(monkeypatch)
-            result = make_engine(mode, config, policy, fast_forward=fast_forward).run()
+            result = make_engine(mode, config, policy).run()
             runs[label] = (_observed(result, policy), len(calls))
         assert runs["regions"][0] == runs["slots"][0] == runs["loop"][0]
         assert runs["slots"][1] == config.total_slots
@@ -300,14 +279,14 @@ class TestCertifiedIdleRegions:
             eval_interval_slots=600, trace_interval_slots=1,
         )
         runs = {}
-        for fast_forward in (False, True):
+        for mode in ("slots", "fleet"):
             policy = make()
             calls = _count_run_slots(monkeypatch)
-            result = SimulationEngine(config, policy, fast_forward=fast_forward).run()
-            runs[fast_forward] = (_observed(result, policy), len(calls))
-        assert runs[True][0] == runs[False][0]
-        assert runs[False][1] == config.total_slots
-        assert runs[True][1] < config.total_slots
+            result = make_engine(mode, config, policy).run()
+            runs[mode] = (_observed(result, policy), len(calls))
+        assert runs["fleet"][0] == runs["slots"][0]
+        assert runs["slots"][1] == config.total_slots
+        assert runs["fleet"][1] < config.total_slots
 
     def test_small_budget_flips_a_decision_inside_a_stretch(self):
         """With a tight ``Lb``, ``H(t)`` grows while users wait until one of
@@ -327,7 +306,7 @@ class TestCertifiedIdleRegions:
 
     def test_offline_window_boundary_inside_a_stretch(self):
         config = _stretch_config()
-        slow = SimulationEngine(config, OfflinePolicy(window_slots=60), fast_forward=False).run()
+        slow = make_engine("slots", config, OfflinePolicy(window_slots=60)).run()
         fast = SimulationEngine(config, OfflinePolicy(window_slots=60)).run()
         assert _observed(slow, None) == _observed(fast, None)
         assert len(fast.trace.slot_samples) == len(slow.trace.slot_samples)
@@ -343,14 +322,14 @@ class TestCertifiedIdleRegions:
             include_scheduler_overhead=True,
         )
         results = {}
-        for fast_forward in (False, True):
+        for mode in ("slots", "fleet"):
             policy = OnlinePolicy(v=4000.0)
             calls = _count_run_slots(monkeypatch)
-            result = SimulationEngine(config, policy, fast_forward=fast_forward).run()
-            results[fast_forward] = (_observed(result, policy), len(calls))
-        assert results[True][0] == results[False][0]
-        assert results[True][1] < results[False][1]
-        assert any(soc < 0.2 for soc in results[True][0][5])  # somebody drained
+            result = make_engine(mode, config, policy).run()
+            results[mode] = (_observed(result, policy), len(calls))
+        assert results["fleet"][0] == results["slots"][0]
+        assert results["fleet"][1] < results["slots"][1]
+        assert any(soc < 0.2 for soc in results["fleet"][0][5])  # somebody drained
 
     @pytest.mark.parametrize("inline", [True, False], ids=["inline", "process"])
     def test_two_shards(self, inline):
@@ -369,7 +348,7 @@ class TestCertifiedIdleRegions:
         SimulationEngine(config, OnlinePolicy(v=4000.0)).run(
             Checkpointer(taken.append, every_slots=37)
         )
-        SimulationEngine(config, OnlinePolicy(v=4000.0), fast_forward=False).run(
+        make_engine("slots", config, OnlinePolicy(v=4000.0)).run(
             Checkpointer(slot_path.append, every_slots=37)
         )
         # Per-user fleet state (waiting counters, batteries, energy) at every

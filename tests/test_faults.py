@@ -12,9 +12,9 @@ Layered here:
 
 * plan/injector semantics — seeded generation, JSON round-trips, one-shot
   consumption, replay-window masking (:meth:`consume_engine_through`);
-* supervised engine recovery — kill / hang / straggle / degrade, each
-  compared ``==`` against the fault-free observables, plus the
-  unsupervised error surfaces (:class:`ShardDied` / :class:`ShardTimeout`);
+* supervised engine recovery — kill / hang / straggle, each compared ``==``
+  against the fault-free observables, plus the error surfaces once the
+  respawn limit is spent (:class:`ShardDied` / :class:`ShardTimeout`);
 * checkpoint-store faults — save-time verification, ENOSPC, retention
   rotation, on-disk corruption detected at load;
 * service self-healing — retry-from-checkpoint to a bitwise-equal result,
@@ -43,11 +43,12 @@ from repro.faults import (
 )
 from repro.scenarios import compile_scenario, get_scenario
 from repro.service.api import ServiceAPI
-from repro.service.checkpoint import CheckpointError, CheckpointStore
+from repro.service.checkpoint import CheckpointError, Checkpointer, CheckpointStore
 from repro.service.client import ServiceClient, ServiceError, ServiceUnavailable
 from repro.service.jobs import ExperimentService
 from repro.sim.config import SimulationConfig
-from repro.sim.shard import ShardDied, ShardTimeout, ShardedEngine
+from repro.sim import shard as shard_module
+from repro.sim.shard import MAX_RESPAWNS, ShardDied, ShardTimeout, ShardedEngine
 
 from oracle import retained_slots
 
@@ -177,18 +178,35 @@ def _chaos_config() -> SimulationConfig:
     return SimulationConfig(**_chaos_overrides())
 
 
-def _chaos_run(plan=None, shards=2, degrade=False, max_respawns=3, ipc_timeout_s=5.0):
+def _chaos_run(plan=None, every_slots=15):
+    """A 2-shard run whose checkpointer (a sink that keeps nothing) takes a
+    snapshot every ``every_slots`` slots: the supervisor's recovery points."""
     engine = ShardedEngine(
         _chaos_config(),
         OnlinePolicy(v=4000.0),
-        shards=shards,
+        shards=2,
         fault_injector=FaultInjector(plan) if plan is not None else None,
-        recovery_every_slots=15,
-        ipc_timeout_s=ipc_timeout_s,
-        max_respawns=max_respawns,
-        degrade_on_failure=degrade,
     )
-    return engine.run()
+    return engine.run(Checkpointer(lambda checkpoint: None, every_slots=every_slots))
+
+
+def _short_deadline(monkeypatch, seconds):
+    """A hung worker is declared hung after ``seconds``."""
+    monkeypatch.setattr(shard_module, "IPC_TIMEOUT_S", seconds)
+
+
+def _past_the_respawn_limit(kind):
+    """A run that meets one ``kind`` fault more than the supervisor repairs.
+
+    An event fires at its worker's first request at or past its slot, and a
+    failure consumes every event up to the slot it reached.  A 5-slot
+    checkpoint cadence ends every quiet region on a multiple of 5, so each
+    event (at 10, 20, ...) fires on its own slot, one failure apiece."""
+    plan = FaultPlan(events=[
+        FaultEvent(kind=kind, at=10 * (index + 1), shard=index % 2)
+        for index in range(MAX_RESPAWNS + 1)
+    ])
+    return _chaos_run(plan, every_slots=5)
 
 
 def _engine_observables(result) -> dict:
@@ -239,15 +257,10 @@ class TestSupervisedRecovery:
         plan = FaultPlan(events=[FaultEvent(kind="kill_shard", at=1, shard=0)])
         _assert_bitwise(_chaos_run(plan), fault_free)
 
-    def test_hung_shard_times_out_and_recovers_bitwise(self, fault_free):
+    def test_hung_shard_times_out_and_recovers_bitwise(self, fault_free, monkeypatch):
+        _short_deadline(monkeypatch, 2.0)
         plan = FaultPlan(events=[FaultEvent(kind="drop_message", at=30, shard=0)])
-        _assert_bitwise(_chaos_run(plan, ipc_timeout_s=2.0), fault_free)
-
-    def test_degrade_to_fewer_shards_stays_bitwise(self, fault_free):
-        # 3 shards, shard 0 dies, the survivor set reshards to 2: the
-        # shard-count-invariance contract makes the degraded layout safe.
-        plan = FaultPlan(events=[FaultEvent(kind="kill_shard", at=25, shard=0)])
-        _assert_bitwise(_chaos_run(plan, shards=3, degrade=True), fault_free)
+        _assert_bitwise(_chaos_run(plan), fault_free)
 
     def test_benign_delays_do_not_change_results(self, fault_free):
         plan = FaultPlan(events=[
@@ -256,10 +269,9 @@ class TestSupervisedRecovery:
         ])
         _assert_bitwise(_chaos_run(plan), fault_free)
 
-    def test_unsupervised_kill_raises_shard_died(self):
-        plan = FaultPlan(events=[FaultEvent(kind="kill_shard", at=25, shard=1)])
+    def test_kills_past_the_respawn_limit_raise_shard_died(self):
         with pytest.raises(ShardDied):
-            _chaos_run(plan, max_respawns=0)
+            _past_the_respawn_limit("kill_shard")
 
 
 def _own_shm_segments():
@@ -290,22 +302,15 @@ class TestShmHygiene:
         assert _own_shm_segments() == []
         _assert_bitwise(result, fault_free)
 
-    def test_degraded_reshard_leaks_no_segments(self, fault_free):
-        plan = FaultPlan(events=[FaultEvent(kind="kill_shard", at=25, shard=0)])
-        result = _chaos_run(plan, shards=3, degrade=True)
-        assert _own_shm_segments() == []
-        _assert_bitwise(result, fault_free)
-
-    def test_unsupervised_death_leaks_no_segments(self):
-        plan = FaultPlan(events=[FaultEvent(kind="kill_shard", at=25, shard=1)])
+    def test_a_death_past_the_respawn_limit_leaks_no_segments(self):
         with pytest.raises(ShardDied):
-            _chaos_run(plan, max_respawns=0)
+            _past_the_respawn_limit("kill_shard")
         assert _own_shm_segments() == []
 
-    def test_unsupervised_hang_raises_shard_timeout(self):
-        plan = FaultPlan(events=[FaultEvent(kind="drop_message", at=25, shard=0)])
+    def test_hangs_past_the_respawn_limit_raise_shard_timeout(self, monkeypatch):
+        _short_deadline(monkeypatch, 1.0)
         with pytest.raises(ShardTimeout):
-            _chaos_run(plan, max_respawns=0, ipc_timeout_s=1.0)
+            _past_the_respawn_limit("drop_message")
 
 
 # ---------------------------------------------------------------------------

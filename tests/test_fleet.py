@@ -8,9 +8,10 @@ applied updates — every floating-point value compared with ``==``.  Three
 modes are compared:
 
 * ``loop`` — the per-user reference loop (the executable specification);
-* ``fleet`` with ``fast_forward=False`` — the vectorized slot-by-slot path;
-* ``fleet`` with ``fast_forward=True`` — the event-horizon fast-forward
-  path, which advances whole quiet regions in fused kernels.
+* ``slots`` — the product engine with every quiet horizon forced to zero
+  (``oracle.SlotBySlotEngine``): the vectorized slot-by-slot path;
+* ``fleet`` — the product engine as it runs, advancing whole quiet regions
+  in fused kernels (event-horizon fast-forward).
 
 The comparison configs keep the paper's 25-user fleet but shrink the
 horizon and the synthetic dataset so the whole module runs in seconds.
@@ -50,11 +51,11 @@ def _paper_fleet_config(**overrides) -> SimulationConfig:
     return SimulationConfig(**base)
 
 
-#: The three execution modes of the equivalence matrix: (name, mode, ff).
+#: The three execution modes of the equivalence matrix: (name, mode).
 EXECUTION_MODES = (
-    ("loop", "loop", False),
-    ("fleet", "fleet", False),
-    ("fast-forward", "fleet", True),
+    ("loop", "loop"),
+    ("fleet", "slots"),
+    ("fast-forward", "fleet"),
 )
 
 
@@ -66,9 +67,9 @@ def _run_matrix(config: SimulationConfig, make_policy):
     """
     results = {}
     policies = {}
-    for name, mode, fast_forward in EXECUTION_MODES:
+    for name, mode in EXECUTION_MODES:
         policy = make_policy()
-        engine = make_engine(mode, config, policy, fast_forward=fast_forward)
+        engine = make_engine(mode, config, policy)
         results[name] = engine.run()
         policies[name] = policy
     return results, policies
@@ -249,11 +250,10 @@ PHONE_MIX = {"pixel2": 1.0 / 3, "nexus6": 1.0 / 3, "nexus6p": 1.0 / 3}
 def _run_five(config: SimulationConfig, make_policy, trace_level="full", **kwargs):
     """The three-way matrix plus 2 and 3 inline shards, fresh policy each."""
     results, _ = _run_matrix(config, make_policy)
-    for name, (_, mode, fast_forward) in zip(list(results), EXECUTION_MODES):
-        if mode == "fleet" and (trace_level != "full" or kwargs):
-            results[name] = SimulationEngine(
-                config, make_policy(), fast_forward=fast_forward,
-                trace_level=trace_level, **kwargs,
+    for name, mode in EXECUTION_MODES:
+        if mode != "loop" and (trace_level != "full" or kwargs):
+            results[name] = make_engine(
+                mode, config, make_policy(), trace_level=trace_level, **kwargs,
             ).run()
     for shards in (2, 3):
         results[f"{shards}-shard"] = ShardedEngine(

@@ -330,6 +330,137 @@ class TestStateReachability:
         }
 
 
+#: Entry points whose keyword parameters some product call must set:
+#: ``(module, definition)`` -> the callee names through which a call's
+#: keywords reach it (``build_engine`` forwards ``**kwargs`` to both engines).
+KEYWORD_ENTRY_POINTS = {
+    ("repro.sim.engine", "SimulationEngine"): {"SimulationEngine", "build_engine"},
+    ("repro.sim.shard", "ShardedEngine"): {"ShardedEngine", "build_engine"},
+    ("repro.sim.engine", "build_engine"): {"build_engine"},
+    ("repro.analysis.runner", "RunSpec"): {"RunSpec"},
+    ("repro.analysis.runner", "ExperimentSuite"): {"ExperimentSuite"},
+    ("repro.scenarios.runner", "ScenarioRunner"): {"ScenarioRunner"},
+    ("repro.scenarios.runner", "scenario_run_spec"): {"scenario_run_spec"},
+    ("repro.analysis.runner", "sweep_grid"): {"sweep_grid"},
+}
+
+#: ``(definition, parameter)`` pairs no product call sets by keyword, and
+#: why each stays.
+KEYWORD_ALLOWED = {
+    ("ShardedEngine", "inline"): "the in-process test seam: the sharded data path "
+    "without worker processes",
+    ("ShardedEngine", "start_method"): "the spawn path of platforms without fork",
+    ("SimulationEngine", "measurement_table"): "no product caller passes it today; "
+    "its removal is a later change",
+    ("ShardedEngine", "measurement_table"): "no product caller passes it today; "
+    "its removal is a later change",
+    ("scenario_run_spec", "label"): "set by a POST /jobs scenario payload, whose keys "
+    "the service splats into the call",
+    ("sweep_grid", "policies"): "no product caller passes it today; its removal is a "
+    "later change",
+    ("sweep_grid", "arrival_probs"): "no product caller passes it today; its removal "
+    "is a later change",
+}
+
+
+def keyword_parameters(path: Path, name: str) -> Set[str]:
+    """The parameters of ``name`` in ``path`` that have a default: a
+    function's, a class's ``__init__``'s, or a dataclass's fields."""
+    tree = ast.parse(path.read_text(), str(path))
+    (node,) = [
+        child
+        for child in tree.body
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and child.name == name
+    ]
+    if isinstance(node, ast.ClassDef):
+        inits = [
+            child for child in node.body
+            if isinstance(child, ast.FunctionDef) and child.name == "__init__"
+        ]
+        if not inits:
+            return {
+                child.target.id
+                for child in node.body
+                if isinstance(child, ast.AnnAssign) and child.value is not None
+            }
+        node = inits[0]
+    args = node.args
+    positional = args.posonlyargs + args.args
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    return {arg.arg for arg in defaulted} | {
+        arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+    }
+
+
+def keyword_calls(root: Path = ROOT) -> Set[Tuple[str, str]]:
+    """``(callee, keyword)`` of every call on the product surface that passes
+    ``keyword=...``; the callee is the called name or attribute."""
+    found: Set[Tuple[str, str]] = set()
+    for directory in SURFACE:
+        for path in sorted((root / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                found.update((callee, kw.arg) for kw in node.keywords if kw.arg is not None)
+    return found
+
+
+def unset_keywords(
+    root: Path = ROOT, entry_points: Dict[Tuple[str, str], Set[str]] = KEYWORD_ENTRY_POINTS
+) -> Set[Tuple[str, str]]:
+    """``(definition, parameter)`` of every keyword parameter of
+    ``entry_points`` that no product call sets."""
+    modules = product_modules(root / "src")
+    calls = keyword_calls(root)
+    return {
+        (name, parameter)
+        for (module, name), callees in entry_points.items()
+        for parameter in keyword_parameters(modules[module], name)
+        if not any((callee, parameter) in calls for callee in callees)
+    }
+
+
+class TestKeywordReachability:
+    """Every keyword parameter of the engine and run-spec entry points is set
+    by some product call: a setting only tests pass is a second way to run."""
+
+    def test_every_keyword_parameter_has_a_product_caller(self):
+        assert sorted(unset_keywords() - set(KEYWORD_ALLOWED)) == []
+
+    def test_every_allowed_keyword_is_still_a_parameter_and_unset(self):
+        """A stale entry fails: the list can only shrink."""
+        assert set(KEYWORD_ALLOWED) <= unset_keywords()
+
+    def test_the_gate_on_a_synthetic_tree(self, tmp_path):
+        package = tmp_path / "src" / "repro" / "sim"
+        package.mkdir(parents=True)
+        (package / "engine.py").write_text(
+            "class SimulationEngine:\n"
+            "    def __init__(self, config, policy, profile=False, knob=1, *, seam=None):\n"
+            "        pass\n"
+            "def build_engine(config, policy, *, shards=1, **kwargs):\n"
+            "    return SimulationEngine(config, policy, **kwargs)\n"
+        )
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "run.py").write_text(
+            "from repro.sim.engine import build_engine\n"
+            "build_engine(None, None, shards=2, profile=True)\n"
+            "dict(seam=None)\n"
+        )
+        entry_points = {
+            ("repro.sim.engine", "SimulationEngine"): {"SimulationEngine", "build_engine"},
+            ("repro.sim.engine", "build_engine"): {"build_engine"},
+        }
+        # ``profile`` reaches the engine through ``build_engine``; ``seam=``
+        # passed to another callee sets nothing.
+        assert unset_keywords(tmp_path, entry_points) == {
+            ("SimulationEngine", "knob"),
+            ("SimulationEngine", "seam"),
+        }
+
+
 class TestOneDataPlane:
     """The per-user reference loop and the scalar models only it runs live in
     ``tests/reference_loop.py``; the product keeps no twin of them."""

@@ -329,12 +329,8 @@ class TestBackendDifferentialFuzz:
             make_engine("loop", config, policy()).run()
         )
         others = {
-            "fleet": SimulationEngine(
-                config, policy(), fast_forward=False
-            ),
-            "fleet+ff": SimulationEngine(
-                config, policy(), fast_forward=True
-            ),
+            "fleet": make_engine("slots", config, policy()),
+            "fleet+ff": SimulationEngine(config, policy()),
             "2-shard": ShardedEngine(config, policy(), shards=2, inline=True),
             "3-shard": ShardedEngine(config, policy(), shards=3, inline=True),
         }

@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from oracle import slot_by_slot
 from repro.analysis.runner import (
     ExperimentSuite,
     RunSpec,
@@ -182,25 +183,23 @@ class TestCacheInvalidation:
         monkeypatch.setattr("repro.analysis.runner.REPRO_VERSION", "999.0.0-test")
         assert spec.config_hash() != before
 
-    def test_hash_changes_with_backend_and_fast_forward(self):
-        """Every execution switch reaches the cache key — and ``backend`` is no
-        longer one of them: config, policy, the three switches and the two
-        versions are all the canonical form holds."""
+    def test_hash_holds_no_retired_switch(self):
+        """Every execution switch reaches the cache key — and neither
+        ``backend`` nor ``fast_forward`` is one any more: config, policy, the
+        two switches and the two versions are all the canonical form holds."""
         spec = _smoke_spec()
         assert set(json.loads(spec.canonical())) == {
             "cache_version", "repro_version", "policy", "policy_kwargs", "config",
-            "fast_forward", "shards", "trace_level",
+            "shards", "trace_level",
         }
         variants = [
             dataclasses.replace(spec, **change)
-            for change in (
-                {"fast_forward": False},
-                {"shards": 2},
-                {"trace_level": "summary"},
-            )
+            for change in ({"shards": 2}, {"trace_level": "summary"})
         ]
         hashes = {spec.config_hash(), *(v.config_hash() for v in variants)}
-        assert len(hashes) == 4
+        assert len(hashes) == 3
+        with pytest.raises(TypeError):
+            RunSpec(policy="online", fast_forward=False)
 
     def test_version_bump_invalidates_disk_entries(self, tmp_path, monkeypatch):
         """A cached summary from an older package version is never served."""
@@ -215,17 +214,12 @@ class TestCacheInvalidation:
         assert not refreshed.from_cache
         assert refreshed.spec_hash != first.spec_hash
 
-    def test_execution_modes_agree_on_summaries(self, tmp_path):
-        """Backend/fast-forward keys differ but simulate identical systems."""
-        suite = ExperimentSuite(cache_dir=str(tmp_path), jobs=1)
-        ff_spec = _smoke_spec()
-        slot_spec = RunSpec(
-            policy=ff_spec.policy,
-            policy_kwargs=ff_spec.policy_kwargs,
-            config=ff_spec.config,
-            fast_forward=False,
-        )
-        ff, slot = suite.run([ff_spec, slot_spec])
+    def test_execution_modes_agree_on_summaries(self):
+        """Fast-forwarded regions and the slot path simulate identical systems."""
+        spec = _smoke_spec()
+        (ff,) = ExperimentSuite(jobs=1).run([spec])
+        with slot_by_slot():
+            (slot,) = ExperimentSuite(jobs=1).run([spec])
         assert ff.energy_j == slot.energy_j
         assert ff.num_updates == slot.num_updates
         assert ff.mean_virtual_queue_length == slot.mean_virtual_queue_length

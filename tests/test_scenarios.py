@@ -15,6 +15,8 @@ Covers the subsystem's contracts:
 
 from __future__ import annotations
 
+import dataclasses
+
 import json
 import os
 
@@ -158,6 +160,29 @@ class TestSpecHash:
             data_alpha=0.2,
         )
         assert changed.scaled(cohorts=tuple(cohorts)).spec_hash() != base
+
+    def test_rewording_keeps_the_hash_and_a_cohort_change_moves_it(self):
+        """Only what compiles into engine inputs is hashed: the free text
+        (names, description, tags) is not, a cohort's data skew is."""
+        spec = _two_cohort_spec()
+        reworded = spec.scaled(
+            name="renamed-duo",
+            description="the same fleet, described anew",
+            tags=("reworded", "tags"),
+            cohorts=tuple(
+                dataclasses.replace(cohort, name=f"{cohort.name}-renamed")
+                for cohort in spec.cohorts
+            ),
+        )
+        assert reworded.spec_hash() == spec.spec_hash()
+        assert (
+            compile_scenario(reworded).overrides == compile_scenario(spec).overrides
+        )
+        moved = spec.scaled(
+            cohorts=(spec.cohorts[0], dataclasses.replace(spec.cohorts[1], data_alpha=0.5))
+        )
+        assert moved.spec_hash() != spec.spec_hash()
+        assert compile_scenario(moved).overrides != compile_scenario(spec).overrides
 
 
 class TestCompiler:
@@ -402,19 +427,11 @@ class TestHeterogeneousBackendEquivalence:
         spec = _two_cohort_spec()
         config = compile_scenario(spec).build_config()
         results = {}
-        for mode, fast_forward in (
-            ("loop", False),
-            ("fleet", False),
-            ("fleet", True),
-        ):
-            result = make_engine(
-                mode,
-                config,
-                OnlinePolicy(v=4000.0, staleness_bound=500.0),
-                fast_forward=fast_forward,
+        for mode in ("loop", "slots", "fleet"):
+            results[mode] = make_engine(
+                mode, config, OnlinePolicy(v=4000.0, staleness_bound=500.0)
             ).run()
-            results[(mode, fast_forward)] = result
-        reference = results[("loop", False)]
+        reference = results["loop"]
         for key, result in results.items():
             assert result.total_energy_j() == reference.total_energy_j(), key
             assert result.num_updates == reference.num_updates, key

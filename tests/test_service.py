@@ -318,6 +318,17 @@ class TestSubmitValidation:
             assert api.handle("POST", "/jobs", body)[0] == 400, body
         assert api.service.list_jobs() == []
 
+    def test_a_fast_forward_field_is_a_400(self, api):
+        """The retired switch is refused, not silently dropped."""
+        for body in (
+            {"spec": {"policy": "online", "fast_forward": False}},
+            {"scenario": "paper-baseline", "fast_forward": True},
+        ):
+            status, payload = api.handle("POST", "/jobs", body)
+            assert status == 400, body
+            assert "fast_forward" in payload["error"]
+        assert api.service.list_jobs() == []
+
     def test_named_async_rule_is_accepted(self, api):
         status, _ = api.handle("POST", "/jobs", {
             "spec": {"policy": "online", "config": {"async_rule": "replace"}},

@@ -83,9 +83,7 @@ def _observables(result, num_users: int) -> dict:
 
 def _assert_shard_invariant(config: SimulationConfig, make_policy, shard_counts=(1, 2, 4)):
     """Sharded runs must match the single-process fleet fast-forward run."""
-    single = SimulationEngine(
-        config, make_policy(), fast_forward=True
-    ).run()
+    single = SimulationEngine(config, make_policy()).run()
     expected = _observables(single, config.num_users)
     for shards in shard_counts:
         sharded = ShardedEngine(config, make_policy(), shards=shards).run()
@@ -174,9 +172,7 @@ class TestShmPlane:
 
     def _single(self, config):
         return _observables(
-            SimulationEngine(
-                config, OnlinePolicy(v=4000.0), fast_forward=True
-            ).run(),
+            SimulationEngine(config, OnlinePolicy(v=4000.0)).run(),
             config.num_users,
         )
 

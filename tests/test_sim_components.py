@@ -439,6 +439,20 @@ def count_downloads(monkeypatch):
     return downloads
 
 
+def count_sync_uploads(monkeypatch):
+    """A list that ``CouplingCore.buffer_sync_upload`` extends with the user
+    of every synchronous-round upload from now on."""
+    uploads = []
+    real = CouplingCore.buffer_sync_upload
+
+    def buffer_sync_upload(core, user, update):
+        uploads.append(user)
+        return real(core, user, update)
+
+    monkeypatch.setattr(CouplingCore, "buffer_sync_upload", buffer_sync_upload)
+    return uploads
+
+
 class TestLogViewsEqualTheFrozenRecordLists:
     """The three column logs, read back as lists, against ``oracle.FrozenLogs``;
     the transfer count against the downloads plus the asynchronous uploads."""
@@ -496,11 +510,14 @@ class TestLogViewsEqualTheFrozenRecordLists:
         while the trace always reported the gap)."""
         logs = FrozenLogs().attach(monkeypatch)
         downloads = count_downloads(monkeypatch)
+        uploads = count_sync_uploads(monkeypatch)
         engine = SimulationEngine(configs.midfleet_config(0, "smoke"), SyncPolicy())
         result = engine.run()
         assert logs.update_samples and all(s.sync_round for s in logs.update_samples)
         same_records(result.trace.update_samples, logs.update_samples)
-        assert engine.core.transfers == len(downloads)  # a round's uploads are not counted
+        # Every upload of a round is a transfer, applied or still buffered.
+        assert len(uploads) >= len(logs.update_samples)
+        assert engine.core.transfers == len(downloads) + len(uploads)
         views = server_updates(engine.server)
         same_records(
             views,

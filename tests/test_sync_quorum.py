@@ -41,10 +41,10 @@ def _battery_sync_config(**overrides) -> SimulationConfig:
     return SimulationConfig(**base)
 
 
-def _run_with_drained_user(mode: str, fast_forward: bool):
+def _run_with_drained_user(mode: str):
     """Run a sync workload with one phone pre-drained below the threshold."""
     config = _battery_sync_config()
-    engine = make_engine(mode, config, SyncPolicy(), fast_forward=fast_forward)
+    engine = make_engine(mode, config, SyncPolicy())
     drained = next(
         user for user, battery in enumerate(engine.batteries) if battery is not None
     )
@@ -53,12 +53,9 @@ def _run_with_drained_user(mode: str, fast_forward: bool):
 
 
 class TestSyncQuorumDeadlock:
-    @pytest.mark.parametrize(
-        "mode,fast_forward",
-        [("loop", False), ("fleet", False), ("fleet", True)],
-    )
-    def test_rounds_complete_without_the_stalled_user(self, mode, fast_forward):
-        drained, result = _run_with_drained_user(mode, fast_forward)
+    @pytest.mark.parametrize("mode", ["loop", "slots", "fleet"])
+    def test_rounds_complete_without_the_stalled_user(self, mode):
+        drained, result = _run_with_drained_user(mode)
         # Rounds keep completing: the global model receives updates from the
         # participating quorum (7 users per round here).
         assert result.num_updates > 0
@@ -69,14 +66,7 @@ class TestSyncQuorumDeadlock:
         assert len(participants) == result.config.num_users - 1
 
     def test_all_backends_agree_bitwise(self):
-        runs = [
-            _run_with_drained_user(mode, fast_forward)[1]
-            for mode, fast_forward in (
-                ("loop", False),
-                ("fleet", False),
-                ("fleet", True),
-            )
-        ]
+        runs = [_run_with_drained_user(mode)[1] for mode in ("loop", "slots", "fleet")]
         reference = runs[0]
         for other in runs[1:]:
             assert other.num_updates == reference.num_updates
