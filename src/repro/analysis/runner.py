@@ -16,8 +16,8 @@ module supplies both pieces:
 * :class:`ExperimentSuite` — fans a list of specs across ``multiprocessing``
   workers, short-circuiting specs whose summary is already cached under
   their config hash.  ``jobs=1`` degrades to a plain sequential loop.
-* :func:`sweep_grid` — builds the (policy, V, seed, arrival-rate) cartesian
-  product used by the Fig. 4/6-style sweeps and ``repro-sim sweep``.
+* :func:`sweep_grid` — builds the online scheduler's (seed, V) grid that
+  ``repro-sim sweep`` runs.
 
 Determinism: a worker rebuilds the synthetic dataset from the config seed,
 so the same spec produces the same :class:`~repro.sim.engine.SimulationResult`
@@ -422,64 +422,33 @@ class ExperimentSuite:
 
 def sweep_grid(
     v_values: Sequence[float],
-    policies: Sequence[str] = ("online",),
     seeds: Sequence[int] = (0,),
-    arrival_probs: Sequence[Optional[float]] = (None,),
     staleness_bound: float = 500.0,
     base_config: Optional[Dict[str, Any]] = None,
     shards: int = 1,
     trace_level: str = "full",
 ) -> List[RunSpec]:
-    """Cartesian (policy, V, seed, arrival-rate) grid of :class:`RunSpec`.
-
-    Non-online policies ignore ``v_values`` (they have no control knob), so
-    they contribute one spec per (seed, arrival-rate) cell.
+    """The online scheduler's (seed, V) grid of :class:`RunSpec`, seed-major.
 
     Args:
         v_values: Lyapunov control-knob values for the online scheduler.
-        policies: policy names understood by :func:`make_policy`.
         seeds: master seeds.
-        arrival_probs: per-slot application arrival probabilities; ``None``
-            keeps the base configuration's value.
         staleness_bound: ``Lb`` handed to the online scheduler.
         base_config: shared :class:`SimulationConfig` overrides.
         shards: population shard count for every spec (1 = single-process).
         trace_level: telemetry volume for every spec.
     """
     base = dict(base_config or {})
-    specs: List[RunSpec] = []
-    for policy in policies:
-        for seed in seeds:
-            for prob in arrival_probs:
-                config = dict(base, seed=seed)
-                if prob is not None:
-                    config["app_arrival_prob"] = prob
-                suffix = f" seed={seed}" if len(seeds) > 1 else ""
-                if prob is not None and len(arrival_probs) > 1:
-                    suffix += f" p={prob:g}"
-                if policy == "online":
-                    for v in v_values:
-                        specs.append(
-                            RunSpec(
-                                policy="online",
-                                policy_kwargs={
-                                    "v": float(v),
-                                    "staleness_bound": float(staleness_bound),
-                                },
-                                config=config,
-                                shards=shards,
-                                trace_level=trace_level,
-                                label=f"online V={v:g}{suffix}",
-                            )
-                        )
-                else:
-                    specs.append(
-                        RunSpec(
-                            policy=policy,
-                            config=config,
-                            shards=shards,
-                            trace_level=trace_level,
-                            label=f"{policy}{suffix}",
-                        )
-                    )
-    return specs
+    suffixes = [f" seed={seed}" if len(seeds) > 1 else "" for seed in seeds]
+    return [
+        RunSpec(
+            policy="online",
+            policy_kwargs={"v": float(v), "staleness_bound": float(staleness_bound)},
+            config=dict(base, seed=seed),
+            shards=shards,
+            trace_level=trace_level,
+            label=f"online V={v:g}{suffix}",
+        )
+        for seed, suffix in zip(seeds, suffixes)
+        for v in v_values
+    ]

@@ -695,7 +695,7 @@ def _cmd_jobs_resume(args: argparse.Namespace) -> int:
     service = _build_service(args)
     try:
         record = service.resume(args.job_id, sync=True)
-    except KeyError as error:
+    except (KeyError, ValueError) as error:
         raise SystemExit(str(error))
     print(format_table(_JOB_HEADERS, _job_rows([record]), float_format=".3f"))
     if record.state == "failed" and record.error:

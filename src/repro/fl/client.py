@@ -15,10 +15,11 @@ consumed by the gradient-gap estimate of Eq. (4), whose norm every upload
 reports), the shuffling generators of the users that have drawn, and
 hyper-parameters shared by the range.
 
-:meth:`FLClient.local_train` runs the rounds of a whole slot's finishers in
-one call, every round a row of a stacked program: users with as many
-samples share one, and a user alone runs a block of one, the model itself
-— each bit for bit its own round.  The plane therefore trains
+:meth:`FLClient.plan_blocks` cuts a slot's finishers into blocks, and
+:meth:`FLClient.local_train` runs the rounds of one block in one call,
+every round a row of a stacked program: users with as many samples share
+one, and a user alone runs a block of one, the model itself — each bit for
+bit its own round.  The plane therefore trains
 ``Linear`` / ``ReLU`` / ``Tanh`` stacks (the simulation's MLP) and users
 holding at least one sample, and refuses anything else at construction.
 """
@@ -253,6 +254,34 @@ class FLClient:
 
     # -- training ---------------------------------------------------------------------
 
+    def plan_blocks(self, users: Sequence[int]) -> List[List[int]]:
+        """The training blocks of ``users``, as lists of positions into it.
+
+        Users with as many samples form one group, in the order of their
+        first appearance, cut into blocks of at most :data:`BLOCK_BYTES` of
+        parameters (a group of one, or a model too wide to stack, into
+        blocks of one).  Within a block positions ascend, so ascending
+        ``users`` give ascending blocks, and each group's blocks follow one
+        another.
+        """
+        if len(users) == 1:
+            return [[0]]
+        offsets = self.offsets
+        if len(users) > 16:  # one gather beats a scalar read per user
+            index = np.asarray(users, dtype=np.int64)
+            sizes = (offsets[index + 1] - offsets[index]).tolist()
+        else:
+            sizes = [offsets[user + 1] - offsets[user] for user in users]
+        groups: Dict[int, List[int]] = {}
+        for position, size in enumerate(sizes):
+            groups.setdefault(size, []).append(position)
+        rows = max(1, BLOCK_BYTES // self.model.flat_params.nbytes)
+        return [
+            group[start : start + rows]
+            for group in groups.values()
+            for start in range(0, len(group), rows)
+        ]
+
     def local_train(
         self,
         users: Sequence[int],
@@ -260,58 +289,15 @@ class FLClient:
         base_versions: Sequence[int],
         include_params: bool = True,
     ) -> List[LocalUpdate]:
-        """Run one local round for each of ``users``, ``users[i]`` from ``bases[i]``.
+        """Run one local round for each user of one block, ``users[i]`` from ``bases[i]``.
 
         A round is ``local_epochs`` passes over the user's shard in shuffled
         mini-batches (one sample order and one gather per epoch, the batches
-        its row slices), with the user's persistent momentum.  Users with as
-        many samples run together as one stacked program
-        (:meth:`~repro.fl.model.Sequential.stacked`) in blocks of at most
-        :data:`BLOCK_BYTES` of parameters, a user alone in its group as a
-        block of one.  Each user's shuffling generator, momentum vector,
+        its row slices), with the user's persistent momentum.  The block's
+        users hold as many samples each and run together as one stacked
+        program (:meth:`~repro.fl.model.Sequential.stacked`), :meth:`plan_blocks`
+        makes such blocks.  Each user's shuffling generator, momentum vector,
         round counter and upload are bit for bit those of its own round.
-
-        Args:
-            users: the training users (the slot's finishers, indices into
-                the range), each at most once.
-            bases: the downloaded global model each trains from (flat vectors).
-            base_versions: parameter-server version of each base.
-            include_params: also ship the absolute parameter vectors; the
-                engines pass ``False`` under the accumulate merge rule (it
-                consumes the delta only; halves the upload payload) and
-                ``True`` under replace / mixing / staleness-weighted.
-
-        Returns:
-            One :class:`LocalUpdate` per user, in input order.
-        """
-        if not len(users) == len(bases) == len(base_versions):
-            raise ValueError("users, bases and base_versions must align")
-        updates: List[Optional[LocalUpdate]] = [None] * len(users)
-        groups: Dict[int, List[int]] = {}
-        for index, user in enumerate(users):
-            groups.setdefault(self.num_samples(user), []).append(index)
-        rows = max(1, BLOCK_BYTES // self.model.flat_params.nbytes)
-        for group in groups.values():
-            for start in range(0, len(group), rows):
-                block = group[start : start + rows]
-                trained = self._train_block(
-                    [users[index] for index in block],
-                    [bases[index] for index in block],
-                    [base_versions[index] for index in block],
-                    include_params,
-                )
-                for index, update in zip(block, trained):
-                    updates[index] = update
-        return updates  # type: ignore[return-value]
-
-    def _train_block(
-        self,
-        users: Sequence[int],
-        bases: Sequence[np.ndarray],
-        base_versions: Sequence[int],
-        include_params: bool,
-    ) -> List[LocalUpdate]:
-        """The rounds of ``k`` users with as many samples as one stacked program.
 
         Row ``i`` of every block is ``users[i]``: the ``(k, P)`` parameters,
         gradients and velocities, the ``(k, n, ...)`` epoch gather — one
@@ -324,7 +310,23 @@ class FLClient:
         leaves the round is a fresh copy: a momentum row on its own, the
         uploads (deltas, and ``params`` under ``include_params``) as rows of
         one fresh ``(k, P)`` block each.
+
+        Args:
+            users: one block of training users (indices into the range),
+                each at most once, all holding as many samples, at most
+                :data:`BLOCK_BYTES` of parameters together.
+            bases: the downloaded global model each trains from (flat vectors).
+            base_versions: parameter-server version of each base.
+            include_params: also ship the absolute parameter vectors; the
+                engines pass ``False`` under the accumulate merge rule (it
+                consumes the delta only; halves the upload payload) and
+                ``True`` under replace / mixing / staleness-weighted.
+
+        Returns:
+            One :class:`LocalUpdate` per user, in input order.
         """
+        if not len(users) == len(bases) == len(base_versions) > 0:
+            raise ValueError("users, bases and base_versions must align, and name a user")
         size, batch_size = self.num_samples(users[0]), self.batch_size
         block, optimizer = self.model.stacked(len(users)), self.optimizer
         # A block of one has no momentum rows: it is the model itself, and

@@ -394,26 +394,36 @@ class ParameterServer:
         return ServerUpdate(*row)
 
     def async_update_block(
-        self, updates: Sequence[LocalUpdate], bases: Sequence[np.ndarray], time_s: float
+        self,
+        blocks: Iterable[Sequence[LocalUpdate]],
+        bases: Sequence[np.ndarray],
+        time_s: float,
     ) -> List[tuple]:
         """Apply the uploads arriving at ``time_s`` strictly left to right.
 
-        One :meth:`async_update` per upload, each logged with its realised
-        Eq. (2) gap — the distance from ``bases[i]``, the vector it was
-        trained from, to the model as the uploads before it left it — with
-        one log append and one rebind of the global vector.  An upload that
-        raises leaves the ones before it applied.  Returns the new log rows.
+        ``blocks`` releases the uploads in order, as lists (a slot's upload
+        stream trains a block when it is pulled); ``bases[i]`` is the vector
+        the ``i``-th upload trained from.  One :meth:`async_update` per
+        upload, each logged with its realised Eq. (2) gap — the distance
+        from its base to the model as the uploads before it left it — with
+        one log append and one rebind of the global vector.  No merged list
+        is held while the next is pulled.  An upload that raises leaves the
+        ones before it applied.  Returns the new log rows.
         """
         params = self._params
         rows: List[tuple] = []
+        bases = iter(bases)
         try:
-            for update, base in zip(updates, bases):
-                if base.shape != params.shape:
-                    raise ValueError("parameter vectors must have the same shape")
-                moved = params - base
-                gap = math.sqrt(moved.dot(moved))  # np.linalg.norm(moved)
-                params, lag = self._merged(params, update)
-                rows.append(self._count_update(update, time_s, lag, gap, sync_round=False))
+            for block in blocks:
+                for update in block:
+                    base = next(bases)
+                    if base.shape != params.shape:
+                        raise ValueError("parameter vectors must have the same shape")
+                    moved = params - base
+                    gap = math.sqrt(moved.dot(moved))  # np.linalg.norm(moved)
+                    params, lag = self._merged(params, update)
+                    rows.append(self._count_update(update, time_s, lag, gap, sync_round=False))
+                block = update = None  # the merged deltas go before the next block trains
         finally:
             self._params = params
             self._log_applied(rows)

@@ -80,17 +80,32 @@ class JobRecord:
     error: Optional[str] = None
     attempts: int = 0
     telemetry: Dict[str, object] = field(default_factory=dict)
+    #: Spec fields an older version wrote and this one no longer has (never
+    #: written back): such a job cannot run here, so unless it is ``done``
+    #: it is listed as ``failed``, with an error naming them.
+    retired_fields: List[str] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
         payload = dataclasses.asdict(self)
         payload["spec"] = dataclasses.asdict(self.spec)
+        del payload["retired_fields"]
         return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "JobRecord":
         data: Dict[str, Any] = dict(payload)
-        data["spec"] = RunSpec(**data["spec"])
-        return cls(**data)
+        spec = dict(data["spec"])
+        retired = sorted(set(spec) - {f.name for f in dataclasses.fields(RunSpec)})
+        data["spec"] = RunSpec(**{name: spec[name] for name in spec if name not in retired})
+        record = cls(**data)
+        record.retired_fields = retired
+        if retired and record.state != "done":
+            record.state = "failed"
+            record.error = (
+                f"the spec names fields this version no longer has ({', '.join(retired)}); "
+                "the job cannot run here: submit its spec again without them"
+            )
+        return record
 
 
 class ExperimentService:
@@ -263,6 +278,8 @@ class ExperimentService:
         record = self.get(job_id)
         if record.state == "done":
             return record
+        if record.retired_fields:
+            raise ValueError(record.error)
         if record.state != "running" or sync:
             record.state = "queued"
             # A human resume is a fresh grant of the attempt budget — it

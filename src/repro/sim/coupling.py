@@ -21,7 +21,7 @@ slot loop; only the residence of the per-user fleet state differs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,20 +207,22 @@ class CouplingCore:
         self,
         slot: int,
         users: Sequence[int],
-        updates: Sequence[LocalUpdate],
+        blocks: Iterable[Sequence[LocalUpdate]],
     ) -> List[float]:
-        """Apply the (already trained) uploads that complete in ``slot``.
+        """Apply the uploads that complete in ``slot``.
 
-        ``users`` and ``updates`` are aligned, one entry per upload,
-        ascending by user — the deterministic order that makes the server's
-        accumulation commutative *in effect*: any shard layout applies the
-        same updates in the same sequence, so the global model evolves bit
-        for bit identically.  Returns the realised Eq. (2) gradient gap of
-        each, measured against the base pinned at the user's download.
+        ``users`` ascend, one entry per upload, and ``blocks`` releases
+        their uploads in that order as lists (the slot's upload streams,
+        which train each block as it is pulled) — the deterministic order
+        that makes the server's accumulation commutative *in effect*: any
+        shard layout applies the same updates in the same sequence, so the
+        global model evolves bit for bit identically.  Returns the realised
+        Eq. (2) gradient gap of each, measured against the base pinned at
+        the user's download.
         """
         time_s = slot * self.config.slot_seconds
         bases = [self._pinned_base.pop(user) for user in users]
-        rows = self.server.async_update_block(updates, bases, time_s)
+        rows = self.server.async_update_block(blocks, bases, time_s)
         self.transfers += len(users)
         if type(self.policy).notify_update_applied is not SchedulingPolicy.notify_update_applied:
             for user, row in zip(users, rows):  # only a policy that listens

@@ -47,11 +47,14 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, groupby
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -194,19 +197,100 @@ class SlotOpenReply:
     num_training: int
 
 
+class SlotUploads:
+    """One shard's uploads of a slot, ascending by user, released in lists.
+
+    Planned (``blocks`` and ``train`` given: what :meth:`FleetShard.run_slot`
+    returns in process) it holds the slot's training blocks untrained —
+    ``blocks`` are positions into ``users`` (:meth:`FLClient.plan_blocks`)
+    and ``train(block)`` trains one.  :meth:`release` trains each block
+    when its first user is released and lets it go once its last one is,
+    so at most one block per sample-count group is alive at a time, and
+    the stream itself keeps nothing once released.  Packed (``updates``
+    given: a decoded process shard reply) the uploads are already trained.
+
+    Attributes:
+        users: the finishers, global ids, ascending.
+    """
+
+    def __init__(
+        self,
+        users: List[int],
+        updates: Optional[List[LocalUpdate]] = None,
+        blocks: Optional[List[List[int]]] = None,
+        train: Optional[Callable[[List[int]], List[LocalUpdate]]] = None,
+    ) -> None:
+        self.users = users
+        self._updates = updates
+        self._blocks = blocks
+        self._train = train
+
+    def release(self) -> Iterator[List[LocalUpdate]]:
+        """The uploads in ascending user order, as lists; one pass."""
+        if self._blocks is None:
+            updates, self._updates = self._updates, None
+            if updates:
+                yield updates
+            return
+        blocks, train = self._blocks, self._train
+        self._blocks = self._train = None
+        if len(blocks) == 1:
+            yield train(blocks[0])
+            return
+        trained: List[Optional[List[LocalUpdate]]] = [None] * len(blocks)
+        for block, start, stop in _block_runs(blocks):
+            if start == 0:
+                trained[block] = train(blocks[block])
+            yield trained[block][start:stop]
+            if stop == len(blocks[block]):
+                trained[block] = None
+
+    def collect(self) -> List[LocalUpdate]:
+        """Every upload at once, kept: what a synchronous round buffers and
+        a process shard ships."""
+        if self._blocks is not None:
+            self._updates = [update for run in self.release() for update in run]
+        return self._updates or []
+
+
+def _block_runs(blocks: List[List[int]]) -> List[Tuple[int, int, int]]:
+    """``(block, start, stop)``: the planned blocks' slices in ascending
+    position order.  Blocks of one group follow one another whole; groups
+    that interleave cut each other's blocks into runs."""
+    first = 0
+    for block in blocks:
+        if block[0] != first or block[-1] != first + len(block) - 1:
+            break
+        first += len(block)
+    else:
+        return [(index, 0, len(block)) for index, block in enumerate(blocks)]
+    owner = [0] * sum(map(len, blocks))
+    for index, block in enumerate(blocks):
+        for position in block:
+            owner[position] = index
+    runs = []
+    taken = [0] * len(blocks)
+    for index, run in groupby(owner):
+        start = taken[index]
+        taken[index] = stop = start + len(list(run))
+        runs.append((index, start, stop))
+    return runs
+
+
 @dataclass
 class SlotExecReply:
     """Shard reply to ``run_slot``.
 
-    Pickled (only by a process shard) in a packed form: the uploads travel
-    as one ``(k, 6)`` float64 meta matrix and one ``(k, P)`` delta block
-    (plus a params block when the merge rule needs absolute vectors), so
-    every block above the shm plane's inline cut goes out-of-band through
-    the mailbox slab instead of ``k`` small in-band arrays.  The receiver's
-    updates are row views of the block it decoded.
+    Pickled (only by a process shard) in a packed form: the worker trains
+    the slot's whole upload stream, which then travels as one ``(k, 6)``
+    float64 meta matrix and one ``(k, P)`` delta block (plus a params block
+    when the merge rule needs absolute vectors), so every block above the
+    shm plane's inline cut goes out-of-band through the mailbox slab
+    instead of ``k`` small in-band arrays.  The receiver's updates are row
+    views of the block it decoded.
 
     Attributes:
-        finished: ``(user, update)`` per training completion, ascending
+        uploads: the slot's finishers and their upload stream, ascending
             user order (global ids).
         tick_total: shard-local cumulative energy fold at a trace tick
             (``None`` off-grid); bitwise-equal to ``accountant.total_j()``.
@@ -223,7 +307,7 @@ class SlotExecReply:
             re-arm (sync-round releases, merged idempotently).
     """
 
-    finished: List[Tuple[int, LocalUpdate]]
+    uploads: SlotUploads
     tick_total: Optional[float]
     tick_user_totals: Optional[np.ndarray]
     next_ready: int
@@ -232,7 +316,7 @@ class SlotExecReply:
     def __reduce__(self):
         # Every integer of the meta matrix (user, version, samples, batches)
         # is far below 2**53, so the float64 round trip is exact.
-        updates = [update for _, update in self.finished]
+        updates = self.uploads.collect()
         meta = np.array(
             [
                 (u.user_id, u.base_version, u.num_samples, u.num_batches, u.train_loss, u.momentum_norm)
@@ -262,21 +346,25 @@ def _restore_slot_exec_reply(
     spec_open: Optional[SlotOpenReply],
 ) -> SlotExecReply:
     """Rebuild a :class:`SlotExecReply` from its packed pickle form."""
-    finished = []
+    users, updates = [], []
     for row, (user, version, samples, batches, loss, norm) in enumerate(meta.tolist()):
         user = int(user)
-        update = LocalUpdate(
-            user_id=user,
-            delta=deltas[row],
-            base_version=int(version),
-            num_samples=int(samples),
-            train_loss=loss,
-            momentum_norm=norm,
-            num_batches=int(batches),
-            params=None if params is None else params[row],
+        users.append(user)
+        updates.append(
+            LocalUpdate(
+                user_id=user,
+                delta=deltas[row],
+                base_version=int(version),
+                num_samples=int(samples),
+                train_loss=loss,
+                momentum_norm=norm,
+                num_batches=int(batches),
+                params=None if params is None else params[row],
+            )
         )
-        finished.append((user, update))
-    return SlotExecReply(finished, tick_total, tick_user_totals, next_ready, spec_open)
+    return SlotExecReply(
+        SlotUploads(users, updates), tick_total, tick_user_totals, next_ready, spec_open
+    )
 
 
 @dataclass
@@ -568,26 +656,21 @@ class FleetShard:
             fleet.waiting_slots[idle_local] += 1
             decided_idle[idle_local] = True
         outcome = fleet.advance(decided_idle)
-        finished: List[Tuple[int, LocalUpdate]] = []
-        if len(outcome.finished_users):
-            tick = self.timers.start()
-            finishers = outcome.finished_users.tolist()
+        finishers = outcome.finished_users.tolist()
+        if finishers:
             bases = []
             for local in finishers:
                 base = fleet.base_params[local]
                 assert base is not None  # pinned at download
                 bases.append(base)
-            updates = FLClient.local_train(
-                self.clients,
-                finishers,
-                bases,
-                [int(fleet.base_version[local]) for local in finishers],
-                include_params=self.include_params,
+            versions = fleet.base_version[finishers].tolist()
+            uploads = SlotUploads(
+                [local + lo for local in finishers],
+                blocks=self.clients.plan_blocks(finishers),
+                train=partial(self._train_block, finishers, bases, versions),
             )
-            for local, update in zip(finishers, updates):
-                fleet.momentum_norms[local] = update.momentum_norm
-                finished.append((local + lo, update))
-            self.timers.stop("training", tick)
+        else:
+            uploads = SlotUploads([], [])
         tick_total = None
         tick_user_totals = None
         if want_tick:
@@ -600,21 +683,49 @@ class FleetShard:
             if capture_users:
                 tick_user_totals = user_totals
         next_ready = len(fleet.ready_users())
-        rearmed = [user for user, _ in finished] if rearm else []
+        rearmed = uploads.users if rearm else []
         spec_open = None
         if rearmed or (speculate and next_ready > 0):
             # Either way the next protocol step for this shard is
             # ``open_slot(slot + 1)`` — run it now and save the round trip.
             # ``begin_slot_apps`` never changes ready eligibility, so
-            # ``next_ready`` keeps its pre-open meaning.
+            # ``next_ready`` keeps its pre-open meaning.  The open reads the
+            # re-armed finishers' momentum norms: train them first.
+            uploads.collect()
             spec_open = self.open_slot(slot + 1, rearmed, None, None)
         return SlotExecReply(
-            finished=finished,
+            uploads=uploads,
             tick_total=tick_total,
             tick_user_totals=tick_user_totals,
             next_ready=next_ready,
             spec_open=spec_open,
         )
+
+    def _train_block(
+        self,
+        finishers: List[int],
+        bases: List[np.ndarray],
+        versions: List[int],
+        block: List[int],
+    ) -> List[LocalUpdate]:
+        """Train one planned block of the slot's ``finishers`` (slice-local
+        ids; ``block`` holds positions into them) in one
+        :meth:`FLClient.local_train` call, charged to ``training``."""
+        tick = self.timers.start()
+        if len(block) < len(finishers):
+            users = [finishers[position] for position in block]
+            bases = [bases[position] for position in block]
+            versions = [versions[position] for position in block]
+        else:  # the slot's one block
+            users = finishers
+        updates = FLClient.local_train(
+            self.clients, users, bases, versions, include_params=self.include_params
+        )
+        norms = self.fleet.momentum_norms
+        for local, update in zip(users, updates):
+            norms[local] = update.momentum_norm
+        self.timers.stop("training", tick)
+        return updates
 
     # -- event-horizon fast forward (two-phase) ---------------------------------
 
@@ -1376,16 +1487,21 @@ def drive_fleet_loop(
             )
         exec_replies = [handle.wait() for handle in handles]
         spec_opens = [reply.spec_open for reply in exec_replies]
-        # Shard order == ascending user order: the slot's one upload block.
-        finished = [item for reply in exec_replies for item in reply.finished]
+        # Shard order == ascending user order: the slot's upload streams.
+        streams = [reply.uploads for reply in exec_replies]
+        uploaded = [user for stream in streams for user in stream.users]
         if sync_mode:
-            for user, update in finished:
-                core.buffer_sync_upload(user, update)
-        elif finished:
-            uploaded = [user for user, _ in finished]
+            for stream in streams:
+                for user, update in zip(stream.users, stream.collect()):
+                    core.buffer_sync_upload(user, update)
+        elif uploaded:
             coupling_tick = timers.start()
-            core.apply_async_update(slot, uploaded, [update for _, update in finished])
-            timers.stop("coupling", coupling_tick)
+            training_s = timers.seconds["training"]
+            core.apply_async_update(
+                slot, uploaded, chain.from_iterable(stream.release() for stream in streams)
+            )
+            # The blocks the merge trained are ``training`` time only.
+            timers.stop("coupling", coupling_tick, timers.seconds["training"] - training_s)
             core.gaps[uploaded] = 0.0
             pending_arrivals.extend(uploaded)
 

@@ -77,11 +77,12 @@ class EngineTimers:
             return 0.0
         return time.perf_counter()  # reprolint: allow(wall-clock): profiling measures real time by design
 
-    def stop(self, category: str, tick: float) -> None:
-        """Close a timed section opened by :meth:`start`."""
+    def stop(self, category: str, tick: float, nested_s: float = 0.0) -> None:
+        """Close a timed section opened by :meth:`start`; ``nested_s`` of it
+        was already charged to another category inside it."""
         if not self.enabled:
             return
-        self.seconds[category] += time.perf_counter() - tick  # reprolint: allow(wall-clock): profiling only, never feeds sim state
+        self.seconds[category] += time.perf_counter() - tick - nested_s  # reprolint: allow(wall-clock): profiling only, never feeds sim state
 
     def stop_total(self, tick: float) -> None:
         """Close the whole-run section (bounds the derived remainder)."""

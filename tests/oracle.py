@@ -223,6 +223,24 @@ def client_plane(partitions, model, lo=0, **knobs):
     return FLClient(x, y, np.arange(len(x)), offsets, model, lo=lo, **knobs)
 
 
+def train_planned(plane, users, bases, base_versions, include_params=True):
+    """``users``' rounds as a shard trains a slot's finishers: the plane's
+    planned blocks, one ``FLClient.local_train`` call each; the uploads in
+    input order."""
+    updates = [None] * len(users)
+    for block in plane.plan_blocks(users):
+        trained = FLClient.local_train(
+            plane,
+            [users[position] for position in block],
+            [bases[position] for position in block],
+            [base_versions[position] for position in block],
+            include_params,
+        )
+        for position, update in zip(block, trained):
+            updates[position] = update
+    return updates
+
+
 def frozen_class_partition(y, num_users, rng, num_classes, draw_proportions):
     """The label-skew partition loop before the empty-user fix, as per-user
     sorted index arrays: a donor with fewer than two samples could leave its
@@ -443,8 +461,8 @@ class FrozenLogs:
     event to a plain list — ``ParameterServer.update_log``, the trace's
     ``update_samples`` and ``OnlinePolicy.decision_log`` as they were built
     then.  The block producer ``async_update_block`` is replayed one event
-    at a time on shadow state — the merge rules as they were then — before
-    the real block runs.  Run exactly one engine while attached.
+    at a time on shadow state — the merge rules as they were then — each
+    released list before the real block merges it.  Run exactly one engine while attached.
     """
 
     def __init__(self, trace_level: str = "full") -> None:
@@ -493,27 +511,37 @@ class FrozenLogs:
                 )
             return records
 
-        def async_update_block(server, updates, bases, time_s):
+        def async_update_block(server, blocks, bases, time_s):
             version, params = server.version, server.global_params()
-            for offset, (update, base) in enumerate(zip(updates, bases)):
-                lag = version + offset - update.base_version
-                gap = gradient_gap_from_params(base, params)
-                logs.update_log.append(
-                    FrozenServerUpdate(
-                        time_s, update.user_id, version + offset, lag, gap, update.train_loss
-                    )
-                )
-                logs._sample(time_s, update.user_id, lag, gap, update.train_loss, False)
-                if server.async_rule is AsyncUpdateRule.ACCUMULATE:
-                    params = params + update.delta
-                elif server.async_rule is AsyncUpdateRule.REPLACE:
-                    params = update.params
-                else:
-                    alpha = server.mixing_alpha
-                    if server.async_rule is AsyncUpdateRule.STALENESS_WEIGHTED:
-                        alpha = alpha / (1.0 + lag)
-                    params = (1.0 - alpha) * params + alpha * update.params
-            return real_async_block(server, updates, bases, time_s)
+            offset = 0
+
+            def replayed():
+                """Each released list, replayed on the shadow state first."""
+                nonlocal params, offset
+                for block in blocks:
+                    for update in block:
+                        lag = version + offset - update.base_version
+                        gap = gradient_gap_from_params(bases[offset], params)
+                        logs.update_log.append(
+                            FrozenServerUpdate(
+                                time_s, update.user_id, version + offset, lag, gap,
+                                update.train_loss,
+                            )
+                        )
+                        logs._sample(time_s, update.user_id, lag, gap, update.train_loss, False)
+                        if server.async_rule is AsyncUpdateRule.ACCUMULATE:
+                            params = params + update.delta
+                        elif server.async_rule is AsyncUpdateRule.REPLACE:
+                            params = update.params
+                        else:
+                            alpha = server.mixing_alpha
+                            if server.async_rule is AsyncUpdateRule.STALENESS_WEIGHTED:
+                                alpha = alpha / (1.0 + lag)
+                            params = (1.0 - alpha) * params + alpha * update.params
+                        offset += 1
+                    yield block
+
+            return real_async_block(server, replayed(), bases, time_s)
 
         def decide_all(policy, batch):
             schedule = real_decide_all(policy, batch)

@@ -581,7 +581,7 @@ class ReferenceLoopEngine(Coordinator):
 
     def _apply_async_update(self, user: int, slot: int, update: LocalUpdate) -> float:
         """Apply one finished user's upload (see :class:`CouplingCore`)."""
-        return self.core.apply_async_update(slot, [user], [update])[0]
+        return self.core.apply_async_update(slot, [user], [[update]])[0]
 
     def _maybe_complete_sync_round(
         self, slot: int, stalled_fn: Optional[Callable[[], List[int]]] = None

@@ -371,13 +371,13 @@ class TestResumeWhereBlocksForm:
     @pytest.mark.parametrize("mode", ["single", "inline2", "process2"])
     def test_resume_ends_on_the_per_client_digest(self, monkeypatch, reference, mode):
         blocks = []
-        real_block = FLClient._train_block
+        real_block = FLClient.local_train
 
-        def spy(plane, users, *args):
+        def spy(plane, users, *args, **kwargs):
             blocks.append(len(users))
-            return real_block(plane, users, *args)
+            return real_block(plane, users, *args, **kwargs)
 
-        monkeypatch.setattr(FLClient, "_train_block", spy)
+        monkeypatch.setattr(FLClient, "local_train", spy)
         config = make_config(**self.CONFIG)
         checkpoint = interrupt_at(build(mode, config, make_policy("online")), 500)
         assert run_digest(restore(mode, checkpoint).run()) == reference
@@ -636,7 +636,7 @@ class TestSnapshotIsolation:
             user, delta=np.ones_like(params), base_version=version,
             num_samples=1, train_loss=0.0, momentum_norm=0.0, num_batches=1,
         )
-        core.apply_async_update(38, [user], [update])
+        core.apply_async_update(38, [user], [[update]])
         core.accuracy.record(38.0, accuracy=1.0, loss=0.0, num_updates=version + 1)
         core.gaps += 1.0
         assert core.server.version == version + 1

@@ -127,7 +127,11 @@ class TestServerBlocks:
             for user, finish in inflight[:size]:
                 block.register_inflight_block((user,), (finish,))
                 scalar.register_inflight_block((user,), (finish,))
-            rows = block.async_update_block(updates, bases, time_s=4.0)
+            # Released as two lists, as a slot's upload stream releases its blocks.
+            half = size // 2
+            rows = block.async_update_block(
+                iter([updates[:half], updates[half:]]), bases, time_s=4.0
+            )
             want = _scalar_sequence(scalar, updates, bases, 4.0)
             assert [(row[3], row[4]) for row in rows] == want
             assert all(type(row[3]) is int and type(row[4]) is float for row in rows)
@@ -159,7 +163,7 @@ class TestServerBlocks:
             updates[2].params = None
         messages = []
         for server, apply in (
-            (block, lambda: block.async_update_block(updates, bases, 1.0)),
+            (block, lambda: block.async_update_block([updates[:3], updates[3:]], bases, 1.0)),
             (scalar, lambda: _scalar_sequence(scalar, updates, bases, 1.0)),
         ):
             with pytest.raises(ValueError) as raised:
@@ -176,7 +180,7 @@ class TestServerBlocks:
         pinned = server.download_block((0,))
         before = pinned.copy()
         updates, bases = _uploads(4, [0, 1, 2], [0, 0, 0], with_params=True)
-        server.async_update_block(updates, bases, 0.0)
+        server.async_update_block([updates], bases, 0.0)
         assert np.array_equal(pinned, before) and not pinned.flags.writeable
         assert not np.array_equal(server.global_params(), before)
         assert not np.shares_memory(server.global_params(), pinned)
@@ -518,9 +522,9 @@ class TestTransferCount:
             blocks.append(len(users))
             return real_download(core, users)
 
-        def apply_async_update(core, slot, users, updates):
+        def apply_async_update(core, slot, users, released):
             blocks.append(len(users))
-            return real_upload(core, slot, users, updates)
+            return real_upload(core, slot, users, released)
 
         def buffer_sync_upload(core, user, update):
             blocks.append(1)

@@ -356,10 +356,6 @@ KEYWORD_ALLOWED = {
     "its removal is a later change",
     ("scenario_run_spec", "label"): "set by a POST /jobs scenario payload, whose keys "
     "the service splats into the call",
-    ("sweep_grid", "policies"): "no product caller passes it today; its removal is a "
-    "later change",
-    ("sweep_grid", "arrival_probs"): "no product caller passes it today; its removal "
-    "is a later change",
 }
 
 
@@ -541,7 +537,7 @@ class TestOneDataPlane:
             "ReadyPayload": {"device_names", "app_names", "device_codes", "app_codes", "catalogs"},
             # One client plane per user range: no per-user optimizer state
             # or generator, and no diagnostics nothing in the product calls.
-            "FLClient": {"evaluate_local", "momentum_norm", "_train_round"},
+            "FLClient": {"evaluate_local", "momentum_norm", "_train_round", "_train_block"},
             "MomentumSGD": {"apply_to_vector", "load_velocity", "lend_velocity", "reset"},
             # One local-round form (every round a row of a stacked block),
             # and no layer with a training / evaluation switch.
@@ -559,7 +555,7 @@ class TestOneDataPlane:
         assert {"decide_all", "idle_slots", "record_idle"} <= methods["SchedulingPolicy"]
         assert "evaluate_batch" in methods["OnlineController"]
         assert {"local_train", "checkpoint_state", "restore_state"} <= methods["FLClient"]
-        assert "_train_block" in methods["FLClient"] and "stacked" in methods["Sequential"]
+        assert "plan_blocks" in methods["FLClient"] and "stacked" in methods["Sequential"]
         columns = methods["ObservationBatch"] | methods["ReadyPayload"]
         assert {"user_ids", "users", "app_running"} <= columns
         assert not {name for name in columns if "name" in name or "code" in name}

@@ -242,13 +242,13 @@ class TestBlockRowIsolation:
                 velocity[5] = np.nan
                 clients.velocities[row] = velocity
         blocks = []
-        real_block = FLClient._train_block
+        real_block = FLClient.local_train
 
         def spy(clients, users, *args):
             blocks.append(len(users))
             return real_block(clients, users, *args)
 
-        monkeypatch.setattr(FLClient, "_train_block", spy)
+        monkeypatch.setattr(FLClient, "local_train", spy)
         got = FLClient.local_train(stacked, list(range(count)), bases, [1] * count)
         assert blocks == [count]
         want = [

@@ -152,21 +152,31 @@ class TestExperimentSuiteDeterminism:
 
 class TestSweepGrid:
     def test_grid_shape(self):
+        """Seed-major, one online spec per (seed, V); the labels and cache
+        keys are those ``repro-sim sweep`` has always written, so cached
+        summaries stay valid."""
         specs = sweep_grid(
-            v_values=(0.0, 4000.0),
-            policies=("online", "immediate"),
-            seeds=(0, 1),
-            arrival_probs=(None, 0.01),
-            base_config=SMOKE_CONFIG,
+            v_values=(0.0, 4000.0), seeds=(0, 1), staleness_bound=300.0,
+            base_config=SMOKE_CONFIG, shards=2, trace_level="summary",
         )
-        # online: 2 V x 2 seeds x 2 probs = 8; immediate: 2 seeds x 2 probs = 4.
-        assert len(specs) == 12
-        online = [s for s in specs if s.policy == "online"]
-        assert len(online) == 8
-        assert all(s.config["num_users"] == SMOKE_CONFIG["num_users"] for s in specs)
-        # ``None`` keeps the base arrival probability; explicit values override.
-        probs = {s.config["app_arrival_prob"] for s in specs}
-        assert probs == {SMOKE_CONFIG["app_arrival_prob"], 0.01}
+        assert [spec.label for spec in specs] == [
+            "online V=0 seed=0", "online V=4000 seed=0",
+            "online V=0 seed=1", "online V=4000 seed=1",
+        ]
+        cells = [(seed, v) for seed in (0, 1) for v in (0.0, 4000.0)]
+        for spec, (seed, v) in zip(specs, cells):
+            assert spec.policy == "online"
+            assert spec.policy_kwargs == {"v": v, "staleness_bound": 300.0}
+            assert spec.config == dict(SMOKE_CONFIG, seed=seed)
+            assert (spec.shards, spec.trace_level) == (2, "summary")
+        # One seed: no seed suffix, as the CLI's sweep labels its rows.
+        (single,) = sweep_grid(v_values=(4000.0,), seeds=(3,), base_config=SMOKE_CONFIG)
+        assert single.label == "online V=4000"
+        assert single.config_hash() == RunSpec(
+            policy="online",
+            policy_kwargs={"v": 4000.0, "staleness_bound": 500.0},
+            config=dict(SMOKE_CONFIG, seed=3),
+        ).config_hash()
 
     def test_all_specs_unique(self):
         specs = sweep_grid(v_values=(0.0, 4000.0), seeds=(0, 1), base_config=SMOKE_CONFIG)

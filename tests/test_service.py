@@ -103,6 +103,40 @@ class TestDuplicateExecutionGuard:
         assert service.run_job(record.id).state == "done"
 
 
+class TestRetiredSpecFields:
+    """A job an older version wrote may name spec fields this one no longer
+    has (every one of them holds ``fast_forward``): it is listed as a failed
+    job that cannot run here, never silently dropped."""
+
+    def _write(self, service, job_id, text):
+        path = service.job_dir(job_id) / "job.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+
+    def test_listed_as_failed_naming_the_fields(self, tmp_path):
+        service = ExperimentService(tmp_path)
+        spec = dict(dataclasses.asdict(tiny_spec()), fast_forward=True)
+        job = {"id": "0ld", "spec": spec, "state": "running", "created_at": 1.0}
+        text = json.dumps(job)
+        self._write(service, "0ld", text)
+        self._write(service, "torn", text[:40])  # truncated: skipped
+        (record,) = service.list_jobs()
+        assert (record.id, record.state) == ("0ld", "failed")
+        assert "fast_forward" in record.error and record.spec.config == json.loads(
+            json.dumps(tiny_spec().config)
+        )
+        assert service.recover() == []  # a failed job is not re-enqueued
+        status, payload = ServiceAPI(service).handle("GET", "/jobs", None)
+        assert status == 200 and [job["state"] for job in payload["jobs"]] == ["failed"]
+        assert "retired_fields" not in payload["jobs"][0]
+        status, payload = ServiceAPI(service).handle("POST", "/jobs/0ld/resume", None)
+        assert status == 400 and "fast_forward" in payload["error"]
+        assert (service.job_dir("0ld") / "job.json").read_text() == text  # never rewritten
+        # A finished one keeps its state (its result is still there).
+        self._write(service, "done", json.dumps(dict(job, id="done", state="done")))
+        assert [(r.id, r.state) for r in service.list_jobs()] == [("0ld", "failed"), ("done", "done")]
+
+
 class TestAPIErrorEnvelope:
     @pytest.fixture
     def api(self, tmp_path):

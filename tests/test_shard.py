@@ -37,6 +37,7 @@ from repro.sim.shard import (
     QuietTryReply,
     ShardedEngine,
     SlotExecReply,
+    SlotUploads,
     shard_bounds,
 )
 from repro.sim.shmplane import _INLINE_MAX, REPLY, ShardMailbox
@@ -298,7 +299,10 @@ class TestProfileShares:
 def _reply_bits(reply: SlotExecReply) -> tuple:
     """Everything a ``run_slot`` reply carries, bit for bit."""
     return (
-        [(user, upload_bits(update)) for user, update in reply.finished],
+        [
+            (user, upload_bits(update))
+            for user, update in zip(reply.uploads.users, reply.uploads.collect())
+        ],
         reply.tick_total,
         None if reply.tick_user_totals is None else reply.tick_user_totals.tobytes(),
         reply.next_ready,
@@ -307,15 +311,16 @@ def _reply_bits(reply: SlotExecReply) -> tuple:
 
 
 def _decoded_replies(monkeypatch) -> list:
-    """Record ``(frame, reply)`` for every ``run_slot`` reply the coordinator
-    decodes from a process shard."""
+    """Record ``(frame, uploads)`` for every ``run_slot`` reply the
+    coordinator decodes from a process shard (the reply lets its uploads go
+    once they are merged)."""
     replies = []
     real_decode = ShardMailbox.decode
 
     def decode(self, frame):
         message = real_decode(self, frame)
         if isinstance(message[1], SlotExecReply):
-            replies.append((frame, message[1]))
+            replies.append((frame, message[1].uploads.collect()))
         return message
 
     monkeypatch.setattr(ShardMailbox, "decode", decode)
@@ -336,7 +341,7 @@ class TestUploadBlock:
 
     def _reply(self, users, with_params, seed=0) -> SlotExecReply:
         rng = np.random.default_rng(seed)
-        finished = []
+        updates = []
         for user in users:
             delta = rng.normal(size=self.P)
             delta[:3] = (-0.0, np.inf, np.nan)  # bits, not values
@@ -350,9 +355,9 @@ class TestUploadBlock:
                 num_batches=int(rng.integers(1, 50)),
                 params=rng.normal(size=self.P) if with_params else None,
             )
-            finished.append((user, update))
+            updates.append(update)
         return SlotExecReply(
-            finished=finished,
+            uploads=SlotUploads(list(users), updates),
             tick_total=float(rng.random()),
             tick_user_totals=rng.normal(size=6),
             next_ready=len(users),
@@ -376,7 +381,7 @@ class TestUploadBlock:
             assert _reply_bits(decoded) == expected
             if len(users) > 1:
                 assert len(frame) < self.P * 8  # the blocks went out-of-band
-                blocks = {id(update.delta.base) for _, update in decoded.finished}
+                blocks = {id(update.delta.base) for update in decoded.uploads.collect()}
                 assert len(blocks) == 1  # rows of one private block
             # The next exchange overwrites the reply slab; decoded rows are
             # private copies, so they must not move.
@@ -415,7 +420,7 @@ class TestUploadBlock:
         assert _observables(sharded, config.num_users) == _observables(
             single, config.num_users
         )
-        shipped = [update for _, reply in replies for _, update in reply.finished]
+        shipped = [update for _, updates in replies for update in updates]
         assert shipped and all(update.params is not None for update in shipped)
 
     def test_sync_uploads_parked_across_slots(self, monkeypatch):
@@ -451,7 +456,7 @@ class TestUploadBlock:
             single, config.num_users
         )
         assert len(set(parked)) > 1 and sharded.num_updates > 0
-        assert any(reply.finished for _, reply in replies)
+        assert any(updates for _, updates in replies)
 
 
 class TestPayloadGate:
@@ -474,7 +479,7 @@ class TestPayloadGate:
         ShardedEngine(config, ImmediatePolicy(), shards=2).run()
         vector_nbytes = SimulationEngine(config, ImmediatePolicy()).server.global_params().nbytes
         assert vector_nbytes < _INLINE_MAX  # each delta alone would stay in-band
-        multi = [len(frame) for frame, reply in replies if len(reply.finished) >= 2]
+        multi = [len(frame) for frame, updates in replies if len(updates) >= 2]
         assert multi, "no slot had two finishers on one shard"
         assert all(frame[0] != 0x80 for frame, _ in replies)  # no spill
         assert max(multi) < vector_nbytes
@@ -540,7 +545,7 @@ class TestRoundTrips:
             owner, reply = next(events)  # one reply per post, in order
             assert owner == handle
             if isinstance(reply, SlotExecReply):
-                finished[handle] = [user for user, _ in reply.finished]
+                finished[handle] = reply.uploads.users
         return opens
 
     @staticmethod
@@ -554,7 +559,7 @@ class TestRoundTrips:
         # The run exercised both paths: finishers re-armed, tries settled on 0.
         rearmed = [
             reply for _, reply in replies
-            if isinstance(reply, SlotExecReply) and reply.finished and reply.spec_open
+            if isinstance(reply, SlotExecReply) and reply.uploads.users and reply.spec_open
         ]
         zero_tries = [
             reply for _, reply in replies
@@ -603,12 +608,12 @@ class TestPendingDownload:
         while True:  # run slots, re-arming, until the first finisher
             reply = shard.run_slot(slot, scheduled, [], False, False, False, True)
             scheduled = []
-            if reply.finished:
+            if reply.uploads.users:
                 break
             assert reply.spec_open is None  # nothing to re-arm, no ready user
             slot += 1
             shard.open_slot(slot, [], None, None)
-        rearmed = [user for user, _ in reply.finished]
+        rearmed = reply.uploads.users
         assert reply.spec_open is not None
         assert reply.spec_open.payload.users.tolist() == rearmed  # ready next slot
         for method, args in (

@@ -9,9 +9,10 @@ Contracts under test (``src/repro/fl/model.py``, ``optimizer.py``,
   (``tests/oracle.py::FrozenLocalTrainer``);
 * a model is a workspace, not client state: clients sharing one instance
   produce exactly the uploads of clients that each own one;
-* one ``FLClient.local_train`` call over a mix of blocks of one and of
-  many is, row for row, the frozen round of each client; a block of one
-  runs in the model's own 2-D shapes;
+* a mix of users trained as the plane plans it (``FLClient.plan_blocks``,
+  one ``FLClient.local_train`` call per block of one or of many) is, row
+  for row, the frozen round of each client; a block of one runs in the
+  model's own 2-D shapes;
 * the client plane refuses what it cannot stack: a model of other layers
   than ``Linear`` / ``ReLU`` / ``Tanh``, a user without samples;
 * the client plane's lazily made shuffling generators are the eager
@@ -39,6 +40,7 @@ from oracle import (
     evaluate_local,
     flat_grads,
     partition_batches,
+    train_planned,
     user_partitions,
     zero_grads,
 )
@@ -405,13 +407,13 @@ class TestStackedBlocks:
         include_params=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_one_call_equals_the_frozen_round_per_client(
+    def test_planned_blocks_equal_the_frozen_round_per_client(
         self, specs, shared, include_params, seed
     ):
         """Clients given by ``specs`` plus ``shared`` clients of one knob set
         (a group from none to past two blocks), shuffled together; the users
         of one knob set form one plane, of mixed sample counts.  A first
-        call per plane trains some of them and some planes lend their
+        planned pass per plane trains some of them and some planes lend their
         velocities to a snapshot; a second trains all of them, each from its
         own base."""
         rng = np.random.default_rng(seed)
@@ -447,7 +449,7 @@ class TestStackedBlocks:
             )
             planes[key].optimizer.weight_decay = decay
         blocks = []
-        real_block = FLClient._train_block
+        real_block = FLClient.local_train
 
         def spy(plane, users, *args):
             blocks.append(len(users))
@@ -467,8 +469,8 @@ class TestStackedBlocks:
                 ]
                 for base in downloads:
                     base.setflags(write=False)  # as the server's download view is
-                with mock.patch.object(FLClient, "_train_block", spy):
-                    updates = FLClient.local_train(
+                with mock.patch.object(FLClient, "local_train", spy):
+                    updates = train_planned(
                         plane,
                         [place[user][1] for user in mine],
                         downloads,
@@ -537,7 +539,7 @@ class TestUploadBlocks:
         plane = _equal_plane()
         base = plane.model.get_flat_params()
         bases = [base + 0.01 * user for user in range(6)]
-        updates = FLClient.local_train(
+        updates = train_planned(
             plane, list(range(6)), bases, [0] * 6, include_params=include_params
         )
         for field in ("delta", "params") if include_params else ("delta",):
@@ -565,8 +567,8 @@ class TestUploadBlocks:
         full, lean = _equal_plane(), _equal_plane()
         base = full.model.get_flat_params()
         bases = [base * (1.0 + 0.1 * user) for user in range(6)]
-        with_params = FLClient.local_train(full, list(range(6)), bases, [0] * 6, True)
-        delta_only = FLClient.local_train(lean, list(range(6)), bases, [0] * 6, False)
+        with_params = train_planned(full, list(range(6)), bases, [0] * 6, True)
+        delta_only = train_planned(lean, list(range(6)), bases, [0] * 6, False)
         for got, want, start in zip(delta_only, with_params, bases):
             assert want.delta.tobytes() == (want.params - start).tobytes()
             assert got.delta.tobytes() == want.delta.tobytes()
