@@ -264,17 +264,9 @@ class FLClient:
         ``users`` give ascending blocks, and each group's blocks follow one
         another.
         """
-        if len(users) == 1:
-            return [[0]]
-        offsets = self.offsets
-        if len(users) > 16:  # one gather beats a scalar read per user
-            index = np.asarray(users, dtype=np.int64)
-            sizes = (offsets[index + 1] - offsets[index]).tolist()
-        else:
-            sizes = [offsets[user + 1] - offsets[user] for user in users]
         groups: Dict[int, List[int]] = {}
-        for position, size in enumerate(sizes):
-            groups.setdefault(size, []).append(position)
+        for position, user in enumerate(users):
+            groups.setdefault(self.num_samples(user), []).append(position)
         rows = max(1, BLOCK_BYTES // self.model.flat_params.nbytes)
         return [
             group[start : start + rows]
@@ -313,8 +305,9 @@ class FLClient:
 
         Args:
             users: one block of training users (indices into the range),
-                each at most once, all holding as many samples, at most
-                :data:`BLOCK_BYTES` of parameters together.
+                each at most once, all holding as many samples (a mix
+                raises ``ValueError``), at most :data:`BLOCK_BYTES` of
+                parameters together.
             bases: the downloaded global model each trains from (flat vectors).
             base_versions: parameter-server version of each base.
             include_params: also ship the absolute parameter vectors; the
@@ -342,7 +335,10 @@ class FLClient:
             first = self.offsets[index : index + 1]
         else:
             index = np.array(users)
-            first = self.offsets[index][:, None]
+            starts = self.offsets[index]
+            if (self.offsets[index + 1] - starts).tolist() != [size] * len(users):
+                raise ValueError("a block's users must hold as many samples each")
+            first = starts[:, None]
         losses = []
         for _ in range(self.local_epochs):
             if size == 1:  # nothing to shuffle

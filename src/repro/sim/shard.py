@@ -234,9 +234,6 @@ class SlotUploads:
             return
         blocks, train = self._blocks, self._train
         self._blocks = self._train = None
-        if len(blocks) == 1:
-            yield train(blocks[0])
-            return
         trained: List[Optional[List[LocalUpdate]]] = [None] * len(blocks)
         for block, start, stop in _block_runs(blocks):
             if start == 0:
@@ -257,13 +254,6 @@ def _block_runs(blocks: List[List[int]]) -> List[Tuple[int, int, int]]:
     """``(block, start, stop)``: the planned blocks' slices in ascending
     position order.  Blocks of one group follow one another whole; groups
     that interleave cut each other's blocks into runs."""
-    first = 0
-    for block in blocks:
-        if block[0] != first or block[-1] != first + len(block) - 1:
-            break
-        first += len(block)
-    else:
-        return [(index, 0, len(block)) for index, block in enumerate(blocks)]
     owner = [0] * sum(map(len, blocks))
     for index, block in enumerate(blocks):
         for position in block:
@@ -712,14 +702,13 @@ class FleetShard:
         ids; ``block`` holds positions into them) in one
         :meth:`FLClient.local_train` call, charged to ``training``."""
         tick = self.timers.start()
-        if len(block) < len(finishers):
-            users = [finishers[position] for position in block]
-            bases = [bases[position] for position in block]
-            versions = [versions[position] for position in block]
-        else:  # the slot's one block
-            users = finishers
+        users = [finishers[position] for position in block]
         updates = FLClient.local_train(
-            self.clients, users, bases, versions, include_params=self.include_params
+            self.clients,
+            users,
+            [bases[position] for position in block],
+            [versions[position] for position in block],
+            include_params=self.include_params,
         )
         norms = self.fleet.momentum_norms
         for local, update in zip(users, updates):

@@ -14,7 +14,8 @@ Contracts under test (``src/repro/fl/model.py``, ``optimizer.py``,
   for row, the frozen round of each client; a block of one runs in the
   model's own 2-D shapes;
 * the client plane refuses what it cannot stack: a model of other layers
-  than ``Linear`` / ``ReLU`` / ``Tanh``, a user without samples;
+  than ``Linear`` / ``ReLU`` / ``Tanh``, a user without samples, a block
+  whose users hold different sample counts;
 * the client plane's lazily made shuffling generators are the eager
   per-user generators: rounds, uploads and checkpointed ``rng_state`` dicts;
 * a block's uploads are rows of one fresh ``(k, P)`` array (and of a second
@@ -367,6 +368,16 @@ class TestStackedBlocks:
             assert np.shares_memory(layer.grads[name], block.flat_grads)
             assert not np.shares_memory(value, model.flat_params)
             assert layer is not source
+
+    def test_a_block_mixing_sample_counts_is_refused(self):
+        # 233 samples over 5 users: shards of 47, 47, 47, 46 and 46.
+        plane = client_plane(_partitions("mlp", 5, 233), _build("mlp"))
+        assert [plane.num_samples(user) for user in range(5)] == [47, 47, 47, 46, 46]
+        base = plane.model.get_flat_params()
+        for users in ([0, 3], [3, 0], [3, 4, 1]):
+            with pytest.raises(ValueError, match="as many samples"):
+                FLClient.local_train(plane, users, [base] * len(users), [0] * len(users))
+        assert plane.rounds_completed.tolist() == [0] * 5
 
     def test_a_block_of_one_is_the_model_itself(self):
         model = _build("mlp")
